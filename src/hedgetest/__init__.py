@@ -17,7 +17,8 @@ from .portfolio import (Portfolio, TradeLimits, buy_contract, issue_contract,
                         step, trade_limits)
 from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
                       black_scholes_put, lattice_price, mc_price,
-                      risk_neutral_up_prob, solve_hedge_strike)
+                      put_floor_strikes, risk_neutral_up_prob,
+                      solve_hedge_strike)
 from .strategies import (StrategyKind, StrategySpec, conservative_lambda,
                          dynamic_lambda, kelly_lambda)
 from .wealth import (CashFlow, Family, HypothesisSpec, TestDecision, WealthPath,

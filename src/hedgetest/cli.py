@@ -94,6 +94,8 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_hedge_solve(args) -> int:
+    if not 0.0 < args.floor < 1.0:
+        raise ConfigError(f"floor {args.floor} must lie in (0, 1)")
     model = LatticeModel(args.u, args.d, args.horizon)
     roots = solve_hedge_strike(model, args.floor, args.horizon)
     _write(args.out, to_json({"floor": args.floor, "horizon": args.horizon,
@@ -159,6 +161,9 @@ def _cmd_screen(args) -> int:
                          "hedge_expiry": args.expiry or sequences.shape[1],
                          "seed": args.seed, "genes": len(gene_ids),
                          "horizon": sequences.shape[1]},
+              "strike_table": [{"lambda": lam, "strike": strike, "premium": premium}
+                               for lam, (strike, premium) in result.strike_table.items()],
+              "fallback_genes": result.fallback_genes,
               "report": result.report.as_dict()}
     if args.out is None:
         sys.stdout.write(to_json(report) + "\n")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ingest import LAMBDA_GRID
 from .pricing import (Contract, LatticeModel, StrikeSolveError,
-                      lattice_node_values, mc_put_strike_solve,
+                      lattice_node_values, put_floor_strikes,
                       solve_hedge_strike)
 from .rng import DEFAULT_SEED, stream
 from .strategies import StrategyKind, StrategySpec
@@ -115,6 +115,8 @@ class ExperimentConfig:
         if not self.ruin_level < 1.0 < 1.0 / self.alpha:
             raise ConfigError("need ruin_level < 1 < 1/alpha")
         if self.hedge is not None:
+            if not 0.0 < self.hedge_floor < 1.0:
+                raise ConfigError(f"hedge floor {self.hedge_floor} not in (0, 1)")
             if self.hedge_expiry > self.horizon:
                 raise ConfigError(
                     f"hedge expiry {self.hedge_expiry} beyond horizon {self.horizon}")
@@ -168,6 +170,7 @@ class ExperimentResult:
     rejected: np.ndarray
     crossing_time: np.ndarray        # -1 where the threshold was never hit
     report: RiskReport
+    hedge_plan: HedgePlan | None
 
 
 def tail_metrics(final_wealths, q: float) -> tuple[float, float]:
@@ -324,7 +327,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     maxw = np.concatenate([p[1] for p in parts])
     crossing = np.concatenate([p[2] for p in parts])
     report = _summarize(config.ruin_level, final, maxw, crossing)
-    return ExperimentResult(config, final, maxw, crossing >= 0, crossing, report)
+    return ExperimentResult(config, final, maxw, crossing >= 0, crossing, report, plan)
 
 
 def run_shift_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -347,6 +350,7 @@ class ScreeningResult:
     report: RiskReport
     effective_lambdas: np.ndarray
     strike_table: dict               # lambda -> (strike, premium); empty unhedged
+    fallback_genes: int              # genes whose fraction fell back to a smaller one
 
     @property
     def proportion_rejected(self) -> float:
@@ -376,24 +380,20 @@ def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int, seed: int,
     floor to be attainable falls back to the next smaller candidate whose
     equation has a root.
     """
-    candidates = sorted(set(float(l) for l in lambdas) | set(LAMBDA_GRID))
-    solved: dict[float, tuple[float, float] | None] = {}
-    for lam in candidates:
+    solved, fallback, last = {}, {}, None
+    for lam in sorted(set(lambdas.tolist()) | set(LAMBDA_GRID)):
         samples = _null_terminal_sample(lam, tau, price_samples, seed)
-        roots = mc_put_strike_solve(samples, floor)
-        solved[lam] = roots[0] if roots else None
-    effective = {}
-    for lam in sorted(set(float(l) for l in lambdas)):
-        idx = candidates.index(lam)
-        while idx >= 0 and solved[candidates[idx]] is None:
-            idx -= 1
-        if idx < 0:
-            raise StrikeSolveError(
-                f"floor {floor} unattainable for any candidate fraction <= {lam}")
-        effective[lam] = candidates[idx]
-    lam_eff = np.array([effective[float(l)] for l in lambdas])
-    table = {lam: solved[lam] for lam in sorted(set(effective.values()))}
-    return lam_eff, table
+        weights = np.full(price_samples, 1.0 / price_samples)
+        roots = put_floor_strikes(samples, weights, floor)
+        if roots:
+            last = lam
+            solved[lam] = (roots[0], float(np.maximum(roots[0] - samples, 0.0).mean()))
+        fallback[lam] = last        # largest solvable candidate <= lam
+    effective = [fallback[lam] for lam in lambdas.tolist()]
+    if None in effective:
+        raise StrikeSolveError(f"floor {floor} unattainable for any candidate fraction "
+                               f"<= {lambdas[effective.index(None)]}")
+    return np.array(effective), {lam: solved[lam] for lam in sorted(set(effective))}
 
 
 def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
@@ -433,6 +433,8 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
         if tau > horizon:
             raise ConfigError(f"hedge expiry {tau} beyond the sample horizon {horizon}")
         floor = ruin_level if hedge.floor is None else hedge.floor
+        if not 0.0 < floor < 1.0:
+            raise ConfigError(f"hedge floor {floor} not in (0, 1)")
         lam_eff, table = _screening_hedges(lambdas, floor, tau, seed, price_samples)
         k_hat = _hedged_cs_paths(sequences, lam_eff)
         strike = np.array([table[l][0] for l in lam_eff])
@@ -450,7 +452,7 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
         crossing[w_path[:, t - 1] >= threshold] = t
     report = _summarize(ruin_level, final, maxw, crossing)
     return ScreeningResult(final, maxw, crossing >= 0, crossing, report,
-                           lam_eff, table)
+                           lam_eff, table, int(np.count_nonzero(lam_eff < lambdas)))
 
 
 def synthetic_uniform_matrix(n_genes: int, n_samples: int, seed: int,
@@ -640,6 +642,9 @@ def result_csv(result: ExperimentResult) -> str:
 
 
 def result_json(result: ExperimentResult) -> str:
-    """Aggregate JSON report including the resolved config and seed."""
+    """Aggregate JSON report: resolved config and seed, solved hedge, metrics."""
+    plan = result.hedge_plan
     return to_json({"config": config_dict(result.config),
+                    "hedge_plan": plan and {"strike": plan.strike, "premium": plan.premium,
+                                            "expiry": plan.expiry},
                     "report": result.report.as_dict()}) + "\n"

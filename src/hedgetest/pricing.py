@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 from .rng import stream
 
 
 class StrikeSolveError(RuntimeError):
-    """No strike in the search domain satisfies the hedge-floor equation."""
+    """No strike satisfies the hedge-floor equation."""
 
 
 class ContractKind(enum.Enum):
@@ -226,68 +225,52 @@ def black_scholes_put(spot: float, strike: float, sigma: float,
     return strike - spot + black_scholes_call(spot, strike, sigma, time_to_expiry)
 
 
+def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
+    """All strikes S > 0 with (1 - C(S)) * S = floor, in increasing order.
+
+    C(S) = sum_j weights[j] * max(S - atoms[j], 0) is the put price under
+    the discrete measure with mass weights[j] on terminal value atoms[j].
+    Between consecutive sorted atoms the residual is the quadratic
+    -W*S**2 + (1 + M)*S - floor, W and M the sums of the weights and of
+    weights*atoms below S, so every root has a closed form.  Empty when the
+    floor is unattainable at any strike.
+    """
+    if not 0.0 < floor < 1.0:
+        raise ValueError(f"floor {floor} must lie in (0, 1)")
+    x, w = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+    if x.shape != w.shape or np.any(x < 0.0) or np.any(w < 0.0):
+        raise ValueError("need one nonnegative weight per nonnegative atom")
+    order = np.argsort(x, kind="stable")
+    x, w = x[order], w[order]
+    # interval k is (lo[k], hi[k]] with the k smallest atoms below it
+    lo = np.concatenate(([0.0], x))
+    hi = np.concatenate((x, [np.inf]))
+    mass = np.concatenate(([0.0], np.cumsum(w)))
+    b = 1.0 + np.concatenate(([0.0], np.cumsum(w * x)))
+    disc = b * b - 4.0 * mass * floor
+    real = disc >= 0.0
+    q = b + np.sqrt(np.where(real, disc, 0.0))
+    small = 2.0 * floor / q          # also the root of the linear case mass = 0
+    with np.errstate(divide="ignore"):
+        large = q / (2.0 * mass)
+    keep_small = real & (lo < small) & (small <= hi)
+    keep_large = (disc > 0.0) & (mass > 0.0) & (lo < large) & (large <= hi)
+    return sorted(small[keep_small].tolist() + large[keep_large].tolist())
+
+
 def solve_hedge_strike(model: LatticeModel, floor: float, horizon: int,
-                       spot: float = 1.0,
-                       domain: tuple[float, float] = (1e-6, 4.0),
-                       grid_points: int = 10_000,
-                       tol: float = 1e-5) -> list[float]:
-    """All strikes S > 0 with (1 - C(S)) * S = floor.
+                       spot: float = 1.0) -> list[float]:
+    """put_floor_strikes over the lattice's terminal binomial measure.
 
     C(S) is the price of the horizon-expiry put at strike S: buying the put
     for C and keeping the rest invested leaves exactly (1 - C(S))*S in the
     worst case, so a root makes that worst case equal the desired floor.
-    Roots are found by sign-bracketing on a grid over `domain` followed by
-    bisection to `tol`, and returned in increasing order.
     """
-    if floor >= 1.0:
-        raise ValueError(f"floor {floor} must be below the initial wealth 1")
     if horizon > model.steps:
         raise ValueError(f"horizon {horizon} exceeds lattice depth {model.steps}")
-
-    def residual(s: float) -> float:
-        c = lattice_price(model, Contract.put(s, horizon), spot).value
-        return (1.0 - c) * s - floor
-
-    grid = np.linspace(domain[0], domain[1], grid_points)
-    vals = np.array([residual(s) for s in grid])
-    roots = []
-    for i in range(grid_points - 1):
-        lo, hi = vals[i], vals[i + 1]
-        if lo == 0.0:
-            roots.append(float(grid[i]))
-        elif lo * hi < 0.0:
-            roots.append(float(bisect(residual, grid[i], grid[i + 1], xtol=tol / 10)))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    pmf = binom.pmf(np.arange(horizon + 1), horizon, model.risk_neutral_prob)
+    roots = put_floor_strikes(model.terminal_values(horizon, spot), pmf, floor)
     if not roots:
         raise StrikeSolveError(
-            f"no strike in ({domain[0]}, {domain[1]}] reaches floor {floor} "
-            f"at horizon {horizon}")
+            f"no strike reaches floor {floor} at horizon {horizon}")
     return roots
-
-
-def mc_put_strike_solve(terminal_samples: np.ndarray, floor: float,
-                        domain: tuple[float, float] = (1e-6, 4.0),
-                        grid_points: int = 2_000,
-                        tol: float = 1e-6) -> list[tuple[float, float]]:
-    """Strike roots of (1 - C(S))*S = floor with C(S) Monte Carlo priced.
-
-    Uses a fixed sample of terminal wealths for every strike (common random
-    numbers), so the residual is continuous in S and bracketing is stable.
-    Returns (strike, put price) pairs in increasing strike order; empty when
-    the floor is unattainable at any strike.
-    """
-    kt = np.asarray(terminal_samples, dtype=float)
-
-    def residual(s: float) -> float:
-        return (1.0 - float(np.maximum(s - kt, 0.0).mean())) * s - floor
-
-    grid = np.linspace(domain[0], domain[1], grid_points)
-    vals = np.array([residual(s) for s in grid])
-    roots = []
-    for i in range(grid_points - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(float(bisect(residual, grid[i], grid[i + 1], xtol=tol)))
-    return [(s, float(np.maximum(s - kt, 0.0).mean())) for s in roots]

@@ -56,3 +56,14 @@ def replicating_portfolio_terminal(u, d, tau, payoff, spot=1.0):
         levels.append(list(values))
     levels.reverse()
     return levels
+
+
+def enumerate_paths_min(u, d, tau, payoff, spot=1.0):
+    """Brute-force 2**tau path enumeration of min payoff(K_tau)."""
+    worst = float("inf")
+    for path in itertools.product((u, d), repeat=tau):
+        k = spot
+        for factor in path:
+            k *= factor
+        worst = min(worst, payoff(k))
+    return worst

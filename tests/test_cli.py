@@ -86,6 +86,20 @@ class TestHedgeSolve:
         assert code == 3
         assert "error" in err
 
+    def test_close_pair_roots(self, capsys):
+        code, out, _ = run_cli(capsys, "hedge-solve", "--floor", "0.3494854227",
+                               "--horizon", "20")
+        assert code == 0
+        roots = json.loads(out)["roots"]
+        assert roots == pytest.approx([0.634349, 0.634417], abs=1e-6)
+
+    @pytest.mark.parametrize("floor", ["-1", "0", "1", "1.5"])
+    def test_floor_outside_unit_interval_is_config_error(self, capsys, floor):
+        code, _, err = run_cli(capsys, "hedge-solve", "--floor", floor,
+                               "--horizon", "20")
+        assert code == 2
+        assert "error" in err
+
 
 class TestSimulate:
     def _config(self, tmp_path, reps=200, seed=17):
@@ -138,6 +152,42 @@ class TestSimulate:
         assert json.loads(out_b)["config"]["seed"] == 18
         assert out_a != out_b
 
+    def _hedged_config(self, tmp_path, extra=""):
+        text = (CONFIGS / "table1_option.cfg").read_text()
+        text = text.replace("replications = 10000", "replications = 50") + extra
+        path = tmp_path / "hedged.cfg"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("floor", ["-0.2", "0", "1", "1.5"])
+    def test_hedge_floor_outside_unit_interval_is_config_error(self, tmp_path,
+                                                               capsys, floor):
+        cfg = self._hedged_config(tmp_path, f"hedge_floor = {floor}\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--workers", "1")
+        assert code == 2
+        assert "hedge floor" in err
+
+    def test_json_records_solved_hedge_plan(self, tmp_path, capsys):
+        cfg = self._hedged_config(tmp_path)
+        outputs = []
+        for name, workers in (("a", "1"), ("b", "3")):
+            code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--out", str(tmp_path / name), "--workers", workers)
+            assert code == 0
+            outputs.append((tmp_path / f"{name}.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        plan = json.loads(outputs[0])["hedge_plan"]
+        strike = solve_hedge_strike(LatticeModel(1.5, 0.5, 20), 0.25, 20)[0]
+        premium = lattice_price(LatticeModel(1.5, 0.5, 20), Contract.put(strike, 20)).value
+        assert plan == {"strike": strike, "premium": premium, "expiry": 20}
+        assert "hedge_plan" not in json.loads(outputs[0])["config"]
+
+    def test_unhedged_json_has_null_hedge_plan(self, tmp_path, capsys):
+        _, out, _ = run_cli(capsys, "simulate", "--config",
+                            str(self._config(tmp_path)), "--workers", "1")
+        assert json.loads(out)["hedge_plan"] is None
+
     def test_missing_config_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--config", "/nonexistent.cfg")
         assert code == 2
@@ -173,6 +223,31 @@ class TestScreen:
         assert header == ["gene,lambda,final_wealth,max_wealth,rejected,crossing_time"]
         assert sum(1 for l in lines if l.startswith("g") and "," in l
                    and not l.startswith("gene,")) == 300
+
+    def test_hedged_json_records_strike_table(self, capsys):
+        code, out, _ = run_cli(capsys, "screen", "--synthetic", "shifted",
+                               "--genes", "200", "--samples", "40", "--hedge",
+                               "--seed", "31")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["strike_table"]
+        for row in payload["strike_table"]:
+            assert set(row) == {"lambda", "strike", "premium"}
+            assert abs((1.0 - row["premium"]) * row["strike"] - 0.5) <= 1e-9
+        assert 0 <= payload["fallback_genes"] <= 200
+
+    def test_unhedged_json_has_empty_strike_table(self, capsys):
+        _, out, _ = run_cli(capsys, "screen", "--synthetic", "null",
+                            "--genes", "50", "--samples", "30")
+        payload = json.loads(out)
+        assert payload["strike_table"] == [] and payload["fallback_genes"] == 0
+
+    @pytest.mark.parametrize("ruin", ["-0.5", "0", "1"])
+    def test_hedge_floor_outside_unit_interval_is_config_error(self, capsys, ruin):
+        code, _, err = run_cli(capsys, "screen", "--synthetic", "null",
+                               "--genes", "50", "--hedge", "--ruin", ruin)
+        assert code == 2
+        assert "hedge floor" in err
 
     def test_matrix_and_synthetic_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "screen", "--synthetic", "null",

@@ -82,6 +82,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             HedgeSpec(kind="call", expiry=20)
 
+    @pytest.mark.parametrize("floor", [-0.2, 0.0, 1.0, 1.5])
+    def test_hedge_floor_in_unit_interval(self, floor):
+        with pytest.raises(ConfigError):
+            config(hedge=HedgeSpec(expiry=20, floor=floor))
+
+    def test_hedge_floor_defaults_to_a_valid_ruin_level(self):
+        with pytest.raises(ConfigError):
+            config(ruin_level=-0.5, hedge=HedgeSpec(expiry=20))
+        config(ruin_level=-0.5)      # unhedged runs take any ruin level below 1
+
 
 class TestRunExperiment:
     def test_matches_process_level_episodes(self):
@@ -121,12 +131,12 @@ class TestRunExperiment:
         assert result_json(one) == result_json(four)
 
     def test_hedged_worst_case_is_the_floor(self):
-        # landing accuracy is set by the strike-solver tolerance
+        # the strike solve is exact, so the landing is exact up to rounding
         cfg = config(truth=TruthSpec(0.0),   # every outcome a loss
                      replications=5, hedge=HedgeSpec(expiry=20))
         result = run_experiment(cfg)
-        assert np.all(np.abs(result.final_wealth - 0.25) <= 1e-4)
-        assert result.final_wealth.min() >= 0.25 - 1e-4
+        assert np.all(np.abs(result.final_wealth - 0.25) <= 1e-12)
+        assert result.final_wealth.min() >= 0.25 - 1e-12
 
     def test_hedged_final_reproduces_stake_times_max(self):
         cfg = config(replications=200, hedge=HedgeSpec(expiry=20))
@@ -224,6 +234,23 @@ class TestScreening:
                                hedge=HedgeSpec(expiry=0), price_samples=20_000)
         assert result.final_wealth.min() >= 0.5 - 1e-4
 
+    def test_hedged_floor_is_exact(self):
+        sequences, lambdas, _ = synthetic_screening_input(
+            800, 102, seed=404, shifted_fraction=0.3, shifted_mean=0.65)
+        result = run_screening(sequences, lambdas, alpha=0.05, ruin_level=0.5,
+                               hedge=HedgeSpec(expiry=0), price_samples=20_000)
+        assert 0.5 - result.final_wealth.min() <= 1e-9
+        assert np.isclose(result.final_wealth, 0.5, rtol=0.0, atol=1e-9).any()
+        for strike, premium in result.strike_table.values():
+            assert abs((1.0 - premium) * strike - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("ruin_level", [-0.5, 0.0, 1.0])
+    def test_hedged_floor_in_unit_interval(self, ruin_level):
+        sequences = stream(408).random((5, 20))
+        with pytest.raises(ConfigError):
+            run_screening(sequences, np.full(5, 0.5), ruin_level=ruin_level,
+                          hedge=HedgeSpec(expiry=0), price_samples=1_000)
+
     def test_hedged_early_expiry_floors_at_expiry_only(self):
         sequences, lambdas, _ = synthetic_screening_input(400, 102, seed=405)
         tau = 50
@@ -239,6 +266,8 @@ class TestScreening:
         result = run_screening(sequences, lambdas, ruin_level=0.5,
                                hedge=HedgeSpec(expiry=0), price_samples=20_000)
         assert np.all(result.effective_lambdas < 1.0)
+        assert result.fallback_genes == 10
+        assert set(result.strike_table) == set(result.effective_lambdas.tolist())
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

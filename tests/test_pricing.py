@@ -10,7 +10,8 @@ from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                PriceEstimate, PricingMethod, StrikeSolveError,
                                black_scholes_call, black_scholes_put,
                                lattice_node_values, lattice_price, mc_price,
-                               risk_neutral_up_prob, solve_hedge_strike)
+                               put_floor_strikes, risk_neutral_up_prob,
+                               solve_hedge_strike)
 from hedgetest.rng import stream
 from hedgetest.strategies import fixed
 from hedgetest.wealth import HypothesisSpec, run_process
@@ -261,7 +262,15 @@ class TestSolveHedgeStrike:
         model = LatticeModel(1.5, 0.5, 20)
         for root in solve_hedge_strike(model, 0.25, 20):
             premium = lattice_price(model, Contract.put(root, 20)).value
-            assert abs(0.25 - (1 - premium) * root) <= 1e-4
+            assert abs(0.25 - (1 - premium) * root) <= 1e-12
+
+    def test_close_pair_inside_one_grid_cell(self):
+        # both roots fall within 7e-5 of each other; a grid scan misses them
+        model = LatticeModel.for_bernoulli_bet(1.0, 0.5, 20)
+        roots = solve_hedge_strike(model, 0.3494854227, 20)
+        assert len(roots) == 2
+        assert roots[0] == pytest.approx(0.634349, abs=1e-6)
+        assert roots[1] == pytest.approx(0.634417, abs=1e-6)
 
     def test_small_floor_gives_small_root(self):
         model = LatticeModel(1.5, 0.5, 20)
@@ -274,13 +283,47 @@ class TestSolveHedgeStrike:
     def test_unattainable_floor_raises(self):
         model = LatticeModel(1.5, 0.5, 20)
         with pytest.raises(StrikeSolveError):
-            solve_hedge_strike(model, 0.9999, 20, domain=(1e-6, 1e-3), grid_points=50)
+            solve_hedge_strike(model, 0.9999, 20)
 
     def test_runtime_under_budget(self):
         model = LatticeModel(1.5, 0.5, 20)
         start = time.perf_counter()
         solve_hedge_strike(model, 0.25, 20)
         assert time.perf_counter() - start < 5.0
+
+
+class TestPutFloorStrikes:
+    def test_single_atom_closed_form(self):
+        # C(S) = max(S - 1, 0): roots floor and 1 + sqrt(1 - floor)
+        roots = put_floor_strikes([1.0], [1.0], 0.19)
+        assert roots == pytest.approx([0.19, 1.9], abs=1e-15)
+
+    def test_roots_above_any_fixed_search_domain(self):
+        roots = put_floor_strikes([5.0], [1.0], 0.25)
+        assert roots == pytest.approx([0.25, 3.0 + math.sqrt(8.75)], abs=1e-14)
+
+    def test_sample_measure_matches_sample_mean_put(self):
+        samples = stream(110).random(5000) * 2.0
+        weights = np.full(samples.size, 1.0 / samples.size)
+        roots = put_floor_strikes(samples, weights, 0.5)
+        assert roots
+        for root in roots:
+            premium = np.maximum(root - samples, 0.0).mean()
+            assert abs((1.0 - premium) * root - 0.5) <= 1e-12
+
+    def test_unattainable_floor_gives_no_roots(self):
+        assert put_floor_strikes([0.5, 1.5], [0.5, 0.5], 0.999) == []
+
+    @pytest.mark.parametrize("floor", [-0.2, 0.0, 1.0, 1.5])
+    def test_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ValueError):
+            put_floor_strikes([0.5, 1.5], [0.5, 0.5], floor)
+
+    def test_mismatched_or_negative_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            put_floor_strikes([0.5, 1.5], [1.0], 0.25)
+        with pytest.raises(ValueError):
+            put_floor_strikes([-0.5, 1.5], [0.5, 0.5], 0.25)
 
 
 class TestPriceEstimate:
