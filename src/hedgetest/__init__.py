@@ -22,7 +22,7 @@ from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
 from .strategies import (StrategyKind, StrategySpec, conservative_lambda,
                          dynamic_lambda, kelly_lambda)
 from .wealth import (CashFlow, Family, HypothesisSpec, TestDecision, WealthPath,
-                     cash_flow, run_hedged_cs, run_process, update_wealth,
-                     ville_decide)
+                     cash_flow, run_hedged_cs, run_process, terminal_wealth,
+                     update_wealth, ville_decide)
 
 __version__ = "0.1.0"

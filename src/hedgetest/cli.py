@@ -21,8 +21,8 @@ from .pricing import (Contract, LatticeModel, StrikeSolveError,
                       black_scholes_call, black_scholes_put, lattice_price,
                       mc_price, solve_hedge_strike)
 from .rng import DEFAULT_SEED
-from .strategies import fixed
-from .wealth import HypothesisSpec, InadmissibleBetError, OutcomeError, run_process
+from .wealth import (HypothesisSpec, InadmissibleBetError, OutcomeError,
+                     terminal_wealth)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,8 +77,9 @@ def _cmd_price(args) -> int:
         hyp = (HypothesisSpec.bernoulli(args.null_p) if args.family == "bernoulli"
                else HypothesisSpec.log_normal() if args.family == "log_normal"
                else HypothesisSpec.bounded())
-        strategy = fixed(args.bet)
-        process = lambda ys: run_process(strategy, ys, hyp).final
+        if args.n < 2:
+            raise ConfigError(f"mc pricing needs --n of at least 2, got {args.n}")
+        process = lambda ys: terminal_wealth(args.bet, ys, hyp)
         est = mc_price(hyp.null_sampler(), process, contract, args.n, args.seed)
     else:
         if args.sigma is None or args.time is None:
@@ -96,6 +97,8 @@ def _cmd_price(args) -> int:
 def _cmd_hedge_solve(args) -> int:
     if not 0.0 < args.floor < 1.0:
         raise ConfigError(f"floor {args.floor} must lie in (0, 1)")
+    if args.horizon < 1:
+        raise ConfigError(f"horizon must be positive, got {args.horizon}")
     model = LatticeModel(args.u, args.d, args.horizon)
     roots = solve_hedge_strike(model, args.floor, args.horizon)
     _write(args.out, to_json({"floor": args.floor, "horizon": args.horizon,
@@ -170,12 +173,12 @@ def _cmd_screen(args) -> int:
         return EXIT_OK
     lines = _screen_header(args, len(gene_ids), sequences.shape[1])
     lines.append("gene,lambda,final_wealth,max_wealth,rejected,crossing_time")
-    for g, gid in enumerate(gene_ids):
-        cross = result.crossing_time[g]
-        lines.append(f"{gid},{format_float(result.effective_lambdas[g])},"
-                     f"{format_float(result.final_wealth[g])},"
-                     f"{format_float(result.max_wealth[g])},"
-                     f"{int(result.rejected[g])},{cross if cross >= 0 else ''}")
+    columns = zip(gene_ids, result.effective_lambdas.tolist(),
+                  result.final_wealth.tolist(), result.max_wealth.tolist(),
+                  result.rejected.tolist(), result.crossing_time.tolist())
+    lines.extend(f"{gid},{lam:.17g},{final:.17g},{maxw:.17g},{int(rejected)},"
+                 f"{cross if cross >= 0 else ''}"
+                 for gid, lam, final, maxw, rejected, cross in columns)
     _write(args.out + ".csv", "\n".join(lines) + "\n")
     _write(args.out + ".json", to_json(report) + "\n")
     return EXIT_OK

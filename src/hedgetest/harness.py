@@ -4,8 +4,9 @@ Reproduces the Bernoulli power study, its distribution-shift variant and
 the gene-screening study: n independent episodes, each simulating outcomes
 from the configured truth, applying the betting strategy (plus an optional
 put hedge bought at its risk-neutral price at t = 0), and the anytime-valid
-decision rule.  Replication i always draws from the stream (seed, 0, i), so
-results are byte-identical for any worker count.
+decision rule.  Replication i always draws row i of the counter-based
+outcome table rows(seed, 0, ...), so results are byte-identical for any
+worker count.
 
 Simulated experiments use Bernoulli outcomes (the truth may shift its
 parameter at a change point); screening episodes run the two-sided hedged
@@ -25,11 +26,11 @@ from .ingest import LAMBDA_GRID
 from .pricing import (Contract, LatticeModel, StrikeSolveError,
                       lattice_node_values, put_floor_strikes,
                       solve_hedge_strike)
-from .rng import DEFAULT_SEED, stream
+from .rng import DEFAULT_SEED, rows, stream
 from .strategies import StrategyKind, StrategySpec
 from .wealth import Family, HypothesisSpec
 
-_OUTCOME_TAG = 0     # per-replication outcome streams
+_OUTCOME_TAG = 0     # per-replication outcome rows
 _MATRIX_TAG = 1      # synthetic matrix generation
 _PRICE_TAG = 2       # Monte Carlo pricing draws for screening hedges
 
@@ -89,6 +90,8 @@ class HedgeSpec:
             raise ConfigError(f"unknown strike mode {self.strike_mode!r}")
         if self.strike_mode == "explicit" and self.strike is None:
             raise ConfigError("explicit strike mode needs a strike")
+        if self.expiry < 0:
+            raise ConfigError(f"hedge expiry must be nonnegative, got {self.expiry}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,12 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.ruin_level < 1.0 < 1.0 / self.alpha:
             raise ConfigError("need ruin_level < 1 < 1/alpha")
+        if self.strategy.kind is StrategyKind.DYNAMIC_FLOOR:
+            if self.strategy.floor is None or self.strategy.horizon is None:
+                raise ConfigError("dynamic strategy needs floor and horizon")
+            if self.strategy.horizon != self.horizon:
+                raise ConfigError(f"dynamic strategy horizon {self.strategy.horizon} "
+                                  f"differs from the experiment horizon {self.horizon}")
         if self.hedge is not None:
             if not 0.0 < self.hedge_floor < 1.0:
                 raise ConfigError(f"hedge floor {self.hedge_floor} not in (0, 1)")
@@ -234,9 +243,7 @@ def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
 
 def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     ps = config.truth.step_probabilities(config.horizon)
-    draws = np.empty((stop - start, config.horizon))
-    for k, i in enumerate(range(start, stop)):
-        draws[k] = stream(config.seed, _OUTCOME_TAG, i).random(config.horizon)
+    draws = rows(config.seed, _OUTCOME_TAG, start, stop, config.horizon)
     return (draws < ps[None, :]).astype(float)
 
 
@@ -309,9 +316,6 @@ def _run_chunk_args(args):
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications; the outcome is independent of the worker count."""
-    if config.strategy.kind is StrategyKind.DYNAMIC_FLOOR:
-        if config.strategy.floor is None or config.strategy.horizon is None:
-            raise ConfigError("dynamic strategy needs floor and horizon")
     plan = _hedge_plan(config) if config.hedge is not None else None
     n = config.replications
     workers = max(1, min(workers, n))
@@ -632,12 +636,11 @@ def result_csv(result: ExperimentResult) -> str:
     """Per-replication CSV with the resolved config in comment lines."""
     lines = [f"# {k} = {v}" for k, v in config_dict(result.config).items()]
     lines.append("replication,final_wealth,max_wealth,rejected,crossing_time")
-    for i in range(result.final_wealth.size):
-        cross = result.crossing_time[i]
-        lines.append(f"{i},{format_float(result.final_wealth[i])},"
-                     f"{format_float(result.max_wealth[i])},"
-                     f"{int(result.rejected[i])},"
-                     f"{cross if cross >= 0 else ''}")
+    columns = zip(result.final_wealth.tolist(), result.max_wealth.tolist(),
+                  result.rejected.tolist(), result.crossing_time.tolist())
+    lines.extend(f"{i},{final:.17g},{maxw:.17g},{int(rejected)},"
+                 f"{cross if cross >= 0 else ''}"
+                 for i, (final, maxw, rejected, cross) in enumerate(columns))
     return "\n".join(lines) + "\n"
 
 

@@ -3,9 +3,9 @@
 Because the risk-neutral measure coincides with the null measure for these
 processes (and the risk-free rate is 0 throughout), prices are plain null
 expectations of payoffs.  Three routes are provided: exact backward
-induction on a recombining binomial lattice, Monte Carlo with reproducible
-per-replication streams, and the zero-rate Black-Scholes closed form for
-log-normal wealth.
+induction on a recombining binomial lattice, Monte Carlo over one seeded
+stream drawn in fixed-size blocks, and the zero-rate Black-Scholes closed
+form for log-normal wealth.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import numpy as np
 from scipy.stats import binom, norm
 
 from .rng import stream
+
+#: Rows per Monte Carlo block: large enough to amortize the per-block numpy
+#: calls, small enough that a block of outcomes stays a few hundred KB.
+MC_BLOCK = 2048
 
 
 class StrikeSolveError(RuntimeError):
@@ -170,8 +174,8 @@ def lattice_price(model: LatticeModel, contract: Contract,
     return PriceEstimate(float(root), 0.0, PricingMethod.LATTICE)
 
 
-def mc_price(null_sampler: Callable[[np.random.Generator, int], np.ndarray],
-             process: Callable[[np.ndarray], float],
+def mc_price(null_sampler: Callable[[np.random.Generator, tuple[int, int]], np.ndarray],
+             process: Callable[[np.ndarray], np.ndarray],
              contract: Contract,
              n: int,
              seed: int) -> PriceEstimate:
@@ -179,23 +183,25 @@ def mc_price(null_sampler: Callable[[np.random.Generator, int], np.ndarray],
 
     Parameters
     ----------
-    null_sampler : callable(rng, size) -> outcomes
-        Draws outcomes from the null measure (the risk-neutral measure).
-    process : callable(outcomes) -> terminal wealth
-        Evolves one replication's wealth to the contract expiry.
+    null_sampler : callable(rng, shape) -> outcomes
+        Draws an array of outcomes from the null (risk-neutral) measure.
+    process : callable(outcomes[m, tau]) -> terminal[m]
+        Evolves each row of outcomes to its wealth at the contract expiry.
     n : int
         Number of replications, at least 2.
     seed : int
-        Stream seed; replication i always uses the stream (seed, i), so the
-        estimate is reproducible under any execution schedule.
+        Stream seed.  The replications are drawn from the one stream
+        (seed) in consecutive blocks of MC_BLOCK rows, so the estimate
+        depends on the seed alone.
     """
     if n < 2:
         raise ValueError(f"need at least 2 replications, got {n}")
+    rng = stream(seed)
     payoffs = np.empty(n)
-    for i in range(n):
-        rng = stream(seed, i)
-        outcomes = null_sampler(rng, contract.expiry)
-        payoffs[i] = contract.payoff(float(process(outcomes)))
+    for start in range(0, n, MC_BLOCK):
+        stop = min(start + MC_BLOCK, n)
+        outcomes = null_sampler(rng, (stop - start, contract.expiry))
+        payoffs[start:stop] = contract.payoff(process(outcomes))
     value = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(n))
     return PriceEstimate(value, se, PricingMethod.MONTE_CARLO)

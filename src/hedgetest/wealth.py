@@ -118,8 +118,9 @@ class HypothesisSpec:
                 raise OutcomeError("log-normal outcomes must be strictly positive")
         return ys
 
-    def null_sampler(self) -> Callable[[np.random.Generator, int], np.ndarray]:
-        """Sampler drawing outcomes from the null measure."""
+    def null_sampler(self) -> Callable[[np.random.Generator, int | tuple[int, ...]],
+                                       np.ndarray]:
+        """Sampler drawing outcomes from the null measure; size may be a shape."""
         if self.family is Family.BERNOULLI:
             p = self.null_param
             return lambda rng, size: (rng.random(size) < p).astype(float)
@@ -234,6 +235,28 @@ def run_process(strategy: Callable[[tuple[float, ...]], float],
         values.append(k)
         lambdas.append(lam)
     return WealthPath(tuple(values), tuple(lambdas), hyp.null_mean)
+
+
+def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
+    """Final wealth of a constant-fraction bet along each row of outcomes.
+
+    The batched run_process(fixed(lam), row, hyp).final: the same update in
+    the same order, and the same errors (OutcomeError for an outcome outside
+    the support, InadmissibleBetError for a fraction outside the family's
+    range).  Outcomes of shape (..., T) give wealths of shape (...).
+    """
+    ys = hyp.validate_outcomes(outcomes)
+    lo, hi = hyp.lambda_bounds()
+    if not lo <= lam <= hi:
+        raise InadmissibleBetError(
+            f"betting fraction {lam} outside admissible range [{lo}, {hi}]")
+    # With checked outcomes and fraction a step can dip below 0 only by
+    # rounding; it clamps to 0, and a ruined row then stays at 0.
+    steps = np.maximum(1.0 + lam * (ys - hyp.null_mean), 0.0)
+    k = np.ones(ys.shape[:-1])
+    for t in range(ys.shape[-1]):
+        k *= steps[..., t]
+    return k
 
 
 def run_hedged_cs(outcomes: Iterable[float], lam: float) -> WealthPath:

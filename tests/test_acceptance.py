@@ -281,7 +281,7 @@ def test_c9_mc_price_unbiasedness():
         contract = Contract.call(10 / 8, 3)
         target = lattice_price(LatticeModel(1.5, 0.5, 3), contract).value
         sampler = HypothesisSpec.bernoulli(0.5).null_sampler()
-        process = lambda ys: float(np.prod(1.0 + (ys - 0.5)))
+        process = lambda ys: np.prod(1.0 + (ys - 0.5), axis=1)
         estimates = np.array([
             mc_price(sampler, process, contract, 1000, seed=920_000 + r).value
             for r in range(200)])

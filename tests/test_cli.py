@@ -292,3 +292,15 @@ class TestIngest:
         code, _, _ = run_cli(capsys, "ingest", "--input", "/nope.csv",
                              "--output", "/tmp/out.csv")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("hedge-solve", "--floor", "0.25", "--horizon", "0"),
+    ("price", "--model", "u=1.5,d=0.5", "--contract", "put,S=0.25,tau=3",
+     "--method", "mc", "--n", "1"),
+    ("screen", "--synthetic", "null", "--genes", "50", "--hedge", "--expiry", "-3"),
+])
+def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error" in err

@@ -2,6 +2,7 @@
 machine-readable output."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from hedgetest.harness import (ConfigError, ExperimentConfig, HedgeSpec,
                                result_json, run_experiment, run_screening,
                                run_shift_experiment, synthetic_screening_input,
                                synthetic_uniform_matrix, tail_metrics, to_json)
-from hedgetest.rng import stream
+from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, kelly
 from hedgetest.wealth import HypothesisSpec, run_process, ville_decide
 
 HYP = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75)
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def config(**overrides):
@@ -87,6 +89,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(hedge=HedgeSpec(expiry=20, floor=floor))
 
+    def test_dynamic_horizon_must_match_the_experiment(self):
+        dyn = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=10)
+        with pytest.raises(ConfigError, match="horizon"):
+            config(strategy=dyn, horizon=20)
+        config(strategy=dyn, horizon=10)
+
+    def test_hedge_expiry_nonnegative(self):
+        with pytest.raises(ConfigError):
+            HedgeSpec(expiry=-3)
+
     def test_hedge_floor_defaults_to_a_valid_ruin_level(self):
         with pytest.raises(ConfigError):
             config(ruin_level=-0.5, hedge=HedgeSpec(expiry=20))
@@ -100,7 +112,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         strategy = kelly(0.5, 0.75)
         for i in range(50):
-            draws = stream(cfg.seed, 0, i).random(cfg.horizon)
+            draws = rows(cfg.seed, 0, i, i + 1, cfg.horizon)[0]
             ys = (draws < 0.75).astype(float)
             path = run_process(strategy, ys, HYP)
             decision = ville_decide(path, cfg.alpha)
@@ -130,6 +142,13 @@ class TestRunExperiment:
         assert result_csv(one) == result_csv(four)
         assert result_json(one) == result_json(four)
 
+    @pytest.mark.parametrize("name", ["table2_option10.cfg", "table1_dynamic.cfg"])
+    def test_byte_identical_across_worker_counts_beyond_kelly(self, name):
+        cfg = load_config(CONFIGS / name)
+        outputs = [run_experiment(cfg, workers=w) for w in (1, 2, 3)]
+        assert len({result_csv(r) for r in outputs}) == 1
+        assert len({result_json(r) for r in outputs}) == 1
+
     def test_hedged_worst_case_is_the_floor(self):
         # the strike solve is exact, so the landing is exact up to rounding
         cfg = config(truth=TruthSpec(0.0),   # every outcome a loss
@@ -144,7 +163,7 @@ class TestRunExperiment:
         plan = _hedge_plan(cfg)
         stake = 1.0 - plan.premium
         for i in range(0, 200, 17):
-            draws = stream(cfg.seed, 0, i).random(20)
+            draws = rows(cfg.seed, 0, i, i + 1, 20)[0]
             k_hat = np.prod(1.0 + ((draws < 0.75).astype(float) - 0.5))
             expected = stake * max(k_hat, plan.strike)
             assert result_final(cfg, i) == pytest.approx(expected, rel=1e-12)
@@ -177,7 +196,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         strategy = dynamic_floor(0.25, 20)
         for i in range(25):
-            draws = stream(cfg.seed, 0, i).random(20)
+            draws = rows(cfg.seed, 0, i, i + 1, 20)[0]
             ys = (draws < 0.75).astype(float)
             path = run_process(strategy, ys, HYP)
             assert result.final_wealth[i] == pytest.approx(path.final, rel=1e-10)

@@ -13,8 +13,7 @@ from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                put_floor_strikes, risk_neutral_up_prob,
                                solve_hedge_strike)
 from hedgetest.rng import stream
-from hedgetest.strategies import fixed
-from hedgetest.wealth import HypothesisSpec, run_process
+from hedgetest.wealth import HypothesisSpec, terminal_wealth
 
 from oracles import binomial_weight_price, enumerate_paths_price
 
@@ -125,8 +124,7 @@ class TestCapitalization:
 
 class TestMcPrice:
     def _kelly_process(self):
-        hyp = HypothesisSpec.bernoulli(0.5, 0.75)
-        return lambda ys: float(np.prod(1.0 + (ys - 0.5)))
+        return lambda ys: np.prod(1.0 + (ys - 0.5), axis=1)
 
     def test_recovers_lattice_price(self):
         contract = Contract.call(10 / 8, 3)
@@ -154,7 +152,7 @@ class TestMcPrice:
     def test_family_mismatch_detected(self):
         from hedgetest.wealth import OutcomeError
         hyp = HypothesisSpec.bernoulli(0.5)
-        process = lambda ys: run_process(fixed(1.0), ys, hyp).final
+        process = lambda ys: terminal_wealth(1.0, ys, hyp)
         lognormal_sampler = HypothesisSpec.log_normal().null_sampler()
         with pytest.raises(OutcomeError):
             mc_price(lognormal_sampler, process, Contract.put(0.25, 3), 10, seed=104)
@@ -196,7 +194,7 @@ class TestMcPrice:
         hyp = HypothesisSpec.log_normal()
         lam = math.exp(-0.5)
         contract = Contract.put(0.25, 20)
-        process = lambda ys: float(np.prod(1.0 + lam * (ys - math.exp(0.5))))
+        process = lambda ys: np.prod(1.0 + lam * (ys - math.exp(0.5)), axis=1)
         est = mc_price(hyp.null_sampler(), process, contract, 100_000, seed=107)
 
         oracle_n = 10_000_000
@@ -244,7 +242,7 @@ class TestBlackScholes:
         horizon, lam = 50, math.exp(-0.5)
         strike = 0.5
         bs = black_scholes_put(1.0, strike, 1.0, horizon)
-        process = lambda ys: float(np.prod(1.0 + lam * (ys - math.exp(0.5))))
+        process = lambda ys: np.prod(1.0 + lam * (ys - math.exp(0.5)), axis=1)
         est = mc_price(HypothesisSpec.log_normal().null_sampler(), process,
                        Contract.put(strike, horizon), 1_000_000, seed=109)
         assert abs(bs - est.value) / est.value <= 0.05

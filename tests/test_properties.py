@@ -1,10 +1,11 @@
-"""Property tests of the exact put-floor strike solve.
+"""Property tests of the exact put-floor strike solve and the row streams.
 
 Random lattices (betting fraction, null parameter, floor, horizon) and
 random discrete measures are checked against the oracles: every returned
 root zeroes the floor residual, no sign change of the residual on a dense
 grid goes without a root, and with expiry at the horizon the worst hedged
-final wealth over all enumerated paths is the floor itself.
+final wealth over all enumerated paths is the floor itself.  Any chunk of
+the counter-based row table is the same bits as the slice of the whole.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hedgetest.pricing import (LatticeModel, StrikeSolveError, put_floor_strikes,
                                solve_hedge_strike)
+from hedgetest.rng import rows
 
 from oracles import binomial_weight_price, enumerate_paths_min
 
@@ -108,3 +110,22 @@ def test_discrete_measure_roots(case):
         assert abs(residual(root)) <= 1e-12
     grid = np.linspace(0.0, 1.0 + atoms.max(), 2001)
     assert_sign_changes_bracketed(grid, np.array([residual(s) for s in grid]), roots)
+
+
+@st.composite
+def row_chunks(draw):
+    n = draw(st.integers(1, 60))
+    a = draw(st.integers(0, n - 1))
+    b = draw(st.integers(a + 1, n))
+    return (draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 7)),
+            draw(st.integers(1, 40)), n, a, b)
+
+
+@DETERMINISTIC
+@given(row_chunks())
+def test_row_chunk_equals_slice_of_the_table(case):
+    seed, tag, width, n, a, b = case
+    table = rows(seed, tag, 0, n, width)
+    chunk = rows(seed, tag, a, b, width)
+    assert table.shape == (n, width)
+    assert np.array_equal(chunk, table[a:b])

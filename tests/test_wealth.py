@@ -10,7 +10,7 @@ from hedgetest.strategies import dynamic_floor, fixed, kelly
 from hedgetest.wealth import (CashFlow, Family, HypothesisSpec,
                               InadmissibleBetError, OutcomeError, WealthPath,
                               cash_flow, run_hedged_cs, run_process,
-                              update_wealth, ville_decide)
+                              terminal_wealth, update_wealth, ville_decide)
 
 from oracles import wealth_by_hand
 
@@ -137,6 +137,41 @@ class TestRunProcess:
         # all-or-nothing updates reduce to exp(z - 1/2) per step
         expected = math.exp(sum((0.3, -1.2, 0.8)) - 1.5)
         assert path.final == pytest.approx(expected, rel=1e-12)
+
+
+class TestTerminalWealth:
+    @pytest.mark.parametrize("hyp,draw,lams", [
+        (BERNOULLI, lambda rng, shape: (rng.random(shape) < 0.5).astype(float),
+         (-2.0, -0.7, 0.0, 1.0, 2.0)),
+        (HypothesisSpec.bounded(), lambda rng, shape: rng.random(shape),
+         (-2.0, 0.3, 1.9, 2.0)),
+        (HypothesisSpec.log_normal(), lambda rng, shape: np.exp(rng.standard_normal(shape)),
+         (0.0, 0.2, math.exp(-0.5))),
+    ])
+    def test_matches_run_process_row_by_row(self, hyp, draw, lams):
+        ys = draw(stream(61), (200, 15))
+        for lam in lams:
+            finals = terminal_wealth(lam, ys, hyp)
+            assert finals.shape == (200,)
+            for row, final in zip(ys, finals):
+                expected = run_process(fixed(lam), row, hyp).final
+                assert final == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_ruined_row_stays_at_zero(self):
+        finals = terminal_wealth(2.0, np.array([[0, 1, 1], [1, 1, 1]]), BERNOULLI)
+        assert finals.tolist() == [0.0, 8.0]
+        assert run_process(fixed(2.0), [0, 1, 1], BERNOULLI).final == 0.0
+
+    def test_same_errors_as_run_process(self):
+        outside = np.exp(stream(62).standard_normal((3, 4)))
+        with pytest.raises(OutcomeError):
+            run_process(fixed(1.0), outside[0], BERNOULLI)
+        with pytest.raises(OutcomeError):
+            terminal_wealth(1.0, outside, BERNOULLI)
+        with pytest.raises(InadmissibleBetError):
+            run_process(fixed(3.0), [1, 1], BERNOULLI)
+        with pytest.raises(InadmissibleBetError):
+            terminal_wealth(3.0, np.array([[1.0, 1.0]]), BERNOULLI)
 
 
 class TestWealthPath:
