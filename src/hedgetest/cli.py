@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -79,7 +78,7 @@ def _cmd_price(args) -> int:
                else HypothesisSpec.bounded())
         if args.n < 2:
             raise ConfigError(f"mc pricing needs --n of at least 2, got {args.n}")
-        process = lambda ys: terminal_wealth(args.bet, ys, hyp)
+        process = lambda ys: terminal_wealth(lambda k, t: args.bet, ys, hyp)
         est = mc_price(hyp.null_sampler(), process, contract, args.n, args.seed)
     else:
         if args.sigma is None or args.time is None:
@@ -112,7 +111,7 @@ def _run_simulation(args, want_shift: bool) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if want_shift and config.truth.change_at is None:
         raise ConfigError("shift runs need truth_p_post and change_at in the config")
-    result = run_experiment(config, workers=args.workers)
+    result = run_experiment(config, chunks=args.workers)
     if args.out is None:
         sys.stdout.write(result_json(result))
     else:
@@ -241,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="run the replications in this many consecutive chunks "
+                            "(output is byte-identical for any count)")
         p.add_argument("--out", help="prefix for .csv and .json artifacts")
         p.set_defaults(fn=fn)
 

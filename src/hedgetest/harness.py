@@ -4,9 +4,10 @@ Reproduces the Bernoulli power study, its distribution-shift variant and
 the gene-screening study: n independent episodes, each simulating outcomes
 from the configured truth, applying the betting strategy (plus an optional
 put hedge bought at its risk-neutral price at t = 0), and the anytime-valid
-decision rule.  Replication i always draws row i of the counter-based
-outcome table rows(seed, 0, ...), so results are byte-identical for any
-worker count.
+decision rule.  Every episode steps through the one wealth engine,
+wealth.evolve.  Replication i always draws row i of the counter-based
+outcome table rows(seed, 0, ...), so results are byte-identical however
+the replications are split into chunks.
 
 Simulated experiments use Bernoulli outcomes (the truth may shift its
 parameter at a change point); screening episodes run the two-sided hedged
@@ -16,7 +17,6 @@ process on bounded sequences supplied by the ingest pipeline.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +27,8 @@ from .pricing import (Contract, LatticeModel, StrikeSolveError,
                       lattice_node_values, put_floor_strikes,
                       solve_hedge_strike)
 from .rng import DEFAULT_SEED, rows, stream
-from .strategies import StrategyKind, StrategySpec
-from .wealth import Family, HypothesisSpec
+from .strategies import StrategyKind, StrategySpec, build_strategy
+from .wealth import Family, HypothesisSpec, evolve, hedged_cs
 
 _OUTCOME_TAG = 0     # per-replication outcome rows
 _MATRIX_TAG = 1      # synthetic matrix generation
@@ -123,6 +123,13 @@ class ExperimentConfig:
             if self.strategy.horizon != self.horizon:
                 raise ConfigError(f"dynamic strategy horizon {self.strategy.horizon} "
                                   f"differs from the experiment horizon {self.horizon}")
+        lam = self.strategy.constant_lambda()
+        if lam is not None:
+            lo, hi = self.hypothesis.lambda_bounds()
+            two_sided = self.strategy.kind is StrategyKind.HEDGED_CS
+            if not lo <= lam <= hi or (two_sided and not lo <= -lam <= hi):
+                raise ConfigError(f"betting fraction {lam} outside the admissible "
+                                  f"range [{lo}, {hi}]")
         if self.hedge is not None:
             if not 0.0 < self.hedge_floor < 1.0:
                 raise ConfigError(f"hedge floor {self.hedge_floor} not in (0, 1)")
@@ -247,98 +254,59 @@ def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarr
     return (draws < ps[None, :]).astype(float)
 
 
+def _max_and_crossing(w0, steps, threshold: float):
+    """Final W_T, running max from W_0, and first t with W_t >= threshold (-1: never)."""
+    w = maxw = w0
+    crossing = np.full(np.shape(w0), -1, dtype=np.int64)
+    for t, w in enumerate(steps, 1):
+        maxw = np.maximum(maxw, w)
+        crossing[(w >= threshold) & (crossing < 0)] = t
+    return w, maxw, crossing
+
+
+def _episode_wealth(config: ExperimentConfig, y: np.ndarray, plan: HedgePlan | None):
+    """Yield the episodes' total wealths W_1..W_T, one array per step."""
+    hyp = config.hypothesis
+    if config.strategy.kind is StrategyKind.HEDGED_CS:
+        yield from hedged_cs(y, config.strategy.lam, hyp)
+        return
+    strategy = build_strategy(config.strategy)
+    if plan is None:
+        for k, _ in evolve(strategy, y, hyp):
+            yield k
+        return
+    # up to expiry the stake rides the unit process plus the put marked at its node
+    stake = 1.0 - plan.premium
+    ups = np.zeros(y.shape[0], dtype=np.int64)
+    for t, (k_hat, _) in enumerate(evolve(strategy, y[:, :plan.expiry], hyp), 1):
+        ups += y[:, t - 1].astype(np.int64)
+        w = stake * (k_hat + plan.marks[t][ups])
+        yield w
+    # payoff realized at expiry; the proceeds ride the strategy afterwards
+    for w, _ in evolve(strategy, y[:, plan.expiry:], hyp, start=w, t0=plan.expiry):
+        yield w
+
+
 def _run_chunk(config: ExperimentConfig, start: int, stop: int,
                plan: HedgePlan | None):
     """Evolve episodes [start, stop); returns (final, max, crossing) arrays."""
     y = _chunk_outcomes(config, start, stop)
-    m, horizon = y.shape
-    null_mean = config.hypothesis.null_mean
-    threshold = 1.0 / config.alpha
-    kind = config.strategy.kind
-    crossing = np.full(m, -1, dtype=np.int64)
-
-    def note_crossing(w, t):
-        hit = (w >= threshold) & (crossing < 0)
-        crossing[hit] = t
-
-    if kind is StrategyKind.HEDGED_CS:
-        dev = y - null_mean
-        lam = config.strategy.lam
-        up = np.cumprod(1.0 + lam * dev, axis=1)
-        down = np.cumprod(1.0 - lam * dev, axis=1)
-        w_path = 0.5 * up + 0.5 * down
-        maxw = np.maximum(1.0, w_path.max(axis=1))
-        for t in range(1, horizon + 1):
-            note_crossing(w_path[:, t - 1], t)
-        return w_path[:, -1], maxw, crossing
-
-    if plan is not None:
-        lam = config.strategy.constant_lambda()
-        stake = 1.0 - plan.premium
-        k_hat = np.ones(m)
-        ups = np.zeros(m, dtype=np.int64)
-        w = stake * (k_hat + plan.marks[0][0])
-        maxw = w.copy()
-        for t in range(1, horizon + 1):
-            step = 1.0 + lam * (y[:, t - 1] - null_mean)
-            if t <= plan.expiry:
-                k_hat = k_hat * step
-                ups = ups + y[:, t - 1].astype(np.int64)
-                w = stake * (k_hat + plan.marks[t][ups])
-                if t == plan.expiry:
-                    # payoff realized; proceeds ride the strategy afterwards
-                    w_carry = w
-            else:
-                w_carry = w_carry * step
-                w = w_carry
-            maxw = np.maximum(maxw, w)
-            note_crossing(w, t)
-        return w, maxw, crossing
-
-    w = np.ones(m)
-    maxw = np.ones(m)
-    for t in range(1, horizon + 1):
-        if kind is StrategyKind.DYNAMIC_FLOOR:
-            lam_t = 2.0 * (1.0 - (config.strategy.floor / w)
-                           ** (1.0 / (config.strategy.horizon - (t - 1))))
-            lam_t = np.clip(lam_t, 0.0, 2.0)
-        else:
-            lam_t = config.strategy.constant_lambda()
-        w = w * (1.0 + lam_t * (y[:, t - 1] - null_mean))
-        maxw = np.maximum(maxw, w)
-        note_crossing(w, t)
-    return w, maxw, crossing
+    w0 = 1.0 if plan is None else (1.0 - plan.premium) * (1.0 + plan.marks[0][0])
+    return _max_and_crossing(np.full(y.shape[0], w0), _episode_wealth(config, y, plan),
+                             1.0 / config.alpha)
 
 
-def _run_chunk_args(args):
-    return _run_chunk(*args)
-
-
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all replications; the outcome is independent of the worker count."""
+def run_experiment(config: ExperimentConfig, chunks: int = 1) -> ExperimentResult:
+    """Run all replications in `chunks` consecutive slices; the outcome is
+    independent of the count."""
     plan = _hedge_plan(config) if config.hedge is not None else None
     n = config.replications
-    workers = max(1, min(workers, n))
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    tasks = [(config, int(a), int(b), plan)
+    bounds = np.linspace(0, n, max(1, min(chunks, n)) + 1).astype(int)
+    parts = [_run_chunk(config, int(a), int(b), plan)
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if workers == 1 or len(tasks) == 1:
-        parts = [_run_chunk(*t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk_args, tasks))
-    final = np.concatenate([p[0] for p in parts])
-    maxw = np.concatenate([p[1] for p in parts])
-    crossing = np.concatenate([p[2] for p in parts])
+    final, maxw, crossing = (np.concatenate(p) for p in zip(*parts))
     report = _summarize(config.ruin_level, final, maxw, crossing)
     return ExperimentResult(config, final, maxw, crossing >= 0, crossing, report, plan)
-
-
-def run_shift_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """run_experiment for a truth with a change point (validated present)."""
-    if config.truth.change_at is None:
-        raise ConfigError("shift experiment needs a truth with a change point")
-    return run_experiment(config, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +329,9 @@ class ScreeningResult:
         return self.report.power
 
 
-def _hedged_cs_paths(sequences: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    dev = sequences - 0.5
-    lam = lambdas[:, None]
-    return 0.5 * np.cumprod(1.0 + lam * dev, axis=1) \
-        + 0.5 * np.cumprod(1.0 - lam * dev, axis=1)
-
-
 def _null_terminal_sample(lam: float, tau: int, n: int, seed: int) -> np.ndarray:
+    # Closed-form product of the two legs, not hedged_cs: it only needs K_tau
+    # and is 1.6x faster per fraction than stepping the engine at 100k x 50.
     rng = stream(seed, _PRICE_TAG, int(round(lam * 1_000_000)), tau)
     dev = rng.random((n, tau)) - 0.5
     return 0.5 * np.prod(1.0 + lam * dev, axis=1) \
@@ -424,14 +387,8 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     if np.any((lambdas < 0.0) | (lambdas > 2.0)):
         raise ValueError("screening fractions must lie in [0, 2]")
     m, horizon = sequences.shape
-    threshold = 1.0 / alpha
-
     if hedge is None:
-        w_path = _hedged_cs_paths(sequences, lambdas)
-        w0 = np.ones(m)
-        final = w_path[:, -1]
-        lam_eff = lambdas
-        table = {}
+        lam_eff, table, stake, tau = lambdas, {}, 1.0, horizon + 1   # never exercised
     else:
         tau = hedge.expiry or horizon
         if tau > horizon:
@@ -440,20 +397,16 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
         if not 0.0 < floor < 1.0:
             raise ConfigError(f"hedge floor {floor} not in (0, 1)")
         lam_eff, table = _screening_hedges(lambdas, floor, tau, seed, price_samples)
-        k_hat = _hedged_cs_paths(sequences, lam_eff)
         strike = np.array([table[l][0] for l in lam_eff])
-        premium = np.array([table[l][1] for l in lam_eff])
-        stake = 1.0 - premium
-        w_path = stake[:, None] * k_hat
-        w0 = stake.copy()
-        exercised = k_hat[:, tau - 1] < strike
-        w_path[exercised, tau - 1:] = (stake * strike)[exercised, None]
-        final = w_path[:, -1]
+        stake = 1.0 - np.array([table[l][1] for l in lam_eff])
 
-    maxw = np.maximum(w0, w_path.max(axis=1))
-    crossing = np.full(m, -1, dtype=np.int64)
-    for t in range(horizon, 0, -1):
-        crossing[w_path[:, t - 1] >= threshold] = t
+    def wealth():
+        for t, k_hat in enumerate(hedged_cs(sequences, lam_eff), 1):
+            if t == tau:
+                exercised, cash = k_hat < strike, stake * strike
+            yield stake * k_hat if t < tau else np.where(exercised, cash, stake * k_hat)
+
+    final, maxw, crossing = _max_and_crossing(np.full(m, stake), wealth(), 1.0 / alpha)
     report = _summarize(ruin_level, final, maxw, crossing)
     return ScreeningResult(final, maxw, crossing >= 0, crossing, report,
                            lam_eff, table, int(np.count_nonzero(lam_eff < lambdas)))

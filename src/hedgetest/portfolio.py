@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pricing import Contract, LatticeModel, lattice_price
-from .wealth import TestDecision, decide_from_values
 
 # Tolerance for enforcing risk-neutral trade prices and value neutrality.
 _PRICE_TOL = 1e-9
@@ -220,11 +219,6 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
                    positions=tuple(positions),
                    underlying=underlying,
                    time=t)
-
-
-def portfolio_ville_decide(total_values, alpha: float) -> TestDecision:
-    """Anytime-valid decision on a history of total portfolio values."""
-    return decide_from_values(total_values, alpha)
 
 
 def trajectory_csv(states) -> str:

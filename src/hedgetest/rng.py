@@ -10,7 +10,7 @@ Two primitives, both keyed by a seed and small nonnegative integer tags:
   i starts at counter i * ceil(width / 4) (Salmon et al., "Parallel Random
   Numbers: As Easy as 1, 2, 3", SC'11).  Any chunk [a, b) of rows is the
   same bits as the slice [a:b] of the whole table, so replication i sees the
-  same outcomes however replications are split across workers.
+  same outcomes however replications are split into chunks.
 """
 
 from __future__ import annotations

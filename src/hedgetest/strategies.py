@@ -1,18 +1,19 @@
 """Predictable betting-fraction schedules.
 
-All strategies are callables taking the wealth history (K_0, ..., K_t) and
-returning the fraction bet on outcome t+1, so they depend on the past only.
+A strategy is a vectorized callable lam(wealth, t): given the wealths K_t
+of m paths (an array of shape (m,)) after t outcomes, it returns the
+fraction bet on outcome t+1, one for all paths or one per path, so it
+depends on the past only.  build_strategy turns a StrategySpec into one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
-from .wealth import LOG_NORMAL_MAX_LAMBDA
+import numpy as np
 
-Strategy = Callable[[tuple[float, ...]], float]
+from .wealth import LOG_NORMAL_MAX_LAMBDA, Strategy
 
 
 class StrategyKind(enum.Enum):
@@ -51,19 +52,22 @@ def conservative_lambda(floor: float, horizon: int, worst_step: float) -> float:
     return (floor ** (1.0 / horizon) - 1.0) / worst_step
 
 
-def dynamic_lambda(current_wealth: float, t: int, horizon: int, floor: float) -> float:
+def dynamic_lambda(current_wealth, t: int, horizon: int, floor: float):
     """Fraction that would land the worst-case continuation exactly on the floor.
 
     Solves floor = K_t * (1 + lam*(-0.5))**(horizon - t) for the Bernoulli
     worst step, clamped to the admissible range [0, 2] for bounded outcomes.
     At the floor itself only the zero bet preserves the guarantee.
+    Array-aware: an array of wealths gives an array of fractions, a scalar
+    a float.
     """
-    if current_wealth <= 0.0:
-        raise ValueError(f"wealth must be positive, got {current_wealth}")
+    k = np.asarray(current_wealth, dtype=float)
+    if np.min(k) <= 0.0:
+        raise ValueError(f"wealth must be positive, got {np.min(k)}")
     if t >= horizon:
         raise ValueError(f"step {t} must precede the horizon {horizon}")
-    lam = 2.0 * (1.0 - (floor / current_wealth) ** (1.0 / (horizon - t)))
-    return min(max(lam, 0.0), 2.0)
+    lam = np.clip(2.0 * (1.0 - (floor / k) ** (1.0 / (horizon - t))), 0.0, 2.0)
+    return lam if k.ndim else float(lam)
 
 
 @dataclass(frozen=True)
@@ -94,37 +98,16 @@ class StrategySpec:
 
 
 def build_strategy(spec: StrategySpec) -> Strategy:
-    """Turn a StrategySpec into a per-step callable for run_process."""
+    """Turn a StrategySpec into a vectorized schedule lam(wealth, t)."""
     if spec.kind is StrategyKind.HEDGED_CS:
-        raise ValueError("the two-sided hedged process is run with run_hedged_cs, "
+        raise ValueError("the two-sided hedged process is run with hedged_cs, "
                          "not a per-step fraction schedule")
     if spec.kind is StrategyKind.DYNAMIC_FLOOR:
         if spec.floor is None or spec.horizon is None:
             raise ValueError("dynamic floor strategy needs floor and horizon")
         floor, horizon = spec.floor, spec.horizon
-
-        def dynamic(history: tuple[float, ...]) -> float:
-            return dynamic_lambda(history[-1], len(history) - 1, horizon, floor)
-
-        return dynamic
+        return lambda wealth, t: dynamic_lambda(wealth, t, horizon, floor)
     lam = spec.constant_lambda()
     if lam is None:
         raise ValueError(f"cannot build strategy for {spec.kind}")
-    return lambda history: lam
-
-
-def fixed(lam: float) -> Strategy:
-    """Constant-fraction strategy."""
-    return lambda history: lam
-
-
-def kelly(p0: float, p1: float) -> Strategy:
-    """Kelly-optimal constant fraction for a simple-vs-simple Bernoulli test."""
-    lam = kelly_lambda(p0, p1)
-    return lambda history: lam
-
-
-def dynamic_floor(floor: float, horizon: int) -> Strategy:
-    """Schedule re-solving the worst-case floor equation each step."""
-    return build_strategy(StrategySpec(StrategyKind.DYNAMIC_FLOOR,
-                                       floor=floor, horizon=horizon))
+    return lambda wealth, t: lam

@@ -8,6 +8,10 @@ where lambda_t is the betting fraction chosen before outcome y_t is seen.
 Under the null the process is a nonnegative martingale, so observing
 K_t >= 1/alpha at any time is a level-alpha rejection (Ville's inequality).
 
+evolve is the one engine: it steps m such processes side by side under a
+vectorized strategy lam(wealth, t), and run_process, terminal_wealth and
+the two-sided hedged_cs are built on it.
+
 Three outcome families are supported: Bernoulli coin flips in {0, 1},
 bounded outcomes in [0, 1] with null mean 1/2, and positive outcomes
 exp(Z) with Z standard normal under the null (null mean exp(1/2)).
@@ -18,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +32,10 @@ LOG_NORMAL_NULL_MEAN = math.exp(0.5)
 #: Largest betting fraction that keeps exp(Z) outcomes from bankrupting the
 #: bettor (the worst outcome is arbitrarily close to 0).
 LOG_NORMAL_MAX_LAMBDA = math.exp(-0.5)
+
+#: A betting strategy: lam(wealth, t) maps the wealths K_t of m paths after
+#: t outcomes to the fraction bet on outcome t + 1 (one, or one per path).
+Strategy = Callable[[np.ndarray, int], "float | np.ndarray"]
 
 # Relative slack for clamping tiny negative wealth caused by rounding at an
 # admissibility boundary (e.g. lambda = 2 and y = 0).
@@ -191,79 +199,105 @@ class TestDecision:
     threshold: float
 
 
-def update_wealth(k_prev: float, lam: float, y: float, null_mean: float,
-                  lambda_bounds: tuple[float, float] = (-2.0, 2.0)) -> float:
+def update_wealth(k_prev, lam, y, null_mean: float,
+                  lambda_bounds: tuple[float, float] = (-2.0, 2.0)):
     """One multiplicative wealth update k_prev * (1 + lam*(y - null_mean)).
 
-    lambda_bounds is the admissible betting range for the outcome family
-    (defaults to the Bernoulli/bounded range [-2, 2]); a fraction outside it
-    could produce negative wealth and is rejected up front.
+    Array-aware: wealths, fractions and outcomes broadcast elementwise, and
+    an all-scalar update returns a float.  lambda_bounds is the admissible
+    betting range for the outcome family (defaults to the Bernoulli/bounded
+    range [-2, 2]); a fraction outside it could produce negative wealth and
+    is rejected up front.  A result below 0 by rounding clamps to 0.
     """
-    if k_prev < 0.0:
-        raise ValueError(f"wealth must be nonnegative, got {k_prev}")
+    if _lowest(k_prev) < 0.0:
+        raise ValueError(f"wealth must be nonnegative, got {_lowest(k_prev)}")
     lo, hi = lambda_bounds
-    if not lo <= lam <= hi:
+    lam_lo, lam_hi = (lam.min(), lam.max()) if isinstance(lam, np.ndarray) else (lam, lam)
+    if not (lo <= lam_lo and lam_hi <= hi):
         raise InadmissibleBetError(
-            f"betting fraction {lam} outside admissible range [{lo}, {hi}]")
+            f"betting fraction {lam_lo if lam_lo < lo else lam_hi} "
+            f"outside admissible range [{lo}, {hi}]")
     result = k_prev * (1.0 + lam * (y - null_mean))
-    if result < 0.0:
-        if result >= -_NEG_TOL * max(k_prev, 1.0):
-            return 0.0
-        raise OutcomeError(
-            f"outcome {y} with fraction {lam} drove wealth negative; "
-            "outcome lies outside the declared family support")
-    return result
+    if _lowest(result) < 0.0:
+        if np.any(result < -_NEG_TOL * np.maximum(k_prev, 1.0)):
+            raise OutcomeError(
+                f"a bet drove wealth to {_lowest(result)}; "
+                "an outcome lies outside the declared family support")
+        result = np.maximum(result, 0.0)
+    return result if isinstance(result, np.ndarray) else float(result)
 
 
-def run_process(strategy: Callable[[tuple[float, ...]], float],
-                outcomes: Iterable[float],
-                hyp: HypothesisSpec) -> WealthPath:
-    """Evolve a wealth process under a predictable betting strategy.
+def _lowest(x):
+    return x.min() if isinstance(x, np.ndarray) else x
 
-    The strategy is called with the history (K_0, ..., K_t) and returns the
-    fraction bet on the next outcome, so it can never peek ahead.  A ruined
-    path (wealth exactly 0) stops betting and stays at 0.
+
+def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
+           start=1.0, t0: int = 0) -> Iterator[tuple[np.ndarray, object]]:
+    """Run m wealth processes side by side; yields (K_t, lam_t) for each step.
+
+    outcomes has shape (m, T): row i is path i.  The strategy is called as
+    strategy(K, t) with the wealths K (shape (m,)) after t outcomes, t
+    counted from t0, and returns the fraction bet on the next outcome, one
+    for all rows or one per row, so it can never peek ahead.  Every step is
+    one update_wealth over the batch.  A ruined row (wealth exactly 0) bets
+    0 and stays at 0; once every row is ruined the strategy is no longer
+    consulted.  Only the current wealths are kept.
     """
     ys = hyp.validate_outcomes(outcomes)
+    if ys.ndim != 2:
+        raise ValueError(f"outcomes must have shape (paths, steps), got {ys.shape}")
     bounds = hyp.lambda_bounds()
-    values = [1.0]
-    lambdas = []
-    k = 1.0
-    for y in ys:
-        lam = 0.0 if k == 0.0 else float(strategy(tuple(values)))
-        k = update_wealth(k, lam, float(y), hyp.null_mean, bounds)
-        values.append(k)
-        lambdas.append(lam)
+    k = np.full(ys.shape[0], start, dtype=float)
+    for t, y in enumerate(ys.T):
+        if k.all():
+            lam = strategy(k, t0 + t)
+        elif k.any():
+            lam = np.where(k > 0.0, strategy(k, t0 + t), 0.0)
+        else:
+            lam = 0.0
+        k = update_wealth(k, lam, y, hyp.null_mean, bounds)
+        yield k, lam
+
+
+def run_process(strategy: Strategy, outcomes: Iterable[float],
+                hyp: HypothesisSpec) -> WealthPath:
+    """Evolve one wealth process from K_0 = 1: evolve on a batch of one.
+
+    The strategy sees the wealth array (K_t,) and the step t.
+    """
+    values, lambdas = [1.0], []
+    for k, lam in evolve(strategy, [list(outcomes)], hyp):
+        values.append(float(k[0]))
+        lambdas.append(float(lam[0] if isinstance(lam, np.ndarray) else lam))
     return WealthPath(tuple(values), tuple(lambdas), hyp.null_mean)
 
 
-def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
-    """Final wealth of a constant-fraction bet along each row of outcomes.
-
-    The batched run_process(fixed(lam), row, hyp).final: the same update in
-    the same order, and the same errors (OutcomeError for an outcome outside
-    the support, InadmissibleBetError for a fraction outside the family's
-    range).  Outcomes of shape (..., T) give wealths of shape (...).
-    """
-    ys = hyp.validate_outcomes(outcomes)
-    lo, hi = hyp.lambda_bounds()
-    if not lo <= lam <= hi:
-        raise InadmissibleBetError(
-            f"betting fraction {lam} outside admissible range [{lo}, {hi}]")
-    # With checked outcomes and fraction a step can dip below 0 only by
-    # rounding; it clamps to 0, and a ruined row then stays at 0.
-    steps = np.maximum(1.0 + lam * (ys - hyp.null_mean), 0.0)
-    k = np.ones(ys.shape[:-1])
-    for t in range(ys.shape[-1]):
-        k *= steps[..., t]
+def terminal_wealth(strategy: Strategy, outcomes, hyp: HypothesisSpec) -> np.ndarray:
+    """Final wealth K_T of each row of outcomes[m, T]: the last value of evolve."""
+    k = np.ones(np.shape(outcomes)[0])
+    for k, _ in evolve(strategy, outcomes, hyp):
+        pass
     return k
 
 
-def run_hedged_cs(outcomes: Iterable[float], lam: float) -> WealthPath:
-    """Two-sided hedged capital process on bounded outcomes.
+def hedged_cs(outcomes, lam,
+              hyp: HypothesisSpec = HypothesisSpec.bounded()) -> Iterator[np.ndarray]:
+    """Two-sided hedged capital process of each row of outcomes[m, T].
 
-    Averages equal stakes bet for and against deviations above the null
-    mean 1/2:
+    Half of the unit wealth bets +lam on y - null_mean and half bets -lam
+    (Waudby-Smith & Ramdas, JRSS-B 2024); yields K_t = K+_t + K-_t for
+    t = 1..T, each leg an evolve started at 1/2.  lam is one fraction for
+    all rows or one per row; hyp defaults to bounded outcomes with mean 1/2.
+    """
+    against = -lam
+    up = evolve(lambda k, t: lam, outcomes, hyp, start=0.5)
+    down = evolve(lambda k, t: against, outcomes, hyp, start=0.5)
+    for (k_up, _), (k_down, _) in zip(up, down):
+        yield k_up + k_down
+
+
+def run_hedged_cs(outcomes: Iterable[float], lam: float) -> WealthPath:
+    """Two-sided hedged capital process of one bounded sequence.
 
         K_t = 0.5 * prod(1 + lam*(y - 0.5)) + 0.5 * prod(1 - lam*(y - 0.5))
 
@@ -271,12 +305,8 @@ def run_hedged_cs(outcomes: Iterable[float], lam: float) -> WealthPath:
     """
     if not 0.0 <= lam <= 2.0:
         raise InadmissibleBetError(f"hedged fraction {lam} outside [0, 2]")
-    ys = HypothesisSpec.bounded().validate_outcomes(outcomes)
-    dev = ys - 0.5
-    up = np.cumprod(1.0 + lam * dev)
-    down = np.cumprod(1.0 - lam * dev)
-    values = (1.0,) + tuple(float(v) for v in 0.5 * up + 0.5 * down)
-    return WealthPath(values, None, 0.5)
+    values = [1.0] + [float(k[0]) for k in hedged_cs([list(outcomes)], lam)]
+    return WealthPath(tuple(values), None, 0.5)
 
 
 def cash_flow(path: WealthPath) -> CashFlow:

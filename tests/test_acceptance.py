@@ -380,10 +380,10 @@ def test_c9_cash_flow_clt_ks():
 
 def test_c10_determinism_across_workers(tmp_path):
     cfg = load_config(CONFIGS / "table1_kelly.cfg")
-    one = run_experiment(cfg, workers=1)
-    two = run_experiment(cfg, workers=2)
-    five = run_experiment(cfg, workers=5)
+    one = run_experiment(cfg, chunks=1)
+    two = run_experiment(cfg, chunks=2)
+    five = run_experiment(cfg, chunks=5)
     ok = (result_csv(one) == result_csv(two) == result_csv(five)
           and result_json(one) == result_json(two) == result_json(five))
     _report("C10 determinism", ok,
-            f"{one.final_wealth.size} replications byte-identical for 1/2/5 workers")
+            f"{one.final_wealth.size} replications byte-identical for 1/2/5 chunks")

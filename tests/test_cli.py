@@ -138,7 +138,7 @@ class TestSimulate:
         out = tmp_path / "run"
         run_cli(capsys, "simulate", "--config", str(cfg_path), "--out", str(out),
                 "--workers", "1")
-        result = run_experiment(load_config(cfg_path), workers=1)
+        result = run_experiment(load_config(cfg_path), chunks=1)
         assert (tmp_path / "run.csv").read_text() == result_csv(result)
         assert (tmp_path / "run.json").read_text() == result_json(result)
 

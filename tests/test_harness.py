@@ -11,11 +11,12 @@ from hedgetest.harness import (ConfigError, ExperimentConfig, HedgeSpec,
                                TruthSpec, config_dict, config_from_dict,
                                load_config, parse_config_text, result_csv,
                                result_json, run_experiment, run_screening,
-                               run_shift_experiment, synthetic_screening_input,
-                               synthetic_uniform_matrix, tail_metrics, to_json)
+                               synthetic_screening_input, synthetic_uniform_matrix,
+                               tail_metrics, to_json)
 from hedgetest.rng import rows, stream
-from hedgetest.strategies import StrategyKind, StrategySpec, kelly
-from hedgetest.wealth import HypothesisSpec, run_process, ville_decide
+from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
+from hedgetest.wealth import (HypothesisSpec, run_hedged_cs, run_process,
+                              ville_decide)
 
 HYP = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75)
@@ -89,6 +90,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(hedge=HedgeSpec(expiry=20, floor=floor))
 
+    @pytest.mark.parametrize("kind,lam", [(StrategyKind.FIXED_LAMBDA, 2.5),
+                                          (StrategyKind.FIXED_LAMBDA, -2.1),
+                                          (StrategyKind.HEDGED_CS, 2.5),
+                                          (StrategyKind.HEDGED_CS, -2.5)])
+    def test_fraction_outside_the_family_range(self, kind, lam):
+        # before the engine checked fractions, these ran to negative wealth
+        with pytest.raises(ConfigError, match="admissible"):
+            config(strategy=StrategySpec(kind, lam=lam))
+        config(strategy=StrategySpec(kind, lam=lam / abs(lam) * 2.0))
+
     def test_dynamic_horizon_must_match_the_experiment(self):
         dyn = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=10)
         with pytest.raises(ConfigError, match="horizon"):
@@ -110,7 +121,7 @@ class TestRunExperiment:
         # the vectorized engine agrees with run_process episode by episode
         cfg = config(replications=50)
         result = run_experiment(cfg)
-        strategy = kelly(0.5, 0.75)
+        strategy = build_strategy(KELLY)
         for i in range(50):
             draws = rows(cfg.seed, 0, i, i + 1, cfg.horizon)[0]
             ys = (draws < 0.75).astype(float)
@@ -134,8 +145,8 @@ class TestRunExperiment:
 
     def test_deterministic_across_worker_counts(self):
         cfg = config(replications=500)
-        one = run_experiment(cfg, workers=1)
-        four = run_experiment(cfg, workers=4)
+        one = run_experiment(cfg, chunks=1)
+        four = run_experiment(cfg, chunks=4)
         assert np.array_equal(one.final_wealth, four.final_wealth)
         assert np.array_equal(one.max_wealth, four.max_wealth)
         assert np.array_equal(one.crossing_time, four.crossing_time)
@@ -145,7 +156,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name", ["table2_option10.cfg", "table1_dynamic.cfg"])
     def test_byte_identical_across_worker_counts_beyond_kelly(self, name):
         cfg = load_config(CONFIGS / name)
-        outputs = [run_experiment(cfg, workers=w) for w in (1, 2, 3)]
+        outputs = [run_experiment(cfg, chunks=c) for c in (1, 2, 3)]
         assert len({result_csv(r) for r in outputs}) == 1
         assert len({result_json(r) for r in outputs}) == 1
 
@@ -190,16 +201,29 @@ class TestRunExperiment:
         assert result.report.expected_tail_wealth == pytest.approx(0.904, abs=0.02)
 
     def test_dynamic_floor_engine_matches_library(self):
-        from hedgetest.strategies import dynamic_floor
         spec = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=20)
         cfg = config(strategy=spec, replications=25)
         result = run_experiment(cfg)
-        strategy = dynamic_floor(0.25, 20)
+        strategy = build_strategy(spec)
         for i in range(25):
             draws = rows(cfg.seed, 0, i, i + 1, 20)[0]
             ys = (draws < 0.75).astype(float)
             path = run_process(strategy, ys, HYP)
             assert result.final_wealth[i] == pytest.approx(path.final, rel=1e-10)
+
+    def test_hedged_cs_matches_run_hedged_cs(self):
+        spec = StrategySpec(StrategyKind.HEDGED_CS, lam=1.0)
+        cfg = config(strategy=spec, truth=TruthSpec(0.85), replications=300)
+        result = run_experiment(cfg, chunks=2)
+        draws = rows(cfg.seed, 0, 0, 300, cfg.horizon)
+        for i in range(300):
+            path = run_hedged_cs((draws[i] < 0.85).astype(float), 1.0)
+            decision = ville_decide(path, cfg.alpha)
+            assert result.final_wealth[i] == pytest.approx(path.final, rel=1e-12, abs=0.0)
+            assert result.max_wealth[i] == pytest.approx(path.max_value, rel=1e-12, abs=0.0)
+            assert result.crossing_time[i] == (decision.crossing_time
+                                               if decision.rejected else -1)
+        assert 0 < result.rejected.sum() < 300
 
 
 def result_final(cfg, i):
@@ -212,13 +236,9 @@ def result_final(cfg, i):
 
 
 class TestRunShift:
-    def test_requires_change_point(self):
-        with pytest.raises(ConfigError):
-            run_shift_experiment(config())
-
     def test_runs_with_change_point(self):
         cfg = config(truth=TruthSpec(0.5, 0.75, 10), replications=500)
-        result = run_shift_experiment(cfg)
+        result = run_experiment(cfg)
         assert result.report.n == 500
 
 

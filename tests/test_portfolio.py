@@ -7,13 +7,13 @@ import pytest
 
 from hedgetest.portfolio import (BankruptcyRiskError, MispricedTradeError,
                                  Portfolio, TradeLimitError, buy_contract,
-                                 issue_contract, move_to_risky,
-                                 portfolio_ville_decide, short_risky, step,
-                                 trade_limits, trajectory_csv)
+                                 issue_contract, move_to_risky, short_risky,
+                                 step, trade_limits, trajectory_csv)
 from hedgetest.pricing import Contract, LatticeModel, lattice_price
 from hedgetest.rng import stream
-from hedgetest.strategies import kelly
-from hedgetest.wealth import HypothesisSpec, run_process, ville_decide
+from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
+from hedgetest.wealth import (HypothesisSpec, decide_from_values, run_process,
+                              ville_decide)
 
 U, D = 1.5, 0.5
 
@@ -205,19 +205,20 @@ class TestPortfolioDecision:
     def test_all_cash_never_rejects(self):
         history = [1.0] * 50
         for alpha in (0.01, 0.05, 0.5):
-            assert not portfolio_ville_decide(history, alpha).rejected
+            assert not decide_from_values(history, alpha).rejected
 
     def test_pure_risky_matches_process_decision(self):
         hyp = HypothesisSpec.bernoulli(0.5, 0.75)
+        kelly = build_strategy(StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75))
         for i in range(50):
             ys = (stream(221, i).random(15) < 0.75).astype(float)
-            path = run_process(kelly(0.5, 0.75), ys, hyp)
+            path = run_process(kelly, ys, hyp)
             p = all_risky()
             totals = [p.total_value]
             for y in ys:
                 p = step(p, y)
                 totals.append(p.total_value)
-            ours = portfolio_ville_decide(totals, 0.05)
+            ours = decide_from_values(totals, 0.05)
             reference = ville_decide(path, 0.05)
             assert ours.rejected == reference.rejected
             assert ours.crossing_time == reference.crossing_time
@@ -235,7 +236,7 @@ class TestPortfolioDecision:
             for y in ys:
                 p = step(p, y)
                 totals.append(p.total_value)
-            rejections += portfolio_ville_decide(totals, alpha).rejected
+            rejections += decide_from_values(totals, alpha).rejected
         se = math.sqrt(alpha * (1 - alpha) / n)
         assert rejections / n <= alpha + 3 * se
 

@@ -152,7 +152,7 @@ class TestMcPrice:
     def test_family_mismatch_detected(self):
         from hedgetest.wealth import OutcomeError
         hyp = HypothesisSpec.bernoulli(0.5)
-        process = lambda ys: terminal_wealth(1.0, ys, hyp)
+        process = lambda ys: terminal_wealth(lambda k, t: 1.0, ys, hyp)
         lognormal_sampler = HypothesisSpec.log_normal().null_sampler()
         with pytest.raises(OutcomeError):
             mc_price(lognormal_sampler, process, Contract.put(0.25, 3), 10, seed=104)

@@ -5,7 +5,9 @@ random discrete measures are checked against the oracles: every returned
 root zeroes the floor residual, no sign change of the residual on a dense
 grid goes without a root, and with expiry at the horizon the worst hedged
 final wealth over all enumerated paths is the floor itself.  Any chunk of
-the counter-based row table is the same bits as the slice of the whole.
+the counter-based row table is the same bits as the slice of the whole, and
+the wealth engine run on a batch is, row for row, the same bits as each row
+run alone and the step-by-step recurrence of the oracle.
 """
 
 import numpy as np
@@ -13,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from hedgetest.pricing import (LatticeModel, StrikeSolveError, put_floor_strikes,
                                solve_hedge_strike)
-from hedgetest.rng import rows
+from hedgetest.rng import rows, stream
+from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
+from hedgetest.wealth import HypothesisSpec, evolve, run_process
 
-from oracles import binomial_weight_price, enumerate_paths_min
+from oracles import binomial_weight_price, enumerate_paths_min, wealth_by_hand
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
                          max_examples=100)
@@ -129,3 +133,48 @@ def test_row_chunk_equals_slice_of_the_table(case):
     chunk = rows(seed, tag, a, b, width)
     assert table.shape == (n, width)
     assert np.array_equal(chunk, table[a:b])
+
+
+@st.composite
+def wealth_batches(draw):
+    family = draw(st.sampled_from(["bernoulli", "bounded", "log_normal"]))
+    m, horizon = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    if family == "bernoulli":
+        hyp = HypothesisSpec.bernoulli(draw(st.sampled_from([0.5, 0.2, 0.7])))
+        ys = (rng.random((m, horizon)) < draw(st.floats(0.0, 1.0))).astype(float)
+    elif family == "bounded":
+        hyp = HypothesisSpec.bounded(draw(st.sampled_from([0.5, 0.3])))
+        ys = rng.random((m, horizon))
+        ys[rng.random((m, horizon)) < 0.2] = draw(st.sampled_from([0.0, 1.0]))
+    else:
+        hyp = HypothesisSpec.log_normal()
+        ys = np.exp(rng.standard_normal((m, horizon)))
+    lo, hi = hyp.lambda_bounds()
+    fraction = st.one_of(st.sampled_from([lo, hi, 0.0]), st.floats(lo, hi))
+    kind = draw(st.sampled_from(["constant", "per_row", "dynamic"]
+                                if hyp.null_mean == 0.5 and family != "log_normal"
+                                else ["constant", "per_row"]))
+    if kind == "constant":
+        lam = draw(fraction)
+        return hyp, ys, lambda k, t: lam, [lambda k, t: lam] * m
+    if kind == "per_row":
+        lams = np.array([draw(fraction) for _ in range(m)])
+        return hyp, ys, lambda k, t: lams, [lambda k, t, i=i: lams[i:i + 1]
+                                            for i in range(m)]
+    spec = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=draw(st.floats(0.01, 0.99)),
+                        horizon=horizon)
+    return hyp, ys, build_strategy(spec), [build_strategy(spec)] * m
+
+
+@DETERMINISTIC
+@given(wealth_batches())
+def test_batch_equals_each_row_alone_and_the_oracle(case):
+    hyp, ys, strategy, alone = case
+    batch = np.array([k for k, _ in evolve(strategy, ys, hyp)])
+    for i, row_strategy in enumerate(alone):
+        path = run_process(row_strategy, ys[i], hyp)
+        assert path.values[1:] == tuple(batch[:, i].tolist())     # bit for bit
+        by_hand = wealth_by_hand(path.lambdas, ys[i], hyp.null_mean)
+        for value, expected in zip(path.values, by_hand):
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))

@@ -7,11 +7,11 @@ import pytest
 
 from hedgetest.rng import stream
 from hedgetest.strategies import (StrategyKind, StrategySpec, build_strategy,
-                                  conservative_lambda, dynamic_floor,
-                                  dynamic_lambda, fixed, kelly, kelly_lambda)
+                                  conservative_lambda, dynamic_lambda, kelly_lambda)
 from hedgetest.wealth import HypothesisSpec, run_process
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
+DYNAMIC = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=20)
 
 
 class TestKellyLambda:
@@ -94,17 +94,29 @@ class TestDynamicLambda:
         with pytest.raises(ValueError):
             dynamic_lambda(1.0, 20, 20, 0.25)
 
+    def test_array_of_wealths_is_elementwise(self):
+        wealths = np.array([1.0, 0.25, 0.1, 2.0, 1e9])
+        lams = dynamic_lambda(wealths, 5, 20, 0.25)
+        assert lams.shape == (5,)
+        for k, lam in zip(wealths, lams):
+            assert lam == pytest.approx(dynamic_lambda(float(k), 5, 20, 0.25), rel=1e-15)
+
+    def test_ruined_wealth_in_an_array_is_an_error(self):
+        # an explicit guard instead of a divide-by-zero warning
+        with pytest.raises(ValueError, match="positive"):
+            dynamic_lambda(np.array([1.0, 0.0]), 0, 20, 0.25)
+
 
 class TestFloorGuarantee:
     def test_all_losses_path_respects_floor(self):
         losses = [0.0] * 20
         lam = conservative_lambda(0.25, 20, -0.5)
-        for strategy in (fixed(lam), dynamic_floor(0.25, 20)):
+        for strategy in (lambda k, t: lam, build_strategy(DYNAMIC)):
             path = run_process(strategy, losses, BERNOULLI)
             assert path.final >= 0.25 - 1e-6
 
     def test_dynamic_floor_holds_on_random_paths(self):
-        strategy = dynamic_floor(0.25, 20)
+        strategy = build_strategy(DYNAMIC)
         for i in range(500):
             ys = (stream(71, i).random(20) < 0.5).astype(float)
             path = run_process(strategy, ys, BERNOULLI)
@@ -139,9 +151,11 @@ class TestStrategySpec:
         assert dyn.constant_lambda() is None
 
     def test_build_strategy_round_trip(self):
-        spec = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=20)
-        strategy = build_strategy(spec)
-        assert strategy((1.0,)) == pytest.approx(dynamic_lambda(1.0, 0, 20, 0.25))
+        strategy = build_strategy(DYNAMIC)
+        assert strategy(np.array([1.0]), 0) == pytest.approx(dynamic_lambda(1.0, 0, 20, 0.25))
+        assert strategy(np.array([2.0]), 5) == pytest.approx(dynamic_lambda(2.0, 5, 20, 0.25))
+        kelly = build_strategy(StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75))
+        assert kelly(np.array([3.0, 0.5]), 7) == 1.0
 
     def test_hedged_cs_has_no_per_step_schedule(self):
         with pytest.raises(ValueError):

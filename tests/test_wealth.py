@@ -6,15 +6,23 @@ import numpy as np
 import pytest
 
 from hedgetest.rng import stream
-from hedgetest.strategies import dynamic_floor, fixed, kelly
+from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (CashFlow, Family, HypothesisSpec,
                               InadmissibleBetError, OutcomeError, WealthPath,
-                              cash_flow, run_hedged_cs, run_process,
-                              terminal_wealth, update_wealth, ville_decide)
+                              cash_flow, evolve, hedged_cs, run_hedged_cs,
+                              run_process, terminal_wealth, update_wealth,
+                              ville_decide)
 
 from oracles import wealth_by_hand
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
+KELLY = build_strategy(StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75))
+
+
+def path_values(strategy, outcomes, hyp):
+    """Rows of K_0..K_T for a batch, stepped through evolve."""
+    steps = [k for k, _ in evolve(strategy, outcomes, hyp)]
+    return np.column_stack([np.ones(len(outcomes))] + steps)
 
 
 class TestUpdateWealth:
@@ -48,6 +56,23 @@ class TestUpdateWealth:
     def test_out_of_support_outcome_detected(self):
         with pytest.raises(OutcomeError):
             update_wealth(1.0, 2.0, -0.5, 0.5)
+
+    def test_array_update_is_the_scalar_update_elementwise(self):
+        k = np.array([1.0, 0.25, 7.5, 0.0])
+        lam = np.array([1.0, -0.7, 2.0, 2.0])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        out = update_wealth(k, lam, y, 0.5)
+        assert isinstance(update_wealth(1.0, 1.0, 1.0, 0.5), float)
+        assert out.tolist() == [update_wealth(*args, 0.5) for args in zip(k, lam, y)]
+
+    def test_array_checks_every_element(self):
+        ones = np.ones(3)
+        with pytest.raises(InadmissibleBetError):
+            update_wealth(ones, np.array([1.0, 2.5, 0.0]), ones, 0.5)
+        with pytest.raises(ValueError):
+            update_wealth(np.array([1.0, -0.1, 1.0]), 0.0, ones, 0.5)
+        with pytest.raises(OutcomeError):
+            update_wealth(ones, 2.0, np.array([0.5, -0.5, 0.5]), 0.5)
 
 
 class TestHypothesisSpec:
@@ -83,57 +108,59 @@ class TestHypothesisSpec:
 
 class TestRunProcess:
     def test_three_losses_leave_one_eighth(self):
-        path = run_process(kelly(0.5, 0.75), [0, 0, 0], BERNOULLI)
+        path = run_process(KELLY, [0, 0, 0], BERNOULLI)
         assert path.final == 0.125
         assert path.values == (1.0, 0.5, 0.25, 0.125)
 
     def test_three_wins_reach_twenty_seven_eighths(self):
-        path = run_process(kelly(0.5, 0.75), [1, 1, 1], BERNOULLI)
+        path = run_process(KELLY, [1, 1, 1], BERNOULLI)
         assert path.final == 27 / 8
 
     def test_zero_fraction_gives_constant_path(self):
-        path = run_process(fixed(0.0), [1, 0, 1, 1, 0], BERNOULLI)
+        path = run_process(lambda k, t: 0.0, [1, 0, 1, 1, 0], BERNOULLI)
         assert path.values == (1.0,) * 6
 
     def test_path_satisfies_recurrence(self):
         rng = stream(11, 0)
         outcomes = (rng.random(25) < 0.6).astype(float)
-        path = run_process(dynamic_floor(0.25, 25), outcomes, BERNOULLI)
+        dynamic = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=25)
+        path = run_process(build_strategy(dynamic), outcomes, BERNOULLI)
         expected = wealth_by_hand(path.lambdas, outcomes, 0.5)
         assert np.allclose(path.values, expected, rtol=0, atol=1e-15)
 
     def test_strategy_sees_only_the_past(self):
         seen = []
 
-        def spy(history):
-            seen.append(tuple(history))
+        def spy(wealth, t):
+            seen.append((t, wealth.tolist()))
             return 1.0
 
         path = run_process(spy, [1, 0, 1], BERNOULLI)
-        for t, history in enumerate(seen):
-            assert history == path.values[:t + 1]
+        assert len(seen) == 3
+        for t, (step, wealth) in enumerate(seen):
+            assert (step, wealth) == (t, [path.values[t]])   # exactly K_t
 
     def test_ruined_path_stays_at_zero(self):
         calls = []
 
-        def greedy(history):
-            calls.append(len(history))
+        def greedy(wealth, t):
+            calls.append(t)
             return 2.0
 
         path = run_process(greedy, [0, 1, 1], BERNOULLI)
         assert path.values == (1.0, 0.0, 0.0, 0.0)
         assert path.ruined
-        assert calls == [1]   # no bets are solicited after ruin
+        assert calls == [0]   # no bets are solicited after ruin
 
     def test_inadmissible_strategy_propagates(self):
         with pytest.raises(InadmissibleBetError):
-            run_process(fixed(3.0), [1, 1], BERNOULLI)
+            run_process(lambda k, t: 3.0, [1, 1], BERNOULLI)
 
     def test_log_normal_family_runs(self):
         hyp = HypothesisSpec.log_normal()
         lam = math.exp(-0.5)
         ys = [math.exp(z) for z in (0.3, -1.2, 0.8)]
-        path = run_process(fixed(lam), ys, hyp)
+        path = run_process(lambda k, t: lam, ys, hyp)
         # all-or-nothing updates reduce to exp(z - 1/2) per step
         expected = math.exp(sum((0.3, -1.2, 0.8)) - 1.5)
         assert path.final == pytest.approx(expected, rel=1e-12)
@@ -151,27 +178,62 @@ class TestTerminalWealth:
     def test_matches_run_process_row_by_row(self, hyp, draw, lams):
         ys = draw(stream(61), (200, 15))
         for lam in lams:
-            finals = terminal_wealth(lam, ys, hyp)
+            finals = terminal_wealth(lambda k, t: lam, ys, hyp)
             assert finals.shape == (200,)
             for row, final in zip(ys, finals):
-                expected = run_process(fixed(lam), row, hyp).final
+                expected = run_process(lambda k, t: lam, row, hyp).final
                 assert final == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_ruined_row_stays_at_zero(self):
-        finals = terminal_wealth(2.0, np.array([[0, 1, 1], [1, 1, 1]]), BERNOULLI)
+        finals = terminal_wealth(lambda k, t: 2.0, np.array([[0, 1, 1], [1, 1, 1]]),
+                                 BERNOULLI)
         assert finals.tolist() == [0.0, 8.0]
-        assert run_process(fixed(2.0), [0, 1, 1], BERNOULLI).final == 0.0
+        assert run_process(lambda k, t: 2.0, [0, 1, 1], BERNOULLI).final == 0.0
 
     def test_same_errors_as_run_process(self):
         outside = np.exp(stream(62).standard_normal((3, 4)))
         with pytest.raises(OutcomeError):
-            run_process(fixed(1.0), outside[0], BERNOULLI)
+            run_process(lambda k, t: 1.0, outside[0], BERNOULLI)
         with pytest.raises(OutcomeError):
-            terminal_wealth(1.0, outside, BERNOULLI)
+            terminal_wealth(lambda k, t: 1.0, outside, BERNOULLI)
         with pytest.raises(InadmissibleBetError):
-            run_process(fixed(3.0), [1, 1], BERNOULLI)
+            run_process(lambda k, t: 3.0, [1, 1], BERNOULLI)
         with pytest.raises(InadmissibleBetError):
-            terminal_wealth(3.0, np.array([[1.0, 1.0]]), BERNOULLI)
+            terminal_wealth(lambda k, t: 3.0, np.array([[1.0, 1.0]]), BERNOULLI)
+
+
+class TestEvolve:
+    def test_ruined_rows_bet_zero_while_others_bet(self):
+        seen = []
+
+        def strategy(wealth, t):
+            seen.append(wealth.tolist())
+            return np.where(wealth > 0.0, 2.0, 5.0)   # 5 is inadmissible
+
+        ys = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        steps = list(evolve(strategy, ys, BERNOULLI))
+        assert [k.tolist() for k, _ in steps] == [[0.0, 2.0], [0.0, 4.0], [0.0, 8.0]]
+        assert [np.broadcast_to(lam, 2).tolist() for _, lam in steps] == \
+            [[2.0, 2.0], [0.0, 2.0], [0.0, 2.0]]
+        assert seen == [[1.0, 1.0], [0.0, 2.0], [0.0, 4.0]]
+
+    def test_start_and_clock_offset(self):
+        seen = []
+
+        def strategy(wealth, t):
+            seen.append(t)
+            return 1.0
+
+        steps = evolve(strategy, np.array([[1.0, 0.0]] * 2), BERNOULLI,
+                       start=np.array([2.0, 0.5]), t0=7)
+        assert [k.tolist() for k, _ in steps] == [[3.0, 0.75], [1.5, 0.375]]
+        assert seen == [7, 8]
+
+    def test_outcomes_must_be_a_matrix(self):
+        with pytest.raises(ValueError):
+            list(evolve(KELLY, np.array([1.0, 0.0]), BERNOULLI))
+        with pytest.raises(OutcomeError):
+            list(evolve(KELLY, np.array([[1.0, 0.5]]), BERNOULLI))
 
 
 class TestWealthPath:
@@ -207,10 +269,9 @@ class TestHedgedCS:
     def test_null_mean_one_within_three_ses(self):
         # Monte Carlo martingale check: uniform nulls, lam=1, T=20
         n, horizon = 10_000, 20
-        finals = np.empty(n)
-        for i in range(n):
-            ys = stream(21, i).random(horizon)
-            finals[i] = run_hedged_cs(ys, 1.0).final
+        ys = np.array([stream(21, i).random(horizon) for i in range(n)])
+        for finals in hedged_cs(ys, 1.0):
+            pass
         se = finals.std(ddof=1) / np.sqrt(n)
         assert abs(finals.mean() - 1.0) <= 3 * se
 
@@ -230,7 +291,7 @@ class TestCashFlow:
         assert cf.increments == (-0.5, -0.25, -0.125)
 
     def test_increments_telescope(self):
-        path = run_process(kelly(0.5, 0.75), [1, 0, 1, 1, 0, 0], BERNOULLI)
+        path = run_process(KELLY, [1, 0, 1, 1, 0, 0], BERNOULLI)
         cf = cash_flow(path)
         assert 1.0 + cf.total == pytest.approx(cf.terminal_value, abs=1e-12)
 
@@ -261,13 +322,11 @@ class TestVilleDecide:
     def test_null_false_rejection_bounded(self):
         # Kelly under the true null: rejection frequency <= alpha + 3 SEs
         n, horizon = 10_000, 20
-        strategy = kelly(0.5, 0.75)
+        ys = np.array([stream(31, i).random(horizon) < 0.5 for i in range(n)], dtype=float)
+        paths = [WealthPath(tuple(row), None, 0.5)
+                 for row in path_values(KELLY, ys, BERNOULLI).tolist()]
         for alpha in (0.05, 0.01):
-            rejections = 0
-            for i in range(n):
-                ys = (stream(31, i).random(horizon) < 0.5).astype(float)
-                path = run_process(strategy, ys, BERNOULLI)
-                rejections += ville_decide(path, alpha).rejected
+            rejections = sum(ville_decide(path, alpha).rejected for path in paths)
             se = math.sqrt(alpha * (1 - alpha) / n)
             assert rejections / n <= alpha + 3 * se
 
@@ -277,12 +336,8 @@ class TestMartingaleConservation:
 
     def _finals(self, hyp, lam, n, horizon, seed):
         sampler = hyp.null_sampler()
-        strategy = fixed(lam)
-        finals = np.empty(n)
-        for i in range(n):
-            ys = sampler(stream(seed, i), horizon)
-            finals[i] = run_process(strategy, ys, hyp).final
-        return finals
+        ys = np.array([sampler(stream(seed, i), horizon) for i in range(n)])
+        return terminal_wealth(lambda k, t: lam, ys, hyp)
 
     @pytest.mark.parametrize("hyp,lam,seed", [
         (HypothesisSpec.bernoulli(0.5, 0.75), 1.0, 41),
@@ -301,7 +356,7 @@ class TestMartingaleConservation:
             sampler = hyp.null_sampler()
             for i in range(200):
                 ys = sampler(stream(seed, i), 30)
-                path = run_process(fixed(lam), ys, hyp)
+                path = run_process(lambda k, t: lam, ys, hyp)
                 assert min(path.values) >= 0.0
 
 
@@ -311,11 +366,11 @@ class TestNullCashFlowDecay:
         lam, n = 0.5, 2000
         averages = []
         for tag, horizon in enumerate((50, 200, 800)):
+            ys = np.array([stream(51 + tag, i).random(horizon) < 0.5 for i in range(n)],
+                          dtype=float)
             acc = 0.0
-            for i in range(n):
-                ys = (stream(51 + tag, i).random(horizon) < 0.5).astype(float)
-                path = run_process(fixed(lam), ys, BERNOULLI)
-                acc += abs(cash_flow(path).total) / horizon
+            for row in path_values(lambda k, t: lam, ys, BERNOULLI).tolist():
+                acc += abs(cash_flow(WealthPath(tuple(row), None, 0.5)).total) / horizon
             averages.append(acc / n)
         assert averages[0] > averages[1] > averages[2]
 
