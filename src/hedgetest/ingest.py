@@ -122,20 +122,27 @@ def standardize_gene(values: Sequence[float], normal_values: Sequence[float]) ->
     return norm.cdf((np.asarray(values, dtype=float) - ref.mean()) / sd)
 
 
+def estimate_lambdas(held_out, grid: Sequence[float] = LAMBDA_GRID) -> np.ndarray:
+    """Betting fraction of each gene from its two held-out transformed tumor samples.
+
+    held_out has shape (m, 2).  Plug-in 4 * |mean(pair) - 1/2| snapped to
+    the nearest grid point (the first one on a tie): deterministic and
+    monotone in the evidence of deviation from the null mean; a dead-center
+    pair maps to the smallest candidate fraction.
+    """
+    pairs = np.asarray(held_out, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"exactly two held-out values per gene required, "
+                         f"got shape {pairs.shape}")
+    grid_arr = np.asarray(grid, dtype=float)
+    raw = 2.0 * np.abs(pairs.mean(axis=1) - 0.5) * 2.0
+    return grid_arr[np.argmin(np.abs(grid_arr[None, :] - raw[:, None]), axis=1)]
+
+
 def estimate_lambda(held_out: Sequence[float],
                     grid: Sequence[float] = LAMBDA_GRID) -> float:
-    """Betting fraction from two held-out transformed tumor samples.
-
-    Plug-in 4 * |mean(held_out) - 1/2| snapped to the nearest grid point:
-    deterministic and monotone in the evidence of deviation from the null
-    mean; a dead-center pair maps to the smallest candidate fraction.
-    """
-    pair = np.asarray(held_out, dtype=float)
-    if pair.shape != (2,):
-        raise ValueError(f"exactly two held-out values required, got shape {pair.shape}")
-    grid_arr = np.asarray(grid, dtype=float)
-    raw = 2.0 * abs(pair.mean() - 0.5) * 2.0
-    return float(grid_arr[np.argmin(np.abs(grid_arr - raw))])
+    """estimate_lambdas for one gene's pair of held-out values."""
+    return float(estimate_lambdas([held_out], grid)[0])
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,6 @@ def prepare_screening(uniform: UniformMatrix, *, tumor_label: str = "tumor",
             f"need at least {n_held_out} tumor samples, found {len(tumor_cols)}")
     held = tuple(tumor_cols[:n_held_out])
     test_cols = [i for i in range(uniform.values.shape[1]) if i not in held]
-    lambdas = np.array([estimate_lambda(uniform.values[g, list(held)], grid)
-                        for g in range(uniform.values.shape[0])])
+    lambdas = estimate_lambdas(uniform.values[:, list(held)], grid)
     return ScreeningInput(uniform.gene_ids, uniform.values[:, test_cols],
                           lambdas, held)

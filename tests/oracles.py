@@ -9,6 +9,8 @@ plain Python.
 import itertools
 from math import comb
 
+import numpy as np
+
 
 def enumerate_paths_price(u, d, q, tau, payoff, spot=1.0):
     """Brute-force 2**tau path enumeration of E[payoff(K_tau)]."""
@@ -67,3 +69,18 @@ def enumerate_paths_min(u, d, tau, payoff, spot=1.0):
             k *= factor
         worst = min(worst, payoff(k))
     return worst
+
+
+def two_sided_terminal_one_shot(rng, lam, tau, n):
+    """n draws of 0.5*prod(1 + lam*dev) + 0.5*prod(1 - lam*dev) from one
+    (n, tau) table of rng's uniforms, dev = u - 1/2, in a single expression."""
+    dev = rng.random((n, tau)) - 0.5
+    return 0.5 * np.prod(1.0 + lam * dev, axis=1) \
+        + 0.5 * np.prod(1.0 - lam * dev, axis=1)
+
+
+def plug_in_lambda(pair, grid):
+    """Grid point nearest 4 * |mean(pair) - 1/2|, the first one on a tie."""
+    a, b = pair
+    raw = 2.0 * abs((a + b) / 2 - 0.5) * 2.0
+    return min(grid, key=lambda g: abs(g - raw))

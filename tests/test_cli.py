@@ -1,6 +1,9 @@
 """CLI tests: the executable is a thin adapter over the library."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,17 @@ class TestScreen:
         assert code == 2
         assert "hedge floor" in err
 
+    @pytest.mark.parametrize("extra", [
+        ("--alpha", "1.5"), ("--alpha", "0"), ("--ruin", "1.2"),
+        ("--samples", "2", "--hedge"), ("--samples", "1"), ("--genes", "0"),
+        ("--shift-mean", "0"), ("--shift-mean", "1.5"), ("--shift-fraction", "1.5"),
+    ])
+    def test_out_of_range_arguments_are_config_errors(self, capsys, extra):
+        code, _, err = run_cli(capsys, "screen", "--synthetic", "shifted",
+                               "--genes", "50", *extra)
+        assert code == 2
+        assert "error" in err
+
     def test_matrix_and_synthetic_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "screen", "--synthetic", "null",
                              "--matrix", "x.csv")
@@ -304,3 +318,12 @@ def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_python_m_runs_the_cli():
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "hedgetest", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: hedgetest" in proc.stdout

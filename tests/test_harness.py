@@ -7,16 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hedgetest.harness import (ConfigError, ExperimentConfig, HedgeSpec,
-                               TruthSpec, config_dict, config_from_dict,
-                               load_config, parse_config_text, result_csv,
-                               result_json, run_experiment, run_screening,
+from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
+                               HedgeSpec, TruthSpec, _null_terminal_sample,
+                               config_dict, config_from_dict, load_config,
+                               parse_config_text, result_csv, result_json,
+                               run_experiment, run_screening,
                                synthetic_screening_input, synthetic_uniform_matrix,
                                tail_metrics, to_json)
+from hedgetest.pricing import MC_BLOCK
 from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (HypothesisSpec, run_hedged_cs, run_process,
                               ville_decide)
+
+from oracles import two_sided_terminal_one_shot
 
 HYP = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75)
@@ -314,6 +318,30 @@ class TestScreening:
         with pytest.raises(ValueError):
             run_screening(stream(407).random((3, 10)), np.full(4, 0.5))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(alpha=1.5), dict(alpha=0.0), dict(alpha=-0.1),
+        dict(ruin_level=1.2), dict(ruin_level=1.0),
+    ])
+    def test_alpha_and_ruin_level_checked_unhedged(self, kwargs):
+        with pytest.raises(ConfigError):
+            run_screening(stream(409).random((3, 10)), np.full(3, 0.5), **kwargs)
+
+    @pytest.mark.parametrize("shape", [(0, 10), (3, 0)])
+    def test_empty_screen_is_config_error(self, shape):
+        with pytest.raises(ConfigError):
+            run_screening(np.zeros(shape), np.full(shape[0], 0.5))
+
+
+class TestNullTerminalSample:
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("tau", [1, 100])
+    @pytest.mark.parametrize("n", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 100_000])
+    def test_blocks_are_the_one_shot_table_bit_for_bit(self, lam, tau, n):
+        seed = 271828
+        rng = stream(seed, _PRICE_TAG, int(round(lam * 1_000_000)), tau)
+        expected = two_sided_terminal_one_shot(rng, lam, tau, n)
+        assert _null_terminal_sample(lam, tau, n, seed).tobytes() == expected.tobytes()
+
 
 class TestSyntheticMatrix:
     def test_shifted_mean_is_calibrated(self):
@@ -327,6 +355,19 @@ class TestSyntheticMatrix:
         x, _ = synthetic_uniform_matrix(100, 50, seed=409, shifted_fraction=0.5,
                                         shifted_mean=0.8)
         assert np.all((x >= 0.0) & (x <= 1.0))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(shifted_fraction=-0.1), dict(shifted_fraction=1.5),
+        dict(shifted_mean=0.0), dict(shifted_mean=1.0), dict(shifted_mean=1.5),
+    ])
+    def test_shift_parameters_checked(self, kwargs):
+        with pytest.raises(ConfigError):
+            synthetic_uniform_matrix(10, 20, seed=410, **kwargs)
+
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_screening_input_needs_a_test_sample(self, n_samples):
+        with pytest.raises(ConfigError):
+            synthetic_screening_input(10, n_samples, seed=411)
 
 
 class TestConfigFiles:

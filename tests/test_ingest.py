@@ -7,9 +7,12 @@ from scipy import stats
 
 from hedgetest.ingest import (LAMBDA_GRID, ExpressionMatrix, UniformMatrix,
                               ZeroVarianceError, estimate_lambda,
-                              load_expression_matrix, prepare_screening,
-                              standardize_gene, transform_to_uniform)
+                              estimate_lambdas, load_expression_matrix,
+                              prepare_screening, standardize_gene,
+                              transform_to_uniform)
 from hedgetest.rng import stream
+
+from oracles import plug_in_lambda
 
 
 def small_matrix(values, groups=("normal", "normal", "normal", "tumor", "tumor", "tumor")):
@@ -141,6 +144,27 @@ class TestEstimateLambda:
             estimate_lambda([0.5])
         with pytest.raises(ValueError):
             estimate_lambda([0.5, 0.5, 0.5])
+
+    def test_vectorized_equals_scalar_and_oracle(self):
+        # values at and one ulp around the grid midpoints (some tie exactly),
+        # dead center, both edges, and random pairs
+        mids = np.array([0.5 + (a + b) / 8 for a, b in zip(LAMBDA_GRID, LAMBDA_GRID[1:])])
+        mids = np.concatenate([mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0)])
+        pairs = np.vstack([np.column_stack([mids, mids]),
+                           np.column_stack([1.0 - mids, 1.0 - mids]),
+                           [[0.5, 0.5], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]],
+                           stream(312).random((2000, 2))])
+        lambdas = estimate_lambdas(pairs)
+        assert lambdas.shape == (len(pairs),)
+        for pair, lam in zip(pairs, lambdas.tolist()):
+            assert lam == estimate_lambda(pair) == plug_in_lambda(pair, LAMBDA_GRID)
+        assert estimate_lambda([0.5625, 0.5625]) == 0.2     # 0.25 ties 0.2 and 0.3
+
+    def test_vectorized_requires_pairs(self):
+        with pytest.raises(ValueError):
+            estimate_lambdas(np.full((4, 3), 0.5))
+        with pytest.raises(ValueError):
+            estimate_lambdas(np.full(4, 0.5))
 
 
 class TestPrepareScreening:

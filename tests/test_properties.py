@@ -7,14 +7,24 @@ grid goes without a root, and with expiry at the horizon the worst hedged
 final wealth over all enumerated paths is the floor itself.  Any chunk of
 the counter-based row table is the same bits as the slice of the whole, and
 the wealth engine run on a batch is, row for row, the same bits as each row
-run alone and the step-by-step recurrence of the oracle.
+run alone and the step-by-step recurrence of the oracle.  Lattice marks are
+null martingales, and each node is the price of a fresh lattice started
+there.  A config written out from its resolved view and read back resolves
+to the same view.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hedgetest.pricing import (LatticeModel, StrikeSolveError, put_floor_strikes,
-                               solve_hedge_strike)
+from hedgetest.harness import (config_dict, config_from_dict, load_config,
+                               parse_config_text)
+from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
+                               lattice_node_values, lattice_price,
+                               put_floor_strikes, solve_hedge_strike)
 from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, evolve, run_process
@@ -23,6 +33,7 @@ from oracles import binomial_weight_price, enumerate_paths_min, wealth_by_hand
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
                          max_examples=100)
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @st.composite
@@ -178,3 +189,90 @@ def test_batch_equals_each_row_alone_and_the_oracle(case):
         by_hand = wealth_by_hand(path.lambdas, ys[i], hyp.null_mean)
         for value, expected in zip(path.values, by_hand):
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@st.composite
+def marked_contracts(draw):
+    u, d = draw(st.floats(1.01, 3.0)), draw(st.floats(0.05, 0.99))
+    expiry = draw(st.integers(1, 12))
+    make = draw(st.sampled_from([Contract.put, Contract.call]))
+    return (LatticeModel(u, d, expiry + draw(st.integers(0, 3))),
+            make(draw(st.floats(0.0, 3.0)), expiry), draw(st.floats(0.25, 4.0)))
+
+
+@DETERMINISTIC
+@given(marked_contracts())
+def test_lattice_marks_are_null_martingales(case):
+    model, contract, spot = case
+    q = model.risk_neutral_prob
+    levels = lattice_node_values(model, contract, spot)
+    assert [len(level) for level in levels] == list(range(1, contract.expiry + 2))
+    assert np.array_equal(levels[-1],
+                          contract.payoff(model.terminal_values(contract.expiry, spot)))
+    for t in range(contract.expiry):
+        for j, mark in enumerate(levels[t].tolist()):
+            up, down = levels[t + 1][j + 1], levels[t + 1][j]
+            assert mark == q * up + (1.0 - q) * down
+
+
+@DETERMINISTIC
+@given(marked_contracts())
+def test_each_node_is_a_fresh_lattice_price(case):
+    model, contract, spot = case
+    levels = lattice_node_values(model, contract, spot)
+    u, d = model.up_factor, model.down_factor
+    for t in range(contract.expiry):
+        remaining = contract.expiry - t
+        rebased = replace(contract, expiry=remaining)
+        for j, mark in enumerate(levels[t].tolist()):
+            node_spot = spot * u ** j * d ** (t - j)
+            fresh = lattice_price(LatticeModel(u, d, remaining), rebased,
+                                  spot=node_spot).value
+            assert abs(fresh - mark) <= 1e-12 * max(1.0, abs(mark))
+
+
+def render_config(resolved: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in resolved.items())
+
+
+def assert_round_trips(config):
+    resolved = config_dict(config)
+    assert config_dict(config_from_dict(parse_config_text(render_config(resolved)))) \
+        == resolved
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_round_trip(path):
+    assert_round_trips(load_config(path))
+
+
+@st.composite
+def raw_configs(draw):
+    horizon = draw(st.integers(1, 60))
+    raw = {"null_p": draw(st.floats(0.05, 0.95)), "alt_p": draw(st.floats(0.0, 1.0)),
+           "truth_p": draw(st.floats(0.0, 1.0)), "horizon": horizon,
+           "replications": draw(st.integers(1, 100_000)),
+           "alpha": draw(st.floats(0.001, 0.999)),
+           "ruin_level": draw(st.floats(0.01, 0.99)),
+           "seed": draw(st.integers(0, 2**32 - 1))}
+    if draw(st.booleans()):
+        raw.update(truth_p_post=draw(st.floats(0.0, 1.0)),
+                   change_at=draw(st.integers(0, horizon)))
+    raw["strategy"] = draw(st.sampled_from(["kelly", "fixed", "dynamic", "hedged_cs"]))
+    if raw["strategy"] in ("fixed", "hedged_cs"):
+        raw["lambda"] = draw(st.floats(0.0, 1.0))
+    if raw["strategy"] == "dynamic" and draw(st.booleans()):
+        raw["floor"] = draw(st.floats(0.01, 0.99))
+    if raw["strategy"] in ("kelly", "fixed") and draw(st.booleans()):
+        raw.update(hedge="put", hedge_expiry=draw(st.integers(0, horizon)))
+        if draw(st.booleans()):
+            raw.update(hedge_strike_mode="explicit", hedge_strike=draw(st.floats(0.0, 2.0)))
+        if draw(st.booleans()):
+            raw["hedge_floor"] = draw(st.floats(0.01, 0.99))
+    return raw
+
+
+@DETERMINISTIC
+@given(raw_configs())
+def test_config_round_trips_through_its_resolved_view(raw):
+    assert_round_trips(config_from_dict(raw))

@@ -387,18 +387,11 @@ class TestCashFlowCLT:
         from scipy import stats
 
         stake, horizon, n = 0.05, 500, 10_000
-        hyp = HypothesisSpec.bounded()
-        zs = np.empty(n)
-        for i in range(n):
-            us = stream(61, i).random(horizon)
-            k = 1.0
-            total = 0.0
-            variance = 0.0
-            for u in us:
-                lam = min(stake / k, 2.0)
-                inc = k * lam * (u - 0.5)
-                variance += (lam * k) ** 2 / 12.0
-                k += inc
-                total += inc
-            zs[i] = total / math.sqrt(variance)
+        ys = np.stack([stream(61, i).random(horizon) for i in range(n)])
+        k_prev, variance = np.ones(n), np.zeros(n)
+        for k, lam in evolve(lambda k, t: np.minimum(stake / k, 2.0), ys,
+                             HypothesisSpec.bounded()):
+            variance += (lam * k_prev) ** 2 / 12.0
+            k_prev = k
+        zs = (k_prev - 1.0) / np.sqrt(variance)     # increments telescope to K_T - 1
         assert stats.kstest(zs, "norm").pvalue >= 0.01
