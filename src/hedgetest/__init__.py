@@ -9,11 +9,10 @@ measure and buy puts that eliminate the risk of statistical ruin.
 
 from .harness import (ExperimentConfig, HedgeSpec, RiskReport, TruthSpec,
                       load_config, run_experiment, run_screening, tail_metrics)
-from .ingest import (ExpressionMatrix, estimate_lambda, estimate_lambdas,
-                     load_expression_matrix, prepare_screening,
-                     transform_to_uniform)
+from .ingest import (ExpressionMatrix, estimate_lambdas, load_expression_matrix,
+                     prepare_screening, transform_to_uniform)
 from .portfolio import (Portfolio, TradeLimits, buy_contract, issue_contract,
-                        move_to_risky, short_risky, step, trade_limits)
+                        move_to_risky, step, trade_limits)
 from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
                       black_scholes_put, lattice_price, mc_price,
                       put_floor_strikes, risk_neutral_up_prob,

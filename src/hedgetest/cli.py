@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from . import ingest
 from .harness import (ConfigError, HedgeSpec, format_float, load_config,
                       result_csv, result_json, run_experiment, run_screening,
                       synthetic_screening_input, to_json)
-from .pricing import (Contract, LatticeModel, StrikeSolveError,
+from .pricing import (Contract, ContractKind, LatticeModel, StrikeSolveError,
                       black_scholes_call, black_scholes_put, lattice_price,
                       mc_price, solve_hedge_strike)
 from .rng import DEFAULT_SEED
@@ -28,34 +29,39 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _parse_kv(text: str, what: str) -> dict:
-    out = {}
+def _parse_fields(text: str, what: str, types: dict) -> list:
+    """Values of comma-separated key=value fields, exactly one for each key
+    of `types` and converted by it."""
+    expected = f"expected {','.join(f'{k}=...' for k in types)}, each once"
+    values = {}
     for part in text.split(","):
-        if "=" not in part:
-            raise ConfigError(f"bad {what} field {part!r}; expected key=value")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        key, sep, value = (s.strip() for s in part.partition("="))
+        if not sep or key not in types or key in values:
+            raise ConfigError(f"bad {what} field {part!r}; {expected}")
+        try:
+            values[key] = types[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad {what} value {part!r}") from exc
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{what} value {part!r} is not finite")
+    if len(values) < len(types):
+        raise ConfigError(f"incomplete {what} {text!r}; {expected}")
+    return [values[k] for k in types]
 
 
-def _parse_model(text: str) -> tuple[float, float, float]:
-    kv = _parse_kv(text, "model")
-    try:
-        return (float(kv.pop("u")), float(kv.pop("d")), float(kv.pop("r", "0")))
-    except KeyError as exc:
-        raise ConfigError(f"model needs u= and d=: missing {exc}") from exc
+def _parse_model(text: str) -> tuple[float, float]:
+    return tuple(_parse_fields(text, "model", {"u": float, "d": float}))
 
 
-def _parse_contract(text: str) -> tuple[str, float, int]:
-    fields = text.split(",")
-    kind = fields[0].strip()
+def _parse_contract(text: str) -> Contract:
+    kind, _, fields = (s.strip() for s in text.partition(","))
     if kind not in ("call", "put"):
         raise ConfigError(f"contract kind must be call or put, got {kind!r}")
-    kv = _parse_kv(",".join(fields[1:]), "contract")
+    strike, tau = _parse_fields(fields, "contract", {"S": float, "tau": int})
     try:
-        return kind, float(kv.pop("S")), int(kv.pop("tau"))
-    except KeyError as exc:
-        raise ConfigError(f"contract needs S= and tau=: missing {exc}") from exc
+        return Contract(ContractKind(kind), strike, tau)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -66,11 +72,12 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_price(args) -> int:
-    u, d, r = _parse_model(args.model)
-    kind, strike, tau = _parse_contract(args.contract)
-    contract = Contract.call(strike, tau) if kind == "call" else Contract.put(strike, tau)
+    u, d = _parse_model(args.model)
+    contract = _parse_contract(args.contract)
+    if args.spot < 0.0:
+        raise ConfigError(f"spot must be nonnegative, got {args.spot}")
     if args.method == "lattice":
-        model = LatticeModel(u, d, tau, r)
+        model = LatticeModel(u, d, contract.expiry)
         est = lattice_price(model, contract, spot=args.spot)
     elif args.method == "mc":
         hyp = (HypothesisSpec.bernoulli(args.null_p) if args.family == "bernoulli"
@@ -78,13 +85,14 @@ def _cmd_price(args) -> int:
                else HypothesisSpec.bounded())
         if args.n < 2:
             raise ConfigError(f"mc pricing needs --n of at least 2, got {args.n}")
-        process = lambda ys: terminal_wealth(lambda k, t: args.bet, ys, hyp)
+        process = lambda ys: args.spot * terminal_wealth(lambda k, t: args.bet, ys, hyp)
         est = mc_price(hyp.null_sampler(), process, contract, args.n, args.seed)
     else:
         if args.sigma is None or args.time is None:
             raise ConfigError("black-scholes pricing needs --sigma and --time")
-        fn = black_scholes_call if kind == "call" else black_scholes_put
-        value = fn(args.spot, strike, args.sigma, args.time)
+        fn = (black_scholes_call if contract.kind is ContractKind.EUROPEAN_CALL
+              else black_scholes_put)
+        value = fn(args.spot, contract.strike, args.sigma, args.time)
         _write(args.out, to_json({"value": value, "std_error": 0.0,
                                   "method": "black_scholes"}) + "\n")
         return EXIT_OK

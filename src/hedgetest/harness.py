@@ -77,21 +77,33 @@ class TruthSpec:
 class HedgeSpec:
     """Optional put bought at t = 0 on the episode's own wealth process."""
 
-    kind: str = "put"
     expiry: int = 0                  # 0 means the experiment horizon
     strike_mode: str = "solve"       # solve for the ruin floor, or explicit
-    strike: float | None = None
+    strike: float | None = None      # only with strike_mode "explicit"
     floor: float | None = None       # defaults to the experiment ruin level
 
     def __post_init__(self):
-        if self.kind != "put":
-            raise ConfigError(f"only put hedges are supported, got {self.kind!r}")
         if self.strike_mode not in ("solve", "explicit"):
             raise ConfigError(f"unknown strike mode {self.strike_mode!r}")
         if self.strike_mode == "explicit" and self.strike is None:
             raise ConfigError("explicit strike mode needs a strike")
+        if self.strike_mode == "solve" and self.strike is not None:
+            raise ConfigError("a hedge strike needs strike mode explicit")
+        if self.strike is not None and not self.strike > 0.0:
+            raise ConfigError(f"hedge strike must be positive, got {self.strike}")
         if self.expiry < 0:
             raise ConfigError(f"hedge expiry must be nonnegative, got {self.expiry}")
+
+    def resolve(self, horizon: int, ruin_level: float) -> tuple[int, float]:
+        """(expiry, floor) over `horizon` steps: expiry 0 means the horizon and
+        an unset floor is the ruin level."""
+        expiry = self.expiry or horizon
+        floor = ruin_level if self.floor is None else self.floor
+        if not 0.0 < floor < 1.0:
+            raise ConfigError(f"hedge floor {floor} not in (0, 1)")
+        if expiry > horizon:
+            raise ConfigError(f"hedge expiry {expiry} beyond horizon {horizon}")
+        return expiry, floor
 
 
 @dataclass(frozen=True)
@@ -131,27 +143,11 @@ class ExperimentConfig:
                 raise ConfigError(f"betting fraction {lam} outside the admissible "
                                   f"range [{lo}, {hi}]")
         if self.hedge is not None:
-            if not 0.0 < self.hedge_floor < 1.0:
-                raise ConfigError(f"hedge floor {self.hedge_floor} not in (0, 1)")
-            if self.hedge_expiry > self.horizon:
-                raise ConfigError(
-                    f"hedge expiry {self.hedge_expiry} beyond horizon {self.horizon}")
+            self.hedge.resolve(self.horizon, self.ruin_level)
             if self.strategy.constant_lambda() is None:
                 raise ConfigError("hedged episodes need a constant-fraction strategy")
             if self.strategy.kind is StrategyKind.HEDGED_CS:
                 raise ConfigError("the two-sided process is hedged via run_screening")
-
-    @property
-    def hedge_expiry(self) -> int:
-        if self.hedge is None:
-            raise ConfigError("no hedge configured")
-        return self.hedge.expiry or self.horizon
-
-    @property
-    def hedge_floor(self) -> float:
-        if self.hedge is None:
-            raise ConfigError("no hedge configured")
-        return self.ruin_level if self.hedge.floor is None else self.hedge.floor
 
 
 @dataclass(frozen=True)
@@ -237,10 +233,10 @@ class HedgePlan:
 
 def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
     lam = config.strategy.constant_lambda()
-    expiry = config.hedge_expiry
+    expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
     model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param, expiry)
     if config.hedge.strike_mode == "solve":
-        roots = solve_hedge_strike(model, config.hedge_floor, expiry)
+        roots = solve_hedge_strike(model, floor, expiry)
         strike = roots[0]    # lower strike engages more wealth in the bet
     else:
         strike = config.hedge.strike
@@ -299,9 +295,11 @@ def _run_chunk(config: ExperimentConfig, start: int, stop: int,
 def run_experiment(config: ExperimentConfig, chunks: int = 1) -> ExperimentResult:
     """Run all replications in `chunks` consecutive slices; the outcome is
     independent of the count."""
+    if chunks < 1:
+        raise ConfigError(f"chunk count must be at least 1, got {chunks}")
     plan = _hedge_plan(config) if config.hedge is not None else None
     n = config.replications
-    bounds = np.linspace(0, n, max(1, min(chunks, n)) + 1).astype(int)
+    bounds = np.linspace(0, n, min(chunks, n) + 1).astype(int)
     parts = [_run_chunk(config, int(a), int(b), plan)
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     final, maxw, crossing = (np.concatenate(p) for p in zip(*parts))
@@ -415,17 +413,12 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if hedge is not None:
-        floor = ruin_level if hedge.floor is None else hedge.floor
-        if not 0.0 < floor < 1.0:
-            raise ConfigError(f"hedge floor {floor} not in (0, 1)")
+        tau, floor = hedge.resolve(horizon, ruin_level)
     if not ruin_level < 1.0 < 1.0 / alpha:
         raise ConfigError("need ruin_level < 1 < 1/alpha")
     if hedge is None:
         lam_eff, table, stake, tau = lambdas, {}, 1.0, horizon + 1   # never exercised
     else:
-        tau = hedge.expiry or horizon
-        if tau > horizon:
-            raise ConfigError(f"hedge expiry {tau} beyond the sample horizon {horizon}")
         lam_eff, table = _screening_hedges(lambdas, floor, tau, seed, price_samples)
         strike = np.array([table[l][0] for l in lam_eff])
         stake = 1.0 - np.array([table[l][1] for l in lam_eff])
@@ -548,10 +541,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if "lambda" not in raw:
             raise ConfigError(f"strategy {name!r} needs a lambda")
         strategy = StrategySpec(kind, lam=raw["lambda"])
+    hedge_kind = raw.get("hedge", "none")
+    if hedge_kind not in ("none", "", "put"):
+        raise ConfigError(f"only put hedges are supported, got {hedge_kind!r}")
     hedge = None
-    if raw.get("hedge", "none") not in ("none", ""):
-        hedge = HedgeSpec(kind=raw["hedge"],
-                          expiry=raw.get("hedge_expiry", 0),
+    if hedge_kind == "put":
+        hedge = HedgeSpec(expiry=raw.get("hedge_expiry", 0),
                           strike_mode=raw.get("hedge_strike_mode", "solve"),
                           strike=raw.get("hedge_strike"),
                           floor=raw.get("hedge_floor"))
@@ -583,13 +578,14 @@ def config_dict(config: ExperimentConfig) -> dict:
         out["lambda"] = config.strategy.lam
     if kind is StrategyKind.DYNAMIC_FLOOR:
         out["floor"] = config.strategy.floor
-    out["hedge"] = config.hedge.kind if config.hedge else "none"
+    out["hedge"] = "put" if config.hedge else "none"
     if config.hedge is not None:
-        out["hedge_expiry"] = config.hedge_expiry
+        expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
+        out["hedge_expiry"] = expiry
         out["hedge_strike_mode"] = config.hedge.strike_mode
         if config.hedge.strike is not None:
             out["hedge_strike"] = config.hedge.strike
-        out["hedge_floor"] = config.hedge_floor
+        out["hedge_floor"] = floor
     out.update(horizon=config.horizon, replications=config.replications,
                alpha=config.alpha, ruin_level=config.ruin_level, seed=config.seed)
     return out

@@ -113,15 +113,6 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
     return UniformMatrix(kept_ids, uniform, matrix.groups, skipped)
 
 
-def standardize_gene(values: Sequence[float], normal_values: Sequence[float]) -> np.ndarray:
-    """Uniform transform of one gene; raises on a constant normal group."""
-    ref = np.asarray(normal_values, dtype=float)
-    sd = ref.std(ddof=1)
-    if sd == 0.0:
-        raise ZeroVarianceError("constant normal-group values")
-    return norm.cdf((np.asarray(values, dtype=float) - ref.mean()) / sd)
-
-
 def estimate_lambdas(held_out, grid: Sequence[float] = LAMBDA_GRID) -> np.ndarray:
     """Betting fraction of each gene from its two held-out transformed tumor samples.
 
@@ -137,12 +128,6 @@ def estimate_lambdas(held_out, grid: Sequence[float] = LAMBDA_GRID) -> np.ndarra
     grid_arr = np.asarray(grid, dtype=float)
     raw = 2.0 * np.abs(pairs.mean(axis=1) - 0.5) * 2.0
     return grid_arr[np.argmin(np.abs(grid_arr[None, :] - raw[:, None]), axis=1)]
-
-
-def estimate_lambda(held_out: Sequence[float],
-                    grid: Sequence[float] = LAMBDA_GRID) -> float:
-    """estimate_lambdas for one gene's pair of held-out values."""
-    return float(estimate_lambdas([held_out], grid)[0])
 
 
 @dataclass(frozen=True)

@@ -116,13 +116,6 @@ def move_to_risky(portfolio: Portfolio, amount: float) -> Portfolio:
                    risky_value=portfolio.risky_value + amount)
 
 
-def short_risky(portfolio: Portfolio, amount: float) -> Portfolio:
-    """Short `amount` of the risky asset into cash."""
-    if amount < 0.0:
-        raise ValueError(f"short amount must be nonnegative, got {amount}")
-    return move_to_risky(portfolio, -amount)
-
-
 def _worst_case_terminal(portfolio: Portfolio) -> float:
     """Exact minimum total value over all lattice paths to the last expiry.
 
@@ -219,12 +212,3 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
                    positions=tuple(positions),
                    underlying=underlying,
                    time=t)
-
-
-def trajectory_csv(states) -> str:
-    """Serialize a portfolio trajectory as CSV rows (t, legs, total)."""
-    lines = ["t,K_free,K_risky,K_deriv,total"]
-    for p in states:
-        lines.append(f"{p.time},{p.risk_free:.17g},{p.risky_value:.17g},"
-                     f"{p.derivative_value:.17g},{p.total_value:.17g}")
-    return "\n".join(lines) + "\n"

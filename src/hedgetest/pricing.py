@@ -41,23 +41,17 @@ class PricingMethod(enum.Enum):
     BLACK_SCHOLES = "black_scholes"
 
 
-def risk_neutral_up_prob(u: float, d: float, r: float = 0.0) -> float:
-    """Probability q solving q*u + (1-q)*d = 1 + r.
+def risk_neutral_up_prob(u: float, d: float) -> float:
+    """Probability q solving q*u + (1-q)*d = 1, i.e. the null measure at rate 0.
 
-    Parameters
-    ----------
-    u, d : float
-        Multiplicative up and down factors of the underlying, d < 1 + r < u.
-    r : float
-        One-period risk-free rate (0 everywhere in this package; kept so the
-        no-arbitrage precondition is still checked).
+    u and d are the multiplicative up and down factors of the underlying;
+    no arbitrage needs 0 < d < 1 < u.
     """
     if d <= 0.0:
         raise ValueError(f"down factor must be positive, got {d}")
-    if not d < 1.0 + r < u:
-        raise ValueError(
-            f"arbitrage-violating factors: need d < 1 + r < u, got d={d}, r={r}, u={u}")
-    return (1.0 + r - d) / (u - d)
+    if not d < 1.0 < u:
+        raise ValueError(f"arbitrage-violating factors: need d < 1 < u, got d={d}, u={u}")
+    return (1.0 - d) / (u - d)
 
 
 @dataclass(frozen=True)
@@ -67,16 +61,15 @@ class LatticeModel:
     up_factor: float
     down_factor: float
     steps: int
-    risk_free_rate: float = 0.0
 
     def __post_init__(self):
-        risk_neutral_up_prob(self.up_factor, self.down_factor, self.risk_free_rate)
+        risk_neutral_up_prob(self.up_factor, self.down_factor)
         if self.steps < 1:
             raise ValueError(f"lattice needs at least one step, got {self.steps}")
 
     @property
     def risk_neutral_prob(self) -> float:
-        return risk_neutral_up_prob(self.up_factor, self.down_factor, self.risk_free_rate)
+        return risk_neutral_up_prob(self.up_factor, self.down_factor)
 
     def terminal_values(self, expiry: int, spot: float = 1.0) -> np.ndarray:
         """Underlying values at the expiry level, indexed by up-move count."""
@@ -151,9 +144,11 @@ def lattice_node_values(model: LatticeModel, contract: Contract,
 
     Returns one array per time level t = 0..expiry; entry j of level t is
     the value at the node reached by j up-moves.  Level expiry holds the
-    payoff itself.  With r = 0 there is no discounting: each parent value is
+    payoff itself.  At rate 0 there is no discounting: each parent value is
     q*up_child + (1-q)*down_child.
     """
+    if spot < 0.0:
+        raise ValueError(f"spot must be nonnegative, got {spot}")
     if contract.expiry > model.steps:
         raise ValueError(
             f"contract expiry {contract.expiry} exceeds lattice depth {model.steps}")

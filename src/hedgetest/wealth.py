@@ -316,14 +316,6 @@ def cash_flow(path: WealthPath) -> CashFlow:
     return CashFlow(increments, vals[-1])
 
 
-def first_crossing(values: Sequence[float], threshold: float) -> int | None:
-    """Index of the first value >= threshold, or None."""
-    for t, v in enumerate(values):
-        if v >= threshold:
-            return t
-    return None
-
-
 def ville_decide(path: WealthPath, alpha: float) -> TestDecision:
     """Anytime-valid decision: reject iff the path ever reaches 1/alpha.
 
@@ -333,9 +325,12 @@ def ville_decide(path: WealthPath, alpha: float) -> TestDecision:
 
 
 def decide_from_values(values: Sequence[float], alpha: float) -> TestDecision:
-    """ville_decide on a raw value sequence (shared with portfolio totals)."""
+    """ville_decide on a raw value sequence (shared with portfolio totals).
+
+    The crossing time is the index of the first value >= 1/alpha.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     threshold = 1.0 / alpha
-    t = first_crossing(values, threshold)
+    t = next((t for t, v in enumerate(values) if v >= threshold), None)
     return TestDecision(rejected=t is not None, crossing_time=t, threshold=threshold)

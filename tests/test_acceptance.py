@@ -75,7 +75,7 @@ def test_c2_capitalization_golden():
 
 
 def test_c3_risk_neutral_identity():
-    q = risk_neutral_up_prob(1.5, 0.5, 0.0)
+    q = risk_neutral_up_prob(1.5, 0.5)
     _report("C3 risk-neutral prob", q == 0.5, f"q = {q!r}")
 
 

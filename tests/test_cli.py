@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,8 @@ from hedgetest.cli import main
 from hedgetest.harness import load_config, result_csv, result_json, run_experiment
 from hedgetest.pricing import Contract, LatticeModel, lattice_price, solve_hedge_strike
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +69,39 @@ class TestPrice:
         code, _, _ = run_cli(capsys, "price", "--model", "u=0.9,d=0.5",
                              "--contract", "call,S=1.25,tau=3")
         assert code == 3
+
+    @pytest.mark.parametrize("model,contract,extra", [
+        ("u=1.5,d=0.5,r=0.1", "call,S=1.25,tau=3", ()),
+        ("u=1.5,d=0.5,x=7", "call,S=1.25,tau=3", ()),
+        ("u=1.5,d=0.5,u=2", "call,S=1.25,tau=3", ()),
+        ("u=1.5,d=0.5", "call,S=1.25,tau=3,K=9", ()),
+        ("u=abc,d=0.5", "call,S=1.25,tau=3", ()),
+        ("u=1.5,d=0.5", "call,S=abc,tau=3", ()),
+        ("u=1.5,d=0.5", "call,S=nan,tau=3", ()),
+        ("u=1.5,d=0.5", "call,S=1.25,tau=3.5", ()),
+        ("u=1.5,d=0.5", "call,S=-1,tau=3", ()),
+        ("u=1.5,d=0.5", "call,S=1.25,tau=0", ()),
+        ("u=1.5,d=0.5", "put,S=1.25,tau=3", ("--spot", "-1")),
+        ("u=1.5,d=0.5", "put,S=1.25,tau=3", ("--spot", "-1", "--method", "mc")),
+    ])
+    def test_bad_price_input_is_config_error(self, capsys, model, contract, extra):
+        code, out, err = run_cli(capsys, "price", "--model", model,
+                                 "--contract", contract, *extra)
+        assert code == 2
+        assert out == "" and "error" in err
+
+    def test_mc_price_honours_spot(self, capsys):
+        prices = {}
+        for spot in ("1", "2"):
+            for method in ("mc", "lattice"):
+                code, out, _ = run_cli(capsys, "price", "--model", "u=1.5,d=0.5",
+                                       "--contract", "call,S=1.25,tau=3",
+                                       "--method", method, "--spot", spot)
+                assert code == 0
+                prices[spot, method] = json.loads(out)
+        mc, exact = prices["2", "mc"], prices["2", "lattice"]["value"]
+        assert abs(mc["value"] - exact) <= 4 * mc["std_error"]
+        assert prices["1", "mc"]["value"] < prices["2", "mc"]["value"]
 
 
 class TestHedgeSolve:
@@ -170,6 +206,22 @@ class TestSimulate:
                                "--workers", "1")
         assert code == 2
         assert "hedge floor" in err
+
+    @pytest.mark.parametrize("mode,strike,message", [
+        ("solve", "0.3", "needs strike mode explicit"),
+        ("explicit", "0", "strike must be positive"),
+        ("explicit", "-0.3", "strike must be positive"),
+    ])
+    def test_hedge_strike_misuse_is_config_error(self, tmp_path, capsys, mode,
+                                                 strike, message):
+        cfg = self._hedged_config(tmp_path, f"hedge_strike = {strike}\n")
+        text = cfg.read_text()
+        assert "hedge_strike_mode = solve\n" in text
+        cfg.write_text(text.replace("hedge_strike_mode = solve",
+                                    f"hedge_strike_mode = {mode}"))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert message in err
 
     def test_json_records_solved_hedge_plan(self, tmp_path, capsys):
         cfg = self._hedged_config(tmp_path)
@@ -313,6 +365,10 @@ class TestIngest:
     ("price", "--model", "u=1.5,d=0.5", "--contract", "put,S=0.25,tau=3",
      "--method", "mc", "--n", "1"),
     ("screen", "--synthetic", "null", "--genes", "50", "--hedge", "--expiry", "-3"),
+    ("simulate", "--config", str(CONFIGS / "table1_kelly.cfg"), "--workers", "0"),
+    ("simulate", "--config", str(CONFIGS / "table1_kelly.cfg"), "--workers", "-3"),
+    ("shift", "--config", str(CONFIGS / "table2_kelly.cfg"), "--workers", "0"),
+    ("shift", "--config", str(CONFIGS / "table2_kelly.cfg"), "--workers", "-3"),
 ])
 def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -327,3 +383,47 @@ def test_python_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "usage: hedgetest" in proc.stdout
+
+
+def readme_cli_commands():
+    """(argv, documented output or None) for each hedgetest line of the
+    README's CLI block; the output is the text of a following `# -> ` line."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("hedgetest "):
+            commands.append([shlex.split(line)[1:], None])
+        elif line.startswith("# -> ") and commands:
+            commands[-1][1] = line[len("# -> "):]
+    return commands
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # every documented command whose input files exist runs from the repo
+    # root and exits 0; documented outputs match (a `...` value by prefix)
+    monkeypatch.chdir(ROOT)
+    ran, checked = set(), 0
+    for argv, documented in readme_cli_commands():
+        inputs = [v for flag, v in zip(argv, argv[1:])
+                  if flag in ("--config", "--input", "--matrix")]
+        if not all(Path(v).exists() for v in inputs):
+            continue
+        argv = [str(tmp_path / Path(v).name) if v.startswith("/tmp/") else v
+                for v in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        ran.add(argv[0])
+        if documented is None:
+            continue
+        if documented.startswith("{"):
+            assert json.loads(out) == json.loads(documented)
+        else:
+            key, values = documented.split(" ", 1)
+            prefixes = re.findall(r"([0-9.]+?)\.\.\.", values)
+            actual = [format(v, ".17g") for v in json.loads(out)[key]]
+            assert len(actual) == len(prefixes)
+            assert all(a.startswith(p) for a, p in zip(actual, prefixes)), actual
+        checked += 1
+    assert ran == {"price", "hedge-solve", "simulate", "shift", "screen"}
+    assert checked == 2

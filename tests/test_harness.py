@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
-                               HedgeSpec, TruthSpec, _null_terminal_sample,
+                               HedgeSpec, TruthSpec, _episode_wealth,
+                               _hedge_plan, _null_terminal_sample,
                                config_dict, config_from_dict, load_config,
                                parse_config_text, result_csv, result_json,
                                run_experiment, run_screening,
@@ -86,8 +87,12 @@ class TestConfigValidation:
             config(strategy=dyn, hedge=HedgeSpec(expiry=20))
 
     def test_only_put_hedges(self):
-        with pytest.raises(ConfigError):
-            HedgeSpec(kind="call", expiry=20)
+        raw = dict(truth_p=0.5, horizon=20, replications=10, strategy="fixed",
+                   **{"lambda": 0.5})
+        for hedge in ("none", "put"):
+            config_from_dict(dict(raw, hedge=hedge))
+        with pytest.raises(ConfigError, match="only put hedges"):
+            config_from_dict(dict(raw, hedge="call"))
 
     @pytest.mark.parametrize("floor", [-0.2, 0.0, 1.0, 1.5])
     def test_hedge_floor_in_unit_interval(self, floor):
@@ -113,6 +118,32 @@ class TestConfigValidation:
     def test_hedge_expiry_nonnegative(self):
         with pytest.raises(ConfigError):
             HedgeSpec(expiry=-3)
+
+    def test_hedge_strike_needs_explicit_mode(self):
+        with pytest.raises(ConfigError, match="strike mode explicit"):
+            HedgeSpec(strike=0.30866)
+        raw = dict(truth_p=0.5, horizon=20, replications=10, hedge="put",
+                   hedge_strike=0.30866)
+        with pytest.raises(ConfigError, match="strike mode explicit"):
+            config_from_dict(raw)
+        config_from_dict(dict(raw, hedge_strike_mode="explicit"))
+
+    @pytest.mark.parametrize("strike", [0.0, -0.5])
+    def test_explicit_strike_must_be_positive(self, strike):
+        with pytest.raises(ConfigError, match="strike must be positive"):
+            HedgeSpec(strike_mode="explicit", strike=strike)
+
+    def test_screening_and_experiments_share_the_hedge_rules(self):
+        sequences = stream(410).random((3, 20))
+        for hedge, ruin, match in [(HedgeSpec(expiry=25), 0.25, "beyond horizon 20"),
+                                   (HedgeSpec(floor=1.0), 0.25, "hedge floor 1.0"),
+                                   (HedgeSpec(), -0.5, "hedge floor -0.5")]:
+            with pytest.raises(ConfigError, match=match):
+                config(hedge=hedge, ruin_level=ruin)
+            with pytest.raises(ConfigError, match=match):
+                run_screening(sequences, np.full(3, 0.5), ruin_level=ruin, hedge=hedge)
+        assert HedgeSpec().resolve(20, 0.25) == (20, 0.25)
+        assert HedgeSpec(expiry=5, floor=0.4).resolve(20, 0.25) == (5, 0.4)
 
     def test_hedge_floor_defaults_to_a_valid_ruin_level(self):
         with pytest.raises(ConfigError):
@@ -172,9 +203,25 @@ class TestRunExperiment:
         assert np.all(np.abs(result.final_wealth - 0.25) <= 1e-12)
         assert result.final_wealth.min() >= 0.25 - 1e-12
 
+    def test_hedged_start_wealth_is_one_minus_premium_squared(self):
+        # all 2^10 paths of a hedged lambda = 0.5 bet under the null: holding
+        # 1 - C units and 1 - C puts starts at W_0 = (1 - C)(1 + C) = 1 - C^2,
+        # and the martingale W keeps that mean to the horizon
+        cfg = config(strategy=StrategySpec(StrategyKind.FIXED_LAMBDA, lam=0.5),
+                     truth=TruthSpec(0.5), horizon=10, hedge=HedgeSpec())
+        plan = _hedge_plan(cfg)
+        paths = ((np.arange(2 ** 10)[:, None] >> np.arange(10)) & 1).astype(float)
+        *_, final = _episode_wealth(cfg, paths, plan)
+        assert abs(final.mean() - (1.0 - plan.premium ** 2)) <= 1e-12
+        assert abs(final.min() - 0.25) <= 1e-12
+
+    def test_chunk_count_must_be_positive(self):
+        for chunks in (0, -3):
+            with pytest.raises(ConfigError, match="chunk count"):
+                run_experiment(config(replications=10), chunks=chunks)
+
     def test_hedged_final_reproduces_stake_times_max(self):
         cfg = config(replications=200, hedge=HedgeSpec(expiry=20))
-        from hedgetest.harness import _hedge_plan
         plan = _hedge_plan(cfg)
         stake = 1.0 - plan.premium
         for i in range(0, 200, 17):

@@ -6,9 +6,8 @@ import pytest
 from scipy import stats
 
 from hedgetest.ingest import (LAMBDA_GRID, ExpressionMatrix, UniformMatrix,
-                              ZeroVarianceError, estimate_lambda,
-                              estimate_lambdas, load_expression_matrix,
-                              prepare_screening, standardize_gene,
+                              ZeroVarianceError, estimate_lambdas,
+                              load_expression_matrix, prepare_screening,
                               transform_to_uniform)
 from hedgetest.rng import stream
 
@@ -63,8 +62,10 @@ class TestTransform:
         # already standard-normal scale data: 0 maps to Phi(0) = 0.5
         rng = stream(301)
         ref = rng.standard_normal(5000)
-        out = standardize_gene([ref.mean()], ref)
-        assert out[0] == pytest.approx(0.5, abs=1e-12)
+        matrix = ExpressionMatrix(("g0",), np.append(ref, ref.mean())[None, :],
+                                  ("normal",) * 5000 + ("tumor",))
+        out = transform_to_uniform(matrix, log_transform=False).values[0]
+        assert out[-1] == pytest.approx(0.5, abs=1e-12)
 
     def test_standard_normal_gene_is_uniform(self):
         # KS test against Uniform(0,1) at the 1% level, n = 1e4 draws
@@ -82,8 +83,10 @@ class TestTransform:
         assert uniform.gene_ids == ("g1",)
 
     def test_constant_gene_alone_errors(self):
+        constant_normals = ExpressionMatrix(("g0",), np.array([[3.0, 3.0, 3.0, 1.0, 2.0]]),
+                                            ("normal",) * 3 + ("tumor",) * 2)
         with pytest.raises(ZeroVarianceError):
-            standardize_gene([1.0, 2.0], [3.0, 3.0, 3.0])
+            transform_to_uniform(constant_normals, log_transform=False)
         with pytest.raises(ZeroVarianceError):
             transform_to_uniform(small_matrix([[2.0] * 6]), log_transform=False)
 
@@ -121,29 +124,29 @@ class TestTransform:
 
 class TestEstimateLambda:
     def test_dead_center_pair_maps_to_smallest(self):
-        assert estimate_lambda([0.5, 0.5]) == LAMBDA_GRID[0]
+        assert estimate_lambdas([[0.5, 0.5]])[0] == LAMBDA_GRID[0]
 
     def test_monotone_in_deviation(self):
-        strong = estimate_lambda([0.9, 0.95])
-        weak = estimate_lambda([0.55, 0.5])
+        strong = estimate_lambdas([[0.9, 0.95]])[0]
+        weak = estimate_lambdas([[0.55, 0.5]])[0]
         assert strong > weak
 
     def test_output_always_on_grid(self):
         rng = stream(311)
         for _ in range(200):
             pair = rng.random(2)
-            lam = estimate_lambda(pair)
+            lam = estimate_lambdas([pair])[0]
             assert lam in LAMBDA_GRID
             assert 0.0 <= lam <= 2.0
 
     def test_large_deviations_clamp_to_top(self):
-        assert estimate_lambda([1.0, 1.0]) == LAMBDA_GRID[-1]
+        assert estimate_lambdas([[1.0, 1.0]])[0] == LAMBDA_GRID[-1]
 
     def test_requires_exactly_two(self):
         with pytest.raises(ValueError):
-            estimate_lambda([0.5])
+            estimate_lambdas([[0.5]])
         with pytest.raises(ValueError):
-            estimate_lambda([0.5, 0.5, 0.5])
+            estimate_lambdas([[0.5, 0.5, 0.5]])
 
     def test_vectorized_equals_scalar_and_oracle(self):
         # values at and one ulp around the grid midpoints (some tie exactly),
@@ -157,8 +160,8 @@ class TestEstimateLambda:
         lambdas = estimate_lambdas(pairs)
         assert lambdas.shape == (len(pairs),)
         for pair, lam in zip(pairs, lambdas.tolist()):
-            assert lam == estimate_lambda(pair) == plug_in_lambda(pair, LAMBDA_GRID)
-        assert estimate_lambda([0.5625, 0.5625]) == 0.2     # 0.25 ties 0.2 and 0.3
+            assert lam == estimate_lambdas([pair])[0] == plug_in_lambda(pair, LAMBDA_GRID)
+        assert estimate_lambdas([[0.5625, 0.5625]])[0] == 0.2     # 0.25 ties 0.2 and 0.3
 
     def test_vectorized_requires_pairs(self):
         with pytest.raises(ValueError):
@@ -193,7 +196,7 @@ class TestPrepareScreening:
             assert np.array_equal(seq, uniform.values[g, kept])
             for v in held:
                 # and the plug-in used exactly the held-out pair
-                assert prepared.lambdas[g] == estimate_lambda(held)
+                assert prepared.lambdas[g] == estimate_lambdas([held])[0]
 
     def test_needs_two_tumor_samples(self):
         uniform = self._uniform(n_tumor=1)

@@ -7,8 +7,8 @@ import pytest
 
 from hedgetest.portfolio import (BankruptcyRiskError, MispricedTradeError,
                                  Portfolio, TradeLimitError, buy_contract,
-                                 issue_contract, move_to_risky, short_risky,
-                                 step, trade_limits, trajectory_csv)
+                                 issue_contract, move_to_risky, step,
+                                 trade_limits)
 from hedgetest.pricing import Contract, LatticeModel, lattice_price
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
@@ -43,7 +43,7 @@ class TestTradeLimits:
         assert abs(worst.total_value) <= 1e-12
 
     def test_max_short_then_worst_move_hits_zero(self):
-        p = short_risky(all_risky(), trade_limits(all_risky()).max_short)
+        p = move_to_risky(all_risky(), -trade_limits(all_risky()).max_short)
         worst = step(p, 1.0)
         assert abs(worst.total_value) <= 1e-12
 
@@ -53,7 +53,7 @@ class TestTradeLimits:
 
     def test_short_beyond_limit_rejected(self):
         with pytest.raises(TradeLimitError):
-            short_risky(all_cash(), 2.0 + 1e-6)
+            move_to_risky(all_cash(), -(2.0 + 1e-6))
 
 
 class TestRebalance:
@@ -265,18 +265,3 @@ class TestLeverageQualitative:
         assert lev_mean > base_mean
         assert lev_sd > base_sd
 
-
-class TestTrajectoryCsv:
-    def test_serializes_legs_and_total(self):
-        p = all_risky()
-        states = [p]
-        for y in (1.0, 0.0):
-            p = step(p, y)
-            states.append(p)
-        text = trajectory_csv(states)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,K_free,K_risky,K_deriv,total"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[4]) == pytest.approx(1.0)

@@ -22,24 +22,24 @@ KELLY_LATTICE = LatticeModel(1.5, 0.5, 3)
 
 class TestRiskNeutralUpProb:
     def test_symmetric_kelly_lattice(self):
-        assert risk_neutral_up_prob(1.5, 0.5, 0.0) == 0.5
+        assert risk_neutral_up_prob(1.5, 0.5) == 0.5
 
     def test_asymmetric_factors(self):
-        q = risk_neutral_up_prob(2.0, 0.5, 0.0)
+        q = risk_neutral_up_prob(2.0, 0.5)
         assert q == pytest.approx(1 / 3, rel=1e-12)
         assert q * 2.0 + (1 - q) * 0.5 == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 1e-6])
     def test_symmetric_moves_give_one_half(self, eps):
-        assert risk_neutral_up_prob(1 + 2 * eps, 1 - 2 * eps, 0.0) == pytest.approx(0.5)
+        assert risk_neutral_up_prob(1 + 2 * eps, 1 - 2 * eps) == pytest.approx(0.5)
 
     def test_arbitrage_violations_rejected(self):
         with pytest.raises(ValueError):
-            risk_neutral_up_prob(0.9, 0.5, 0.0)
+            risk_neutral_up_prob(0.9, 0.5)
         with pytest.raises(ValueError):
-            risk_neutral_up_prob(1.5, 1.1, 0.0)
+            risk_neutral_up_prob(1.5, 1.1)
         with pytest.raises(ValueError):
-            risk_neutral_up_prob(1.5, -0.5, 0.0)
+            risk_neutral_up_prob(1.5, -0.5)
 
     def test_null_probability_recovered_for_any_fraction(self):
         # a constant-fraction bet on Bernoulli(p) has risk-neutral up prob p
@@ -90,6 +90,11 @@ class TestLatticePrice:
     def test_expiry_beyond_depth_rejected(self):
         with pytest.raises(ValueError):
             lattice_price(KELLY_LATTICE, Contract.call(1.0, 4))
+
+    def test_negative_spot_rejected(self):
+        with pytest.raises(ValueError, match="spot"):
+            lattice_price(KELLY_LATTICE, Contract.put(2.0, 3), spot=-1.0)
+        assert lattice_price(KELLY_LATTICE, Contract.put(2.0, 3), spot=0.0).value == 2.0
 
     def test_put_call_parity(self):
         model = LatticeModel(1.5, 0.5, 12)

@@ -266,7 +266,8 @@ def raw_configs(draw):
     if raw["strategy"] in ("kelly", "fixed") and draw(st.booleans()):
         raw.update(hedge="put", hedge_expiry=draw(st.integers(0, horizon)))
         if draw(st.booleans()):
-            raw.update(hedge_strike_mode="explicit", hedge_strike=draw(st.floats(0.0, 2.0)))
+            raw.update(hedge_strike_mode="explicit",
+                       hedge_strike=draw(st.floats(0.0, 2.0, exclude_min=True)))
         if draw(st.booleans()):
             raw["hedge_floor"] = draw(st.floats(0.01, 0.99))
     return raw
