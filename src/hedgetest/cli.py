@@ -80,6 +80,15 @@ def _cmd_price(args) -> int:
         model = LatticeModel(u, d, contract.expiry)
         est = lattice_price(model, contract, spot=args.spot)
     elif args.method == "mc":
+        if args.family == "bernoulli":
+            bet_u = 1.0 + args.bet * (1.0 - args.null_p)
+            bet_d = 1.0 - args.bet * args.null_p
+            if not (math.isclose(u, bet_u, rel_tol=1e-12)
+                    and math.isclose(d, bet_d, rel_tol=1e-12)):
+                raise ConfigError(
+                    f"--model u={u!r},d={d!r} disagrees with the lattice of --bet "
+                    f"{args.bet!r} on --null-p {args.null_p!r}: "
+                    f"u={bet_u!r},d={bet_d!r}")
         hyp = (HypothesisSpec.bernoulli(args.null_p) if args.family == "bernoulli"
                else HypothesisSpec.log_normal() if args.family == "log_normal"
                else HypothesisSpec.bounded())

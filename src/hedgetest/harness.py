@@ -396,7 +396,8 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     the position is liquidated at the strike and held as cash, which pins
     the worst case at the floor.  Out-of-the-money genes keep betting their
     stake.  A hedge expiring before the last sample only guarantees the
-    floor at its own expiry.
+    floor at its own expiry.  The strike is always solved, one per
+    fraction, so an explicit hedge strike is a ConfigError.
     """
     sequences = np.asarray(sequences, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
@@ -413,6 +414,9 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if hedge is not None:
+        if hedge.strike_mode == "explicit":
+            raise ConfigError("screening solves one strike per gene; "
+                              "an explicit hedge strike is not supported")
         tau, floor = hedge.resolve(horizon, ruin_level)
     if not ruin_level < 1.0 < 1.0 / alpha:
         raise ConfigError("need ruin_level < 1 < 1/alpha")

@@ -1,8 +1,10 @@
 """Multi-leg investigator portfolios on a lattice-driven risky wealth process.
 
 A portfolio holds cash, shares of the underlying test wealth process, and
-European contracts marked at their risk-neutral lattice value.  Trades are
-value-neutral exchanges constrained so that total value can never go
+European contracts marked at their risk-neutral lattice value.  Each
+contract's node table is backward-induced once, when it is traded, and every
+later mark is a lookup by elapsed time and up-moves since the trade.  Trades
+are value-neutral exchanges constrained so that total value can never go
 negative: loans and shorts respect the one-period bounds, and derivative
 trades are vetted by an exact worst-case sweep over lattice paths to expiry.
 The total value is itself a test wealth process, so the usual anytime-valid
@@ -11,11 +13,11 @@ decision rule applies to it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pricing import Contract, LatticeModel, lattice_price
+from .pricing import Contract, LatticeModel, lattice_node_values
 
 # Tolerance for enforcing risk-neutral trade prices and value neutrality.
 _PRICE_TOL = 1e-9
@@ -35,9 +37,18 @@ class MispricedTradeError(ValueError):
 
 @dataclass(frozen=True)
 class DerivativePosition:
+    """A contract holding marked by lookup in the node table of its trade.
+
+    nodes[s][j] is the per-contract value s steps after the trade and j
+    up-moves since it; the last level is the payoff.
+    """
+
     contract: Contract     # expiry is absolute time on the experiment clock
     quantity: float        # negative when issued
     mark_value: float      # per-contract risk-neutral value at the current node
+    nodes: tuple = field(compare=False, repr=False)
+    opened: int = field(compare=False, repr=False)       # trade time
+    opened_ups: int = field(compare=False, repr=False)   # portfolio.ups at the trade
 
     @property
     def value(self) -> float:
@@ -61,6 +72,7 @@ class Portfolio:
     down_factor: float
     underlying: float = 1.0    # unit wealth-process level, used for marking
     time: int = 0
+    ups: int = 0               # up-moves stepped through so far
 
     @classmethod
     def initial(cls, up_factor: float, down_factor: float) -> "Portfolio":
@@ -74,16 +86,6 @@ class Portfolio:
     @property
     def total_value(self) -> float:
         return self.risk_free + self.risky_value + self.derivative_value
-
-    def _mark(self, contract: Contract, underlying: float, at_time: int) -> float:
-        remaining = contract.expiry - at_time
-        if remaining < 0:
-            raise ValueError("cannot mark a contract after expiry")
-        if remaining == 0:
-            return float(contract.payoff(underlying))
-        model = LatticeModel(self.up_factor, self.down_factor, remaining)
-        rebased = replace(contract, expiry=remaining)
-        return lattice_price(model, rebased, spot=underlying).value
 
 
 def trade_limits(portfolio: Portfolio) -> TradeLimits:
@@ -151,17 +153,36 @@ def _worst_case_terminal(portfolio: Portfolio) -> float:
     return portfolio.risk_free + frozen + float(g[0])
 
 
+def _node_table(portfolio: Portfolio, contract: Contract) -> tuple:
+    """Contract values on the lattice rooted at the portfolio's current node.
+
+    Every level before the payoff is a price, so it gets PriceEstimate's
+    sign rule: a value in (-1e-15, 0) is 0 and anything lower is an error.
+    """
+    remaining = contract.expiry - portfolio.time
+    model = LatticeModel(portfolio.up_factor, portfolio.down_factor, remaining)
+    levels = lattice_node_values(model, replace(contract, expiry=remaining),
+                                 spot=portfolio.underlying)
+    for level in levels[:-1]:
+        if np.any(level <= -1e-15):
+            raise ValueError(f"price must be nonnegative, got {level.min()}")
+    prices = [np.where(level < 0.0, 0.0, level).tolist() for level in levels[:-1]]
+    return tuple(prices) + (levels[-1].tolist(),)
+
+
 def _traded(portfolio: Portfolio, contract: Contract, quantity: float,
             price: float | None) -> Portfolio:
     if contract.expiry <= portfolio.time:
         raise ValueError("cannot trade a contract at or after its expiry")
-    mark = portfolio._mark(contract, portfolio.underlying, portfolio.time)
+    nodes = _node_table(portfolio, contract)
+    mark = nodes[0][0]
     if price is None:
         price = mark
     elif abs(price - mark) > _PRICE_TOL:
         raise MispricedTradeError(
             f"trade price {price} differs from the risk-neutral value {mark}")
-    position = DerivativePosition(contract, quantity, mark)
+    position = DerivativePosition(contract, quantity, mark, nodes,
+                                  portfolio.time, portfolio.ups)
     candidate = replace(portfolio,
                         risk_free=portfolio.risk_free - quantity * price,
                         positions=portfolio.positions + (position,))
@@ -192,23 +213,22 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     """Advance one period on outcome 1 (up) or 0 (down).
 
     The risky leg and the underlying move by the same factor; every live
-    contract is re-marked at the new node (payoff once it expires, frozen
-    thereafter); cash is unchanged (r = 0).
+    contract is re-marked by lookup in its node table at the new node
+    (payoff once it expires, frozen thereafter), with no pricing call; cash
+    is unchanged (r = 0).
     """
     if outcome not in (0.0, 1.0):
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
-    factor = portfolio.up_factor if outcome == 1.0 else portfolio.down_factor
-    t = portfolio.time + 1
-    underlying = portfolio.underlying * factor
-    positions = []
-    for pos in portfolio.positions:
-        if pos.contract.expiry >= t:
-            mark = portfolio._mark(pos.contract, underlying, t)
-            positions.append(replace(pos, mark_value=mark))
-        else:
-            positions.append(pos)   # expired: payoff value is frozen
+    up = outcome == 1.0
+    factor = portfolio.up_factor if up else portfolio.down_factor
+    t, ups = portfolio.time + 1, portfolio.ups + up
+    positions = tuple(
+        replace(pos, mark_value=pos.nodes[t - pos.opened][ups - pos.opened_ups])
+        if pos.contract.expiry >= t else pos    # expired: payoff value is frozen
+        for pos in portfolio.positions)
     return replace(portfolio,
                    risky_value=portfolio.risky_value * factor,
-                   positions=tuple(positions),
-                   underlying=underlying,
-                   time=t)
+                   positions=positions,
+                   underlying=portfolio.underlying * factor,
+                   time=t,
+                   ups=ups)

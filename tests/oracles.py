@@ -2,14 +2,18 @@
 
 These deliberately avoid the code paths they validate: prices come from
 exhaustive path enumeration or direct binomial expectations instead of
-backward induction, and wealth recurrences are evaluated step by step in
-plain Python.
+backward induction, portfolio marks from a fresh lattice at each node
+instead of the node table kept since the trade, and wealth recurrences are
+evaluated step by step in plain Python.
 """
 
 import itertools
+from dataclasses import replace
 from math import comb
 
 import numpy as np
+
+from hedgetest.pricing import LatticeModel, lattice_price
 
 
 def enumerate_paths_price(u, d, q, tau, payoff, spot=1.0):
@@ -58,6 +62,23 @@ def replicating_portfolio_terminal(u, d, tau, payoff, spot=1.0):
         levels.append(list(values))
     levels.reverse()
     return levels
+
+
+def fresh_mark(u, d, contract, underlying, t):
+    """Value at time t of `contract` (absolute expiry) priced on a fresh
+    lattice rooted at the current `underlying`; the payoff itself at expiry.
+
+    This is how portfolios were marked before they kept a node table per
+    trade: one full backward induction per mark.
+    """
+    remaining = contract.expiry - t
+    if remaining < 0:
+        raise ValueError("cannot mark a contract after expiry")
+    if remaining == 0:
+        return float(contract.payoff(underlying))
+    model = LatticeModel(u, d, remaining)
+    rebased = replace(contract, expiry=remaining)
+    return lattice_price(model, rebased, spot=underlying).value
 
 
 def enumerate_paths_min(u, d, tau, payoff, spot=1.0):

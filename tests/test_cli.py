@@ -90,6 +90,20 @@ class TestPrice:
         assert code == 2
         assert out == "" and "error" in err
 
+    def test_mc_model_must_match_the_bet_lattice(self, capsys):
+        code, out, err = run_cli(capsys, "price", "--model", "u=3,d=0.2",
+                                 "--contract", "call,S=1.25,tau=3", "--method", "mc")
+        assert code == 2
+        assert out == "" and "u=1.5,d=0.5" in err
+
+    def test_mc_prices_a_matching_non_default_model(self, capsys):
+        argv = ("price", "--model", "u=1.3,d=0.7", "--contract", "call,S=1.1,tau=4")
+        code, out, _ = run_cli(capsys, *argv, "--method", "mc", "--bet", "0.6")
+        assert code == 0
+        mc = json.loads(out)
+        _, out, _ = run_cli(capsys, *argv)
+        assert abs(mc["value"] - json.loads(out)["value"]) <= 4 * mc["std_error"]
+
     def test_mc_price_honours_spot(self, capsys):
         prices = {}
         for spot in ("1", "2"):

@@ -341,6 +341,13 @@ class TestScreening:
             run_screening(sequences, np.full(5, 0.5), ruin_level=ruin_level,
                           hedge=HedgeSpec(expiry=0), price_samples=1_000)
 
+    def test_explicit_hedge_strike_is_config_error(self):
+        # each gene's strike is solved at its own fraction; one strike cannot serve all
+        with pytest.raises(ConfigError, match="explicit hedge strike"):
+            run_screening(stream(411).random((5, 20)), np.full(5, 0.5), ruin_level=0.5,
+                          hedge=HedgeSpec(strike_mode="explicit", strike=0.9),
+                          price_samples=1_000)
+
     def test_hedged_early_expiry_floors_at_expiry_only(self):
         sequences, lambdas, _ = synthetic_screening_input(400, 102, seed=405)
         tau = 50

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from hedgetest import portfolio, pricing
 from hedgetest.portfolio import (BankruptcyRiskError, MispricedTradeError,
                                  Portfolio, TradeLimitError, buy_contract,
                                  issue_contract, move_to_risky, step,
                                  trade_limits)
-from hedgetest.pricing import Contract, LatticeModel, lattice_price
+from hedgetest.pricing import Contract, ContractKind, LatticeModel, lattice_price
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (HypothesisSpec, decide_from_values, run_process,
@@ -119,6 +120,41 @@ class TestStep:
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ValueError):
             step(all_risky(), 0.5)
+
+    def test_one_backward_induction_per_trade_none_per_step(self, monkeypatch):
+        # counted under both names, so a lattice_price call would count too
+        calls = []
+        induce = pricing.lattice_node_values
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return induce(*args, **kwargs)
+
+        monkeypatch.setattr(portfolio, "lattice_node_values", counted)
+        monkeypatch.setattr(pricing, "lattice_node_values", counted)
+        p = buy_contract(move_to_risky(all_cash(), 0.5), Contract.put(0.3, 500),
+                         quantity=0.5)
+        ys = (stream(251, 0).random(500) < 0.5).astype(float)
+        for t, y in enumerate(ys):
+            if t == 100:
+                p = buy_contract(p, Contract.call(2.0, 300), quantity=0.1)
+            p = step(p, y)
+        assert p.time == 500 and len(p.positions) == 2
+        assert len(calls) == 2
+
+    def test_rounding_below_zero_marks_zero(self):
+        dust = Contract(ContractKind.CUSTOM_EUROPEAN, 0.0, 3,
+                        payoff_fn=lambda k: np.full_like(k, -1e-16))
+        p = buy_contract(all_risky(), dust, quantity=1.0)
+        assert p.positions[0].mark_value == 0.0
+        assert step(p, 0.0).positions[0].mark_value == 0.0
+
+    def test_negative_node_value_rejected_at_trade(self):
+        # a forward at strike 1 is worth 0 at the root but -1/2 after a loss
+        forward = Contract(ContractKind.CUSTOM_EUROPEAN, 0.0, 3,
+                           payoff_fn=lambda k: k - 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            buy_contract(all_risky(), forward, quantity=1.0)
 
     def test_marked_total_value_is_martingale_by_node(self):
         contract = Contract.put(0.3, 4)

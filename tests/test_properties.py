@@ -9,8 +9,9 @@ the counter-based row table is the same bits as the slice of the whole, and
 the wealth engine run on a batch is, row for row, the same bits as each row
 run alone and the step-by-step recurrence of the oracle.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
-there.  A config written out from its resolved view and read back resolves
-to the same view.
+there; a portfolio's lookup marks along a random path agree with a fresh
+lattice priced at every step.  A config written out from its resolved view
+and read back resolves to the same view.
 """
 
 from dataclasses import replace
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from hedgetest.harness import (config_dict, config_from_dict, load_config,
                                parse_config_text)
+from hedgetest.portfolio import Portfolio, buy_contract, step
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                lattice_node_values, lattice_price,
                                put_floor_strikes, solve_hedge_strike)
@@ -29,7 +31,8 @@ from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, evolve, run_process
 
-from oracles import binomial_weight_price, enumerate_paths_min, wealth_by_hand
+from oracles import (binomial_weight_price, enumerate_paths_min, fresh_mark,
+                     wealth_by_hand)
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
                          max_examples=100)
@@ -229,6 +232,43 @@ def test_each_node_is_a_fresh_lattice_price(case):
             fresh = lattice_price(LatticeModel(u, d, remaining), rebased,
                                   spot=node_spot).value
             assert abs(fresh - mark) <= 1e-12 * max(1.0, abs(mark))
+
+
+@st.composite
+def portfolio_walks(draw):
+    u, d = draw(st.floats(1.01, 3.0)), draw(st.floats(0.05, 0.99))
+    expiries = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True))
+    trades = {}
+    for expiry in expiries:
+        make = draw(st.sampled_from([Contract.put, Contract.call]))
+        trades.setdefault(draw(st.integers(0, expiry - 1)), []).append(
+            make(draw(st.floats(0.0, 3.0)), expiry))
+    path = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=max(expiries),
+                         max_size=max(expiries) + 2))
+    return u, d, trades, path
+
+
+@DETERMINISTIC
+@given(portfolio_walks())
+def test_lookup_marks_equal_a_fresh_lattice_at_every_step(case):
+    u, d, trades, path = case
+    p, opened = Portfolio.initial(u, d), []
+    for t, y in enumerate([None] + path):
+        if y is not None:
+            p = step(p, y)
+        for contract in trades.get(t, []):
+            # at most 1/3 of the unit cash per contract, so no trade is vetoed
+            quantity = 1.0 / (3.0 * max(1.0, p.underlying, contract.strike))
+            p = buy_contract(p, contract, quantity)
+            opened.append((p.underlying, p.time, p.ups))
+        for pos, (spot, time, ups) in zip(p.positions, opened):
+            if p.time > pos.contract.expiry:
+                continue
+            fresh = fresh_mark(u, d, pos.contract, p.underlying, p.time)
+            assert abs(pos.mark_value - fresh) <= max(1e-12 * abs(fresh), 1e-15)
+            if p.time == pos.contract.expiry:
+                s, j = p.time - time, p.ups - ups
+                assert pos.mark_value == pos.contract.payoff(spot * u ** j * d ** (s - j))
 
 
 def render_config(resolved: dict) -> str:
