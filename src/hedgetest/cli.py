@@ -72,15 +72,25 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_price(args) -> int:
-    u, d = _parse_model(args.model)
+    # only `lattice` and the bernoulli bet of `mc` read the --model lattice
+    if args.model is None and args.method == "lattice":
+        raise ConfigError("lattice pricing needs --model")
+    if args.model is not None and args.method == "black-scholes":
+        raise ConfigError("--model is a binomial lattice, which black-scholes "
+                          "pricing does not use; leave it out")
+    if args.model is not None and args.method == "mc" and args.family != "bernoulli":
+        raise ConfigError(f"--model is a binomial lattice, which mc pricing of "
+                          f"--family {args.family} does not use; leave it out")
+    model = None if args.model is None else _parse_model(args.model)
     contract = _parse_contract(args.contract)
     if args.spot < 0.0:
         raise ConfigError(f"spot must be nonnegative, got {args.spot}")
     if args.method == "lattice":
-        model = LatticeModel(u, d, contract.expiry)
-        est = lattice_price(model, contract, spot=args.spot)
+        est = lattice_price(LatticeModel(*model, contract.expiry), contract,
+                            spot=args.spot)
     elif args.method == "mc":
-        if args.family == "bernoulli":
+        if model is not None:
+            u, d = model
             bet_u = 1.0 + args.bet * (1.0 - args.null_p)
             bet_d = 1.0 - args.bet * args.null_p
             if not (math.isclose(u, bet_u, rel_tol=1e-12)
@@ -226,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("price", help="price a European contract on a wealth process")
-    p.add_argument("--model", required=True, help="lattice factors, e.g. u=1.5,d=0.5")
+    p.add_argument("--model", help="lattice factors, e.g. u=1.5,d=0.5: required by "
+                   "lattice, checked against --bet by mc on bernoulli, "
+                   "rejected otherwise")
     p.add_argument("--contract", required=True, help="e.g. call,S=1.25,tau=3")
     p.add_argument("--method", choices=["lattice", "mc", "black-scholes"],
                    default="lattice")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 #: Candidate betting fractions for the per-gene plug-in.
 LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
@@ -59,31 +58,40 @@ class UniformMatrix:
     skipped_gene_ids: tuple[str, ...]
 
 
+def _split_id(line: str, delimiter: str) -> tuple[str, str]:
+    """(gene id, the value fields) of one data line; a quoted id is read as
+    csv reads it, so it may hold the delimiter."""
+    if line.startswith('"'):
+        fields = next(csv.reader([line], delimiter=delimiter))
+        return fields[0].strip(), delimiter.join(fields[1:])
+    gene_id, _, values = line.partition(delimiter)
+    return gene_id.strip(), values
+
+
 def load_expression_matrix(path, normal_label: str = "normal",
                            tumor_label: str = "tumor") -> ExpressionMatrix:
     """Read a delimited text matrix: header of group labels, one gene per row.
 
     The first column holds gene ids; the delimiter is sniffed from the
-    header (comma or tab).
+    header (comma or tab).  Blank lines are skipped; the values are parsed
+    by numpy in one call, and a ragged or non-numeric row is a ValueError.
     """
-    with open(path, newline="") as fh:
+    with open(path) as fh:              # universal newlines: CRLF reads as LF
         first = fh.readline()
         delimiter = "\t" if first.count("\t") >= first.count(",") else ","
-        fh.seek(0)
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader)
+        header = next(csv.reader([first], delimiter=delimiter))
         groups = tuple(h.strip() for h in header[1:])
-        gene_ids, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            gene_ids.append(row[0].strip())
-            rows.append([float(v) for v in row[1:]])
+        split = [_split_id(line, delimiter) for line in fh if line != "\n"]
+    if not split:
+        raise ValueError(f"no gene rows in {path}")
+    gene_ids, fields = zip(*split)
+    values = np.loadtxt(fields, delimiter=delimiter, quotechar='"', comments=None,
+                        ndmin=2)
     labels = set(groups)
     if labels != {normal_label, tumor_label}:
         raise ValueError(
             f"expected groups {{{normal_label!r}, {tumor_label!r}}}, found {sorted(labels)}")
-    return ExpressionMatrix(tuple(gene_ids), np.asarray(rows, dtype=float), groups)
+    return ExpressionMatrix(gene_ids, values, groups)
 
 
 def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "normal",
@@ -105,7 +113,8 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
     sd = values[:, normal].std(axis=1, ddof=1)
     keep = sd > 0.0
     z = (values[keep] - mu[keep, None]) / sd[keep, None]
-    uniform = norm.cdf(z)
+    from scipy.special import ndtr    # loaded on first use: import stays numpy-only
+    uniform = ndtr(z)
     kept_ids = tuple(g for g, k in zip(matrix.gene_ids, keep) if k)
     skipped = tuple(g for g, k in zip(matrix.gene_ids, keep) if not k)
     if not kept_ids:

@@ -222,13 +222,18 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     up = outcome == 1.0
     factor = portfolio.up_factor if up else portfolio.down_factor
     t, ups = portfolio.time + 1, portfolio.ups + up
+    # the constructors, not dataclasses.replace, which costs several times more
     positions = tuple(
-        replace(pos, mark_value=pos.nodes[t - pos.opened][ups - pos.opened_ups])
+        DerivativePosition(pos.contract, pos.quantity,
+                           pos.nodes[t - pos.opened][ups - pos.opened_ups],
+                           pos.nodes, pos.opened, pos.opened_ups)
         if pos.contract.expiry >= t else pos    # expired: payoff value is frozen
         for pos in portfolio.positions)
-    return replace(portfolio,
-                   risky_value=portfolio.risky_value * factor,
-                   positions=positions,
-                   underlying=portfolio.underlying * factor,
-                   time=t,
-                   ups=ups)
+    return Portfolio(risk_free=portfolio.risk_free,
+                     risky_value=portfolio.risky_value * factor,
+                     positions=positions,
+                     up_factor=portfolio.up_factor,
+                     down_factor=portfolio.down_factor,
+                     underlying=portfolio.underlying * factor,
+                     time=t,
+                     ups=ups)

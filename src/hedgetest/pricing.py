@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom, norm
 
 from .rng import stream
 
@@ -217,7 +216,8 @@ def black_scholes_call(spot: float, strike: float, sigma: float,
     vol = sigma * math.sqrt(time_to_expiry)
     d1 = (math.log(spot / strike) + 0.5 * sigma * sigma * time_to_expiry) / vol
     d2 = d1 - vol
-    return spot * norm.cdf(d1) - strike * norm.cdf(d2)
+    from scipy.special import ndtr    # loaded on first use: import stays numpy-only
+    return spot * ndtr(d1) - strike * ndtr(d2)
 
 
 def black_scholes_put(spot: float, strike: float, sigma: float,
@@ -269,7 +269,10 @@ def solve_hedge_strike(model: LatticeModel, floor: float, horizon: int,
     """
     if horizon > model.steps:
         raise ValueError(f"horizon {horizon} exceeds lattice depth {model.steps}")
-    pmf = binom.pmf(np.arange(horizon + 1), horizon, model.risk_neutral_prob)
+    # the ufunc behind the stats package's binom.pmf, so the weights match it
+    # bit for bit without that slow import; a math.comb product would not
+    from scipy.special._ufuncs import _binom_pmf
+    pmf = _binom_pmf(np.arange(horizon + 1), horizon, model.risk_neutral_prob)
     roots = put_floor_strikes(model.terminal_values(horizon, spot), pmf, floor)
     if not roots:
         raise StrikeSolveError(

@@ -52,8 +52,7 @@ class TestPrice:
         assert abs(payload["value"] - 17 / 64) <= 4 * payload["std_error"]
 
     def test_black_scholes_method(self, capsys):
-        code, out, _ = run_cli(capsys, "price", "--model", "u=1.5,d=0.5",
-                               "--contract", "call,S=1.0,tau=1",
+        code, out, _ = run_cli(capsys, "price", "--contract", "call,S=1.0,tau=1",
                                "--method", "black-scholes",
                                "--sigma", "1.0", "--time", "1.0")
         assert code == 0
@@ -95,6 +94,30 @@ class TestPrice:
                                  "--contract", "call,S=1.25,tau=3", "--method", "mc")
         assert code == 2
         assert out == "" and "u=1.5,d=0.5" in err
+
+    @pytest.mark.parametrize("route", [
+        ("--method", "black-scholes", "--sigma", "1", "--time", "3"),
+        ("--method", "mc", "--family", "bounded"),
+        ("--method", "mc", "--family", "log_normal", "--bet", "0.5")])
+    def test_model_the_route_ignores_is_config_error(self, capsys, route):
+        argv = ("price", "--contract", "call,S=1.25,tau=3", "--n", "100", *route)
+        code, out, err = run_cli(capsys, *argv, "--model", "u=3,d=0.2")
+        assert code == 2
+        assert out == "" and "--model" in err and "does not use" in err
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+    def test_lattice_needs_a_model(self, capsys):
+        code, out, err = run_cli(capsys, "price", "--contract", "call,S=1.25,tau=3")
+        assert code == 2
+        assert out == "" and "--model" in err
+
+    def test_mc_bernoulli_model_is_optional(self, capsys):
+        argv = ("price", "--contract", "call,S=1.25,tau=3", "--method", "mc",
+                "--n", "2000")
+        _, without, _ = run_cli(capsys, *argv)
+        _, with_model, _ = run_cli(capsys, *argv, "--model", "u=1.5,d=0.5")
+        assert json.loads(without) == json.loads(with_model)
 
     def test_mc_prices_a_matching_non_default_model(self, capsys):
         argv = ("price", "--model", "u=1.3,d=0.7", "--contract", "call,S=1.1,tau=4")
@@ -373,6 +396,15 @@ class TestIngest:
                              "--output", "/tmp/out.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["g1,1,2,3,4,5", "g1,1,2", "g1,1,2,abc,4", "g1,1,2,3,"])
+    def test_ragged_or_non_numeric_row_is_solver_error(self, tmp_path, capsys, row):
+        src = tmp_path / "matrix.csv"
+        src.write_text(f"gene,normal,normal,tumor,tumor\ng0,1,2,3,4\n{row}\n")
+        code, _, err = run_cli(capsys, "ingest", "--input", str(src),
+                               "--output", str(tmp_path / "out.csv"))
+        assert code == 3
+        assert "error" in err
+
 
 @pytest.mark.parametrize("argv", [
     ("hedge-solve", "--floor", "0.25", "--horizon", "0"),
@@ -388,6 +420,19 @@ def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_special():
+    # scipy.special is imported where ndtr and the binomial pmf are used
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, hedgetest, hedgetest.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.stats', 'scipy.special'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_m_runs_the_cli():

@@ -1,6 +1,8 @@
 """Tests for expression-matrix loading, the uniform transform and the
 fraction plug-in."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,23 @@ from hedgetest.ingest import (LAMBDA_GRID, ExpressionMatrix, UniformMatrix,
 from hedgetest.rng import stream
 
 from oracles import plug_in_lambda
+
+
+def csv_float_reference(path):
+    """The loader as a csv.reader loop with one float() per value: the
+    (ids, values, groups) the numpy parse must reproduce bit for bit."""
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        delimiter = "\t" if first.count("\t") >= first.count(",") else ","
+        fh.seek(0)
+        reader = csv.reader(fh, delimiter=delimiter)
+        groups = tuple(h.strip() for h in next(reader)[1:])
+        ids, rows = [], []
+        for row in reader:
+            if row:
+                ids.append(row[0].strip())
+                rows.append([float(v) for v in row[1:]])
+    return tuple(ids), np.asarray(rows, dtype=float), groups
 
 
 def small_matrix(values, groups=("normal", "normal", "normal", "tumor", "tumor", "tumor")):
@@ -49,6 +68,28 @@ class TestLoader:
         path.write_text("gene\tnormal\ttumor\ng0\t1.0\t2.0\n")
         matrix = load_expression_matrix(path)
         assert matrix.values[0, 1] == 2.0
+
+    @pytest.mark.parametrize("delimiter,newline,blank", [
+        (",", "\n", False), ("\t", "\n", False), (",", "\n", True),
+        ("\t", "\r\n", True), (",", "\r\n", False)])
+    def test_numpy_parse_matches_csv_float_reference(self, tmp_path, delimiter,
+                                                     newline, blank):
+        rng = stream(306)
+        values = np.exp(rng.normal(6.0, 2.0, (40, 12)))
+        lines = [delimiter.join(["gene"] + ["normal"] * 6 + [" tumor"] * 6)]
+        for g, row in enumerate(values):
+            gene = f'"g,{g}"' if g % 7 == 0 and delimiter == "," else f" g{g} "
+            texts = [repr(float(v)) if g % 2 else f"{v:.6g}" for v in row]
+            lines.append(delimiter.join([gene] + texts))
+            if blank and g % 5 == 0:
+                lines.append("")
+        path = tmp_path / "expr.txt"
+        path.write_bytes(newline.join(lines + [""]).encode())
+        ids, expected, groups = csv_float_reference(path)
+        matrix = load_expression_matrix(path)
+        assert matrix.gene_ids == ids and matrix.groups == groups
+        assert matrix.values.shape == expected.shape == (40, 12)
+        assert matrix.values.tobytes() == expected.tobytes()
 
     def test_unknown_labels_rejected(self, tmp_path):
         path = tmp_path / "expr.csv"
@@ -120,6 +161,19 @@ class TestTransform:
                                   ("normal",) * 30 + ("tumor",) * 10)
         uniform = transform_to_uniform(matrix, log_transform=False)
         assert np.all((uniform.values >= 0.0) & (uniform.values <= 1.0))
+
+
+    def test_ndtr_matches_the_stats_normal_cdf(self):
+        # the loader-sized matrix: ndtr is bit for bit the normal CDF it replaced
+        from scipy.special import ndtr
+        z = stream(307).standard_normal((6033, 102))
+        assert ndtr(z).tobytes() == stats.norm.cdf(z).tobytes()
+        matrix = ExpressionMatrix(tuple(f"g{i}" for i in range(6033)), z,
+                                  ("normal",) * 50 + ("tumor",) * 52)
+        normal = z[:, np.arange(102) < 50]
+        standard = (z - normal.mean(axis=1)[:, None]) / normal.std(axis=1, ddof=1)[:, None]
+        uniform = transform_to_uniform(matrix, log_transform=False)
+        assert uniform.values.tobytes() == stats.norm.cdf(standard).tobytes()
 
 
 class TestEstimateLambda:

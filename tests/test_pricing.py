@@ -229,6 +229,17 @@ class TestBlackScholes:
             put = black_scholes_put(1.0, strike, 0.8, 2.0)
             assert call - put == pytest.approx(1.0 - strike, abs=1e-12)
 
+    @pytest.mark.parametrize("spot,strike,sigma,dt", [
+        (1.0, 1.0, 1.0, 1.0), (1.0, 0.5, 1.0, 50.0), (1.2, 1.0, 1e-8, 1.0),
+        (1.0, 2.0, 0.8, 2.0), (0.3, 0.25, 0.4, 3.0)])
+    def test_matches_the_stats_normal_cdf_formula(self, spot, strike, sigma, dt):
+        # ndtr, loaded on first use, is bit for bit the norm.cdf it replaced
+        from scipy.stats import norm
+        vol = sigma * math.sqrt(dt)
+        d1 = (math.log(spot / strike) + 0.5 * sigma * sigma * dt) / vol
+        expected = spot * norm.cdf(d1) - strike * norm.cdf(d1 - vol)
+        assert black_scholes_call(spot, strike, sigma, dt) == expected
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             black_scholes_call(1.0, 1.0, 0.0, 1.0)
@@ -287,6 +298,15 @@ class TestSolveHedgeStrike:
         model = LatticeModel(1.5, 0.5, 20)
         with pytest.raises(StrikeSolveError):
             solve_hedge_strike(model, 0.9999, 20)
+
+    @pytest.mark.parametrize("q", [0.5, 0.5000000000000002, 0.3, 0.7])
+    def test_binomial_weights_match_the_stats_pmf(self, q):
+        # the solver's weights come from binom.pmf's own ufunc, bit for bit
+        from scipy.special._ufuncs import _binom_pmf
+        from scipy.stats import binom
+        for horizon in range(1, 201):
+            k = np.arange(horizon + 1)
+            assert _binom_pmf(k, horizon, q).tobytes() == binom.pmf(k, horizon, q).tobytes()
 
     def test_runtime_under_budget(self):
         model = LatticeModel(1.5, 0.5, 20)
