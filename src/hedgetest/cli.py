@@ -16,7 +16,7 @@ from pathlib import Path
 from . import ingest
 from .harness import (ConfigError, HedgeSpec, format_float, load_config,
                       result_csv, result_json, run_experiment, run_screening,
-                      synthetic_screening_input, to_json)
+                      screening_csv, synthetic_screening_input, to_json)
 from .pricing import (Contract, ContractKind, LatticeModel, StrikeSolveError,
                       black_scholes_call, black_scholes_put, lattice_price,
                       mc_price, solve_hedge_strike)
@@ -71,7 +71,26 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+class _Typed(argparse.Action):
+    """Store the value and record the option as typed, so a value someone
+    passed can be told apart from the default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.typed = namespace.typed | {self.option_strings[0]}
+
+
+# options read by one `price --method` only
+_ROUTE_OPTIONS = {"mc": ("--family", "--null-p", "--bet", "--n", "--seed"),
+                  "black-scholes": ("--sigma", "--time")}
+
+
 def _cmd_price(args) -> int:
+    stray = [o for method, options in _ROUTE_OPTIONS.items() if method != args.method
+             for o in options if o in args.typed]
+    if stray:
+        raise ConfigError(f"--method {args.method} does not use {', '.join(stray)}; "
+                          f"leave {'it' if len(stray) == 1 else 'them'} out")
     # only `lattice` and the bernoulli bet of `mc` read the --model lattice
     if args.model is None and args.method == "lattice":
         raise ConfigError("lattice pricing needs --model")
@@ -155,13 +174,11 @@ def _cmd_shift(args) -> int:
     return _run_simulation(args, want_shift=True)
 
 
-def _screen_header(args, n_genes, horizon) -> list[str]:
-    keys = [("mode", "synthetic" if args.matrix is None else "matrix"),
-            ("genes", n_genes), ("horizon", horizon), ("alpha", args.alpha),
-            ("ruin_level", args.ruin), ("hedge", "put" if args.hedge else "none"),
-            ("hedge_expiry", args.expiry if args.hedge else ""),
-            ("seed", args.seed)]
-    return [f"# {k} = {v}" for k, v in keys]
+def _screen_header(args, n_genes, horizon) -> dict:
+    return {"mode": "synthetic" if args.matrix is None else "matrix",
+            "genes": n_genes, "horizon": horizon, "alpha": args.alpha,
+            "ruin_level": args.ruin, "hedge": "put" if args.hedge else "none",
+            "hedge_expiry": args.expiry if args.hedge else "", "seed": args.seed}
 
 
 def _cmd_screen(args) -> int:
@@ -197,15 +214,8 @@ def _cmd_screen(args) -> int:
     if args.out is None:
         sys.stdout.write(to_json(report) + "\n")
         return EXIT_OK
-    lines = _screen_header(args, len(gene_ids), sequences.shape[1])
-    lines.append("gene,lambda,final_wealth,max_wealth,rejected,crossing_time")
-    columns = zip(gene_ids, result.effective_lambdas.tolist(),
-                  result.final_wealth.tolist(), result.max_wealth.tolist(),
-                  result.rejected.tolist(), result.crossing_time.tolist())
-    lines.extend(f"{gid},{lam:.17g},{final:.17g},{maxw:.17g},{int(rejected)},"
-                 f"{cross if cross >= 0 else ''}"
-                 for gid, lam, final, maxw, rejected, cross in columns)
-    _write(args.out + ".csv", "\n".join(lines) + "\n")
+    header = _screen_header(args, len(gene_ids), sequences.shape[1])
+    _write(args.out + ".csv", screening_csv(result, gene_ids, header))
     _write(args.out + ".json", to_json(report) + "\n")
     return EXIT_OK
 
@@ -244,16 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
                    default="lattice")
     p.add_argument("--spot", type=float, default=1.0)
     p.add_argument("--family", choices=["bernoulli", "bounded", "log_normal"],
-                   default="bernoulli", help="outcome family for mc pricing")
-    p.add_argument("--null-p", type=float, default=0.5, dest="null_p")
-    p.add_argument("--bet", type=float, default=1.0,
-                   help="constant betting fraction for mc pricing")
-    p.add_argument("--n", type=int, default=100_000, help="mc replications")
-    p.add_argument("--sigma", type=float, help="volatility for black-scholes")
-    p.add_argument("--time", type=float, help="time to expiry for black-scholes")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+                   default="bernoulli", action=_Typed,
+                   help="outcome family (mc only)")
+    p.add_argument("--null-p", type=float, default=0.5, dest="null_p", action=_Typed,
+                   help="null parameter of the bernoulli family (mc only)")
+    p.add_argument("--bet", type=float, default=1.0, action=_Typed,
+                   help="constant betting fraction (mc only)")
+    p.add_argument("--n", type=int, default=100_000, action=_Typed,
+                   help="replications (mc only)")
+    p.add_argument("--sigma", type=float, action=_Typed,
+                   help="volatility (black-scholes only)")
+    p.add_argument("--time", type=float, action=_Typed,
+                   help="time to expiry (black-scholes only)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Typed,
+                   help="random seed (mc only)")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_price)
+    p.set_defaults(fn=_cmd_price, typed=frozenset())
 
     p = sub.add_parser("hedge-solve", help="solve (1 - C(S))*S = floor for strikes")
     p.add_argument("--floor", type=float, required=True)

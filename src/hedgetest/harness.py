@@ -621,16 +621,45 @@ def to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _text_column(values: np.ndarray, fmt) -> list[str]:
+    """[fmt(x) for x in values.tolist()], calling fmt once per distinct value.
+
+    Floats are told apart by their int64 bit view, so -0.0, each NaN and
+    every double keep exactly the text of their own bits.  Episode columns
+    repeat a few values many times, so formatting the distinct ones and
+    gathering their strings by index is much cheaper than one call per row.
+    """
+    values = np.asarray(values)
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, index = np.unique(keys, return_inverse=True)
+    text = np.array([fmt(x) for x in distinct.view(values.dtype).tolist()], dtype=object)
+    return text[index.reshape(-1)].tolist()
+
+
+def _episode_csv(comments: dict, leading: str, result, *columns) -> str:
+    """`# key = value` lines for `comments`, the header, then one row per
+    episode: the `leading` columns (text), then final and max wealth,
+    rejected and crossing time (blank: never)."""
+    lines = [f"# {k} = {v}" for k, v in comments.items()]
+    lines.append(f"{leading},final_wealth,max_wealth,rejected,crossing_time")
+    columns += (_text_column(result.final_wealth, format_float),
+                _text_column(result.max_wealth, format_float),
+                _text_column(result.rejected, lambda r: str(int(r))),
+                _text_column(result.crossing_time, lambda t: str(t) if t >= 0 else ""))
+    lines.extend(map(",".join, zip(*columns)))
+    return "\n".join(lines) + "\n"
+
+
 def result_csv(result: ExperimentResult) -> str:
     """Per-replication CSV with the resolved config in comment lines."""
-    lines = [f"# {k} = {v}" for k, v in config_dict(result.config).items()]
-    lines.append("replication,final_wealth,max_wealth,rejected,crossing_time")
-    columns = zip(result.final_wealth.tolist(), result.max_wealth.tolist(),
-                  result.rejected.tolist(), result.crossing_time.tolist())
-    lines.extend(f"{i},{final:.17g},{maxw:.17g},{int(rejected)},"
-                 f"{cross if cross >= 0 else ''}"
-                 for i, (final, maxw, rejected, cross) in enumerate(columns))
-    return "\n".join(lines) + "\n"
+    return _episode_csv(config_dict(result.config), "replication", result,
+                        map(str, range(result.final_wealth.size)))
+
+
+def screening_csv(result: ScreeningResult, gene_ids, comments: dict) -> str:
+    """Per-gene CSV of a screen, after `# key = value` lines for `comments`."""
+    return _episode_csv(comments, "gene,lambda", result, gene_ids,
+                        _text_column(result.effective_lambdas, format_float))
 
 
 def result_json(result: ExperimentResult) -> str:

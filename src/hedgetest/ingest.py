@@ -68,25 +68,48 @@ def _split_id(line: str, delimiter: str) -> tuple[str, str]:
     return gene_id.strip(), values
 
 
+def _parse_values(fields, delimiter: str) -> np.ndarray:
+    return np.loadtxt(fields, delimiter=delimiter, quotechar='"', comments=None,
+                      ndmin=2)
+
+
+def _parses_to(text: str, delimiter: str, width: int) -> bool:
+    """Whether one line's value fields are `width` numbers."""
+    try:
+        return _parse_values([text], delimiter).size == width
+    except ValueError:
+        return False
+
+
 def load_expression_matrix(path, normal_label: str = "normal",
                            tumor_label: str = "tumor") -> ExpressionMatrix:
     """Read a delimited text matrix: header of group labels, one gene per row.
 
     The first column holds gene ids; the delimiter is sniffed from the
     header (comma or tab).  Blank lines are skipped; the values are parsed
-    by numpy in one call, and a ragged or non-numeric row is a ValueError.
+    by numpy in one call.  A ragged or non-numeric row is a ValueError that
+    names its file line, counting the header and blank lines.
     """
     with open(path) as fh:              # universal newlines: CRLF reads as LF
         first = fh.readline()
         delimiter = "\t" if first.count("\t") >= first.count(",") else ","
         header = next(csv.reader([first], delimiter=delimiter))
         groups = tuple(h.strip() for h in header[1:])
-        split = [_split_id(line, delimiter) for line in fh if line != "\n"]
-    if not split:
+        rows = [(lineno, *_split_id(line, delimiter))
+                for lineno, line in enumerate(fh, 2) if line != "\n"]
+    if not rows:
         raise ValueError(f"no gene rows in {path}")
-    gene_ids, fields = zip(*split)
-    values = np.loadtxt(fields, delimiter=delimiter, quotechar='"', comments=None,
-                        ndmin=2)
+    linenos, gene_ids, fields = zip(*rows)
+    try:
+        values = _parse_values(fields, delimiter)
+    except ValueError:
+        width = len(header)
+        bad = next((lineno for lineno, text in zip(linenos, fields)
+                    if not _parses_to(text, delimiter, width - 1)), None)
+        if bad is None:
+            raise
+        raise ValueError(f"{path} line {bad}: expected {width} fields, a gene id "
+                         f"and {width - 1} numeric values") from None
     labels = set(groups)
     if labels != {normal_label, tumor_label}:
         raise ValueError(

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they validate: prices come from
 exhaustive path enumeration or direct binomial expectations instead of
 backward induction, portfolio marks from a fresh lattice at each node
-instead of the node table kept since the trade, and wealth recurrences are
-evaluated step by step in plain Python.
+instead of the node table kept since the trade, wealth recurrences are
+evaluated step by step in plain Python, and the per-episode CSVs are
+written with one f-string per row instead of one format per distinct value.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from math import comb
 
 import numpy as np
 
+from hedgetest.harness import config_dict
 from hedgetest.pricing import LatticeModel, lattice_price
 
 
@@ -105,3 +107,28 @@ def plug_in_lambda(pair, grid):
     a, b = pair
     raw = 2.0 * abs((a + b) / 2 - 0.5) * 2.0
     return min(grid, key=lambda g: abs(g - raw))
+
+
+def result_csv_by_row(result):
+    """Per-replication CSV of an ExperimentResult, one f-string per row."""
+    lines = [f"# {k} = {v}" for k, v in config_dict(result.config).items()]
+    lines.append("replication,final_wealth,max_wealth,rejected,crossing_time")
+    columns = zip(result.final_wealth.tolist(), result.max_wealth.tolist(),
+                  result.rejected.tolist(), result.crossing_time.tolist())
+    lines.extend(f"{i},{final:.17g},{maxw:.17g},{int(rejected)},"
+                 f"{cross if cross >= 0 else ''}"
+                 for i, (final, maxw, rejected, cross) in enumerate(columns))
+    return "\n".join(lines) + "\n"
+
+
+def screening_csv_by_row(result, gene_ids, comments):
+    """Per-gene CSV of a ScreeningResult, one f-string per row."""
+    lines = [f"# {k} = {v}" for k, v in comments.items()]
+    lines.append("gene,lambda,final_wealth,max_wealth,rejected,crossing_time")
+    columns = zip(gene_ids, result.effective_lambdas.tolist(),
+                  result.final_wealth.tolist(), result.max_wealth.tolist(),
+                  result.rejected.tolist(), result.crossing_time.tolist())
+    lines.extend(f"{gid},{lam:.17g},{final:.17g},{maxw:.17g},{int(rejected)},"
+                 f"{cross if cross >= 0 else ''}"
+                 for gid, lam, final, maxw, rejected, cross in columns)
+    return "\n".join(lines) + "\n"

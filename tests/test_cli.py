@@ -19,6 +19,13 @@ ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
 
 
+# a valid call of each `price --method`, and the options only one route reads
+ROUTE_ARGS = {"lattice": ("--model", "u=1.5,d=0.5"), "mc": ("--n", "100"),
+              "black-scholes": ("--sigma", "1", "--time", "3")}
+MC_ONLY = ("--family=bounded", "--bet=0.3", "--null-p=0.4", "--n=50", "--seed=3")
+BLACK_SCHOLES_ONLY = ("--sigma=5", "--time=2")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,15 +104,28 @@ class TestPrice:
 
     @pytest.mark.parametrize("route", [
         ("--method", "black-scholes", "--sigma", "1", "--time", "3"),
-        ("--method", "mc", "--family", "bounded"),
-        ("--method", "mc", "--family", "log_normal", "--bet", "0.5")])
+        ("--method", "mc", "--family", "bounded", "--n", "100"),
+        ("--method", "mc", "--family", "log_normal", "--bet", "0.5", "--n", "100")])
     def test_model_the_route_ignores_is_config_error(self, capsys, route):
-        argv = ("price", "--contract", "call,S=1.25,tau=3", "--n", "100", *route)
+        argv = ("price", "--contract", "call,S=1.25,tau=3", *route)
         code, out, err = run_cli(capsys, *argv, "--model", "u=3,d=0.2")
         assert code == 2
         assert out == "" and "--model" in err and "does not use" in err
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
+
+    @pytest.mark.parametrize("method,option", [
+        *[("lattice", o) for o in MC_ONLY + BLACK_SCHOLES_ONLY],
+        *[("mc", o) for o in BLACK_SCHOLES_ONLY],
+        *[("black-scholes", o) for o in MC_ONLY]])
+    def test_an_option_the_route_does_not_read_is_config_error(self, capsys, method,
+                                                               option):
+        argv = ("price", "--contract", "call,S=1.25,tau=3", "--method", method,
+                *ROUTE_ARGS[method])
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, option)
+        assert code == 2
+        assert out == "" and option.split("=")[0] in err and "does not use" in err
 
     def test_lattice_needs_a_model(self, capsys):
         code, out, err = run_cli(capsys, "price", "--contract", "call,S=1.25,tau=3")
@@ -398,12 +418,14 @@ class TestIngest:
 
     @pytest.mark.parametrize("row", ["g1,1,2,3,4,5", "g1,1,2", "g1,1,2,abc,4", "g1,1,2,3,"])
     def test_ragged_or_non_numeric_row_is_solver_error(self, tmp_path, capsys, row):
+        # the bad row is file line 4: the header and the blank line count
         src = tmp_path / "matrix.csv"
-        src.write_text(f"gene,normal,normal,tumor,tumor\ng0,1,2,3,4\n{row}\n")
+        src.write_text(f"gene,normal,normal,tumor,tumor\ng0,1,2,3,4\n\n{row}\ng2,1,2,3,4\n")
         code, _, err = run_cli(capsys, "ingest", "--input", str(src),
                                "--output", str(tmp_path / "out.csv"))
         assert code == 3
         assert "error" in err
+        assert "line 4: expected 5 fields" in err and "usecols" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,146 @@
+"""Tests of the per-episode CSV writers.
+
+The `simulate`/`shift` artifacts of the nine shipped configs are pinned by
+their sha256 digests, so any byte drift fails here.  Both CSV writers equal
+the row-by-row f-string reference of the oracles; the column formatter
+equals one `f"{x:.17g}"` per value on arrays with heavy repeats and every
+kind of special double; and the CSV and JSON of random experiments are
+identical for any chunk count.
+"""
+
+import hashlib
+import math
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+import hedgetest.cli as cli
+from hedgetest.harness import (ExperimentConfig, HedgeSpec, TruthSpec,
+                               _text_column, format_float, load_config,
+                               result_csv, result_json, run_experiment)
+from hedgetest.pricing import StrikeSolveError
+from hedgetest.strategies import StrategyKind, StrategySpec
+from hedgetest.wealth import HypothesisSpec
+
+from oracles import result_csv_by_row, screening_csv_by_row
+
+DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
+                         max_examples=100)
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+# sha256 of `simulate`/`shift --config configs/<name>.cfg --workers 1 --out x`
+# -> x.csv, at the config's own seed and replications
+CSV_SHA256 = {
+    "table1_conservative": "39fd33aa2b258c9dc1aed7f68fa1fe5e3ffbc167e460d1801dca561d222bf3a4",
+    "table1_dynamic": "119fa8aab3fbb5b6068ed4b4e445b9989755b7d617bfb22693e3b70555d590f3",
+    "table1_kelly": "9e61596100debacf2b1715fda01e43b9b14da65f846a4ee9d899f92c71a13c64",
+    "table1_option": "2e5ed8a5e023c29ca0829b9787d1bd8d4af08aebb41ae2e55e4ef1f21ccd9ebd",
+    "table2_conservative": "7444b2d3e31ac1a61767f0ab123a9f7ec7120d03c46d3a0925839752ef11e7f8",
+    "table2_dynamic": "35a73e46729acabbfb90ed1b2c178b01b9f3218c7b8d9766d9d030ec0bf8effe",
+    "table2_kelly": "b944bfad8dc104b15bd09521c964e5d59e8ab2d6cd477a3d669e5a2d0d5c74ab",
+    "table2_option10": "9933adae06c256d49c0d43a3abef0e446ba35e95c7ac8576fc9ee7aa2cbb193c",
+    "table2_option20": "f478067f83e12c1beb3da932535eea525177f05b718437ac8c834aa52084ac14",
+}
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(CSV_SHA256)
+
+
+@lru_cache(maxsize=None)
+def shipped_result(name):
+    return run_experiment(load_config(CONFIGS / f"{name}.cfg"))
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_shipped_csv_digest_is_pinned(name, tmp_path, capsys):
+    command = "shift" if shipped_result(name).config.truth.change_at is not None \
+        else "simulate"
+    assert cli.main([command, "--config", str(CONFIGS / f"{name}.cfg"),
+                     "--workers", "1", "--out", str(tmp_path / name)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+    assert digest == CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_result_csv_equals_the_row_reference(name):
+    result = shipped_result(name)
+    assert result_csv(result) == result_csv_by_row(result)
+
+
+@pytest.mark.parametrize("argv", [("--synthetic", "shifted", "--hedge"),
+                                  ("--synthetic", "null")])
+def test_screen_csv_equals_the_row_reference(argv, tmp_path, capsys, monkeypatch):
+    real, calls = cli.screening_csv, []
+    monkeypatch.setattr(cli, "screening_csv",
+                        lambda *args: calls.append(args) or real(*args))
+    assert cli.main(["screen", *argv, "--out", str(tmp_path / "screen")]) == 0
+    (result, gene_ids, comments), = calls
+    assert result.final_wealth.size == len(gene_ids) == 6033
+    assert (tmp_path / "screen.csv").read_text() == \
+        screening_csv_by_row(result, gene_ids, comments)
+
+
+_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 1, 0x000FFFFFFFFFFFFF]
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+           2.2250738585072014e-308, 1e-310, 1.0, 0.1, 1 / 3,
+           *np.array(_BITS, dtype=np.uint64).view(np.float64).tolist()]
+
+
+@st.composite
+def repeated_doubles(draw):
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                         min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=300))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+@DETERMINISTIC
+@given(repeated_doubles())
+def test_text_column_equals_one_format_per_value(values):
+    assert _text_column(values, format_float) == [f"{x:.17g}" for x in values.tolist()]
+
+
+@st.composite
+def experiments(draw):
+    horizon = draw(st.integers(1, 30))
+    hyp = HypothesisSpec.bernoulli(0.5, draw(st.floats(0.55, 0.95)))
+    truth = TruthSpec(draw(st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        truth = TruthSpec(truth.p, draw(st.floats(0.0, 1.0)),
+                          draw(st.integers(0, horizon)))
+    kind = draw(st.sampled_from(["fixed", "kelly", "dynamic", "hedged"]))
+    hedge = None
+    if kind == "dynamic":
+        strategy = StrategySpec(StrategyKind.DYNAMIC_FLOOR,
+                                floor=draw(st.floats(0.01, 0.99)), horizon=horizon)
+    elif kind == "fixed" or (kind == "hedged" and draw(st.booleans())):
+        strategy = StrategySpec(StrategyKind.FIXED_LAMBDA,
+                                lam=draw(st.floats(0.05, 1.95)))
+    else:
+        strategy = StrategySpec(StrategyKind.KELLY, p0=0.5, p1=hyp.alt_param)
+    if kind == "hedged":
+        hedge = HedgeSpec(expiry=draw(st.integers(0, horizon)))
+    config = ExperimentConfig(
+        hypothesis=hyp, truth=truth, strategy=strategy, horizon=horizon,
+        replications=draw(st.integers(1, 300)),
+        alpha=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        ruin_level=draw(st.sampled_from([0.1, 0.25, 0.5])),
+        seed=draw(st.integers(0, 2**32 - 1)), hedge=hedge)
+    return config, draw(st.integers(1, 7))
+
+
+@DETERMINISTIC
+@given(experiments())
+def test_artifacts_are_identical_for_any_chunk_count(case):
+    config, chunks = case
+    try:
+        one = run_experiment(config, chunks=1)
+    except StrikeSolveError:
+        reject()
+    many = run_experiment(config, chunks=chunks)
+    assert result_csv(many) == result_csv(one)
+    assert result_json(many) == result_json(one)
