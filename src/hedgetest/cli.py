@@ -17,9 +17,10 @@ from . import ingest
 from .harness import (ConfigError, HedgeSpec, format_float, load_config,
                       result_csv, result_json, run_experiment, run_screening,
                       screening_csv, synthetic_screening_input, to_json)
-from .pricing import (Contract, ContractKind, LatticeModel, StrikeSolveError,
-                      black_scholes_call, black_scholes_put, lattice_price,
-                      mc_price, solve_hedge_strike)
+from .pricing import (Contract, ContractKind, LatticeModel, PriceEstimate,
+                      PricingMethod, StrikeSolveError, black_scholes_call,
+                      black_scholes_put, lattice_price, mc_price,
+                      solve_hedge_strike)
 from .rng import DEFAULT_SEED
 from .wealth import (HypothesisSpec, InadmissibleBetError, OutcomeError,
                      terminal_wealth)
@@ -118,9 +119,12 @@ def _cmd_price(args) -> int:
                     f"--model u={u!r},d={d!r} disagrees with the lattice of --bet "
                     f"{args.bet!r} on --null-p {args.null_p!r}: "
                     f"u={bet_u!r},d={bet_d!r}")
-        hyp = (HypothesisSpec.bernoulli(args.null_p) if args.family == "bernoulli"
-               else HypothesisSpec.log_normal() if args.family == "log_normal"
-               else HypothesisSpec.bounded())
+        try:
+            hyp = (HypothesisSpec.bernoulli(args.null_p) if args.family == "bernoulli"
+                   else HypothesisSpec.log_normal() if args.family == "log_normal"
+                   else HypothesisSpec.bounded())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if args.n < 2:
             raise ConfigError(f"mc pricing needs --n of at least 2, got {args.n}")
         process = lambda ys: args.spot * terminal_wealth(lambda k, t: args.bet, ys, hyp)
@@ -130,10 +134,8 @@ def _cmd_price(args) -> int:
             raise ConfigError("black-scholes pricing needs --sigma and --time")
         fn = (black_scholes_call if contract.kind is ContractKind.EUROPEAN_CALL
               else black_scholes_put)
-        value = fn(args.spot, contract.strike, args.sigma, args.time)
-        _write(args.out, to_json({"value": value, "std_error": 0.0,
-                                  "method": "black_scholes"}) + "\n")
-        return EXIT_OK
+        est = PriceEstimate(fn(args.spot, contract.strike, args.sigma, args.time), 0.0,
+                            PricingMethod.BLACK_SCHOLES)
     _write(args.out, to_json({"value": est.value, "std_error": est.std_error,
                               "method": est.method.value}) + "\n")
     return EXIT_OK
@@ -174,16 +176,22 @@ def _cmd_shift(args) -> int:
     return _run_simulation(args, want_shift=True)
 
 
-def _screen_header(args, n_genes, horizon) -> dict:
-    return {"mode": "synthetic" if args.matrix is None else "matrix",
-            "genes": n_genes, "horizon": horizon, "alpha": args.alpha,
-            "ruin_level": args.ruin, "hedge": "put" if args.hedge else "none",
-            "hedge_expiry": args.expiry if args.hedge else "", "seed": args.seed}
+def _screen_settings(args, hedge: HedgeSpec | None, n_genes, horizon) -> dict:
+    """The resolved settings of a screen, written to both of its files."""
+    out = {"mode": "synthetic" if args.matrix is None else "matrix",
+           "genes": n_genes, "horizon": horizon, "alpha": args.alpha,
+           "ruin_level": args.ruin, "hedge": "put" if hedge else "none"}
+    if hedge is not None:
+        out["hedge_expiry"] = hedge.resolve(horizon, args.ruin)[0]
+    out["seed"] = args.seed
+    return out
 
 
 def _cmd_screen(args) -> int:
     if (args.matrix is None) == (args.synthetic is None):
         raise ConfigError("pass exactly one of --matrix or --synthetic")
+    if args.expiry is not None and not args.hedge:
+        raise ConfigError("--expiry is the hedge's expiry; it needs --hedge")
     if args.matrix is not None:
         matrix = ingest.load_expression_matrix(args.matrix, args.normal_label,
                                                args.tumor_label)
@@ -202,20 +210,16 @@ def _cmd_screen(args) -> int:
     hedge = HedgeSpec(expiry=args.expiry or 0) if args.hedge else None
     result = run_screening(sequences, lambdas, alpha=args.alpha,
                            ruin_level=args.ruin, hedge=hedge, seed=args.seed)
-    report = {"config": {"alpha": args.alpha, "ruin_level": args.ruin,
-                         "hedge": "put" if args.hedge else "none",
-                         "hedge_expiry": args.expiry or sequences.shape[1],
-                         "seed": args.seed, "genes": len(gene_ids),
-                         "horizon": sequences.shape[1]},
+    settings = _screen_settings(args, hedge, len(gene_ids), sequences.shape[1])
+    report = {"config": settings,
               "strike_table": [{"lambda": lam, "strike": strike, "premium": premium}
                                for lam, (strike, premium) in result.strike_table.items()],
               "fallback_genes": result.fallback_genes,
-              "report": result.report.as_dict()}
+              "report": dataclasses.asdict(result.report)}
     if args.out is None:
         sys.stdout.write(to_json(report) + "\n")
         return EXIT_OK
-    header = _screen_header(args, len(gene_ids), sequences.shape[1])
-    _write(args.out + ".csv", screening_csv(result, gene_ids, header))
+    _write(args.out + ".csv", screening_csv(result, gene_ids, settings))
     _write(args.out + ".json", to_json(report) + "\n")
     return EXIT_OK
 

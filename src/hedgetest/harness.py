@@ -17,7 +17,7 @@ process on bounded sequences supplied by the ingest pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,17 +78,10 @@ class HedgeSpec:
     """Optional put bought at t = 0 on the episode's own wealth process."""
 
     expiry: int = 0                  # 0 means the experiment horizon
-    strike_mode: str = "solve"       # solve for the ruin floor, or explicit
-    strike: float | None = None      # only with strike_mode "explicit"
+    strike: float | None = None      # None: solve for the floor
     floor: float | None = None       # defaults to the experiment ruin level
 
     def __post_init__(self):
-        if self.strike_mode not in ("solve", "explicit"):
-            raise ConfigError(f"unknown strike mode {self.strike_mode!r}")
-        if self.strike_mode == "explicit" and self.strike is None:
-            raise ConfigError("explicit strike mode needs a strike")
-        if self.strike_mode == "solve" and self.strike is not None:
-            raise ConfigError("a hedge strike needs strike mode explicit")
         if self.strike is not None and not self.strike > 0.0:
             raise ConfigError(f"hedge strike must be positive, got {self.strike}")
         if self.expiry < 0:
@@ -130,12 +123,10 @@ class ExperimentConfig:
         if not self.ruin_level < 1.0 < 1.0 / self.alpha:
             raise ConfigError("need ruin_level < 1 < 1/alpha")
         if self.strategy.kind is StrategyKind.DYNAMIC_FLOOR:
-            if self.strategy.floor is None or self.strategy.horizon is None:
-                raise ConfigError("dynamic strategy needs floor and horizon")
-            if self.strategy.horizon != self.horizon:
-                raise ConfigError(f"dynamic strategy horizon {self.strategy.horizon} "
-                                  f"differs from the experiment horizon {self.horizon}")
-        lam = self.strategy.constant_lambda()
+            floor = self.strategy.floor
+            if floor is None or not 0.0 < floor < 1.0:
+                raise ConfigError(f"dynamic floor {floor} not in (0, 1)")
+        lam = self.strategy.constant_lambda(self.hypothesis)
         if lam is not None:
             lo, hi = self.hypothesis.lambda_bounds()
             two_sided = self.strategy.kind is StrategyKind.HEDGED_CS
@@ -144,7 +135,7 @@ class ExperimentConfig:
                                   f"range [{lo}, {hi}]")
         if self.hedge is not None:
             self.hedge.resolve(self.horizon, self.ruin_level)
-            if self.strategy.constant_lambda() is None:
+            if lam is None:
                 raise ConfigError("hedged episodes need a constant-fraction strategy")
             if self.strategy.kind is StrategyKind.HEDGED_CS:
                 raise ConfigError("the two-sided process is hedged via run_screening")
@@ -160,18 +151,6 @@ class RiskReport:
     k_q: float
     expected_tail_wealth: float
     ruin_fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "power": self.power,
-            "avg_final_wealth": self.avg_final_wealth,
-            "avg_max_wealth": self.avg_max_wealth,
-            "avg_final_given_no_reject": self.avg_final_given_no_reject,
-            "k_q": self.k_q,
-            "expected_tail_wealth": self.expected_tail_wealth,
-            "ruin_fraction": self.ruin_fraction,
-        }
 
 
 @dataclass(frozen=True)
@@ -232,14 +211,13 @@ class HedgePlan:
 
 
 def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
-    lam = config.strategy.constant_lambda()
+    lam = config.strategy.constant_lambda(config.hypothesis)
     expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
     model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param, expiry)
-    if config.hedge.strike_mode == "solve":
+    strike = config.hedge.strike
+    if strike is None:
         roots = solve_hedge_strike(model, floor, expiry)
         strike = roots[0]    # lower strike engages more wealth in the bet
-    else:
-        strike = config.hedge.strike
     marks = lattice_node_values(model, Contract.put(strike, expiry))
     return HedgePlan(strike, float(marks[0][0]), expiry, tuple(marks))
 
@@ -266,7 +244,7 @@ def _episode_wealth(config: ExperimentConfig, y: np.ndarray, plan: HedgePlan | N
     if config.strategy.kind is StrategyKind.HEDGED_CS:
         yield from hedged_cs(y, config.strategy.lam, hyp)
         return
-    strategy = build_strategy(config.strategy)
+    strategy = build_strategy(config.strategy, hyp, config.horizon)
     if plan is None:
         for k, _ in evolve(strategy, y, hyp):
             yield k
@@ -414,7 +392,7 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if hedge is not None:
-        if hedge.strike_mode == "explicit":
+        if hedge.strike is not None:
             raise ConfigError("screening solves one strike per gene; "
                               "an explicit hedge strike is not supported")
         tau, floor = hedge.resolve(horizon, ruin_level)
@@ -487,13 +465,6 @@ _FLOAT_KEYS = {"null_p", "alt_p", "truth_p", "truth_p_post", "lambda", "floor",
                "alpha", "ruin_level", "hedge_strike", "hedge_floor"}
 _STR_KEYS = {"family", "strategy", "hedge", "hedge_strike_mode"}
 
-_STRATEGY_NAMES = {
-    "kelly": StrategyKind.KELLY,
-    "fixed": StrategyKind.FIXED_LAMBDA,
-    "dynamic": StrategyKind.DYNAMIC_FLOOR,
-    "hedged_cs": StrategyKind.HEDGED_CS,
-}
-
 
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines (# comments allowed) into a typed dict."""
@@ -529,18 +500,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     missing = {"truth_p", "horizon", "replications"} - raw.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
-    hyp = HypothesisSpec.bernoulli(raw.get("null_p", 0.5), raw.get("alt_p", 0.75))
+    try:
+        hyp = HypothesisSpec.bernoulli(raw.get("null_p", 0.5), raw.get("alt_p", 0.75))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     truth = TruthSpec(raw["truth_p"], raw.get("truth_p_post"), raw.get("change_at"))
     name = raw.get("strategy", "kelly")
-    if name not in _STRATEGY_NAMES:
-        raise ConfigError(f"unknown strategy {name!r}")
-    kind = _STRATEGY_NAMES[name]
+    try:
+        kind = StrategyKind(name)
+    except ValueError as exc:
+        raise ConfigError(f"unknown strategy {name!r}") from exc
     ruin = raw.get("ruin_level", 0.25)
     if kind is StrategyKind.KELLY:
-        strategy = StrategySpec(kind, p0=hyp.null_param, p1=hyp.alt_param)
+        strategy = StrategySpec(kind)
     elif kind is StrategyKind.DYNAMIC_FLOOR:
-        strategy = StrategySpec(kind, floor=raw.get("floor", ruin),
-                                horizon=raw["horizon"])
+        strategy = StrategySpec(kind, floor=raw.get("floor", ruin))
     else:
         if "lambda" not in raw:
             raise ConfigError(f"strategy {name!r} needs a lambda")
@@ -550,15 +524,25 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"only put hedges are supported, got {hedge_kind!r}")
     hedge = None
     if hedge_kind == "put":
-        hedge = HedgeSpec(expiry=raw.get("hedge_expiry", 0),
-                          strike_mode=raw.get("hedge_strike_mode", "solve"),
-                          strike=raw.get("hedge_strike"),
-                          floor=raw.get("hedge_floor"))
-    return ExperimentConfig(
+        mode, strike = raw.get("hedge_strike_mode", "solve"), raw.get("hedge_strike")
+        if mode not in ("solve", "explicit"):
+            raise ConfigError(f"unknown strike mode {mode!r}")
+        if mode == "explicit" and strike is None:
+            raise ConfigError("explicit strike mode needs a strike")
+        if mode == "solve" and strike is not None:
+            raise ConfigError("a hedge strike needs strike mode explicit")
+        hedge = HedgeSpec(raw.get("hedge_expiry", 0), strike, raw.get("hedge_floor"))
+    config = ExperimentConfig(
         hypothesis=hyp, truth=truth, strategy=strategy,
         horizon=raw["horizon"], replications=raw["replications"],
         alpha=raw.get("alpha", 0.05), ruin_level=ruin,
         seed=raw.get("seed", DEFAULT_SEED), hedge=hedge)
+    if hedge is None:
+        return config
+    # store the resolved hedge, so the config equals the one its own
+    # config_dict describes
+    expiry, floor = hedge.resolve(config.horizon, ruin)
+    return replace(config, hedge=replace(hedge, expiry=expiry, floor=floor))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -577,7 +561,7 @@ def config_dict(config: ExperimentConfig) -> dict:
         out["truth_p_post"] = config.truth.p_post
         out["change_at"] = config.truth.change_at
     kind = config.strategy.kind
-    out["strategy"] = {v: k for k, v in _STRATEGY_NAMES.items()}.get(kind, kind.value)
+    out["strategy"] = kind.value
     if kind in (StrategyKind.FIXED_LAMBDA, StrategyKind.HEDGED_CS):
         out["lambda"] = config.strategy.lam
     if kind is StrategyKind.DYNAMIC_FLOOR:
@@ -586,7 +570,7 @@ def config_dict(config: ExperimentConfig) -> dict:
     if config.hedge is not None:
         expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
         out["hedge_expiry"] = expiry
-        out["hedge_strike_mode"] = config.hedge.strike_mode
+        out["hedge_strike_mode"] = "solve" if config.hedge.strike is None else "explicit"
         if config.hedge.strike is not None:
             out["hedge_strike"] = config.hedge.strike
         out["hedge_floor"] = floor
@@ -668,4 +652,4 @@ def result_json(result: ExperimentResult) -> str:
     return to_json({"config": config_dict(result.config),
                     "hedge_plan": plan and {"strike": plan.strike, "premium": plan.premium,
                                             "expiry": plan.expiry},
-                    "report": result.report.as_dict()}) + "\n"
+                    "report": asdict(result.report)}) + "\n"

@@ -207,7 +207,8 @@ def black_scholes_call(spot: float, strike: float, sigma: float,
 
     spot*Phi(d1) - strike*Phi(d2) with
     d1 = (ln(spot/strike) + sigma**2 * dt / 2) / (sigma*sqrt(dt)),
-    d2 = d1 - sigma*sqrt(dt).
+    d2 = d1 - sigma*sqrt(dt), floored at 0 so rounding dust never makes a
+    price negative.
     """
     if spot <= 0.0 or strike <= 0.0:
         raise ValueError("spot and strike must be positive")
@@ -217,13 +218,13 @@ def black_scholes_call(spot: float, strike: float, sigma: float,
     d1 = (math.log(spot / strike) + 0.5 * sigma * sigma * time_to_expiry) / vol
     d2 = d1 - vol
     from scipy.special import ndtr    # loaded on first use: import stays numpy-only
-    return spot * ndtr(d1) - strike * ndtr(d2)
+    return max(spot * ndtr(d1) - strike * ndtr(d2), 0.0)
 
 
 def black_scholes_put(spot: float, strike: float, sigma: float,
                       time_to_expiry: float) -> float:
-    """Zero-rate put via parity: strike - spot + call."""
-    return strike - spot + black_scholes_call(spot, strike, sigma, time_to_expiry)
+    """Zero-rate put via parity: strike - spot + call, floored at 0."""
+    return max(strike - spot + black_scholes_call(spot, strike, sigma, time_to_expiry), 0.0)
 
 
 def put_floor_strikes(atoms, weights, floor: float) -> list[float]:

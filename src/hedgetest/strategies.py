@@ -3,7 +3,8 @@
 A strategy is a vectorized callable lam(wealth, t): given the wealths K_t
 of m paths (an array of shape (m,)) after t outcomes, it returns the
 fraction bet on outcome t+1, one for all paths or one per path, so it
-depends on the past only.  build_strategy turns a StrategySpec into one.
+depends on the past only.  build_strategy turns a StrategySpec into one for
+an experiment's hypothesis and horizon.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wealth import LOG_NORMAL_MAX_LAMBDA, Strategy
+from .wealth import HypothesisSpec, Strategy
 
 
 class StrategyKind(enum.Enum):
@@ -21,7 +22,6 @@ class StrategyKind(enum.Enum):
     FIXED_LAMBDA = "fixed"
     DYNAMIC_FLOOR = "dynamic"
     HEDGED_CS = "hedged_cs"
-    ALL_OR_NOTHING_LOG_NORMAL = "all_or_nothing_log_normal"
 
 
 def kelly_lambda(p0: float, p1: float) -> float:
@@ -32,7 +32,7 @@ def kelly_lambda(p0: float, p1: float) -> float:
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"null probability {p0} must be inside (0, 1)")
-    if not 0.0 <= p1 <= 1.0:
+    if p1 is None or not 0.0 <= p1 <= 1.0:
         raise ValueError(f"alternative probability {p1} must be in [0, 1]")
     return (p1 - p0) / (p0 * (1.0 - p0))
 
@@ -72,42 +72,35 @@ def dynamic_lambda(current_wealth, t: int, horizon: int, floor: float):
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """Named strategy with its kind-specific parameters.
+    """Named strategy with its kind-specific parameter.
 
-    Kelly uses (p0, p1); fixed and hedged_cs use lam; the dynamic floor uses
-    (floor, horizon).  The all-or-nothing log-normal scheme has no free
-    parameter (lam = exp(-1/2)).
+    Fixed and hedged_cs use lam; the dynamic floor uses floor.  Kelly takes
+    its fraction from the experiment's hypothesis and the dynamic floor its
+    horizon from the experiment, so neither is stored here.
     """
 
     kind: StrategyKind
     lam: float | None = None
-    p0: float | None = None
-    p1: float | None = None
     floor: float | None = None
-    horizon: int | None = None
 
-    def constant_lambda(self) -> float | None:
-        """The fixed fraction used, when the schedule is constant."""
+    def constant_lambda(self, hyp: HypothesisSpec) -> float | None:
+        """The fixed fraction bet under `hyp`, when the schedule is constant."""
         if self.kind is StrategyKind.KELLY:
-            return kelly_lambda(self.p0, self.p1)
+            return kelly_lambda(hyp.null_param, hyp.alt_param)
         if self.kind in (StrategyKind.FIXED_LAMBDA, StrategyKind.HEDGED_CS):
             return self.lam
-        if self.kind is StrategyKind.ALL_OR_NOTHING_LOG_NORMAL:
-            return LOG_NORMAL_MAX_LAMBDA
         return None
 
 
-def build_strategy(spec: StrategySpec) -> Strategy:
-    """Turn a StrategySpec into a vectorized schedule lam(wealth, t)."""
+def build_strategy(spec: StrategySpec, hyp: HypothesisSpec, horizon: int) -> Strategy:
+    """Turn a StrategySpec into a vectorized schedule lam(wealth, t) for an
+    experiment testing `hyp` over `horizon` steps."""
     if spec.kind is StrategyKind.HEDGED_CS:
         raise ValueError("the two-sided hedged process is run with hedged_cs, "
                          "not a per-step fraction schedule")
     if spec.kind is StrategyKind.DYNAMIC_FLOOR:
-        if spec.floor is None or spec.horizon is None:
-            raise ValueError("dynamic floor strategy needs floor and horizon")
-        floor, horizon = spec.floor, spec.horizon
-        return lambda wealth, t: dynamic_lambda(wealth, t, horizon, floor)
-    lam = spec.constant_lambda()
+        return lambda wealth, t: dynamic_lambda(wealth, t, horizon, spec.floor)
+    lam = spec.constant_lambda(hyp)
     if lam is None:
         raise ValueError(f"cannot build strategy for {spec.kind}")
     return lambda wealth, t: lam

@@ -29,10 +29,6 @@ import numpy as np
 #: Null mean of exp(Z) for Z ~ N(0, 1).
 LOG_NORMAL_NULL_MEAN = math.exp(0.5)
 
-#: Largest betting fraction that keeps exp(Z) outcomes from bankrupting the
-#: bettor (the worst outcome is arbitrarily close to 0).
-LOG_NORMAL_MAX_LAMBDA = math.exp(-0.5)
-
 #: A betting strategy: lam(wealth, t) maps the wealths K_t of m paths after
 #: t outcomes to the fraction bet on outcome t + 1 (one, or one per path).
 Strategy = Callable[[np.ndarray, int], "float | np.ndarray"]
@@ -68,35 +64,36 @@ class HypothesisSpec:
     family: Family
     null_param: float
     alt_param: float | None = None
-    null_mean: float = 0.5
 
     def __post_init__(self):
         if self.family is Family.BERNOULLI:
-            if not 0.0 <= self.null_param <= 1.0:
-                raise ValueError(f"Bernoulli null parameter {self.null_param} not in [0, 1]")
+            if not 0.0 < self.null_param < 1.0:
+                raise ValueError(f"Bernoulli null parameter {self.null_param} not in (0, 1)")
             if self.alt_param is not None and not 0.0 <= self.alt_param <= 1.0:
                 raise ValueError(f"Bernoulli alternative {self.alt_param} not in [0, 1]")
-            if self.null_mean != self.null_param:
-                raise ValueError("Bernoulli null mean must equal the null parameter")
-        elif self.family is Family.LOG_NORMAL_UNIT_VARIANCE:
-            if self.null_mean != LOG_NORMAL_NULL_MEAN:
-                raise ValueError("log-normal null mean must be exp(1/2)")
         elif self.family is Family.BOUNDED_MEAN:
-            if not 0.0 < self.null_mean < 1.0:
-                raise ValueError(f"bounded null mean {self.null_mean} not in (0, 1)")
+            if not 0.0 < self.null_param < 1.0:
+                raise ValueError(f"bounded null mean {self.null_param} not in (0, 1)")
+
+    @property
+    def null_mean(self) -> float:
+        """Mean of one outcome under the null: the parameter itself, except
+        exp(1/2) for the log-normal family."""
+        if self.family is Family.LOG_NORMAL_UNIT_VARIANCE:
+            return LOG_NORMAL_NULL_MEAN
+        return self.null_param
 
     @classmethod
     def bernoulli(cls, null_p: float = 0.5, alt_p: float | None = None) -> "HypothesisSpec":
-        return cls(Family.BERNOULLI, null_p, alt_p, null_mean=null_p)
+        return cls(Family.BERNOULLI, null_p, alt_p)
 
     @classmethod
     def log_normal(cls, alt_mu: float | None = None) -> "HypothesisSpec":
-        return cls(Family.LOG_NORMAL_UNIT_VARIANCE, 0.0, alt_mu,
-                   null_mean=LOG_NORMAL_NULL_MEAN)
+        return cls(Family.LOG_NORMAL_UNIT_VARIANCE, 0.0, alt_mu)
 
     @classmethod
     def bounded(cls, mean: float = 0.5, alt_mean: float | None = None) -> "HypothesisSpec":
-        return cls(Family.BOUNDED_MEAN, mean, alt_mean, null_mean=mean)
+        return cls(Family.BOUNDED_MEAN, mean, alt_mean)
 
     def support(self) -> tuple[float, float]:
         """Closed support bounds of a single outcome (inf may be math.inf)."""

@@ -65,6 +65,14 @@ class TestPrice:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.3829249225480262)
 
+    def test_black_scholes_price_is_never_negative(self, capsys):
+        # parity leaves -1.1e-16 of rounding dust on this deep out-of-the-money put
+        code, out, _ = run_cli(capsys, "price", "--contract", "put,S=0.2,tau=1",
+                               "--method", "black-scholes", "--sigma", "0.2",
+                               "--time", "1")
+        assert code == 0
+        assert out == '{"value": 0, "std_error": 0, "method": "black_scholes"}\n'
+
     def test_malformed_model_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "price", "--model", "u=1.5",
                                "--contract", "call,S=1.25,tau=3")
@@ -372,6 +380,20 @@ class TestScreen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("extra,expiry", [((), None), (("--hedge",), 30),
+                                              (("--hedge", "--expiry", "5"), 5)])
+    def test_both_files_carry_the_same_settings(self, tmp_path, capsys, extra, expiry):
+        out = tmp_path / "screen"
+        code, _, _ = run_cli(capsys, "screen", "--synthetic", "null", "--genes", "50",
+                             "--samples", "32", *extra, "--out", str(out))
+        assert code == 0
+        settings = json.loads((tmp_path / "screen.json").read_text())["config"]
+        assert settings.get("hedge_expiry") == expiry
+        comments = [l[2:].split(" = ") for l in
+                    (tmp_path / "screen.csv").read_text().splitlines()
+                    if l.startswith("# ")]
+        assert comments == [[k, str(v)] for k, v in settings.items()]
+
     def test_matrix_and_synthetic_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "screen", "--synthetic", "null",
                              "--matrix", "x.csv")
@@ -508,3 +530,30 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
         checked += 1
     assert ran == {"price", "hedge-solve", "simulate", "shift", "screen"}
     assert checked == 2
+
+
+@pytest.mark.parametrize("argv,config_edit", [
+    (("price", "--method", "mc", "--null-p", "0"), None),
+    (("price", "--method", "mc", "--null-p", "1"), None),
+    (("price", "--method", "mc", "--null-p", "1.5"), None),
+    (("simulate", "--config"), ("table1_conservative", "null_p = 0.5", "null_p = 0")),
+    (("simulate", "--config"), ("table1_kelly", "null_p = 0.5", "null_p = 0")),
+    (("simulate", "--config"), ("table1_dynamic", "floor = 0.25", "floor = 1.5")),
+    (("simulate", "--config"), ("table1_dynamic", "floor = 0.25", "floor = -0.2")),
+    (("screen", "--synthetic", "null", "--genes", "50", "--expiry", "5"), None),
+], ids=["null-p-0", "null-p-1", "null-p-1.5", "fixed-null-p-0", "kelly-null-p-0",
+        "dynamic-floor-1.5", "dynamic-floor-neg", "expiry-without-hedge"])
+def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config_edit):
+    if argv[0] == "price":
+        argv += ("--contract", "put,S=0.5,tau=3", "--n", "100")
+    if config_edit is not None:
+        stem, old, new = config_edit
+        text = (CONFIGS / f"{stem}.cfg").read_text()
+        assert f"{old}\n" in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(f"{old}\n", f"{new}\n"))
+        argv += (str(path),)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -245,7 +245,7 @@ class TestPortfolioDecision:
 
     def test_pure_risky_matches_process_decision(self):
         hyp = HypothesisSpec.bernoulli(0.5, 0.75)
-        kelly = build_strategy(StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75))
+        kelly = build_strategy(StrategySpec(StrategyKind.KELLY), hyp, 15)
         for i in range(50):
             ys = (stream(221, i).random(15) < 0.75).astype(float)
             path = run_process(kelly, ys, hyp)

@@ -176,9 +176,9 @@ def wealth_batches(draw):
         lams = np.array([draw(fraction) for _ in range(m)])
         return hyp, ys, lambda k, t: lams, [lambda k, t, i=i: lams[i:i + 1]
                                             for i in range(m)]
-    spec = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=draw(st.floats(0.01, 0.99)),
-                        horizon=horizon)
-    return hyp, ys, build_strategy(spec), [build_strategy(spec)] * m
+    spec = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=draw(st.floats(0.01, 0.99)))
+    strategy = build_strategy(spec, hyp, horizon)
+    return hyp, ys, strategy, [strategy] * m
 
 
 @DETERMINISTIC
@@ -277,6 +277,7 @@ def render_config(resolved: dict) -> str:
 
 def assert_round_trips(config):
     resolved = config_dict(config)
+    assert config_from_dict(resolved) == config
     assert config_dict(config_from_dict(parse_config_text(render_config(resolved)))) \
         == resolved
 

@@ -11,7 +11,7 @@ from hedgetest.strategies import (StrategyKind, StrategySpec, build_strategy,
 from hedgetest.wealth import HypothesisSpec, run_process
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
-DYNAMIC = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=20)
+DYNAMIC = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25)
 
 
 class TestKellyLambda:
@@ -111,12 +111,12 @@ class TestFloorGuarantee:
     def test_all_losses_path_respects_floor(self):
         losses = [0.0] * 20
         lam = conservative_lambda(0.25, 20, -0.5)
-        for strategy in (lambda k, t: lam, build_strategy(DYNAMIC)):
+        for strategy in (lambda k, t: lam, build_strategy(DYNAMIC, BERNOULLI, 20)):
             path = run_process(strategy, losses, BERNOULLI)
             assert path.final >= 0.25 - 1e-6
 
     def test_dynamic_floor_holds_on_random_paths(self):
-        strategy = build_strategy(DYNAMIC)
+        strategy = build_strategy(DYNAMIC, BERNOULLI, 20)
         for i in range(500):
             ys = (stream(71, i).random(20) < 0.5).astype(float)
             path = run_process(strategy, ys, BERNOULLI)
@@ -143,20 +143,22 @@ class TestKellyDominance:
 
 class TestStrategySpec:
     def test_constant_lambda_per_kind(self):
-        assert StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75).constant_lambda() == 1.0
-        assert StrategySpec(StrategyKind.FIXED_LAMBDA, lam=0.3).constant_lambda() == 0.3
-        aon = StrategySpec(StrategyKind.ALL_OR_NOTHING_LOG_NORMAL)
-        assert aon.constant_lambda() == pytest.approx(math.exp(-0.5))
-        dyn = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=20)
-        assert dyn.constant_lambda() is None
+        kelly = StrategySpec(StrategyKind.KELLY)
+        assert kelly.constant_lambda(BERNOULLI) == 1.0
+        # Kelly bets toward the hypothesis it is given, never a stored copy
+        small_edge = HypothesisSpec.bernoulli(0.5, 0.6)
+        assert kelly.constant_lambda(small_edge) == pytest.approx(0.4, abs=1e-12)
+        fixed = StrategySpec(StrategyKind.FIXED_LAMBDA, lam=0.3)
+        assert fixed.constant_lambda(BERNOULLI) == 0.3
+        assert DYNAMIC.constant_lambda(BERNOULLI) is None
 
     def test_build_strategy_round_trip(self):
-        strategy = build_strategy(DYNAMIC)
+        strategy = build_strategy(DYNAMIC, BERNOULLI, 20)
         assert strategy(np.array([1.0]), 0) == pytest.approx(dynamic_lambda(1.0, 0, 20, 0.25))
         assert strategy(np.array([2.0]), 5) == pytest.approx(dynamic_lambda(2.0, 5, 20, 0.25))
-        kelly = build_strategy(StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75))
+        kelly = build_strategy(StrategySpec(StrategyKind.KELLY), BERNOULLI, 20)
         assert kelly(np.array([3.0, 0.5]), 7) == 1.0
 
     def test_hedged_cs_has_no_per_step_schedule(self):
         with pytest.raises(ValueError):
-            build_strategy(StrategySpec(StrategyKind.HEDGED_CS, lam=0.5))
+            build_strategy(StrategySpec(StrategyKind.HEDGED_CS, lam=0.5), BERNOULLI, 20)

@@ -7,7 +7,7 @@ import pytest
 
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import (CashFlow, Family, HypothesisSpec,
+from hedgetest.wealth import (CashFlow, HypothesisSpec,
                               InadmissibleBetError, OutcomeError, WealthPath,
                               cash_flow, evolve, hedged_cs, run_hedged_cs,
                               run_process, terminal_wealth, update_wealth,
@@ -16,7 +16,7 @@ from hedgetest.wealth import (CashFlow, Family, HypothesisSpec,
 from oracles import wealth_by_hand
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
-KELLY = build_strategy(StrategySpec(StrategyKind.KELLY, p0=0.5, p1=0.75))
+KELLY = build_strategy(StrategySpec(StrategyKind.KELLY), BERNOULLI, 20)
 
 
 def path_values(strategy, outcomes, hyp):
@@ -92,8 +92,6 @@ class TestHypothesisSpec:
 
     def test_log_normal_null_mean_is_exp_half(self):
         assert HypothesisSpec.log_normal().null_mean == math.exp(0.5)
-        with pytest.raises(ValueError):
-            HypothesisSpec(Family.LOG_NORMAL_UNIT_VARIANCE, 0.0, None, null_mean=0.5)
 
     def test_bernoulli_params_validated(self):
         with pytest.raises(ValueError):
@@ -123,8 +121,8 @@ class TestRunProcess:
     def test_path_satisfies_recurrence(self):
         rng = stream(11, 0)
         outcomes = (rng.random(25) < 0.6).astype(float)
-        dynamic = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25, horizon=25)
-        path = run_process(build_strategy(dynamic), outcomes, BERNOULLI)
+        dynamic = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25)
+        path = run_process(build_strategy(dynamic, BERNOULLI, 25), outcomes, BERNOULLI)
         expected = wealth_by_hand(path.lambdas, outcomes, 0.5)
         assert np.allclose(path.values, expected, rtol=0, atol=1e-15)
 

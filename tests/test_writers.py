@@ -116,12 +116,12 @@ def experiments(draw):
     hedge = None
     if kind == "dynamic":
         strategy = StrategySpec(StrategyKind.DYNAMIC_FLOOR,
-                                floor=draw(st.floats(0.01, 0.99)), horizon=horizon)
+                                floor=draw(st.floats(0.01, 0.99)))
     elif kind == "fixed" or (kind == "hedged" and draw(st.booleans())):
         strategy = StrategySpec(StrategyKind.FIXED_LAMBDA,
                                 lam=draw(st.floats(0.05, 1.95)))
     else:
-        strategy = StrategySpec(StrategyKind.KELLY, p0=0.5, p1=hyp.alt_param)
+        strategy = StrategySpec(StrategyKind.KELLY)
     if kind == "hedged":
         hedge = HedgeSpec(expiry=draw(st.integers(0, horizon)))
     config = ExperimentConfig(
