@@ -17,6 +17,7 @@ process on bounded sequences supplied by the ingest pipeline.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -305,25 +306,19 @@ class ScreeningResult:
         return self.report.power
 
 
-def _null_terminal_sample(lam: float, tau: int, n: int, seed: int) -> np.ndarray:
-    """n null draws of the two-sided terminal wealth K_tau.
+def _null_terminal_rows(rng: np.random.Generator, lam: float, out: np.ndarray,
+                        up_buf: np.ndarray, down_buf: np.ndarray) -> None:
+    """Fill out with the next len(out) rows of rng's null K_tau draws.
 
-    K_tau = 0.5*prod(1 + lam*dev) + 0.5*prod(1 - lam*dev) with dev = u - 1/2:
-    only K_tau is needed, so the legs are closed-form products rather than
-    steps of hedged_cs.  The uniforms come from the fraction's own stream in
-    consecutive blocks of MC_BLOCK rows through two reused (tau, MC_BLOCK)
-    buffers, so memory stays O(MC_BLOCK * tau) however many samples are
-    drawn.  A block is drawn row-major, as one (n, tau) table would be, and
-    stored transposed, so each product runs across a contiguous row of the
-    buffer per step instead of along one long dependency chain per sample.
-    The draws, and the left-to-right order of every product, are those of
-    the one-table formula, so the samples are the same bits.
+    The rows go in consecutive blocks of the buffers' width.  A block is
+    drawn row-major, as one (n, tau) table would be, and stored transposed,
+    so each product runs across a contiguous row of the buffer per step
+    instead of along one long dependency chain per sample.
     """
-    rng = stream(seed, _PRICE_TAG, int(round(lam * 1_000_000)), tau)
-    up_buf, down_buf = np.empty((tau, MC_BLOCK)), np.empty((tau, MC_BLOCK))
-    out = np.empty(n)
-    for start in range(0, n, MC_BLOCK):
-        stop = min(start + MC_BLOCK, n)
+    tau, width = up_buf.shape
+    n = len(out)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
         block = stop - start
         draws = down_buf.reshape(-1)[:block * tau].reshape(block, tau)   # row-major
         rng.random(out=draws)
@@ -333,6 +328,46 @@ def _null_terminal_sample(lam: float, tau: int, n: int, seed: int) -> np.ndarray
         np.subtract(1.0, up, out=down)
         up += 1.0
         out[start:stop] = 0.5 * np.prod(up, axis=0) + 0.5 * np.prod(down, axis=0)
+
+
+def _null_terminal_sample(lam: float, tau: int, n: int, seed: int) -> np.ndarray:
+    """n null draws of the two-sided terminal wealth K_tau.
+
+    K_tau = 0.5*prod(1 + lam*dev) + 0.5*prod(1 - lam*dev) with dev = u - 1/2:
+    only K_tau is needed, so the legs are closed-form products rather than
+    steps of hedged_cs.  The rows [0, n) are cut into one contiguous range
+    per CPU the process may use (at most n; a single range runs inline),
+    and range [a, b) is drawn on its own thread from the fraction's stream
+    jumped ahead by a * tau draws, so every row gets the same uniforms
+    whatever the CPU count.  The draws, and the left-to-right order of
+    every product, are those of the one-table formula, so the samples are
+    the same bits.
+
+    Memory stays one (tau, MC_BLOCK) buffer pair in total however many
+    samples or CPUs there are: the calling thread allocates the output and
+    each range's two (tau, ceil(MC_BLOCK / ranges)) buffers, and a thread
+    allocates only its per-block (block,) temporaries.  Large arrays freed on
+    worker threads would stay in glibc's per-thread arenas and raise the
+    peak RSS, which is also why the strike solve stays on the calling thread.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    ranges = max(1, min(cpus, n))
+    key, width = int(round(lam * 1_000_000)), -(-MC_BLOCK // ranges)
+    bounds = [n * i // ranges for i in range(ranges + 1)]
+    out = np.empty(n)
+    jobs = [(stream(seed, _PRICE_TAG, key, tau, skip=a * tau), lam, out[a:b],
+             np.empty((tau, width)), np.empty((tau, width)))
+            for a, b in zip(bounds, bounds[1:])]
+    if len(jobs) == 1:
+        _null_terminal_rows(*jobs[0])
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        for future in [pool.submit(_null_terminal_rows, *job) for job in jobs]:
+            future.result()
     return out
 
 

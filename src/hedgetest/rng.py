@@ -2,9 +2,13 @@
 
 Two primitives, both keyed by a seed and small nonnegative integer tags:
 
-* ``stream(seed, *tags)`` is a sequential generator for one purpose (a
-  synthetic matrix, a screening price sample, a Monte Carlo run drawn in
-  fixed-size blocks).
+* ``stream(seed, *tags, skip=0)`` is a sequential PCG64 generator for one
+  purpose (a synthetic matrix, a screening price sample, a Monte Carlo run
+  drawn in fixed-size blocks).  ``skip=k`` jumps it ahead by k 64-bit
+  outputs in O(log k) steps (O'Neill, "PCG", 2014), one per float64 of
+  ``Generator.random``, so ``stream(..., skip=k).random(m)`` equals
+  ``stream(...).random(k + m)[k:]`` and disjoint row ranges of one stream
+  can be drawn independently.
 * ``rows(seed, tag, start, stop, width)`` is a row-addressable table of
   uniforms: a counter-based Philox generator keyed by (seed, tag), where row
   i starts at counter i * ceil(width / 4) (Salmon et al., "Parallel Random
@@ -25,14 +29,19 @@ DEFAULT_SEED = 271828
 _WORDS_PER_COUNTER = 4
 
 
-def stream(seed: int, *tags: int) -> np.random.Generator:
-    """Return the generator for a (seed, *tags) stream.
+def stream(seed: int, *tags: int, skip: int = 0) -> np.random.Generator:
+    """Return the generator for a (seed, *tags) stream, advanced by skip.
 
     Tags are small nonnegative integers naming the purpose of the stream
     (experiment, pricing, replication index, ...).  Distinct tag tuples give
-    statistically independent streams.
+    statistically independent streams.  ``skip`` advances the PCG64 state by
+    that many 64-bit outputs, so ``stream(seed, *tags, skip=k).random(m)``
+    is ``stream(seed, *tags).random(k + m)[k:]``, bit for bit.
     """
-    return np.random.default_rng([int(seed), *[int(t) for t in tags]])
+    rng = np.random.default_rng([int(seed), *[int(t) for t in tags]])
+    if skip:
+        rng.bit_generator.advance(skip)
+    return rng
 
 
 def rows(seed: int, tag: int, start: int, stop: int, width: int) -> np.ndarray:

@@ -74,6 +74,8 @@ class HypothesisSpec:
         elif self.family is Family.BOUNDED_MEAN:
             if not 0.0 < self.null_param < 1.0:
                 raise ValueError(f"bounded null mean {self.null_param} not in (0, 1)")
+        elif self.null_param != 0.0:
+            raise ValueError(f"log-normal null mu must be 0, got {self.null_param}")
 
     @property
     def null_mean(self) -> float:

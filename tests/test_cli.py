@@ -1,5 +1,6 @@
 """CLI tests: the executable is a thin adapter over the library."""
 
+import itertools
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hedgetest import harness
 from hedgetest.cli import main
 from hedgetest.harness import load_config, result_csv, result_json, run_experiment
 from hedgetest.pricing import Contract, LatticeModel, lattice_price, solve_hedge_strike
@@ -393,6 +395,34 @@ class TestScreen:
                     (tmp_path / "screen.csv").read_text().splitlines()
                     if l.startswith("# ")]
         assert comments == [[k, str(v)] for k, v in settings.items()]
+
+    def test_hedged_output_is_the_same_bytes_on_any_cpu_count(self, tmp_path, capsys,
+                                                              monkeypatch):
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / f"cpus{cpus}"
+            code, _, _ = run_cli(capsys, "screen", "--synthetic", "shifted", "--hedge",
+                                 "--genes", "300", "--samples", "40", "--out", str(out))
+            assert code == 0
+            written.append([(tmp_path / f"cpus{cpus}.{ext}").read_bytes()
+                            for ext in ("csv", "json")])
+        assert written[0] == written[1]
+
+    def test_failure_on_a_sampling_thread_reaches_the_caller(self, capsys, monkeypatch):
+        calls, fill = itertools.count(), harness._null_terminal_rows
+
+        def fail_every_second_range(*args):
+            if next(calls) % 2:
+                raise RuntimeError("sampling thread failed")
+            fill(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(harness, "_null_terminal_rows", fail_every_second_range)
+        with pytest.raises(RuntimeError, match="sampling thread failed"):
+            run_cli(capsys, "screen", "--synthetic", "shifted", "--hedge",
+                    "--genes", "300", "--samples", "40")
 
     def test_matrix_and_synthetic_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "screen", "--synthetic", "null",

@@ -2,6 +2,7 @@
 machine-readable output."""
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,18 @@ class TestNullTerminalSample:
     @pytest.mark.parametrize("n", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 100_000])
     def test_blocks_are_the_one_shot_table_bit_for_bit(self, lam, tau, n):
         seed = 271828
+        rng = stream(seed, _PRICE_TAG, int(round(lam * 1_000_000)), tau)
+        expected = two_sided_terminal_one_shot(rng, lam, tau, n)
+        assert _null_terminal_sample(lam, tau, n, seed).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, MC_BLOCK - 1, MC_BLOCK + 1, 100_000])
+    def test_any_cpu_count_is_the_one_shot_table_bit_for_bit(self, monkeypatch,
+                                                              cpus, tau, n):
+        seed, lam = 271828, 0.7
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         rng = stream(seed, _PRICE_TAG, int(round(lam * 1_000_000)), tau)
         expected = two_sided_terminal_one_shot(rng, lam, tau, n)
         assert _null_terminal_sample(lam, tau, n, seed).tobytes() == expected.tobytes()

@@ -6,8 +6,9 @@ root zeroes the floor residual, no sign change of the residual on a dense
 grid goes without a root, and with expiry at the horizon the worst hedged
 final wealth over all enumerated paths is the floor itself.  Any chunk of
 the counter-based row table is the same bits as the slice of the whole, and
-the wealth engine run on a batch is, row for row, the same bits as each row
-run alone and the step-by-step recurrence of the oracle.  Lattice marks are
+so is a stream jumped ahead by k draws.  The wealth engine run on a batch
+is, row for row, the same bits as each row run alone and the step-by-step
+recurrence of the oracle.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
 there; a portfolio's lookup marks along a random path agree with a fresh
 lattice priced at every step.  A config written out from its resolved view
@@ -147,6 +148,23 @@ def test_row_chunk_equals_slice_of_the_table(case):
     chunk = rows(seed, tag, a, b, width)
     assert table.shape == (n, width)
     assert np.array_equal(chunk, table[a:b])
+
+
+@st.composite
+def stream_skips(draw):
+    return (draw(st.integers(0, 2**32 - 1)),
+            tuple(draw(st.lists(st.integers(0, 2**32 - 1), max_size=4))),
+            draw(st.integers(0, 5000)), draw(st.integers(0, 300)))
+
+
+@DETERMINISTIC
+@given(stream_skips())
+def test_skipped_stream_is_the_slice_of_the_stream(case):
+    seed, tags, k, m = case
+    whole = np.random.default_rng([seed, *tags]).random(k + m)
+    assert stream(seed, *tags).random(k + m).tobytes() == whole.tobytes()
+    assert stream(seed, *tags, skip=0).random(k + m).tobytes() == whole.tobytes()
+    assert stream(seed, *tags, skip=k).random(m).tobytes() == whole[k:].tobytes()
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import (CashFlow, HypothesisSpec,
+from hedgetest.wealth import (CashFlow, Family, HypothesisSpec,
                               InadmissibleBetError, OutcomeError, WealthPath,
                               cash_flow, evolve, hedged_cs, run_hedged_cs,
                               run_process, terminal_wealth, update_wealth,
@@ -92,6 +92,12 @@ class TestHypothesisSpec:
 
     def test_log_normal_null_mean_is_exp_half(self):
         assert HypothesisSpec.log_normal().null_mean == math.exp(0.5)
+
+    @pytest.mark.parametrize("mu", [0.3, -1.0, math.nan])
+    def test_log_normal_null_mu_must_be_zero(self, mu):
+        with pytest.raises(ValueError):
+            HypothesisSpec(Family.LOG_NORMAL_UNIT_VARIANCE, mu)
+        assert HypothesisSpec.log_normal().null_param == 0.0
 
     def test_bernoulli_params_validated(self):
         with pytest.raises(ValueError):
