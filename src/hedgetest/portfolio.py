@@ -1,23 +1,28 @@
 """Multi-leg investigator portfolios on a lattice-driven risky wealth process.
 
 A portfolio holds cash, shares of the underlying test wealth process, and
-European contracts marked at their risk-neutral lattice value.  Each
-contract's node table is backward-induced once, when it is traded, and every
-later mark is a lookup by elapsed time and up-moves since the trade.  Trades
-are value-neutral exchanges constrained so that total value can never go
-negative: loans and shorts respect the one-period bounds, and derivative
-trades are vetted by an exact worst-case sweep over lattice paths to expiry.
-The total value is itself a test wealth process, so the usual anytime-valid
-decision rule applies to it unchanged.
+European contracts marked at their risk-neutral lattice value.  Each held
+contract is a trade record, built once when it is traded and shared by every
+later portfolio: the contract, the quantity and the node table
+backward-induced at the trade.  The portfolio, an immutable named tuple,
+carries one mark per record, and each step looks the new marks up by elapsed
+time and up-moves since the trade.  Trades are value-neutral exchanges
+constrained so that total value can never go negative: loans and shorts
+respect the one-period bounds, and derivative trades, and any cash-and-shares
+move while contracts are live, are vetted by an exact worst-case sweep over
+lattice paths to expiry.  The total value is itself a test wealth process,
+so the usual anytime-valid decision rule applies to it unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .pricing import Contract, LatticeModel, lattice_node_values
+from .pricing import (Contract, LatticeModel, lattice_node_values,
+                      risk_neutral_up_prob)
 
 # Tolerance for enforcing risk-neutral trade prices and value neutrality.
 _PRICE_TOL = 1e-9
@@ -37,22 +42,18 @@ class MispricedTradeError(ValueError):
 
 @dataclass(frozen=True)
 class DerivativePosition:
-    """A contract holding marked by lookup in the node table of its trade.
+    """The record of one trade: what was traded, and the node table to mark it.
 
     nodes[s][j] is the per-contract value s steps after the trade and j
-    up-moves since it; the last level is the payoff.
+    up-moves since it; the last level is the payoff.  The record never
+    changes; the current mark lives in the portfolio's `marks`.
     """
 
     contract: Contract     # expiry is absolute time on the experiment clock
     quantity: float        # negative when issued
-    mark_value: float      # per-contract risk-neutral value at the current node
     nodes: tuple = field(compare=False, repr=False)
     opened: int = field(compare=False, repr=False)       # trade time
     opened_ups: int = field(compare=False, repr=False)   # portfolio.ups at the trade
-
-    @property
-    def value(self) -> float:
-        return self.quantity * self.mark_value
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,13 @@ class TradeLimits:
     max_short: float
 
 
-@dataclass(frozen=True)
-class Portfolio:
-    """Holdings (cash, risky shares, contracts) at one node of the lattice."""
+class Portfolio(NamedTuple):
+    """Holdings (cash, risky shares, contracts) at one node of the lattice.
+
+    marks[i] is the per-contract risk-neutral value of positions[i] at this
+    node: its node-table entry while live, its payoff once expired.  A
+    position without a mark is an error, never a value of 0.
+    """
 
     risk_free: float
     risky_value: float
@@ -73,15 +78,18 @@ class Portfolio:
     underlying: float = 1.0    # unit wealth-process level, used for marking
     time: int = 0
     ups: int = 0               # up-moves stepped through so far
+    marks: tuple[float, ...] = ()
 
     @classmethod
     def initial(cls, up_factor: float, down_factor: float) -> "Portfolio":
-        """All-cash unit portfolio at time 0."""
+        """All-cash unit portfolio at time 0; needs 0 < down < 1 < up."""
+        risk_neutral_up_prob(up_factor, down_factor)
         return cls(1.0, 0.0, (), up_factor, down_factor)
 
     @property
     def derivative_value(self) -> float:
-        return sum(pos.value for pos in self.positions)
+        return sum(pos.quantity * mark
+                   for pos, mark in zip(self.positions, self.marks, strict=True))
 
     @property
     def total_value(self) -> float:
@@ -89,13 +97,16 @@ class Portfolio:
 
 
 def trade_limits(portfolio: Portfolio) -> TradeLimits:
-    """One-period loan and short bounds keeping worst-case value nonnegative.
+    """One-period loan and short bounds keeping the cash and shares nonnegative.
 
     A transfer of a into the risky leg survives a down-move iff
     a <= (K_free + d*K_risky) / (1 - d); a short of b survives an up-move iff
-    b <= (K_free + u*K_risky) / (u - 1).
+    b <= (K_free + u*K_risky) / (u - 1).  The bounds cover cash and shares
+    only: move_to_risky vets a portfolio holding live contracts with the
+    exact worst-case sweep as well.
     """
     u, d = portfolio.up_factor, portfolio.down_factor
+    risk_neutral_up_prob(u, d)
     free, risky = portfolio.risk_free, portfolio.risky_value
     return TradeLimits(max_loan=(free + d * risky) / (1.0 - d),
                        max_short=(free + u * risky) / (u - 1.0))
@@ -104,7 +115,9 @@ def trade_limits(portfolio: Portfolio) -> TradeLimits:
 def move_to_risky(portfolio: Portfolio, amount: float) -> Portfolio:
     """Exchange `amount` of cash for risky shares (negative sells / shorts).
 
-    Bounded above by the loan limit and below by the negated short limit.
+    Bounded above by the loan limit and below by the negated short limit;
+    with live contracts held, also rejected if a lattice path to the last
+    expiry could bankrupt the portfolio.
     """
     limits = trade_limits(portfolio)
     if amount > limits.max_loan + _PRICE_TOL:
@@ -113,9 +126,18 @@ def move_to_risky(portfolio: Portfolio, amount: float) -> Portfolio:
     if -amount > limits.max_short + _PRICE_TOL:
         raise TradeLimitError(
             f"short {-amount} exceeds the short limit {limits.max_short}")
-    return replace(portfolio,
-                   risk_free=portfolio.risk_free - amount,
-                   risky_value=portfolio.risky_value + amount)
+    moved = portfolio._replace(risk_free=portfolio.risk_free - amount,
+                               risky_value=portfolio.risky_value + amount)
+    if any(pos.contract.expiry > portfolio.time for pos in portfolio.positions):
+        _vet(moved)
+    return moved
+
+
+def _vet(portfolio: Portfolio) -> None:
+    worst = _worst_case_terminal(portfolio)
+    if worst < -_PRICE_TOL:
+        raise BankruptcyRiskError(
+            f"trade admits a negative worst-case value {worst}")
 
 
 def _worst_case_terminal(portfolio: Portfolio) -> float:
@@ -126,7 +148,8 @@ def _worst_case_terminal(portfolio: Portfolio) -> float:
     even though it covers all 2^h paths.
     """
     live = [p for p in portfolio.positions if p.contract.expiry > portfolio.time]
-    frozen = sum(p.value for p in portfolio.positions
+    frozen = sum(p.quantity * mark
+                 for p, mark in zip(portfolio.positions, portfolio.marks, strict=True)
                  if p.contract.expiry <= portfolio.time)
     u, d = portfolio.up_factor, portfolio.down_factor
     if not live:
@@ -181,15 +204,12 @@ def _traded(portfolio: Portfolio, contract: Contract, quantity: float,
     elif abs(price - mark) > _PRICE_TOL:
         raise MispricedTradeError(
             f"trade price {price} differs from the risk-neutral value {mark}")
-    position = DerivativePosition(contract, quantity, mark, nodes,
+    position = DerivativePosition(contract, quantity, nodes,
                                   portfolio.time, portfolio.ups)
-    candidate = replace(portfolio,
-                        risk_free=portfolio.risk_free - quantity * price,
-                        positions=portfolio.positions + (position,))
-    worst = _worst_case_terminal(candidate)
-    if worst < -_PRICE_TOL:
-        raise BankruptcyRiskError(
-            f"trade admits a negative worst-case value {worst}")
+    candidate = portfolio._replace(risk_free=portfolio.risk_free - quantity * price,
+                                   positions=portfolio.positions + (position,),
+                                   marks=portfolio.marks + (mark,))
+    _vet(candidate)
     return candidate
 
 
@@ -215,25 +235,18 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     The risky leg and the underlying move by the same factor; every live
     contract is re-marked by lookup in its node table at the new node
     (payoff once it expires, frozen thereafter), with no pricing call; cash
-    is unchanged (r = 0).
+    is unchanged (r = 0).  The position records are shared, not copied.
     """
-    if outcome not in (0.0, 1.0):
+    free, risky, positions, u, d, underlying, t, ups, marks = portfolio
+    if outcome == 1.0:
+        factor, ups = u, ups + 1
+    elif outcome == 0.0:
+        factor = d
+    else:
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
-    up = outcome == 1.0
-    factor = portfolio.up_factor if up else portfolio.down_factor
-    t, ups = portfolio.time + 1, portfolio.ups + up
-    # the constructors, not dataclasses.replace, which costs several times more
-    positions = tuple(
-        DerivativePosition(pos.contract, pos.quantity,
-                           pos.nodes[t - pos.opened][ups - pos.opened_ups],
-                           pos.nodes, pos.opened, pos.opened_ups)
-        if pos.contract.expiry >= t else pos    # expired: payoff value is frozen
-        for pos in portfolio.positions)
-    return Portfolio(risk_free=portfolio.risk_free,
-                     risky_value=portfolio.risky_value * factor,
-                     positions=positions,
-                     up_factor=portfolio.up_factor,
-                     down_factor=portfolio.down_factor,
-                     underlying=portfolio.underlying * factor,
-                     time=t,
-                     ups=ups)
+    t += 1
+    marks = tuple([pos.nodes[t - pos.opened][ups - pos.opened_ups]
+                   if pos.contract.expiry >= t else mark   # expired: payoff is frozen
+                   for pos, mark in zip(positions, marks, strict=True)])
+    return Portfolio(free, risky * factor, positions, u, d, underlying * factor,
+                     t, ups, marks)

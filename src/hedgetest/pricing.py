@@ -236,14 +236,21 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
     -W*S**2 + (1 + M)*S - floor, W and M the sums of the weights and of
     weights*atoms below S, so every root has a closed form.  Empty when the
     floor is unattainable at any strike.
+
+    Tie rule: equal atoms are summed in increasing order of weight, so the
+    roots depend on the measure alone and not on the order of the pairs.
     """
     if not 0.0 < floor < 1.0:
         raise ValueError(f"floor {floor} must lie in (0, 1)")
     x, w = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
     if x.shape != w.shape or np.any(x < 0.0) or np.any(w < 0.0):
         raise ValueError("need one nonnegative weight per nonnegative atom")
-    order = np.argsort(x, kind="stable")
-    x, w = x[order], w[order]
+    order = np.argsort(x)
+    ascending = x[order]
+    if np.any(ascending[1:] == ascending[:-1]):
+        order = np.lexsort((w, x))
+        ascending = x[order]
+    x, w = ascending, w[order]
     # interval k is (lo[k], hi[k]] with the k smallest atoms below it
     lo = np.concatenate(([0.0], x))
     hi = np.concatenate((x, [np.inf]))

@@ -3,12 +3,15 @@
 These deliberately avoid the code paths they validate: prices come from
 exhaustive path enumeration or direct binomial expectations instead of
 backward induction, portfolio marks from a fresh lattice at each node
-instead of the node table kept since the trade, wealth recurrences are
-evaluated step by step in plain Python, and the per-episode CSVs are
-written with one f-string per row instead of one format per distinct value.
+instead of the node table kept since the trade, or rebuilt one position at
+a time in a loop, wealth recurrences are evaluated step by step in plain
+Python, put-floor strikes interval by interval in plain Python after a
+stable sort, and the per-episode CSVs are written with one f-string per
+row instead of one format per distinct value.
 """
 
 import itertools
+import math
 from dataclasses import replace
 from math import comb
 
@@ -81,6 +84,64 @@ def fresh_mark(u, d, contract, underlying, t):
     model = LatticeModel(u, d, remaining)
     rebased = replace(contract, expiry=remaining)
     return lattice_price(model, rebased, spot=underlying).value
+
+
+def step_by_remark(portfolio, outcome):
+    """One lattice step that rebuilds the marks one position at a time.
+
+    Each live position's mark is looked up afresh in its node table and an
+    expired one keeps its previous mark, in a plain loop; the new portfolio
+    is built by keyword.  Returns the new portfolio and its total value,
+    summed as cash + shares + each quantity * mark in position order.
+    """
+    if outcome not in (0.0, 1.0):
+        raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
+    up = int(outcome == 1.0)
+    factor = portfolio.up_factor if up else portfolio.down_factor
+    t, ups = portfolio.time + 1, portfolio.ups + up
+    marks = []
+    for pos, mark in zip(portfolio.positions, portfolio.marks):
+        if pos.contract.expiry >= t:
+            mark = pos.nodes[t - pos.opened][ups - pos.opened_ups]
+        marks.append(mark)
+    moved = portfolio._replace(risky_value=portfolio.risky_value * factor,
+                               underlying=portfolio.underlying * factor,
+                               time=t, ups=ups, marks=tuple(marks))
+    total = moved.risk_free + moved.risky_value + sum(
+        pos.quantity * mark for pos, mark in zip(moved.positions, marks))
+    return moved, total
+
+
+def floor_strikes_by_interval(atoms, weights, floor):
+    """put_floor_strikes after a stable sort, one interval at a time.
+
+    Walks the atoms in ascending order (equal atoms in input order) with
+    running sums W of the weights and M of weights*atoms below each
+    interval, and keeps the roots of -W*S**2 + (1 + M)*S - floor inside it.
+    The arithmetic is the library's, term for term, so tie-free inputs
+    must give the same bits.
+    """
+    pairs = sorted(zip(map(float, atoms), map(float, weights)), key=lambda p: p[0])
+    bounds = [0.0] + [x for x, _ in pairs] + [math.inf]
+    mass, moment, roots = 0.0, 0.0, []
+    for k in range(len(pairs) + 1):
+        if k:
+            x, w = pairs[k - 1]
+            mass, moment = mass + w, moment + w * x
+        lo, hi = bounds[k], bounds[k + 1]
+        b = 1.0 + moment
+        disc = b * b - 4.0 * mass * floor
+        if disc < 0.0:
+            continue
+        q = b + math.sqrt(disc)
+        small = 2.0 * floor / q
+        if lo < small <= hi:
+            roots.append(small)
+        if disc > 0.0 and mass > 0.0:
+            large = q / (2.0 * mass)
+            if lo < large <= hi:
+                roots.append(large)
+    return sorted(roots)
 
 
 def enumerate_paths_min(u, d, tau, payoff, spot=1.0):

@@ -56,6 +56,28 @@ class TestTradeLimits:
         with pytest.raises(TradeLimitError):
             move_to_risky(all_cash(), -(2.0 + 1e-6))
 
+    @pytest.mark.parametrize("u, d", [(1.0, 0.5), (1.5, -0.2), (0.8, 0.5)])
+    def test_lattice_factors_need_down_below_one_below_up(self, u, d):
+        with pytest.raises(ValueError):
+            Portfolio.initial(u, d)
+        with pytest.raises(ValueError):
+            trade_limits(Portfolio(1.0, 0.0, (), u, d))
+        with pytest.raises(ValueError):
+            move_to_risky(Portfolio(1.0, 0.0, (), u, d), 0.1)
+
+    @pytest.mark.parametrize("written, amount", [
+        (Contract.call(1.0, 1), -2.5),     # short into an issued call's up-move
+        (Contract.put(1.0, 1), 2.5),       # loan into an issued put's down-move
+    ])
+    def test_move_within_limits_that_contracts_could_bankrupt_rejected(
+            self, written, amount):
+        p = issue_contract(all_cash(), written, quantity=1.0)
+        limits = trade_limits(p)
+        assert -limits.max_short <= amount <= limits.max_loan
+        with pytest.raises(BankruptcyRiskError):
+            move_to_risky(p, amount)
+        assert move_to_risky(p, amount / 2).total_value == pytest.approx(1.0)
+
 
 class TestRebalance:
     def test_moves_are_value_neutral(self):
@@ -105,21 +127,41 @@ class TestStep:
         for _ in range(3):
             p = step(p, 0.0)
         assert p.underlying == pytest.approx(0.125)
-        assert p.positions[0].mark_value == pytest.approx(0.125)
+        assert p.marks[0] == pytest.approx(0.125)
         # risky 1/8 plus put payoff 1/8: wealth 1/4 instead of 1/8
-        assert p.risky_value + p.positions[0].value == pytest.approx(0.25)
+        assert p.risky_value + p.positions[0].quantity * p.marks[0] == pytest.approx(0.25)
 
     def test_expired_mark_stays_frozen(self):
         contract = Contract.put(0.25, 2)
         p = buy_contract(all_risky(), contract, quantity=1.0)
         p = step(step(p, 0.0), 0.0)
-        frozen = p.positions[0].mark_value
+        frozen = p.marks[0]
         p = step(p, 1.0)
-        assert p.positions[0].mark_value == frozen
+        assert p.marks[0] == frozen
 
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ValueError):
             step(all_risky(), 0.5)
+
+    def test_portfolio_fields_cannot_be_assigned(self):
+        p = buy_contract(all_risky(), Contract.put(0.25, 3), quantity=1.0)
+        with pytest.raises(AttributeError):
+            p.risk_free = 2.0
+        with pytest.raises(AttributeError):
+            step(p, 1.0).positions = ()
+
+    def test_position_without_a_mark_rejected(self):
+        held = buy_contract(all_risky(), Contract.put(0.25, 3), quantity=1.0)
+        unmarked = Portfolio(held.risk_free, held.risky_value, held.positions, U, D)
+        with pytest.raises(ValueError):
+            unmarked.total_value
+        with pytest.raises(ValueError):
+            step(unmarked, 1.0)
+
+    def test_clock_stays_python_int_on_numpy_outcomes(self):
+        p = step(step(all_risky(), np.float64(1.0)), np.float64(0.0))
+        assert (p.time, p.ups) == (2, 1)
+        assert type(p.time) is int and type(p.ups) is int
 
     def test_one_backward_induction_per_trade_none_per_step(self, monkeypatch):
         # counted under both names, so a lattice_price call would count too
@@ -146,8 +188,8 @@ class TestStep:
         dust = Contract(ContractKind.CUSTOM_EUROPEAN, 0.0, 3,
                         payoff_fn=lambda k: np.full_like(k, -1e-16))
         p = buy_contract(all_risky(), dust, quantity=1.0)
-        assert p.positions[0].mark_value == 0.0
-        assert step(p, 0.0).positions[0].mark_value == 0.0
+        assert p.marks[0] == 0.0
+        assert step(p, 0.0).marks[0] == 0.0
 
     def test_negative_node_value_rejected_at_trade(self):
         # a forward at strike 1 is worth 0 at the root but -1/2 after a loss

@@ -4,15 +4,18 @@ Random lattices (betting fraction, null parameter, floor, horizon) and
 random discrete measures are checked against the oracles: every returned
 root zeroes the floor residual, no sign change of the residual on a dense
 grid goes without a root, and with expiry at the horizon the worst hedged
-final wealth over all enumerated paths is the floor itself.  Any chunk of
+final wealth over all enumerated paths is the floor itself.  The roots do
+not depend on the order of the (atom, weight) pairs, ties included, and
+without ties they are the bits of the stable-sort oracle.  Any chunk of
 the counter-based row table is the same bits as the slice of the whole, and
 so is a stream jumped ahead by k draws.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
 recurrence of the oracle.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
 there; a portfolio's lookup marks along a random path agree with a fresh
-lattice priced at every step.  A config written out from its resolved view
-and read back resolves to the same view.
+lattice priced at every step, and a step's marks and total are the bits of
+the oracle that re-marks every position in a loop.  A config written out
+from its resolved view and read back resolves to the same view.
 """
 
 from dataclasses import replace
@@ -24,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 from hedgetest.harness import (config_dict, config_from_dict, load_config,
                                parse_config_text)
-from hedgetest.portfolio import Portfolio, buy_contract, step
+from hedgetest.portfolio import (BankruptcyRiskError, Portfolio, buy_contract,
+                                 issue_contract, move_to_risky, step)
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                lattice_node_values, lattice_price,
                                put_floor_strikes, solve_hedge_strike)
@@ -32,7 +36,8 @@ from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, evolve, run_process
 
-from oracles import (binomial_weight_price, enumerate_paths_min, fresh_mark,
+from oracles import (binomial_weight_price, enumerate_paths_min,
+                     floor_strikes_by_interval, fresh_mark, step_by_remark,
                      wealth_by_hand)
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
@@ -129,6 +134,38 @@ def test_discrete_measure_roots(case):
         assert abs(residual(root)) <= 1e-12
     grid = np.linspace(0.0, 1.0 + atoms.max(), 2001)
     assert_sign_changes_bracketed(grid, np.array([residual(s) for s in grid]), roots)
+
+
+@st.composite
+def tied_measures(draw):
+    n = draw(st.integers(1, 30))
+    atom = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(0.0, 3.0)
+    atoms = draw(st.lists(atom, min_size=n, max_size=n))
+    mass = draw(st.lists(st.sampled_from([0.1, 0.5]) | st.floats(0.01, 1.0),
+                         min_size=n, max_size=n))
+    atoms.append(atoms[0])          # at least one tie
+    mass.append(draw(st.sampled_from([mass[0], 0.3])))
+    weights = np.array(mass) / sum(mass)
+    order = np.array(draw(st.permutations(range(n + 1))))
+    return np.array(atoms), weights, order, draw(st.floats(0.01, 0.99))
+
+
+@DETERMINISTIC
+@given(tied_measures())
+def test_floor_strikes_do_not_depend_on_the_order_of_the_pairs(case):
+    atoms, weights, order, floor = case
+    assert put_floor_strikes(atoms[order], weights[order], floor) \
+        == put_floor_strikes(atoms, weights, floor)
+
+
+@DETERMINISTIC
+@given(measures())
+def test_tie_free_floor_strikes_are_the_stable_sort_reference(case):
+    atoms, weights, floor = case
+    atoms = np.unique(atoms)
+    weights = weights[:atoms.size]
+    assert put_floor_strikes(atoms[::-1], weights[::-1], floor) \
+        == floor_strikes_by_interval(atoms[::-1], weights[::-1], floor)
 
 
 @st.composite
@@ -279,14 +316,51 @@ def test_lookup_marks_equal_a_fresh_lattice_at_every_step(case):
             quantity = 1.0 / (3.0 * max(1.0, p.underlying, contract.strike))
             p = buy_contract(p, contract, quantity)
             opened.append((p.underlying, p.time, p.ups))
-        for pos, (spot, time, ups) in zip(p.positions, opened):
+        for pos, mark, (spot, time, ups) in zip(p.positions, p.marks, opened):
             if p.time > pos.contract.expiry:
                 continue
             fresh = fresh_mark(u, d, pos.contract, p.underlying, p.time)
-            assert abs(pos.mark_value - fresh) <= max(1e-12 * abs(fresh), 1e-15)
+            assert abs(mark - fresh) <= max(1e-12 * abs(fresh), 1e-15)
             if p.time == pos.contract.expiry:
+                # the node as the lattice computes it: numpy's vectorized
+                # power may differ from Python's u ** j in the last bit
                 s, j = p.time - time, p.ups - ups
-                assert pos.mark_value == pos.contract.payoff(spot * u ** j * d ** (s - j))
+                node = LatticeModel(u, d, s).terminal_values(s, spot)[j]
+                assert mark == pos.contract.payoff(float(node))
+
+
+@st.composite
+def trade_walks(draw):
+    u, d = draw(st.floats(1.01, 3.0)), draw(st.floats(0.05, 0.99))
+    outcome = st.sampled_from([0.0, 1.0, np.float64(0.0), np.float64(1.0)])
+    path = draw(st.lists(outcome, min_size=1, max_size=12))
+    trades = {}
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.integers(0, len(path) - 1))
+        make = draw(st.sampled_from([Contract.put, Contract.call]))
+        contract = make(draw(st.floats(0.0, 3.0)), draw(st.integers(t + 1, len(path))))
+        trades.setdefault(t, []).append((contract, draw(st.booleans())))
+    return u, d, draw(st.floats(0.0, 1.0)), trades, path
+
+
+@DETERMINISTIC
+@given(trade_walks())
+def test_step_equals_remarking_every_position_bit_for_bit(case):
+    u, d, risky, trades, path = case
+    p = move_to_risky(Portfolio.initial(u, d), risky)
+    for t, y in enumerate(path):
+        for contract, issued in trades.get(t, []):
+            quantity = 1.0 / (4.0 * max(1.0, p.underlying, contract.strike))
+            try:
+                p = (issue_contract if issued else buy_contract)(p, contract, quantity)
+            except BankruptcyRiskError:
+                pass
+        expected, total = step_by_remark(p, y)
+        p = step(p, y)
+        assert p.total_value.hex() == total.hex()
+        assert [m.hex() for m in p.marks] == [m.hex() for m in expected.marks]
+        assert p.positions is expected.positions
+        assert (p.time, p.ups) == (expected.time, expected.ups)
 
 
 def render_config(resolved: dict) -> str:
