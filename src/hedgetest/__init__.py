@@ -19,9 +19,7 @@ from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
                       solve_hedge_strike)
 from .strategies import (StrategyKind, StrategySpec, build_strategy,
                          conservative_lambda, dynamic_lambda, kelly_lambda)
-from .wealth import (CashFlow, Family, HypothesisSpec, TestDecision, WealthPath,
-                     cash_flow, decide_from_values, evolve, hedged_cs,
-                     run_hedged_cs, run_process, terminal_wealth, update_wealth,
-                     ville_decide)
+from .wealth import (Family, HypothesisSpec, evolve, hedged_cs, terminal_wealth,
+                     update_wealth, ville_crossing)
 
 __version__ = "0.1.0"

@@ -4,10 +4,10 @@ Reproduces the Bernoulli power study, its distribution-shift variant and
 the gene-screening study: n independent episodes, each simulating outcomes
 from the configured truth, applying the betting strategy (plus an optional
 put hedge bought at its risk-neutral price at t = 0), and the anytime-valid
-decision rule.  Every episode steps through the one wealth engine,
-wealth.evolve.  Replication i always draws row i of the counter-based
-outcome table rows(seed, 0, ...), so results are byte-identical however
-the replications are split into chunks.
+decision rule, wealth.ville_crossing.  Every episode steps through the one
+wealth engine, wealth.evolve.  Replication i always draws row i of the
+counter-based outcome table rows(seed, 0, ...), so results are
+byte-identical however the replications are split into chunks.
 
 Simulated experiments use Bernoulli outcomes (the truth may shift its
 parameter at a change point); screening episodes run the two-sided hedged
@@ -29,7 +29,7 @@ from .pricing import (MC_BLOCK, Contract, LatticeModel, StrikeSolveError,
                       solve_hedge_strike)
 from .rng import DEFAULT_SEED, rows, stream
 from .strategies import StrategyKind, StrategySpec, build_strategy
-from .wealth import Family, HypothesisSpec, evolve, hedged_cs
+from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
 
 _OUTCOME_TAG = 0     # per-replication outcome rows
 _MATRIX_TAG = 1      # synthetic matrix generation
@@ -229,16 +229,6 @@ def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarr
     return (draws < ps[None, :]).astype(float)
 
 
-def _max_and_crossing(w0, steps, threshold: float):
-    """Final W_T, running max from W_0, and first t with W_t >= threshold (-1: never)."""
-    w = maxw = w0
-    crossing = np.full(np.shape(w0), -1, dtype=np.int64)
-    for t, w in enumerate(steps, 1):
-        maxw = np.maximum(maxw, w)
-        crossing[(w >= threshold) & (crossing < 0)] = t
-    return w, maxw, crossing
-
-
 def _episode_wealth(config: ExperimentConfig, y: np.ndarray, plan: HedgePlan | None):
     """Yield the episodes' total wealths W_1..W_T, one array per step."""
     hyp = config.hypothesis
@@ -267,8 +257,8 @@ def _run_chunk(config: ExperimentConfig, start: int, stop: int,
     """Evolve episodes [start, stop); returns (final, max, crossing) arrays."""
     y = _chunk_outcomes(config, start, stop)
     w0 = 1.0 if plan is None else (1.0 - plan.premium) * (1.0 + plan.marks[0][0])
-    return _max_and_crossing(np.full(y.shape[0], w0), _episode_wealth(config, y, plan),
-                             1.0 / config.alpha)
+    return ville_crossing(np.full(y.shape[0], w0), _episode_wealth(config, y, plan),
+                          config.alpha)
 
 
 def run_experiment(config: ExperimentConfig, chunks: int = 1) -> ExperimentResult:
@@ -446,7 +436,7 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
                 exercised, cash = k_hat < strike, stake * strike
             yield stake * k_hat if t < tau else np.where(exercised, cash, stake * k_hat)
 
-    final, maxw, crossing = _max_and_crossing(np.full(m, stake), wealth(), 1.0 / alpha)
+    final, maxw, crossing = ville_crossing(np.full(m, stake), wealth(), alpha)
     report = _summarize(ruin_level, final, maxw, crossing)
     return ScreeningResult(final, maxw, crossing >= 0, crossing, report,
                            lam_eff, table, int(np.count_nonzero(lam_eff < lambdas)))

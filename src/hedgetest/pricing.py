@@ -243,8 +243,9 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
     if not 0.0 < floor < 1.0:
         raise ValueError(f"floor {floor} must lie in (0, 1)")
     x, w = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
-    if x.shape != w.shape or np.any(x < 0.0) or np.any(w < 0.0):
-        raise ValueError("need one nonnegative weight per nonnegative atom")
+    if x.shape != w.shape or not np.all((x >= 0.0) & (x < np.inf)
+                                        & (w >= 0.0) & (w < np.inf)):
+        raise ValueError("need one finite nonnegative weight per finite nonnegative atom")
     order = np.argsort(x)
     ascending = x[order]
     if np.any(ascending[1:] == ascending[:-1]):

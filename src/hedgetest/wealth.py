@@ -9,8 +9,10 @@ Under the null the process is a nonnegative martingale, so observing
 K_t >= 1/alpha at any time is a level-alpha rejection (Ville's inequality).
 
 evolve is the one engine: it steps m such processes side by side under a
-vectorized strategy lam(wealth, t), and run_process, terminal_wealth and
-the two-sided hedged_cs are built on it.
+vectorized strategy lam(wealth, t), and terminal_wealth and the two-sided
+hedged_cs are built on it.  A single path is a batch of one.
+ville_crossing is the one decision rule: it follows a batch of wealth
+paths step by step and records where each first reaches 1/alpha.
 
 Three outcome families are supported: Bernoulli coin flips in {0, 1},
 bounded outcomes in [0, 1] with null mean 1/2, and positive outcomes
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -121,8 +123,8 @@ class HypothesisSpec:
             if not np.all((ys >= 0.0) & (ys <= 1.0)):
                 raise OutcomeError("bounded outcomes must lie in [0, 1]")
         else:
-            if not np.all(ys > 0.0):
-                raise OutcomeError("log-normal outcomes must be strictly positive")
+            if not np.all((ys > 0.0) & (ys < math.inf)):
+                raise OutcomeError("log-normal outcomes must be finite and strictly positive")
         return ys
 
     def null_sampler(self) -> Callable[[np.random.Generator, int | tuple[int, ...]],
@@ -137,65 +139,6 @@ class HypothesisSpec:
                 raise ValueError("null sampler only defined for bounded mean 1/2")
             return lambda rng, size: rng.random(size)
         return lambda rng, size: np.exp(rng.standard_normal(size))
-
-
-@dataclass(frozen=True)
-class WealthPath:
-    """A realized wealth process K_0..K_T with the betting fractions used.
-
-    lambdas is None for processes that are not of the single-fraction
-    multiplicative form (e.g. the two-sided hedged process).
-    """
-
-    values: tuple[float, ...]
-    lambdas: tuple[float, ...] | None
-    null_mean: float
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("wealth path must contain at least K_0")
-        if self.values[0] != 1.0:
-            raise ValueError(f"wealth path must start at 1, got {self.values[0]}")
-        if any(v < 0.0 for v in self.values):
-            raise ValueError("wealth path contains a negative value")
-        if self.lambdas is not None and len(self.lambdas) != len(self.values) - 1:
-            raise ValueError("need one betting fraction per step")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def final(self) -> float:
-        return self.values[-1]
-
-    @property
-    def max_value(self) -> float:
-        return max(self.values)
-
-    @property
-    def ruined(self) -> bool:
-        """True once wealth has hit exactly 0 (it then stays there)."""
-        return any(v == 0.0 for v in self.values)
-
-
-@dataclass(frozen=True)
-class CashFlow:
-    """Increments c_t = K_t - K_{t-1} plus the terminal sale value K_T."""
-
-    increments: tuple[float, ...]
-    terminal_value: float
-
-    @property
-    def total(self) -> float:
-        return sum(self.increments)
-
-
-@dataclass(frozen=True)
-class TestDecision:
-    rejected: bool
-    crossing_time: int | None
-    threshold: float
 
 
 def update_wealth(k_prev, lam, y, null_mean: float,
@@ -258,19 +201,6 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
         yield k, lam
 
 
-def run_process(strategy: Strategy, outcomes: Iterable[float],
-                hyp: HypothesisSpec) -> WealthPath:
-    """Evolve one wealth process from K_0 = 1: evolve on a batch of one.
-
-    The strategy sees the wealth array (K_t,) and the step t.
-    """
-    values, lambdas = [1.0], []
-    for k, lam in evolve(strategy, [list(outcomes)], hyp):
-        values.append(float(k[0]))
-        lambdas.append(float(lam[0] if isinstance(lam, np.ndarray) else lam))
-    return WealthPath(tuple(values), tuple(lambdas), hyp.null_mean)
-
-
 def terminal_wealth(strategy: Strategy, outcomes, hyp: HypothesisSpec) -> np.ndarray:
     """Final wealth K_T of each row of outcomes[m, T]: the last value of evolve."""
     k = np.ones(np.shape(outcomes)[0])
@@ -295,41 +225,20 @@ def hedged_cs(outcomes, lam,
         yield k_up + k_down
 
 
-def run_hedged_cs(outcomes: Iterable[float], lam: float) -> WealthPath:
-    """Two-sided hedged capital process of one bounded sequence.
+def ville_crossing(w0, steps: Iterable[np.ndarray], alpha: float):
+    """Ville's rule over a batch of wealth paths that start at w0.
 
-        K_t = 0.5 * prod(1 + lam*(y - 0.5)) + 0.5 * prod(1 - lam*(y - 0.5))
-
-    Requires lam in [0, 2] so both legs stay nonnegative.
-    """
-    if not 0.0 <= lam <= 2.0:
-        raise InadmissibleBetError(f"hedged fraction {lam} outside [0, 2]")
-    values = [1.0] + [float(k[0]) for k in hedged_cs([list(outcomes)], lam)]
-    return WealthPath(tuple(values), None, 0.5)
-
-
-def cash_flow(path: WealthPath) -> CashFlow:
-    """Difference the path into its cash flow; increments telescope to K_T - K_0."""
-    vals = path.values
-    increments = tuple(vals[t] - vals[t - 1] for t in range(1, len(vals)))
-    return CashFlow(increments, vals[-1])
-
-
-def ville_decide(path: WealthPath, alpha: float) -> TestDecision:
-    """Anytime-valid decision: reject iff the path ever reaches 1/alpha.
-
-    The boundary counts: K_t exactly equal to 1/alpha rejects.
-    """
-    return decide_from_values(path.values, alpha)
-
-
-def decide_from_values(values: Sequence[float], alpha: float) -> TestDecision:
-    """ville_decide on a raw value sequence (shared with portfolio totals).
-
-    The crossing time is the index of the first value >= 1/alpha.
+    steps yields the wealths W_1..W_T, one array per step.  Returns the
+    final W_T, the running max from W_0 and the first t >= 1 with
+    W_t >= 1/alpha, -1 where the path never gets there: reaching 1/alpha
+    exactly rejects.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     threshold = 1.0 / alpha
-    t = next((t for t, v in enumerate(values) if v >= threshold), None)
-    return TestDecision(rejected=t is not None, crossing_time=t, threshold=threshold)
+    w = maxw = w0
+    crossing = np.full(np.shape(w0), -1, dtype=np.int64)
+    for t, w in enumerate(steps, 1):
+        maxw = np.maximum(maxw, w)
+        crossing[(w >= threshold) & (crossing < 0)] = t
+    return w, maxw, crossing

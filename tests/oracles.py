@@ -4,10 +4,14 @@ These deliberately avoid the code paths they validate: prices come from
 exhaustive path enumeration or direct binomial expectations instead of
 backward induction, portfolio marks from a fresh lattice at each node
 instead of the node table kept since the trade, or rebuilt one position at
-a time in a loop, wealth recurrences are evaluated step by step in plain
-Python, put-floor strikes interval by interval in plain Python after a
-stable sort, and the per-episode CSVs are written with one f-string per
-row instead of one format per distinct value.
+a time in a loop, wealth recurrences (one-sided and the two-sided hedged
+process) are evaluated step by step in plain Python, the first crossing of
+1/alpha is found by a plain loop over one path instead of the batch rule,
+put-floor strikes interval by interval in plain Python after a stable
+sort, and the per-episode CSVs are written with one f-string per row
+instead of one format per distinct value.  path_values and crossing_times
+are no oracles: they are the batch engine's wealth rows and the batch
+rule's crossing times, shared by the test files.
 """
 
 import itertools
@@ -19,6 +23,7 @@ import numpy as np
 
 from hedgetest.harness import config_dict
 from hedgetest.pricing import LatticeModel, lattice_price
+from hedgetest.wealth import evolve, ville_crossing
 
 
 def enumerate_paths_price(u, d, q, tau, payoff, spot=1.0):
@@ -44,11 +49,52 @@ def binomial_weight_price(u, d, q, tau, payoff, spot=1.0):
 
 
 def wealth_by_hand(lambdas, outcomes, null_mean):
-    """Step-by-step wealth recurrence."""
+    """Step-by-step wealth recurrence K_0 = 1, K_1, ..., K_T of one path.
+
+    lambdas holds the fraction bet on each outcome, or is a strategy
+    lam(wealth, t) asked before each outcome with this path's (K_t,).
+    """
     values = [1.0]
-    for lam, y in zip(lambdas, outcomes):
-        values.append(values[-1] * (1.0 + lam * (y - null_mean)))
+    for t, y in enumerate(outcomes):
+        lam = lambdas(np.array(values[-1:]), t) if callable(lambdas) else lambdas[t]
+        values.append(values[-1] * (1.0 + float(np.ravel(lam)[0]) * (y - null_mean)))
     return values
+
+
+def hedged_cs_by_hand(ys, lam):
+    """K_0..K_T of the two-sided hedged process of one bounded sequence:
+    0.5 * prod(1 + lam*(y - 1/2)) + 0.5 * prod(1 - lam*(y - 1/2)) over each
+    prefix, the products kept as running products."""
+    up = down = 1.0
+    values = [1.0]
+    for y in ys:
+        up *= 1.0 + lam * (y - 0.5)
+        down *= 1.0 - lam * (y - 0.5)
+        values.append(0.5 * up + 0.5 * down)
+    return values
+
+
+def first_crossing_by_hand(values, alpha):
+    """Index t of the first K_t >= 1/alpha in one path's K_0..K_T, -1 if none.
+
+    A plain loop over the path; reaching 1/alpha exactly counts.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    threshold = 1.0 / alpha
+    return next((t for t, v in enumerate(values) if v >= threshold), -1)
+
+
+def path_values(strategy, outcomes, hyp):
+    """Rows of K_0..K_T for a batch, stepped through evolve."""
+    steps = [k for k, _ in evolve(strategy, outcomes, hyp)]
+    return np.column_stack([np.ones(len(outcomes))] + steps)
+
+
+def crossing_times(values, alpha):
+    """ville_crossing's first crossing times of the rows K_0..K_T of values."""
+    values = np.asarray(values, dtype=float)
+    return ville_crossing(values[:, 0], values[:, 1:].T, alpha)[2]
 
 
 def replicating_portfolio_terminal(u, d, tau, payoff, spot=1.0):

@@ -337,7 +337,7 @@ def test_c9_ville_false_rejection():
     _suite("C9 Ville validity", body)
 
 
-def test_c9_null_cash_flow_decay():
+def test_c9_null_increment_decay():
     def body():
         lam, n = 0.5, 2000
         averages = []
@@ -355,7 +355,7 @@ def test_c9_null_cash_flow_decay():
     _suite("C9 null cash-flow decay", body)
 
 
-def test_c9_cash_flow_clt_ks():
+def test_c9_increment_clt_ks():
     def body():
         stake, horizon, n = 0.05, 500, 10_000
         draws = np.empty((n, horizon))

@@ -19,10 +19,10 @@ from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
 from hedgetest.pricing import MC_BLOCK
 from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import (HypothesisSpec, run_hedged_cs, run_process,
-                              ville_decide)
+from hedgetest.wealth import HypothesisSpec
 
-from oracles import two_sided_terminal_one_shot
+from oracles import (first_crossing_by_hand, hedged_cs_by_hand,
+                     two_sided_terminal_one_shot, wealth_by_hand)
 
 HYP = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = StrategySpec(StrategyKind.KELLY)
@@ -146,20 +146,19 @@ class TestConfigValidation:
 
 class TestRunExperiment:
     def test_matches_process_level_episodes(self):
-        # the vectorized engine agrees with run_process episode by episode
+        # the vectorized engine agrees with the plain recurrence episode by episode
         cfg = config(replications=50)
         result = run_experiment(cfg)
         strategy = build_strategy(KELLY, HYP, 20)
         for i in range(50):
             draws = rows(cfg.seed, 0, i, i + 1, cfg.horizon)[0]
             ys = (draws < 0.75).astype(float)
-            path = run_process(strategy, ys, HYP)
-            decision = ville_decide(path, cfg.alpha)
-            assert result.final_wealth[i] == pytest.approx(path.final, rel=1e-12)
-            assert result.max_wealth[i] == pytest.approx(path.max_value, rel=1e-12)
-            assert bool(result.rejected[i]) == decision.rejected
-            expected_cross = decision.crossing_time if decision.rejected else -1
-            assert result.crossing_time[i] == expected_cross
+            values = wealth_by_hand(strategy, ys, HYP.null_mean)
+            crossing = first_crossing_by_hand(values, cfg.alpha)
+            assert result.final_wealth[i] == pytest.approx(values[-1], rel=1e-12)
+            assert result.max_wealth[i] == pytest.approx(max(values), rel=1e-12)
+            assert bool(result.rejected[i]) == (crossing >= 0)
+            assert result.crossing_time[i] == crossing
 
     def test_power_plus_no_reject_fraction_is_one(self):
         result = run_experiment(config(replications=2000))
@@ -252,21 +251,20 @@ class TestRunExperiment:
         for i in range(25):
             draws = rows(cfg.seed, 0, i, i + 1, 20)[0]
             ys = (draws < 0.75).astype(float)
-            path = run_process(strategy, ys, HYP)
-            assert result.final_wealth[i] == pytest.approx(path.final, rel=1e-10)
+            final = wealth_by_hand(strategy, ys, HYP.null_mean)[-1]
+            assert result.final_wealth[i] == pytest.approx(final, rel=1e-10)
 
-    def test_hedged_cs_matches_run_hedged_cs(self):
+    def test_hedged_cs_matches_the_oracle(self):
         spec = StrategySpec(StrategyKind.HEDGED_CS, lam=1.0)
         cfg = config(strategy=spec, truth=TruthSpec(0.85), replications=300)
         result = run_experiment(cfg, chunks=2)
         draws = rows(cfg.seed, 0, 0, 300, cfg.horizon)
         for i in range(300):
-            path = run_hedged_cs((draws[i] < 0.85).astype(float), 1.0)
-            decision = ville_decide(path, cfg.alpha)
-            assert result.final_wealth[i] == pytest.approx(path.final, rel=1e-12, abs=0.0)
-            assert result.max_wealth[i] == pytest.approx(path.max_value, rel=1e-12, abs=0.0)
-            assert result.crossing_time[i] == (decision.crossing_time
-                                               if decision.rejected else -1)
+            values = hedged_cs_by_hand((draws[i] < 0.85).astype(float), 1.0)
+            final, maxw = values[-1], max(values)
+            assert result.final_wealth[i] == pytest.approx(final, rel=1e-12, abs=0.0)
+            assert result.max_wealth[i] == pytest.approx(maxw, rel=1e-12, abs=0.0)
+            assert result.crossing_time[i] == first_crossing_by_hand(values, cfg.alpha)
         assert 0 < result.rejected.sum() < 300
 
 
@@ -287,16 +285,15 @@ class TestRunShift:
 
 
 class TestScreening:
-    def test_unhedged_matches_run_hedged_cs(self):
-        from hedgetest.wealth import run_hedged_cs
+    def test_unhedged_matches_the_oracle(self):
         sequences = stream(401).random((20, 30))
         lambdas = np.full(20, 0.6)
         result = run_screening(sequences, lambdas, alpha=0.05)
         for g in (0, 7, 19):
-            path = run_hedged_cs(sequences[g], 0.6)
-            assert result.final_wealth[g] == pytest.approx(path.final, rel=1e-12)
-            decision = ville_decide(path, 0.05)
-            assert bool(result.rejected[g]) == decision.rejected
+            values = hedged_cs_by_hand(sequences[g], 0.6)
+            assert result.final_wealth[g] == pytest.approx(values[-1], rel=1e-12)
+            crossing = first_crossing_by_hand(values, 0.05)
+            assert bool(result.rejected[g]) == (crossing >= 0)
 
     def test_validity_on_null_matrix(self):
         sequences, lambdas, _ = synthetic_screening_input(6033, 102, seed=402)

@@ -13,8 +13,9 @@ from hedgetest.portfolio import (BankruptcyRiskError, MispricedTradeError,
 from hedgetest.pricing import Contract, ContractKind, LatticeModel, lattice_price
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import (HypothesisSpec, decide_from_values, run_process,
-                              ville_decide)
+from hedgetest.wealth import HypothesisSpec
+
+from oracles import crossing_times, path_values
 
 U, D = 1.5, 0.5
 
@@ -281,40 +282,40 @@ class TestReplication:
 
 class TestPortfolioDecision:
     def test_all_cash_never_rejects(self):
-        history = [1.0] * 50
+        history = np.ones((1, 50))
         for alpha in (0.01, 0.05, 0.5):
-            assert not decide_from_values(history, alpha).rejected
+            assert crossing_times(history, alpha)[0] < 0
 
     def test_pure_risky_matches_process_decision(self):
         hyp = HypothesisSpec.bernoulli(0.5, 0.75)
         kelly = build_strategy(StrategySpec(StrategyKind.KELLY), hyp, 15)
+        ys = np.array([stream(221, i).random(15) < 0.75 for i in range(50)], dtype=float)
+        totals = np.empty((50, 16))
         for i in range(50):
-            ys = (stream(221, i).random(15) < 0.75).astype(float)
-            path = run_process(kelly, ys, hyp)
             p = all_risky()
-            totals = [p.total_value]
-            for y in ys:
+            totals[i, 0] = p.total_value
+            for t, y in enumerate(ys[i], 1):
                 p = step(p, y)
-                totals.append(p.total_value)
-            ours = decide_from_values(totals, 0.05)
-            reference = ville_decide(path, 0.05)
-            assert ours.rejected == reference.rejected
-            assert ours.crossing_time == reference.crossing_time
+                totals[i, t] = p.total_value
+        ours = crossing_times(totals, 0.05)
+        reference = crossing_times(path_values(kelly, ys, hyp), 0.05)
+        assert np.array_equal(ours >= 0, reference >= 0)
+        assert np.array_equal(ours, reference)
 
     def test_mixed_portfolio_validity_under_null(self):
         # 50/50 with a put: rejection frequency <= alpha + 3 SEs
         contract = Contract.put(0.30866, 20)
         start = buy_contract(move_to_risky(all_cash(), 0.5), contract, quantity=0.5)
         n, alpha = 10_000, 0.05
-        rejections = 0
+        totals = np.empty((n, 21))
         for i in range(n):
             ys = (stream(231, i).random(20) < 0.5).astype(float)
             p = start
-            totals = [p.total_value]
-            for y in ys:
+            totals[i, 0] = p.total_value
+            for t, y in enumerate(ys, 1):
                 p = step(p, y)
-                totals.append(p.total_value)
-            rejections += decide_from_values(totals, alpha).rejected
+                totals[i, t] = p.total_value
+        rejections = np.count_nonzero(crossing_times(totals, alpha) >= 0)
         se = math.sqrt(alpha * (1 - alpha) / n)
         assert rejections / n <= alpha + 3 * se
 

@@ -347,6 +347,10 @@ class TestPutFloorStrikes:
             put_floor_strikes([0.5, 1.5], [1.0], 0.25)
         with pytest.raises(ValueError):
             put_floor_strikes([-0.5, 1.5], [0.5, 0.5], 0.25)
+        for atoms, weights in [([math.nan, 1.0], [0.5, 0.5]), ([math.inf, 1.0], [0.5, 0.5]),
+                               ([1.0, 2.0], [math.nan, 0.5]), ([1.0, 2.0], [math.inf, 0.5])]:
+            with pytest.raises(ValueError):
+                put_floor_strikes(atoms, weights, 0.25)
 
 
 class TestPriceEstimate:

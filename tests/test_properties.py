@@ -10,7 +10,8 @@ without ties they are the bits of the stable-sort oracle.  Any chunk of
 the counter-based row table is the same bits as the slice of the whole, and
 so is a stream jumped ahead by k draws.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
-recurrence of the oracle.  Lattice marks are
+recurrence of the oracle, and the batch Ville rule finds each row's first
+crossing of 1/alpha where a plain loop over the row does.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
 there; a portfolio's lookup marks along a random path agree with a fresh
 lattice priced at every step, and a step's marks and total are the bits of
@@ -34,11 +35,11 @@ from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                put_floor_strikes, solve_hedge_strike)
 from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import HypothesisSpec, evolve, run_process
+from hedgetest.wealth import HypothesisSpec, evolve, ville_crossing
 
 from oracles import (binomial_weight_price, enumerate_paths_min,
-                     floor_strikes_by_interval, fresh_mark, step_by_remark,
-                     wealth_by_hand)
+                     first_crossing_by_hand, floor_strikes_by_interval,
+                     fresh_mark, step_by_remark, wealth_by_hand)
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
                          max_examples=100)
@@ -242,11 +243,44 @@ def test_batch_equals_each_row_alone_and_the_oracle(case):
     hyp, ys, strategy, alone = case
     batch = np.array([k for k, _ in evolve(strategy, ys, hyp)])
     for i, row_strategy in enumerate(alone):
-        path = run_process(row_strategy, ys[i], hyp)
-        assert path.values[1:] == tuple(batch[:, i].tolist())     # bit for bit
-        by_hand = wealth_by_hand(path.lambdas, ys[i], hyp.null_mean)
-        for value, expected in zip(path.values, by_hand):
+        steps = list(evolve(row_strategy, ys[i:i + 1], hyp))     # a batch of one
+        values = [1.0] + [float(k[0]) for k, _ in steps]
+        assert values[1:] == batch[:, i].tolist()     # bit for bit
+        by_hand = wealth_by_hand([lam for _, lam in steps], ys[i], hyp.null_mean)
+        for value, expected in zip(values, by_hand):
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@st.composite
+def ville_rows(draw):
+    """alpha in (0, 1) and rows W_0..W_T, T in 1..30, W_0 below 1/alpha.
+    Some rows never reach 1/alpha (some only fall from W_0), the others
+    may land on it exactly."""
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    threshold = 1.0 / alpha
+    top = float(np.nextafter(threshold, 0.0))
+    below = st.one_of(st.just(top), st.floats(0.0, top))
+    kinds = {"falls": (st.just(top), st.floats(0.0, float(np.nextafter(top, 0.0)))),
+             "never": (below, below),
+             "any": (below, st.one_of(below, st.just(threshold),
+                                      st.floats(min_value=threshold, allow_nan=False)))}
+    horizon, m = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    values = []
+    for _ in range(m):
+        start, later = kinds[draw(st.sampled_from(sorted(kinds)))]
+        values.append([draw(start)] + draw(st.lists(later, min_size=horizon,
+                                                    max_size=horizon)))
+    return alpha, np.array(values)
+
+
+@DETERMINISTIC
+@given(ville_rows())
+def test_batch_ville_rule_is_the_plain_loop_row_by_row(case):
+    alpha, values = case
+    final, maxw, crossing = ville_crossing(values[:, 0], values[:, 1:].T, alpha)
+    for i, row in enumerate(values.tolist()):
+        assert crossing[i] == first_crossing_by_hand(row, alpha)
+        assert (final[i], maxw[i]) == (row[-1], max(row))
 
 
 @st.composite

@@ -8,7 +8,9 @@ import pytest
 from hedgetest.rng import stream
 from hedgetest.strategies import (StrategyKind, StrategySpec, build_strategy,
                                   conservative_lambda, dynamic_lambda, kelly_lambda)
-from hedgetest.wealth import HypothesisSpec, run_process
+from hedgetest.wealth import HypothesisSpec
+
+from oracles import wealth_by_hand
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
 DYNAMIC = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25)
@@ -112,15 +114,15 @@ class TestFloorGuarantee:
         losses = [0.0] * 20
         lam = conservative_lambda(0.25, 20, -0.5)
         for strategy in (lambda k, t: lam, build_strategy(DYNAMIC, BERNOULLI, 20)):
-            path = run_process(strategy, losses, BERNOULLI)
-            assert path.final >= 0.25 - 1e-6
+            final = wealth_by_hand(strategy, losses, BERNOULLI.null_mean)[-1]
+            assert final >= 0.25 - 1e-6
 
     def test_dynamic_floor_holds_on_random_paths(self):
         strategy = build_strategy(DYNAMIC, BERNOULLI, 20)
         for i in range(500):
             ys = (stream(71, i).random(20) < 0.5).astype(float)
-            path = run_process(strategy, ys, BERNOULLI)
-            assert path.final >= 0.25 - 1e-9
+            final = wealth_by_hand(strategy, ys, BERNOULLI.null_mean)[-1]
+            assert final >= 0.25 - 1e-9
 
 
 class TestKellyDominance:

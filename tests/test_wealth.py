@@ -5,24 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import hedgetest
+from hedgetest import wealth
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import (CashFlow, Family, HypothesisSpec,
-                              InadmissibleBetError, OutcomeError, WealthPath,
-                              cash_flow, evolve, hedged_cs, run_hedged_cs,
-                              run_process, terminal_wealth, update_wealth,
-                              ville_decide)
+from hedgetest.wealth import (Family, HypothesisSpec, InadmissibleBetError,
+                              OutcomeError, evolve, hedged_cs, terminal_wealth,
+                              update_wealth)
 
-from oracles import wealth_by_hand
+from oracles import crossing_times, path_values, wealth_by_hand
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = build_strategy(StrategySpec(StrategyKind.KELLY), BERNOULLI, 20)
-
-
-def path_values(strategy, outcomes, hyp):
-    """Rows of K_0..K_T for a batch, stepped through evolve."""
-    steps = [k for k, _ in evolve(strategy, outcomes, hyp)]
-    return np.column_stack([np.ones(len(outcomes))] + steps)
 
 
 class TestUpdateWealth:
@@ -89,6 +83,10 @@ class TestHypothesisSpec:
         hyp = HypothesisSpec.log_normal()
         with pytest.raises(OutcomeError):
             hyp.validate_outcomes([1.0, 0.0])
+        with pytest.raises(OutcomeError):
+            hyp.validate_outcomes([math.inf, 1.0])
+        with pytest.raises(OutcomeError):
+            terminal_wealth(lambda k, t: 0.0, [[math.inf, 1.0]], hyp)
 
     def test_log_normal_null_mean_is_exp_half(self):
         assert HypothesisSpec.log_normal().null_mean == math.exp(0.5)
@@ -110,27 +108,29 @@ class TestHypothesisSpec:
         assert hi == pytest.approx(math.exp(-0.5))
 
 
-class TestRunProcess:
+class TestOnePath:
+    """One path is a batch of one."""
+
     def test_three_losses_leave_one_eighth(self):
-        path = run_process(KELLY, [0, 0, 0], BERNOULLI)
-        assert path.final == 0.125
-        assert path.values == (1.0, 0.5, 0.25, 0.125)
+        values = path_values(KELLY, [[0, 0, 0]], BERNOULLI)[0]
+        assert values[-1] == 0.125
+        assert values.tolist() == [1.0, 0.5, 0.25, 0.125]
 
     def test_three_wins_reach_twenty_seven_eighths(self):
-        path = run_process(KELLY, [1, 1, 1], BERNOULLI)
-        assert path.final == 27 / 8
+        assert path_values(KELLY, [[1, 1, 1]], BERNOULLI)[0, -1] == 27 / 8
 
     def test_zero_fraction_gives_constant_path(self):
-        path = run_process(lambda k, t: 0.0, [1, 0, 1, 1, 0], BERNOULLI)
-        assert path.values == (1.0,) * 6
+        values = path_values(lambda k, t: 0.0, [[1, 0, 1, 1, 0]], BERNOULLI)[0]
+        assert values.tolist() == [1.0] * 6
 
     def test_path_satisfies_recurrence(self):
         rng = stream(11, 0)
         outcomes = (rng.random(25) < 0.6).astype(float)
         dynamic = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25)
-        path = run_process(build_strategy(dynamic, BERNOULLI, 25), outcomes, BERNOULLI)
-        expected = wealth_by_hand(path.lambdas, outcomes, 0.5)
-        assert np.allclose(path.values, expected, rtol=0, atol=1e-15)
+        steps = list(evolve(build_strategy(dynamic, BERNOULLI, 25), [outcomes], BERNOULLI))
+        values = [1.0] + [k[0] for k, _ in steps]
+        expected = wealth_by_hand([lam[0] for _, lam in steps], outcomes, 0.5)
+        assert np.allclose(values, expected, rtol=0, atol=1e-15)
 
     def test_strategy_sees_only_the_past(self):
         seen = []
@@ -139,10 +139,10 @@ class TestRunProcess:
             seen.append((t, wealth.tolist()))
             return 1.0
 
-        path = run_process(spy, [1, 0, 1], BERNOULLI)
+        values = path_values(spy, [[1, 0, 1]], BERNOULLI)[0]
         assert len(seen) == 3
         for t, (step, wealth) in enumerate(seen):
-            assert (step, wealth) == (t, [path.values[t]])   # exactly K_t
+            assert (step, wealth) == (t, [values[t]])   # exactly K_t
 
     def test_ruined_path_stays_at_zero(self):
         calls = []
@@ -151,23 +151,23 @@ class TestRunProcess:
             calls.append(t)
             return 2.0
 
-        path = run_process(greedy, [0, 1, 1], BERNOULLI)
-        assert path.values == (1.0, 0.0, 0.0, 0.0)
-        assert path.ruined
+        values = path_values(greedy, [[0, 1, 1]], BERNOULLI)[0]
+        assert values.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert np.any(values == 0.0)
         assert calls == [0]   # no bets are solicited after ruin
 
     def test_inadmissible_strategy_propagates(self):
         with pytest.raises(InadmissibleBetError):
-            run_process(lambda k, t: 3.0, [1, 1], BERNOULLI)
+            path_values(lambda k, t: 3.0, [[1, 1]], BERNOULLI)
 
     def test_log_normal_family_runs(self):
         hyp = HypothesisSpec.log_normal()
         lam = math.exp(-0.5)
         ys = [math.exp(z) for z in (0.3, -1.2, 0.8)]
-        path = run_process(lambda k, t: lam, ys, hyp)
+        final = path_values(lambda k, t: lam, [ys], hyp)[0, -1]
         # all-or-nothing updates reduce to exp(z - 1/2) per step
         expected = math.exp(sum((0.3, -1.2, 0.8)) - 1.5)
-        assert path.final == pytest.approx(expected, rel=1e-12)
+        assert final == pytest.approx(expected, rel=1e-12)
 
 
 class TestTerminalWealth:
@@ -179,29 +179,29 @@ class TestTerminalWealth:
         (HypothesisSpec.log_normal(), lambda rng, shape: np.exp(rng.standard_normal(shape)),
          (0.0, 0.2, math.exp(-0.5))),
     ])
-    def test_matches_run_process_row_by_row(self, hyp, draw, lams):
+    def test_matches_the_oracle_row_by_row(self, hyp, draw, lams):
         ys = draw(stream(61), (200, 15))
         for lam in lams:
             finals = terminal_wealth(lambda k, t: lam, ys, hyp)
             assert finals.shape == (200,)
             for row, final in zip(ys, finals):
-                expected = run_process(lambda k, t: lam, row, hyp).final
+                expected = wealth_by_hand([lam] * 15, row, hyp.null_mean)[-1]
                 assert final == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_ruined_row_stays_at_zero(self):
         finals = terminal_wealth(lambda k, t: 2.0, np.array([[0, 1, 1], [1, 1, 1]]),
                                  BERNOULLI)
         assert finals.tolist() == [0.0, 8.0]
-        assert run_process(lambda k, t: 2.0, [0, 1, 1], BERNOULLI).final == 0.0
+        assert path_values(lambda k, t: 2.0, [[0, 1, 1]], BERNOULLI)[0, -1] == 0.0
 
-    def test_same_errors_as_run_process(self):
+    def test_same_errors_as_a_batch_of_one(self):
         outside = np.exp(stream(62).standard_normal((3, 4)))
         with pytest.raises(OutcomeError):
-            run_process(lambda k, t: 1.0, outside[0], BERNOULLI)
+            path_values(lambda k, t: 1.0, outside[:1], BERNOULLI)
         with pytest.raises(OutcomeError):
             terminal_wealth(lambda k, t: 1.0, outside, BERNOULLI)
         with pytest.raises(InadmissibleBetError):
-            run_process(lambda k, t: 3.0, [1, 1], BERNOULLI)
+            path_values(lambda k, t: 3.0, [[1, 1]], BERNOULLI)
         with pytest.raises(InadmissibleBetError):
             terminal_wealth(lambda k, t: 3.0, np.array([[1.0, 1.0]]), BERNOULLI)
 
@@ -239,36 +239,35 @@ class TestEvolve:
         with pytest.raises(OutcomeError):
             list(evolve(KELLY, np.array([[1.0, 0.5]]), BERNOULLI))
 
-
-class TestWealthPath:
-    def test_must_start_at_one(self):
+    def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
-            WealthPath((0.5, 1.0), None, 0.5)
+            list(evolve(lambda k, t: 1.0, np.array([[1.0, 0.0]]), BERNOULLI, start=-0.1))
 
-    def test_rejects_negative_values(self):
+    def test_one_fraction_per_path_checked(self):
+        ys = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            WealthPath((1.0, -0.1), None, 0.5)
-
-    def test_lambda_length_checked(self):
-        with pytest.raises(ValueError):
-            WealthPath((1.0, 1.5), (1.0, 1.0), 0.5)
+            list(evolve(lambda k, t: np.array([1.0, 1.0, 1.0]), ys, BERNOULLI))
 
 
 class TestHedgedCS:
     def test_zero_fraction_is_constant_one(self):
-        path = run_hedged_cs([0.1, 0.9, 0.5], 0.0)
-        assert path.values == (1.0, 1.0, 1.0, 1.0)
+        values = [1.0] + [k[0] for k in hedged_cs([[0.1, 0.9, 0.5]], 0.0)]
+        assert values == [1.0, 1.0, 1.0, 1.0]
 
     def test_two_wins_hand_value(self):
         # legs 1.5^2 and 0.5^2: 0.5*2.25 + 0.5*0.25 = 1.25
-        path = run_hedged_cs([1.0, 1.0], 1.0)
-        assert path.values[-1] == pytest.approx(1.25, abs=1e-15)
+        *_, final = hedged_cs([[1.0, 1.0]], 1.0)
+        assert final[0] == pytest.approx(1.25, abs=1e-15)
 
     def test_fraction_range_enforced(self):
         with pytest.raises(InadmissibleBetError):
-            run_hedged_cs([0.5], 2.1)
-        with pytest.raises(InadmissibleBetError):
-            run_hedged_cs([0.5], -0.1)
+            list(hedged_cs([[0.5]], 2.1))
+
+    def test_symmetric_in_the_sign_of_the_fraction(self):
+        ys = stream(22).random((50, 12))
+        for lam in (0.3, 1.0, 2.0):
+            for plus, minus in zip(hedged_cs(ys, lam), hedged_cs(ys, -lam)):
+                assert plus.tolist() == minus.tolist()
 
     def test_null_mean_one_within_three_ses(self):
         # Monte Carlo martingale check: uniform nulls, lam=1, T=20
@@ -280,57 +279,60 @@ class TestHedgedCS:
         assert abs(finals.mean() - 1.0) <= 3 * se
 
 
-class TestCashFlow:
+class TestIncrements:
     def test_direct_differencing(self):
-        cf = cash_flow(WealthPath((1.0, 1.5, 0.75), None, 0.5))
-        assert cf.increments == (0.5, -0.75)
-        assert cf.terminal_value == 0.75
+        steps = list(evolve(lambda k, t: 1.0, [[1.0, 0.0]], BERNOULLI))
+        values = np.array([1.0] + [k[0] for k, _ in steps])
+        assert np.diff(values).tolist() == [0.5, -0.75]
+        assert values[-1] == 0.75
+        # each increment is the stake K_{t-1} * lam_t times y_t - null mean
+        stakes = values[:-1] * [lam for _, lam in steps]
+        assert (stakes * (np.array([1.0, 0.0]) - 0.5)).tolist() == [0.5, -0.75]
 
     def test_constant_path_has_zero_increments(self):
-        cf = cash_flow(WealthPath((1.0, 1.0, 1.0), None, 0.5))
-        assert cf.increments == (0.0, 0.0)
+        values = path_values(lambda k, t: 0.0, [[1, 0]], BERNOULLI)[0]
+        assert np.diff(values).tolist() == [0.0, 0.0]
 
     def test_ruin_path_differences(self):
-        cf = cash_flow(WealthPath((1.0, 0.5, 0.25, 0.125), None, 0.5))
-        assert cf.increments == (-0.5, -0.25, -0.125)
+        values = path_values(KELLY, [[0, 0, 0]], BERNOULLI)[0]
+        assert np.diff(values).tolist() == [-0.5, -0.25, -0.125]
 
     def test_increments_telescope(self):
-        path = run_process(KELLY, [1, 0, 1, 1, 0, 0], BERNOULLI)
-        cf = cash_flow(path)
-        assert 1.0 + cf.total == pytest.approx(cf.terminal_value, abs=1e-12)
+        values = path_values(KELLY, [[1, 0, 1, 1, 0, 0]], BERNOULLI)[0]
+        assert 1.0 + np.diff(values).sum() == pytest.approx(values[-1], abs=1e-12)
 
 
-class TestVilleDecide:
+class TestVilleCrossing:
     def test_crossing_at_threshold_rejects(self):
-        path = WealthPath((1.0, 5.0, 25.0, 10.0), None, 0.5)
-        decision = ville_decide(path, 0.05)
-        assert decision.rejected
-        assert decision.crossing_time == 2
-        assert decision.threshold == 20.0
+        t = crossing_times([[1.0, 5.0, 25.0, 10.0]], 0.05)[0]
+        assert t >= 0
+        assert t == 2
 
     def test_boundary_value_counts(self):
-        path = WealthPath((1.0, 20.0), None, 0.5)
-        assert ville_decide(path, 0.05).rejected
+        assert crossing_times([[1.0, 20.0]], 0.05)[0] >= 0
 
     def test_constant_path_never_rejects(self):
-        path = WealthPath((1.0,) * 10, None, 0.5)
         for alpha in (0.01, 0.05, 0.5, 0.99):
-            assert not ville_decide(path, alpha).rejected
+            assert crossing_times(np.ones((1, 10)), alpha)[0] < 0
 
     def test_alpha_validated(self):
-        path = WealthPath((1.0,), None, 0.5)
         for alpha in (0.0, 1.0, -0.2, 2.0):
             with pytest.raises(ValueError):
-                ville_decide(path, alpha)
+                crossing_times([[1.0]], alpha)
+
+    def test_no_steps_leaves_the_start(self):
+        w0 = np.array([1.0, 25.0])
+        final, running_max, crossing = wealth.ville_crossing(w0, [], 0.05)
+        assert final.tolist() == running_max.tolist() == [1.0, 25.0]
+        assert crossing.tolist() == [-1, -1]   # W_0 alone never rejects
 
     def test_null_false_rejection_bounded(self):
         # Kelly under the true null: rejection frequency <= alpha + 3 SEs
         n, horizon = 10_000, 20
         ys = np.array([stream(31, i).random(horizon) < 0.5 for i in range(n)], dtype=float)
-        paths = [WealthPath(tuple(row), None, 0.5)
-                 for row in path_values(KELLY, ys, BERNOULLI).tolist()]
+        values = path_values(KELLY, ys, BERNOULLI)
         for alpha in (0.05, 0.01):
-            rejections = sum(ville_decide(path, alpha).rejected for path in paths)
+            rejections = np.count_nonzero(crossing_times(values, alpha) >= 0)
             se = math.sqrt(alpha * (1 - alpha) / n)
             assert rejections / n <= alpha + 3 * se
 
@@ -360,11 +362,11 @@ class TestMartingaleConservation:
             sampler = hyp.null_sampler()
             for i in range(200):
                 ys = sampler(stream(seed, i), 30)
-                path = run_process(lambda k, t: lam, ys, hyp)
-                assert min(path.values) >= 0.0
+                values = path_values(lambda k, t: lam, [ys], hyp)
+                assert values.min() >= 0.0
 
 
-class TestNullCashFlowDecay:
+class TestNullIncrementDecay:
     def test_average_increment_shrinks_with_horizon(self):
         # |mean increment| decreases through T in {50, 200, 800} under the null
         lam, n = 0.5, 2000
@@ -372,14 +374,12 @@ class TestNullCashFlowDecay:
         for tag, horizon in enumerate((50, 200, 800)):
             ys = np.array([stream(51 + tag, i).random(horizon) < 0.5 for i in range(n)],
                           dtype=float)
-            acc = 0.0
-            for row in path_values(lambda k, t: lam, ys, BERNOULLI).tolist():
-                acc += abs(cash_flow(WealthPath(tuple(row), None, 0.5)).total) / horizon
-            averages.append(acc / n)
+            increments = np.diff(path_values(lambda k, t: lam, ys, BERNOULLI), axis=1)
+            averages.append(np.sum(np.abs(increments.sum(axis=1)) / horizon) / n)
         assert averages[0] > averages[1] > averages[2]
 
 
-class TestCashFlowCLT:
+class TestIncrementCLT:
     def test_normalized_sums_pass_ks(self):
         """Self-normalized cash-flow sums against N(0,1), T=500, 1e4 reps.
 
@@ -399,3 +399,11 @@ class TestCashFlowCLT:
             k_prev = k
         zs = (k_prev - 1.0) / np.sqrt(variance)     # increments telescope to K_T - 1
         assert stats.kstest(zs, "norm").pvalue >= 0.01
+
+
+def test_per_path_api_stays_deleted():
+    # one decision rule (ville_crossing) and one path representation (a batch)
+    deleted = ("WealthPath", "CashFlow", "TestDecision", "run_process", "run_hedged_cs",
+               "cash_flow", "ville_decide", "decide_from_values")
+    for module in (hedgetest, wealth):
+        assert [name for name in deleted if hasattr(module, name)] == []
