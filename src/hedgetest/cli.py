@@ -106,8 +106,7 @@ def _cmd_price(args) -> int:
     if args.spot < 0.0:
         raise ConfigError(f"spot must be nonnegative, got {args.spot}")
     if args.method == "lattice":
-        est = lattice_price(LatticeModel(*model, contract.expiry), contract,
-                            spot=args.spot)
+        est = lattice_price(LatticeModel(*model), contract, spot=args.spot)
     elif args.method == "mc":
         if model is not None:
             u, d = model
@@ -146,8 +145,7 @@ def _cmd_hedge_solve(args) -> int:
         raise ConfigError(f"floor {args.floor} must lie in (0, 1)")
     if args.horizon < 1:
         raise ConfigError(f"horizon must be positive, got {args.horizon}")
-    model = LatticeModel(args.u, args.d, args.horizon)
-    roots = solve_hedge_strike(model, args.floor, args.horizon)
+    roots = solve_hedge_strike(LatticeModel(args.u, args.d), args.floor, args.horizon)
     _write(args.out, to_json({"floor": args.floor, "horizon": args.horizon,
                               "roots": roots}) + "\n")
     return EXIT_OK

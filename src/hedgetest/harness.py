@@ -83,8 +83,9 @@ class HedgeSpec:
     floor: float | None = None       # defaults to the experiment ruin level
 
     def __post_init__(self):
-        if self.strike is not None and not self.strike > 0.0:
-            raise ConfigError(f"hedge strike must be positive, got {self.strike}")
+        if self.strike is not None and not 0.0 < self.strike < math.inf:
+            raise ConfigError(
+                f"hedge strike must be positive and finite, got {self.strike}")
         if self.expiry < 0:
             raise ConfigError(f"hedge expiry must be nonnegative, got {self.expiry}")
 
@@ -214,13 +215,17 @@ class HedgePlan:
 def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
     lam = config.strategy.constant_lambda(config.hypothesis)
     expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
-    model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param, expiry)
+    model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param)
     strike = config.hedge.strike
     if strike is None:
         roots = solve_hedge_strike(model, floor, expiry)
         strike = roots[0]    # lower strike engages more wealth in the bet
     marks = lattice_node_values(model, Contract.put(strike, expiry))
-    return HedgePlan(strike, float(marks[0][0]), expiry, tuple(marks))
+    premium = float(marks[0][0])
+    if premium >= 1.0:       # never for a solved strike: (1 - C)*S = floor > 0
+        raise ConfigError(f"hedge strike {strike!r} costs {premium!r}; an explicit "
+                          f"strike must cost less than 1, the unit wealth")
+    return HedgePlan(strike, premium, expiry, tuple(marks))
 
 
 def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
@@ -450,6 +455,8 @@ def synthetic_uniform_matrix(n_genes: int, n_samples: int, seed: int,
     Shifted genes draw U**theta with theta = 1/mean - 1, which keeps [0, 1]
     support while moving the mean.  Returns (matrix, shifted mask).
     """
+    if n_genes < 0:
+        raise ConfigError(f"gene count must be nonnegative, got {n_genes}")
     if not 0.0 <= shifted_fraction <= 1.0:
         raise ConfigError(f"shifted fraction {shifted_fraction} not in [0, 1]")
     if not 0.0 < shifted_mean < 1.0:

@@ -16,13 +16,13 @@ so the usual anytime-valid decision rule applies to it unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .pricing import (Contract, LatticeModel, lattice_node_values,
-                      risk_neutral_up_prob)
+from .pricing import Contract, LatticeModel, lattice_node_values
 
 # Tolerance for enforcing risk-neutral trade prices and value neutrality.
 _PRICE_TOL = 1e-9
@@ -63,18 +63,19 @@ class TradeLimits:
 
 
 class Portfolio(NamedTuple):
-    """Holdings (cash, risky shares, contracts) at one node of the lattice.
+    """Holdings (cash, risky shares, contracts) at one node of their lattice.
 
-    marks[i] is the per-contract risk-neutral value of positions[i] at this
-    node: its node-table entry while live, its payoff once expired.  A
-    position without a mark is an error, never a value of 0.
+    The portfolio carries the lattice it lives on, so its factors were
+    checked once, when that LatticeModel was built.  marks[i] is the
+    per-contract risk-neutral value of positions[i] at this node: its
+    node-table entry while live, its payoff once expired.  A position
+    without a mark is an error, never a value of 0.
     """
 
     risk_free: float
     risky_value: float
     positions: tuple[DerivativePosition, ...]
-    up_factor: float
-    down_factor: float
+    lattice: LatticeModel
     underlying: float = 1.0    # unit wealth-process level, used for marking
     time: int = 0
     ups: int = 0               # up-moves stepped through so far
@@ -82,9 +83,8 @@ class Portfolio(NamedTuple):
 
     @classmethod
     def initial(cls, up_factor: float, down_factor: float) -> "Portfolio":
-        """All-cash unit portfolio at time 0; needs 0 < down < 1 < up."""
-        risk_neutral_up_prob(up_factor, down_factor)
-        return cls(1.0, 0.0, (), up_factor, down_factor)
+        """All-cash unit portfolio at time 0 on the lattice of the two factors."""
+        return cls(1.0, 0.0, (), LatticeModel(up_factor, down_factor))
 
     @property
     def derivative_value(self) -> float:
@@ -101,12 +101,12 @@ def trade_limits(portfolio: Portfolio) -> TradeLimits:
 
     A transfer of a into the risky leg survives a down-move iff
     a <= (K_free + d*K_risky) / (1 - d); a short of b survives an up-move iff
-    b <= (K_free + u*K_risky) / (u - 1).  The bounds cover cash and shares
-    only: move_to_risky vets a portfolio holding live contracts with the
-    exact worst-case sweep as well.
+    b <= (K_free + u*K_risky) / (u - 1).  The factors come from the
+    portfolio's lattice, so 0 < d < 1 < u holds and neither bound divides
+    by zero.  The bounds cover cash and shares only: move_to_risky vets a
+    portfolio holding live contracts with the exact worst-case sweep as well.
     """
-    u, d = portfolio.up_factor, portfolio.down_factor
-    risk_neutral_up_prob(u, d)
+    u, d = portfolio.lattice.up_factor, portfolio.lattice.down_factor
     free, risky = portfolio.risk_free, portfolio.risky_value
     return TradeLimits(max_loan=(free + d * risky) / (1.0 - d),
                        max_short=(free + u * risky) / (u - 1.0))
@@ -119,6 +119,8 @@ def move_to_risky(portfolio: Portfolio, amount: float) -> Portfolio:
     with live contracts held, also rejected if a lattice path to the last
     expiry could bankrupt the portfolio.
     """
+    if not math.isfinite(amount):
+        raise ValueError(f"transfer amount must be finite, got {amount}")
     limits = trade_limits(portfolio)
     if amount > limits.max_loan + _PRICE_TOL:
         raise TradeLimitError(
@@ -151,10 +153,10 @@ def _worst_case_terminal(portfolio: Portfolio) -> float:
     frozen = sum(p.quantity * mark
                  for p, mark in zip(portfolio.positions, portfolio.marks, strict=True)
                  if p.contract.expiry <= portfolio.time)
-    u, d = portfolio.up_factor, portfolio.down_factor
+    lattice = portfolio.lattice
     if not live:
-        one_step = portfolio.risky_value * (d if portfolio.risky_value >= 0.0 else u)
-        return portfolio.risk_free + frozen + one_step
+        factor = lattice.down_factor if portfolio.risky_value >= 0.0 else lattice.up_factor
+        return portfolio.risk_free + frozen + portfolio.risky_value * factor
     h = max(p.contract.expiry - portfolio.time for p in live)
     by_level: dict[int, list[DerivativePosition]] = {}
     for p in live:
@@ -166,12 +168,10 @@ def _worst_case_terminal(portfolio: Portfolio) -> float:
             out += p.quantity * p.contract.payoff(x)
         return out
 
-    j = np.arange(h + 1)
-    x = portfolio.underlying * u ** j * d ** (h - j)
-    g = portfolio.risky_value * u ** j * d ** (h - j) + level_payoff(h, x)
+    g = (lattice.terminal_values(h, portfolio.risky_value)
+         + level_payoff(h, lattice.terminal_values(h, portfolio.underlying)))
     for s in range(h - 1, -1, -1):
-        j = np.arange(s + 1)
-        x = portfolio.underlying * u ** j * d ** (s - j)
+        x = lattice.terminal_values(s, portfolio.underlying)
         g = np.minimum(g[:-1], g[1:]) + level_payoff(s, x)
     return portfolio.risk_free + frozen + float(g[0])
 
@@ -183,8 +183,7 @@ def _node_table(portfolio: Portfolio, contract: Contract) -> tuple:
     sign rule: a value in (-1e-15, 0) is 0 and anything lower is an error.
     """
     remaining = contract.expiry - portfolio.time
-    model = LatticeModel(portfolio.up_factor, portfolio.down_factor, remaining)
-    levels = lattice_node_values(model, replace(contract, expiry=remaining),
+    levels = lattice_node_values(portfolio.lattice, replace(contract, expiry=remaining),
                                  spot=portfolio.underlying)
     for level in levels[:-1]:
         if np.any(level <= -1e-15):
@@ -201,7 +200,7 @@ def _traded(portfolio: Portfolio, contract: Contract, quantity: float,
     mark = nodes[0][0]
     if price is None:
         price = mark
-    elif abs(price - mark) > _PRICE_TOL:
+    elif not abs(price - mark) <= _PRICE_TOL:     # also rejects a NaN price
         raise MispricedTradeError(
             f"trade price {price} differs from the risk-neutral value {mark}")
     position = DerivativePosition(contract, quantity, nodes,
@@ -216,16 +215,16 @@ def _traded(portfolio: Portfolio, contract: Contract, quantity: float,
 def buy_contract(portfolio: Portfolio, contract: Contract, quantity: float,
                  price: float | None = None) -> Portfolio:
     """Buy `quantity` contracts at the risk-neutral price (the default)."""
-    if quantity <= 0.0:
-        raise ValueError(f"buy quantity must be positive, got {quantity}")
+    if not 0.0 < quantity < math.inf:
+        raise ValueError(f"buy quantity must be positive and finite, got {quantity}")
     return _traded(portfolio, contract, quantity, price)
 
 
 def issue_contract(portfolio: Portfolio, contract: Contract, quantity: float,
                    price: float | None = None) -> Portfolio:
     """Write `quantity` contracts; rejected if a lattice path could bankrupt."""
-    if quantity <= 0.0:
-        raise ValueError(f"issue quantity must be positive, got {quantity}")
+    if not 0.0 < quantity < math.inf:
+        raise ValueError(f"issue quantity must be positive and finite, got {quantity}")
     return _traded(portfolio, contract, -quantity, price)
 
 
@@ -237,16 +236,16 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     (payoff once it expires, frozen thereafter), with no pricing call; cash
     is unchanged (r = 0).  The position records are shared, not copied.
     """
-    free, risky, positions, u, d, underlying, t, ups, marks = portfolio
+    free, risky, positions, lattice, underlying, t, ups, marks = portfolio
     if outcome == 1.0:
-        factor, ups = u, ups + 1
+        factor, ups = lattice.up_factor, ups + 1
     elif outcome == 0.0:
-        factor = d
+        factor = lattice.down_factor
     else:
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
     t += 1
     marks = tuple([pos.nodes[t - pos.opened][ups - pos.opened_ups]
                    if pos.contract.expiry >= t else mark   # expired: payoff is frozen
                    for pos, mark in zip(positions, marks, strict=True)])
-    return Portfolio(free, risky * factor, positions, u, d, underlying * factor,
+    return Portfolio(free, risky * factor, positions, lattice, underlying * factor,
                      t, ups, marks)

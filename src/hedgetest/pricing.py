@@ -55,16 +55,17 @@ def risk_neutral_up_prob(u: float, d: float) -> float:
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """Recombining binomial lattice for a wealth process."""
+    """Recombining binomial lattice of a wealth process: its two factors.
+
+    It has no depth: each contract or strike solve reads it to its own
+    expiry.  Building one is the only check of 0 < d < 1 < u.
+    """
 
     up_factor: float
     down_factor: float
-    steps: int
 
     def __post_init__(self):
         risk_neutral_up_prob(self.up_factor, self.down_factor)
-        if self.steps < 1:
-            raise ValueError(f"lattice needs at least one step, got {self.steps}")
 
     @property
     def risk_neutral_prob(self) -> float:
@@ -76,13 +77,13 @@ class LatticeModel:
         return spot * self.up_factor ** j * self.down_factor ** (expiry - j)
 
     @classmethod
-    def for_bernoulli_bet(cls, lam: float, null_p: float, steps: int) -> "LatticeModel":
+    def for_bernoulli_bet(cls, lam: float, null_p: float) -> "LatticeModel":
         """Lattice of a constant-fraction bet on Bernoulli(null_p) outcomes.
 
         One step multiplies wealth by 1 + lam*(1 - p) or 1 - lam*p; the
         risk-neutral up probability then equals the null p itself.
         """
-        return cls(1.0 + lam * (1.0 - null_p), 1.0 - lam * null_p, steps)
+        return cls(1.0 + lam * (1.0 - null_p), 1.0 - lam * null_p)
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class Contract:
     payoff_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.strike < 0.0:
-            raise ValueError(f"strike must be nonnegative, got {self.strike}")
+        if not 0.0 <= self.strike < math.inf:
+            raise ValueError(f"strike must be nonnegative and finite, got {self.strike}")
         if self.expiry < 1:
             raise ValueError(f"expiry must be positive, got {self.expiry}")
         if self.kind is ContractKind.CUSTOM_EUROPEAN and self.payoff_fn is None:
@@ -148,9 +149,6 @@ def lattice_node_values(model: LatticeModel, contract: Contract,
     """
     if spot < 0.0:
         raise ValueError(f"spot must be nonnegative, got {spot}")
-    if contract.expiry > model.steps:
-        raise ValueError(
-            f"contract expiry {contract.expiry} exceeds lattice depth {model.steps}")
     q = model.risk_neutral_prob
     values = contract.payoff(model.terminal_values(contract.expiry, spot))
     levels = [np.asarray(values, dtype=float)]
@@ -270,14 +268,12 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
 
 def solve_hedge_strike(model: LatticeModel, floor: float, horizon: int,
                        spot: float = 1.0) -> list[float]:
-    """put_floor_strikes over the lattice's terminal binomial measure.
+    """put_floor_strikes over the lattice's binomial measure `horizon` steps out.
 
     C(S) is the price of the horizon-expiry put at strike S: buying the put
     for C and keeping the rest invested leaves exactly (1 - C(S))*S in the
     worst case, so a root makes that worst case equal the desired floor.
     """
-    if horizon > model.steps:
-        raise ValueError(f"horizon {horizon} exceeds lattice depth {model.steps}")
     # the ufunc behind the stats package's binom.pmf, so the weights match it
     # bit for bit without that slow import; a math.comb product would not
     from scipy.special._ufuncs import _binom_pmf

@@ -8,10 +8,11 @@ a time in a loop, wealth recurrences (one-sided and the two-sided hedged
 process) are evaluated step by step in plain Python, the first crossing of
 1/alpha is found by a plain loop over one path instead of the batch rule,
 put-floor strikes interval by interval in plain Python after a stable
-sort, and the per-episode CSVs are written with one f-string per row
-instead of one format per distinct value.  path_values and crossing_times
-are no oracles: they are the batch engine's wealth rows and the batch
-rule's crossing times, shared by the test files.
+sort, a portfolio's worst case by walking every path instead of the
+backward min-sweep, and the per-episode CSVs are written with one
+f-string per row instead of one format per distinct value.  path_values
+and crossing_times are no oracles: they are the batch engine's wealth rows
+and the batch rule's crossing times, shared by the test files.
 """
 
 import itertools
@@ -127,7 +128,7 @@ def fresh_mark(u, d, contract, underlying, t):
         raise ValueError("cannot mark a contract after expiry")
     if remaining == 0:
         return float(contract.payoff(underlying))
-    model = LatticeModel(u, d, remaining)
+    model = LatticeModel(u, d)
     rebased = replace(contract, expiry=remaining)
     return lattice_price(model, rebased, spot=underlying).value
 
@@ -143,7 +144,7 @@ def step_by_remark(portfolio, outcome):
     if outcome not in (0.0, 1.0):
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
     up = int(outcome == 1.0)
-    factor = portfolio.up_factor if up else portfolio.down_factor
+    factor = portfolio.lattice.up_factor if up else portfolio.lattice.down_factor
     t, ups = portfolio.time + 1, portfolio.ups + up
     marks = []
     for pos, mark in zip(portfolio.positions, portfolio.marks):
@@ -198,6 +199,33 @@ def enumerate_paths_min(u, d, tau, payoff, spot=1.0):
         for factor in path:
             k *= factor
         worst = min(worst, payoff(k))
+    return worst
+
+
+def worst_case_by_paths(portfolio):
+    """Minimum total value over all 2**h up/down paths to the last live expiry.
+
+    Each path is walked in plain Python: cash, plus the frozen marks of the
+    expired positions, plus the risky leg at the path's end, plus each live
+    contract's payoff at the underlying on its own expiry.  With no live
+    contract h is one step.
+    """
+    u, d = portfolio.lattice.up_factor, portfolio.lattice.down_factor
+    t = portfolio.time
+    live = [(pos.contract, pos.quantity) for pos in portfolio.positions
+            if pos.contract.expiry > t]
+    frozen = sum(pos.quantity * mark
+                 for pos, mark in zip(portfolio.positions, portfolio.marks)
+                 if pos.contract.expiry <= t)
+    h = max([contract.expiry - t for contract, _ in live], default=1)
+    worst = math.inf
+    for path in itertools.product((u, d), repeat=h):
+        total, k = portfolio.risk_free + frozen, 1.0
+        for s, factor in enumerate(path, 1):
+            k *= factor
+            total += sum(quantity * contract.payoff(portfolio.underlying * k)
+                         for contract, quantity in live if contract.expiry - t == s)
+        worst = min(worst, total + portfolio.risky_value * k)
     return worst
 
 

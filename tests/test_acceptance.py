@@ -50,7 +50,7 @@ def table2():
 
 
 def test_c1_lattice_goldens():
-    model = LatticeModel(1.5, 0.5, 3)
+    model = LatticeModel(1.5, 0.5)
     call = Contract.call(10 / 8, 3)
     put = Contract.put(1 / 4, 3)
     call_err = abs(lattice_price(model, call).value - 17 / 64)
@@ -87,7 +87,7 @@ def test_c4_lambda_goldens():
 
 
 def test_c5_hedge_strikes():
-    model = LatticeModel(1.5, 0.5, 20)
+    model = LatticeModel(1.5, 0.5)
     start = time.perf_counter()
     roots = solve_hedge_strike(model, 0.25, 20)
     elapsed = time.perf_counter() - start
@@ -264,7 +264,7 @@ def test_c9_martingale_conservation_portfolios():
 
 def test_c9_put_call_parity():
     def body():
-        model = LatticeModel(1.5, 0.5, 20)
+        model = LatticeModel(1.5, 0.5)
         worst = 0.0
         for strike in np.linspace(0.05, 3.0, 60):
             call = lattice_price(model, Contract.call(strike, 20)).value
@@ -279,7 +279,7 @@ def test_c9_put_call_parity():
 def test_c9_mc_price_unbiasedness():
     def body():
         contract = Contract.call(10 / 8, 3)
-        target = lattice_price(LatticeModel(1.5, 0.5, 3), contract).value
+        target = lattice_price(LatticeModel(1.5, 0.5), contract).value
         sampler = HypothesisSpec.bernoulli(0.5).null_sampler()
         process = lambda ys: np.prod(1.0 + (ys - 0.5), axis=1)
         estimates = np.array([

@@ -48,7 +48,7 @@ class TestPrice:
     def test_output_matches_library_exactly(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--model", "u=1.5,d=0.5",
                                "--contract", "put,S=0.25,tau=3")
-        library = lattice_price(LatticeModel(1.5, 0.5, 3), Contract.put(0.25, 3))
+        library = lattice_price(LatticeModel(1.5, 0.5), Contract.put(0.25, 3))
         assert json.loads(out)["value"] == library.value
 
     def test_mc_method_runs(self, capsys):
@@ -183,7 +183,7 @@ class TestHedgeSolve:
     def test_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, "hedge-solve", "--floor", "0.25",
                             "--horizon", "20")
-        library = solve_hedge_strike(LatticeModel(1.5, 0.5, 20), 0.25, 20)
+        library = solve_hedge_strike(LatticeModel(1.5, 0.5), 0.25, 20)
         assert json.loads(out)["roots"] == library
 
     def test_unattainable_floor_exit_code(self, capsys):
@@ -278,6 +278,8 @@ class TestSimulate:
         ("solve", "0.3", "needs strike mode explicit"),
         ("explicit", "0", "strike must be positive"),
         ("explicit", "-0.3", "strike must be positive"),
+        ("explicit", "inf", "strike must be positive and finite"),
+        ("explicit", "5.0", "must cost less than 1"),    # put premium 4.51
     ])
     def test_hedge_strike_misuse_is_config_error(self, tmp_path, capsys, mode,
                                                  strike, message):
@@ -300,8 +302,8 @@ class TestSimulate:
             outputs.append((tmp_path / f"{name}.json").read_bytes())
         assert outputs[0] == outputs[1]
         plan = json.loads(outputs[0])["hedge_plan"]
-        strike = solve_hedge_strike(LatticeModel(1.5, 0.5, 20), 0.25, 20)[0]
-        premium = lattice_price(LatticeModel(1.5, 0.5, 20), Contract.put(strike, 20)).value
+        strike = solve_hedge_strike(LatticeModel(1.5, 0.5), 0.25, 20)[0]
+        premium = lattice_price(LatticeModel(1.5, 0.5), Contract.put(strike, 20)).value
         assert plan == {"strike": strike, "premium": premium, "expiry": 20}
         assert "hedge_plan" not in json.loads(outputs[0])["config"]
 
@@ -374,6 +376,7 @@ class TestScreen:
     @pytest.mark.parametrize("extra", [
         ("--alpha", "1.5"), ("--alpha", "0"), ("--ruin", "1.2"),
         ("--samples", "2", "--hedge"), ("--samples", "1"), ("--genes", "0"),
+        ("--genes", "-5"),
         ("--shift-mean", "0"), ("--shift-mean", "1.5"), ("--shift-fraction", "1.5"),
     ])
     def test_out_of_range_arguments_are_config_errors(self, capsys, extra):

@@ -1,5 +1,6 @@
 """Tests for trade limits, value neutrality, marking and portfolio decisions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,12 +60,11 @@ class TestTradeLimits:
 
     @pytest.mark.parametrize("u, d", [(1.0, 0.5), (1.5, -0.2), (0.8, 0.5)])
     def test_lattice_factors_need_down_below_one_below_up(self, u, d):
+        # the portfolio carries a LatticeModel, which checks them once
         with pytest.raises(ValueError):
             Portfolio.initial(u, d)
         with pytest.raises(ValueError):
-            trade_limits(Portfolio(1.0, 0.0, (), u, d))
-        with pytest.raises(ValueError):
-            move_to_risky(Portfolio(1.0, 0.0, (), u, d), 0.1)
+            LatticeModel(u, d)
 
     @pytest.mark.parametrize("written, amount", [
         (Contract.call(1.0, 1), -2.5),     # short into an issued call's up-move
@@ -80,6 +80,30 @@ class TestTradeLimits:
         assert move_to_risky(p, amount / 2).total_value == pytest.approx(1.0)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("trade", [buy_contract, issue_contract])
+    @pytest.mark.parametrize("quantity", [math.nan, math.inf])
+    def test_non_finite_quantity_rejected(self, trade, quantity):
+        with pytest.raises(ValueError, match="quantity must be positive and finite"):
+            trade(all_risky(), Contract.put(0.25, 3), quantity)
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_transfer_rejected(self, amount):
+        with pytest.raises(ValueError, match="finite"):
+            move_to_risky(all_cash(), amount)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(MispricedTradeError):
+            buy_contract(all_risky(), Contract.put(0.25, 3), 1.0, price=price)
+
+    @pytest.mark.parametrize("make", [Contract.put, Contract.call])
+    @pytest.mark.parametrize("strike", [math.nan, math.inf])
+    def test_non_finite_strike_rejected(self, make, strike):
+        with pytest.raises(ValueError, match="strike must be nonnegative and finite"):
+            make(strike, 3)
+
+
 class TestRebalance:
     def test_moves_are_value_neutral(self):
         p = all_cash()
@@ -88,7 +112,7 @@ class TestRebalance:
             assert p.total_value == pytest.approx(1.0, abs=1e-12)
 
     def test_put_purchase_is_value_neutral(self):
-        model = LatticeModel(U, D, 20)
+        model = LatticeModel(U, D)
         contract = Contract.put(0.30866, 20)
         premium = lattice_price(model, contract).value
         p = buy_contract(all_risky(), contract, quantity=1.0, price=premium)
@@ -97,13 +121,13 @@ class TestRebalance:
 
     def test_mispriced_trade_rejected(self):
         contract = Contract.put(0.25, 3)
-        fair = lattice_price(LatticeModel(U, D, 3), contract).value
+        fair = lattice_price(LatticeModel(U, D), contract).value
         with pytest.raises(MispricedTradeError):
             buy_contract(all_risky(), contract, quantity=1.0, price=fair + 1e-3)
 
     def test_issue_that_could_bankrupt_rejected(self):
         # a 0.1 portfolio writing a tau=3 call at S=10/8: worst payoff 17/8
-        small = Portfolio(0.1, 0.0, (), U, D)
+        small = Portfolio(0.1, 0.0, (), LatticeModel(U, D))
         contract = Contract.call(10 / 8, 3)
         with pytest.raises(BankruptcyRiskError):
             issue_contract(small, contract, quantity=1.0)
@@ -151,9 +175,17 @@ class TestStep:
         with pytest.raises(AttributeError):
             step(p, 1.0).positions = ()
 
+    def test_the_portfolio_carries_its_lattice_and_no_loose_factors(self):
+        assert [f.name for f in dataclasses.fields(LatticeModel)] == ["up_factor",
+                                                                      "down_factor"]
+        assert "lattice" in Portfolio._fields
+        assert not {"up_factor", "down_factor"} & set(Portfolio._fields)
+        assert step(all_risky(), 1.0).lattice == LatticeModel(U, D)
+
     def test_position_without_a_mark_rejected(self):
         held = buy_contract(all_risky(), Contract.put(0.25, 3), quantity=1.0)
-        unmarked = Portfolio(held.risk_free, held.risky_value, held.positions, U, D)
+        unmarked = Portfolio(held.risk_free, held.risky_value, held.positions,
+                             held.lattice)
         with pytest.raises(ValueError):
             unmarked.total_value
         with pytest.raises(ValueError):
@@ -275,7 +307,7 @@ class TestReplication:
             assert abs(values[tau][j] - contract.payoff(k)) <= 1e-10
         # the library's own marks agree with the independent induction
         from hedgetest.pricing import lattice_node_values
-        marks = lattice_node_values(LatticeModel(U, D, tau), contract)
+        marks = lattice_node_values(LatticeModel(U, D), contract)
         for t in range(tau + 1):
             assert np.allclose(marks[t], values[t], rtol=0, atol=1e-12)
 

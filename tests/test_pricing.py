@@ -17,7 +17,7 @@ from hedgetest.wealth import HypothesisSpec, terminal_wealth
 
 from oracles import binomial_weight_price, enumerate_paths_price
 
-KELLY_LATTICE = LatticeModel(1.5, 0.5, 3)
+KELLY_LATTICE = LatticeModel(1.5, 0.5)
 
 
 class TestRiskNeutralUpProb:
@@ -45,7 +45,7 @@ class TestRiskNeutralUpProb:
         # a constant-fraction bet on Bernoulli(p) has risk-neutral up prob p
         for p in (0.3, 0.5, 0.75):
             for lam in (0.25, 0.5, 1.0):
-                model = LatticeModel.for_bernoulli_bet(lam, p, 5)
+                model = LatticeModel.for_bernoulli_bet(lam, p)
                 assert model.risk_neutral_prob == pytest.approx(p, abs=1e-12)
 
 
@@ -61,7 +61,7 @@ class TestLatticePrice:
         assert abs(price.value - 1 / 64) <= 1e-12
 
     def test_degenerate_strikes(self):
-        model = LatticeModel(1.5, 0.5, 6)
+        model = LatticeModel(1.5, 0.5)
         call = Contract(ContractKind.EUROPEAN_CALL, 0.0, 6)
         put = Contract(ContractKind.EUROPEAN_PUT, 0.0, 6)
         assert lattice_price(model, call, spot=2.0).value == pytest.approx(2.0, abs=1e-12)
@@ -69,27 +69,23 @@ class TestLatticePrice:
 
     def test_identity_payoff_prices_at_spot(self):
         identity = Contract(ContractKind.CUSTOM_EUROPEAN, 0.0, 8, payoff_fn=lambda k: k)
-        model = LatticeModel(1.5, 0.5, 8)
+        model = LatticeModel(1.5, 0.5)
         assert lattice_price(model, identity).value == 1.0
         assert lattice_price(model, identity, spot=0.7).value == pytest.approx(0.7, abs=1e-12)
 
     def test_matches_path_enumeration(self):
         payoffs = [Contract.call(1.1, 8), Contract.put(0.8, 8)]
-        model = LatticeModel(1.5, 0.5, 8)
+        model = LatticeModel(1.5, 0.5)
         for contract in payoffs:
             oracle = enumerate_paths_price(1.5, 0.5, 0.5, 8, contract.payoff)
             assert lattice_price(model, contract).value == pytest.approx(oracle, abs=1e-12)
 
     def test_matches_binomial_weights_deep_lattice(self):
-        model = LatticeModel(1.5, 0.5, 20)
+        model = LatticeModel(1.5, 0.5)
         for strike in (0.25, 0.30866, 1.0, 2.5):
             contract = Contract.put(strike, 20)
             oracle = binomial_weight_price(1.5, 0.5, 0.5, 20, contract.payoff)
             assert lattice_price(model, contract).value == pytest.approx(oracle, rel=1e-11)
-
-    def test_expiry_beyond_depth_rejected(self):
-        with pytest.raises(ValueError):
-            lattice_price(KELLY_LATTICE, Contract.call(1.0, 4))
 
     def test_negative_spot_rejected(self):
         with pytest.raises(ValueError, match="spot"):
@@ -97,14 +93,14 @@ class TestLatticePrice:
         assert lattice_price(KELLY_LATTICE, Contract.put(2.0, 3), spot=0.0).value == 2.0
 
     def test_put_call_parity(self):
-        model = LatticeModel(1.5, 0.5, 12)
+        model = LatticeModel(1.5, 0.5)
         for strike in np.linspace(0.05, 3.0, 40):
             call = lattice_price(model, Contract.call(strike, 12)).value
             put = lattice_price(model, Contract.put(strike, 12)).value
             assert abs((call - put) - (1.0 - strike)) <= 1e-10
 
     def test_monotonicity_in_strike(self):
-        model = LatticeModel(1.5, 0.5, 10)
+        model = LatticeModel(1.5, 0.5)
         strikes = np.linspace(0.05, 3.0, 30)
         calls = [lattice_price(model, Contract.call(s, 10)).value for s in strikes]
         puts = [lattice_price(model, Contract.put(s, 10)).value for s in strikes]
@@ -170,7 +166,7 @@ class TestMcPrice:
     def test_grand_mean_unbiased(self):
         # 200 independent estimates at n = 1000: grand mean within 3 SEs
         contract = Contract.call(10 / 8, 3)
-        target = lattice_price(LatticeModel(1.5, 0.5, 3), contract).value
+        target = lattice_price(LatticeModel(1.5, 0.5), contract).value
         sampler = HypothesisSpec.bernoulli(0.5).null_sampler()
         process = self._kelly_process()
         estimates = np.array([
@@ -183,7 +179,7 @@ class TestMcPrice:
         # conservativeness: E_null[payoff] is the price itself, several contracts
         sampler = HypothesisSpec.bernoulli(0.5).null_sampler()
         process = self._kelly_process()
-        model = LatticeModel(1.5, 0.5, 5)
+        model = LatticeModel(1.5, 0.5)
         for contract in (Contract.call(1.5, 5), Contract.put(0.5, 5)):
             target = lattice_price(model, contract).value
             est = mc_price(sampler, process, contract, 50_000, seed=106)
@@ -266,28 +262,28 @@ class TestBlackScholes:
 
 class TestSolveHedgeStrike:
     def test_known_roots(self):
-        model = LatticeModel(1.5, 0.5, 20)
+        model = LatticeModel(1.5, 0.5)
         roots = solve_hedge_strike(model, 0.25, 20)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.30866, abs=1e-4)
         assert roots[1] == pytest.approx(0.97285, abs=1e-4)
 
     def test_plug_back_residual(self):
-        model = LatticeModel(1.5, 0.5, 20)
+        model = LatticeModel(1.5, 0.5)
         for root in solve_hedge_strike(model, 0.25, 20):
             premium = lattice_price(model, Contract.put(root, 20)).value
             assert abs(0.25 - (1 - premium) * root) <= 1e-12
 
     def test_close_pair_inside_one_grid_cell(self):
         # both roots fall within 7e-5 of each other; a grid scan misses them
-        model = LatticeModel.for_bernoulli_bet(1.0, 0.5, 20)
+        model = LatticeModel.for_bernoulli_bet(1.0, 0.5)
         roots = solve_hedge_strike(model, 0.3494854227, 20)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.634349, abs=1e-6)
         assert roots[1] == pytest.approx(0.634417, abs=1e-6)
 
     def test_small_floor_gives_small_root(self):
-        model = LatticeModel(1.5, 0.5, 20)
+        model = LatticeModel(1.5, 0.5)
         smallest = {floor: solve_hedge_strike(model, floor, 20)[0]
                     for floor in (0.1, 0.01, 0.001)}
         assert smallest[0.01] < smallest[0.1]
@@ -295,7 +291,7 @@ class TestSolveHedgeStrike:
         assert smallest[0.001] < 0.002
 
     def test_unattainable_floor_raises(self):
-        model = LatticeModel(1.5, 0.5, 20)
+        model = LatticeModel(1.5, 0.5)
         with pytest.raises(StrikeSolveError):
             solve_hedge_strike(model, 0.9999, 20)
 
@@ -309,7 +305,7 @@ class TestSolveHedgeStrike:
             assert _binom_pmf(k, horizon, q).tobytes() == binom.pmf(k, horizon, q).tobytes()
 
     def test_runtime_under_budget(self):
-        model = LatticeModel(1.5, 0.5, 20)
+        model = LatticeModel(1.5, 0.5)
         start = time.perf_counter()
         solve_hedge_strike(model, 0.25, 20)
         assert time.perf_counter() - start < 5.0

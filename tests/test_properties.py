@@ -15,8 +15,10 @@ crossing of 1/alpha where a plain loop over the row does.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
 there; a portfolio's lookup marks along a random path agree with a fresh
 lattice priced at every step, and a step's marks and total are the bits of
-the oracle that re-marks every position in a loop.  A config written out
-from its resolved view and read back resolves to the same view.
+the oracle that re-marks every position in a loop.  The worst-case sweep
+that vets trades is the minimum over every enumerated path of a stepped,
+part-expired portfolio.  A config written out from its resolved view and
+read back resolves to the same view.
 """
 
 from dataclasses import replace
@@ -24,12 +26,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hedgetest.harness import (config_dict, config_from_dict, load_config,
                                parse_config_text)
-from hedgetest.portfolio import (BankruptcyRiskError, Portfolio, buy_contract,
-                                 issue_contract, move_to_risky, step)
+from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
+                                 Portfolio, _node_table, _worst_case_terminal,
+                                 buy_contract, issue_contract, move_to_risky, step)
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                lattice_node_values, lattice_price,
                                put_floor_strikes, solve_hedge_strike)
@@ -39,10 +42,9 @@ from hedgetest.wealth import HypothesisSpec, evolve, ville_crossing
 
 from oracles import (binomial_weight_price, enumerate_paths_min,
                      first_crossing_by_hand, floor_strikes_by_interval,
-                     fresh_mark, step_by_remark, wealth_by_hand)
+                     fresh_mark, step_by_remark, wealth_by_hand,
+                     worst_case_by_paths)
 
-DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
-                         max_examples=100)
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
@@ -52,7 +54,7 @@ def lattices(draw):
     lam = draw(st.floats(0.05, min(2.0, 0.95 / null_p)))
     floor = draw(st.floats(0.01, 0.99))
     horizon = draw(st.integers(1, 12))
-    return LatticeModel.for_bernoulli_bet(lam, null_p, horizon), floor, horizon
+    return LatticeModel.for_bernoulli_bet(lam, null_p), floor, horizon
 
 
 @st.composite
@@ -87,7 +89,6 @@ def assert_sign_changes_bracketed(grid, values, roots):
             f"residual changes sign in [{grid[i]}, {grid[i + 1]}] without a root"
 
 
-@DETERMINISTIC
 @given(lattices())
 def test_lattice_roots_zero_the_residual(case):
     model, floor, horizon = case
@@ -95,7 +96,6 @@ def test_lattice_roots_zero_the_residual(case):
         assert abs(lattice_residual(model, floor, horizon, root)) <= 1e-12
 
 
-@DETERMINISTIC
 @given(lattices())
 def test_lattice_roots_ascend_and_none_is_missed(case):
     model, floor, horizon = case
@@ -107,7 +107,6 @@ def test_lattice_roots_ascend_and_none_is_missed(case):
     assert_sign_changes_bracketed(grid, values, roots)
 
 
-@DETERMINISTIC
 @given(lattices())
 def test_hedged_worst_case_is_the_floor(case):
     model, floor, horizon = case
@@ -121,7 +120,6 @@ def test_hedged_worst_case_is_the_floor(case):
             assert worst >= floor
 
 
-@DETERMINISTIC
 @given(measures())
 def test_discrete_measure_roots(case):
     atoms, weights, floor = case
@@ -151,7 +149,6 @@ def tied_measures(draw):
     return np.array(atoms), weights, order, draw(st.floats(0.01, 0.99))
 
 
-@DETERMINISTIC
 @given(tied_measures())
 def test_floor_strikes_do_not_depend_on_the_order_of_the_pairs(case):
     atoms, weights, order, floor = case
@@ -159,7 +156,6 @@ def test_floor_strikes_do_not_depend_on_the_order_of_the_pairs(case):
         == put_floor_strikes(atoms, weights, floor)
 
 
-@DETERMINISTIC
 @given(measures())
 def test_tie_free_floor_strikes_are_the_stable_sort_reference(case):
     atoms, weights, floor = case
@@ -178,7 +174,6 @@ def row_chunks(draw):
             draw(st.integers(1, 40)), n, a, b)
 
 
-@DETERMINISTIC
 @given(row_chunks())
 def test_row_chunk_equals_slice_of_the_table(case):
     seed, tag, width, n, a, b = case
@@ -195,7 +190,6 @@ def stream_skips(draw):
             draw(st.integers(0, 5000)), draw(st.integers(0, 300)))
 
 
-@DETERMINISTIC
 @given(stream_skips())
 def test_skipped_stream_is_the_slice_of_the_stream(case):
     seed, tags, k, m = case
@@ -237,7 +231,6 @@ def wealth_batches(draw):
     return hyp, ys, strategy, [strategy] * m
 
 
-@DETERMINISTIC
 @given(wealth_batches())
 def test_batch_equals_each_row_alone_and_the_oracle(case):
     hyp, ys, strategy, alone = case
@@ -273,7 +266,6 @@ def ville_rows(draw):
     return alpha, np.array(values)
 
 
-@DETERMINISTIC
 @given(ville_rows())
 def test_batch_ville_rule_is_the_plain_loop_row_by_row(case):
     alpha, values = case
@@ -288,11 +280,10 @@ def marked_contracts(draw):
     u, d = draw(st.floats(1.01, 3.0)), draw(st.floats(0.05, 0.99))
     expiry = draw(st.integers(1, 12))
     make = draw(st.sampled_from([Contract.put, Contract.call]))
-    return (LatticeModel(u, d, expiry + draw(st.integers(0, 3))),
-            make(draw(st.floats(0.0, 3.0)), expiry), draw(st.floats(0.25, 4.0)))
+    return (LatticeModel(u, d), make(draw(st.floats(0.0, 3.0)), expiry),
+            draw(st.floats(0.25, 4.0)))
 
 
-@DETERMINISTIC
 @given(marked_contracts())
 def test_lattice_marks_are_null_martingales(case):
     model, contract, spot = case
@@ -307,7 +298,6 @@ def test_lattice_marks_are_null_martingales(case):
             assert mark == q * up + (1.0 - q) * down
 
 
-@DETERMINISTIC
 @given(marked_contracts())
 def test_each_node_is_a_fresh_lattice_price(case):
     model, contract, spot = case
@@ -318,7 +308,7 @@ def test_each_node_is_a_fresh_lattice_price(case):
         rebased = replace(contract, expiry=remaining)
         for j, mark in enumerate(levels[t].tolist()):
             node_spot = spot * u ** j * d ** (t - j)
-            fresh = lattice_price(LatticeModel(u, d, remaining), rebased,
+            fresh = lattice_price(LatticeModel(u, d), rebased,
                                   spot=node_spot).value
             assert abs(fresh - mark) <= 1e-12 * max(1.0, abs(mark))
 
@@ -337,7 +327,6 @@ def portfolio_walks(draw):
     return u, d, trades, path
 
 
-@DETERMINISTIC
 @given(portfolio_walks())
 def test_lookup_marks_equal_a_fresh_lattice_at_every_step(case):
     u, d, trades, path = case
@@ -359,7 +348,7 @@ def test_lookup_marks_equal_a_fresh_lattice_at_every_step(case):
                 # the node as the lattice computes it: numpy's vectorized
                 # power may differ from Python's u ** j in the last bit
                 s, j = p.time - time, p.ups - ups
-                node = LatticeModel(u, d, s).terminal_values(s, spot)[j]
+                node = LatticeModel(u, d).terminal_values(s, spot)[j]
                 assert mark == pos.contract.payoff(float(node))
 
 
@@ -377,7 +366,6 @@ def trade_walks(draw):
     return u, d, draw(st.floats(0.0, 1.0)), trades, path
 
 
-@DETERMINISTIC
 @given(trade_walks())
 def test_step_equals_remarking_every_position_bit_for_bit(case):
     u, d, risky, trades, path = case
@@ -395,6 +383,49 @@ def test_step_equals_remarking_every_position_bit_for_bit(case):
         assert [m.hex() for m in p.marks] == [m.hex() for m in expected.marks]
         assert p.positions is expected.positions
         assert (p.time, p.ups) == (expected.time, expected.ups)
+
+
+def held(p, contract, quantity):
+    """p holding `quantity` more of `contract` at its lattice value, unvetted."""
+    nodes = _node_table(p, contract)
+    position = DerivativePosition(contract, quantity, nodes, p.time, p.ups)
+    return p._replace(risk_free=p.risk_free - quantity * nodes[0][0],
+                      positions=p.positions + (position,),
+                      marks=p.marks + (nodes[0][0],))
+
+
+@st.composite
+def swept_portfolios(draw):
+    """A portfolio stepped a few times, some of its contracts expired, then
+    traded again: bought and issued calls and puts due at most 8 steps out,
+    and a risky leg of either sign.  Nothing is vetted, so the worst case
+    may be negative."""
+    p = Portfolio.initial(draw(st.floats(1.01, 3.0)), draw(st.floats(0.05, 0.99)))
+    path = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=3))
+    for wave in (path, []):
+        for _ in range(draw(st.integers(0, 3))):
+            make = draw(st.sampled_from([Contract.put, Contract.call]))
+            if p.time < len(path) and draw(st.booleans()):     # expired by the sweep
+                expiry = draw(st.integers(1, len(path)))
+            else:                                              # due within 8 steps of it
+                expiry = len(path) + draw(st.integers(1, 8))
+            quantity = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+            p = held(p, make(draw(st.floats(0.0, 3.0)), expiry), quantity)
+        for y in wave:
+            p = step(p, y)
+    risky = draw(st.floats(0.0, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return p._replace(risk_free=p.risk_free - risky, risky_value=p.risky_value + risky)
+
+
+@given(swept_portfolios())
+@example(Portfolio.initial(1.5, 0.5)._replace(risk_free=2.0, risky_value=-1.0))
+def test_worst_case_sweep_is_the_minimum_over_every_path(p):
+    u = p.lattice.up_factor
+    h = max([1] + [pos.contract.expiry - p.time for pos in p.positions])
+    scale = 1.0 + abs(p.risk_free) + abs(p.risky_value) * u ** h + sum(
+        abs(pos.quantity) * (pos.contract.strike + p.underlying * u ** h)
+        for pos in p.positions)
+    assert abs(_worst_case_terminal(p) - worst_case_by_paths(p)) <= 1e-12 * scale
 
 
 def render_config(resolved: dict) -> str:
@@ -440,7 +471,6 @@ def raw_configs(draw):
     return raw
 
 
-@DETERMINISTIC
 @given(raw_configs())
 def test_config_round_trips_through_its_resolved_view(raw):
     assert_round_trips(config_from_dict(raw))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, reject, strategies as st
 
 import hedgetest.cli as cli
 from hedgetest.harness import (ExperimentConfig, HedgeSpec, TruthSpec,
@@ -27,8 +27,6 @@ from hedgetest.wealth import HypothesisSpec
 
 from oracles import result_csv_by_row, screening_csv_by_row
 
-DETERMINISTIC = settings(derandomize=True, deadline=None, database=None,
-                         max_examples=100)
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 # sha256 of `simulate`/`shift --config configs/<name>.cfg --workers 1 --out x`
@@ -98,7 +96,6 @@ def repeated_doubles(draw):
     return np.array([pool[i] for i in picks], dtype=np.float64)
 
 
-@DETERMINISTIC
 @given(repeated_doubles())
 def test_text_column_equals_one_format_per_value(values):
     assert _text_column(values, format_float) == [f"{x:.17g}" for x in values.tolist()]
@@ -133,7 +130,6 @@ def experiments(draw):
     return config, draw(st.integers(1, 7))
 
 
-@DETERMINISTIC
 @given(experiments())
 def test_artifacts_are_identical_for_any_chunk_count(case):
     config, chunks = case
