@@ -103,11 +103,21 @@ def _cmd_price(args) -> int:
                           f"--family {args.family} does not use; leave it out")
     model = None if args.model is None else _parse_model(args.model)
     contract = _parse_contract(args.contract)
-    if args.spot < 0.0:
-        raise ConfigError(f"spot must be nonnegative, got {args.spot}")
+    if not 0.0 <= args.spot < math.inf:
+        raise ConfigError(f"spot must be nonnegative and finite, got {args.spot}")
     if args.method == "lattice":
         est = lattice_price(LatticeModel(*model), contract, spot=args.spot)
     elif args.method == "mc":
+        try:
+            hyp = (HypothesisSpec.bernoulli(args.null_p) if args.family == "bernoulli"
+                   else HypothesisSpec.log_normal() if args.family == "log_normal"
+                   else HypothesisSpec.bounded())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        lo, hi = hyp.lambda_bounds()
+        if not lo <= args.bet <= hi:
+            raise ConfigError(f"--bet {args.bet!r} outside the admissible range "
+                              f"[{lo!r}, {hi!r}] of --family {args.family}")
         if model is not None:
             u, d = model
             bet_u = 1.0 + args.bet * (1.0 - args.null_p)
@@ -118,19 +128,18 @@ def _cmd_price(args) -> int:
                     f"--model u={u!r},d={d!r} disagrees with the lattice of --bet "
                     f"{args.bet!r} on --null-p {args.null_p!r}: "
                     f"u={bet_u!r},d={bet_d!r}")
-        try:
-            hyp = (HypothesisSpec.bernoulli(args.null_p) if args.family == "bernoulli"
-                   else HypothesisSpec.log_normal() if args.family == "log_normal"
-                   else HypothesisSpec.bounded())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if args.n < 2:
             raise ConfigError(f"mc pricing needs --n of at least 2, got {args.n}")
-        process = lambda ys: args.spot * terminal_wealth(lambda k, t: args.bet, ys, hyp)
+        process = lambda ys: args.spot * terminal_wealth(args.bet, ys, hyp)
         est = mc_price(hyp.null_sampler(), process, contract, args.n, args.seed)
     else:
         if args.sigma is None or args.time is None:
             raise ConfigError("black-scholes pricing needs --sigma and --time")
+        for option, value in (("--sigma", args.sigma), ("--time", args.time),
+                              ("--spot", args.spot), ("strike", contract.strike)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"black-scholes pricing needs a positive, finite "
+                                  f"{option}, got {value}")
         fn = (black_scholes_call if contract.kind is ContractKind.EUROPEAN_CALL
               else black_scholes_put)
         est = PriceEstimate(fn(args.spot, contract.strike, args.sigma, args.time), 0.0,

@@ -141,6 +141,11 @@ class ExperimentConfig:
                 raise ConfigError("hedged episodes need a constant-fraction strategy")
             if self.strategy.kind is StrategyKind.HEDGED_CS:
                 raise ConfigError("the two-sided process is hedged via run_screening")
+            try:
+                LatticeModel.for_bernoulli_bet(lam, self.hypothesis.null_param)
+            except ValueError as exc:
+                raise ConfigError(f"a put hedge needs a fraction whose lattice has "
+                                  f"0 < d < 1 < u; fraction {lam!r} gives: {exc}") from exc
 
 
 @dataclass(frozen=True)

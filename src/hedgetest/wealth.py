@@ -9,8 +9,10 @@ Under the null the process is a nonnegative martingale, so observing
 K_t >= 1/alpha at any time is a level-alpha rejection (Ville's inequality).
 
 evolve is the one engine: it steps m such processes side by side under a
-vectorized strategy lam(wealth, t), and terminal_wealth and the two-sided
-hedged_cs are built on it.  A single path is a batch of one.
+vectorized strategy lam(wealth, t), and the two-sided hedged_cs is built on
+it.  A single path is a batch of one.  Under a constant fraction the final
+wealth needs no steps: terminal_wealth is the row product of the clamped
+bet factors, with the same bits as the last step of evolve.
 ville_crossing is the one decision rule: it follows a batch of wealth
 paths step by step and records where each first reaches 1/alpha.
 
@@ -153,13 +155,8 @@ def update_wealth(k_prev, lam, y, null_mean: float,
     """
     if _lowest(k_prev) < 0.0:
         raise ValueError(f"wealth must be nonnegative, got {_lowest(k_prev)}")
-    lo, hi = lambda_bounds
-    lam_lo, lam_hi = (lam.min(), lam.max()) if isinstance(lam, np.ndarray) else (lam, lam)
-    if not (lo <= lam_lo and lam_hi <= hi):
-        raise InadmissibleBetError(
-            f"betting fraction {lam_lo if lam_lo < lo else lam_hi} "
-            f"outside admissible range [{lo}, {hi}]")
-    result = k_prev * (1.0 + lam * (y - null_mean))
+    _check_bet(lam, lambda_bounds)
+    result = k_prev * _bet_factor(lam, y, null_mean)
     if _lowest(result) < 0.0:
         if np.any(result < -_NEG_TOL * np.maximum(k_prev, 1.0)):
             raise OutcomeError(
@@ -169,8 +166,36 @@ def update_wealth(k_prev, lam, y, null_mean: float,
     return result if isinstance(result, np.ndarray) else float(result)
 
 
+def _bet_factor(lam, y, null_mean: float):
+    """1 + lam*(y - null_mean), what a bet of lam on outcome y multiplies
+    wealth by, built in one new buffer (y is left as it is)."""
+    factor = np.subtract(y, null_mean)
+    factor *= lam
+    factor += 1.0
+    return factor
+
+
+def _check_bet(lam, lambda_bounds: tuple[float, float]) -> None:
+    """Raise InadmissibleBetError unless every fraction in lam (one, or an
+    array) lies in lambda_bounds; NaN never does."""
+    lo, hi = lambda_bounds
+    lam_lo, lam_hi = (lam.min(), lam.max()) if isinstance(lam, np.ndarray) else (lam, lam)
+    if not (lo <= lam_lo and lam_hi <= hi):
+        raise InadmissibleBetError(
+            f"betting fraction {lam_lo if lam_lo < lo else lam_hi} "
+            f"outside admissible range [{lo}, {hi}]")
+
+
 def _lowest(x):
     return x.min() if isinstance(x, np.ndarray) else x
+
+
+def _paths(outcomes, hyp: HypothesisSpec) -> np.ndarray:
+    """outcomes checked against hyp's support and the shape (paths, steps)."""
+    ys = hyp.validate_outcomes(outcomes)
+    if ys.ndim != 2:
+        raise ValueError(f"outcomes must have shape (paths, steps), got {ys.shape}")
+    return ys
 
 
 def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
@@ -185,9 +210,7 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
     0 and stays at 0; once every row is ruined the strategy is no longer
     consulted.  Only the current wealths are kept.
     """
-    ys = hyp.validate_outcomes(outcomes)
-    if ys.ndim != 2:
-        raise ValueError(f"outcomes must have shape (paths, steps), got {ys.shape}")
+    ys = _paths(outcomes, hyp)
     bounds = hyp.lambda_bounds()
     k = np.full(ys.shape[0], start, dtype=float)
     for t, y in enumerate(ys.T):
@@ -201,12 +224,21 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
         yield k, lam
 
 
-def terminal_wealth(strategy: Strategy, outcomes, hyp: HypothesisSpec) -> np.ndarray:
-    """Final wealth K_T of each row of outcomes[m, T]: the last value of evolve."""
-    k = np.ones(np.shape(outcomes)[0])
-    for k, _ in evolve(strategy, outcomes, hyp):
-        pass
-    return k
+def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
+    """Final wealth K_T of each row of outcomes[m, T] under the constant fraction lam.
+
+    The row product of the bet factors, each clamped at 0.  numpy's product
+    reduction multiplies a row left to right, so K_T has the same bits as
+    the last step of evolve(lambda k, t: lam, ...), whose update clamps the
+    product in place of the factor; a factor of 0 ruins the row either way.
+    lam is checked against hyp.lambda_bounds() even when T = 0, where every
+    K_T is 1.
+    """
+    ys = _paths(outcomes, hyp)
+    _check_bet(lam, hyp.lambda_bounds())
+    factors = _bet_factor(lam, ys, hyp.null_mean)
+    np.maximum(factors, 0.0, out=factors)
+    return np.prod(factors, axis=1)
 
 
 def hedged_cs(outcomes, lam,

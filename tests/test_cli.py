@@ -106,6 +106,58 @@ class TestPrice:
         assert code == 2
         assert out == "" and "error" in err
 
+    @pytest.mark.parametrize("route,value,message", [
+        (("--method", "lattice", "--model", "u=1.5,d=0.5"), ("--spot", "nan"), "spot"),
+        (("--method", "mc", "--n", "100"), ("--spot", "nan"), "spot"),
+        (("--method", "black-scholes", "--sigma", "1", "--time", "3"), ("--spot", "nan"),
+         "spot"),
+        (("--method", "lattice", "--model", "u=1.5,d=0.5"), ("--spot", "inf"), "spot"),
+        (("--method", "mc", "--n", "100"), ("--spot", "inf"), "spot"),
+        (("--method", "black-scholes", "--sigma", "1", "--time", "3"), ("--spot", "inf"),
+         "spot"),
+        (("--method", "black-scholes", "--sigma", "1", "--time", "3"), ("--spot", "0"),
+         "--spot"),
+        (("--method", "black-scholes", "--time", "3"), ("--sigma", "nan"), "--sigma"),
+        (("--method", "black-scholes", "--time", "3"), ("--sigma", "-1"), "--sigma"),
+        (("--method", "black-scholes", "--time", "3"), ("--sigma", "0"), "--sigma"),
+        (("--method", "black-scholes", "--sigma", "1"), ("--time", "inf"), "--time"),
+        (("--method", "black-scholes", "--sigma", "1"), ("--time", "0"), "--time"),
+    ])
+    def test_non_finite_or_non_positive_input_is_config_error(self, capsys, route,
+                                                              value, message):
+        code, out, err = run_cli(capsys, "price", "--contract", "put,S=0.5,tau=3",
+                                 *route, *value)
+        assert (code, out) == (2, "")
+        assert message in err and value[1] in err
+
+    def test_black_scholes_needs_a_positive_strike(self, capsys):
+        code, out, err = run_cli(capsys, "price", "--contract", "put,S=0,tau=3",
+                                 "--method", "black-scholes", "--sigma", "1", "--time", "3")
+        assert (code, out) == (2, "")
+        assert "strike" in err
+
+    @pytest.mark.parametrize("family,bet", [
+        ((), "2.5"), ((), "-2.5"), ((), "nan"), ((), "inf"),
+        (("--null-p", "0.3"), "-1.5"), (("--null-p", "0.3"), "3.4"),
+        (("--family", "bounded"), "2.5"),
+        (("--family", "log_normal"), "0.7"), (("--family", "log_normal"), "-0.1")])
+    def test_inadmissible_mc_bet_is_config_error(self, capsys, family, bet):
+        code, out, err = run_cli(capsys, "price", "--contract", "put,S=0.5,tau=3",
+                                 "--method", "mc", "--n", "100", *family, "--bet", bet)
+        assert (code, out) == (2, "")
+        assert f"--bet {float(bet)!r} outside the admissible range" in err
+
+    @pytest.mark.parametrize("family,bet", [
+        ((), "2"), ((), "-2"), (("--null-p", "0.3"), "3.3333333333333335"),
+        (("--null-p", "0.3"), "-1.4285714285714286"),
+        (("--family", "log_normal"), "0.6065306597126334"),
+        (("--family", "log_normal"), "0")])
+    def test_mc_bet_at_the_admissible_bounds_prices(self, capsys, family, bet):
+        code, out, _ = run_cli(capsys, "price", "--contract", "put,S=0.5,tau=3",
+                               "--method", "mc", "--n", "100", *family, "--bet", bet)
+        assert code == 0
+        assert json.loads(out)["std_error"] >= 0.0
+
     def test_mc_model_must_match_the_bet_lattice(self, capsys):
         code, out, err = run_cli(capsys, "price", "--model", "u=3,d=0.2",
                                  "--contract", "call,S=1.25,tau=3", "--method", "mc")
@@ -291,6 +343,22 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("old,new,fraction", [
+        ("strategy = kelly", "strategy = fixed\nlambda = 0", "0.0"),
+        ("alt_p = 0.75", "alt_p = 0.25", "-1.0"),          # a negative Kelly bet
+        ("strategy = kelly", "strategy = fixed\nlambda = 2", "2.0"),   # 1/null_p
+    ])
+    def test_put_hedge_needs_a_fraction_with_an_arbitrage_free_lattice(
+            self, tmp_path, capsys, old, new, fraction):
+        cfg = self._hedged_config(tmp_path)
+        text = cfg.read_text()
+        assert f"{old}\n" in text
+        cfg.write_text(text.replace(f"{old}\n", f"{new}\n"))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "a put hedge needs a fraction whose lattice has 0 < d < 1 < u" in err
+        assert f"fraction {fraction} gives" in err
 
     def test_json_records_solved_hedge_plan(self, tmp_path, capsys):
         cfg = self._hedged_config(tmp_path)

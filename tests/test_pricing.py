@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from hedgetest import pricing
 from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                PriceEstimate, PricingMethod, StrikeSolveError,
                                black_scholes_call, black_scholes_put,
@@ -153,10 +154,23 @@ class TestMcPrice:
     def test_family_mismatch_detected(self):
         from hedgetest.wealth import OutcomeError
         hyp = HypothesisSpec.bernoulli(0.5)
-        process = lambda ys: terminal_wealth(lambda k, t: 1.0, ys, hyp)
+        process = lambda ys: terminal_wealth(1.0, ys, hyp)
         lognormal_sampler = HypothesisSpec.log_normal().null_sampler()
         with pytest.raises(OutcomeError):
             mc_price(lognormal_sampler, process, Contract.put(0.25, 3), 10, seed=104)
+
+    @pytest.mark.parametrize("hyp,lam", [(HypothesisSpec.bernoulli(0.5), 2.0),
+                                         (HypothesisSpec.bounded(), -1.7),
+                                         (HypothesisSpec.log_normal(), math.exp(-0.5))])
+    def test_same_bits_for_any_block_size(self, monkeypatch, hyp, lam):
+        # the blocks only split the one stream: each row keeps its draws
+        process = lambda ys: terminal_wealth(lam, ys, hyp)
+        prices = set()
+        for block in (1, 7, 2048):
+            monkeypatch.setattr(pricing, "MC_BLOCK", block)
+            est = mc_price(hyp.null_sampler(), process, Contract.put(0.5, 6), 50, seed=110)
+            prices.add((est.value.hex(), est.std_error.hex()))
+        assert len(prices) == 1
 
     def test_needs_two_replications(self):
         sampler = HypothesisSpec.bernoulli(0.5).null_sampler()

@@ -10,7 +10,8 @@ without ties they are the bits of the stable-sort oracle.  Any chunk of
 the counter-based row table is the same bits as the slice of the whole, and
 so is a stream jumped ahead by k draws.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
-recurrence of the oracle, and the batch Ville rule finds each row's first
+recurrence of the oracle; under a constant fraction, terminal_wealth is the
+bits of evolve's last step; and the batch Ville rule finds each row's first
 crossing of 1/alpha where a plain loop over the row does.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
 there; a portfolio's lookup marks along a random path agree with a fresh
@@ -38,7 +39,7 @@ from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                put_floor_strikes, solve_hedge_strike)
 from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import HypothesisSpec, evolve, ville_crossing
+from hedgetest.wealth import HypothesisSpec, evolve, terminal_wealth, ville_crossing
 
 from oracles import (binomial_weight_price, enumerate_paths_min,
                      first_crossing_by_hand, floor_strikes_by_interval,
@@ -242,6 +243,41 @@ def test_batch_equals_each_row_alone_and_the_oracle(case):
         by_hand = wealth_by_hand([lam for _, lam in steps], ys[i], hyp.null_mean)
         for value, expected in zip(values, by_hand):
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@st.composite
+def constant_bets(draw):
+    family = draw(st.sampled_from(["bernoulli", "bounded", "log_normal"]))
+    m, horizon = draw(st.integers(1, 8)), draw(st.integers(0, 40))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    if family == "bernoulli":
+        hyp = HypothesisSpec.bernoulli(draw(st.floats(0.01, 0.99)))
+        ys = (rng.random((m, horizon)) < draw(st.floats(0.0, 1.0))).astype(float)
+    elif family == "bounded":
+        hyp = HypothesisSpec.bounded(draw(st.floats(0.01, 0.99)))
+        ys = rng.random((m, horizon))
+        ys[rng.random((m, horizon)) < 0.2] = draw(st.sampled_from([0.0, 1.0]))
+    else:
+        hyp = HypothesisSpec.log_normal()
+        ys = np.exp(draw(st.floats(0.5, 40.0)) * rng.standard_normal((m, horizon)))
+    lo, hi = hyp.lambda_bounds()
+    return hyp, ys, draw(st.one_of(st.sampled_from([lo, hi, 0.0]), st.floats(lo, hi)))
+
+
+@given(constant_bets())
+@example((HypothesisSpec.bounded(), np.empty((3, 0)), 2.0))
+@example((HypothesisSpec.bernoulli(0.3), np.array([[0.0, 1.0], [1.0, 1.0]]), 1 / 0.3))
+@example((HypothesisSpec.log_normal(),
+          np.array([[1e300, 1e300, 1e-300], [1e300, 1e300, 1.0]]), np.exp(-0.5)))
+def test_terminal_wealth_is_the_last_step_of_evolve(case):
+    # the row product of the clamped factors, bit for bit, ruined rows,
+    # T = 0 (every row 1) and wide log-normal draws that overflow included
+    hyp, ys, lam = case
+    last = np.ones(len(ys))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for last, _ in evolve(lambda k, t: lam, ys, hyp):
+            pass
+        assert terminal_wealth(lam, ys, hyp).tobytes() == last.tobytes()
 
 
 @st.composite
@@ -462,6 +498,11 @@ def raw_configs(draw):
     if raw["strategy"] == "dynamic" and draw(st.booleans()):
         raw["floor"] = draw(st.floats(0.01, 0.99))
     if raw["strategy"] in ("kelly", "fixed") and draw(st.booleans()):
+        # a put hedge needs a fraction in (0, 1/null_p): 0 < d < 1 < u
+        if raw["strategy"] == "kelly":
+            raw["alt_p"] = draw(st.floats(raw["null_p"] + 0.01, 0.99))
+        else:
+            raw["lambda"] = draw(st.floats(0.01, 1.0))
         raw.update(hedge="put", hedge_expiry=draw(st.integers(0, horizon)))
         if draw(st.booleans()):
             raw.update(hedge_strike_mode="explicit",

@@ -86,7 +86,7 @@ class TestHypothesisSpec:
         with pytest.raises(OutcomeError):
             hyp.validate_outcomes([math.inf, 1.0])
         with pytest.raises(OutcomeError):
-            terminal_wealth(lambda k, t: 0.0, [[math.inf, 1.0]], hyp)
+            terminal_wealth(0.0, [[math.inf, 1.0]], hyp)
 
     def test_log_normal_null_mean_is_exp_half(self):
         assert HypothesisSpec.log_normal().null_mean == math.exp(0.5)
@@ -182,15 +182,14 @@ class TestTerminalWealth:
     def test_matches_the_oracle_row_by_row(self, hyp, draw, lams):
         ys = draw(stream(61), (200, 15))
         for lam in lams:
-            finals = terminal_wealth(lambda k, t: lam, ys, hyp)
+            finals = terminal_wealth(lam, ys, hyp)
             assert finals.shape == (200,)
             for row, final in zip(ys, finals):
                 expected = wealth_by_hand([lam] * 15, row, hyp.null_mean)[-1]
                 assert final == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_ruined_row_stays_at_zero(self):
-        finals = terminal_wealth(lambda k, t: 2.0, np.array([[0, 1, 1], [1, 1, 1]]),
-                                 BERNOULLI)
+        finals = terminal_wealth(2.0, np.array([[0, 1, 1], [1, 1, 1]]), BERNOULLI)
         assert finals.tolist() == [0.0, 8.0]
         assert path_values(lambda k, t: 2.0, [[0, 1, 1]], BERNOULLI)[0, -1] == 0.0
 
@@ -199,11 +198,11 @@ class TestTerminalWealth:
         with pytest.raises(OutcomeError):
             path_values(lambda k, t: 1.0, outside[:1], BERNOULLI)
         with pytest.raises(OutcomeError):
-            terminal_wealth(lambda k, t: 1.0, outside, BERNOULLI)
+            terminal_wealth(1.0, outside, BERNOULLI)
         with pytest.raises(InadmissibleBetError):
             path_values(lambda k, t: 3.0, [[1, 1]], BERNOULLI)
         with pytest.raises(InadmissibleBetError):
-            terminal_wealth(lambda k, t: 3.0, np.array([[1.0, 1.0]]), BERNOULLI)
+            terminal_wealth(3.0, np.array([[1.0, 1.0]]), BERNOULLI)
 
 
 class TestEvolve:
@@ -343,7 +342,7 @@ class TestMartingaleConservation:
     def _finals(self, hyp, lam, n, horizon, seed):
         sampler = hyp.null_sampler()
         ys = np.array([sampler(stream(seed, i), horizon) for i in range(n)])
-        return terminal_wealth(lambda k, t: lam, ys, hyp)
+        return terminal_wealth(lam, ys, hyp)
 
     @pytest.mark.parametrize("hyp,lam,seed", [
         (HypothesisSpec.bernoulli(0.5, 0.75), 1.0, 41),

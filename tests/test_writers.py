@@ -1,7 +1,8 @@
 """Tests of the per-episode CSV writers.
 
-The `simulate`/`shift` artifacts of the nine shipped configs are pinned by
-their sha256 digests, so any byte drift fails here.  Both CSV writers equal
+The `simulate`/`shift` artifacts of the nine shipped configs and the
+`price --method mc` JSON of the three outcome families are pinned by their
+sha256 digests, so any byte drift fails here.  Both CSV writers equal
 the row-by-row f-string reference of the oracles; the column formatter
 equals one `f"{x:.17g}"` per value on arrays with heavy repeats and every
 kind of special double; and the CSV and JSON of random experiments are
@@ -61,6 +62,24 @@ def test_shipped_csv_digest_is_pinned(name, tmp_path, capsys):
                      "--workers", "1", "--out", str(tmp_path / name)]) == 0
     digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
     assert digest == CSV_SHA256[name]
+
+
+# sha256 of `price --contract put,S=0.25,tau=20 --method mc <argv> --out x` -> x
+MC_PRICE_SHA256 = {
+    ("--bet", "1"): "be19441cd3a556cded8be6ac79104e2568c71c91dd554dd0024553cbf135c3c4",
+    ("--family", "bounded", "--bet", "1.7"):
+        "05064b1778d77f4a2109cde67983d7ca973c3295ab7316dc38fdaba27d4eff9e",
+    ("--family", "log_normal", "--bet", "0.6065306597126334"):
+        "782a669ef55ad027dca39527459eff037447cc907ac77719395d0c9697f0a747",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MC_PRICE_SHA256))
+def test_mc_price_digest_is_pinned(argv, tmp_path, capsys):
+    out = tmp_path / "price.json"
+    assert cli.main(["price", "--contract", "put,S=0.25,tau=20", "--method", "mc",
+                     *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_PRICE_SHA256[argv]
 
 
 @pytest.mark.parametrize("name", sorted(CSV_SHA256))
