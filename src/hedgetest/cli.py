@@ -194,26 +194,30 @@ def _screen_settings(args, hedge: HedgeSpec | None, n_genes, horizon) -> dict:
     return out
 
 
-def _cmd_screen(args) -> int:
-    if (args.matrix is None) == (args.synthetic is None):
-        raise ConfigError("pass exactly one of --matrix or --synthetic")
-    if args.expiry is not None and not args.hedge:
-        raise ConfigError("--expiry is the hedge's expiry; it needs --hedge")
-    if args.matrix is not None:
-        matrix = ingest.load_expression_matrix(args.matrix, args.normal_label,
-                                               args.tumor_label)
-        uniform = ingest.transform_to_uniform(matrix, normal_label=args.normal_label,
-                                              log_transform=not args.no_log)
-        prepared = ingest.prepare_screening(uniform, tumor_label=args.tumor_label)
-        gene_ids = prepared.gene_ids
-        sequences, lambdas = prepared.sequences, prepared.lambdas
-    else:
+def _screen_input(args) -> tuple:
+    """(gene_ids, sequences, lambdas) of a screen.  The raw and transformed
+    matrices stay local, so they are freed before the strikes are solved."""
+    if args.matrix is None:
         shifted = args.synthetic == "shifted"
         sequences, lambdas, _ = synthetic_screening_input(
             args.genes, args.samples, args.seed,
             shifted_fraction=args.shift_fraction if shifted else 0.0,
             shifted_mean=args.shift_mean)
-        gene_ids = tuple(f"g{i}" for i in range(args.genes))
+        return tuple(f"g{i}" for i in range(args.genes)), sequences, lambdas
+    matrix = ingest.load_expression_matrix(args.matrix, args.normal_label,
+                                           args.tumor_label)
+    uniform = ingest.transform_to_uniform(matrix, normal_label=args.normal_label,
+                                          log_transform=not args.no_log)
+    prepared = ingest.prepare_screening(uniform, tumor_label=args.tumor_label)
+    return prepared.gene_ids, prepared.sequences, prepared.lambdas
+
+
+def _cmd_screen(args) -> int:
+    if (args.matrix is None) == (args.synthetic is None):
+        raise ConfigError("pass exactly one of --matrix or --synthetic")
+    if args.expiry is not None and not args.hedge:
+        raise ConfigError("--expiry is the hedge's expiry; it needs --hedge")
+    gene_ids, sequences, lambdas = _screen_input(args)
     hedge = HedgeSpec(expiry=args.expiry or 0) if args.hedge else None
     result = run_screening(sequences, lambdas, alpha=args.alpha,
                            ruin_level=args.ruin, hedge=hedge, seed=args.seed)

@@ -34,6 +34,7 @@ from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
 _OUTCOME_TAG = 0     # per-replication outcome rows
 _MATRIX_TAG = 1      # synthetic matrix generation
 _PRICE_TAG = 2       # Monte Carlo pricing draws for screening hedges
+_PRICE_TABLE_ROWS = 16   # fractions priced per draw of the screening null table
 
 #: Tail quantile for the risk metrics (k_0.01 in the reports).
 TAIL_Q = 0.01
@@ -306,60 +307,70 @@ class ScreeningResult:
         return self.report.power
 
 
-def _null_terminal_rows(rng: np.random.Generator, lam: float, out: np.ndarray,
-                        up_buf: np.ndarray, down_buf: np.ndarray) -> None:
-    """Fill out with the next len(out) rows of rng's null K_tau draws.
+def _null_terminal_rows(rng: np.random.Generator, lams: list[float], out: np.ndarray,
+                        dev_buf: np.ndarray, up_buf: np.ndarray,
+                        down_buf: np.ndarray) -> None:
+    """Fill out[i] with the next out.shape[1] null K_tau draws at fraction lams[i].
 
-    The rows go in consecutive blocks of the buffers' width.  A block is
-    drawn row-major, as one (n, tau) table would be, and stored transposed,
-    so each product runs across a contiguous row of the buffer per step
-    instead of along one long dependency chain per sample.
+    The rows go in consecutive blocks of the buffers' width, and every
+    fraction prices the same block of rng's uniforms.  A block is drawn
+    row-major, as one (n, tau) table would be, and its dev = u - 1/2 is
+    stored transposed once, so each product runs across a contiguous row
+    of the buffer per step instead of along one long dependency chain per
+    sample.
     """
-    tau, width = up_buf.shape
-    n = len(out)
+    tau, width = dev_buf.shape
+    n = out.shape[1]
     for start in range(0, n, width):
         stop = min(start + width, n)
         block = stop - start
-        draws = down_buf.reshape(-1)[:block * tau].reshape(block, tau)   # row-major
+        draws = up_buf.reshape(-1)[:block * tau].reshape(block, tau)   # row-major
         rng.random(out=draws)
-        up, down = up_buf[:, :block], down_buf[:, :block]
-        np.subtract(draws.T, 0.5, out=up)       # dev, transposed; frees down_buf
-        up *= lam
-        np.subtract(1.0, up, out=down)
-        up += 1.0
-        out[start:stop] = 0.5 * np.prod(up, axis=0) + 0.5 * np.prod(down, axis=0)
+        dev, up, down = dev_buf[:, :block], up_buf[:, :block], down_buf[:, :block]
+        np.subtract(draws.T, 0.5, out=dev)      # the draws are spent: up_buf is free
+        for lam, row in zip(lams, out):
+            np.multiply(dev, lam, out=up)
+            np.subtract(1.0, up, out=down)
+            up += 1.0
+            row[start:stop] = 0.5 * np.prod(up, axis=0) + 0.5 * np.prod(down, axis=0)
 
 
-def _null_terminal_sample(lam: float, tau: int, n: int, seed: int) -> np.ndarray:
-    """n null draws of the two-sided terminal wealth K_tau.
+def _null_terminal_table(lams: list[float], tau: int, seed: int,
+                         out: np.ndarray) -> np.ndarray:
+    """Fill out, shape (len(lams), n), with n null draws of the two-sided
+    terminal wealth K_tau per fraction, and return it.
 
-    K_tau = 0.5*prod(1 + lam*dev) + 0.5*prod(1 - lam*dev) with dev = u - 1/2:
-    only K_tau is needed, so the legs are closed-form products rather than
-    steps of hedged_cs.  The rows [0, n) are cut into one contiguous range
-    per CPU the process may use (at most n; a single range runs inline),
-    and range [a, b) is drawn on its own thread from the fraction's stream
-    jumped ahead by a * tau draws, so every row gets the same uniforms
-    whatever the CPU count.  The draws, and the left-to-right order of
-    every product, are those of the one-table formula, so the samples are
-    the same bits.
+    Row i is K_tau = 0.5*prod(1 + lam*dev) + 0.5*prod(1 - lam*dev) at
+    lam = lams[i], dev = u - 1/2, with one (n, tau) table of uniforms from
+    the stream (seed, _PRICE_TAG, tau) shared by every fraction (common
+    random numbers): each row is n i.i.d. null samples, and only the
+    dependence between fractions is shared.  Only K_tau is needed, so the
+    legs are closed-form products rather than steps of hedged_cs.  The rows
+    [0, n) are cut into one contiguous range per CPU the process may use (at
+    most n; a single range runs inline), and range [a, b) is drawn on its
+    own thread from the stream jumped ahead by a * tau draws, so every
+    sample gets the same uniforms whatever the CPU count.  The draws, and
+    the left-to-right order of every product, are those of the one-table
+    formula, so the samples are the same bits.
 
-    Memory stays one (tau, MC_BLOCK) buffer pair in total however many
-    samples or CPUs there are: the calling thread allocates the output and
-    each range's two (tau, ceil(MC_BLOCK / ranges)) buffers, and a thread
-    allocates only its per-block (block,) temporaries.  Large arrays freed on
-    worker threads would stay in glibc's per-thread arenas and raise the
-    peak RSS, which is also why the strike solve stays on the calling thread.
+    Memory is the caller's table plus one (tau, MC_BLOCK) buffer triple in
+    total however many samples or CPUs there are: the calling thread
+    allocates each range's three
+    (tau, ceil(MC_BLOCK / ranges)) buffers, and a thread allocates only its
+    per-block (block,) temporaries.  Large arrays freed on worker threads
+    would stay in glibc's per-thread arenas and raise the peak RSS, which is
+    also why the strike solve stays on the calling thread.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:          # no affinity call on this platform
         cpus = os.cpu_count() or 1
+    n = out.shape[1]
     ranges = max(1, min(cpus, n))
-    key, width = int(round(lam * 1_000_000)), -(-MC_BLOCK // ranges)
+    width = -(-MC_BLOCK // ranges)
     bounds = [n * i // ranges for i in range(ranges + 1)]
-    out = np.empty(n)
-    jobs = [(stream(seed, _PRICE_TAG, key, tau, skip=a * tau), lam, out[a:b],
-             np.empty((tau, width)), np.empty((tau, width)))
+    jobs = [(stream(seed, _PRICE_TAG, tau, skip=a * tau), lams, out[:, a:b],
+             np.empty((tau, width)), np.empty((tau, width)), np.empty((tau, width)))
             for a, b in zip(bounds, bounds[1:])]
     if len(jobs) == 1:
         _null_terminal_rows(*jobs[0])
@@ -376,19 +387,26 @@ def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int, seed: int,
     """Per-gene (effective lambda, strike, premium) for the floor equation.
 
     Premiums are Monte Carlo prices of the expiry-tau put on the gene's own
-    two-sided process under the null.  A fraction too aggressive for the
-    floor to be attainable falls back to the next smaller candidate whose
-    equation has a root.
+    two-sided process under the null, the candidate fractions priced in
+    ascending chunks of at most _PRICE_TABLE_ROWS on one reused table of
+    _null_terminal_table, so its memory is bounded however many distinct
+    fractions there are.  A fraction too aggressive for the floor to be
+    attainable falls back to the next smaller candidate whose equation has
+    a root.
     """
+    candidates = sorted(set(lambdas.tolist()) | set(LAMBDA_GRID))
+    table = np.empty((min(len(candidates), _PRICE_TABLE_ROWS), price_samples))
+    weights = np.full(price_samples, 1.0 / price_samples)
     solved, fallback, last = {}, {}, None
-    for lam in sorted(set(lambdas.tolist()) | set(LAMBDA_GRID)):
-        samples = _null_terminal_sample(lam, tau, price_samples, seed)
-        weights = np.full(price_samples, 1.0 / price_samples)
-        roots = put_floor_strikes(samples, weights, floor)
-        if roots:
-            last = lam
-            solved[lam] = (roots[0], float(np.maximum(roots[0] - samples, 0.0).mean()))
-        fallback[lam] = last        # largest solvable candidate <= lam
+    for first in range(0, len(candidates), len(table)):
+        chunk = candidates[first:first + len(table)]
+        _null_terminal_table(chunk, tau, seed, table[:len(chunk)])
+        for lam, samples in zip(chunk, table):
+            roots = put_floor_strikes(samples, weights, floor)
+            if roots:
+                last = lam
+                solved[lam] = (roots[0], float(np.maximum(roots[0] - samples, 0.0).mean()))
+            fallback[lam] = last        # largest solvable candidate <= lam
     effective = [fallback[lam] for lam in lambdas.tolist()]
     if None in effective:
         raise StrikeSolveError(f"floor {floor} unattainable for any candidate fraction "
@@ -410,7 +428,10 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     the worst case at the floor.  Out-of-the-money genes keep betting their
     stake.  A hedge expiring before the last sample only guarantees the
     floor at its own expiry.  The strike is always solved, one per
-    fraction, so an explicit hedge strike is a ConfigError.
+    fraction, so an explicit hedge strike is a ConfigError.  Every
+    candidate fraction is priced on the same price_samples null paths, on
+    a table of min(candidate fractions, _PRICE_TABLE_ROWS) * price_samples
+    doubles that lives while the strikes are solved.
     """
     sequences = np.asarray(sequences, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)

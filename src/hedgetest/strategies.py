@@ -52,21 +52,23 @@ def conservative_lambda(floor: float, horizon: int, worst_step: float) -> float:
     return (floor ** (1.0 / horizon) - 1.0) / worst_step
 
 
-def dynamic_lambda(current_wealth, t: int, horizon: int, floor: float):
+def dynamic_lambda(current_wealth, t: int, horizon: int, floor: float,
+                   null_mean: float):
     """Fraction that would land the worst-case continuation exactly on the floor.
 
-    Solves floor = K_t * (1 + lam*(-0.5))**(horizon - t) for the Bernoulli
-    worst step, clamped to the admissible range [0, 2] for bounded outcomes.
-    At the floor itself only the zero bet preserves the guarantee.
-    Array-aware: an array of wealths gives an array of fractions, a scalar
-    a float.
+    Solves floor = K_t * (1 + lam*(-null_mean))**(horizon - t) for the worst
+    step, outcome 0 against the null mean (null_p for Bernoulli outcomes),
+    clamped to the admissible range [0, 1/null_mean].  At the floor itself
+    only the zero bet preserves the guarantee.  Array-aware: an array of
+    wealths gives an array of fractions, a scalar a float.
     """
     k = np.asarray(current_wealth, dtype=float)
     if np.min(k) <= 0.0:
         raise ValueError(f"wealth must be positive, got {np.min(k)}")
     if t >= horizon:
         raise ValueError(f"step {t} must precede the horizon {horizon}")
-    lam = np.clip(2.0 * (1.0 - (floor / k) ** (1.0 / (horizon - t))), 0.0, 2.0)
+    lam = np.clip((1.0 - (floor / k) ** (1.0 / (horizon - t))) / null_mean,
+                  0.0, 1.0 / null_mean)
     return lam if k.ndim else float(lam)
 
 
@@ -99,7 +101,8 @@ def build_strategy(spec: StrategySpec, hyp: HypothesisSpec, horizon: int) -> Str
         raise ValueError("the two-sided hedged process is run with hedged_cs, "
                          "not a per-step fraction schedule")
     if spec.kind is StrategyKind.DYNAMIC_FLOOR:
-        return lambda wealth, t: dynamic_lambda(wealth, t, horizon, spec.floor)
+        return lambda wealth, t: dynamic_lambda(wealth, t, horizon, spec.floor,
+                                                hyp.null_mean)
     lam = spec.constant_lambda(hyp)
     if lam is None:
         raise ValueError(f"cannot build strategy for {spec.kind}")

@@ -151,18 +151,22 @@ def update_wealth(k_prev, lam, y, null_mean: float,
     an all-scalar update returns a float.  lambda_bounds is the admissible
     betting range for the outcome family (defaults to the Bernoulli/bounded
     range [-2, 2]); a fraction outside it could produce negative wealth and
-    is rejected up front.  A result below 0 by rounding clamps to 0.
+    is rejected up front.  A result below 0 by rounding clamps to 0, and a
+    wealth that overflowed to inf and meets a factor of 0 is ruined: its
+    inf * 0 = NaN is 0.
     """
-    if _lowest(k_prev) < 0.0:
+    if not _lowest(k_prev) >= 0.0:
         raise ValueError(f"wealth must be nonnegative, got {_lowest(k_prev)}")
     _check_bet(lam, lambda_bounds)
-    result = k_prev * _bet_factor(lam, y, null_mean)
-    if _lowest(result) < 0.0:
-        if np.any(result < -_NEG_TOL * np.maximum(k_prev, 1.0)):
+    factor = _bet_factor(lam, y, null_mean)
+    result = k_prev * factor
+    if not _lowest(result) >= 0.0:          # below 0, or NaN
+        if (np.any(np.isnan(factor))
+                or np.any(result < -_NEG_TOL * np.maximum(k_prev, 1.0))):
             raise OutcomeError(
                 f"a bet drove wealth to {_lowest(result)}; "
                 "an outcome lies outside the declared family support")
-        result = np.maximum(result, 0.0)
+        result = np.nan_to_num(np.maximum(result, 0.0), nan=0.0, posinf=np.inf)
     return result if isinstance(result, np.ndarray) else float(result)
 
 
@@ -230,15 +234,18 @@ def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
     The row product of the bet factors, each clamped at 0.  numpy's product
     reduction multiplies a row left to right, so K_T has the same bits as
     the last step of evolve(lambda k, t: lam, ...), whose update clamps the
-    product in place of the factor; a factor of 0 ruins the row either way.
-    lam is checked against hyp.lambda_bounds() even when T = 0, where every
-    K_T is 1.
+    product in place of the factor; a factor of 0 ruins the row either way,
+    also after the product overflowed to inf (inf * 0 = NaN is 0).  lam is
+    checked against hyp.lambda_bounds() even when T = 0, where every K_T
+    is 1.
     """
     ys = _paths(outcomes, hyp)
     _check_bet(lam, hyp.lambda_bounds())
     factors = _bet_factor(lam, ys, hyp.null_mean)
     np.maximum(factors, 0.0, out=factors)
-    return np.prod(factors, axis=1)
+    final = np.prod(factors, axis=1)
+    final[np.isnan(final)] = 0.0
+    return final
 
 
 def hedged_cs(outcomes, lam,

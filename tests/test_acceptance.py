@@ -81,7 +81,7 @@ def test_c3_risk_neutral_identity():
 
 def test_c4_lambda_goldens():
     cons = conservative_lambda(0.25, 20, -0.5)
-    dyn = dynamic_lambda(1.0, 0, 20, 0.25)
+    dyn = dynamic_lambda(1.0, 0, 20, 0.25, 0.5)
     ok = abs(cons - 0.133934) <= 1e-6 and dyn == pytest.approx(cons, abs=1e-12)
     _report("C4 fraction goldens", ok, f"conservative {cons:.8f}, dynamic {dyn:.8f}")
 

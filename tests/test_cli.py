@@ -360,6 +360,20 @@ class TestSimulate:
         assert "a put hedge needs a fraction whose lattice has 0 < d < 1 < u" in err
         assert f"fraction {fraction} gives" in err
 
+    def test_dynamic_floor_on_a_non_half_null_holds_the_floor(self, tmp_path, capsys):
+        text = (CONFIGS / "table1_dynamic.cfg").read_text()
+        assert "null_p = 0.5\nalt_p = 0.75\n" in text
+        path = tmp_path / "dynamic.cfg"
+        path.write_text(text.replace("null_p = 0.5\nalt_p = 0.75\n",
+                                     "null_p = 0.7\nalt_p = 0.9\n"))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out", str(tmp_path / "run"))
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "run.csv").read_text().splitlines()
+        finals = [float(r.split(",")[1]) for r in rows if r[0].isdigit()]
+        assert len(finals) == 10000
+        assert min(finals) >= 0.25 - 1e-12
+
     def test_json_records_solved_hedge_plan(self, tmp_path, capsys):
         cfg = self._hedged_config(tmp_path)
         outputs = []
@@ -470,7 +484,7 @@ class TestScreen:
     def test_hedged_output_is_the_same_bytes_on_any_cpu_count(self, tmp_path, capsys,
                                                               monkeypatch):
         written = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             out = tmp_path / f"cpus{cpus}"
@@ -479,7 +493,7 @@ class TestScreen:
             assert code == 0
             written.append([(tmp_path / f"cpus{cpus}.{ext}").read_bytes()
                             for ext in ("csv", "json")])
-        assert written[0] == written[1]
+        assert written[1:] == written[:1] * 3
 
     def test_failure_on_a_sampling_thread_reaches_the_caller(self, capsys, monkeypatch):
         calls, fill = itertools.count(), harness._null_terminal_rows

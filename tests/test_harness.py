@@ -8,14 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hedgetest import harness
 from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
                                HedgeSpec, TruthSpec, _episode_wealth,
-                               _hedge_plan, _null_terminal_sample,
+                               _hedge_plan, _null_terminal_table,
                                config_dict, config_from_dict, load_config,
                                parse_config_text, result_csv, result_json,
                                run_experiment, run_screening,
                                synthetic_screening_input, synthetic_uniform_matrix,
                                tail_metrics, to_json)
+from hedgetest.ingest import LAMBDA_GRID
 from hedgetest.pricing import MC_BLOCK
 from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
@@ -376,27 +378,66 @@ class TestScreening:
             run_screening(np.zeros(shape), np.full(shape[0], 0.5))
 
 
-class TestNullTerminalSample:
+class TestNullTerminalTable:
     @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0])
     @pytest.mark.parametrize("tau", [1, 100])
     @pytest.mark.parametrize("n", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 100_000])
     def test_blocks_are_the_one_shot_table_bit_for_bit(self, lam, tau, n):
-        seed = 271828
-        rng = stream(seed, _PRICE_TAG, int(round(lam * 1_000_000)), tau)
-        expected = two_sided_terminal_one_shot(rng, lam, tau, n)
-        assert _null_terminal_sample(lam, tau, n, seed).tobytes() == expected.tobytes()
+        seed, lams = 271828, [0.1, 1.0, 2.0]
+        table = _null_terminal_table(lams, tau, seed, np.empty((len(lams), n)))
+        expected = two_sided_terminal_one_shot(stream(seed, _PRICE_TAG, tau), lam, tau, n)
+        assert table[lams.index(lam)].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("tau", [1, 100])
     @pytest.mark.parametrize("n", [1, 2, 3, MC_BLOCK - 1, MC_BLOCK + 1, 100_000])
     def test_any_cpu_count_is_the_one_shot_table_bit_for_bit(self, monkeypatch,
                                                               cpus, tau, n):
-        seed, lam = 271828, 0.7
+        seed, lams = 271828, [0.3, 0.7, 1.5]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        rng = stream(seed, _PRICE_TAG, int(round(lam * 1_000_000)), tau)
-        expected = two_sided_terminal_one_shot(rng, lam, tau, n)
-        assert _null_terminal_sample(lam, tau, n, seed).tobytes() == expected.tobytes()
+        table = _null_terminal_table(lams, tau, seed, np.empty((len(lams), n)))
+        for lam, row in zip(lams, table):
+            expected = two_sided_terminal_one_shot(stream(seed, _PRICE_TAG, tau), lam, tau, n)
+            assert row.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_a_hedged_screen_draws_one_stream_per_cpu_range(self, monkeypatch, cpus):
+        sequences, lambdas, _ = synthetic_screening_input(200, 42, seed=410)
+        opened = []
+
+        def counted(seed, *tags, skip=0):
+            opened.append(tags)
+            return stream(seed, *tags, skip=skip)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(harness, "stream", counted)
+        result = run_screening(sequences, lambdas, hedge=HedgeSpec(), price_samples=5_000)
+        assert len(set(lambdas.tolist()) | set(LAMBDA_GRID)) == 10
+        assert opened == [(_PRICE_TAG, 40)] * cpus
+        assert result.strike_table
+
+    def test_many_fractions_share_a_bounded_table_and_price_as_alone(self, monkeypatch):
+        # 36 distinct fractions: three draws of the shared uniforms on one
+        # table of at most _PRICE_TABLE_ROWS rows, and every fraction gets
+        # the strike it gets when priced in a chunk of its own
+        sequences, _, _ = synthetic_screening_input(36, 42, seed=410)
+        lambdas = np.linspace(0.05, 0.4, 36)
+        tables, fill = [], harness._null_terminal_table
+
+        def recorded(lams, tau, seed, out):
+            tables.append((out.base if out.base is not None else out).shape)
+            return fill(lams, tau, seed, out)
+
+        monkeypatch.setattr(harness, "_null_terminal_table", recorded)
+        shared = run_screening(sequences, lambdas, hedge=HedgeSpec(), price_samples=2_000)
+        assert tables == [(harness._PRICE_TABLE_ROWS, 2_000)] * 3
+        monkeypatch.setattr(harness, "_PRICE_TABLE_ROWS", 1)
+        alone = run_screening(sequences, lambdas, hedge=HedgeSpec(), price_samples=2_000)
+        assert len(alone.strike_table) == 36
+        assert shared.strike_table == alone.strike_table
+        assert shared.report == alone.report
 
 
 class TestSyntheticMatrix:

@@ -8,7 +8,7 @@ import pytest
 from hedgetest.rng import stream
 from hedgetest.strategies import (StrategyKind, StrategySpec, build_strategy,
                                   conservative_lambda, dynamic_lambda, kelly_lambda)
-from hedgetest.wealth import HypothesisSpec
+from hedgetest.wealth import HypothesisSpec, evolve
 
 from oracles import wealth_by_hand
 
@@ -69,44 +69,45 @@ class TestConservativeLambda:
 
 class TestDynamicLambda:
     def test_start_matches_conservative(self):
-        assert dynamic_lambda(1.0, 0, 20, 0.25) == pytest.approx(
+        assert dynamic_lambda(1.0, 0, 20, 0.25, 0.5) == pytest.approx(
             conservative_lambda(0.25, 20, -0.5), abs=1e-6)
 
     @pytest.mark.parametrize("t", [0, 5, 19])
     def test_at_the_floor_only_zero_bet(self, t):
-        assert dynamic_lambda(0.25, t, 20, 0.25) == 0.0
+        assert dynamic_lambda(0.25, t, 20, 0.25, 0.5) == 0.0
 
     def test_below_floor_clamps_to_zero(self):
-        assert dynamic_lambda(0.1, 3, 20, 0.25) == 0.0
+        assert dynamic_lambda(0.1, 3, 20, 0.25, 0.5) == 0.0
 
     def test_clamped_to_admissible_range(self):
-        assert dynamic_lambda(1e9, 0, 20, 0.25) <= 2.0
+        assert dynamic_lambda(1e9, 0, 20, 0.25, 0.5) <= 2.0
 
     def test_worst_case_rollout_lands_on_floor(self):
         # all-losses continuation from K_5 = 2 ends at the floor
         k = 2.0
         for t in range(5, 20):
-            lam = dynamic_lambda(k, t, 20, 0.25)
+            lam = dynamic_lambda(k, t, 20, 0.25, 0.5)
             k *= 1 + lam * (0 - 0.5)
         assert k == pytest.approx(0.25, abs=1e-6)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            dynamic_lambda(0.0, 0, 20, 0.25)
+            dynamic_lambda(0.0, 0, 20, 0.25, 0.5)
         with pytest.raises(ValueError):
-            dynamic_lambda(1.0, 20, 20, 0.25)
+            dynamic_lambda(1.0, 20, 20, 0.25, 0.5)
 
     def test_array_of_wealths_is_elementwise(self):
         wealths = np.array([1.0, 0.25, 0.1, 2.0, 1e9])
-        lams = dynamic_lambda(wealths, 5, 20, 0.25)
+        lams = dynamic_lambda(wealths, 5, 20, 0.25, 0.5)
         assert lams.shape == (5,)
         for k, lam in zip(wealths, lams):
-            assert lam == pytest.approx(dynamic_lambda(float(k), 5, 20, 0.25), rel=1e-15)
+            assert lam == pytest.approx(dynamic_lambda(float(k), 5, 20, 0.25, 0.5),
+                                        rel=1e-15)
 
     def test_ruined_wealth_in_an_array_is_an_error(self):
         # an explicit guard instead of a divide-by-zero warning
         with pytest.raises(ValueError, match="positive"):
-            dynamic_lambda(np.array([1.0, 0.0]), 0, 20, 0.25)
+            dynamic_lambda(np.array([1.0, 0.0]), 0, 20, 0.25, 0.5)
 
 
 class TestFloorGuarantee:
@@ -116,6 +117,15 @@ class TestFloorGuarantee:
         for strategy in (lambda k, t: lam, build_strategy(DYNAMIC, BERNOULLI, 20)):
             final = wealth_by_hand(strategy, losses, BERNOULLI.null_mean)[-1]
             assert final >= 0.25 - 1e-6
+
+    @pytest.mark.parametrize("null_p", [0.3, 0.7])
+    def test_dynamic_all_losses_path_ends_on_the_floor_for_any_null(self, null_p):
+        # the worst step is -null_p, so the schedule spends exactly the room
+        # above the floor: neither loose (0.3) nor inadmissible (0.7)
+        hyp = HypothesisSpec.bernoulli(null_p, 0.9)
+        (final, _), = list(evolve(build_strategy(DYNAMIC, hyp, 20),
+                                  np.zeros((1, 20)), hyp))[-1:]
+        assert final[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_dynamic_floor_holds_on_random_paths(self):
         strategy = build_strategy(DYNAMIC, BERNOULLI, 20)
@@ -156,8 +166,9 @@ class TestStrategySpec:
 
     def test_build_strategy_round_trip(self):
         strategy = build_strategy(DYNAMIC, BERNOULLI, 20)
-        assert strategy(np.array([1.0]), 0) == pytest.approx(dynamic_lambda(1.0, 0, 20, 0.25))
-        assert strategy(np.array([2.0]), 5) == pytest.approx(dynamic_lambda(2.0, 5, 20, 0.25))
+        for k, t in ((1.0, 0), (2.0, 5)):
+            assert strategy(np.array([k]), t) == pytest.approx(
+                dynamic_lambda(k, t, 20, 0.25, 0.5))
         kelly = build_strategy(StrategySpec(StrategyKind.KELLY), BERNOULLI, 20)
         assert kelly(np.array([3.0, 0.5]), 7) == 1.0
 

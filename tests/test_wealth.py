@@ -44,6 +44,13 @@ class TestUpdateWealth:
         with pytest.raises(ValueError):
             update_wealth(-0.1, 0.0, 1.0, 0.5)
 
+    def test_nan_wealth_or_outcome_is_rejected(self):
+        # only inf * 0 may turn into a ruined 0, never a NaN that came in
+        with pytest.raises(ValueError, match="nonnegative"):
+            update_wealth(np.array([1.0, math.nan]), 1.0, 1.0, 0.5)
+        with pytest.raises(OutcomeError):
+            update_wealth(0.0, 1.0, math.nan, 0.5)
+
     def test_boundary_bet_hits_exact_zero(self):
         assert update_wealth(1.0, 2.0, 0.0, 0.5) == 0.0
 
@@ -192,6 +199,15 @@ class TestTerminalWealth:
         finals = terminal_wealth(2.0, np.array([[0, 1, 1], [1, 1, 1]]), BERNOULLI)
         assert finals.tolist() == [0.0, 8.0]
         assert path_values(lambda k, t: 2.0, [[0, 1, 1]], BERNOULLI)[0, -1] == 0.0
+
+    def test_overflowed_row_meeting_a_zero_factor_is_ruined(self):
+        # the product overflows to inf, then the factor 1 - e^{-1/2} e^{1/2}
+        # is 0: inf * 0 is NaN in floating point, a ruined row in both engines
+        hyp, ys, lam = HypothesisSpec.log_normal(), np.array([[1e300, 1e300, 1e-300]]), \
+            math.exp(-0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert terminal_wealth(lam, ys, hyp).tolist() == [0.0]
+            assert path_values(lambda k, t: lam, ys, hyp)[0, 2:].tolist() == [math.inf, 0.0]
 
     def test_same_errors_as_a_batch_of_one(self):
         outside = np.exp(stream(62).standard_normal((3, 4)))
