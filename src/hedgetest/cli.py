@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -254,7 +255,10 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing reads it
+    and never changes it, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="hedgetest",
         description="Sequential testing by betting with risk-neutral hedging")
@@ -337,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, OSError, ingest.ZeroVarianceError) as exc:

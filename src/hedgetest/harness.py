@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import LAMBDA_GRID, estimate_lambdas
-from .pricing import (MC_BLOCK, Contract, LatticeModel, StrikeSolveError,
+from .pricing import (Contract, LatticeModel, StrikeSolveError,
                       lattice_node_values, put_floor_strikes,
                       solve_hedge_strike)
 from .rng import DEFAULT_SEED, rows, stream
@@ -35,6 +35,7 @@ _OUTCOME_TAG = 0     # per-replication outcome rows
 _MATRIX_TAG = 1      # synthetic matrix generation
 _PRICE_TAG = 2       # Monte Carlo pricing draws for screening hedges
 _PRICE_TABLE_ROWS = 16   # fractions priced per draw of the screening null table
+_NULL_BLOCK = 1 << 16    # doubles per null-table buffer: three of them fit in L2
 
 #: Tail quantile for the risk metrics (k_0.01 in the reports).
 TAIL_Q = 0.01
@@ -353,13 +354,16 @@ def _null_terminal_table(lams: list[float], tau: int, seed: int,
     the left-to-right order of every product, are those of the one-table
     formula, so the samples are the same bits.
 
-    Memory is the caller's table plus one (tau, MC_BLOCK) buffer triple in
-    total however many samples or CPUs there are: the calling thread
-    allocates each range's three
-    (tau, ceil(MC_BLOCK / ranges)) buffers, and a thread allocates only its
-    per-block (block,) temporaries.  Large arrays freed on worker threads
-    would stay in glibc's per-thread arenas and raise the peak RSS, which is
-    also why the strike solve stays on the calling thread.
+    Memory is the caller's table plus, per range, three (tau, width)
+    buffers of at most _NULL_BLOCK doubles each (1.5 MB in all at the
+    default), so a range's working set stays in one core's L2 cache:
+    width is _NULL_BLOCK // tau samples, at least 1 and at most the range's
+    length.  The block width sets only how the rows are cut, never a bit of
+    a sample.  The calling thread allocates the buffers, and a thread
+    allocates only its per-block (block,) temporaries.  Large arrays freed
+    on worker threads would stay in glibc's per-thread arenas and raise the
+    peak RSS, which is also why the strike solve stays on the calling
+    thread.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -367,8 +371,8 @@ def _null_terminal_table(lams: list[float], tau: int, seed: int,
         cpus = os.cpu_count() or 1
     n = out.shape[1]
     ranges = max(1, min(cpus, n))
-    width = -(-MC_BLOCK // ranges)
     bounds = [n * i // ranges for i in range(ranges + 1)]
+    width = max(1, min(_NULL_BLOCK // tau, -(-n // ranges)))
     jobs = [(stream(seed, _PRICE_TAG, tau, skip=a * tau), lams, out[:, a:b],
              np.empty((tau, width)), np.empty((tau, width)), np.empty((tau, width)))
             for a, b in zip(bounds, bounds[1:])]
@@ -451,6 +455,9 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
         if hedge.strike is not None:
             raise ConfigError("screening solves one strike per gene; "
                               "an explicit hedge strike is not supported")
+        if price_samples < 2:
+            raise ConfigError(f"hedge pricing needs at least 2 price samples, "
+                              f"got {price_samples}")
         tau, floor = hedge.resolve(horizon, ruin_level)
     if not ruin_level < 1.0 < 1.0 / alpha:
         raise ConfigError("need ruin_level < 1 < 1/alpha")

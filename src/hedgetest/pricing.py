@@ -72,9 +72,18 @@ class LatticeModel:
         return risk_neutral_up_prob(self.up_factor, self.down_factor)
 
     def terminal_values(self, expiry: int, spot: float = 1.0) -> np.ndarray:
-        """Underlying values at the expiry level, indexed by up-move count."""
+        """Underlying values at the expiry level, indexed by up-move count.
+
+        A value beyond the double range is a ValueError, not inf.
+        """
         j = np.arange(expiry + 1)
-        return spot * self.up_factor ** j * self.down_factor ** (expiry - j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = spot * self.up_factor ** j * self.down_factor ** (expiry - j)
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"lattice values overflow: u={self.up_factor!r}, d={self.down_factor!r} "
+                f"over {expiry} steps from spot {spot!r} leave the double range")
+        return values
 
     @classmethod
     def for_bernoulli_bet(cls, lam: float, null_p: float) -> "LatticeModel":
@@ -130,6 +139,9 @@ class PriceEstimate:
     method: PricingMethod
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+            raise ValueError(f"price and standard error must be finite, "
+                             f"got {self.value} and {self.std_error}")
         if self.value < 0.0 and self.value > -1e-15:
             object.__setattr__(self, "value", 0.0)
         if self.value < 0.0:
@@ -147,8 +159,8 @@ def lattice_node_values(model: LatticeModel, contract: Contract,
     payoff itself.  At rate 0 there is no discounting: each parent value is
     q*up_child + (1-q)*down_child.
     """
-    if spot < 0.0:
-        raise ValueError(f"spot must be nonnegative, got {spot}")
+    if not 0.0 <= spot < math.inf:
+        raise ValueError(f"spot must be nonnegative and finite, got {spot}")
     q = model.risk_neutral_prob
     values = contract.payoff(model.terminal_values(contract.expiry, spot))
     levels = [np.asarray(values, dtype=float)]
@@ -237,6 +249,9 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
 
     Tie rule: equal atoms are summed in increasing order of weight, so the
     roots depend on the measure alone and not on the order of the pairs.
+    When every weight is equal, as for the n samples of a Monte Carlo
+    measure, the atoms are sorted alone: no order of the pairs can differ,
+    so the rule is unchanged and the argsort and its gathers are skipped.
     """
     if not 0.0 < floor < 1.0:
         raise ValueError(f"floor {floor} must lie in (0, 1)")
@@ -244,12 +259,15 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
     if x.shape != w.shape or not np.all((x >= 0.0) & (x < np.inf)
                                         & (w >= 0.0) & (w < np.inf)):
         raise ValueError("need one finite nonnegative weight per finite nonnegative atom")
-    order = np.argsort(x)
-    ascending = x[order]
-    if np.any(ascending[1:] == ascending[:-1]):
-        order = np.lexsort((w, x))
+    if w.size and (w == w[0]).all():
+        x = np.sort(x)
+    else:
+        order = np.argsort(x)
         ascending = x[order]
-    x, w = ascending, w[order]
+        if np.any(ascending[1:] == ascending[:-1]):
+            order = np.lexsort((w, x))
+            ascending = x[order]
+        x, w = ascending, w[order]
     # interval k is (lo[k], hi[k]] with the k smallest atoms below it
     lo = np.concatenate(([0.0], x))
     hi = np.concatenate((x, [np.inf]))

@@ -11,8 +11,8 @@ K_t >= 1/alpha at any time is a level-alpha rejection (Ville's inequality).
 evolve is the one engine: it steps m such processes side by side under a
 vectorized strategy lam(wealth, t), and the two-sided hedged_cs is built on
 it.  A single path is a batch of one.  Under a constant fraction the final
-wealth needs no steps: terminal_wealth is the row product of the clamped
-bet factors, with the same bits as the last step of evolve.
+wealth needs no steps: terminal_wealth is the product over time of the
+clamped bet factors, with the same bits as the last step of evolve.
 ville_crossing is the one decision rule: it follows a batch of wealth
 paths step by step and records where each first reaches 1/alpha.
 
@@ -172,8 +172,8 @@ def update_wealth(k_prev, lam, y, null_mean: float,
 
 def _bet_factor(lam, y, null_mean: float):
     """1 + lam*(y - null_mean), what a bet of lam on outcome y multiplies
-    wealth by, built in one new buffer (y is left as it is)."""
-    factor = np.subtract(y, null_mean)
+    wealth by, built in one new C-contiguous buffer (y is left as it is)."""
+    factor = np.subtract(y, null_mean, order="C")
     factor *= lam
     factor += 1.0
     return factor
@@ -231,19 +231,21 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
 def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
     """Final wealth K_T of each row of outcomes[m, T] under the constant fraction lam.
 
-    The row product of the bet factors, each clamped at 0.  numpy's product
-    reduction multiplies a row left to right, so K_T has the same bits as
-    the last step of evolve(lambda k, t: lam, ...), whose update clamps the
-    product in place of the factor; a factor of 0 ruins the row either way,
-    also after the product overflowed to inf (inf * 0 = NaN is 0).  lam is
+    The product over time of the bet factors, each clamped at 0.  The
+    factors are built time-major, one contiguous (T, m) table, and reduced
+    over axis 0: numpy multiplies the rows of the table into K one step at
+    a time, each path left to right, so K_T has the same bits as the last
+    step of evolve(lambda k, t: lam, ...), whose update clamps the product
+    in place of the factor; a factor of 0 ruins the path either way, also
+    after the product overflowed to inf (inf * 0 = NaN is 0).  lam is
     checked against hyp.lambda_bounds() even when T = 0, where every K_T
     is 1.
     """
     ys = _paths(outcomes, hyp)
     _check_bet(lam, hyp.lambda_bounds())
-    factors = _bet_factor(lam, ys, hyp.null_mean)
+    factors = _bet_factor(lam, ys.T, hyp.null_mean)
     np.maximum(factors, 0.0, out=factors)
-    final = np.prod(factors, axis=1)
+    final = np.prod(factors, axis=0)
     final[np.isnan(final)] = 0.0
     return final
 

@@ -222,8 +222,21 @@ class TestPrice:
         assert abs(mc["value"] - exact) <= 4 * mc["std_error"]
         assert prices["1", "mc"]["value"] < prices["2", "mc"]["value"]
 
+    def test_lattice_overflow_is_one_solver_error(self, capsys):
+        # u**40 is beyond the double range: no inf or NaN value is printed
+        code, out, err = run_cli(capsys, "price", "--model", "u=1e10,d=0.5",
+                                 "--contract", "call,S=1,tau=40", "--method", "lattice")
+        assert (code, out) == (3, "")
+        assert "overflow" in err
+
 
 class TestHedgeSolve:
+    def test_lattice_overflow_is_one_solver_error(self, capsys):
+        code, out, err = run_cli(capsys, "hedge-solve", "--u", "1e10", "--d", "0.5",
+                                 "--horizon", "40", "--floor", "0.25")
+        assert (code, out) == (3, "")
+        assert "overflow" in err and "weight" not in err
+
     def test_known_roots(self, capsys):
         code, out, _ = run_cli(capsys, "hedge-solve", "--floor", "0.25",
                                "--horizon", "20")
@@ -579,6 +592,25 @@ def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    # one parser serves every call: options typed for mc do not leak into a
+    # later lattice call, and a failed call leaves no trace in the next one
+    lattice = ("price", "--model", "u=1.5,d=0.5", "--contract", "put,S=0.75,tau=3",
+               "--method", "lattice")
+    code, expected, _ = run_cli(capsys, *lattice)
+    assert code == 0
+    assert run_cli(capsys, "price", "--contract", "put,S=0.75,tau=3", "--method", "mc",
+                   "--bet", "0.5", "--n", "100")[0] == 0
+    assert run_cli(capsys, *lattice) == (0, expected, "")
+    assert run_cli(capsys, "price", "--contract", "put,S=0.75,tau=3", "--method",
+                   "lattice", "--bet", "0.5")[0] == 2
+    assert run_cli(capsys, *lattice) == (0, expected, "")
+    with pytest.raises(SystemExit):
+        main(["price", "--method", "nope"])
+    capsys.readouterr()
+    assert run_cli(capsys, *lattice) == (0, expected, "")
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_special():

@@ -372,6 +372,12 @@ class TestScreening:
         with pytest.raises(ConfigError):
             run_screening(stream(409).random((3, 10)), np.full(3, 0.5), **kwargs)
 
+    @pytest.mark.parametrize("price_samples", [0, 1])
+    def test_fewer_than_two_price_samples_is_config_error(self, price_samples):
+        with pytest.raises(ConfigError, match="at least 2 price samples"):
+            run_screening(stream(411).random((3, 10)), np.full(3, 0.5),
+                          hedge=HedgeSpec(), price_samples=price_samples)
+
     @pytest.mark.parametrize("shape", [(0, 10), (3, 0)])
     def test_empty_screen_is_config_error(self, shape):
         with pytest.raises(ConfigError):
@@ -394,6 +400,21 @@ class TestNullTerminalTable:
     def test_any_cpu_count_is_the_one_shot_table_bit_for_bit(self, monkeypatch,
                                                               cpus, tau, n):
         seed, lams = 271828, [0.3, 0.7, 1.5]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        table = _null_terminal_table(lams, tau, seed, np.empty((len(lams), n)))
+        for lam, row in zip(lams, table):
+            expected = two_sided_terminal_one_shot(stream(seed, _PRICE_TAG, tau), lam, tau, n)
+            assert row.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, harness._NULL_BLOCK])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("tau", [1, 100])
+    @pytest.mark.parametrize("n", [2, 2_000])
+    def test_any_block_size_is_the_one_shot_table_bit_for_bit(self, monkeypatch,
+                                                               block, cpus, tau, n):
+        seed, lams = 271828, [0.3, 0.7, 1.5]
+        monkeypatch.setattr(harness, "_NULL_BLOCK", block)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         table = _null_terminal_table(lams, tau, seed, np.empty((len(lams), n)))

@@ -175,6 +175,29 @@ class TestTransform:
         uniform = transform_to_uniform(matrix, log_transform=False)
         assert uniform.values.tobytes() == stats.norm.cdf(standard).tobytes()
 
+    @pytest.mark.parametrize("log_transform", [True, False])
+    @pytest.mark.parametrize("flat_gene", [None, 3])
+    def test_in_place_transform_is_the_expression_bit_for_bit(self, log_transform,
+                                                              flat_gene):
+        # ndtr((v[keep] - mu) / sd) as one expression; matrix.values untouched
+        from scipy.special import ndtr
+        values = np.exp(stream(308).standard_normal((8, 24)))
+        groups = ("normal", "tumor") * 12
+        normal = np.array(groups) == "normal"
+        if flat_gene is not None:
+            values[flat_gene, normal] = 1.0       # zero variance, also on log scale
+        matrix = ExpressionMatrix(tuple(f"g{i}" for i in range(8)), values, groups)
+        before = values.copy()
+        uniform = transform_to_uniform(matrix, log_transform=log_transform)
+        v = np.log(before) if log_transform else before
+        mu, sd = v[:, normal].mean(axis=1), v[:, normal].std(axis=1, ddof=1)
+        keep = sd > 0.0
+        assert keep.sum() == 8 - (flat_gene is not None)
+        expected = ndtr((v[keep] - mu[keep, None]) / sd[keep, None])
+        assert uniform.values.tobytes() == expected.tobytes()
+        assert matrix.values.tobytes() == before.tobytes()
+        assert not np.shares_memory(uniform.values, matrix.values)
+
 
 class TestEstimateLambda:
     def test_dead_center_pair_maps_to_smallest(self):

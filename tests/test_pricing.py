@@ -88,10 +88,16 @@ class TestLatticePrice:
             oracle = binomial_weight_price(1.5, 0.5, 0.5, 20, contract.payoff)
             assert lattice_price(model, contract).value == pytest.approx(oracle, rel=1e-11)
 
-    def test_negative_spot_rejected(self):
+    @pytest.mark.parametrize("spot", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_spot_rejected(self, spot):
         with pytest.raises(ValueError, match="spot"):
-            lattice_price(KELLY_LATTICE, Contract.put(2.0, 3), spot=-1.0)
+            lattice_price(KELLY_LATTICE, Contract.put(2.0, 3), spot=spot)
         assert lattice_price(KELLY_LATTICE, Contract.put(2.0, 3), spot=0.0).value == 2.0
+
+    def test_overflowing_lattice_is_one_error(self):
+        # u**40 leaves the double range: a ValueError, not an inf or NaN price
+        with pytest.raises(ValueError, match="overflow"):
+            lattice_price(LatticeModel(1e10, 0.5), Contract.call(1.0, 40))
 
     def test_put_call_parity(self):
         model = LatticeModel(1.5, 0.5)
@@ -371,3 +377,9 @@ class TestPriceEstimate:
     def test_negative_std_error_rejected(self):
         with pytest.raises(ValueError):
             PriceEstimate(0.5, -0.1, PricingMethod.MONTE_CARLO)
+
+    @pytest.mark.parametrize("value,std_error", [(math.nan, 0.0), (math.inf, 0.0),
+                                                 (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_estimate_rejected(self, value, std_error):
+        with pytest.raises(ValueError, match="finite"):
+            PriceEstimate(value, std_error, PricingMethod.MONTE_CARLO)

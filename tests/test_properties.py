@@ -6,7 +6,8 @@ root zeroes the floor residual, no sign change of the residual on a dense
 grid goes without a root, and with expiry at the horizon the worst hedged
 final wealth over all enumerated paths is the floor itself.  The roots do
 not depend on the order of the (atom, weight) pairs, ties included, and
-without ties they are the bits of the stable-sort oracle.  Any chunk of
+without ties, or with every weight equal, they are the bits of the
+stable-sort oracle.  Any chunk of
 the counter-based row table is the same bits as the slice of the whole, and
 so is a stream jumped ahead by k draws.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
@@ -155,6 +156,25 @@ def test_floor_strikes_do_not_depend_on_the_order_of_the_pairs(case):
     atoms, weights, order, floor = case
     assert put_floor_strikes(atoms[order], weights[order], floor) \
         == put_floor_strikes(atoms, weights, floor)
+
+
+@st.composite
+def equal_weight_samples(draw):
+    """The atoms of a Monte Carlo measure, each of weight 1/n, some tied."""
+    n = draw(st.integers(1, 30))
+    atom = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(0.0, 3.0)
+    atoms = draw(st.lists(atom, min_size=n, max_size=n))
+    atoms += atoms[:draw(st.integers(1, n))]        # at least one tie
+    order = draw(st.permutations(range(len(atoms))))
+    return np.array(atoms)[order], draw(st.floats(0.01, 0.99))
+
+
+@given(equal_weight_samples())
+def test_equal_weight_floor_strikes_are_the_stable_sort_reference(case):
+    atoms, floor = case
+    weights = np.full(atoms.size, 1.0 / atoms.size)
+    assert put_floor_strikes(atoms, weights, floor) \
+        == floor_strikes_by_interval(atoms, weights, floor)
 
 
 @given(measures())

@@ -1,7 +1,8 @@
 """Tests of the per-episode CSV writers.
 
-The `simulate`/`shift` artifacts of the nine shipped configs and the
-`price --method mc` JSON of the three outcome families are pinned by their
+The `simulate`/`shift` artifacts of the nine shipped configs, the
+`price --method mc` JSON of the three outcome families and the two files of
+a hedged `screen`, synthetic and from a raw matrix, are pinned by their
 sha256 digests, so any byte drift fails here.  Both CSV writers equal
 the row-by-row f-string reference of the oracles; the column formatter
 equals one `f"{x:.17g}"` per value on arrays with heavy repeats and every
@@ -80,6 +81,42 @@ def test_mc_price_digest_is_pinned(argv, tmp_path, capsys):
     assert cli.main(["price", "--contract", "put,S=0.25,tau=20", "--method", "mc",
                      *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_PRICE_SHA256[argv]
+
+
+def write_expression_matrix(path):
+    """A raw 400-gene matrix, 20 normal then 20 tumor columns: a quarter of
+    the genes shift their tumor mean, and g0 has no variance in the normal
+    group, so the screen skips it."""
+    rng = np.random.default_rng(20261018)
+    tumor = np.arange(40) >= 20
+    shift = np.where(rng.random((400, 1)) < 0.25, rng.choice([-0.6, 0.6], (400, 1)), 0.0)
+    values = np.exp(rng.normal(6.0, 0.4, (400, 40)) + shift * tumor)
+    values[0, ~tumor] = 1.0
+    lines = ["gene," + ",".join(["normal"] * 20 + ["tumor"] * 20)]
+    lines += [f"g{g}," + ",".join(f"{v:.6g}" for v in row) for g, row in enumerate(values)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# sha256 of (x.csv, x.json) from `screen <argv> --hedge --out x`
+SCREEN_SHA256 = {
+    ("--synthetic", "shifted", "--genes", "400", "--samples", "40"): (
+        "9a8af91b73a836812fd50502a9ff3671b928f36ba2b2533bb84b3475da147a7b",
+        "567205b0c71412137480ce0ebb86a43b8edb6a126c3e97dd79514106b05e1ecc"),
+    ("--matrix",): (
+        "0c5d336f0731c1cf8c3d41015ab99c5b6b086021f5161e45e3546b57b3e60ff0",
+        "057df9e7c997a6750a8b5c741a2ca124f70e3982d32f80a371355fe92cf748dc"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SCREEN_SHA256))
+def test_hedged_screen_digests_are_pinned(argv, tmp_path, capsys):
+    inputs = argv
+    if argv == ("--matrix",):
+        write_expression_matrix(tmp_path / "matrix.csv")
+        inputs += (str(tmp_path / "matrix.csv"),)
+    assert cli.main(["screen", *inputs, "--hedge", "--out", str(tmp_path / "x")]) == 0
+    assert tuple(hashlib.sha256((tmp_path / f"x.{ext}").read_bytes()).hexdigest()
+                 for ext in ("csv", "json")) == SCREEN_SHA256[argv]
 
 
 @pytest.mark.parametrize("name", sorted(CSV_SHA256))
