@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import sys
 from pathlib import Path
@@ -255,10 +254,7 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use.  Parsing reads it
-    and never changes it, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="hedgetest",
         description="Sequential testing by betting with risk-neutral hedging")
@@ -341,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, OSError, ingest.ZeroVarianceError) as exc:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import LAMBDA_GRID, estimate_lambdas
-from .pricing import (Contract, LatticeModel, StrikeSolveError,
+from .pricing import (MC_BLOCK, Contract, LatticeModel, StrikeSolveError,
                       lattice_node_values, put_floor_strikes,
                       solve_hedge_strike)
 from .rng import DEFAULT_SEED, rows, stream
@@ -355,15 +355,17 @@ def _null_terminal_table(lams: list[float], tau: int, seed: int,
     formula, so the samples are the same bits.
 
     Memory is the caller's table plus, per range, three (tau, width)
-    buffers of at most _NULL_BLOCK doubles each (1.5 MB in all at the
-    default), so a range's working set stays in one core's L2 cache:
-    width is _NULL_BLOCK // tau samples, at least 1 and at most the range's
-    length.  The block width sets only how the rows are cut, never a bit of
-    a sample.  The calling thread allocates the buffers, and a thread
-    allocates only its per-block (block,) temporaries.  Large arrays freed
-    on worker threads would stay in glibc's per-thread arenas and raise the
-    peak RSS, which is also why the strike solve stays on the calling
-    thread.
+    buffers, width = min(_NULL_BLOCK // tau, ceil(MC_BLOCK / ranges))
+    samples, at least 1 and at most the range's length.  A buffer holds at
+    most _NULL_BLOCK doubles, so a range's working set stays in one core's
+    L2 cache, and the ranges together hold fewer than MC_BLOCK + ranges
+    samples, so the buffers stay within about one (tau, MC_BLOCK) triple
+    however many CPUs there are.  The block width sets only how the rows
+    are cut, never a bit of a sample.  The calling thread allocates the
+    buffers, and a thread allocates only its per-block (block,)
+    temporaries.  Large arrays freed on worker threads would stay in glibc's
+    per-thread arenas and raise the peak RSS, which is also why the strike
+    solve stays on the calling thread.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -372,7 +374,7 @@ def _null_terminal_table(lams: list[float], tau: int, seed: int,
     n = out.shape[1]
     ranges = max(1, min(cpus, n))
     bounds = [n * i // ranges for i in range(ranges + 1)]
-    width = max(1, min(_NULL_BLOCK // tau, -(-n // ranges)))
+    width = max(1, min(_NULL_BLOCK // tau, -(-MC_BLOCK // ranges), -(-n // ranges)))
     jobs = [(stream(seed, _PRICE_TAG, tau, skip=a * tau), lams, out[:, a:b],
              np.empty((tau, width)), np.empty((tau, width)), np.empty((tau, width)))
             for a, b in zip(bounds, bounds[1:])]

@@ -122,11 +122,9 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
     """Map each gene's samples to [0, 1] via normal-group standardization and Phi.
 
     Genes with zero variance in the normal group are flagged and skipped.
-    Pass log_transform=False for data already on a log scale.  The kept
-    rows are standardized and mapped in one buffer of their own, so
-    matrix.values is never written.
+    Pass log_transform=False for data already on a log scale.
     """
-    values = np.asarray(matrix.values, dtype=float)
+    values = matrix.values
     if log_transform:
         if np.any(values <= 0.0):
             raise ValueError("log transform requires strictly positive expression values")
@@ -134,16 +132,12 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
     normal = matrix.column_mask(normal_label)
     if not normal.any():
         raise ValueError(f"no columns labeled {normal_label!r}")
-    reference = values[:, normal]
-    mu = reference.mean(axis=1)
-    sd = reference.std(axis=1, ddof=1)
+    mu = values[:, normal].mean(axis=1)
+    sd = values[:, normal].std(axis=1, ddof=1)
     keep = sd > 0.0
-    # the log already made a buffer of its own: standardize it in place
-    uniform = values if log_transform and keep.all() else values[keep]
-    uniform -= mu[keep, None]
-    uniform /= sd[keep, None]
+    z = (values[keep] - mu[keep, None]) / sd[keep, None]
     from scipy.special import ndtr    # loaded on first use: import stays numpy-only
-    ndtr(uniform, out=uniform)
+    uniform = ndtr(z)
     kept_ids = tuple(g for g, k in zip(matrix.gene_ids, keep) if k)
     skipped = tuple(g for g, k in zip(matrix.gene_ids, keep) if not k)
     if not kept_ids:

@@ -594,25 +594,6 @@ def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
     assert "error" in err
 
 
-def test_consecutive_calls_share_no_state(capsys):
-    # one parser serves every call: options typed for mc do not leak into a
-    # later lattice call, and a failed call leaves no trace in the next one
-    lattice = ("price", "--model", "u=1.5,d=0.5", "--contract", "put,S=0.75,tau=3",
-               "--method", "lattice")
-    code, expected, _ = run_cli(capsys, *lattice)
-    assert code == 0
-    assert run_cli(capsys, "price", "--contract", "put,S=0.75,tau=3", "--method", "mc",
-                   "--bet", "0.5", "--n", "100")[0] == 0
-    assert run_cli(capsys, *lattice) == (0, expected, "")
-    assert run_cli(capsys, "price", "--contract", "put,S=0.75,tau=3", "--method",
-                   "lattice", "--bet", "0.5")[0] == 2
-    assert run_cli(capsys, *lattice) == (0, expected, "")
-    with pytest.raises(SystemExit):
-        main(["price", "--method", "nope"])
-    capsys.readouterr()
-    assert run_cli(capsys, *lattice) == (0, expected, "")
-
-
 def test_import_loads_neither_scipy_stats_nor_scipy_special():
     # scipy.special is imported where ndtr and the binomial pmf are used
     src = Path(__file__).parent.parent / "src"

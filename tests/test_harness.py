@@ -422,6 +422,25 @@ class TestNullTerminalTable:
             expected = two_sided_terminal_one_shot(stream(seed, _PRICE_TAG, tau), lam, tau, n)
             assert row.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8, 32, 64])
+    @pytest.mark.parametrize("tau", [1, 40, 100])
+    def test_buffers_stay_in_l2_and_within_one_block_triple(self, monkeypatch, cpus, tau):
+        shapes = []
+
+        def recorded(rng, lams, out, *buffers):
+            shapes.extend(buf.shape for buf in buffers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(harness, "_null_terminal_rows", recorded)
+        _null_terminal_table([0.5], tau, 271828, np.empty((1, 100_000)))
+        assert len(shapes) == 3 * cpus
+        assert all(rows == tau and rows * width <= harness._NULL_BLOCK
+                   for rows, width in shapes)
+        assert sum(rows * width for rows, width in shapes) < 3 * tau * (MC_BLOCK + cpus)
+        if cpus == 2 and tau == 100:
+            assert shapes[0] == (100, 655)
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_a_hedged_screen_draws_one_stream_per_cpu_range(self, monkeypatch, cpus):
         sequences, lambdas, _ = synthetic_screening_input(200, 42, seed=410)

@@ -177,8 +177,7 @@ class TestTransform:
 
     @pytest.mark.parametrize("log_transform", [True, False])
     @pytest.mark.parametrize("flat_gene", [None, 3])
-    def test_in_place_transform_is_the_expression_bit_for_bit(self, log_transform,
-                                                              flat_gene):
+    def test_transform_is_the_expression_bit_for_bit(self, log_transform, flat_gene):
         # ndtr((v[keep] - mu) / sd) as one expression; matrix.values untouched
         from scipy.special import ndtr
         values = np.exp(stream(308).standard_normal((8, 24)))
