@@ -13,10 +13,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import ingest
-from .harness import (ConfigError, HedgeSpec, format_float, load_config,
-                      result_csv, result_json, run_experiment, run_screening,
-                      screening_csv, synthetic_screening_input, to_json)
+from .harness import (ConfigError, HedgeSpec, check_seed, format_float,
+                      load_config, result_csv, result_json, run_experiment,
+                      run_screening, screening_csv, synthetic_screening_input,
+                      to_json)
 from .pricing import (Contract, ContractKind, LatticeModel, PriceEstimate,
                       PricingMethod, StrikeSolveError, black_scholes_call,
                       black_scholes_put, lattice_price, mc_price,
@@ -130,7 +133,14 @@ def _cmd_price(args) -> int:
                     f"u={bet_u!r},d={bet_d!r}")
         if args.n < 2:
             raise ConfigError(f"mc pricing needs --n of at least 2, got {args.n}")
-        process = lambda ys: args.spot * terminal_wealth(args.bet, ys, hyp)
+        check_seed(args.seed)
+
+        def process(ys):
+            # a wealth past the float range is inf: a put's payoff on it is 0,
+            # and mc_price rejects the infinite price of a call
+            with np.errstate(over="ignore"):
+                return args.spot * terminal_wealth(args.bet, ys, hyp)
+
         est = mc_price(hyp.null_sampler(), process, contract, args.n, args.seed)
     else:
         if args.sigma is None or args.time is None:

@@ -103,6 +103,12 @@ class HedgeSpec:
         return expiry, floor
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed no random stream can take: streams need seed >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     hypothesis: HypothesisSpec
@@ -126,6 +132,7 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.ruin_level < 1.0 < 1.0 / self.alpha:
             raise ConfigError("need ruin_level < 1 < 1/alpha")
+        check_seed(self.seed)
         if self.strategy.kind is StrategyKind.DYNAMIC_FLOOR:
             floor = self.strategy.floor
             if floor is None or not 0.0 < floor < 1.0:
@@ -453,6 +460,7 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
                           f"{m} genes and {horizon} samples")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    check_seed(seed)
     if hedge is not None:
         if hedge.strike is not None:
             raise ConfigError("screening solves one strike per gene; "
@@ -496,6 +504,7 @@ def synthetic_uniform_matrix(n_genes: int, n_samples: int, seed: int,
         raise ConfigError(f"shifted fraction {shifted_fraction} not in [0, 1]")
     if not 0.0 < shifted_mean < 1.0:
         raise ConfigError(f"shifted mean {shifted_mean} not in (0, 1)")
+    check_seed(seed)
     rng = stream(seed, _MATRIX_TAG)
     x = rng.random((n_genes, n_samples))
     n_shift = int(round(shifted_fraction * n_genes))

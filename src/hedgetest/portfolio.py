@@ -5,8 +5,12 @@ European contracts marked at their risk-neutral lattice value.  Each held
 contract is a trade record, built once when it is traded and shared by every
 later portfolio: the contract, the quantity and the node table
 backward-induced at the trade.  The portfolio, an immutable named tuple,
-carries one mark per record, and each step looks the new marks up by elapsed
-time and up-moves since the trade.  Trades are value-neutral exchanges
+marks its records on read: a live contract's mark is looked up in its table
+by elapsed time and up-moves since the trade, and an expired one reads the
+payoff frozen when the portfolio stepped past its expiry.  So a step costs
+the same however many contracts are held: it moves the risky leg and the
+underlying, and touches the records only when it leaves an expiry time,
+settling each contract once.  Trades are value-neutral exchanges
 constrained so that total value can never go negative: loans and shorts
 respect the one-period bounds, and derivative trades, and any cash-and-shares
 move while contracts are live, are vetted by an exact worst-case sweep over
@@ -46,7 +50,8 @@ class DerivativePosition:
 
     nodes[s][j] is the per-contract value s steps after the trade and j
     up-moves since it; the last level is the payoff.  The record never
-    changes; the current mark lives in the portfolio's `marks`.
+    changes: the portfolio reads its mark from `nodes` while it is live and
+    keeps its payoff in `settled` once it has expired.
     """
 
     contract: Contract     # expiry is absolute time on the experiment clock
@@ -54,6 +59,11 @@ class DerivativePosition:
     nodes: tuple = field(compare=False, repr=False)
     opened: int = field(compare=False, repr=False)       # trade time
     opened_ups: int = field(compare=False, repr=False)   # portfolio.ups at the trade
+
+    def value_at(self, time: int, ups: int) -> float:
+        """Per-contract value at `time` and `ups` up-moves, both counted on the
+        portfolio's clock, from the trade up to the expiry."""
+        return self.nodes[time - self.opened][ups - self.opened_ups]
 
 
 @dataclass(frozen=True)
@@ -66,10 +76,11 @@ class Portfolio(NamedTuple):
     """Holdings (cash, risky shares, contracts) at one node of their lattice.
 
     The portfolio carries the lattice it lives on, so its factors were
-    checked once, when that LatticeModel was built.  marks[i] is the
-    per-contract risk-neutral value of positions[i] at this node: its
-    node-table entry while live, its payoff once expired.  A position
-    without a mark is an error, never a value of 0.
+    checked once, when that LatticeModel was built.  settled[i] is the
+    payoff of positions[i] frozen when the portfolio stepped past its
+    expiry, None until then; due is the earliest expiry not yet settled,
+    None when nothing is left to settle.  A position without a settled
+    entry is an error, never a value of 0.
     """
 
     risk_free: float
@@ -79,12 +90,21 @@ class Portfolio(NamedTuple):
     underlying: float = 1.0    # unit wealth-process level, used for marking
     time: int = 0
     ups: int = 0               # up-moves stepped through so far
-    marks: tuple[float, ...] = ()
+    settled: tuple[float | None, ...] = ()
+    due: int | None = None
 
     @classmethod
     def initial(cls, up_factor: float, down_factor: float) -> "Portfolio":
         """All-cash unit portfolio at time 0 on the lattice of the two factors."""
         return cls(1.0, 0.0, (), LatticeModel(up_factor, down_factor))
+
+    @property
+    def marks(self) -> tuple[float, ...]:
+        """Per-contract risk-neutral value of each position at this node: its
+        node-table entry until it settles, its frozen payoff after."""
+        t, ups = self.time, self.ups
+        return tuple([pos.value_at(t, ups) if payoff is None else payoff
+                      for pos, payoff in zip(self.positions, self.settled, strict=True)])
 
     @property
     def derivative_value(self) -> float:
@@ -205,9 +225,12 @@ def _traded(portfolio: Portfolio, contract: Contract, quantity: float,
             f"trade price {price} differs from the risk-neutral value {mark}")
     position = DerivativePosition(contract, quantity, nodes,
                                   portfolio.time, portfolio.ups)
-    candidate = portfolio._replace(risk_free=portfolio.risk_free - quantity * price,
-                                   positions=portfolio.positions + (position,),
-                                   marks=portfolio.marks + (mark,))
+    due = portfolio.due
+    candidate = portfolio._replace(
+        risk_free=portfolio.risk_free - quantity * price,
+        positions=portfolio.positions + (position,),
+        settled=portfolio.settled + (None,),
+        due=contract.expiry if due is None else min(due, contract.expiry))
     _vet(candidate)
     return candidate
 
@@ -228,24 +251,43 @@ def issue_contract(portfolio: Portfolio, contract: Contract, quantity: float,
     return _traded(portfolio, contract, -quantity, price)
 
 
+# Builds a Portfolio from its fields in order, without the keyword-parsing
+# constructor: a step's fields are always complete.
+_new = tuple.__new__
+
+
 def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     """Advance one period on outcome 1 (up) or 0 (down).
 
-    The risky leg and the underlying move by the same factor; every live
-    contract is re-marked by lookup in its node table at the new node
-    (payoff once it expires, frozen thereafter), with no pricing call; cash
-    is unchanged (r = 0).  The position records are shared, not copied.
+    The risky leg and the underlying move by the same factor; cash is
+    unchanged (r = 0).  No contract is re-marked, since marks are read from
+    the node tables on demand, so a step costs the same however many
+    positions are held.  Only the step that leaves an expiry time reads the
+    payoff of each contract expiring then, once, and freezes it in
+    `settled`; no step prices anything.  The position records are shared,
+    not copied.
     """
-    free, risky, positions, lattice, underlying, t, ups, marks = portfolio
+    free, risky, positions, lattice, underlying, t, ups, settled, due = portfolio
+    if len(settled) != len(positions):
+        raise ValueError(f"{len(positions)} positions but {len(settled)} settled entries")
     if outcome == 1.0:
-        factor, ups = lattice.up_factor, ups + 1
+        factor, moved = lattice.up_factor, ups + 1
     elif outcome == 0.0:
-        factor = lattice.down_factor
+        factor, moved = lattice.down_factor, ups
     else:
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
-    t += 1
-    marks = tuple([pos.nodes[t - pos.opened][ups - pos.opened_ups]
-                   if pos.contract.expiry >= t else mark   # expired: payoff is frozen
-                   for pos, mark in zip(positions, marks, strict=True)])
-    return Portfolio(free, risky * factor, positions, lattice, underlying * factor,
-                     t, ups, marks)
+    if t == due:
+        settled, due = _settle(positions, settled, t, ups)
+    return _new(Portfolio, (free, risky * factor, positions, lattice, underlying * factor,
+                            t + 1, moved, settled, due))
+
+
+def _settle(positions: tuple, settled: tuple, t: int, ups: int) -> tuple:
+    """(settled, due) after leaving time t at `ups` up-moves: each position
+    expiring at t frozen at its payoff node, and the earliest expiry left."""
+    settled = tuple([pos.value_at(t, ups) if payoff is None and pos.contract.expiry == t
+                     else payoff
+                     for pos, payoff in zip(positions, settled)])
+    due = min((pos.contract.expiry for pos, payoff in zip(positions, settled)
+               if payoff is None), default=None)
+    return settled, due

@@ -206,8 +206,11 @@ def mc_price(null_sampler: Callable[[np.random.Generator, tuple[int, int]], np.n
         stop = min(start + MC_BLOCK, n)
         outcomes = null_sampler(rng, (stop - start, contract.expiry))
         payoffs[start:stop] = contract.payoff(process(outcomes))
-    value = float(payoffs.mean())
-    se = float(payoffs.std(ddof=1) / math.sqrt(n))
+    # payoffs past the float range average to inf or NaN, which
+    # PriceEstimate rejects with one error; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(payoffs.mean())
+        se = float(payoffs.std(ddof=1) / math.sqrt(n))
     return PriceEstimate(value, se, PricingMethod.MONTE_CARLO)
 
 

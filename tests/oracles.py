@@ -4,8 +4,9 @@ These deliberately avoid the code paths they validate: prices come from
 exhaustive path enumeration or direct binomial expectations instead of
 backward induction, portfolio marks from a fresh lattice at each node
 instead of the node table kept since the trade, or rebuilt one position at
-a time in a loop, wealth recurrences (one-sided and the two-sided hedged
-process) are evaluated step by step in plain Python, the first crossing of
+a time in a loop at every step instead of read on demand, wealth
+recurrences (one-sided and the two-sided hedged process) are evaluated
+step by step in plain Python, the first crossing of
 1/alpha is found by a plain loop over one path instead of the batch rule,
 put-floor strikes interval by interval in plain Python after a stable
 sort, a portfolio's worst case by walking every path instead of the
@@ -137,26 +138,31 @@ def step_by_remark(portfolio, outcome):
     """One lattice step that rebuilds the marks one position at a time.
 
     Each live position's mark is looked up afresh in its node table and an
-    expired one keeps its previous mark, in a plain loop; the new portfolio
-    is built by keyword.  Returns the new portfolio and its total value,
-    summed as cash + shares + each quantity * mark in position order.
+    expired one keeps its previous mark, in a plain loop; a position the
+    step leaves expired is settled at that mark.  The new portfolio is
+    built by keyword, with the earliest unsettled expiry as its due.
+    Returns the new portfolio, its marks and its total value, summed as
+    cash + shares + each quantity * mark in position order.
     """
     if outcome not in (0.0, 1.0):
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
     up = int(outcome == 1.0)
     factor = portfolio.lattice.up_factor if up else portfolio.lattice.down_factor
     t, ups = portfolio.time + 1, portfolio.ups + up
-    marks = []
+    marks, settled = [], []
     for pos, mark in zip(portfolio.positions, portfolio.marks):
         if pos.contract.expiry >= t:
             mark = pos.nodes[t - pos.opened][ups - pos.opened_ups]
         marks.append(mark)
+        settled.append(mark if pos.contract.expiry < t else None)
+    due = min([pos.contract.expiry for pos, payoff in zip(portfolio.positions, settled)
+               if payoff is None], default=None)
     moved = portfolio._replace(risky_value=portfolio.risky_value * factor,
                                underlying=portfolio.underlying * factor,
-                               time=t, ups=ups, marks=tuple(marks))
+                               time=t, ups=ups, settled=tuple(settled), due=due)
     total = moved.risk_free + moved.risky_value + sum(
         pos.quantity * mark for pos, mark in zip(moved.positions, marks))
-    return moved, total
+    return moved, marks, total
 
 
 def floor_strikes_by_interval(atoms, weights, floor):

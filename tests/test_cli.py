@@ -229,6 +229,21 @@ class TestPrice:
         assert (code, out) == (3, "")
         assert "overflow" in err
 
+    def test_mc_overflow_is_one_solver_error(self, capsys):
+        # spot * K_5 is past the float range on the up paths; the suite turns
+        # a numpy RuntimeWarning into an error
+        code, out, err = run_cli(capsys, "price", "--method", "mc", "--spot", "1e308",
+                                 "--contract", "call,S=1,tau=5", "--n", "100")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_mc_put_on_an_overflowed_wealth_is_worth_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "price", "--method", "mc", "--spot", "1e308",
+                                 "--contract", "put,S=1,tau=5", "--n", "100")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"value": 0, "std_error": 0, "method": "monte_carlo"}
+
 
 class TestHedgeSolve:
     def test_lattice_overflow_is_one_solver_error(self, capsys):
@@ -685,3 +700,25 @@ def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config_edit)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,config_seed", [
+    (("price", "--method", "mc", "--contract", "put,S=0.3,tau=5", "--n", "10",
+      "--seed", "-1"), None),
+    (("simulate", "--config", str(CONFIGS / "table1_kelly.cfg"), "--seed", "-1"), None),
+    (("simulate", "--config"), "-3"),
+    (("screen", "--synthetic", "null", "--genes", "10", "--samples", "5",
+      "--seed", "-1"), None),
+    (("screen", "--synthetic", "null", "--genes", "10", "--samples", "5",
+      "--seed", "-1", "--hedge"), None),
+], ids=["price-mc", "simulate-option", "simulate-config", "screen", "screen-hedge"])
+def test_negative_seed_is_one_config_error_line(tmp_path, capsys, argv, config_seed):
+    if config_seed is not None:
+        text = (CONFIGS / "table1_kelly.cfg").read_text()
+        assert "seed = 271828\n" in text
+        path = tmp_path / "negative_seed.cfg"
+        path.write_text(text.replace("seed = 271828\n", f"seed = {config_seed}\n"))
+        argv += (str(path),)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be nonnegative") and err.count("\n") == 1

@@ -378,6 +378,12 @@ class TestScreening:
             run_screening(stream(411).random((3, 10)), np.full(3, 0.5),
                           hedge=HedgeSpec(), price_samples=price_samples)
 
+    @pytest.mark.parametrize("hedge", [None, HedgeSpec()])
+    def test_negative_seed_is_config_error(self, hedge):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            run_screening(stream(412).random((3, 10)), np.full(3, 0.5),
+                          hedge=hedge, seed=-1)
+
     @pytest.mark.parametrize("shape", [(0, 10), (3, 0)])
     def test_empty_screen_is_config_error(self, shape):
         with pytest.raises(ConfigError):

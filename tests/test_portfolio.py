@@ -16,7 +16,7 @@ from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec
 
-from oracles import crossing_times, path_values
+from oracles import crossing_times, path_values, step_by_remark
 
 U, D = 1.5, 0.5
 
@@ -189,7 +189,20 @@ class TestStep:
         with pytest.raises(ValueError):
             unmarked.total_value
         with pytest.raises(ValueError):
+            unmarked.marks
+        with pytest.raises(ValueError):
             step(unmarked, 1.0)
+
+    @pytest.mark.parametrize("extra", [(None,), (0.5,)])
+    def test_settled_entries_not_lining_up_with_positions_rejected(self, extra):
+        held = buy_contract(all_risky(), Contract.put(0.25, 3), quantity=1.0)
+        misaligned = held._replace(settled=held.settled + extra)
+        with pytest.raises(ValueError):
+            misaligned.marks
+        with pytest.raises(ValueError):
+            misaligned.total_value
+        with pytest.raises(ValueError):
+            step(misaligned, 1.0)
 
     def test_clock_stays_python_int_on_numpy_outcomes(self):
         p = step(step(all_risky(), np.float64(1.0)), np.float64(0.0))
@@ -262,6 +275,81 @@ class TestStep:
             finals[i] = p.total_value
         se = finals.std(ddof=1) / math.sqrt(n)
         assert abs(finals.mean() - 1.0) <= 3 * se
+
+
+class CountedNodes(tuple):
+    """A node table that counts the levels read from it."""
+
+    reads = 0
+
+    def __getitem__(self, level):
+        self.reads += 1
+        return super().__getitem__(level)
+
+
+def walked(p, path):
+    """The portfolios p, then p stepped along each outcome of path, each step
+    checked bit for bit against the oracle that re-marks every position."""
+    states = [p]
+    for y in path:
+        expected, marks, total = step_by_remark(states[-1], y)
+        states.append(step(states[-1], y))
+        assert states[-1].total_value.hex() == total.hex()
+        assert [m.hex() for m in states[-1].marks] == [m.hex() for m in marks]
+        assert (states[-1].settled, states[-1].due) == (expected.settled, expected.due)
+    return states
+
+
+class TestSettlement:
+    def test_only_a_settling_step_reads_a_node_table_once_per_position(self):
+        p = buy_contract(all_risky(), Contract.put(0.25, 3), quantity=1.0)
+        p = buy_contract(p, Contract.call(1.5, 5), quantity=0.1)
+        p = step(p, 1.0)
+        p = buy_contract(p, Contract.put(0.5, 3), quantity=0.2)
+        tables = [CountedNodes(pos.nodes) for pos in p.positions]
+        p = p._replace(positions=tuple(dataclasses.replace(pos, nodes=nodes)
+                                       for pos, nodes in zip(p.positions, tables)))
+        reads = []
+        for y in (0.0, 1.0, 0.0, 1.0, 0.0, 1.0):     # time 1 to 7
+            p = step(p, y)
+            reads.append([nodes.reads for nodes in tables])
+        # the step leaving time 3 settles both expiries 3, the one leaving 5 the call
+        assert reads == [[0, 0, 0], [0, 0, 0], [1, 0, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]]
+        assert p.due is None and None not in p.settled
+
+    def test_positions_with_different_expiries_settle_in_turn(self):
+        p = buy_contract(all_risky(), Contract.put(1.0, 2), quantity=1.0)
+        p = buy_contract(p, Contract.call(1.0, 4), quantity=0.2)
+        states = walked(p, [0.0, 1.0, 1.0, 1.0, 0.0])
+        assert [s.due for s in states] == [2, 2, 2, 4, 4, None]
+        assert [s.settled for s in states[:3]] == [(None, None)] * 3
+        put_payoff, call_payoff = states[2].marks[0], states[4].marks[1]
+        assert put_payoff == 0.25 and call_payoff == pytest.approx(0.6875)
+        assert states[3].settled == (put_payoff, None)
+        assert states[5].settled == (put_payoff, call_payoff)
+        assert states[5].marks == (put_payoff, call_payoff)
+
+    def test_trade_at_an_expiry_time_before_stepping(self):
+        p = buy_contract(all_risky(), Contract.put(0.5, 2), quantity=1.0)
+        p = step(step(p, 0.0), 0.0)
+        assert (p.time, p.due) == (2, 2)
+        p = buy_contract(p, Contract.put(0.25, 4), quantity=0.5)
+        assert p.due == 2 and p.settled == (None, None)
+        states = walked(p, [1.0, 0.0, 0.0])
+        assert [s.due for s in states] == [2, 4, 4, None]
+        assert states[1].settled == (p.marks[0], None) and p.marks[0] == 0.25
+        assert states[3].settled == (0.25, states[2].marks[1])
+
+    def test_trade_after_a_settlement(self):
+        p = buy_contract(all_risky(), Contract.put(0.75, 1), quantity=1.0)
+        p = step(step(p, 0.0), 1.0)
+        assert (p.settled, p.due) == ((0.25,), None)
+        p = buy_contract(p, Contract.call(0.5, 4), quantity=0.25)
+        assert (p.settled, p.due) == ((0.25, None), 4)
+        states = walked(p, [1.0, 1.0, 0.0])
+        assert [s.due for s in states] == [4, 4, 4, None]
+        assert states[2].settled == (0.25, None)
+        assert states[3].settled == (0.25, states[2].marks[1])
 
 
 class TestLemmaOneFuzz:

@@ -178,6 +178,15 @@ class TestMcPrice:
             prices.add((est.value.hex(), est.std_error.hex()))
         assert len(prices) == 1
 
+    @pytest.mark.parametrize("wealth", [1e308, math.inf])
+    def test_overflowing_mean_payoff_is_one_error_without_warnings(self, wealth):
+        # 100 call payoffs near the float maximum sum past it; the suite
+        # turns a numpy RuntimeWarning into an error
+        sampler = HypothesisSpec.bernoulli(0.5).null_sampler()
+        process = lambda ys: np.full(len(ys), wealth)
+        with pytest.raises(ValueError, match="must be finite"):
+            mc_price(sampler, process, Contract.call(1.0, 3), 100, seed=108)
+
     def test_needs_two_replications(self):
         sampler = HypothesisSpec.bernoulli(0.5).null_sampler()
         with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ bits of evolve's last step; and the batch Ville rule finds each row's first
 crossing of 1/alpha where a plain loop over the row does.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
 there; a portfolio's lookup marks along a random path agree with a fresh
-lattice priced at every step, and a step's marks and total are the bits of
-the oracle that re-marks every position in a loop.  The worst-case sweep
+lattice priced at every step, and a step's marks, total and settled
+payoffs are the bits of the oracle that re-marks every position in a loop.  The worst-case sweep
 that vets trades is the minimum over every enumerated path of a stepped,
 part-expired portfolio.  A config written out from its resolved view and
 read back resolves to the same view.
@@ -433,21 +433,23 @@ def test_step_equals_remarking_every_position_bit_for_bit(case):
                 p = (issue_contract if issued else buy_contract)(p, contract, quantity)
             except BankruptcyRiskError:
                 pass
-        expected, total = step_by_remark(p, y)
+        expected, marks, total = step_by_remark(p, y)
         p = step(p, y)
         assert p.total_value.hex() == total.hex()
-        assert [m.hex() for m in p.marks] == [m.hex() for m in expected.marks]
+        assert [m.hex() for m in p.marks] == [m.hex() for m in marks]
         assert p.positions is expected.positions
         assert (p.time, p.ups) == (expected.time, expected.ups)
+        assert (p.settled, p.due) == (expected.settled, expected.due)
 
 
 def held(p, contract, quantity):
     """p holding `quantity` more of `contract` at its lattice value, unvetted."""
     nodes = _node_table(p, contract)
     position = DerivativePosition(contract, quantity, nodes, p.time, p.ups)
+    due = contract.expiry if p.due is None else min(p.due, contract.expiry)
     return p._replace(risk_free=p.risk_free - quantity * nodes[0][0],
                       positions=p.positions + (position,),
-                      marks=p.marks + (nodes[0][0],))
+                      settled=p.settled + (None,), due=due)
 
 
 @st.composite
