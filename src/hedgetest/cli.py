@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest
-from .harness import (ConfigError, HedgeSpec, check_seed, format_float,
+from .harness import (ConfigError, HedgeSpec, check_seed, csv_rows, float_cells,
                       load_config, result_csv, result_json, run_experiment,
                       run_screening, screening_csv, synthetic_screening_input,
-                      to_json)
+                      text_cells, to_json)
 from .pricing import (Contract, ContractKind, LatticeModel, PriceEstimate,
                       PricingMethod, StrikeSolveError, black_scholes_call,
                       black_scholes_put, lattice_price, mc_price,
@@ -255,12 +255,10 @@ def _cmd_ingest(args) -> int:
              f"# held_out_columns = {' '.join(str(c) for c in prepared.held_out_columns)}",
              f"# skipped_genes = {' '.join(uniform.skipped_gene_ids)}"]
     width = prepared.sequences.shape[1]
-    header = "gene,lambda," + ",".join(f"y{t}" for t in range(1, width + 1))
-    lines.append(header)
-    for g, gid in enumerate(prepared.gene_ids):
-        seq = ",".join(format_float(v) for v in prepared.sequences[g])
-        lines.append(f"{gid},{format_float(prepared.lambdas[g])},{seq}")
-    _write(args.output, "\n".join(lines) + "\n")
+    lines.append("gene,lambda," + ",".join(f"y{t}" for t in range(1, width + 1)))
+    body = csv_rows([text_cells(prepared.gene_ids),
+                     *float_cells(np.column_stack([prepared.lambdas, prepared.sequences]))])
+    _write(args.output, "\n".join(lines) + "\n" + body)
     return EXIT_OK
 
 

@@ -681,45 +681,80 @@ def to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _text_column(values: np.ndarray, fmt) -> list[str]:
-    """[fmt(x) for x in values.tolist()], calling fmt once per distinct value.
+_NEEDS_QUOTES = frozenset(',"\r\n')
+#: Ends each string of a byte blob and pads each cell to its column's width:
+#: never a byte of UTF-8 text, so dropping it drops padding and nothing else.
+_PAD = b"\xff"
 
-    Floats are told apart by their int64 bit view, so -0.0, each NaN and
-    every double keep exactly the text of their own bits.  Episode columns
-    repeat a few values many times, so formatting the distinct ones and
-    gathering their strings by index is much cheaper than one call per row.
-    """
-    values = np.asarray(values)
-    keys = values.view(np.int64) if values.dtype == np.float64 else values
+
+def _cells(blob: bytes) -> np.ndarray:
+    """One row per 0xFF-ended string of `blob`: its bytes, left-aligned, then padding."""
+    text = np.frombuffer(blob, np.uint8)
+    ends = np.flatnonzero(text == _PAD[0])
+    size = np.diff(ends, prepend=-1) - 1
+    mask = np.arange(size.max(initial=0)) < size[:, None]
+    table = np.full(mask.shape, _PAD[0], np.uint8)
+    table[mask] = np.delete(text, ends)
+    return table
+
+
+def text_cells(fields) -> np.ndarray:
+    """Cells of strings in UTF-8, quoted as csv.writer's QUOTE_MINIMAL does: a field
+    with a comma, a quote, CR or LF goes in quotes, each inner quote doubled."""
+    quoted = ('"' + f.replace('"', '""') + '"' if _NEEDS_QUOTES.intersection(f) else f
+              for f in fields)
+    return _cells(b"".join(f.encode() + _PAD for f in quoted))
+
+
+def float_cells(values) -> list[np.ndarray]:
+    """Cells of each column of a 2-d array: `f"{x:.17g}"`, formatted by one `%`
+    call once per distinct int64 bit view, so -0.0 and each NaN keep their text."""
+    keys = np.ascontiguousarray(values, np.float64).view(np.int64)
     distinct, index = np.unique(keys, return_inverse=True)
-    text = np.array([fmt(x) for x in distinct.view(values.dtype).tolist()], dtype=object)
-    return text[index.reshape(-1)].tolist()
+    doubles = tuple(distinct.view(np.float64).tolist())
+    table = _cells((b"%.17g" + _PAD) * len(doubles) % doubles)
+    return [table.take(i, 0) for i in index.reshape(keys.shape).T]
 
 
-def _episode_csv(comments: dict, leading: str, result, *columns) -> str:
+def int_cells(values) -> np.ndarray:
+    """Cells of the decimal digits of each integer; a negative one is blank."""
+    values = np.asarray(values, np.int64)
+    powers = [10 ** k for k in range(len(str(max(int(values.max(initial=0)), 0))))]
+    digits = [np.where(values >= (p if p > 1 else 0), values // p % 10 + ord("0"), _PAD[0])
+              for p in reversed(powers)]
+    return np.stack(digits, axis=1).astype(np.uint8)
+
+
+def csv_rows(columns) -> str:
+    """CSV rows of the cell tables `columns`, side by side with a comma column
+    between each two and a newline column at the end; padding dropped in one pass."""
+    comma, end = (np.full((len(columns[0]), 1), ord(c), np.uint8) for c in ",\n")
+    parts = [part for column in columns for part in (comma, column)][1:] + [end]
+    return np.hstack(parts).tobytes().translate(None, _PAD).decode()
+
+
+def _episode_csv(comments: dict, leading: str, result, first, floats=()) -> str:
     """`# key = value` lines for `comments`, the header, then one row per
-    episode: the `leading` columns (text), then final and max wealth,
-    rejected and crossing time (blank: never)."""
-    lines = [f"# {k} = {v}" for k, v in comments.items()]
-    lines.append(f"{leading},final_wealth,max_wealth,rejected,crossing_time")
-    columns += (_text_column(result.final_wealth, format_float),
-                _text_column(result.max_wealth, format_float),
-                _text_column(result.rejected, lambda r: str(int(r))),
-                _text_column(result.crossing_time, lambda t: str(t) if t >= 0 else ""))
-    lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+    episode: the `first` cells and the `floats` columns (named `leading`),
+    then final and max wealth, rejected and crossing time (blank: never)."""
+    lines = [f"# {k} = {v}\n" for k, v in comments.items()]
+    lines.append(f"{leading},final_wealth,max_wealth,rejected,crossing_time\n")
+    doubles = np.column_stack([*floats, result.final_wealth, result.max_wealth])
+    return "".join(lines) + csv_rows([first, *float_cells(doubles),
+                                      int_cells(result.rejected),
+                                      int_cells(result.crossing_time)])
 
 
 def result_csv(result: ExperimentResult) -> str:
     """Per-replication CSV with the resolved config in comment lines."""
     return _episode_csv(config_dict(result.config), "replication", result,
-                        map(str, range(result.final_wealth.size)))
+                        int_cells(np.arange(result.final_wealth.size)))
 
 
 def screening_csv(result: ScreeningResult, gene_ids, comments: dict) -> str:
     """Per-gene CSV of a screen, after `# key = value` lines for `comments`."""
-    return _episode_csv(comments, "gene,lambda", result, gene_ids,
-                        _text_column(result.effective_lambdas, format_float))
+    return _episode_csv(comments, "gene,lambda", result, text_cells(gene_ids),
+                        [result.effective_lambdas])
 
 
 def result_json(result: ExperimentResult) -> str:

@@ -10,12 +10,15 @@ step by step in plain Python, the first crossing of
 1/alpha is found by a plain loop over one path instead of the batch rule,
 put-floor strikes interval by interval in plain Python after a stable
 sort, a portfolio's worst case by walking every path instead of the
-backward min-sweep, and the per-episode CSVs are written with one
-f-string per row instead of one format per distinct value.  path_values
+backward min-sweep, and the CSVs are written with one f-string per row,
+gene ids quoted by the csv module, instead of as one byte table with one
+format per distinct value.  path_values
 and crossing_times are no oracles: they are the batch engine's wealth rows
 and the batch rule's crossing times, shared by the test files.
 """
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import replace
@@ -262,6 +265,13 @@ def result_csv_by_row(result):
     return "\n".join(lines) + "\n"
 
 
+def csv_field(text):
+    """`text` as csv.writer writes a field of a row (QUOTE_MINIMAL)."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue().removesuffix(",\r\n")
+
+
 def screening_csv_by_row(result, gene_ids, comments):
     """Per-gene CSV of a ScreeningResult, one f-string per row."""
     lines = [f"# {k} = {v}" for k, v in comments.items()]
@@ -269,7 +279,15 @@ def screening_csv_by_row(result, gene_ids, comments):
     columns = zip(gene_ids, result.effective_lambdas.tolist(),
                   result.final_wealth.tolist(), result.max_wealth.tolist(),
                   result.rejected.tolist(), result.crossing_time.tolist())
-    lines.extend(f"{gid},{lam:.17g},{final:.17g},{maxw:.17g},{int(rejected)},"
+    lines.extend(f"{csv_field(gid)},{lam:.17g},{final:.17g},{maxw:.17g},{int(rejected)},"
                  f"{cross if cross >= 0 else ''}"
                  for gid, lam, final, maxw, rejected, cross in columns)
     return "\n".join(lines) + "\n"
+
+
+def sequences_csv_rows_by_row(gene_ids, lambdas, sequences):
+    """The data rows that `hedgetest ingest` writes, one f-string per row."""
+    return "".join(f"{csv_field(gid)},{lam:.17g},"
+                   + ",".join(f"{y:.17g}" for y in row) + "\n"
+                   for gid, lam, row in zip(gene_ids, lambdas.tolist(),
+                                            sequences.tolist()))

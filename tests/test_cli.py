@@ -1,5 +1,6 @@
 """CLI tests: the executable is a thin adapter over the library."""
 
+import csv
 import itertools
 import json
 import os
@@ -443,6 +444,29 @@ class TestSimulate:
         assert json.loads(out)["config"]["change_at"] == 10
 
 
+# Gene ids that a CSV field must quote (a comma, a quote), next to plain ones.
+ODD_IDS = ["g0", "ab,c", 'q"x', "plain", 'é,"z"']
+
+
+def write_odd_id_matrix(path, delimiter):
+    """Five genes named ODD_IDS, 6 normal then 6 tumor columns, written by
+    csv.writer: the comma-delimited file quotes the ids with a comma or a
+    quote, the tab-delimited one holds "ab,c" bare."""
+    rng = np.random.default_rng(5)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(["gene"] + ["normal"] * 6 + ["tumor"] * 6)
+        for gid in ODD_IDS:
+            writer.writerow([gid] + [f"{v:.6f}" for v in np.exp(rng.standard_normal(12))])
+
+
+def read_csv_rows(path):
+    """Header and data rows of an output CSV, read by csv.reader past its
+    `#` comment lines."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
 class TestScreen:
     def test_synthetic_null_run(self, tmp_path, capsys):
         out = tmp_path / "screen"
@@ -555,6 +579,16 @@ class TestScreen:
         assert code == 0
         assert json.loads(out)["report"]["n"] == 5
 
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_ids_with_separators_or_quotes_read_back(self, tmp_path, capsys, delimiter):
+        write_odd_id_matrix(tmp_path / "matrix.txt", delimiter)
+        code, _, _ = run_cli(capsys, "screen", "--matrix", str(tmp_path / "matrix.txt"),
+                             "--out", str(tmp_path / "x"))
+        assert code == 0
+        header, *rows = read_csv_rows(tmp_path / "x.csv")
+        assert len(header) == 6 and all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows] == ODD_IDS
+
 
 class TestIngest:
     def test_transforms_matrix_to_sequences(self, tmp_path, capsys):
@@ -575,6 +609,16 @@ class TestIngest:
         assert len(data) == 4
         fields = data[0].split(",")
         assert len(fields) == 2 + 10   # gene, lambda, ten test samples
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_ids_with_separators_or_quotes_read_back(self, tmp_path, capsys, delimiter):
+        write_odd_id_matrix(tmp_path / "matrix.txt", delimiter)
+        code, _, _ = run_cli(capsys, "ingest", "--input", str(tmp_path / "matrix.txt"),
+                             "--output", str(tmp_path / "out.csv"))
+        assert code == 0
+        header, *rows = read_csv_rows(tmp_path / "out.csv")
+        assert len(header) == 2 + 10 and all(len(row) == 2 + 10 for row in rows)
+        assert [row[0] for row in rows] == ODD_IDS
 
     def test_bad_input_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "ingest", "--input", "/nope.csv",

@@ -1,18 +1,25 @@
-"""Tests of the per-episode CSV writers.
+"""Tests of the CSV writers.
 
-The `simulate`/`shift` artifacts of the nine shipped configs, the
-`price --method mc` JSON of the three outcome families and the two files of
-a hedged `screen`, synthetic and from a raw matrix, are pinned by their
-sha256 digests, so any byte drift fails here.  Both CSV writers equal
-the row-by-row f-string reference of the oracles; the column formatter
-equals one `f"{x:.17g}"` per value on arrays with heavy repeats and every
-kind of special double; and the CSV and JSON of random experiments are
-identical for any chunk count.
+Every CSV is one byte table built by the harness kernel: a cell table per
+column (doubles formatted once per distinct value, integers digit by digit,
+gene ids quoted as the csv module does), separators between them, padding
+dropped in one pass.  The `simulate`/`shift` artifacts of the nine shipped
+configs, the `price --method mc` JSON of the three outcome families and the
+two files of a hedged `screen`, synthetic and from a raw matrix, are pinned
+by their sha256 digests, so any byte drift fails here.  The episode CSVs and
+the rows `ingest` writes equal the row-by-row f-string references of the
+oracles, on the shipped runs and on generated columns with heavy repeats,
+every kind of special double, blank crossing times, index widths across
+powers of ten and ids with quotes, separators, non-ASCII text and NUL; the
+kernel's doubles equal one `f"{x:.17g}"` per value; and the CSV and JSON of
+random experiments are identical for any chunk count.
 """
 
 import hashlib
 import math
+from dataclasses import replace
 from functools import lru_cache
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +27,17 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import hedgetest.cli as cli
-from hedgetest.harness import (ExperimentConfig, HedgeSpec, TruthSpec,
-                               _text_column, format_float, load_config,
-                               result_csv, result_json, run_experiment)
+from hedgetest import ingest
+from hedgetest.harness import (ExperimentConfig, HedgeSpec, ScreeningResult,
+                               TruthSpec, csv_rows, float_cells, load_config,
+                               result_csv, result_json, run_experiment,
+                               screening_csv)
 from hedgetest.pricing import StrikeSolveError
 from hedgetest.strategies import StrategyKind, StrategySpec
 from hedgetest.wealth import HypothesisSpec
 
-from oracles import result_csv_by_row, screening_csv_by_row
+from oracles import (result_csv_by_row, screening_csv_by_row,
+                     sequences_csv_rows_by_row)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -141,6 +151,7 @@ def test_screen_csv_equals_the_row_reference(argv, tmp_path, capsys, monkeypatch
 _BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 1, 0x000FFFFFFFFFFFFF]
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e-310, 1.0, 0.1, 1 / 3,
+           1.7976931348623157e308, -1.7976931348623157e308,
            *np.array(_BITS, dtype=np.uint64).view(np.float64).tolist()]
 
 
@@ -152,9 +163,77 @@ def repeated_doubles(draw):
     return np.array([pool[i] for i in picks], dtype=np.float64)
 
 
-@given(repeated_doubles())
-def test_text_column_equals_one_format_per_value(values):
-    assert _text_column(values, format_float) == [f"{x:.17g}" for x in values.tolist()]
+def first_difference(got, want):
+    """The first pair of lines where two texts differ, or None.  A property
+    test asserts on this: pytest would diff two long texts on each failing
+    example, which makes shrinking take minutes."""
+    return next(((g, w) for g, w in zip_longest(got.splitlines(True), want.splitlines(True))
+                 if g != w), None)
+
+
+@given(repeated_doubles(), st.integers(1, 3))
+def test_float_cells_equal_one_format_per_value(values, width):
+    table = values[:values.size // width * width].reshape(-1, width)
+    assert first_difference(csv_rows(float_cells(table)), "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist())) is None
+
+
+#: the rows where the index gains a digit, and the shipped replication count
+ROW_COUNTS = [1, 9, 10, 11, 99, 100, 101, 10_001]
+GENE_ID = st.text(st.one_of(st.sampled_from(',"\r\n\t\x00 é漢\U0001f600'),
+                            st.characters()), max_size=6)
+
+
+@st.composite
+def episode_columns(draw):
+    """Final and max wealth, rejected and crossing time of `rows` episodes,
+    each column a few values repeated; crossing times may all be blank."""
+    rows = draw(st.one_of(st.sampled_from(ROW_COUNTS), st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(pool):
+        return np.array(pool, dtype=np.float64)[rng.integers(0, len(pool), rows)]
+
+    wealth = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                      min_size=1, max_size=8)
+    horizon = draw(st.sampled_from([-1, 0, 9, 10, 1000]))
+    crossing = rng.integers(-1, horizon + 1, rows)
+    return (column(draw(wealth)), column(draw(wealth)), rng.random(rows) < 0.5,
+            crossing, rng)
+
+
+@given(episode_columns())
+def test_result_csv_equals_the_row_reference_on_any_columns(columns):
+    final, maxw, rejected, crossing, _ = columns
+    result = replace(shipped_result("table1_kelly"), final_wealth=final,
+                     max_wealth=maxw, rejected=rejected, crossing_time=crossing)
+    assert first_difference(result_csv(result), result_csv_by_row(result)) is None
+
+
+@given(episode_columns(), st.lists(GENE_ID, min_size=1, max_size=8),
+       st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=1,
+                max_size=4))
+def test_screening_csv_equals_the_row_reference_on_any_columns(columns, ids, lams):
+    final, maxw, rejected, crossing, rng = columns
+    gene_ids = [ids[i] for i in rng.integers(0, len(ids), final.size)]
+    lambdas = np.array(lams)[rng.integers(0, len(lams), final.size)]
+    result = ScreeningResult(final, maxw, rejected, crossing, None, lambdas, {}, 0)
+    comments = {"genes": final.size, "matrix": "x.csv"}
+    assert first_difference(screening_csv(result, gene_ids, comments),
+                            screening_csv_by_row(result, gene_ids, comments)) is None
+
+
+def test_ingest_rows_equal_the_row_reference(tmp_path, capsys):
+    write_expression_matrix(tmp_path / "matrix.csv")
+    assert cli.main(["ingest", "--input", str(tmp_path / "matrix.csv"),
+                     "--output", str(tmp_path / "out.csv")]) == 0
+    uniform = ingest.transform_to_uniform(
+        ingest.load_expression_matrix(tmp_path / "matrix.csv"), normal_label="normal")
+    prepared = ingest.prepare_screening(uniform, tumor_label="tumor")
+    text = (tmp_path / "out.csv").read_text()
+    assert text.endswith("\n" + sequences_csv_rows_by_row(
+        prepared.gene_ids, prepared.lambdas, prepared.sequences))
+    assert text.count("\n") == 4 + len(prepared.gene_ids)
 
 
 @st.composite
