@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest
-from .harness import (ConfigError, HedgeSpec, check_seed, csv_rows, float_cells,
+from .harness import (ConfigError, HedgeSpec, check_seed, csv_rows,
                       load_config, result_csv, result_json, run_experiment,
                       run_screening, screening_csv, synthetic_screening_input,
                       text_cells, to_json)
@@ -246,19 +246,18 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    matrix = ingest.load_expression_matrix(args.input, args.normal_label,
-                                           args.tumor_label)
-    uniform = ingest.transform_to_uniform(matrix, normal_label=args.normal_label,
-                                          log_transform=not args.no_log)
+    # no name holds the raw matrix or the CSV body, so the writer reuses their memory
+    uniform = ingest.transform_to_uniform(
+        ingest.load_expression_matrix(args.input, args.normal_label, args.tumor_label),
+        normal_label=args.normal_label, log_transform=not args.no_log)
     prepared = ingest.prepare_screening(uniform, tumor_label=args.tumor_label)
     lines = [f"# source = {args.input}",
              f"# held_out_columns = {' '.join(str(c) for c in prepared.held_out_columns)}",
              f"# skipped_genes = {' '.join(uniform.skipped_gene_ids)}"]
     width = prepared.sequences.shape[1]
     lines.append("gene,lambda," + ",".join(f"y{t}" for t in range(1, width + 1)))
-    body = csv_rows([text_cells(prepared.gene_ids),
-                     *float_cells(np.column_stack([prepared.lambdas, prepared.sequences]))])
-    _write(args.output, "\n".join(lines) + "\n" + body)
+    _write(args.output, "\n".join(lines) + "\n" + csv_rows(
+        [text_cells(prepared.gene_ids), np.column_stack([prepared.lambdas, prepared.sequences])]))
     return EXIT_OK
 
 

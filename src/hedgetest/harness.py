@@ -685,6 +685,7 @@ _NEEDS_QUOTES = frozenset(',"\r\n')
 #: Ends each string of a byte blob and pads each cell to its column's width:
 #: never a byte of UTF-8 text, so dropping it drops padding and nothing else.
 _PAD = b"\xff"
+_ROW_BLOCK = 1 << 16   # cells per block of CSV rows: bounds the writer's temporaries
 
 
 def _cells(blob: bytes) -> np.ndarray:
@@ -727,10 +728,22 @@ def int_cells(values) -> np.ndarray:
 
 def csv_rows(columns) -> str:
     """CSV rows of the cell tables `columns`, side by side with a comma column
-    between each two and a newline column at the end; padding dropped in one pass."""
-    comma, end = (np.full((len(columns[0]), 1), ord(c), np.uint8) for c in ",\n")
-    parts = [part for column in columns for part in (comma, column)][1:] + [end]
-    return np.hstack(parts).tobytes().translate(None, _PAD).decode()
+    between each two and a newline column at the end; padding dropped in one pass.
+
+    A 2-d float64 array in `columns` stands for its own columns, cells from
+    float_cells.  Rows go in blocks of about _ROW_BLOCK cells, formatted and
+    joined block by block, so only the returned text grows with the input."""
+    widths = [c.shape[1] if c.dtype == np.float64 else 1 for c in columns]
+    rows, step = len(columns[0]), max(1, _ROW_BLOCK // sum(widths))
+    pieces = []
+    for start in range(0, rows, step):
+        block = [cells for c in columns for cells in
+                 (float_cells(c[start:start + step]) if c.dtype == np.float64
+                  else [c[start:start + step]])]
+        comma, end = (np.full((len(block[0]), 1), ord(c), np.uint8) for c in ",\n")
+        parts = [part for column in block for part in (comma, column)][1:] + [end]
+        pieces.append(np.hstack(parts).tobytes().translate(None, _PAD).decode())
+    return "".join(pieces)
 
 
 def _episode_csv(comments: dict, leading: str, result, first, floats=()) -> str:
@@ -740,8 +753,7 @@ def _episode_csv(comments: dict, leading: str, result, first, floats=()) -> str:
     lines = [f"# {k} = {v}\n" for k, v in comments.items()]
     lines.append(f"{leading},final_wealth,max_wealth,rejected,crossing_time\n")
     doubles = np.column_stack([*floats, result.final_wealth, result.max_wealth])
-    return "".join(lines) + csv_rows([first, *float_cells(doubles),
-                                      int_cells(result.rejected),
+    return "".join(lines) + csv_rows([first, doubles, int_cells(result.rejected),
                                       int_cells(result.crossing_time)])
 
 

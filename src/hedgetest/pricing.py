@@ -280,11 +280,44 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
     real = disc >= 0.0
     q = b + np.sqrt(np.where(real, disc, 0.0))
     small = 2.0 * floor / q          # also the root of the linear case mass = 0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):    # inf: no root in a finite interval
         large = q / (2.0 * mass)
     keep_small = real & (lo < small) & (small <= hi)
     keep_large = (disc > 0.0) & (mass > 0.0) & (lo < large) & (large <= hi)
     return sorted(small[keep_small].tolist() + large[keep_large].tolist())
+
+
+def binomial_weights(n: int, q: float) -> np.ndarray:
+    """C(n, k) * q**k * (1 - q)**(n - k) for k = 0..n, each correctly rounded.
+
+    q in (0, 1) is read as the exact rational a/den of its double, so 1 - q
+    is b/den exactly.  Two decimal recurrences, one rounding every step
+    down and one up, enclose each weight; where both bounds round to the
+    same double, so does the weight between them, and anywhere else that
+    one weight is computed exactly in integers.
+    """
+    from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal,
+                         localcontext)
+    a, den = q.as_integer_ratio()
+    b = den - a
+    bounds = []
+    for rounding in (ROUND_FLOOR, ROUND_CEILING):
+        with localcontext(Context(prec=40, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+            w, base, e = Decimal(1), Decimal(b) / den, n    # w = (b/den)**n by squaring
+            while e:
+                if e & 1:
+                    w *= base
+                base, e = base * base, e >> 1
+            column = [w]
+            for k in range(n):
+                w = w * ((n - k) * a) / ((k + 1) * b)
+                column.append(w)
+        bounds.append(list(map(float, column)))
+    weights, upper = bounds
+    for k in range(n + 1):
+        if weights[k] != upper[k]:
+            weights[k] = math.comb(n, k) * a ** k * b ** (n - k) / den ** n
+    return np.array(weights)
 
 
 def solve_hedge_strike(model: LatticeModel, floor: float, horizon: int,
@@ -295,11 +328,9 @@ def solve_hedge_strike(model: LatticeModel, floor: float, horizon: int,
     for C and keeping the rest invested leaves exactly (1 - C(S))*S in the
     worst case, so a root makes that worst case equal the desired floor.
     """
-    # the ufunc behind the stats package's binom.pmf, so the weights match it
-    # bit for bit without that slow import; a math.comb product would not
-    from scipy.special._ufuncs import _binom_pmf
-    pmf = _binom_pmf(np.arange(horizon + 1), horizon, model.risk_neutral_prob)
-    roots = put_floor_strikes(model.terminal_values(horizon, spot), pmf, floor)
+    values = model.terminal_values(horizon, spot)    # an overflow fails before the weights
+    weights = binomial_weights(horizon, model.risk_neutral_prob)
+    roots = put_floor_strikes(values, weights, floor)
     if not roots:
         raise StrikeSolveError(
             f"no strike reaches floor {floor} at horizon {horizon}")

@@ -9,7 +9,7 @@ recurrences (one-sided and the two-sided hedged process) are evaluated
 step by step in plain Python, the first crossing of
 1/alpha is found by a plain loop over one path instead of the batch rule,
 put-floor strikes interval by interval in plain Python after a stable
-sort, a portfolio's worst case by walking every path instead of the
+sort, binomial weights in exact integers instead of decimal bounds, a portfolio's worst case by walking every path instead of the
 backward min-sweep, and the CSVs are written with one f-string per row,
 gene ids quoted by the csv module, instead of as one byte table with one
 format per distinct value.  path_values
@@ -51,6 +51,19 @@ def binomial_weight_price(u, d, q, tau, payoff, spot=1.0):
         k = spot * u**j * d ** (tau - j)
         total += comb(tau, j) * q**j * (1.0 - q) ** (tau - j) * payoff(k)
     return total
+
+
+def binomial_weights_by_integers(n, q):
+    """C(n, k) * q**k * (1 - q)**(n - k) for k = 0..n at the exact rational
+    q = a/den: numerators stepped in exact integers, each weight one
+    correctly rounded int / int division."""
+    a, den = q.as_integer_ratio()
+    b, scale = den - a, den ** n
+    numerator, weights = b ** n, []
+    for k in range(n + 1):
+        weights.append(numerator / scale)
+        numerator = numerator * ((n - k) * a) // ((k + 1) * b)
+    return weights
 
 
 def wealth_by_hand(lambdas, outcomes, null_mean):

@@ -654,7 +654,7 @@ def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_special():
-    # scipy.special is imported where ndtr and the binomial pmf are used
+    # scipy.special is imported where ndtr is used: ingest and Black-Scholes
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, hedgetest, hedgetest.cli; "
@@ -664,6 +664,25 @@ def test_import_loads_neither_scipy_stats_nor_scipy_special():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", str(CONFIGS / "table1_option.cfg")),
+    ("shift", "--config", str(CONFIGS / "table2_option10.cfg")),
+    ("hedge-solve", "--floor", "0.25", "--horizon", "20"),
+])
+def test_lattice_hedges_never_load_scipy_special(tmp_path, argv):
+    # the lattice strike solve weighs its measure with the standard library
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from hedgetest.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special'))); "
+            "sys.exit(code)")
+    out = ("--out", str(tmp_path / "run")) if argv[0] != "hedge-solve" else ()
+    proc = subprocess.run([sys.executable, "-c", code, *argv, *out], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_python_m_runs_the_cli():

@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ import pytest
 from hedgetest import pricing
 from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                PriceEstimate, PricingMethod, StrikeSolveError,
-                               black_scholes_call, black_scholes_put,
-                               lattice_node_values, lattice_price, mc_price,
-                               put_floor_strikes, risk_neutral_up_prob,
-                               solve_hedge_strike)
+                               binomial_weights, black_scholes_call,
+                               black_scholes_put, lattice_node_values,
+                               lattice_price, mc_price, put_floor_strikes,
+                               risk_neutral_up_prob, solve_hedge_strike)
 from hedgetest.rng import stream
 from hedgetest.wealth import HypothesisSpec, terminal_wealth
 
@@ -324,20 +325,52 @@ class TestSolveHedgeStrike:
         with pytest.raises(StrikeSolveError):
             solve_hedge_strike(model, 0.9999, 20)
 
-    @pytest.mark.parametrize("q", [0.5, 0.5000000000000002, 0.3, 0.7])
-    def test_binomial_weights_match_the_stats_pmf(self, q):
-        # the solver's weights come from binom.pmf's own ufunc, bit for bit
-        from scipy.special._ufuncs import _binom_pmf
-        from scipy.stats import binom
-        for horizon in range(1, 201):
-            k = np.arange(horizon + 1)
-            assert _binom_pmf(k, horizon, q).tobytes() == binom.pmf(k, horizon, q).tobytes()
-
     def test_runtime_under_budget(self):
         model = LatticeModel(1.5, 0.5)
         start = time.perf_counter()
         solve_hedge_strike(model, 0.25, 20)
         assert time.perf_counter() - start < 5.0
+
+    def test_deep_lattice_roots_without_a_warning(self):
+        # the first atoms weigh ~1e-300, so q / (2 * mass) overflows to inf there
+        model = LatticeModel.for_bernoulli_bet(0.1, 0.5)
+        roots = solve_hedge_strike(model, 0.25, 10_000)
+        assert roots and all(0.0 < root < math.inf for root in roots)
+
+    def test_overflowing_lattice_fails_before_the_weights(self, monkeypatch):
+        def weights(n, q):
+            raise AssertionError("weights computed for a lattice that overflows")
+        monkeypatch.setattr(pricing, "binomial_weights", weights)
+        with pytest.raises(ValueError, match="overflow"):
+            solve_hedge_strike(LatticeModel(1e10, 0.5), 0.25, 10_000)
+
+
+def exact_weights(n, q):
+    """The binomial pmf at the exact rational q, each weight rounded once."""
+    q = Fraction(q)
+    return [float(math.comb(n, k) * q ** k * (1 - q) ** (n - k)) for k in range(n + 1)]
+
+
+class TestBinomialWeights:
+    @pytest.mark.parametrize("q", [0.5, 0.5000000000000002, 0.3, 0.7] + [
+        LatticeModel.for_bernoulli_bet(lam, p).risk_neutral_prob
+        for lam, p in [(0.4, 0.3), (1.2, 0.7), (0.25, 0.55)]])
+    def test_equal_the_exact_rational_weights_rounded_once(self, q):
+        for n in range(1, 61):
+            assert binomial_weights(n, q).tolist() == exact_weights(n, q)
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 200, 1000])
+    def test_half_gives_binomial_coefficients_over_a_power_of_two(self, n):
+        # a double C(n, k), scaled by 2**-n exactly: no weight here is subnormal
+        want = [math.ldexp(float(math.comb(n, k)), -n) for k in range(n + 1)]
+        assert binomial_weights(n, 0.5).tolist() == want
+
+    def test_runtime_under_budget(self):
+        # the exact-integer recurrence alone takes seconds at this depth
+        start = time.perf_counter()
+        weights = binomial_weights(10_000, 0.3)
+        assert time.perf_counter() - start < 1.0
+        assert weights.shape == (10_001,) and abs(weights.sum() - 1.0) < 1e-12
 
 
 class TestPutFloorStrikes:

@@ -7,7 +7,8 @@ grid goes without a root, and with expiry at the horizon the worst hedged
 final wealth over all enumerated paths is the floor itself.  The roots do
 not depend on the order of the (atom, weight) pairs, ties included, and
 without ties, or with every weight equal, they are the bits of the
-stable-sort oracle.  Any chunk of
+stable-sort oracle, and the lattice's binomial weights are its exact
+weights, each rounded once.  Any chunk of
 the counter-based row table is the same bits as the slice of the whole, and
 so is a stream jumped ahead by k draws.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
@@ -36,16 +37,17 @@ from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
                                  Portfolio, _node_table, _worst_case_terminal,
                                  buy_contract, issue_contract, move_to_risky, step)
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
-                               lattice_node_values, lattice_price,
-                               put_floor_strikes, solve_hedge_strike)
+                               binomial_weights, lattice_node_values,
+                               lattice_price, put_floor_strikes,
+                               solve_hedge_strike)
 from hedgetest.rng import rows, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, evolve, terminal_wealth, ville_crossing
 
-from oracles import (binomial_weight_price, enumerate_paths_min,
-                     first_crossing_by_hand, floor_strikes_by_interval,
-                     fresh_mark, step_by_remark, wealth_by_hand,
-                     worst_case_by_paths)
+from oracles import (binomial_weight_price, binomial_weights_by_integers,
+                     enumerate_paths_min, first_crossing_by_hand,
+                     floor_strikes_by_interval, fresh_mark, step_by_remark,
+                     wealth_by_hand, worst_case_by_paths)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -184,6 +186,14 @@ def test_tie_free_floor_strikes_are_the_stable_sort_reference(case):
     weights = weights[:atoms.size]
     assert put_floor_strikes(atoms[::-1], weights[::-1], floor) \
         == floor_strikes_by_interval(atoms[::-1], weights[::-1], floor)
+
+
+@given(st.integers(1, 300), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(300, 5e-324)
+@example(300, 1.0 - 2.0 ** -53)
+@example(60, 0.5)
+def test_binomial_weights_are_the_exact_weights_rounded_once(n, q):
+    assert binomial_weights(n, q).tolist() == binomial_weights_by_integers(n, q)
 
 
 @st.composite

@@ -1,9 +1,10 @@
 """Tests of the CSV writers.
 
-Every CSV is one byte table built by the harness kernel: a cell table per
-column (doubles formatted once per distinct value, integers digit by digit,
-gene ids quoted as the csv module does), separators between them, padding
-dropped in one pass.  The `simulate`/`shift` artifacts of the nine shipped
+Every CSV is built by the harness kernel from byte tables, one block of
+rows at a time: a cell table per column (doubles formatted once per
+distinct value of the block, integers digit by digit, gene ids quoted as
+the csv module does), separators between them, padding dropped in one
+pass.  The `simulate`/`shift` artifacts of the nine shipped
 configs, the `price --method mc` JSON of the three outcome families and the
 two files of a hedged `screen`, synthetic and from a raw matrix, are pinned
 by their sha256 digests, so any byte drift fails here.  The episode CSVs and
@@ -11,12 +12,15 @@ the rows `ingest` writes equal the row-by-row f-string references of the
 oracles, on the shipped runs and on generated columns with heavy repeats,
 every kind of special double, blank crossing times, index widths across
 powers of ten and ids with quotes, separators, non-ASCII text and NUL; the
-kernel's doubles equal one `f"{x:.17g}"` per value; and the CSV and JSON of
-random experiments are identical for any chunk count.
+kernel's doubles equal one `f"{x:.17g}"` per value; rows written in small
+blocks are the same text, and the writer's memory is the text twice plus
+one block; and the CSV and JSON of random experiments are identical for any
+chunk count.
 """
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from itertools import zip_longest
@@ -27,12 +31,13 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import hedgetest.cli as cli
-from hedgetest import ingest
+from hedgetest import harness, ingest
 from hedgetest.harness import (ExperimentConfig, HedgeSpec, ScreeningResult,
                                TruthSpec, csv_rows, float_cells, load_config,
                                result_csv, result_json, run_experiment,
-                               screening_csv)
+                               screening_csv, text_cells)
 from hedgetest.pricing import StrikeSolveError
+from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec
 from hedgetest.wealth import HypothesisSpec
 
@@ -234,6 +239,28 @@ def test_ingest_rows_equal_the_row_reference(tmp_path, capsys):
     assert text.endswith("\n" + sequences_csv_rows_by_row(
         prepared.gene_ids, prepared.lambdas, prepared.sequences))
     assert text.count("\n") == 4 + len(prepared.gene_ids)
+
+
+@pytest.mark.parametrize("block", [15, 4096])
+def test_rows_written_in_blocks_are_the_row_reference(block, monkeypatch):
+    # 3 and 819 rows of five cells a block; shipped files are one block each
+    monkeypatch.setattr(harness, "_ROW_BLOCK", block)
+    result = shipped_result("table1_dynamic")
+    assert result_csv(result) == result_csv_by_row(result)
+
+
+def test_writer_memory_is_the_text_twice_and_one_block():
+    # the text's block pieces, their join and one block's temporaries (about
+    # 120 bytes a cell); a cell table of the whole file would take far more
+    values = stream(5).random((2000, 103))
+    ids = text_cells([f"g{i:05d}" for i in range(2000)])
+    tracemalloc.start()
+    try:
+        text = csv_rows([ids, values])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text) + 200 * harness._ROW_BLOCK
 
 
 @st.composite
