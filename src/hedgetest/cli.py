@@ -164,6 +164,9 @@ def _cmd_hedge_solve(args) -> int:
         raise ConfigError(f"floor {args.floor} must lie in (0, 1)")
     if args.horizon < 1:
         raise ConfigError(f"horizon must be positive, got {args.horizon}")
+    for name, factor in (("u", args.u), ("d", args.d)):
+        if not math.isfinite(factor):
+            raise ConfigError(f"--{name} value {factor!r} is not finite")
     roots = solve_hedge_strike(LatticeModel(args.u, args.d), args.floor, args.horizon)
     _write(args.out, to_json({"floor": args.floor, "horizon": args.horizon,
                               "roots": roots}) + "\n")

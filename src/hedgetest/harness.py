@@ -5,9 +5,9 @@ the gene-screening study: n independent episodes, each simulating outcomes
 from the configured truth, applying the betting strategy (plus an optional
 put hedge bought at its risk-neutral price at t = 0), and the anytime-valid
 decision rule, wealth.ville_crossing.  Every episode steps through the one
-wealth engine, wealth.evolve.  Replication i always draws row i of the
-counter-based outcome table rows(seed, 0, ...), so results are
-byte-identical however the replications are split into chunks.
+wealth engine, wealth.evolve.  Replication i always draws row i of one
+outcome table, the stream (seed, 3) jumped ahead by i * horizon draws, so
+results are byte-identical however the replications are split into chunks.
 
 Simulated experiments use Bernoulli outcomes (the truth may shift its
 parameter at a change point); screening episodes run the two-sided hedged
@@ -27,11 +27,11 @@ from .ingest import LAMBDA_GRID, estimate_lambdas
 from .pricing import (MC_BLOCK, Contract, LatticeModel, StrikeSolveError,
                       lattice_node_values, put_floor_strikes,
                       solve_hedge_strike)
-from .rng import DEFAULT_SEED, rows, stream
+from .rng import DEFAULT_SEED, stream
 from .strategies import StrategyKind, StrategySpec, build_strategy
 from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
 
-_OUTCOME_TAG = 0     # per-replication outcome rows
+_OUTCOME_TAG = 3     # per-replication outcome rows; 0 would be mc_price's stream
 _MATRIX_TAG = 1      # synthetic matrix generation
 _PRICE_TAG = 2       # Monte Carlo pricing draws for screening hedges
 _PRICE_TABLE_ROWS = 16   # fractions priced per draw of the screening null table
@@ -244,7 +244,8 @@ def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
 
 def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     ps = config.truth.step_probabilities(config.horizon)
-    draws = rows(config.seed, _OUTCOME_TAG, start, stop, config.horizon)
+    draws = stream(config.seed, _OUTCOME_TAG, skip=start * config.horizon).random(
+        (stop - start, config.horizon))
     return (draws < ps[None, :]).astype(float)
 
 

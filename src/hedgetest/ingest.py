@@ -21,7 +21,8 @@ LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
 
 
 class ZeroVarianceError(ValueError):
-    """A gene with no variation in the normal group cannot be standardized."""
+    """No gene can be standardized: fewer than two normal columns, or no
+    variation in the normal group."""
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,9 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
                          log_transform: bool = True) -> UniformMatrix:
     """Map each gene's samples to [0, 1] via normal-group standardization and Phi.
 
-    Genes with zero variance in the normal group are flagged and skipped.
-    Pass log_transform=False for data already on a log scale.
+    Genes with zero variance in the normal group are flagged and skipped;
+    fewer than two normal columns give no variance and are refused.  Pass
+    log_transform=False for data already on a log scale.
     """
     values = matrix.values
     if log_transform:
@@ -130,8 +132,9 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
             raise ValueError("log transform requires strictly positive expression values")
         values = np.log(values)
     normal = matrix.column_mask(normal_label)
-    if not normal.any():
-        raise ValueError(f"no columns labeled {normal_label!r}")
+    if normal.sum() < 2:
+        raise ZeroVarianceError(f"need at least 2 columns labeled {normal_label!r} "
+                                f"for a normal-group variance, got {normal.sum()}")
     mu = values[:, normal].mean(axis=1)
     sd = values[:, normal].std(axis=1, ddof=1)
     keep = sd > 0.0

@@ -10,7 +10,9 @@ step by step in plain Python, the first crossing of
 1/alpha is found by a plain loop over one path instead of the batch rule,
 put-floor strikes interval by interval in plain Python after a stable
 sort, binomial weights in exact integers instead of decimal bounds, a portfolio's worst case by walking every path instead of the
-backward min-sweep, and the CSVs are written with one f-string per row,
+backward min-sweep, the chance that a constant-fraction bet ever rejects
+by an exact recursion over (t, up-count) instead of simulated episodes,
+and the CSVs are written with one f-string per row,
 gene ids quoted by the csv module, instead of as one byte table with one
 format per distinct value.  path_values
 and crossing_times are no oracles: they are the batch engine's wealth rows
@@ -22,6 +24,7 @@ import io
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -101,6 +104,32 @@ def first_crossing_by_hand(values, alpha):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     threshold = 1.0 / alpha
     return next((t for t, v in enumerate(values) if v >= threshold), -1)
+
+
+def exact_rejection(lam, null_p, alpha, horizon, p, p_post=None, change_at=None):
+    """P(W_t >= 1/alpha for some t <= horizon) of an unhedged Bernoulli bet
+    of constant fraction lam, with no Monte Carlo error.
+
+    An absorbing recursion over (t, up-count j): after t outcomes with j
+    ones the wealth is u**j * d**(t - j) in exact rationals, so alive[j],
+    the chance of j ones with no crossing yet, steps forward one outcome at
+    a time and gives up the mass of each node at or above 1/alpha (the
+    float threshold of the decision rule).  Outcomes 1..change_at are
+    Bernoulli(p), later ones Bernoulli(p_post).
+    """
+    lam, null_p = Fraction(lam), Fraction(null_p)
+    u, d = 1 + lam * (1 - null_p), 1 - lam * null_p
+    threshold = Fraction(1.0 / alpha)
+    alive, crossed = [Fraction(1)], Fraction(0)
+    for t in range(1, horizon + 1):
+        q = Fraction(p if change_at is None or t <= change_at else p_post)
+        alive = [(alive[j] * (1 - q) if j < t else 0) + (alive[j - 1] * q if j else 0)
+                 for j in range(t + 1)]
+        for j in range(t + 1):
+            if u ** j * d ** (t - j) >= threshold:
+                crossed += alive[j]
+                alive[j] = Fraction(0)
+    return float(crossed)
 
 
 def path_values(strategy, outcomes, hyp):

@@ -280,6 +280,20 @@ class TestHedgeSolve:
         roots = json.loads(out)["roots"]
         assert roots == pytest.approx([0.634349, 0.634417], abs=1e-6)
 
+    @pytest.mark.parametrize("flag,value", [("--u", "inf"), ("--u", "nan"),
+                                            ("--d", "nan"), ("--d", "-inf")])
+    def test_non_finite_factor_is_config_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "hedge-solve", "--floor", "0.25",
+                                 "--horizon", "20", f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert f"{flag} value" in err and "not finite" in err
+
+    def test_finite_arbitrage_factors_are_solver_error(self, capsys):
+        code, _, err = run_cli(capsys, "hedge-solve", "--floor", "0.25",
+                               "--horizon", "20", "--u", "0.9")
+        assert code == 3
+        assert "arbitrage" in err
+
     @pytest.mark.parametrize("floor", ["-1", "0", "1", "1.5"])
     def test_floor_outside_unit_interval_is_config_error(self, capsys, floor):
         code, _, err = run_cli(capsys, "hedge-solve", "--floor", floor,
@@ -460,6 +474,13 @@ def write_odd_id_matrix(path, delimiter):
             writer.writerow([gid] + [f"{v:.6f}" for v in np.exp(rng.standard_normal(12))])
 
 
+def write_one_normal_matrix(path):
+    """Three genes, one normal and four tumor columns: no normal variance."""
+    path.write_text("gene,normal,tumor,tumor,tumor,tumor\n"
+                    "g0,1.5,2.0,2.5,3.0,3.5\ng1,2.5,1.0,1.5,2.0,0.5\n"
+                    "g2,3.0,1.2,2.2,3.2,4.2\n")
+
+
 def read_csv_rows(path):
     """Header and data rows of an output CSV, read by csv.reader past its
     `#` comment lines."""
@@ -589,6 +610,13 @@ class TestScreen:
         assert len(header) == 6 and all(len(row) == 6 for row in rows)
         assert [row[0] for row in rows] == ODD_IDS
 
+    def test_one_normal_column_is_config_error(self, tmp_path, capsys):
+        write_one_normal_matrix(tmp_path / "matrix.csv")
+        code, out, err = run_cli(capsys, "screen", "--matrix", str(tmp_path / "matrix.csv"))
+        assert (code, out) == (2, "")
+        assert "at least 2 columns labeled 'normal'" in err and "got 1" in err
+        assert "Warning" not in err and "zero variance" not in err
+
 
 class TestIngest:
     def test_transforms_matrix_to_sequences(self, tmp_path, capsys):
@@ -619,6 +647,15 @@ class TestIngest:
         header, *rows = read_csv_rows(tmp_path / "out.csv")
         assert len(header) == 2 + 10 and all(len(row) == 2 + 10 for row in rows)
         assert [row[0] for row in rows] == ODD_IDS
+
+    def test_one_normal_column_is_config_error(self, tmp_path, capsys):
+        write_one_normal_matrix(tmp_path / "matrix.csv")
+        code, _, err = run_cli(capsys, "ingest", "--input", str(tmp_path / "matrix.csv"),
+                               "--output", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert "at least 2 columns labeled 'normal'" in err and "got 1" in err
+        assert "Warning" not in err and "zero variance" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_bad_input_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "ingest", "--input", "/nope.csv",

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hedgetest import harness
+from hedgetest import harness, pricing
 from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
                                HedgeSpec, TruthSpec, _episode_wealth,
                                _hedge_plan, _null_terminal_table,
@@ -18,12 +18,12 @@ from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
                                synthetic_screening_input, synthetic_uniform_matrix,
                                tail_metrics, to_json)
 from hedgetest.ingest import LAMBDA_GRID
-from hedgetest.pricing import MC_BLOCK
-from hedgetest.rng import rows, stream
+from hedgetest.pricing import MC_BLOCK, Contract, mc_price
+from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec
 
-from oracles import (first_crossing_by_hand, hedged_cs_by_hand,
+from oracles import (exact_rejection, first_crossing_by_hand, hedged_cs_by_hand,
                      two_sided_terminal_one_shot, wealth_by_hand)
 
 HYP = HypothesisSpec.bernoulli(0.5, 0.75)
@@ -153,7 +153,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         strategy = build_strategy(KELLY, HYP, 20)
         for i in range(50):
-            draws = rows(cfg.seed, 0, i, i + 1, cfg.horizon)[0]
+            draws = stream(cfg.seed, 3, skip=i * cfg.horizon).random(cfg.horizon)
             ys = (draws < 0.75).astype(float)
             values = wealth_by_hand(strategy, ys, HYP.null_mean)
             crossing = first_crossing_by_hand(values, cfg.alpha)
@@ -219,7 +219,7 @@ class TestRunExperiment:
         plan = _hedge_plan(cfg)
         stake = 1.0 - plan.premium
         for i in range(0, 200, 17):
-            draws = rows(cfg.seed, 0, i, i + 1, 20)[0]
+            draws = stream(cfg.seed, 3, skip=i * 20).random(20)
             k_hat = np.prod(1.0 + ((draws < 0.75).astype(float) - 0.5))
             expected = stake * max(k_hat, plan.strike)
             assert result_final(cfg, i) == pytest.approx(expected, rel=1e-12)
@@ -251,7 +251,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         strategy = build_strategy(spec, HYP, 20)
         for i in range(25):
-            draws = rows(cfg.seed, 0, i, i + 1, 20)[0]
+            draws = stream(cfg.seed, 3, skip=i * 20).random(20)
             ys = (draws < 0.75).astype(float)
             final = wealth_by_hand(strategy, ys, HYP.null_mean)[-1]
             assert result.final_wealth[i] == pytest.approx(final, rel=1e-10)
@@ -260,7 +260,7 @@ class TestRunExperiment:
         spec = StrategySpec(StrategyKind.HEDGED_CS, lam=1.0)
         cfg = config(strategy=spec, truth=TruthSpec(0.85), replications=300)
         result = run_experiment(cfg, chunks=2)
-        draws = rows(cfg.seed, 0, 0, 300, cfg.horizon)
+        draws = stream(cfg.seed, 3).random((300, cfg.horizon))
         for i in range(300):
             values = hedged_cs_by_hand((draws[i] < 0.85).astype(float), 1.0)
             final, maxw = values[-1], max(values)
@@ -511,6 +511,65 @@ class TestSyntheticMatrix:
     def test_screening_input_needs_a_test_sample(self, n_samples):
         with pytest.raises(ConfigError):
             synthetic_screening_input(10, n_samples, seed=411)
+
+
+def exact_config_rejection(cfg, truth):
+    return exact_rejection(cfg.strategy.constant_lambda(cfg.hypothesis),
+                           cfg.hypothesis.null_param, cfg.alpha, cfg.horizon,
+                           truth.p, truth.p_post, truth.change_at)
+
+
+class TestExactPower:
+    # exact power of the shipped unhedged constant-fraction configs; the
+    # conservative fraction's best path, (1 + 0.1339/2)**20 = 3.66, never
+    # reaches 1/alpha = 20
+    EXACT = {"table1_kelly": 0.52852002, "table2_kelly": 0.09525507,
+             "table1_conservative": 0.0, "table2_conservative": 0.0}
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_simulated_power_is_within_four_se_of_exact(self, name):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        exact = exact_config_rejection(cfg, cfg.truth)
+        assert exact == pytest.approx(self.EXACT[name], abs=5e-9)
+        se = math.sqrt(exact * (1.0 - exact) / cfg.replications)
+        assert abs(run_experiment(cfg).report.power - exact) <= 4.0 * se
+
+    def test_exact_null_crossing_of_kelly_is_at_most_alpha(self):
+        cfg = load_config(CONFIGS / "table1_kelly.cfg")
+        crossing = exact_config_rejection(cfg, TruthSpec(cfg.hypothesis.null_param))
+        assert crossing == pytest.approx(0.02113724, abs=5e-9)
+        assert crossing <= cfg.alpha
+
+
+class TestStreamKeys:
+    @staticmethod
+    def key(tags):
+        # SeedSequence pads its entropy with zero words, so a key names the
+        # same stream with or without trailing zeros
+        tags = list(tags)
+        while tags and tags[-1] == 0:
+            tags.pop()
+        return tuple(tags)
+
+    @pytest.mark.parametrize("seed", [0, 1, 99, 271828, 2**32 - 1])
+    def test_each_random_purpose_draws_its_own_stream(self, monkeypatch, seed):
+        opened = []
+
+        def recorded(seed, *tags, skip=0):
+            opened.append((seed, *tags))
+            return stream(seed, *tags, skip=skip)
+
+        monkeypatch.setattr(harness, "stream", recorded)
+        monkeypatch.setattr(pricing, "stream", recorded)
+        mc_price(lambda rng, shape: rng.random(shape), lambda y: y[:, -1],
+                 Contract.put(0.5, 3), 2, seed)
+        synthetic_uniform_matrix(2, 3, seed)
+        _null_terminal_table([0.5], 3, seed, np.empty((1, 4)))
+        harness._chunk_outcomes(config(seed=seed, replications=2), 0, 2)
+        keys = list(dict.fromkeys(opened))
+        assert len(keys) == 4    # mc_price, matrix, null table, outcome rows
+        assert len({self.key(k) for k in keys}) == 4
+        assert len({stream(*k).random() for k in keys}) == 4
 
 
 class TestConfigFiles:

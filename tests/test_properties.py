@@ -9,7 +9,7 @@ not depend on the order of the (atom, weight) pairs, ties included, and
 without ties, or with every weight equal, they are the bits of the
 stable-sort oracle, and the lattice's binomial weights are its exact
 weights, each rounded once.  Any chunk of
-the counter-based row table is the same bits as the slice of the whole, and
+the simulated outcome table is the same bits as the slice of the whole, and
 so is a stream jumped ahead by k draws.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
 recurrence of the oracle; under a constant fraction, terminal_wealth is the
@@ -31,7 +31,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hedgetest.harness import (config_dict, config_from_dict, load_config,
+from hedgetest.harness import (ExperimentConfig, TruthSpec, _chunk_outcomes,
+                               config_dict, config_from_dict, load_config,
                                parse_config_text)
 from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
                                  Portfolio, _node_table, _worst_case_terminal,
@@ -40,7 +41,7 @@ from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                binomial_weights, lattice_node_values,
                                lattice_price, put_floor_strikes,
                                solve_hedge_strike)
-from hedgetest.rng import rows, stream
+from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, evolve, terminal_wealth, ville_crossing
 
@@ -201,16 +202,20 @@ def row_chunks(draw):
     n = draw(st.integers(1, 60))
     a = draw(st.integers(0, n - 1))
     b = draw(st.integers(a + 1, n))
-    return (draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 7)),
-            draw(st.integers(1, 40)), n, a, b)
+    cfg = ExperimentConfig(HypothesisSpec.bernoulli(0.5, 0.75),
+                           TruthSpec(draw(st.floats(0.0, 1.0))),
+                           StrategySpec(StrategyKind.KELLY),
+                           horizon=draw(st.integers(1, 40)), replications=n,
+                           seed=draw(st.integers(0, 2**32 - 1)))
+    return cfg, a, b
 
 
 @given(row_chunks())
 def test_row_chunk_equals_slice_of_the_table(case):
-    seed, tag, width, n, a, b = case
-    table = rows(seed, tag, 0, n, width)
-    chunk = rows(seed, tag, a, b, width)
-    assert table.shape == (n, width)
+    cfg, a, b = case
+    table = _chunk_outcomes(cfg, 0, cfg.replications)
+    chunk = _chunk_outcomes(cfg, a, b)
+    assert table.shape == (cfg.replications, cfg.horizon)
     assert np.array_equal(chunk, table[a:b])
 
 

@@ -47,17 +47,19 @@ from oracles import (result_csv_by_row, screening_csv_by_row,
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 # sha256 of `simulate`/`shift --config configs/<name>.cfg --workers 1 --out x`
-# -> x.csv, at the config's own seed and replications
+# -> x.csv, at the config's own seed and replications.  The outcome rows are
+# the PCG64 stream (seed, 3) of rng.stream, row i jumped ahead by i * horizon
+# draws, so any change to that stream or its tag moves all nine digests.
 CSV_SHA256 = {
-    "table1_conservative": "39fd33aa2b258c9dc1aed7f68fa1fe5e3ffbc167e460d1801dca561d222bf3a4",
-    "table1_dynamic": "119fa8aab3fbb5b6068ed4b4e445b9989755b7d617bfb22693e3b70555d590f3",
-    "table1_kelly": "9e61596100debacf2b1715fda01e43b9b14da65f846a4ee9d899f92c71a13c64",
-    "table1_option": "2e5ed8a5e023c29ca0829b9787d1bd8d4af08aebb41ae2e55e4ef1f21ccd9ebd",
-    "table2_conservative": "7444b2d3e31ac1a61767f0ab123a9f7ec7120d03c46d3a0925839752ef11e7f8",
-    "table2_dynamic": "35a73e46729acabbfb90ed1b2c178b01b9f3218c7b8d9766d9d030ec0bf8effe",
-    "table2_kelly": "b944bfad8dc104b15bd09521c964e5d59e8ab2d6cd477a3d669e5a2d0d5c74ab",
-    "table2_option10": "9933adae06c256d49c0d43a3abef0e446ba35e95c7ac8576fc9ee7aa2cbb193c",
-    "table2_option20": "f478067f83e12c1beb3da932535eea525177f05b718437ac8c834aa52084ac14",
+    "table1_conservative": "9c4b96ea72284d8a82b0b80e660d6d8f50814edc9d8cb0225e86eae5ac9c389e",
+    "table1_dynamic": "d442d6d07e15880e2f204d3d1e00b5a4042a724af9ad1f264d699104e6d71b86",
+    "table1_kelly": "fd6e794dd30e5632fa48e8bd932d3d5867451efb44ebf5ae80120376369b4157",
+    "table1_option": "86a43c499b7219f3defc7dfc5cf519b0335d19c1c1a9a28220f8c2805b358638",
+    "table2_conservative": "8a13fb353581f8782021524b420f345c1767b98915e6a4fcbaf513566b094249",
+    "table2_dynamic": "2b2bd8841c2a225289f2cb97ee554ea31bb4b28df88eee517d7a79aeba4f5846",
+    "table2_kelly": "75857367080256c5dd7b7c3ff8c1e593776f54c1729d69397f6b3025983accab",
+    "table2_option10": "1746f325b54abd4d30f06deb6bd6165b142de4408ba277e46242366066db3038",
+    "table2_option20": "2e5144d9ea33dc399c2065e0765eddd55234818603b53bf25fbbe83ce7fb2574",
 }
 
 
