@@ -3,6 +3,10 @@
 Thin adapter over the library: every subcommand parses arguments, calls the
 corresponding library function and serializes the result.  Exit codes:
 0 success, 2 configuration error, 3 solver or precondition failure.
+
+Each call builds one parser, and only for the subcommand it runs: the full
+tree of every subcommand is built only for -h, a missing or an unknown
+command, and both print the same usage, help and errors.
 """
 
 from __future__ import annotations
@@ -264,12 +268,7 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hedgetest",
-        description="Sequential testing by betting with risk-neutral hedging")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_price(sub) -> None:
     p = sub.add_parser("price", help="price a European contract on a wealth process")
     p.add_argument("--model", help="lattice factors, e.g. u=1.5,d=0.5: required by "
                    "lattice, checked against --bet by mc on bernoulli, "
@@ -296,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_price, typed=frozenset())
 
+
+def _add_hedge_solve(sub) -> None:
     p = sub.add_parser("hedge-solve", help="solve (1 - C(S))*S = floor for strikes")
     p.add_argument("--floor", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
@@ -304,18 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_hedge_solve)
 
-    for name, helptext, fn in [
-            ("simulate", "run a configured experiment", _cmd_simulate),
-            ("shift", "run a distribution-shift experiment", _cmd_shift)]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="run the replications in this many consecutive chunks "
-                            "(output is byte-identical for any count)")
-        p.add_argument("--out", help="prefix for .csv and .json artifacts")
-        p.set_defaults(fn=fn)
 
+def _add_simulation(sub, name: str, helptext: str, fn) -> None:
+    p = sub.add_parser(name, help=helptext)
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--workers", type=int, default=1,
+                   help="run the replications in this many consecutive chunks "
+                        "(output is byte-identical for any count)")
+    p.add_argument("--out", help="prefix for .csv and .json artifacts")
+    p.set_defaults(fn=fn)
+
+
+def _add_screen(sub) -> None:
     p = sub.add_parser("screen", help="sequential screening of gene sequences")
     p.add_argument("--matrix", help="raw expression matrix file")
     p.add_argument("--synthetic", choices=["null", "shifted"])
@@ -335,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="prefix for .csv and .json artifacts")
     p.set_defaults(fn=_cmd_screen)
 
+
+def _add_ingest(sub) -> None:
     p = sub.add_parser("ingest", help="transform an expression matrix for screening")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
@@ -343,15 +347,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-log", action="store_true", dest="no_log")
     p.set_defaults(fn=_cmd_ingest)
 
+
+# each subcommand's adder, in the order the full parser lists them
+_COMMANDS = {
+    "price": _add_price,
+    "hedge-solve": _add_hedge_solve,
+    "simulate": lambda sub: _add_simulation(sub, "simulate", "run a configured experiment",
+                                            _cmd_simulate),
+    "shift": lambda sub: _add_simulation(sub, "shift", "run a distribution-shift experiment",
+                                         _cmd_shift),
+    "screen": _add_screen,
+    "ingest": _add_ingest,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The hedgetest parser: every subcommand, or only `command`.
+
+    A one-command parser names all the subcommands in its metavar, so its
+    usage lines, help and errors are those of the full parser.  The full
+    parser keeps argparse's default, so its own errors still name `command`."""
+    parser = argparse.ArgumentParser(
+        prog="hedgetest",
+        description="Sequential testing by betting with risk-neutral hedging")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        _COMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the subcommand being run; -h, no command or an unknown one
+    # needs the full tree
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, ingest.ZeroVarianceError) as exc:
+    except (ConfigError, OSError, ingest.ZeroVarianceError, ingest.HeldOutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StrikeSolveError, InadmissibleBetError, OutcomeError, ValueError) as exc:

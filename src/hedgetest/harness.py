@@ -8,6 +8,8 @@ decision rule, wealth.ville_crossing.  Every episode steps through the one
 wealth engine, wealth.evolve.  Replication i always draws row i of one
 outcome table, the stream (seed, 3) jumped ahead by i * horizon draws, so
 results are byte-identical however the replications are split into chunks.
+A chunk of n replications over T steps holds its outcomes in one float64
+buffer of 8·n·T bytes: the uniforms, overwritten by their 0/1 outcomes.
 
 Simulated experiments use Bernoulli outcomes (the truth may shift its
 parameter at a change point); screening episodes run the two-sided hedged
@@ -27,7 +29,7 @@ from .ingest import LAMBDA_GRID, estimate_lambdas
 from .pricing import (MC_BLOCK, Contract, LatticeModel, StrikeSolveError,
                       lattice_node_values, put_floor_strikes,
                       solve_hedge_strike)
-from .rng import DEFAULT_SEED, stream
+from .rng import DEFAULT_SEED, MAX_SEED, stream
 from .strategies import StrategyKind, StrategySpec, build_strategy
 from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
 
@@ -104,9 +106,12 @@ class HedgeSpec:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed no random stream can take: streams need seed >= 0."""
+    """Reject a seed no random stream can take: streams need one 32-bit word,
+    0 <= seed < 2**32 (see rng.stream)."""
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if seed > MAX_SEED:
+        raise ConfigError(f"seed must be at most 2**32 - 1 = {MAX_SEED}, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -243,10 +248,13 @@ def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
 
 
 def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    """Bernoulli outcomes 0.0/1.0 of replications [start, stop): one float64
+    buffer of 8 * (stop - start) * horizon bytes, the uniforms overwritten
+    in place by their comparison with each step's truth parameter."""
     ps = config.truth.step_probabilities(config.horizon)
     draws = stream(config.seed, _OUTCOME_TAG, skip=start * config.horizon).random(
         (stop - start, config.horizon))
-    return (draws < ps[None, :]).astype(float)
+    return np.less(draws, ps[None, :], out=draws)
 
 
 def _episode_wealth(config: ExperimentConfig, y: np.ndarray, plan: HedgePlan | None):
@@ -396,6 +404,30 @@ def _null_terminal_table(lams: list[float], tau: int, seed: int,
     return out
 
 
+def null_terminal_minimum(lam: float, tau: int) -> float:
+    """Lowest terminal value of the two-sided process over every path in
+    [0, 1]^tau at fraction lam: (1 - lam**2/4)**(tau // 2).
+
+    K_tau is affine in each outcome, so its minimum sits on a path of 0s and
+    1s; with j ones it is 0.5*(u**j * v**(tau-j) + u**(tau-j) * v**j), with
+    u = 1 + lam/2 and v = 1 - lam/2, whose product is 1 - lam**2/4 and whose
+    sum is 2, and that is smallest at j = tau // 2."""
+    return (1.0 - lam * lam / 4.0) ** (tau // 2)
+
+
+def _floor_unbreachable(lam: float, tau: int, floor: float) -> bool:
+    """Whether no null sample of K_tau at fraction lam can end below floor,
+    even as computed in floating point: the bound, shrunk by a relative
+    rounding margin of 4*(tau+1)*eps/(1 - lam/2), still exceeds the floor.
+    A sample's tau factors (each at least 1 - lam/2) and tau - 1 products
+    each round once, and so do the bound's base and power: together they
+    are off by under 2*(tau+1)*eps/(1 - lam/2), half the margin."""
+    if lam >= 2.0:
+        return False
+    margin = 4.0 * (tau + 1) * math.ulp(1.0) / (1.0 - lam / 2.0)
+    return null_terminal_minimum(lam, tau) * (1.0 - margin) > floor
+
+
 def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int, seed: int,
                       price_samples: int) -> tuple[np.ndarray, dict]:
     """Per-gene (effective lambda, strike, premium) for the floor equation.
@@ -406,21 +438,32 @@ def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int, seed: int,
     _null_terminal_table, so its memory is bounded however many distinct
     fractions there are.  A fraction too aggressive for the floor to be
     attainable falls back to the next smaller candidate whose equation has
-    a root.
+    a root.  Where no sample can lie below the floor, put_floor_strikes
+    would return the floor itself at premium 0, so (floor, 0.0) is recorded
+    without solving: a fraction whose null_terminal_minimum clears the floor
+    gets no table row, and a sampled row whose minimum clears it is not
+    solved.
     """
     candidates = sorted(set(lambdas.tolist()) | set(LAMBDA_GRID))
-    table = np.empty((min(len(candidates), _PRICE_TABLE_ROWS), price_samples))
+    free = (float(floor), 0.0)     # strike and premium where no sample breaches the floor
+    solved = {lam: free for lam in candidates if _floor_unbreachable(lam, tau, floor)}
+    priced = [lam for lam in candidates if lam not in solved]
+    table = np.empty((min(len(priced), _PRICE_TABLE_ROWS), price_samples))
     weights = np.full(price_samples, 1.0 / price_samples)
-    solved, fallback, last = {}, {}, None
-    for first in range(0, len(candidates), len(table)):
-        chunk = candidates[first:first + len(table)]
+    for first in range(0, len(priced), _PRICE_TABLE_ROWS):
+        chunk = priced[first:first + _PRICE_TABLE_ROWS]
         _null_terminal_table(chunk, tau, seed, table[:len(chunk)])
         for lam, samples in zip(chunk, table):
+            if samples.min() >= floor:
+                solved[lam] = free
+                continue
             roots = put_floor_strikes(samples, weights, floor)
             if roots:
-                last = lam
                 solved[lam] = (roots[0], float(np.maximum(roots[0] - samples, 0.0).mean()))
-            fallback[lam] = last        # largest solvable candidate <= lam
+    fallback, last = {}, None
+    for lam in candidates:
+        last = lam if lam in solved else last
+        fallback[lam] = last        # largest solvable candidate <= lam
     effective = [fallback[lam] for lam in lambdas.tolist()]
     if None in effective:
         raise StrikeSolveError(f"floor {floor} unattainable for any candidate fraction "

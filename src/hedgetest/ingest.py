@@ -25,6 +25,10 @@ class ZeroVarianceError(ValueError):
     variation in the normal group."""
 
 
+class HeldOutError(ValueError):
+    """Fewer tumor columns than the fraction plug-in holds out."""
+
+
 @dataclass(frozen=True)
 class ExpressionMatrix:
     """Genes by samples, with each column labeled by its group."""
@@ -186,7 +190,7 @@ def prepare_screening(uniform: UniformMatrix, *, tumor_label: str = "tumor",
     """
     tumor_cols = [i for i, g in enumerate(uniform.groups) if g == tumor_label]
     if len(tumor_cols) < n_held_out:
-        raise ValueError(
+        raise HeldOutError(
             f"need at least {n_held_out} tumor samples, found {len(tumor_cols)}")
     held = tuple(tumor_cols[:n_held_out])
     test_cols = [i for i in range(uniform.values.shape[1]) if i not in held]

@@ -18,6 +18,8 @@ import numpy as np
 # Default seed used by the CLI when none is given, so that table
 # reproduction is a single command.
 DEFAULT_SEED = 271828
+# Largest seed that keys a stream of its own: one 32-bit word (see stream).
+MAX_SEED = 2**32 - 1
 
 
 def stream(seed: int, *tags: int, skip: int = 0) -> np.random.Generator:
@@ -29,7 +31,9 @@ def stream(seed: int, *tags: int, skip: int = 0) -> np.random.Generator:
     ``SeedSequence`` pads it with zero words, so a trailing zero names no
     new stream: ``stream(s, 0)`` is ``stream(s)``.  Keys that still differ
     once their trailing zeros are dropped give statistically independent
-    streams.
+    streams.  A seed must fit one word, seed <= MAX_SEED: a seed of 2**32
+    or more is read as two words and aliases a tagged key, so
+    ``stream(2**32)`` is ``stream(0, 1)``.
     ``skip`` advances the PCG64 state by that many 64-bit outputs, so
     ``stream(seed, *tags, skip=k).random(m)`` is
     ``stream(seed, *tags).random(k + m)[k:]``, bit for bit.

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hedgetest import harness
-from hedgetest.cli import main
+from hedgetest import cli, harness
+from hedgetest.cli import build_parser, main
 from hedgetest.harness import load_config, result_csv, result_json, run_experiment
 from hedgetest.pricing import Contract, LatticeModel, lattice_price, solve_hedge_strike
 
@@ -481,6 +481,12 @@ def write_one_normal_matrix(path):
                     "g2,3.0,1.2,2.2,3.2,4.2\n")
 
 
+def write_one_tumor_matrix(path):
+    """Three genes, two normal columns and one tumor column: nothing to hold out."""
+    path.write_text("gene,normal,normal,tumor\n"
+                    "g0,1.5,2.0,2.5\ng1,2.5,1.0,1.5\ng2,3.0,1.2,2.2\n")
+
+
 def read_csv_rows(path):
     """Header and data rows of an output CSV, read by csv.reader past its
     `#` comment lines."""
@@ -617,6 +623,12 @@ class TestScreen:
         assert "at least 2 columns labeled 'normal'" in err and "got 1" in err
         assert "Warning" not in err and "zero variance" not in err
 
+    def test_one_tumor_column_is_config_error(self, tmp_path, capsys):
+        write_one_tumor_matrix(tmp_path / "matrix.csv")
+        code, out, err = run_cli(capsys, "screen", "--matrix", str(tmp_path / "matrix.csv"))
+        assert (code, out) == (2, "")
+        assert err == "error: need at least 2 tumor samples, found 1\n"
+
 
 class TestIngest:
     def test_transforms_matrix_to_sequences(self, tmp_path, capsys):
@@ -655,6 +667,14 @@ class TestIngest:
         assert code == 2
         assert "at least 2 columns labeled 'normal'" in err and "got 1" in err
         assert "Warning" not in err and "zero variance" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_one_tumor_column_is_config_error(self, tmp_path, capsys):
+        write_one_tumor_matrix(tmp_path / "matrix.csv")
+        code, _, err = run_cli(capsys, "ingest", "--input", str(tmp_path / "matrix.csv"),
+                               "--output", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert err == "error: need at least 2 tumor samples, found 1\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_bad_input_is_config_error(self, capsys):
@@ -822,3 +842,95 @@ def test_negative_seed_is_one_config_error_line(tmp_path, capsys, argv, config_s
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: seed must be nonnegative") and err.count("\n") == 1
+
+
+# per subcommand: a valid argv after the command, an option that takes a
+# value, and an option with a value of the wrong type
+PARSER_CASES = {
+    "price": (["--contract", "call,S=1,tau=3"], "--contract", ["--spot", "x"]),
+    "hedge-solve": (["--floor", "0.25", "--horizon", "20"], "--floor",
+                    ["--horizon", "x"]),
+    "simulate": (["--config", "a.cfg", "--seed", "3"], "--config", ["--workers", "x"]),
+    "shift": (["--config", "a.cfg", "--workers", "2"], "--config", ["--seed", "x"]),
+    "screen": (["--synthetic", "null", "--hedge"], "--genes", ["--alpha", "x"]),
+    "ingest": (["--input", "a", "--output", "b"], "--input", ["--no-log=x"]),
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr, namespace) of parsing argv; the code is
+    None and the namespace a dict when parsing succeeds."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err, None
+    captured = capsys.readouterr()
+    return None, captured.out, captured.err, vars(args)
+
+
+def parser_argvs():
+    for command, (valid, takes_value, bad_type) in PARSER_CASES.items():
+        for rest in (["-h"], [], ["--bogus"], [takes_value], bad_type, valid,
+                     valid + ["extra"], valid + ["-h"]):
+            yield [command, *rest]
+
+
+@pytest.mark.parametrize("argv", list(parser_argvs()), ids=" ".join)
+def test_one_command_parser_parses_as_the_full_parser(capsys, argv):
+    one = parse_outcome(build_parser(argv[0]), argv, capsys)
+    full = parse_outcome(build_parser(), argv, capsys)
+    assert one == full
+    assert one[0] in (None, 0, 2)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--bogus"], ["-h", "price"],
+                                  ["--bogus", "price"]], ids=repr)
+def test_main_without_a_command_uses_the_full_parser(capsys, argv):
+    full = parse_outcome(build_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == full[:3]
+
+
+def test_main_builds_only_the_subcommand_it_runs(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build_parser(command))
+    code, out, _ = run_cli(capsys, "hedge-solve", "--floor", "0.25", "--horizon", "20")
+    assert code == 0 and json.loads(out)["roots"]
+    assert built == ["hedge-solve"]
+
+
+@pytest.mark.parametrize("argv,config_seed", [
+    (("price", "--method", "mc", "--contract", "put,S=0.3,tau=5", "--n", "10",
+      "--seed", str(2**32)), None),
+    (("simulate", "--config", str(CONFIGS / "table1_kelly.cfg"), "--seed", str(2**32)),
+     None),
+    (("shift", "--config", str(CONFIGS / "table2_kelly.cfg"), "--seed", str(2**32)), None),
+    (("simulate", "--config"), str(2**32)),
+    (("screen", "--synthetic", "null", "--genes", "10", "--samples", "5",
+      "--seed", str(2**32)), None),
+    (("screen", "--synthetic", "null", "--genes", "10", "--samples", "5",
+      "--seed", str(2**40), "--hedge"), None),
+], ids=["price-mc", "simulate-option", "shift-option", "simulate-config", "screen",
+        "screen-hedge"])
+def test_a_seed_past_32_bits_is_one_config_error_line(tmp_path, capsys, argv,
+                                                       config_seed):
+    # such a seed would draw the stream of a smaller seed's other purpose
+    if config_seed is not None:
+        text = (CONFIGS / "table1_kelly.cfg").read_text()
+        path = tmp_path / "large_seed.cfg"
+        path.write_text(text.replace("seed = 271828\n", f"seed = {config_seed}\n"))
+        argv += (str(path),)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be at most 2**32 - 1 = 4294967295, got ")
+    assert err.count("\n") == 1
+
+
+def test_the_largest_seed_runs(capsys):
+    code, out, _ = run_cli(capsys, "price", "--method", "mc", "--contract",
+                           "put,S=0.3,tau=5", "--n", "10", "--seed", str(2**32 - 1))
+    assert code == 0 and json.loads(out)["method"] == "monte_carlo"

@@ -465,11 +465,12 @@ class TestNullTerminalTable:
         assert result.strike_table
 
     def test_many_fractions_share_a_bounded_table_and_price_as_alone(self, monkeypatch):
-        # 36 distinct fractions: three draws of the shared uniforms on one
-        # table of at most _PRICE_TABLE_ROWS rows, and every fraction gets
-        # the strike it gets when priced in a chunk of its own
+        # 36 distinct fractions above the floor bound (0.369 at expiry 40 and
+        # floor 0.5), 40 with the grid's: three draws of the shared uniforms
+        # on one table of at most _PRICE_TABLE_ROWS rows, and every fraction
+        # gets the strike it gets when priced in a chunk of its own
         sequences, _, _ = synthetic_screening_input(36, 42, seed=410)
-        lambdas = np.linspace(0.05, 0.4, 36)
+        lambdas = np.linspace(0.4, 0.75, 36)
         tables, fill = [], harness._null_terminal_table
 
         def recorded(lams, tau, seed, out):
@@ -484,6 +485,68 @@ class TestNullTerminalTable:
         assert len(alone.strike_table) == 36
         assert shared.strike_table == alone.strike_table
         assert shared.report == alone.report
+
+
+class TestNullMinimumShortcut:
+    @pytest.mark.parametrize("lam", [0.1, 0.37, 1.0, 1.9, 2.0])
+    @pytest.mark.parametrize("tau", range(1, 13))
+    def test_the_bound_is_the_lowest_vertex_path(self, lam, tau):
+        # K_tau is affine in each outcome: its minimum over [0, 1]^tau is the
+        # least of the 2**tau paths of 0s and 1s, met with tau // 2 ones
+        paths = (np.arange(2 ** tau)[:, None] >> np.arange(tau)) & 1
+        dev = paths - 0.5
+        k = 0.5 * np.prod(1 + lam * dev, axis=1) + 0.5 * np.prod(1 - lam * dev, axis=1)
+        bound = harness.null_terminal_minimum(lam, tau)
+        assert k.min() == pytest.approx(bound, rel=1e-13, abs=1e-300)
+        assert np.all(k >= bound * (1 - 1e-13))
+        assert k[paths.sum(axis=1) == tau // 2].min() == pytest.approx(
+            k.min(), rel=1e-13, abs=1e-300)
+        inner = stream(tau, 7).random((500, tau)) - 0.5
+        k_inner = (0.5 * np.prod(1 + lam * inner, axis=1)
+                   + 0.5 * np.prod(1 - lam * inner, axis=1))
+        assert np.all(k_inner >= bound * (1 - 1e-13))
+
+    @pytest.mark.parametrize("ruin,samples", [(0.5, 42), (0.25, 42), (0.5, 12)])
+    def test_skipped_fractions_get_the_strike_a_solve_gives(self, monkeypatch, ruin,
+                                                            samples):
+        sequences, _, _ = synthetic_screening_input(40, samples, seed=412)
+        lambdas = np.linspace(0.05, 1.0, 40)
+        tau, n = samples - 2, 3_000
+        tabled, solves, fill, solve = [], [], harness._null_terminal_table, \
+            harness.put_floor_strikes
+
+        def recorded_table(lams, *args):
+            tabled.extend(lams)
+            return fill(lams, *args)
+
+        def recorded_solve(atoms, weights, floor):
+            solves.append(atoms.min())
+            return solve(atoms, weights, floor)
+
+        monkeypatch.setattr(harness, "_null_terminal_table", recorded_table)
+        monkeypatch.setattr(harness, "put_floor_strikes", recorded_solve)
+        result = run_screening(sequences, lambdas, hedge=HedgeSpec(), ruin_level=ruin,
+                               price_samples=n, seed=5)
+        skipped = [lam for lam in lambdas.tolist()
+                   if harness._floor_unbreachable(lam, tau, ruin)]
+        assert skipped and not set(skipped) & set(tabled)
+        assert all(low < ruin for low in solves)
+        weights = np.full(n, 1.0 / n)
+        for lam, entry in result.strike_table.items():
+            row = fill([lam], tau, 5, np.empty((1, n)))[0]
+            strike = solve(row, weights, ruin)[0]
+            assert entry == (strike, float(np.maximum(strike - row, 0.0).mean()))
+
+    def test_a_screen_whose_every_fraction_clears_the_floor_draws_nothing(self,
+                                                                          monkeypatch):
+        opened = []
+        monkeypatch.setattr(harness, "stream", lambda *key, **kw: opened.append(key))
+        sequences = stream(413).random((30, 3))
+        result = run_screening(sequences, np.linspace(0.1, 1.0, 30), hedge=HedgeSpec(),
+                               ruin_level=0.5)
+        assert opened == []
+        assert set(result.strike_table.values()) == {(0.5, 0.0)}
+        assert np.all(result.final_wealth >= 0.5)
 
 
 class TestSyntheticMatrix:
@@ -570,6 +633,19 @@ class TestStreamKeys:
         assert len(keys) == 4    # mc_price, matrix, null table, outcome rows
         assert len({self.key(k) for k in keys}) == 4
         assert len({stream(*k).random() for k in keys}) == 4
+
+    def test_a_seed_of_2_to_the_32_is_refused_for_it_aliases_a_tagged_stream(self):
+        # a key is read as 32-bit words, so the seed 2**32 is the key (0, 1):
+        # the mc_price stream of that seed would be seed 0's synthetic matrix
+        assert stream(2**32).random(3).tobytes() == stream(0, 1).random(3).tobytes()
+        for seed in (2**32, 2**64 + 5):
+            for build in (lambda: config(seed=seed),
+                          lambda: synthetic_uniform_matrix(2, 3, seed),
+                          lambda: run_screening(np.full((2, 3), 0.5), np.full(2, 0.5),
+                                                seed=seed)):
+                with pytest.raises(ConfigError, match="at most 2\\*\\*32 - 1"):
+                    build()
+        harness.check_seed(2**32 - 1)
 
 
 class TestConfigFiles:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hedgetest.ingest import (LAMBDA_GRID, ExpressionMatrix, UniformMatrix,
-                              ZeroVarianceError, estimate_lambdas,
+from hedgetest.ingest import (LAMBDA_GRID, ExpressionMatrix, HeldOutError,
+                              UniformMatrix, ZeroVarianceError, estimate_lambdas,
                               load_expression_matrix, prepare_screening,
                               transform_to_uniform)
 from hedgetest.rng import stream
@@ -276,5 +276,5 @@ class TestPrepareScreening:
 
     def test_needs_two_tumor_samples(self):
         uniform = self._uniform(n_tumor=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(HeldOutError, match="need at least 2 tumor samples, found 1"):
             prepare_screening(uniform)

@@ -10,7 +10,11 @@ without ties, or with every weight equal, they are the bits of the
 stable-sort oracle, and the lattice's binomial weights are its exact
 weights, each rounded once.  Any chunk of
 the simulated outcome table is the same bits as the slice of the whole, and
-so is a stream jumped ahead by k draws.  The wealth engine run on a batch
+as the float cast of its uniforms' comparison with each step's truth
+parameter, and so is a stream jumped ahead by k draws.  A null sample of
+the two-sided process at a fraction whose lowest terminal value clears the
+floor by the rounding margin, its lowest vertex paths included, never
+lies below the floor, and its strike solve gives the floor at premium 0.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
 recurrence of the oracle; under a constant fraction, terminal_wealth is the
 bits of evolve's last step; and the batch Ville rule finds each row's first
@@ -29,11 +33,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hedgetest.harness import (ExperimentConfig, TruthSpec, _chunk_outcomes,
-                               config_dict, config_from_dict, load_config,
-                               parse_config_text)
+                               _floor_unbreachable, _null_terminal_rows,
+                               _null_terminal_table, config_dict, config_from_dict,
+                               load_config, null_terminal_minimum, parse_config_text)
 from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
                                  Portfolio, _node_table, _worst_case_terminal,
                                  buy_contract, issue_contract, move_to_risky, step)
@@ -217,6 +222,77 @@ def test_row_chunk_equals_slice_of_the_table(case):
     chunk = _chunk_outcomes(cfg, a, b)
     assert table.shape == (cfg.replications, cfg.horizon)
     assert np.array_equal(chunk, table[a:b])
+
+
+@st.composite
+def outcome_chunks(draw):
+    n = draw(st.integers(1, 60))
+    a = draw(st.integers(0, n - 1))
+    b = draw(st.integers(a + 1, n))
+    horizon = draw(st.integers(1, 40))
+    change_at = draw(st.none() | st.integers(0, horizon))
+    truth = TruthSpec(draw(st.floats(0.0, 1.0)),
+                      None if change_at is None else draw(st.floats(0.0, 1.0)), change_at)
+    cfg = ExperimentConfig(HypothesisSpec.bernoulli(0.5, 0.75), truth,
+                           StrategySpec(StrategyKind.KELLY), horizon=horizon,
+                           replications=n, seed=draw(st.integers(0, 2**32 - 1)))
+    return cfg, a, b
+
+
+@given(outcome_chunks())
+def test_outcomes_are_the_float_comparison_of_the_uniforms(case):
+    cfg, a, b = case
+    draws = stream(cfg.seed, 3, skip=a * cfg.horizon).random((b - a, cfg.horizon))
+    expected = (draws < cfg.truth.step_probabilities(cfg.horizon)).astype(float)
+    outcomes = _chunk_outcomes(cfg, a, b)
+    assert outcomes.dtype == np.float64 and outcomes.shape == expected.shape
+    assert outcomes.tobytes() == expected.tobytes()
+
+
+class _VertexRows:
+    """Stands in for a generator: fills each requested block with the next
+    rows of a fixed table of 'uniforms'."""
+
+    def __init__(self, rows):
+        self.rows, self.at = rows, 0
+
+    def random(self, out):
+        out[...] = self.rows[self.at:self.at + len(out)]
+        self.at += len(out)
+
+
+@st.composite
+def floors_near_the_null_bound(draw):
+    """(lam, tau, floor, seed) with the floor up to a relative 1e-12, or up
+    to a half, below null_terminal_minimum."""
+    lam = draw(st.floats(0.0, 1.99))
+    tau = draw(st.integers(1, 120))
+    below = draw(st.floats(0.0, 1e-12) | st.floats(0.0, 0.5))
+    floor = null_terminal_minimum(lam, tau) * (1.0 - below)
+    assume(0.0 < floor < 1.0)
+    return lam, tau, floor, draw(st.integers(0, 2**32 - 1))
+
+
+@given(floors_near_the_null_bound())
+@example((0.3, 100, 0.5, 0))
+@example((1.99, 1, 0.5, 0))
+def test_rows_past_the_null_bound_never_fall_below_the_floor(case):
+    lam, tau, floor, seed = case
+    assume(_floor_unbreachable(lam, tau, floor))
+    # the lowest vertex paths, tau // 2 or (tau + 1) // 2 outcomes of exactly
+    # 1.0 in random orders, run through the sampling kernel, then null draws
+    rng = np.random.default_rng(seed)
+    vertices = np.array([rng.permutation(np.arange(tau) < ones)
+                         for ones in (tau // 2, (tau + 1) // 2) for _ in range(8)], float)
+    worst = np.empty((1, len(vertices)))
+    _null_terminal_rows(_VertexRows(vertices), [lam], worst,
+                        *(np.empty((tau, len(vertices))) for _ in range(3)))
+    drawn = _null_terminal_table([lam], tau, seed, np.empty((1, 64)))
+    for row in (worst[0], drawn[0]):
+        assert row.min() >= floor
+        strikes = put_floor_strikes(row, np.full(row.size, 1.0 / row.size), floor)
+        assert strikes[0] == floor
+        assert float(np.maximum(strikes[0] - row, 0.0).mean()) == 0.0
 
 
 @st.composite
