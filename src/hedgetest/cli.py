@@ -2,7 +2,8 @@
 
 Thin adapter over the library: every subcommand parses arguments, calls the
 corresponding library function and serializes the result.  Exit codes:
-0 success, 2 configuration error, 3 solver or precondition failure.
+0 success, 2 configuration error, 3 solver or precondition failure (a
+table too large to allocate among them).
 
 Each call builds one parser, and only for the subcommand it runs: the full
 tree of every subcommand is built only for -h, a missing or an unknown
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest
-from .harness import (ConfigError, HedgeSpec, check_seed, csv_rows,
+from .harness import (ConfigError, HedgeSpec, check_seed, csv_field, csv_rows,
                       load_config, result_csv, result_json, run_experiment,
                       run_screening, screening_csv, synthetic_screening_input,
                       text_cells, to_json)
@@ -260,7 +261,7 @@ def _cmd_ingest(args) -> int:
     prepared = ingest.prepare_screening(uniform, tumor_label=args.tumor_label)
     lines = [f"# source = {args.input}",
              f"# held_out_columns = {' '.join(str(c) for c in prepared.held_out_columns)}",
-             f"# skipped_genes = {' '.join(uniform.skipped_gene_ids)}"]
+             f"# skipped_genes = {','.join(map(csv_field, uniform.skipped_gene_ids))}"]
     width = prepared.sequences.shape[1]
     lines.append("gene,lambda," + ",".join(f"y{t}" for t in range(1, width + 1)))
     _write(args.output, "\n".join(lines) + "\n" + csv_rows(
@@ -388,7 +389,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ingest.ZeroVarianceError, ingest.HeldOutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StrikeSolveError, InadmissibleBetError, OutcomeError, ValueError) as exc:
+    except (StrikeSolveError, InadmissibleBetError, OutcomeError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

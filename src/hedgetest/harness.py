@@ -14,6 +14,12 @@ buffer of 8·n·T bytes: the uniforms, overwritten by their 0/1 outcomes.
 Simulated experiments use Bernoulli outcomes (the truth may shift its
 parameter at a change point); screening episodes run the two-sided hedged
 process on bounded sequences supplied by the ingest pipeline.
+
+Every CSV is written by csv_rows from byte tables of cells, and every number
+cell comes from one numpy digit routine (_digits): integers directly, and
+doubles with |x| in [1e-4, 1e17) through their exact 17-digit significands
+(_significands), so no Python object is made per value.  Other doubles go
+through one `%` call; either way the text is `f"{x:.17g}"`.
 """
 
 from __future__ import annotations
@@ -743,31 +749,130 @@ def _cells(blob: bytes) -> np.ndarray:
     return table
 
 
+def csv_field(text: str) -> str:
+    """`text` as csv.writer's QUOTE_MINIMAL writes a field: in quotes, each inner
+    quote doubled, if it holds a comma, a quote, CR or LF; as it is otherwise."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.intersection(text) else text
+
+
 def text_cells(fields) -> np.ndarray:
-    """Cells of strings in UTF-8, quoted as csv.writer's QUOTE_MINIMAL does: a field
-    with a comma, a quote, CR or LF goes in quotes, each inner quote doubled."""
-    quoted = ('"' + f.replace('"', '""') + '"' if _NEEDS_QUOTES.intersection(f) else f
-              for f in fields)
-    return _cells(b"".join(f.encode() + _PAD for f in quoted))
+    """Cells of strings in UTF-8, each quoted by csv_field."""
+    return _cells(b"".join(csv_field(f).encode() + _PAD for f in fields))
+
+
+# The digit tables are built by copies: a table of 10,000 Python strings, or
+# integer ufuncs nothing else runs, would stay in the resident size of every
+# process, CSV or not.
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+#: The four ASCII digits of 0000..9999, each as one 4-byte word: the digit
+#: for 10**k repeats 10**k times and cycles
+_QUADS = np.stack([np.tile(np.repeat(_DIGITS, 10 ** k), 10 ** (3 - k)) for k in (3, 2, 1, 0)],
+                  axis=1).view(np.uint32).ravel()
+#: Row s: padding in the first s of 23 columns, zero bytes in the rest
+_LEADING = np.frombuffer(b"".join(_PAD * s + bytes(23 - s) for s in range(24)),
+                         np.uint8).reshape(24, 23)
+#: The doubles 1e-4 .. 1e16.  Those below 1 lie above their powers of ten and
+#: the rest are exact, so a double a in [1e-4, 1e17) has floor(log10(a)) =
+#: searchsorted(_TENS, a, "right") - 5, exactly.
+_TENS = np.array([float(f"1e{k}") for k in range(-4, 17)])
+#: 10**(21 - i) for that searchsorted index i, exact doubles, and Veltkamp's
+#: split of each into a high half of 26 bits and the rest
+_SCALE = np.array([float(10 ** (21 - i)) for i in range(22)])
+_SPLIT = 2.0 ** 27 + 1
+_SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+
+
+def _digits(d: np.ndarray, n: int) -> np.ndarray:
+    """The last n decimal digits of each nonnegative int64 of d, as ASCII
+    bytes: four at a time, each group of four one word of _QUADS."""
+    quads = -(-n // 4)
+    words = np.empty((d.size, quads), np.uint32)
+    for col in range(quads - 1, -1, -1):
+        high = d // 10_000
+        words[:, col] = _QUADS.take(d - high * 10_000)
+        d = high
+    return words.view(np.uint8)[:, 4 * quads - n:]
+
+
+def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) for doubles with |x| in [1e-4, 1e17): |x| rounded half to even
+    to 17 significant digits is d * 10**(e - 16), with 10**16 <= d < 10**17.
+
+    With e = floor(log10 |x|), |x|*10**(16 - e) lies in [1e16, 1e17), and
+    Dekker's product gives it exactly as p + err, p its nearest double.  p is
+    an even integer above 2**53, so p + rint(err) is that value rounded half
+    to even, as dtoa rounds.  It never rounds up to 10**17: the double below
+    each power of ten lies more than 8 units of the 17th digit below it.
+    """
+    a = np.abs(x)
+    i = np.searchsorted(_TENS, a, "right")         # e + 5
+    p = a * _SCALE[i]
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    hi, lo = _SCALE_HI[i], _SCALE_LO[i]
+    err = ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64), i - 5
+
+
+def _fixed_cells(x: np.ndarray) -> np.ndarray:
+    """Cells of `f"{x:.17g}"` for doubles with |x| in [1e-4, 1e17), in
+    fixed notation, without a Python object per value: the sign, the digits
+    of _significands up to the last nonzero one, a point after digit e (or
+    "0." and zeros before them when e < 0), and no point after an integer.
+    Runs of one exponent and sign are laid out a slice at a time: sorted
+    input, as from float_cells, has at most 42 of them.
+    """
+    d, e = _significands(x)
+    neg = np.signbit(x)
+    digits = _digits(d, 21)        # four zeros, for up to "0.000", then the 17 digits
+    trailing = np.argmax(digits[:, :3:-1] != ord("0"), axis=1)
+    size = neg + np.where(17 - trailing <= e + 1, e + 1, 18 - trailing + np.maximum(-e, 0))
+    cells = np.full((x.size, 23), _PAD[0], np.uint8)
+    starts = np.flatnonzero(np.diff(2 * e + neg, prepend=-9))
+    for first, stop in zip(starts.tolist(), [*starts[1:].tolist(), x.size]):
+        ex, sign = int(e[first]), int(neg[first])
+        point, zeros = max(ex, 0) + 1, max(-ex, 0)
+        text, rows = digits[first:stop, 4 - zeros:], cells[first:stop, sign:]
+        rows[:, :point] = text[:, :point]
+        rows[:, point] = ord(".")
+        rows[:, point + 1:zeros + 18] = text[:, point:]
+        if sign:
+            cells[first:stop, 0] = ord("-")
+    cells |= (~_LEADING).take(size, 0)
+    return cells[:, :size.max(initial=0)]
 
 
 def float_cells(values) -> list[np.ndarray]:
-    """Cells of each column of a 2-d array: `f"{x:.17g}"`, formatted by one `%`
-    call once per distinct int64 bit view, so -0.0 and each NaN keep their text."""
+    """Cells of each column of a 2-d array: `f"{x:.17g}"`, once per distinct
+    int64 bit view, so -0.0 and each NaN keep their text.  Doubles with |x| in
+    [1e-4, 1e17) come from _fixed_cells; zeros, NaNs, infinities and other
+    magnitudes from one `%` call."""
     keys = np.ascontiguousarray(values, np.float64).view(np.int64)
     distinct, index = np.unique(keys, return_inverse=True)
-    doubles = tuple(distinct.view(np.float64).tolist())
-    table = _cells((b"%.17g" + _PAD) * len(doubles) % doubles)
+    doubles = distinct.view(np.float64)
+    magnitude = np.abs(doubles)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e17)
+    rest = tuple(doubles[~fixed].tolist())
+    parts = [(fixed, _fixed_cells(doubles[fixed])),
+             (~fixed, _cells((b"%.17g" + _PAD) * len(rest) % rest))]
+    table = np.full((doubles.size, max(p.shape[1] for _, p in parts)), _PAD[0], np.uint8)
+    for rows, part in parts:
+        table[rows, :part.shape[1]] = part
     return [table.take(i, 0) for i in index.reshape(keys.shape).T]
 
 
 def int_cells(values) -> np.ndarray:
-    """Cells of the decimal digits of each integer; a negative one is blank."""
+    """Cells of the decimal digits of each integer, right-aligned, from the
+    digit routine of _fixed_cells; a negative one is blank."""
     values = np.asarray(values, np.int64)
-    powers = [10 ** k for k in range(len(str(max(int(values.max(initial=0)), 0))))]
-    digits = [np.where(values >= (p if p > 1 else 0), values // p % 10 + ord("0"), _PAD[0])
-              for p in reversed(powers)]
-    return np.stack(digits, axis=1).astype(np.uint8)
+    width = len(str(max(int(values.max(initial=0)), 0)))
+    cells = _digits(np.maximum(values, 0), width)
+    # column j is blank below 10**(width - 1 - j), and the last one below 0
+    blank = sum(values < p for p in [*(10 ** k for k in range(width - 1, 0, -1)), 0])
+    cells |= _LEADING[:, :width].take(blank, 0)
+    return cells
 
 
 def csv_rows(columns) -> str:

@@ -677,6 +677,23 @@ class TestIngest:
         assert err == "error: need at least 2 tumor samples, found 1\n"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_skipped_genes_read_back_as_csv_fields(self, tmp_path, capsys):
+        # "a b" and "c" have no variance in the normal group; joined by
+        # spaces they would read back as three ids
+        src = tmp_path / "matrix.csv"
+        src.write_text("gene,normal,normal,normal,tumor,tumor,tumor\n"
+                       "a b,2,2,2,1,3,5\ng1,1,2,4,3,5,1\nc,7,7,7,2,4,8\n"
+                       "g2,3,1,2,6,2,4\n")
+        code, _, _ = run_cli(capsys, "ingest", "--input", str(src),
+                             "--output", str(tmp_path / "out.csv"))
+        assert code == 0
+        comment, = [line for line in (tmp_path / "out.csv").read_text().splitlines()
+                    if line.startswith("# skipped_genes = ")]
+        assert comment == "# skipped_genes = a b,c"
+        assert next(csv.reader([comment.removeprefix("# skipped_genes = ")])) == ["a b", "c"]
+        _, *rows = read_csv_rows(tmp_path / "out.csv")
+        assert [row[0] for row in rows] == ["g1", "g2"]
+
     def test_bad_input_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "ingest", "--input", "/nope.csv",
                              "--output", "/tmp/out.csv")
@@ -820,6 +837,18 @@ def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config_edit)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", "--model", "u=1.5,d=0.5", "--contract", "put,S=0.25,tau=20", "--method",
+     "mc", "--n", str(10 ** 18)),
+    ("screen", "--synthetic", "null", "--genes", str(10 ** 12)),
+], ids=["price-mc", "screen"])
+def test_a_failed_allocation_is_one_solver_error_line(capsys, argv):
+    # numpy refuses the table before touching any memory
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,config_seed", [

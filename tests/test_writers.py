@@ -1,10 +1,17 @@
 """Tests of the CSV writers.
 
 Every CSV is built by the harness kernel from byte tables, one block of
-rows at a time: a cell table per column (doubles formatted once per
-distinct value of the block, integers digit by digit, gene ids quoted as
-the csv module does), separators between them, padding dropped in one
-pass.  The `simulate`/`shift` artifacts of the nine shipped
+rows at a time: a cell table per column, separators between them, padding
+dropped in one pass.  Doubles are formatted once per distinct value of the
+block: those with |x| in [1e-4, 1e17) by the numpy digit kernel (Dekker's
+exact product gives their 17 digits, rounded half to even), zeros, NaNs,
+infinities and other magnitudes by one `%` call.  Integers come from the
+same digit routine, and gene ids are quoted as the csv module does.  Just
+over 10**6 fixed doubles (random bit patterns of both signs, exact ties at
+the 17th digit, each power of ten and its neighbouring ulps, the range
+edges) and every kind of special double equal one `f"{x:.17g}"` each, and
+the integer cells equal `str()` from 0 to 10**5 and around every power of
+ten up to 2**63 - 1.  The `simulate`/`shift` artifacts of the nine shipped
 configs, the `price --method mc` JSON of the three outcome families and the
 two files of a hedged `screen`, synthetic and from a raw matrix, are pinned
 by their sha256 digests, so any byte drift fails here.  The episode CSVs and
@@ -183,6 +190,53 @@ def test_float_cells_equal_one_format_per_value(values, width):
     table = values[:values.size // width * width].reshape(-1, width)
     assert first_difference(csv_rows(float_cells(table)), "".join(
         ",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist())) is None
+
+
+def ulps_around(x, n):
+    """x and the n doubles on either side of it, in order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def kernel_doubles():
+    """Just over 10**6 deterministic doubles, each with its negation: 400,000
+    bit patterns drawn uniformly over [1e-4, 1e17); 100,000 odd multiples of
+    0.25 in [1e15, 2.25e15), whose exact value ends in a 5 at the 18th digit,
+    a tie at 17; 10**k for k in -6..19 and 3 ulps either side, which take in
+    both range edges and the double below each power of ten, the closest any
+    double comes to rounding up to the next one; and SPECIAL, every kind of
+    double the kernel leaves to the `%` call."""
+    rng = np.random.default_rng(20261019)
+    low, high = np.array([1e-4, 1e17]).view(np.int64)
+    drawn = rng.integers(low, high, 400_000).view(np.float64)
+    ties = (2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, 100_000) + 1) / 4
+    near = [x for k in range(-6, 20) for x in ulps_around(float(f"1e{k}"), 3)]
+    values = np.concatenate([drawn, ties, near, SPECIAL])
+    return np.concatenate([values, -values])
+
+
+def test_the_kernel_writes_every_double_as_one_format_per_value(monkeypatch):
+    values = kernel_doubles()
+    assert values.size >= 10 ** 6
+    kernel, formatted = harness._fixed_cells, []
+    monkeypatch.setattr(harness, "_fixed_cells",
+                        lambda x: formatted.append(x.size) or kernel(x))
+    assert first_difference(csv_rows(float_cells(values[:, None])), "".join(
+        f"{x:.17g}\n" for x in values.tolist())) is None
+    # every distinct double of the range went through the digit kernel
+    magnitude = np.abs(values)
+    assert sum(formatted) == np.unique(values[(magnitude >= 1e-4) & (magnitude < 1e17)]).size
+
+
+def test_int_cells_are_the_decimal_text_of_each_integer():
+    values = np.array([*range(-3, 10 ** 5 + 1),
+                       *(10 ** k + step for k in range(1, 19) for step in (-1, 0)),
+                       2 ** 53 - 1, 2 ** 53, 2 ** 63 - 1, -(2 ** 63)])
+    assert first_difference(csv_rows([harness.int_cells(values)]), "".join(
+        ("" if v < 0 else str(v)) + "\n" for v in values.tolist())) is None
 
 
 #: the rows where the index gains a digit, and the shipped replication count
