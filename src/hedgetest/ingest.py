@@ -2,9 +2,9 @@
 
 Pipeline: natural log (optional for data already on log scale), per-gene
 standardization against the normal-group mean and standard deviation, then
-the standard normal CDF.  A gene that is standard normal under the null
-comes out Uniform(0, 1) with mean 1/2, which is what the bounded-outcome
-betting process expects.  Two tumor samples per gene are held out to pick a
+the standard normal CDF (pricing.normal_cdf).  A gene that is standard
+normal under the null comes out Uniform(0, 1) with mean 1/2, which is what
+the bounded-outcome betting process expects.  Two tumor samples per gene are held out to pick a
 betting fraction and never appear in the test sequence.
 """
 
@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
+
+from .pricing import normal_cdf
 
 #: Candidate betting fractions for the per-gene plug-in.
 LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
@@ -31,13 +34,18 @@ class HeldOutError(ValueError):
 
 @dataclass(frozen=True)
 class ExpressionMatrix:
-    """Genes by samples, with each column labeled by its group."""
+    """Genes by samples, with each column labeled by its group.
+
+    values is held as a C-contiguous float64 array, copied only when it is
+    not one already.
+    """
 
     gene_ids: tuple[str, ...]
     values: np.ndarray               # shape (genes, samples)
     groups: tuple[str, ...]          # per-column label
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=float))
         m, n = self.values.shape
         if len(self.gene_ids) != m:
             raise ValueError("one id per gene row required")
@@ -126,9 +134,13 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
                          log_transform: bool = True) -> UniformMatrix:
     """Map each gene's samples to [0, 1] via normal-group standardization and Phi.
 
-    Genes with zero variance in the normal group are flagged and skipped;
-    fewer than two normal columns give no variance and are refused.  Pass
-    log_transform=False for data already on a log scale.
+    Genes whose normal values are all equal, or whose normal-group sd is 0,
+    are flagged and skipped: a row mean can round off a constant group's
+    value and leave an sd of ~1e-15 that would otherwise be kept.  Fewer
+    than two normal columns give no variance and are refused.  Pass
+    log_transform=False for data already on a log scale.  The kept rows
+    are standardized in the array the log (or the skip) made, or in one new
+    array, and pricing.normal_cdf maps it in place, block by block.
     """
     values = matrix.values
     if log_transform:
@@ -139,17 +151,23 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
     if normal.sum() < 2:
         raise ZeroVarianceError(f"need at least 2 columns labeled {normal_label!r} "
                                 f"for a normal-group variance, got {normal.sum()}")
-    mu = values[:, normal].mean(axis=1)
-    sd = values[:, normal].std(axis=1, ddof=1)
-    keep = sd > 0.0
-    z = (values[keep] - mu[keep, None]) / sd[keep, None]
-    from scipy.special import ndtr    # loaded on first use: import stays numpy-only
-    uniform = ndtr(z)
-    kept_ids = tuple(g for g, k in zip(matrix.gene_ids, keep) if k)
-    skipped = tuple(g for g, k in zip(matrix.gene_ids, keep) if not k)
-    if not kept_ids:
+    normal_values = values[:, normal]
+    mu = normal_values.mean(axis=1)
+    sd = normal_values.std(axis=1, ddof=1)
+    keep = (normal_values.max(axis=1) > normal_values.min(axis=1)) & (sd > 0.0)
+    del normal_values
+    if not keep.any():
         raise ZeroVarianceError("every gene has zero variance in the normal group")
-    return UniformMatrix(kept_ids, uniform, matrix.groups, skipped)
+    skipped = tuple(compress(matrix.gene_ids, (~keep).tolist()))
+    if skipped:
+        values, mu, sd = values[keep], mu[keep], sd[keep]
+    # standardized in place, unless values is still the caller's matrix
+    uniform = np.empty(values.shape) if values is matrix.values else values
+    np.subtract(values, mu[:, None], out=uniform)
+    uniform /= sd[:, None]
+    normal_cdf(uniform, out=uniform)
+    return UniformMatrix(tuple(compress(matrix.gene_ids, keep.tolist())), uniform,
+                         matrix.groups, skipped)
 
 
 def estimate_lambdas(held_out, grid: Sequence[float] = LAMBDA_GRID) -> np.ndarray:

@@ -6,6 +6,10 @@ expectations of payoffs.  Three routes are provided: exact backward
 induction on a recombining binomial lattice, Monte Carlo over one seeded
 stream drawn in fixed-size blocks, and the zero-rate Black-Scholes closed
 form for log-normal wealth.
+
+The closed form and the expression-matrix transform (ingest) share one
+standard normal CDF, normal_cdf: Cephes ndtr evaluated in numpy, every
+value the same double as the C routine gives.
 """
 
 from __future__ import annotations
@@ -22,6 +26,29 @@ from .rng import stream
 #: Rows per Monte Carlo block: large enough to amortize the per-block numpy
 #: calls, small enough that a block of outcomes stays a few hundred KB.
 MC_BLOCK = 2048
+#: Values per normal_cdf block: a block's scratch arrays (under 1 MB) stay in L2.
+CDF_BLOCK = 32768
+
+# Cephes ndtr (S. L. Moshier, "Methods and Programs for Mathematical
+# Functions", 1989): erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8), exp(-x^2) R(x) / S(x) from 8 on.
+# U, Q and S are monic; their leading 1 is left out, as Cephes does.
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+           2.26290000613890934246E4, 4.92673942608635921086E4)
+_SQRT1_2 = 7.07106781186547524401E-1
+_MAXLOG = 7.09782712893383996843E2      # ln(2**1024): exp(-x*x) is taken as 0 past it
 
 
 class StrikeSolveError(RuntimeError):
@@ -214,6 +241,101 @@ def mc_price(null_sampler: Callable[[np.random.Generator, tuple[int, int]], np.n
     return PriceEstimate(value, se, PricingMethod.MONTE_CARLO)
 
 
+def _polevl(x, coef, out):
+    """Cephes polevl into out: ((coef[0]*x + coef[1])*x + ...)*x + coef[-1]."""
+    np.multiply(x, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= x
+    out += coef[-1]
+    return out
+
+
+def _p1evl(x, coef, out):
+    """Cephes p1evl into out: _polevl with a leading coefficient 1 before coef."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erfc_from_one(z) -> np.ndarray:
+    """Cephes erfc(z) of a 1-d array with every z >= 1, as a new array.
+
+    (exp(-z*z) * P(z)) / Q(z), with R/S in place of P/Q from 8 on and 0
+    where -z*z < -MAXLOG.  z is clipped at 27 (27**2 > MAXLOG) first, so no
+    square or polynomial overflows.  exp is libm's, as in Cephes: numpy's
+    float64 exp is a SIMD kernel of its own that differs in the last bit on
+    a few percent of these arguments, while its complex exp of (-z*z, 0) is
+    libm's exp(-z*z) times cos 0 = 1.
+    """
+    z = np.minimum(z, 27.0)
+    power = np.zeros(z.size, complex)
+    np.multiply(z, z, out=power.real)
+    np.negative(power.real, out=power.real)
+    under = np.flatnonzero(power.real < -_MAXLOG)
+    np.exp(power, out=power)
+    p = _polevl(z, _NDTR_P, np.empty_like(z))
+    q = _p1evl(z, _NDTR_Q, np.empty_like(z))
+    far = np.flatnonzero(z >= 8.0)
+    if far.size:
+        p[far] = _polevl(z[far], _NDTR_R, np.empty(far.size))
+        q[far] = _p1evl(z[far], _NDTR_S, np.empty(far.size))
+    np.multiply(power.real, p, out=p)
+    p /= q
+    p[under] = 0.0
+    return p
+
+
+def normal_cdf(a, out=None) -> np.ndarray:
+    """Standard normal CDF of every value of a, as Cephes ndtr evaluates it.
+
+    With x = a/sqrt(2): 0.5 + 0.5*erf(x) for |x| < sqrt(1/2), else
+    y = 0.5*erfc(|x|) with erfc(z) = 1 - erf(z) below 1, and 1 - y for
+    x > 0.  Same coefficients, Horner order and branches as Cephes, so every
+    value is its double bit for bit; NaN stays NaN.  Returns an array of
+    a's shape, written into out when given (a C-contiguous float array of
+    that shape, which may be a itself).  Work runs in blocks of CDF_BLOCK
+    values: erf on every value of a block (x clipped to [-1, 1]), then the
+    tail |x| >= sqrt(1/2) gathered by index and written back.
+    """
+    a = np.asarray(a, dtype=float)
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array of a's shape")
+    values, result = a.reshape(-1), out.reshape(-1)
+    size = min(values.size, CDF_BLOCK)
+    x, z, u, tail_mask = np.empty(size), np.empty(size), np.empty(size), np.empty(size, bool)
+    for start in range(0, values.size, CDF_BLOCK):
+        stop = min(start + CDF_BLOCK, values.size)
+        n = stop - start
+        xb, zb, ub, y = x[:n], z[:n], u[:n], result[start:stop]
+        np.multiply(values[start:stop], _SQRT1_2, out=xb)
+        np.clip(xb, -1.0, 1.0, out=ub)
+        np.multiply(ub, ub, out=zb)
+        _polevl(zb, _NDTR_T, y)
+        y *= ub
+        y /= _p1evl(zb, _NDTR_U, ub)                    # y = erf(x) where |x| < 1
+        np.abs(xb, out=zb)
+        tail = np.flatnonzero(np.greater_equal(zb, _SQRT1_2, out=tail_mask[:n]))
+        erfc = y[tail]
+        y *= 0.5
+        y += 0.5
+        x_tail, z_tail = xb[tail], zb[tail]
+        np.abs(erfc, out=erfc)
+        np.subtract(1.0, erfc, out=erfc)                # erfc(z) = 1 - erf(z) for z < 1
+        large = np.flatnonzero(z_tail >= 1.0)
+        if large.size:
+            erfc[large] = _erfc_from_one(z_tail[large])
+        erfc *= 0.5
+        # (x > 0) - copysign(h, x) is 1 - h for x > 0 and 0 - (-h) = h for x < 0
+        np.copysign(erfc, x_tail, out=erfc)
+        y[tail] = np.subtract(x_tail > 0.0, erfc, out=erfc)
+    return out
+
+
 def black_scholes_call(spot: float, strike: float, sigma: float,
                        time_to_expiry: float) -> float:
     """Zero-rate Black-Scholes call value.
@@ -229,9 +351,8 @@ def black_scholes_call(spot: float, strike: float, sigma: float,
         raise ValueError("volatility and time to expiry must be positive")
     vol = sigma * math.sqrt(time_to_expiry)
     d1 = (math.log(spot / strike) + 0.5 * sigma * sigma * time_to_expiry) / vol
-    d2 = d1 - vol
-    from scipy.special import ndtr    # loaded on first use: import stays numpy-only
-    return max(spot * ndtr(d1) - strike * ndtr(d2), 0.0)
+    cdf1, cdf2 = normal_cdf([d1, d1 - vol]).tolist()
+    return max(spot * cdf1 - strike * cdf2, 0.0)
 
 
 def black_scholes_put(spot: float, strike: float, sigma: float,

@@ -17,6 +17,7 @@ from hedgetest import cli, harness
 from hedgetest.cli import build_parser, main
 from hedgetest.harness import load_config, result_csv, result_json, run_experiment
 from hedgetest.pricing import Contract, LatticeModel, lattice_price, solve_hedge_strike
+from hedgetest.rng import stream
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -487,6 +488,20 @@ def write_one_tumor_matrix(path):
                     "g0,1.5,2.0,2.5\ng1,2.5,1.0,1.5\ng2,3.0,1.2,2.2\n")
 
 
+@pytest.fixture(scope="module")
+def constant_normal_matrix(tmp_path_factory):
+    """6033 x 102 raw matrix, 50 normal then 52 tumor columns, whose genes
+    g00003 and g00007 hold 5 and 9 in every normal column.  At this width the
+    row mean of 50 copies of log 5 rounds off log 5, and the sd reads 1.6e-15."""
+    path = tmp_path_factory.mktemp("constant_normal") / "matrix.csv"
+    values = np.exp(6.0 + 0.5 * stream(310).standard_normal((6033, 102)))
+    values[3, :50], values[7, :50] = 5.0, 9.0
+    path.write_text(",".join(["gene"] + ["normal"] * 50 + ["tumor"] * 52) + "\n" + "".join(
+        f"g{g:05d}," + ",".join(f"{v:.6g}" for v in row) + "\n"
+        for g, row in enumerate(values)))
+    return path
+
+
 def read_csv_rows(path):
     """Header and data rows of an output CSV, read by csv.reader past its
     `#` comment lines."""
@@ -629,6 +644,15 @@ class TestScreen:
         assert (code, out) == (2, "")
         assert err == "error: need at least 2 tumor samples, found 1\n"
 
+    def test_a_constant_normal_group_has_no_rows(self, tmp_path, capsys,
+                                                 constant_normal_matrix):
+        code, _, _ = run_cli(capsys, "screen", "--matrix", str(constant_normal_matrix),
+                             "--out", str(tmp_path / "screen"))
+        assert code == 0
+        _, *rows = read_csv_rows(tmp_path / "screen.csv")
+        ids = [row[0] for row in rows]
+        assert len(ids) == 6031 and "g00003" not in ids and "g00007" not in ids
+
 
 class TestIngest:
     def test_transforms_matrix_to_sequences(self, tmp_path, capsys):
@@ -694,6 +718,16 @@ class TestIngest:
         _, *rows = read_csv_rows(tmp_path / "out.csv")
         assert [row[0] for row in rows] == ["g1", "g2"]
 
+    def test_a_constant_normal_group_is_skipped_though_its_sd_is_not_0(
+            self, tmp_path, capsys, constant_normal_matrix):
+        code, _, _ = run_cli(capsys, "ingest", "--input", str(constant_normal_matrix),
+                             "--output", str(tmp_path / "out.csv"))
+        assert code == 0
+        assert "# skipped_genes = g00003,g00007" in (tmp_path / "out.csv").read_text()
+        _, *rows = read_csv_rows(tmp_path / "out.csv")
+        ids = [row[0] for row in rows]
+        assert len(ids) == 6031 and "g00003" not in ids and "g00007" not in ids
+
     def test_bad_input_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "ingest", "--input", "/nope.csv",
                              "--output", "/tmp/out.csv")
@@ -728,7 +762,7 @@ def test_malformed_numeric_arguments_are_config_errors(capsys, argv):
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_special():
-    # scipy.special is imported where ndtr is used: ingest and Black-Scholes
+    # numpy is the one runtime dependency: no subcommand imports scipy (below)
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, hedgetest, hedgetest.cli; "
@@ -740,23 +774,79 @@ def test_import_loads_neither_scipy_stats_nor_scipy_special():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ("simulate", "--config", str(CONFIGS / "table1_option.cfg")),
-    ("shift", "--config", str(CONFIGS / "table2_option10.cfg")),
-    ("hedge-solve", "--floor", "0.25", "--horizon", "20"),
-])
-def test_lattice_hedges_never_load_scipy_special(tmp_path, argv):
-    # the lattice strike solve weighs its measure with the standard library
+def write_seeded_matrix(path):
+    """40 genes, 20 normal then 20 tumor raw columns; about a fifth of the
+    genes have their tumor mean shifted up, built as the CI workflow builds its
+    seeded matrix."""
+    rng = np.random.default_rng(7)
+    shifted = 0.8 * (rng.random((40, 1)) < 0.2) * (np.arange(40) >= 20)
+    values = np.exp(rng.normal(6.0, 0.5, (40, 40)) + shifted)
+    path.write_text(",".join(["gene"] + ["normal"] * 20 + ["tumor"] * 20) + "\n" + "".join(
+        f"g{g}," + ",".join(f"{v:.6g}" for v in row) + "\n" for g, row in enumerate(values)))
+
+
+# `{matrix}` is a seeded raw matrix, `{out}` a path prefix of the run
+INGEST = ("ingest", "--input", "{matrix}", "--output", "{out}.csv")
+MATRIX_SCREEN = ("screen", "--matrix", "{matrix}", "--hedge", "--out", "{out}")
+BLACK_SCHOLES = ("price", "--contract", "put,S=0.5,tau=50", "--method", "black-scholes",
+                 "--sigma", "1", "--time", "50")
+
+
+def run_fresh(tmp_path, argv, name, block_scipy=False):
+    """Run `hedgetest argv` in a new interpreter, which prints the
+    scipy.special modules it loaded as its last stdout line; with
+    block_scipy, `import scipy` fails there.  Returns the process."""
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys; from hedgetest.cli import main; code = main(sys.argv[1:]); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.special'))); "
+    matrix = tmp_path / "matrix.csv"
+    if not matrix.exists():
+        write_seeded_matrix(matrix)
+    argv = [a.format(matrix=matrix, out=tmp_path / name) for a in argv]
+    code = ("import sys\n"
+            "if sys.argv[1] == 'block': sys.modules['scipy'] = None\n"
+            "from hedgetest.cli import main\n"
+            "code = main(sys.argv[2:])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
             "sys.exit(code)")
-    out = ("--out", str(tmp_path / "run")) if argv[0] != "hedge-solve" else ()
-    proc = subprocess.run([sys.executable, "-c", code, *argv, *out], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "block" if block_scipy else "load", *argv],
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", str(CONFIGS / "table1_option.cfg"), "--out", "{out}"),
+    ("shift", "--config", str(CONFIGS / "table2_option10.cfg"), "--out", "{out}"),
+    ("hedge-solve", "--floor", "0.25", "--horizon", "20"),
+    INGEST,
+    MATRIX_SCREEN,
+    ("screen", "--synthetic", "shifted", "--genes", "200", "--hedge", "--out", "{out}"),
+    ("price", "--model", "u=1.5,d=0.5", "--contract", "call,S=1.25,tau=3",
+     "--method", "lattice"),
+    ("price", "--model", "u=1.5,d=0.5", "--contract", "put,S=0.25,tau=3",
+     "--method", "mc", "--n", "1000"),
+    BLACK_SCHOLES,
+])
+def test_lattice_hedges_never_load_scipy_special(tmp_path, argv):
+    # every subcommand: the lattice strike solve weighs its measure with the
+    # standard library, and normal_cdf is numpy
+    proc = run_fresh(tmp_path, argv, "run")
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [INGEST, MATRIX_SCREEN, BLACK_SCHOLES],
+                         ids=["ingest", "screen --matrix --hedge", "price black-scholes"])
+def test_runs_without_scipy_write_the_same_bytes(tmp_path, argv):
+    loaded = run_fresh(tmp_path, argv, "loaded")
+    blocked = run_fresh(tmp_path, argv, "blocked", block_scipy=True)
+    assert blocked.stdout == loaded.stdout
+    files = sorted(p.name for p in tmp_path.glob("loaded*"))
+    assert files == sorted(p.name.replace("blocked", "loaded")
+                           for p in tmp_path.glob("blocked*"))
+    for name in files:
+        assert ((tmp_path / name.replace("loaded", "blocked")).read_bytes()
+                == (tmp_path / name).read_bytes()), name
 
 
 def test_python_m_runs_the_cli():

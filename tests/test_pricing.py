@@ -12,8 +12,9 @@ from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                PriceEstimate, PricingMethod, StrikeSolveError,
                                binomial_weights, black_scholes_call,
                                black_scholes_put, lattice_node_values,
-                               lattice_price, mc_price, put_floor_strikes,
-                               risk_neutral_up_prob, solve_hedge_strike)
+                               lattice_price, mc_price, normal_cdf,
+                               put_floor_strikes, risk_neutral_up_prob,
+                               solve_hedge_strike)
 from hedgetest.rng import stream
 from hedgetest.wealth import HypothesisSpec, terminal_wealth
 
@@ -236,6 +237,70 @@ class TestMcPrice:
         oracle_se = payoff.std(ddof=1) / math.sqrt(oracle_n)
         combined = math.hypot(est.std_error, oracle_se)
         assert abs(est.value - oracle) <= 3 * combined
+
+
+def ulp_sweep(a, ulps):
+    """Every double within `ulps` steps of a != 0, with its sign."""
+    steps = np.abs(np.float64(a)).view(np.int64) + np.arange(-ulps, ulps + 1)
+    return math.copysign(1.0, a) * steps.view(np.float64)
+
+
+class TestNormalCdf:
+    """normal_cdf is Cephes ndtr, so scipy.special.ndtr's doubles bit for bit."""
+
+    @staticmethod
+    def assert_ndtr_bits(a):
+        from scipy.special import ndtr
+        # an overflow, 0/0 or inf/inf on the way raises; underflow is ndtr's own
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = normal_cdf(a)
+        expected = np.asarray(ndtr(a))
+        assert got.shape == expected.shape and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_the_loader_sized_normals(self):
+        self.assert_ndtr_bits(stream(307).standard_normal((6033, 102)))
+
+    @pytest.mark.parametrize("edge", [
+        pytest.param(1.0, id="|x|=sqrt(1/2)"),
+        pytest.param(math.sqrt(2.0), id="|x|=1"),
+        pytest.param(8.0 * math.sqrt(2.0), id="|x|=8"),
+        pytest.param(math.sqrt(2.0 * pricing._MAXLOG), id="-x*x=-MAXLOG")])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_dense_sweeps_across_each_branch_edge(self, edge, sign):
+        # x = a / sqrt(2): the 4001 doubles nearest the edge, then 1e-6 either side
+        a = sign * edge
+        self.assert_ndtr_bits(np.concatenate(
+            [ulp_sweep(a, 2000), np.linspace(a * (1 - 1e-6), a * (1 + 1e-6), 40001)]))
+
+    def test_a_dense_sweep_of_every_branch(self):
+        self.assert_ndtr_bits(np.linspace(-40.0, 40.0, 800_001))
+
+    def test_signed_zeros_subnormals_huge_and_non_finite_values(self):
+        self.assert_ndtr_bits(np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                                        np.inf, -np.inf, np.nan]))
+
+    @pytest.mark.parametrize("a", [np.float64(-1.7), 2.5, np.empty(0), np.empty((0, 3)),
+                                   [[-3.0, 0.2], [0.9, 40.0]]])
+    def test_keeps_the_shape_of_0d_empty_and_2d_input(self, a):
+        self.assert_ndtr_bits(a)
+
+    def test_writes_into_out_which_may_be_the_input(self):
+        a = stream(309).standard_normal((300, 250)) * 4.0
+        expected = normal_cdf(a)
+        assert normal_cdf(a, out=a) is a
+        assert a.tobytes() == expected.tobytes()
+        for bad in (np.empty((250, 300)), np.empty((300, 500))[:, ::2],
+                    np.empty((300, 250), np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous float array"):
+                normal_cdf(expected, out=bad)
+
+    def test_complex_exp_of_a_real_argument_is_the_libm_exp(self):
+        # the tail's exp(-x*x) is read off numpy's complex exp, whose real
+        # part at (t, 0) is libm's exp(t) times cos 0 = 1: math.exp's double
+        t = -np.linspace(1.0, 745.0, 200_001)
+        libm = np.array([math.exp(v) for v in t.tolist()])
+        assert np.exp(t.astype(complex)).real.tobytes() == libm.tobytes()
 
 
 class TestBlackScholes:
