@@ -20,6 +20,6 @@ from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
 from .strategies import (StrategyKind, StrategySpec, build_strategy,
                          conservative_lambda, dynamic_lambda, kelly_lambda)
 from .wealth import (Family, HypothesisSpec, evolve, hedged_cs, terminal_wealth,
-                     update_wealth, ville_crossing)
+                     ville_crossing)
 
 __version__ = "0.1.0"

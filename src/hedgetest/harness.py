@@ -137,6 +137,7 @@ class ExperimentConfig:
             raise ConfigError("simulated experiments use Bernoulli outcomes")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        self.truth.step_probabilities(self.horizon)    # change point within the horizon
         if self.replications < 1:
             raise ConfigError(f"need at least one replication, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:

@@ -12,7 +12,7 @@ evolve is the one engine: it steps m such processes side by side under a
 vectorized strategy lam(wealth, t), and the two-sided hedged_cs is built on
 it.  A single path is a batch of one.  Under a constant fraction the final
 wealth needs no steps: terminal_wealth is the product over time of the
-clamped bet factors, with the same bits as the last step of evolve.
+same bet factors evolve multiplies by, with the same bits as its last step.
 ville_crossing is the one decision rule: it follows a batch of wealth
 paths step by step and records where each first reaches 1/alpha.
 
@@ -36,10 +36,6 @@ LOG_NORMAL_NULL_MEAN = math.exp(0.5)
 #: A betting strategy: lam(wealth, t) maps the wealths K_t of m paths after
 #: t outcomes to the fraction bet on outcome t + 1 (one, or one per path).
 Strategy = Callable[[np.ndarray, int], "float | np.ndarray"]
-
-# Relative slack for clamping tiny negative wealth caused by rounding at an
-# admissibility boundary (e.g. lambda = 2 and y = 0).
-_NEG_TOL = 1e-12
 
 
 class InadmissibleBetError(ValueError):
@@ -143,39 +139,15 @@ class HypothesisSpec:
         return lambda rng, size: np.exp(rng.standard_normal(size))
 
 
-def update_wealth(k_prev, lam, y, null_mean: float,
-                  lambda_bounds: tuple[float, float] = (-2.0, 2.0)):
-    """One multiplicative wealth update k_prev * (1 + lam*(y - null_mean)).
-
-    Array-aware: wealths, fractions and outcomes broadcast elementwise, and
-    an all-scalar update returns a float.  lambda_bounds is the admissible
-    betting range for the outcome family (defaults to the Bernoulli/bounded
-    range [-2, 2]); a fraction outside it could produce negative wealth and
-    is rejected up front.  A result below 0 by rounding clamps to 0, and a
-    wealth that overflowed to inf and meets a factor of 0 is ruined: its
-    inf * 0 = NaN is 0.
-    """
-    if not _lowest(k_prev) >= 0.0:
-        raise ValueError(f"wealth must be nonnegative, got {_lowest(k_prev)}")
-    _check_bet(lam, lambda_bounds)
-    factor = _bet_factor(lam, y, null_mean)
-    result = k_prev * factor
-    if not _lowest(result) >= 0.0:          # below 0, or NaN
-        if (np.any(np.isnan(factor))
-                or np.any(result < -_NEG_TOL * np.maximum(k_prev, 1.0))):
-            raise OutcomeError(
-                f"a bet drove wealth to {_lowest(result)}; "
-                "an outcome lies outside the declared family support")
-        result = np.nan_to_num(np.maximum(result, 0.0), nan=0.0, posinf=np.inf)
-    return result if isinstance(result, np.ndarray) else float(result)
-
-
 def _bet_factor(lam, y, null_mean: float):
-    """1 + lam*(y - null_mean), what a bet of lam on outcome y multiplies
-    wealth by, built in one new C-contiguous buffer (y is left as it is)."""
+    """max(1 + lam*(y - null_mean), 0), what a bet of lam on outcome y
+    multiplies wealth by, in one new C-contiguous buffer (y is left as it
+    is).  An admissible bet on a supported outcome falls below 0 only by
+    rounding, and then it ruins the path at exactly 0."""
     factor = np.subtract(y, null_mean, order="C")
     factor *= lam
     factor += 1.0
+    np.maximum(factor, 0.0, out=factor)
     return factor
 
 
@@ -188,10 +160,6 @@ def _check_bet(lam, lambda_bounds: tuple[float, float]) -> None:
         raise InadmissibleBetError(
             f"betting fraction {lam_lo if lam_lo < lo else lam_hi} "
             f"outside admissible range [{lo}, {hi}]")
-
-
-def _lowest(x):
-    return x.min() if isinstance(x, np.ndarray) else x
 
 
 def _paths(outcomes, hyp: HypothesisSpec) -> np.ndarray:
@@ -209,14 +177,18 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
     outcomes has shape (m, T): row i is path i.  The strategy is called as
     strategy(K, t) with the wealths K (shape (m,)) after t outcomes, t
     counted from t0, and returns the fraction bet on the next outcome, one
-    for all rows or one per row, so it can never peek ahead.  Every step is
-    one update_wealth over the batch.  A ruined row (wealth exactly 0) bets
-    0 and stays at 0; once every row is ruined the strategy is no longer
-    consulted.  Only the current wealths are kept.
+    for all rows or one per row, so it can never peek ahead.  Every step
+    checks the fractions against hyp.lambda_bounds() and multiplies the
+    batch by its bet factors; a wealth that overflowed to inf and meets a
+    factor of 0 is ruined (inf * 0 = NaN is 0).  A ruined row (wealth
+    exactly 0) bets 0 and stays at 0; once every row is ruined the strategy
+    is no longer consulted.  Only the current wealths are kept.
     """
     ys = _paths(outcomes, hyp)
     bounds = hyp.lambda_bounds()
     k = np.full(ys.shape[0], start, dtype=float)
+    if not np.all(k >= 0.0):                 # below 0, or NaN
+        raise ValueError(f"wealth must be nonnegative, got {k.min()}")
     for t, y in enumerate(ys.T):
         if k.all():
             lam = strategy(k, t0 + t)
@@ -224,27 +196,27 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
             lam = np.where(k > 0.0, strategy(k, t0 + t), 0.0)
         else:
             lam = 0.0
-        k = update_wealth(k, lam, y, hyp.null_mean, bounds)
+        _check_bet(lam, bounds)
+        k = k * _bet_factor(lam, y, hyp.null_mean)
+        if np.isnan(k.min(initial=0.0)):     # 0 unless inf met a factor of 0
+            k[np.isnan(k)] = 0.0
         yield k, lam
 
 
 def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
     """Final wealth K_T of each row of outcomes[m, T] under the constant fraction lam.
 
-    The product over time of the bet factors, each clamped at 0.  The
-    factors are built time-major, one contiguous (T, m) table, and reduced
-    over axis 0: numpy multiplies the rows of the table into K one step at
-    a time, each path left to right, so K_T has the same bits as the last
-    step of evolve(lambda k, t: lam, ...), whose update clamps the product
-    in place of the factor; a factor of 0 ruins the path either way, also
-    after the product overflowed to inf (inf * 0 = NaN is 0).  lam is
-    checked against hyp.lambda_bounds() even when T = 0, where every K_T
-    is 1.
+    The product over time of the bet factors evolve multiplies by.  They
+    are built time-major, one contiguous (T, m) table, and reduced over
+    axis 0: numpy multiplies the rows of the table into K one step at a
+    time, each path left to right, so K_T has the same bits as the last
+    step of evolve(lambda k, t: lam, ...), a path that overflowed to inf
+    and meets a factor of 0 included (inf * 0 = NaN is 0).  lam is checked
+    against hyp.lambda_bounds() even when T = 0, where every K_T is 1.
     """
     ys = _paths(outcomes, hyp)
     _check_bet(lam, hyp.lambda_bounds())
     factors = _bet_factor(lam, ys.T, hyp.null_mean)
-    np.maximum(factors, 0.0, out=factors)
     final = np.prod(factors, axis=0)
     final[np.isnan(final)] = 0.0
     return final

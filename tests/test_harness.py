@@ -3,6 +3,7 @@ machine-readable output."""
 
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,11 @@ from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
                                synthetic_screening_input, synthetic_uniform_matrix,
                                tail_metrics, to_json)
 from hedgetest.ingest import LAMBDA_GRID
-from hedgetest.pricing import MC_BLOCK, Contract, mc_price
+from hedgetest.portfolio import Portfolio, buy_contract, move_to_risky, step
+from hedgetest.pricing import MC_BLOCK, Contract, LatticeModel, mc_price
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import HypothesisSpec
+from hedgetest.wealth import HypothesisSpec, ville_crossing
 
 from oracles import (exact_rejection, first_crossing_by_hand, hedged_cs_by_hand,
                      two_sided_terminal_one_shot, wealth_by_hand)
@@ -83,6 +85,14 @@ class TestConfigValidation:
     def test_hedge_expiry_within_horizon(self):
         with pytest.raises(ConfigError):
             config(hedge=HedgeSpec(expiry=25))
+
+    def test_change_point_beyond_the_horizon_is_refused_when_built(self):
+        raw = dict(truth_p=0.5, truth_p_post=0.75, horizon=20, replications=10)
+        with pytest.raises(ConfigError, match="change point 25 beyond horizon 20"):
+            config_from_dict(dict(raw, change_at=25))
+        with pytest.raises(ConfigError, match="change point 21 beyond horizon 20"):
+            config(truth=TruthSpec(0.5, 0.75, 21))
+        assert config_from_dict(dict(raw, change_at=20)).truth.change_at == 20
 
     def test_hedge_needs_constant_fraction(self):
         dyn = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25)
@@ -602,6 +612,84 @@ class TestExactPower:
         crossing = exact_config_rejection(cfg, TruthSpec(cfg.hypothesis.null_param))
         assert crossing == pytest.approx(0.02113724, abs=5e-9)
         assert crossing <= cfg.alpha
+
+    # the hedged and dynamic configs, exactly: every one of the 2**20 outcome
+    # rows through the harness's own episode, weighted by each truth and by
+    # the null.  Configs that differ only in their truth share one
+    # enumeration: (exact truth power of each, W_0, null crossings out of
+    # 2**20, and whether the final wealth is floored at the ruin level
+    # exactly (the put expires at the horizon) or only from below)
+    ENUMERATED = [
+        ({"table1_option": 0.5059434, "table2_option20": 0.090465449},
+         0.9638868538145963, 17_956, "exactly"),
+        ({"table2_option10": 0.093912624}, 0.9912113788221997, 19_876, None),
+        ({"table1_dynamic": 0.21531616, "table2_dynamic": 0.068324539},
+         1.0, 2_717, "from below"),
+    ]
+
+    @staticmethod
+    def all_outcome_rows(horizon, block=1 << 16):
+        for first in range(0, 2 ** horizon, block):
+            codes = np.arange(first, min(first + block, 2 ** horizon))
+            yield ((codes[:, None] >> np.arange(horizon)) & 1).astype(float)
+
+    @pytest.mark.parametrize("exact,w0,null_crossings,floored", ENUMERATED)
+    def test_every_outcome_row_of_the_hedged_and_dynamic_configs(
+            self, exact, w0, null_crossings, floored):
+        cfgs = [load_config(CONFIGS / f"{name}.cfg") for name in exact]
+        cfg = cfgs[0]
+        assert all(replace(other, truth=cfg.truth) == cfg for other in cfgs)
+        assert cfg.hypothesis.null_param == 0.5      # every row has null mass 2**-20
+        plan = _hedge_plan(cfg) if cfg.hedge is not None else None
+        start = 1.0 if plan is None else (1.0 - plan.premium) * (1.0 + plan.marks[0][0])
+        assert start == w0
+        crossings, null_sum, lowest = 0, 0.0, math.inf
+        power = np.zeros(len(cfgs))
+        for y in self.all_outcome_rows(cfg.horizon):
+            final, _, crossing = ville_crossing(np.full(len(y), start),
+                                                _episode_wealth(cfg, y, plan), cfg.alpha)
+            rejected = crossing >= 0
+            crossings += int(rejected.sum())
+            null_sum += final.sum()
+            lowest = min(lowest, final.min())
+            for i, other in enumerate(cfgs):
+                ps = other.truth.step_probabilities(cfg.horizon)
+                power[i] += np.prod(np.where(y == 1.0, ps, 1.0 - ps), axis=1)[rejected].sum()
+        rows = 2 ** cfg.horizon
+        assert crossings == null_crossings
+        assert crossings / rows <= cfg.alpha * start            # Ville's bound
+        assert null_sum / rows == pytest.approx(start, rel=0.0, abs=1e-12)
+        if floored == "exactly":
+            assert lowest == pytest.approx(cfg.ruin_level, rel=0.0, abs=1e-12)
+        elif floored == "from below":
+            assert lowest >= cfg.ruin_level - 1e-12
+        for other, p, pinned in zip(cfgs, power, exact.values()):
+            assert p == pytest.approx(pinned, rel=0.0, abs=1e-8)
+            se = math.sqrt(p * (1.0 - p) / other.replications)
+            assert abs(run_experiment(other).report.power - p) <= 4.0 * se
+
+
+class TestHedgeIsAPortfolio:
+    # the put hedge is a portfolio: the stake 1 - C moved into the risky
+    # wealth process and spent on as many puts, the cash C**2 left idle.
+    # table2_option10 is left out: its put expires before the horizon, and
+    # then the harness reinvests the payoff while the portfolio holds it
+    @pytest.mark.parametrize("name", ["table1_option", "table2_option20"])
+    def test_harness_wealth_is_the_portfolio_less_its_idle_cash(self, name):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        plan = _hedge_plan(cfg)
+        stake = 1.0 - plan.premium
+        model = LatticeModel.for_bernoulli_bet(cfg.strategy.constant_lambda(cfg.hypothesis),
+                                               cfg.hypothesis.null_param)
+        held = move_to_risky(Portfolio.initial(model.up_factor, model.down_factor), stake)
+        held = buy_contract(held, Contract.put(plan.strike, plan.expiry), stake)
+        assert held.risk_free == pytest.approx(plan.premium ** 2, rel=1e-12)
+        y = harness._chunk_outcomes(cfg, 0, 200)
+        walks = [held] * len(y)
+        for t, w in enumerate(_episode_wealth(cfg, y, plan)):
+            walks = [step(walk, outcome) for walk, outcome in zip(walks, y[:, t])]
+            totals = np.array([walk.total_value for walk in walks])
+            assert totals == pytest.approx(w + held.risk_free, rel=1e-12, abs=0.0)
 
 
 class TestStreamKeys:

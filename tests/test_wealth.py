@@ -10,8 +10,7 @@ from hedgetest import wealth
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (Family, HypothesisSpec, InadmissibleBetError,
-                              OutcomeError, evolve, hedged_cs, terminal_wealth,
-                              update_wealth)
+                              OutcomeError, evolve, hedged_cs, terminal_wealth)
 
 from oracles import crossing_times, path_values, wealth_by_hand
 
@@ -19,61 +18,46 @@ BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = build_strategy(StrategySpec(StrategyKind.KELLY), BERNOULLI, 20)
 
 
-class TestUpdateWealth:
+def one_step(lam, y, start=1.0, hyp=BERNOULLI):
+    """The wealths after one evolve step betting lam on the outcomes y, one per row."""
+    (k, _), = evolve(lambda k, t: lam, np.reshape(y, (-1, 1)), hyp, start=start)
+    return k.tolist()
+
+
+class TestStepRule:
+    """The step K_t = K_{t-1} * (1 + lam*(y_t - null_mean)) of evolve."""
+
     def test_kelly_win_multiplies_by_three_halves(self):
-        assert update_wealth(1.0, 1.0, 1.0, 0.5) == 1.5
+        assert one_step(1.0, [1.0]) == [1.5]
 
     def test_kelly_loss_multiplies_by_one_half(self):
-        assert update_wealth(1.0, 1.0, 0.0, 0.5) == 0.5
+        assert one_step(1.0, [0.0]) == [0.5]
 
     @pytest.mark.parametrize("k", [1.0, 0.25, 7.5])
     @pytest.mark.parametrize("y,m", [(0.0, 0.5), (1.0, 0.5), (0.3, 0.7)])
     def test_zero_bet_leaves_wealth_unchanged(self, k, y, m):
-        assert update_wealth(k, 0.0, y, m) == k
+        assert one_step(0.0, [y], k, HypothesisSpec.bounded(m)) == [k]
 
     def test_rejects_inadmissible_fraction(self):
+        for lam in (2.5, -2.5, np.array([1.0, 2.5, 0.0])):
+            with pytest.raises(InadmissibleBetError):
+                one_step(lam, [1.0, 1.0, 1.0])
+        hyp = HypothesisSpec.log_normal()
         with pytest.raises(InadmissibleBetError):
-            update_wealth(1.0, 2.5, 1.0, 0.5)
-        with pytest.raises(InadmissibleBetError):
-            update_wealth(1.0, -2.5, 1.0, 0.5)
-        lo, hi = HypothesisSpec.log_normal().lambda_bounds()
-        with pytest.raises(InadmissibleBetError):
-            update_wealth(1.0, hi * 1.01, 1.0, math.exp(0.5), (lo, hi))
-
-    def test_rejects_negative_wealth(self):
-        with pytest.raises(ValueError):
-            update_wealth(-0.1, 0.0, 1.0, 0.5)
-
-    def test_nan_wealth_or_outcome_is_rejected(self):
-        # only inf * 0 may turn into a ruined 0, never a NaN that came in
-        with pytest.raises(ValueError, match="nonnegative"):
-            update_wealth(np.array([1.0, math.nan]), 1.0, 1.0, 0.5)
-        with pytest.raises(OutcomeError):
-            update_wealth(0.0, 1.0, math.nan, 0.5)
+            one_step(hyp.lambda_bounds()[1] * 1.01, [1.0], hyp=hyp)
 
     def test_boundary_bet_hits_exact_zero(self):
-        assert update_wealth(1.0, 2.0, 0.0, 0.5) == 0.0
+        steps = list(evolve(lambda k, t: 2.0, [[0.0, 1.0, 1.0]], BERNOULLI))
+        assert [k.tolist() for k, _ in steps] == [[0.0], [0.0], [0.0]]
+        assert [lam for _, lam in steps] == [2.0, 0.0, 0.0]
+        assert one_step(-2.0, [1.0], hyp=HypothesisSpec.bounded()) == [0.0]
 
-    def test_out_of_support_outcome_detected(self):
+    @pytest.mark.parametrize("y", [[-0.5], [math.nan], [0.5, -0.5, 0.5]])
+    def test_out_of_support_outcome_detected(self, y):
         with pytest.raises(OutcomeError):
-            update_wealth(1.0, 2.0, -0.5, 0.5)
-
-    def test_array_update_is_the_scalar_update_elementwise(self):
-        k = np.array([1.0, 0.25, 7.5, 0.0])
-        lam = np.array([1.0, -0.7, 2.0, 2.0])
-        y = np.array([0.0, 1.0, 0.0, 1.0])
-        out = update_wealth(k, lam, y, 0.5)
-        assert isinstance(update_wealth(1.0, 1.0, 1.0, 0.5), float)
-        assert out.tolist() == [update_wealth(*args, 0.5) for args in zip(k, lam, y)]
-
-    def test_array_checks_every_element(self):
-        ones = np.ones(3)
-        with pytest.raises(InadmissibleBetError):
-            update_wealth(ones, np.array([1.0, 2.5, 0.0]), ones, 0.5)
-        with pytest.raises(ValueError):
-            update_wealth(np.array([1.0, -0.1, 1.0]), 0.0, ones, 0.5)
+            one_step(2.0, y, hyp=HypothesisSpec.bounded())
         with pytest.raises(OutcomeError):
-            update_wealth(ones, 2.0, np.array([0.5, -0.5, 0.5]), 0.5)
+            one_step(1.0, y, start=0.0)
 
 
 class TestHypothesisSpec:
@@ -255,8 +239,11 @@ class TestEvolve:
             list(evolve(KELLY, np.array([[1.0, 0.5]]), BERNOULLI))
 
     def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            list(evolve(lambda k, t: 1.0, np.array([[1.0, 0.0]]), BERNOULLI, start=-0.1))
+        # only inf * 0 may turn into a ruined 0, never a NaN that came in
+        for start in (-0.1, math.nan, np.array([1.0, -0.1, 1.0]),
+                      np.array([1.0, math.nan, 1.0])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                list(evolve(lambda k, t: 1.0, np.ones((3, 2)), BERNOULLI, start=start))
 
     def test_one_fraction_per_path_checked(self):
         ys = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -418,7 +405,8 @@ class TestIncrementCLT:
 
 def test_per_path_api_stays_deleted():
     # one decision rule (ville_crossing) and one path representation (a batch)
+    # and one wealth step, evolve's
     deleted = ("WealthPath", "CashFlow", "TestDecision", "run_process", "run_hedged_cs",
-               "cash_flow", "ville_decide", "decide_from_values")
+               "cash_flow", "ville_decide", "decide_from_values", "update_wealth")
     for module in (hedgetest, wealth):
         assert [name for name in deleted if hasattr(module, name)] == []
