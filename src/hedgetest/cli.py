@@ -235,15 +235,17 @@ def _cmd_screen(args) -> int:
         raise ConfigError("pass exactly one of --matrix or --synthetic")
     if args.expiry is not None and not args.hedge:
         raise ConfigError("--expiry is the hedge's expiry; it needs --hedge")
+    check_seed(args.seed)
     gene_ids, sequences, lambdas = _screen_input(args)
     hedge = HedgeSpec(expiry=args.expiry or 0) if args.hedge else None
     result = run_screening(sequences, lambdas, alpha=args.alpha,
-                           ruin_level=args.ruin, hedge=hedge, seed=args.seed)
+                           ruin_level=args.ruin, hedge=hedge)
     settings = _screen_settings(args, hedge, len(gene_ids), sequences.shape[1])
     report = {"config": settings,
-              "strike_table": [{"lambda": lam, "strike": strike, "premium": premium}
-                               for lam, (strike, premium) in result.strike_table.items()],
-              "fallback_genes": result.fallback_genes,
+              "strike_table": [{"lambda": lam, "strike": strike, "premium": premium,
+                                "stake": stake}
+                               for lam, (strike, premium, stake)
+                               in result.strike_table.items()],
               "report": dataclasses.asdict(result.report)}
     if args.out is None:
         sys.stdout.write(to_json(report) + "\n")
@@ -334,7 +336,9 @@ def _add_screen(sub) -> None:
     p.add_argument("--tumor-label", default="tumor", dest="tumor_label")
     p.add_argument("--no-log", action="store_true", dest="no_log",
                    help="matrix is already on a log scale")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the --synthetic matrix; a --matrix screen, hedged "
+                        "or not, draws nothing and does not depend on it")
     p.add_argument("--out", help="prefix for .csv and .json artifacts")
     p.set_defaults(fn=_cmd_screen)
 

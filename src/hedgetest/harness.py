@@ -25,25 +25,21 @@ through one `%` call; either way the text is `f"{x:.17g}"`.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ingest import LAMBDA_GRID, estimate_lambdas
-from .pricing import (MC_BLOCK, Contract, LatticeModel, StrikeSolveError,
-                      lattice_node_values, put_floor_strikes,
-                      solve_hedge_strike)
+from .pricing import (Contract, LatticeModel, binomial_weights, full_budget_strike,
+                      lattice_node_values, solve_hedge_strike)
 from .rng import DEFAULT_SEED, MAX_SEED, stream
 from .strategies import StrategyKind, StrategySpec, build_strategy
 from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
 
 _OUTCOME_TAG = 3     # per-replication outcome rows; 0 would be mc_price's stream
 _MATRIX_TAG = 1      # synthetic matrix generation
-_PRICE_TAG = 2       # Monte Carlo pricing draws for screening hedges
-_PRICE_TABLE_ROWS = 16   # fractions priced per draw of the screening null table
-_NULL_BLOCK = 1 << 16    # doubles per null-table buffer: three of them fit in L2
+# tag 2 is retired (the screen's former Monte Carlo null draws): no new stream reuses it
 
 #: Tail quantile for the risk metrics (k_0.01 in the reports).
 TAIL_Q = 0.01
@@ -322,180 +318,74 @@ class ScreeningResult:
     rejected: np.ndarray
     crossing_time: np.ndarray
     report: RiskReport
-    effective_lambdas: np.ndarray
-    strike_table: dict               # lambda -> (strike, premium); empty unhedged
-    fallback_genes: int              # genes whose fraction fell back to a smaller one
+    lambdas: np.ndarray
+    strike_table: dict               # lambda -> (strike, premium, stake); empty unhedged
 
     @property
     def proportion_rejected(self) -> float:
         return self.report.power
 
 
-def _null_terminal_rows(rng: np.random.Generator, lams: list[float], out: np.ndarray,
-                        dev_buf: np.ndarray, up_buf: np.ndarray,
-                        down_buf: np.ndarray) -> None:
-    """Fill out[i] with the next out.shape[1] null K_tau draws at fraction lams[i].
+def two_point_terminals(lam: float, tau: int, cap: float) -> np.ndarray:
+    """K_tau of the two-sided process at fraction lam on outcomes in {0, 1},
+    by up-count j = 0..tau: 0.5*(u**j * v**(tau-j) + u**(tau-j) * v**j), with
+    u = 1 + lam/2 and v = 1 - lam/2.
 
-    The rows go in consecutive blocks of the buffers' width, and every
-    fraction prices the same block of rng's uniforms.  A block is drawn
-    row-major, as one (n, tau) table would be, and its dev = u - 1/2 is
-    stored transposed once, so each product runs across a contiguous row
-    of the buffer per step instead of along one long dependency chain per
-    sample.
+    Each leg is the exp of its log, held at 2*cap, so no power overflows at
+    any tau; a value whose leg was held is still at least cap.
     """
-    tau, width = dev_buf.shape
-    n = out.shape[1]
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        block = stop - start
-        draws = up_buf.reshape(-1)[:block * tau].reshape(block, tau)   # row-major
-        rng.random(out=draws)
-        dev, up, down = dev_buf[:, :block], up_buf[:, :block], down_buf[:, :block]
-        np.subtract(draws.T, 0.5, out=dev)      # the draws are spent: up_buf is free
-        for lam, row in zip(lams, out):
-            np.multiply(dev, lam, out=up)
-            np.subtract(1.0, up, out=down)
-            up += 1.0
-            row[start:stop] = 0.5 * np.prod(up, axis=0) + 0.5 * np.prod(down, axis=0)
+    j = np.arange(tau + 1)
+    log_leg = j * math.log1p(lam / 2.0)
+    if lam < 2.0:
+        log_leg += (tau - j) * math.log1p(-lam / 2.0)
+    else:                               # v = 0: only the all-up leg is not 0
+        log_leg[:-1] = -np.inf
+    legs = np.exp(np.minimum(log_leg, math.log(2.0 * cap)))
+    return 0.5 * (legs + legs[::-1])
 
 
-def _null_terminal_table(lams: list[float], tau: int, seed: int,
-                         out: np.ndarray) -> np.ndarray:
-    """Fill out, shape (len(lams), n), with n null draws of the two-sided
-    terminal wealth K_tau per fraction, and return it.
+def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int) -> dict:
+    """(strike, premium, stake) of the full-budget put at each fraction in use.
 
-    Row i is K_tau = 0.5*prod(1 + lam*dev) + 0.5*prod(1 - lam*dev) at
-    lam = lams[i], dev = u - 1/2, with one (n, tau) table of uniforms from
-    the stream (seed, _PRICE_TAG, tau) shared by every fraction (common
-    random numbers): each row is n i.i.d. null samples, and only the
-    dependence between fractions is shared.  Only K_tau is needed, so the
-    legs are closed-form products rather than steps of hedged_cs.  The rows
-    [0, n) are cut into one contiguous range per CPU the process may use (at
-    most n; a single range runs inline), and range [a, b) is drawn on its
-    own thread from the stream jumped ahead by a * tau draws, so every
-    sample gets the same uniforms whatever the CPU count.  The draws, and
-    the left-to-right order of every product, are those of the one-table
-    formula, so the samples are the same bits.
-
-    Memory is the caller's table plus, per range, three (tau, width)
-    buffers, width = min(_NULL_BLOCK // tau, ceil(MC_BLOCK / ranges))
-    samples, at least 1 and at most the range's length.  A buffer holds at
-    most _NULL_BLOCK doubles, so a range's working set stays in one core's
-    L2 cache, and the ranges together hold fewer than MC_BLOCK + ranges
-    samples, so the buffers stay within about one (tau, MC_BLOCK) triple
-    however many CPUs there are.  The block width sets only how the rows
-    are cut, never a bit of a sample.  The calling thread allocates the
-    buffers, and a thread allocates only its per-block (block,)
-    temporaries.  Large arrays freed on worker threads would stay in glibc's
-    per-thread arenas and raise the peak RSS, which is also why the strike
-    solve stays on the calling thread.
+    The screen's null is every law of mean 1/2 on [0, 1], and the premium
+    is the expiry-tau put's price under the dearest of them.  K_tau is
+    affine in each outcome, so (S - K_tau)^+ is convex in each, and on
+    [0, 1] a convex g has g(y) <= (1 - y)*g(0) + y*g(1): an outcome of mean
+    1/2 prices the put at most as Bernoulli(1/2) does.  By backward
+    induction (an average of convex functions stays convex) the put is
+    dearest when every outcome is Bernoulli(1/2), where K_tau depends only
+    on the up-count (two_point_terminals) under binomial_weights(tau, 1/2),
+    computed once for all fractions.  The strike solves S/(1 + C) = floor
+    (full_budget_strike), and the stake is 1/(1 + C): the unit buys stake
+    units of the process and stake puts.  The root is at most
+    floor/(1 - floor), so the atoms are held at that bound.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    n = out.shape[1]
-    ranges = max(1, min(cpus, n))
-    bounds = [n * i // ranges for i in range(ranges + 1)]
-    width = max(1, min(_NULL_BLOCK // tau, -(-MC_BLOCK // ranges), -(-n // ranges)))
-    jobs = [(stream(seed, _PRICE_TAG, tau, skip=a * tau), lams, out[:, a:b],
-             np.empty((tau, width)), np.empty((tau, width)), np.empty((tau, width)))
-            for a, b in zip(bounds, bounds[1:])]
-    if len(jobs) == 1:
-        _null_terminal_rows(*jobs[0])
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(len(jobs)) as pool:
-        for future in [pool.submit(_null_terminal_rows, *job) for job in jobs]:
-            future.result()
-    return out
-
-
-def null_terminal_minimum(lam: float, tau: int) -> float:
-    """Lowest terminal value of the two-sided process over every path in
-    [0, 1]^tau at fraction lam: (1 - lam**2/4)**(tau // 2).
-
-    K_tau is affine in each outcome, so its minimum sits on a path of 0s and
-    1s; with j ones it is 0.5*(u**j * v**(tau-j) + u**(tau-j) * v**j), with
-    u = 1 + lam/2 and v = 1 - lam/2, whose product is 1 - lam**2/4 and whose
-    sum is 2, and that is smallest at j = tau // 2."""
-    return (1.0 - lam * lam / 4.0) ** (tau // 2)
-
-
-def _floor_unbreachable(lam: float, tau: int, floor: float) -> bool:
-    """Whether no null sample of K_tau at fraction lam can end below floor,
-    even as computed in floating point: the bound, shrunk by a relative
-    rounding margin of 4*(tau+1)*eps/(1 - lam/2), still exceeds the floor.
-    A sample's tau factors (each at least 1 - lam/2) and tau - 1 products
-    each round once, and so do the bound's base and power: together they
-    are off by under 2*(tau+1)*eps/(1 - lam/2), half the margin."""
-    if lam >= 2.0:
-        return False
-    margin = 4.0 * (tau + 1) * math.ulp(1.0) / (1.0 - lam / 2.0)
-    return null_terminal_minimum(lam, tau) * (1.0 - margin) > floor
-
-
-def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int, seed: int,
-                      price_samples: int) -> tuple[np.ndarray, dict]:
-    """Per-gene (effective lambda, strike, premium) for the floor equation.
-
-    Premiums are Monte Carlo prices of the expiry-tau put on the gene's own
-    two-sided process under the null, the candidate fractions priced in
-    ascending chunks of at most _PRICE_TABLE_ROWS on one reused table of
-    _null_terminal_table, so its memory is bounded however many distinct
-    fractions there are.  A fraction too aggressive for the floor to be
-    attainable falls back to the next smaller candidate whose equation has
-    a root.  Where no sample can lie below the floor, put_floor_strikes
-    would return the floor itself at premium 0, so (floor, 0.0) is recorded
-    without solving: a fraction whose null_terminal_minimum clears the floor
-    gets no table row, and a sampled row whose minimum clears it is not
-    solved.
-    """
-    candidates = sorted(set(lambdas.tolist()) | set(LAMBDA_GRID))
-    free = (float(floor), 0.0)     # strike and premium where no sample breaches the floor
-    solved = {lam: free for lam in candidates if _floor_unbreachable(lam, tau, floor)}
-    priced = [lam for lam in candidates if lam not in solved]
-    table = np.empty((min(len(priced), _PRICE_TABLE_ROWS), price_samples))
-    weights = np.full(price_samples, 1.0 / price_samples)
-    for first in range(0, len(priced), _PRICE_TABLE_ROWS):
-        chunk = priced[first:first + _PRICE_TABLE_ROWS]
-        _null_terminal_table(chunk, tau, seed, table[:len(chunk)])
-        for lam, samples in zip(chunk, table):
-            if samples.min() >= floor:
-                solved[lam] = free
-                continue
-            roots = put_floor_strikes(samples, weights, floor)
-            if roots:
-                solved[lam] = (roots[0], float(np.maximum(roots[0] - samples, 0.0).mean()))
-    fallback, last = {}, None
-    for lam in candidates:
-        last = lam if lam in solved else last
-        fallback[lam] = last        # largest solvable candidate <= lam
-    effective = [fallback[lam] for lam in lambdas.tolist()]
-    if None in effective:
-        raise StrikeSolveError(f"floor {floor} unattainable for any candidate fraction "
-                               f"<= {lambdas[effective.index(None)]}")
-    return np.array(effective), {lam: solved[lam] for lam in sorted(set(effective))}
+    weights = binomial_weights(tau, 0.5)
+    table = {}
+    for lam in sorted(set(lambdas.tolist())):
+        atoms = two_point_terminals(lam, tau, floor / (1.0 - floor))
+        strike = full_budget_strike(atoms, weights, floor)
+        premium = float(weights @ np.maximum(strike - atoms, 0.0))
+        table[lam] = (strike, premium, 1.0 / (1.0 + premium))
+    return table
 
 
 def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
                   alpha: float = 0.05, ruin_level: float = 0.5,
-                  hedge: HedgeSpec | None = None, seed: int = DEFAULT_SEED,
-                  price_samples: int = 100_000) -> ScreeningResult:
+                  hedge: HedgeSpec | None = None) -> ScreeningResult:
     """One two-sided betting episode per gene.
 
     Each gene's process starts with 0.5 on each side of the null mean.  With
-    a hedge, a put on the gene's unit process is bought at t = 0 (premium C,
-    strike solving (1-C)*S = ruin_level at the gene's fraction), the stake
-    1-C rides the process, and at expiry an in-the-money put is exercised:
-    the position is liquidated at the strike and held as cash, which pins
-    the worst case at the floor.  Out-of-the-money genes keep betting their
-    stake.  A hedge expiring before the last sample only guarantees the
-    floor at its own expiry.  The strike is always solved, one per
-    fraction, so an explicit hedge strike is a ConfigError.  Every
-    candidate fraction is priced on the same price_samples null paths, on
-    a table of min(candidate fractions, _PRICE_TABLE_ROWS) * price_samples
-    doubles that lives while the strikes are solved.
+    a hedge, the unit buys stake s = 1/(1 + C) units of the gene's process
+    and s puts of premium C at strike S, solving S/(1 + C) = ruin_level at
+    the gene's fraction (_screening_hedges).  The put is carried at 0 before
+    expiry, so the episode starts at s; at expiry an in-the-money put is
+    exercised: the position is liquidated at the strike and held as cash
+    s*S = ruin_level, which pins the worst case at the floor.
+    Out-of-the-money genes keep betting their stake.  A hedge expiring
+    before the last sample only guarantees the floor at its own expiry.
+    The strike is always solved, one per fraction, so an explicit hedge
+    strike is a ConfigError.  Nothing is drawn at random.
     """
     sequences = np.asarray(sequences, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
@@ -511,34 +401,29 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
                           f"{m} genes and {horizon} samples")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    check_seed(seed)
     if hedge is not None:
         if hedge.strike is not None:
             raise ConfigError("screening solves one strike per gene; "
                               "an explicit hedge strike is not supported")
-        if price_samples < 2:
-            raise ConfigError(f"hedge pricing needs at least 2 price samples, "
-                              f"got {price_samples}")
         tau, floor = hedge.resolve(horizon, ruin_level)
     if not ruin_level < 1.0 < 1.0 / alpha:
         raise ConfigError("need ruin_level < 1 < 1/alpha")
     if hedge is None:
-        lam_eff, table, stake, tau = lambdas, {}, 1.0, horizon + 1   # never exercised
+        table, stake, tau = {}, 1.0, horizon + 1   # never exercised
     else:
-        lam_eff, table = _screening_hedges(lambdas, floor, tau, seed, price_samples)
-        strike = np.array([table[l][0] for l in lam_eff])
-        stake = 1.0 - np.array([table[l][1] for l in lam_eff])
+        table = _screening_hedges(lambdas, floor, tau)
+        rows = np.array([table[lam] for lam in lambdas.tolist()])
+        strike, stake = rows[:, 0], rows[:, 2]
 
     def wealth():
-        for t, k_hat in enumerate(hedged_cs(sequences, lam_eff), 1):
+        for t, k_hat in enumerate(hedged_cs(sequences, lambdas), 1):
             if t == tau:
                 exercised, cash = k_hat < strike, stake * strike
             yield stake * k_hat if t < tau else np.where(exercised, cash, stake * k_hat)
 
     final, maxw, crossing = ville_crossing(np.full(m, stake), wealth(), alpha)
     report = _summarize(ruin_level, final, maxw, crossing)
-    return ScreeningResult(final, maxw, crossing >= 0, crossing, report,
-                           lam_eff, table, int(np.count_nonzero(lam_eff < lambdas)))
+    return ScreeningResult(final, maxw, crossing >= 0, crossing, report, lambdas, table)
 
 
 def synthetic_uniform_matrix(n_genes: int, n_samples: int, seed: int,
@@ -916,7 +801,7 @@ def result_csv(result: ExperimentResult) -> str:
 def screening_csv(result: ScreeningResult, gene_ids, comments: dict) -> str:
     """Per-gene CSV of a screen, after `# key = value` lines for `comments`."""
     return _episode_csv(comments, "gene,lambda", result, text_cells(gene_ids),
-                        [result.effective_lambdas])
+                        [result.lambdas])
 
 
 def result_json(result: ExperimentResult) -> str:

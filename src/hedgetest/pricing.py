@@ -361,6 +361,28 @@ def black_scholes_put(spot: float, strike: float, sigma: float,
     return max(strike - spot + black_scholes_call(spot, strike, sigma, time_to_expiry), 0.0)
 
 
+def _interval_sums(atoms, weights):
+    """(x, mass, moment): the atoms in ascending order, and for each k the
+    weight and the weighted atom sum of the k smallest atoms.
+
+    Interval k is (x[k-1], x[k]], with x[-1] = 0 and x[n] = inf: exactly the
+    k smallest atoms lie below it, so on it C(S) = mass[k]*S - moment[k].
+    Tie rule: equal atoms are summed in increasing order of weight, so the
+    sums depend on the measure alone and not on the order of the pairs.
+    """
+    x, w = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+    if x.shape != w.shape or not np.all((x >= 0.0) & (x < np.inf)
+                                        & (w >= 0.0) & (w < np.inf)):
+        raise ValueError("need one finite nonnegative weight per finite nonnegative atom")
+    order = np.argsort(x)
+    ascending = x[order]
+    if np.any(ascending[1:] == ascending[:-1]):
+        order = np.lexsort((w, x))
+    x, w = x[order], w[order]
+    return (x, np.concatenate(([0.0], np.cumsum(w))),
+            np.concatenate(([0.0], np.cumsum(w * x))))
+
+
 def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
     """All strikes S > 0 with (1 - C(S)) * S = floor, in increasing order.
 
@@ -369,34 +391,15 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
     Between consecutive sorted atoms the residual is the quadratic
     -W*S**2 + (1 + M)*S - floor, W and M the sums of the weights and of
     weights*atoms below S, so every root has a closed form.  Empty when the
-    floor is unattainable at any strike.
-
-    Tie rule: equal atoms are summed in increasing order of weight, so the
-    roots depend on the measure alone and not on the order of the pairs.
-    When every weight is equal, as for the n samples of a Monte Carlo
-    measure, the atoms are sorted alone: no order of the pairs can differ,
-    so the rule is unchanged and the argsort and its gathers are skipped.
+    floor is unattainable at any strike.  The roots depend on the measure
+    alone (see _interval_sums).
     """
     if not 0.0 < floor < 1.0:
         raise ValueError(f"floor {floor} must lie in (0, 1)")
-    x, w = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
-    if x.shape != w.shape or not np.all((x >= 0.0) & (x < np.inf)
-                                        & (w >= 0.0) & (w < np.inf)):
-        raise ValueError("need one finite nonnegative weight per finite nonnegative atom")
-    if w.size and (w == w[0]).all():
-        x = np.sort(x)
-    else:
-        order = np.argsort(x)
-        ascending = x[order]
-        if np.any(ascending[1:] == ascending[:-1]):
-            order = np.lexsort((w, x))
-            ascending = x[order]
-        x, w = ascending, w[order]
-    # interval k is (lo[k], hi[k]] with the k smallest atoms below it
+    x, mass, moment = _interval_sums(atoms, weights)
     lo = np.concatenate(([0.0], x))
     hi = np.concatenate((x, [np.inf]))
-    mass = np.concatenate(([0.0], np.cumsum(w)))
-    b = 1.0 + np.concatenate(([0.0], np.cumsum(w * x)))
+    b = 1.0 + moment
     disc = b * b - 4.0 * mass * floor
     real = disc >= 0.0
     q = b + np.sqrt(np.where(real, disc, 0.0))
@@ -406,6 +409,29 @@ def put_floor_strikes(atoms, weights, floor: float) -> list[float]:
     keep_small = real & (lo < small) & (small <= hi)
     keep_large = (disc > 0.0) & (mass > 0.0) & (lo < large) & (large <= hi)
     return sorted(small[keep_small].tolist() + large[keep_large].tolist())
+
+
+def full_budget_strike(atoms, weights, floor: float) -> float:
+    """The one strike S with S / (1 + C(S)) = floor, C as in put_floor_strikes.
+
+    The full budget buys s = 1/(1 + C) units of the process and s puts, so
+    the unit wealth is spent and the worst case is s*S.  The residual
+    r(S) = S - floor*(1 + C(S)) is -floor at 0 and has slope 1 - floor*W >=
+    1 - floor > 0 while the weights sum to at most 1, so every floor in
+    (0, 1) has exactly one root, and it is at most floor/(1 - floor).  On the
+    interval below the first atom where r >= 0, r is linear with root
+    S = floor*(1 - M)/(1 - floor*W).  The interval is chosen by r's sign at
+    the atoms, not by where that formula lands, so rounding at an atom can
+    never lose the root.
+    """
+    if not 0.0 < floor < 1.0:
+        raise ValueError(f"floor {floor} must lie in (0, 1)")
+    x, mass, moment = _interval_sums(atoms, weights)
+    if mass[-1] > 1.0 + 1e-12:
+        raise ValueError(f"weights sum to {mass[-1]!r}, more than 1")
+    above = x - floor * (1.0 + mass[:-1] * x - moment[:-1]) >= 0.0     # r at each atom
+    k = int(np.argmax(np.append(above, True)))
+    return float(floor * (1.0 - moment[k]) / (1.0 - floor * mass[k]))
 
 
 def binomial_weights(n: int, q: float) -> np.ndarray:

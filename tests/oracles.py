@@ -280,14 +280,6 @@ def worst_case_by_paths(portfolio):
     return worst
 
 
-def two_sided_terminal_one_shot(rng, lam, tau, n):
-    """n draws of 0.5*prod(1 + lam*dev) + 0.5*prod(1 - lam*dev) from one
-    (n, tau) table of rng's uniforms, dev = u - 1/2, in a single expression."""
-    dev = rng.random((n, tau)) - 0.5
-    return 0.5 * np.prod(1.0 + lam * dev, axis=1) \
-        + 0.5 * np.prod(1.0 - lam * dev, axis=1)
-
-
 def plug_in_lambda(pair, grid):
     """Grid point nearest 4 * |mean(pair) - 1/2|, the first one on a tie."""
     a, b = pair
@@ -318,7 +310,7 @@ def screening_csv_by_row(result, gene_ids, comments):
     """Per-gene CSV of a ScreeningResult, one f-string per row."""
     lines = [f"# {k} = {v}" for k, v in comments.items()]
     lines.append("gene,lambda,final_wealth,max_wealth,rejected,crossing_time")
-    columns = zip(gene_ids, result.effective_lambdas.tolist(),
+    columns = zip(gene_ids, result.lambdas.tolist(),
                   result.final_wealth.tolist(), result.max_wealth.tolist(),
                   result.rejected.tolist(), result.crossing_time.tolist())
     lines.extend(f"{csv_field(gid)},{lam:.17g},{final:.17g},{maxw:.17g},{int(rejected)},"

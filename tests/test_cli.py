@@ -1,7 +1,6 @@
 """CLI tests: the executable is a thin adapter over the library."""
 
 import csv
-import itertools
 import json
 import os
 import re
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hedgetest import cli, harness
+from hedgetest import cli
 from hedgetest.cli import build_parser, main
 from hedgetest.harness import load_config, result_csv, result_json, run_experiment
 from hedgetest.pricing import Contract, LatticeModel, lattice_price, solve_hedge_strike
@@ -532,15 +531,31 @@ class TestScreen:
         payload = json.loads(out)
         assert payload["strike_table"]
         for row in payload["strike_table"]:
-            assert set(row) == {"lambda", "strike", "premium"}
-            assert abs((1.0 - row["premium"]) * row["strike"] - 0.5) <= 1e-9
-        assert 0 <= payload["fallback_genes"] <= 200
+            assert set(row) == {"lambda", "strike", "premium", "stake"}
+            assert abs(row["strike"] / (1.0 + row["premium"]) - 0.5) <= 1e-12
+            assert abs(row["stake"] * row["strike"] - 0.5) <= 1e-12
+        assert "fallback_genes" not in payload
 
     def test_unhedged_json_has_empty_strike_table(self, capsys):
         _, out, _ = run_cli(capsys, "screen", "--synthetic", "null",
                             "--genes", "50", "--samples", "30")
         payload = json.loads(out)
-        assert payload["strike_table"] == [] and payload["fallback_genes"] == 0
+        assert payload["strike_table"] == [] and "fallback_genes" not in payload
+
+    def test_hedged_matrix_screen_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        path = tmp_path / "matrix.csv"
+        write_seeded_matrix(path)
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            code, _, _ = run_cli(capsys, "screen", "--matrix", str(path), "--hedge",
+                                 "--seed", seed, "--out", str(out))
+            assert code == 0
+            payload = json.loads((tmp_path / f"seed{seed}.json").read_text())
+            assert payload["config"]["seed"] == int(seed)
+            written.append((payload["strike_table"], payload["report"],
+                            read_csv_rows(tmp_path / f"seed{seed}.csv")))
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("ruin", ["-0.5", "0", "1"])
     def test_hedge_floor_outside_unit_interval_is_config_error(self, capsys, ruin):
@@ -574,34 +589,6 @@ class TestScreen:
                     (tmp_path / "screen.csv").read_text().splitlines()
                     if l.startswith("# ")]
         assert comments == [[k, str(v)] for k, v in settings.items()]
-
-    def test_hedged_output_is_the_same_bytes_on_any_cpu_count(self, tmp_path, capsys,
-                                                              monkeypatch):
-        written = []
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            out = tmp_path / f"cpus{cpus}"
-            code, _, _ = run_cli(capsys, "screen", "--synthetic", "shifted", "--hedge",
-                                 "--genes", "300", "--samples", "40", "--out", str(out))
-            assert code == 0
-            written.append([(tmp_path / f"cpus{cpus}.{ext}").read_bytes()
-                            for ext in ("csv", "json")])
-        assert written[1:] == written[:1] * 3
-
-    def test_failure_on_a_sampling_thread_reaches_the_caller(self, capsys, monkeypatch):
-        calls, fill = itertools.count(), harness._null_terminal_rows
-
-        def fail_every_second_range(*args):
-            if next(calls) % 2:
-                raise RuntimeError("sampling thread failed")
-            fill(*args)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(harness, "_null_terminal_rows", fail_every_second_range)
-        with pytest.raises(RuntimeError, match="sampling thread failed"):
-            run_cli(capsys, "screen", "--synthetic", "shifted", "--hedge",
-                    "--genes", "300", "--samples", "40")
 
     def test_matrix_and_synthetic_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "screen", "--synthetic", "null",
@@ -950,7 +937,9 @@ def test_a_failed_allocation_is_one_solver_error_line(capsys, argv):
       "--seed", "-1"), None),
     (("screen", "--synthetic", "null", "--genes", "10", "--samples", "5",
       "--seed", "-1", "--hedge"), None),
-], ids=["price-mc", "simulate-option", "simulate-config", "screen", "screen-hedge"])
+    (("screen", "--matrix", "absent.csv", "--seed", "-1", "--hedge"), None),
+], ids=["price-mc", "simulate-option", "simulate-config", "screen", "screen-hedge",
+        "screen-matrix"])
 def test_negative_seed_is_one_config_error_line(tmp_path, capsys, argv, config_seed):
     if config_seed is not None:
         text = (CONFIGS / "table1_kelly.cfg").read_text()

@@ -2,7 +2,7 @@
 machine-readable output."""
 
 import math
-import os
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,23 +10,22 @@ import numpy as np
 import pytest
 
 from hedgetest import harness, pricing
-from hedgetest.harness import (_PRICE_TAG, ConfigError, ExperimentConfig,
-                               HedgeSpec, TruthSpec, _episode_wealth,
-                               _hedge_plan, _null_terminal_table,
-                               config_dict, config_from_dict, load_config,
+from hedgetest.harness import (ConfigError, ExperimentConfig, HedgeSpec,
+                               TruthSpec, _episode_wealth, _hedge_plan,
+                               _screening_hedges, config_dict, config_from_dict, load_config,
                                parse_config_text, result_csv, result_json,
                                run_experiment, run_screening,
                                synthetic_screening_input, synthetic_uniform_matrix,
-                               tail_metrics, to_json)
+                               tail_metrics, to_json, two_point_terminals)
 from hedgetest.ingest import LAMBDA_GRID
 from hedgetest.portfolio import Portfolio, buy_contract, move_to_risky, step
-from hedgetest.pricing import MC_BLOCK, Contract, LatticeModel, mc_price
+from hedgetest.pricing import Contract, LatticeModel, mc_price
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import HypothesisSpec, ville_crossing
+from hedgetest.wealth import HypothesisSpec, hedged_cs, ville_crossing
 
 from oracles import (exact_rejection, first_crossing_by_hand, hedged_cs_by_hand,
-                     two_sided_terminal_one_shot, wealth_by_hand)
+                     wealth_by_hand)
 
 HYP = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = StrategySpec(StrategyKind.KELLY)
@@ -323,50 +322,52 @@ class TestScreening:
         sequences, lambdas, _ = synthetic_screening_input(
             800, 102, seed=404, shifted_fraction=0.3, shifted_mean=0.65)
         result = run_screening(sequences, lambdas, alpha=0.05, ruin_level=0.5,
-                               hedge=HedgeSpec(expiry=0), price_samples=20_000)
-        assert result.final_wealth.min() >= 0.5 - 1e-4
+                               hedge=HedgeSpec(expiry=0))
+        assert result.final_wealth.min() >= 0.5 - 1e-12
 
     def test_hedged_floor_is_exact(self):
         sequences, lambdas, _ = synthetic_screening_input(
             800, 102, seed=404, shifted_fraction=0.3, shifted_mean=0.65)
         result = run_screening(sequences, lambdas, alpha=0.05, ruin_level=0.5,
-                               hedge=HedgeSpec(expiry=0), price_samples=20_000)
-        assert 0.5 - result.final_wealth.min() <= 1e-9
-        assert np.isclose(result.final_wealth, 0.5, rtol=0.0, atol=1e-9).any()
-        for strike, premium in result.strike_table.values():
-            assert abs((1.0 - premium) * strike - 0.5) <= 1e-9
+                               hedge=HedgeSpec(expiry=0))
+        assert 0.5 - result.final_wealth.min() <= 1e-12
+        assert np.isclose(result.final_wealth, 0.5, rtol=0.0, atol=1e-12).any()
+        for strike, premium, stake in result.strike_table.values():
+            assert abs(strike / (1.0 + premium) - 0.5) <= 1e-12
+            assert stake == 1.0 / (1.0 + premium)
+            assert abs(stake * strike - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("ruin_level", [-0.5, 0.0, 1.0])
     def test_hedged_floor_in_unit_interval(self, ruin_level):
         sequences = stream(408).random((5, 20))
         with pytest.raises(ConfigError):
             run_screening(sequences, np.full(5, 0.5), ruin_level=ruin_level,
-                          hedge=HedgeSpec(expiry=0), price_samples=1_000)
+                          hedge=HedgeSpec(expiry=0))
 
     def test_explicit_hedge_strike_is_config_error(self):
         # each gene's strike is solved at its own fraction; one strike cannot serve all
         with pytest.raises(ConfigError, match="explicit hedge strike"):
             run_screening(stream(411).random((5, 20)), np.full(5, 0.5), ruin_level=0.5,
-                          hedge=HedgeSpec(strike=0.9),
-                          price_samples=1_000)
+                          hedge=HedgeSpec(strike=0.9))
 
     def test_hedged_early_expiry_floors_at_expiry_only(self):
         sequences, lambdas, _ = synthetic_screening_input(400, 102, seed=405)
         tau = 50
         result = run_screening(sequences, lambdas, alpha=0.05, ruin_level=0.5,
-                               hedge=HedgeSpec(expiry=tau), price_samples=20_000)
+                               hedge=HedgeSpec(expiry=tau))
         # exercised genes sit frozen at the floor; others can drift below it
-        frozen = np.isclose(result.final_wealth, 0.5, atol=1e-4)
-        assert frozen.any() or result.final_wealth.min() >= 0.5 - 1e-4
+        frozen = np.isclose(result.final_wealth, 0.5, rtol=0.0, atol=1e-12)
+        assert frozen.any() or result.final_wealth.min() >= 0.5 - 1e-12
 
-    def test_aggressive_fraction_falls_back(self):
+    def test_every_fraction_gets_its_own_strike(self):
+        # the paper budget has no root here (tau 100, floor 0.5, lambda 1); the
+        # full budget solves every floor in (0, 1), so no gene changes fraction
         sequences = stream(406).random((10, 100))
-        lambdas = np.full(10, 1.0)   # floor 0.5 is unattainable at this fraction
+        lambdas = np.linspace(0.0, 2.0, 10)
         result = run_screening(sequences, lambdas, ruin_level=0.5,
-                               hedge=HedgeSpec(expiry=0), price_samples=20_000)
-        assert np.all(result.effective_lambdas < 1.0)
-        assert result.fallback_genes == 10
-        assert set(result.strike_table) == set(result.effective_lambdas.tolist())
+                               hedge=HedgeSpec(expiry=0))
+        assert result.lambdas.tolist() == lambdas.tolist()
+        assert list(result.strike_table) == lambdas.tolist()
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -382,181 +383,76 @@ class TestScreening:
         with pytest.raises(ConfigError):
             run_screening(stream(409).random((3, 10)), np.full(3, 0.5), **kwargs)
 
-    @pytest.mark.parametrize("price_samples", [0, 1])
-    def test_fewer_than_two_price_samples_is_config_error(self, price_samples):
-        with pytest.raises(ConfigError, match="at least 2 price samples"):
-            run_screening(stream(411).random((3, 10)), np.full(3, 0.5),
-                          hedge=HedgeSpec(), price_samples=price_samples)
-
-    @pytest.mark.parametrize("hedge", [None, HedgeSpec()])
-    def test_negative_seed_is_config_error(self, hedge):
-        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
-            run_screening(stream(412).random((3, 10)), np.full(3, 0.5),
-                          hedge=hedge, seed=-1)
-
     @pytest.mark.parametrize("shape", [(0, 10), (3, 0)])
     def test_empty_screen_is_config_error(self, shape):
         with pytest.raises(ConfigError):
             run_screening(np.zeros(shape), np.full(shape[0], 0.5))
 
 
-class TestNullTerminalTable:
-    @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0])
-    @pytest.mark.parametrize("tau", [1, 100])
-    @pytest.mark.parametrize("n", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 100_000])
-    def test_blocks_are_the_one_shot_table_bit_for_bit(self, lam, tau, n):
-        seed, lams = 271828, [0.1, 1.0, 2.0]
-        table = _null_terminal_table(lams, tau, seed, np.empty((len(lams), n)))
-        expected = two_sided_terminal_one_shot(stream(seed, _PRICE_TAG, tau), lam, tau, n)
-        assert table[lams.index(lam)].tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    @pytest.mark.parametrize("tau", [1, 100])
-    @pytest.mark.parametrize("n", [1, 2, 3, MC_BLOCK - 1, MC_BLOCK + 1, 100_000])
-    def test_any_cpu_count_is_the_one_shot_table_bit_for_bit(self, monkeypatch,
-                                                              cpus, tau, n):
-        seed, lams = 271828, [0.3, 0.7, 1.5]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        table = _null_terminal_table(lams, tau, seed, np.empty((len(lams), n)))
-        for lam, row in zip(lams, table):
-            expected = two_sided_terminal_one_shot(stream(seed, _PRICE_TAG, tau), lam, tau, n)
-            assert row.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("block", [1, 7, harness._NULL_BLOCK])
-    @pytest.mark.parametrize("cpus", [1, 3])
-    @pytest.mark.parametrize("tau", [1, 100])
-    @pytest.mark.parametrize("n", [2, 2_000])
-    def test_any_block_size_is_the_one_shot_table_bit_for_bit(self, monkeypatch,
-                                                               block, cpus, tau, n):
-        seed, lams = 271828, [0.3, 0.7, 1.5]
-        monkeypatch.setattr(harness, "_NULL_BLOCK", block)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        table = _null_terminal_table(lams, tau, seed, np.empty((len(lams), n)))
-        for lam, row in zip(lams, table):
-            expected = two_sided_terminal_one_shot(stream(seed, _PRICE_TAG, tau), lam, tau, n)
-            assert row.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8, 32, 64])
-    @pytest.mark.parametrize("tau", [1, 40, 100])
-    def test_buffers_stay_in_l2_and_within_one_block_triple(self, monkeypatch, cpus, tau):
-        shapes = []
-
-        def recorded(rng, lams, out, *buffers):
-            shapes.extend(buf.shape for buf in buffers)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        monkeypatch.setattr(harness, "_null_terminal_rows", recorded)
-        _null_terminal_table([0.5], tau, 271828, np.empty((1, 100_000)))
-        assert len(shapes) == 3 * cpus
-        assert all(rows == tau and rows * width <= harness._NULL_BLOCK
-                   for rows, width in shapes)
-        assert sum(rows * width for rows, width in shapes) < 3 * tau * (MC_BLOCK + cpus)
-        if cpus == 2 and tau == 100:
-            assert shapes[0] == (100, 655)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_a_hedged_screen_draws_one_stream_per_cpu_range(self, monkeypatch, cpus):
-        sequences, lambdas, _ = synthetic_screening_input(200, 42, seed=410)
-        opened = []
-
-        def counted(seed, *tags, skip=0):
-            opened.append(tags)
-            return stream(seed, *tags, skip=skip)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        monkeypatch.setattr(harness, "stream", counted)
-        result = run_screening(sequences, lambdas, hedge=HedgeSpec(), price_samples=5_000)
-        assert len(set(lambdas.tolist()) | set(LAMBDA_GRID)) == 10
-        assert opened == [(_PRICE_TAG, 40)] * cpus
-        assert result.strike_table
-
-    def test_many_fractions_share_a_bounded_table_and_price_as_alone(self, monkeypatch):
-        # 36 distinct fractions above the floor bound (0.369 at expiry 40 and
-        # floor 0.5), 40 with the grid's: three draws of the shared uniforms
-        # on one table of at most _PRICE_TABLE_ROWS rows, and every fraction
-        # gets the strike it gets when priced in a chunk of its own
-        sequences, _, _ = synthetic_screening_input(36, 42, seed=410)
-        lambdas = np.linspace(0.4, 0.75, 36)
-        tables, fill = [], harness._null_terminal_table
-
-        def recorded(lams, tau, seed, out):
-            tables.append((out.base if out.base is not None else out).shape)
-            return fill(lams, tau, seed, out)
-
-        monkeypatch.setattr(harness, "_null_terminal_table", recorded)
-        shared = run_screening(sequences, lambdas, hedge=HedgeSpec(), price_samples=2_000)
-        assert tables == [(harness._PRICE_TABLE_ROWS, 2_000)] * 3
-        monkeypatch.setattr(harness, "_PRICE_TABLE_ROWS", 1)
-        alone = run_screening(sequences, lambdas, hedge=HedgeSpec(), price_samples=2_000)
-        assert len(alone.strike_table) == 36
-        assert shared.strike_table == alone.strike_table
-        assert shared.report == alone.report
+def vertex_paths(tau):
+    """All 2**tau outcome rows of 0s and 1s: the two-point null, each row of
+    probability 2**-tau."""
+    return ((np.arange(2 ** tau)[:, None] >> np.arange(tau)) & 1).astype(float)
 
 
-class TestNullMinimumShortcut:
-    @pytest.mark.parametrize("lam", [0.1, 0.37, 1.0, 1.9, 2.0])
-    @pytest.mark.parametrize("tau", range(1, 13))
-    def test_the_bound_is_the_lowest_vertex_path(self, lam, tau):
-        # K_tau is affine in each outcome: its minimum over [0, 1]^tau is the
-        # least of the 2**tau paths of 0s and 1s, met with tau // 2 ones
-        paths = (np.arange(2 ** tau)[:, None] >> np.arange(tau)) & 1
-        dev = paths - 0.5
-        k = 0.5 * np.prod(1 + lam * dev, axis=1) + 0.5 * np.prod(1 - lam * dev, axis=1)
-        bound = harness.null_terminal_minimum(lam, tau)
-        assert k.min() == pytest.approx(bound, rel=1e-13, abs=1e-300)
-        assert np.all(k >= bound * (1 - 1e-13))
-        assert k[paths.sum(axis=1) == tau // 2].min() == pytest.approx(
-            k.min(), rel=1e-13, abs=1e-300)
-        inner = stream(tau, 7).random((500, tau)) - 0.5
-        k_inner = (0.5 * np.prod(1 + lam * inner, axis=1)
-                   + 0.5 * np.prod(1 - lam * inner, axis=1))
-        assert np.all(k_inner >= bound * (1 - 1e-13))
+def terminal_by_evolution(paths, lam):
+    """K_tau of each row, stepped through the program's hedged_cs."""
+    for k in hedged_cs(paths, lam):
+        pass
+    return k
 
-    @pytest.mark.parametrize("ruin,samples", [(0.5, 42), (0.25, 42), (0.5, 12)])
-    def test_skipped_fractions_get_the_strike_a_solve_gives(self, monkeypatch, ruin,
-                                                            samples):
-        sequences, _, _ = synthetic_screening_input(40, samples, seed=412)
-        lambdas = np.linspace(0.05, 1.0, 40)
-        tau, n = samples - 2, 3_000
-        tabled, solves, fill, solve = [], [], harness._null_terminal_table, \
-            harness.put_floor_strikes
 
-        def recorded_table(lams, *args):
-            tabled.extend(lams)
-            return fill(lams, *args)
+class TestTwoPointPrice:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 1.7, 2.0])
+    @pytest.mark.parametrize("tau", [1, 2, 5, 12, 16])
+    def test_screen_premium_is_the_mean_put_over_every_path(self, lam, tau):
+        paths = vertex_paths(tau)
+        terminal = terminal_by_evolution(paths, lam)
+        assert two_point_terminals(lam, tau, math.inf)[paths.sum(axis=1).astype(int)] \
+            == pytest.approx(terminal, rel=1e-13, abs=1e-300)
+        for floor in (0.1, 0.5, 0.9):
+            (strike, premium, stake), = _screening_hedges(np.array([lam]), floor,
+                                                          tau).values()
+            assert premium == pytest.approx(np.maximum(strike - terminal, 0.0).mean(),
+                                            rel=1e-12, abs=1e-15)
+            assert abs(strike / (1.0 + premium) - floor) <= 1e-12
 
-        def recorded_solve(atoms, weights, floor):
-            solves.append(atoms.min())
-            return solve(atoms, weights, floor)
+    @pytest.mark.parametrize("expiry", [0, 5])
+    def test_null_mean_final_wealth_is_one_under_the_two_point_null(self, expiry):
+        # every path once per fraction: the exact null law, so the mean of W_T
+        # is stake * (1 + C) = 1, and Ville's rule rejects at most alpha of it
+        tau, lams = 14, [0.2, 0.5, 1.0, 2.0]
+        paths = vertex_paths(tau)
+        result = run_screening(np.tile(paths, (len(lams), 1)),
+                               np.repeat(lams, len(paths)), alpha=0.05,
+                               ruin_level=0.5, hedge=HedgeSpec(expiry=expiry))
+        for i in range(len(lams)):
+            rows = slice(i * len(paths), (i + 1) * len(paths))
+            assert abs(result.final_wealth[rows].mean() - 1.0) <= 1e-12
+            assert result.rejected[rows].mean() <= 0.05
+        if expiry == 0:
+            assert result.final_wealth.min() >= 0.5 - 1e-12
 
-        monkeypatch.setattr(harness, "_null_terminal_table", recorded_table)
-        monkeypatch.setattr(harness, "put_floor_strikes", recorded_solve)
-        result = run_screening(sequences, lambdas, hedge=HedgeSpec(), ruin_level=ruin,
-                               price_samples=n, seed=5)
-        skipped = [lam for lam in lambdas.tolist()
-                   if harness._floor_unbreachable(lam, tau, ruin)]
-        assert skipped and not set(skipped) & set(tabled)
-        assert all(low < ruin for low in solves)
-        weights = np.full(n, 1.0 / n)
-        for lam, entry in result.strike_table.items():
-            row = fill([lam], tau, 5, np.empty((1, n)))[0]
-            strike = solve(row, weights, ruin)[0]
-            assert entry == (strike, float(np.maximum(strike - row, 0.0).mean()))
+    def test_null_mean_final_wealth_is_at_most_one_under_uniform(self):
+        sequences = stream(414).random((20_000, 40))
+        lambdas = np.array(LAMBDA_GRID)[np.arange(20_000) % len(LAMBDA_GRID)]
+        result = run_screening(sequences, lambdas, alpha=0.05, ruin_level=0.5,
+                               hedge=HedgeSpec())
+        final = result.final_wealth
+        assert final.mean() <= 1.0 + 4.0 * final.std(ddof=1) / math.sqrt(final.size)
+        assert result.proportion_rejected <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 20_000)
 
-    def test_a_screen_whose_every_fraction_clears_the_floor_draws_nothing(self,
-                                                                          monkeypatch):
-        opened = []
-        monkeypatch.setattr(harness, "stream", lambda *key, **kw: opened.append(key))
-        sequences = stream(413).random((30, 3))
-        result = run_screening(sequences, np.linspace(0.1, 1.0, 30), hedge=HedgeSpec(),
-                               ruin_level=0.5)
-        assert opened == []
-        assert set(result.strike_table.values()) == {(0.5, 0.0)}
-        assert np.all(result.final_wealth >= 0.5)
+    @pytest.mark.parametrize("lam,tau", [(1.0, 2000), (2.0, 1100)])
+    def test_long_screens_at_extreme_fractions_solve_without_overflow(self, lam, tau):
+        sequences = stream(415).random((40, tau))
+        sequences[:20] = np.round(sequences[:20])     # vertex paths reach the floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_screening(sequences, np.full(40, lam), ruin_level=0.5,
+                                   hedge=HedgeSpec())
+        (strike, premium, stake), = result.strike_table.values()
+        assert abs(strike / (1.0 + premium) - 0.5) <= 1e-12
+        assert result.final_wealth.min() >= 0.5
 
 
 class TestSyntheticMatrix:
@@ -715,12 +611,11 @@ class TestStreamKeys:
         mc_price(lambda rng, shape: rng.random(shape), lambda y: y[:, -1],
                  Contract.put(0.5, 3), 2, seed)
         synthetic_uniform_matrix(2, 3, seed)
-        _null_terminal_table([0.5], 3, seed, np.empty((1, 4)))
         harness._chunk_outcomes(config(seed=seed, replications=2), 0, 2)
         keys = list(dict.fromkeys(opened))
-        assert len(keys) == 4    # mc_price, matrix, null table, outcome rows
-        assert len({self.key(k) for k in keys}) == 4
-        assert len({stream(*k).random() for k in keys}) == 4
+        assert len(keys) == 3    # mc_price, matrix, outcome rows
+        assert len({self.key(k) for k in keys}) == 3
+        assert len({stream(*k).random() for k in keys}) == 3
 
     def test_a_seed_of_2_to_the_32_is_refused_for_it_aliases_a_tagged_stream(self):
         # a key is read as 32-bit words, so the seed 2**32 is the key (0, 1):
@@ -728,9 +623,7 @@ class TestStreamKeys:
         assert stream(2**32).random(3).tobytes() == stream(0, 1).random(3).tobytes()
         for seed in (2**32, 2**64 + 5):
             for build in (lambda: config(seed=seed),
-                          lambda: synthetic_uniform_matrix(2, 3, seed),
-                          lambda: run_screening(np.full((2, 3), 0.5), np.full(2, 0.5),
-                                                seed=seed)):
+                          lambda: synthetic_uniform_matrix(2, 3, seed)):
                 with pytest.raises(ConfigError, match="at most 2\\*\\*32 - 1"):
                     build()
         harness.check_seed(2**32 - 1)

@@ -11,10 +11,10 @@ from hedgetest import pricing
 from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                PriceEstimate, PricingMethod, StrikeSolveError,
                                binomial_weights, black_scholes_call,
-                               black_scholes_put, lattice_node_values,
-                               lattice_price, mc_price, normal_cdf,
-                               put_floor_strikes, risk_neutral_up_prob,
-                               solve_hedge_strike)
+                               black_scholes_put, full_budget_strike,
+                               lattice_node_values, lattice_price, mc_price,
+                               normal_cdf, put_floor_strikes,
+                               risk_neutral_up_prob, solve_hedge_strike)
 from hedgetest.rng import stream
 from hedgetest.wealth import HypothesisSpec, terminal_wealth
 
@@ -474,6 +474,41 @@ class TestPutFloorStrikes:
                                ([1.0, 2.0], [math.nan, 0.5]), ([1.0, 2.0], [math.inf, 0.5])]:
             with pytest.raises(ValueError):
                 put_floor_strikes(atoms, weights, 0.25)
+
+
+class TestFullBudgetStrike:
+    def test_closed_form_between_atoms(self):
+        # one atom 0.25 below the root: S - 0.5*(1 + S - 0.25) = 0 at S = 0.75
+        assert full_budget_strike([0.25], [1.0], 0.5) == 0.75
+        assert full_budget_strike([3.0], [1.0], 0.5) == 0.5      # C = 0 below the atom
+        assert full_budget_strike([0.0, 1.0], [0.5, 0.5], 0.25) == 0.25 / 0.875
+
+    def test_a_root_on_an_atom_is_kept(self):
+        # the residual is 0 at the atom itself; the interval is chosen by its sign
+        assert full_budget_strike([0.5, 2.0], [0.5, 0.5], 0.5) == 0.5
+
+    def test_every_floor_is_solvable_where_the_paper_budget_has_no_root(self):
+        assert put_floor_strikes([0.5, 1.5], [0.5, 0.5], 0.999) == []
+        strike = full_budget_strike([0.5, 1.5], [0.5, 0.5], 0.999)
+        premium = 0.5 * max(strike - 0.5, 0.0) + 0.5 * max(strike - 1.5, 0.0)
+        assert abs(strike / (1.0 + premium) - 0.999) <= 1e-12
+
+    def test_the_order_of_the_pairs_does_not_matter(self):
+        atoms, weights = stream(111).random(50) * 2.0, np.full(50, 0.02)
+        order = stream(112).permutation(50)
+        assert full_budget_strike(atoms[order], weights[order], 0.5) \
+            == full_budget_strike(atoms, weights, 0.5)
+
+    @pytest.mark.parametrize("floor", [-0.2, 0.0, 1.0, 1.5])
+    def test_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ValueError):
+            full_budget_strike([0.5, 1.5], [0.5, 0.5], floor)
+
+    @pytest.mark.parametrize("atoms,weights", [([0.5, 1.5], [1.0]), ([-0.5, 1.5], [0.5, 0.5]),
+                                               ([0.5, 1.5], [0.75, 0.75])])
+    def test_bad_measures_rejected(self, atoms, weights):
+        with pytest.raises(ValueError):
+            full_budget_strike(atoms, weights, 0.25)
 
 
 class TestPriceEstimate:

@@ -11,10 +11,10 @@ stable-sort oracle, and the lattice's binomial weights are its exact
 weights, each rounded once.  Any chunk of
 the simulated outcome table is the same bits as the slice of the whole, and
 as the float cast of its uniforms' comparison with each step's truth
-parameter, and so is a stream jumped ahead by k draws.  A null sample of
-the two-sided process at a fraction whose lowest terminal value clears the
-floor by the rounding margin, its lowest vertex paths included, never
-lies below the floor, and its strike solve gives the floor at premium 0.  The wealth engine run on a batch
+parameter, and so is a stream jumped ahead by k draws.  The full-budget
+strike, S/(1 + C(S)) = floor, is the one root a bisection finds, and the
+residual has no other sign change; no law of mean 1/2 on a few points of
+[0, 1] prices the screen's put above the two-point law.  The wealth engine run on a batch
 is, row for row, the same bits as each row run alone and the step-by-step
 recurrence of the oracle; under a constant fraction, terminal_wealth is the
 bits of evolve's last step; and the batch Ville rule finds each row's first
@@ -28,27 +28,29 @@ part-expired portfolio.  A config written out from its resolved view and
 read back resolves to the same view.
 """
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hedgetest.harness import (ExperimentConfig, TruthSpec, _chunk_outcomes,
-                               _floor_unbreachable, _null_terminal_rows,
-                               _null_terminal_table, config_dict, config_from_dict,
-                               load_config, null_terminal_minimum, parse_config_text)
+                               config_dict, config_from_dict, load_config,
+                               parse_config_text, two_point_terminals)
 from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
                                  Portfolio, _node_table, _worst_case_terminal,
                                  buy_contract, issue_contract, move_to_risky, step)
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
-                               binomial_weights, lattice_node_values,
-                               lattice_price, put_floor_strikes,
-                               solve_hedge_strike)
+                               binomial_weights, full_budget_strike,
+                               lattice_node_values, lattice_price,
+                               put_floor_strikes, solve_hedge_strike)
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import HypothesisSpec, evolve, terminal_wealth, ville_crossing
+from hedgetest.wealth import (HypothesisSpec, evolve, hedged_cs, terminal_wealth,
+                              ville_crossing)
 
 from oracles import (binomial_weight_price, binomial_weights_by_integers,
                      enumerate_paths_min, first_crossing_by_hand,
@@ -168,7 +170,7 @@ def test_floor_strikes_do_not_depend_on_the_order_of_the_pairs(case):
 
 @st.composite
 def equal_weight_samples(draw):
-    """The atoms of a Monte Carlo measure, each of weight 1/n, some tied."""
+    """The atoms of an empirical measure, each of weight 1/n, some tied."""
     n = draw(st.integers(1, 30))
     atom = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(0.0, 3.0)
     atoms = draw(st.lists(atom, min_size=n, max_size=n))
@@ -200,6 +202,89 @@ def test_tie_free_floor_strikes_are_the_stable_sort_reference(case):
 @example(60, 0.5)
 def test_binomial_weights_are_the_exact_weights_rounded_once(n, q):
     assert binomial_weights(n, q).tolist() == binomial_weights_by_integers(n, q)
+
+
+def full_budget_residual(atoms, weights, floor, s):
+    return s - floor * (1.0 + float(weights @ np.maximum(s - atoms, 0.0)))
+
+
+def bisect_full_budget(atoms, weights, floor):
+    """The least double at or above the root of S - floor*(1 + C(S)), by
+    bisection on [0, floor/(1 - floor)] with the residual's sign taken in
+    exact rationals of the inputs."""
+    pairs = [(Fraction(x), Fraction(w)) for x, w in zip(atoms.tolist(), weights.tolist())]
+    f = Fraction(floor)
+
+    def negative(s):
+        s = Fraction(s)
+        return s - f * (1 + sum(w * (s - x) for x, w in pairs if x < s)) < 0
+
+    lo, hi = 0.0, floor / (1.0 - floor) * 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if negative(mid) else (lo, mid)
+    return hi
+
+
+@st.composite
+def full_budget_measures(draw):
+    """A lattice's binomial measure, or a random discrete one, and a floor."""
+    floor = draw(st.floats(0.01, 0.99))
+    if draw(st.booleans()):
+        model, _, horizon = draw(lattices())
+        return (model.terminal_values(horizon),
+                binomial_weights(horizon, model.risk_neutral_prob), floor)
+    atoms, weights, _ = draw(measures())
+    return atoms, weights, floor
+
+
+@given(full_budget_measures())
+@example((np.array([0.5]), np.array([1.0]), 0.5))
+@example((np.array([0.0, 1.0, 1.0]), np.array([0.5, 0.25, 0.25]), 0.99))
+def test_full_budget_root_is_the_bisection_and_the_only_root(case):
+    atoms, weights, floor = case
+    root = full_budget_strike(atoms, weights, floor)
+    assert 0.0 < root <= floor / (1.0 - floor) * (1.0 + 1e-12)
+    assert root == pytest.approx(bisect_full_budget(atoms, weights, floor),
+                                 rel=1e-12, abs=1e-15)
+    premium = float(weights @ np.maximum(root - atoms, 0.0))
+    assert abs(root / (1.0 + premium) - floor) <= 1e-12
+    # the residual has slope >= 1 - floor: negative below the root, positive above
+    grid = np.linspace(0.0, 2.0 * floor / (1.0 - floor), 401)
+    values = np.array([full_budget_residual(atoms, weights, floor, s) for s in grid])
+    gap = 1e-9 * (1.0 + root)
+    assert np.all(values[grid < root - gap] < 0.0)
+    assert np.all(values[grid > root + gap] > 0.0)
+
+
+@st.composite
+def mean_half_laws(draw):
+    """A law of mean 1/2 on at most 4 points of [0, 1]: a mix of one or two
+    two-point laws, each on a <= 1/2 <= b with mass (1/2 - a)/(b - a) on b."""
+    points, probs = [], []
+    pairs = draw(st.integers(1, 2))
+    mix = draw(st.floats(0.05, 0.95)) if pairs == 2 else 1.0
+    for share in (mix, 1.0 - mix)[:pairs]:
+        a, b = draw(st.floats(0.0, 0.5)), draw(st.floats(0.5, 1.0))
+        up = 0.5 if a == b else (0.5 - a) / (b - a)
+        points += [a, b]
+        probs += [share * (1.0 - up), share * up]
+    return np.array(points), np.array(probs)
+
+
+@given(mean_half_laws(), st.floats(0.0, 2.0), st.integers(1, 5), st.floats(0.0, 3.0))
+@example((np.array([0.5, 0.5]), np.array([0.5, 0.5])), 1.0, 4, 1.0)
+@example((np.array([0.0, 1.0]), np.array([0.5, 0.5])), 2.0, 5, 0.5)
+def test_no_mean_half_law_prices_the_put_above_the_two_point_law(law, lam, tau, strike):
+    # every path of the law, exactly: its k**tau rows and their probabilities
+    points, probs = law
+    index = np.indices((points.size,) * tau).reshape(tau, -1).T
+    weight = np.prod(probs[index], axis=1)
+    for k in hedged_cs(points[index], lam):
+        pass
+    price = float(weight @ np.maximum(strike - k, 0.0))
+    atoms = two_point_terminals(lam, tau, math.inf)
+    dearest = float(binomial_weights(tau, 0.5) @ np.maximum(strike - atoms, 0.0))
+    assert price <= dearest + 1e-12
 
 
 @st.composite
@@ -247,52 +332,6 @@ def test_outcomes_are_the_float_comparison_of_the_uniforms(case):
     outcomes = _chunk_outcomes(cfg, a, b)
     assert outcomes.dtype == np.float64 and outcomes.shape == expected.shape
     assert outcomes.tobytes() == expected.tobytes()
-
-
-class _VertexRows:
-    """Stands in for a generator: fills each requested block with the next
-    rows of a fixed table of 'uniforms'."""
-
-    def __init__(self, rows):
-        self.rows, self.at = rows, 0
-
-    def random(self, out):
-        out[...] = self.rows[self.at:self.at + len(out)]
-        self.at += len(out)
-
-
-@st.composite
-def floors_near_the_null_bound(draw):
-    """(lam, tau, floor, seed) with the floor up to a relative 1e-12, or up
-    to a half, below null_terminal_minimum."""
-    lam = draw(st.floats(0.0, 1.99))
-    tau = draw(st.integers(1, 120))
-    below = draw(st.floats(0.0, 1e-12) | st.floats(0.0, 0.5))
-    floor = null_terminal_minimum(lam, tau) * (1.0 - below)
-    assume(0.0 < floor < 1.0)
-    return lam, tau, floor, draw(st.integers(0, 2**32 - 1))
-
-
-@given(floors_near_the_null_bound())
-@example((0.3, 100, 0.5, 0))
-@example((1.99, 1, 0.5, 0))
-def test_rows_past_the_null_bound_never_fall_below_the_floor(case):
-    lam, tau, floor, seed = case
-    assume(_floor_unbreachable(lam, tau, floor))
-    # the lowest vertex paths, tau // 2 or (tau + 1) // 2 outcomes of exactly
-    # 1.0 in random orders, run through the sampling kernel, then null draws
-    rng = np.random.default_rng(seed)
-    vertices = np.array([rng.permutation(np.arange(tau) < ones)
-                         for ones in (tau // 2, (tau + 1) // 2) for _ in range(8)], float)
-    worst = np.empty((1, len(vertices)))
-    _null_terminal_rows(_VertexRows(vertices), [lam], worst,
-                        *(np.empty((tau, len(vertices))) for _ in range(3)))
-    drawn = _null_terminal_table([lam], tau, seed, np.empty((1, 64)))
-    for row in (worst[0], drawn[0]):
-        assert row.min() >= floor
-        strikes = put_floor_strikes(row, np.full(row.size, 1.0 / row.size), floor)
-        assert strikes[0] == floor
-        assert float(np.maximum(strikes[0] - row, 0.0).mean()) == 0.0
 
 
 @st.composite

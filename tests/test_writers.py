@@ -124,11 +124,11 @@ def write_expression_matrix(path):
 # sha256 of (x.csv, x.json) from `screen <argv> --hedge --out x`
 SCREEN_SHA256 = {
     ("--synthetic", "shifted", "--genes", "400", "--samples", "40"): (
-        "9a8af91b73a836812fd50502a9ff3671b928f36ba2b2533bb84b3475da147a7b",
-        "567205b0c71412137480ce0ebb86a43b8edb6a126c3e97dd79514106b05e1ecc"),
+        "71df8515c1e106ca154374d9ccd8fb3d188eac220474346eb5af690ae4995b7e",
+        "62989aff4681f6c50c82d0b2f87cf79da54acf6a09a74fbc3dc2115985e934b2"),
     ("--matrix",): (
-        "0c5d336f0731c1cf8c3d41015ab99c5b6b086021f5161e45e3546b57b3e60ff0",
-        "057df9e7c997a6750a8b5c741a2ca124f70e3982d32f80a371355fe92cf748dc"),
+        "ae4cb2c236afc3cf046c006d097c2697683391928d026432e4565acf340d4ee7",
+        "44c25a71740f55ba49ad2ca7294f7c70e4a3741f764316934aea0f43601cd857"),
 }
 
 
@@ -278,7 +278,7 @@ def test_screening_csv_equals_the_row_reference_on_any_columns(columns, ids, lam
     final, maxw, rejected, crossing, rng = columns
     gene_ids = [ids[i] for i in rng.integers(0, len(ids), final.size)]
     lambdas = np.array(lams)[rng.integers(0, len(lams), final.size)]
-    result = ScreeningResult(final, maxw, rejected, crossing, None, lambdas, {}, 0)
+    result = ScreeningResult(final, maxw, rejected, crossing, None, lambdas, {})
     comments = {"genes": final.size, "matrix": "x.csv"}
     assert first_difference(screening_csv(result, gene_ids, comments),
                             screening_csv_by_row(result, gene_ids, comments)) is None
