@@ -359,14 +359,26 @@ def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int) -> dict:
     (full_budget_strike), and the stake is 1/(1 + C): the unit buys stake
     units of the process and stake puts.  The root is at most
     floor/(1 - floor), so the atoms are held at that bound.
+
+    Rounding can leave the exercised cash stake*strike a few ulps under the
+    floor; the strike then takes Newton steps up on stake*strike, whose
+    slope is stake*(1 - floor*W), W the mass below the strike, until the
+    rounded cash holds the floor.
     """
     weights = binomial_weights(tau, 0.5)
     table = {}
     for lam in sorted(set(lambdas.tolist())):
         atoms = two_point_terminals(lam, tau, floor / (1.0 - floor))
         strike = full_budget_strike(atoms, weights, floor)
-        premium = float(weights @ np.maximum(strike - atoms, 0.0))
-        table[lam] = (strike, premium, 1.0 / (1.0 + premium))
+        while True:
+            premium = float(weights @ np.maximum(strike - atoms, 0.0))
+            stake = 1.0 / (1.0 + premium)
+            short = floor - stake * strike
+            if short <= 0.0:
+                break
+            slope = stake * (1.0 - floor * float(weights[atoms < strike].sum()))
+            strike = max(math.nextafter(strike, math.inf), strike + short / slope)
+        table[lam] = (strike, premium, stake)
     return table
 
 

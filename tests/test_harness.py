@@ -404,7 +404,7 @@ def terminal_by_evolution(paths, lam):
 
 class TestTwoPointPrice:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 1.7, 2.0])
-    @pytest.mark.parametrize("tau", [1, 2, 5, 12, 16])
+    @pytest.mark.parametrize("tau", range(1, 17))
     def test_screen_premium_is_the_mean_put_over_every_path(self, lam, tau):
         paths = vertex_paths(tau)
         terminal = terminal_by_evolution(paths, lam)
@@ -442,7 +442,41 @@ class TestTwoPointPrice:
         assert final.mean() <= 1.0 + 4.0 * final.std(ddof=1) / math.sqrt(final.size)
         assert result.proportion_rejected <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 20_000)
 
-    @pytest.mark.parametrize("lam,tau", [(1.0, 2000), (2.0, 1100)])
+    @pytest.mark.parametrize("tau", [3, 10])
+    @pytest.mark.parametrize("floor", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("lam", [0.1, 0.4, 0.7, 1.0, 1.5, 2.0])
+    def test_every_vertex_path_ends_at_or_above_the_floor(self, lam, floor, tau):
+        # the two-point null path by path: no path ends below the floor, the
+        # mean of W_T is stake * (1 + C) = 1 at every floor, low floors
+        # included, where most atoms sit above the cap floor/(1 - floor)
+        paths = vertex_paths(tau)
+        result = run_screening(paths, np.full(len(paths), lam), alpha=0.05,
+                               ruin_level=floor, hedge=HedgeSpec(expiry=0))
+        (strike, premium, stake), = result.strike_table.values()
+        assert strike <= floor / (1.0 - floor)
+        assert abs(stake * strike - floor) <= 1e-12
+        assert stake * strike >= floor
+        assert result.final_wealth.min() >= floor
+        assert abs(result.final_wealth.mean() - 1.0) <= 1e-12
+        assert result.rejected.mean() <= 0.05
+
+    @pytest.mark.parametrize("tau", [1, 40, 400])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_the_strike_rises_and_the_stake_falls_with_the_floor(self, lam, tau):
+        floors = np.linspace(0.05, 0.95, 19).tolist()
+        rows = [_screening_hedges(np.array([lam]), floor, tau)[lam] for floor in floors]
+        strikes, premiums, stakes = (np.array(col) for col in zip(*rows))
+        assert np.all(np.diff(strikes) > 0.0)
+        assert np.all(np.diff(premiums) >= 0.0)
+        assert np.all(np.diff(stakes) <= 0.0)
+        # the root is at most floor/(1 - floor); the steps that hold the
+        # rounded cash at the floor may pass that bound by a few ulps
+        assert np.all(strikes <= np.array(floors) / (1.0 - np.array(floors)) * (1.0 + 1e-14))
+        assert np.all(np.abs(stakes * strikes - floors) <= 1e-12)
+        assert np.all(stakes * strikes >= floors)
+
+    @pytest.mark.parametrize("lam,tau", [(1.0, 2000), (2.0, 1100), (0.5, 5000),
+                                         (1.5, 3000), (2.0, 4000), (1.0, 10_000)])
     def test_long_screens_at_extreme_fractions_solve_without_overflow(self, lam, tau):
         sequences = stream(415).random((40, tau))
         sequences[:20] = np.round(sequences[:20])     # vertex paths reach the floor

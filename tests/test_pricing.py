@@ -499,6 +499,26 @@ class TestFullBudgetStrike:
         assert full_budget_strike(atoms[order], weights[order], 0.5) \
             == full_budget_strike(atoms, weights, 0.5)
 
+    @pytest.mark.parametrize("floor", [0.01, 0.2, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 500, 2_000])
+    def test_the_one_root_is_where_the_residual_turns_positive(self, floor, n):
+        rng = stream(113, n)
+        atoms = rng.random(n) * 3.0
+        weights = rng.random(n)
+        weights /= weights.sum()
+
+        def residual(s):
+            return s - floor * (1.0 + weights @ np.maximum(s - atoms, 0.0))
+
+        strike = full_budget_strike(atoms, weights, floor)
+        assert 0.0 < strike <= floor / (1.0 - floor)
+        assert residual(strike * (1.0 - 1e-9)) < 0.0 < residual(strike * (1.0 + 1e-9))
+        premium = weights @ np.maximum(strike - atoms, 0.0)
+        assert abs(strike / (1.0 + premium) - floor) <= 1e-12
+        # the residual rises strictly, so it crosses 0 once
+        grid = np.linspace(0.0, 2.0 * floor / (1.0 - floor), 201)
+        assert np.all(np.diff([residual(s) for s in grid]) > 0.0)
+
     @pytest.mark.parametrize("floor", [-0.2, 0.0, 1.0, 1.5])
     def test_floor_outside_unit_interval_rejected(self, floor):
         with pytest.raises(ValueError):

@@ -124,11 +124,11 @@ def write_expression_matrix(path):
 # sha256 of (x.csv, x.json) from `screen <argv> --hedge --out x`
 SCREEN_SHA256 = {
     ("--synthetic", "shifted", "--genes", "400", "--samples", "40"): (
-        "71df8515c1e106ca154374d9ccd8fb3d188eac220474346eb5af690ae4995b7e",
-        "62989aff4681f6c50c82d0b2f87cf79da54acf6a09a74fbc3dc2115985e934b2"),
+        "c6403ac60c9815eb756447723b8f02a1a27320baf6ee3ca34927010851d46e6e",
+        "5ba9b1ead67b77ce177023f91bbca3686282340b7f161b1fb718e3bc07613cc2"),
     ("--matrix",): (
-        "ae4cb2c236afc3cf046c006d097c2697683391928d026432e4565acf340d4ee7",
-        "44c25a71740f55ba49ad2ca7294f7c70e4a3741f764316934aea0f43601cd857"),
+        "182f67c88956c488ede5506b31e9b41ef6d4874e77d5250ad43146efac5e5ca6",
+        "1211aa7099476042eb173afdd442f203ea448205ad7dad9ef3ce7eeab2f991dc"),
 }
 
 
