@@ -213,8 +213,10 @@ def _screen_settings(args, hedge: HedgeSpec | None, n_genes, horizon) -> dict:
 
 
 def _screen_input(args) -> tuple:
-    """(gene_ids, sequences, lambdas) of a screen.  The raw and transformed
-    matrices stay local, so they are freed before the strikes are solved."""
+    """(gene_ids, sequences, lambdas) of a screen.  A --matrix file is read
+    by ingest.read_screening a block of gene rows at a time, so the call
+    holds the test sequences and one block, never the whole raw or
+    transformed matrix."""
     if args.matrix is None:
         shifted = args.synthetic == "shifted"
         sequences, lambdas, _ = synthetic_screening_input(
@@ -222,11 +224,9 @@ def _screen_input(args) -> tuple:
             shifted_fraction=args.shift_fraction if shifted else 0.0,
             shifted_mean=args.shift_mean)
         return tuple(f"g{i}" for i in range(args.genes)), sequences, lambdas
-    matrix = ingest.load_expression_matrix(args.matrix, args.normal_label,
-                                           args.tumor_label)
-    uniform = ingest.transform_to_uniform(matrix, normal_label=args.normal_label,
-                                          log_transform=not args.no_log)
-    prepared = ingest.prepare_screening(uniform, tumor_label=args.tumor_label)
+    prepared = ingest.read_screening(args.matrix, normal_label=args.normal_label,
+                                     tumor_label=args.tumor_label,
+                                     log_transform=not args.no_log)
     return prepared.gene_ids, prepared.sequences, prepared.lambdas
 
 
@@ -256,18 +256,16 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    # no name holds the raw matrix or the CSV body, so the writer reuses their memory
-    uniform = ingest.transform_to_uniform(
-        ingest.load_expression_matrix(args.input, args.normal_label, args.tumor_label),
-        normal_label=args.normal_label, log_transform=not args.no_log)
-    prepared = ingest.prepare_screening(uniform, tumor_label=args.tumor_label)
+    prepared = ingest.read_screening(args.input, normal_label=args.normal_label,
+                                     tumor_label=args.tumor_label,
+                                     log_transform=not args.no_log)
     lines = [f"# source = {args.input}",
              f"# held_out_columns = {' '.join(str(c) for c in prepared.held_out_columns)}",
-             f"# skipped_genes = {','.join(map(csv_field, uniform.skipped_gene_ids))}"]
+             f"# skipped_genes = {','.join(map(csv_field, prepared.skipped_gene_ids))}"]
     width = prepared.sequences.shape[1]
     lines.append("gene,lambda," + ",".join(f"y{t}" for t in range(1, width + 1)))
     _write(args.output, "\n".join(lines) + "\n" + csv_rows(
-        [text_cells(prepared.gene_ids), np.column_stack([prepared.lambdas, prepared.sequences])]))
+        [text_cells(prepared.gene_ids), prepared.lambdas[:, None], prepared.sequences]))
     return EXIT_OK
 
 

@@ -654,7 +654,13 @@ def csv_field(text: str) -> str:
 
 
 def text_cells(fields) -> np.ndarray:
-    """Cells of strings in UTF-8, each quoted by csv_field."""
+    """Cells of strings in UTF-8, each quoted by csv_field.  When none needs
+    quotes they are encoded at once: an LF ends each, and is then the one
+    LF, comma, quote or CR of the text."""
+    fields = list(fields)
+    text = "\n".join(fields + [""])
+    if text.count("\n") == len(fields) and not any(c in text for c in ',"\r'):
+        return _cells(text.encode().replace(b"\n", _PAD))
     return _cells(b"".join(csv_field(f).encode() + _PAD for f in fields))
 
 
@@ -746,7 +752,13 @@ def float_cells(values) -> list[np.ndarray]:
     """Cells of each column of a 2-d array: `f"{x:.17g}"`, once per distinct
     int64 bit view, so -0.0 and each NaN keep their text.  Doubles with |x| in
     [1e-4, 1e17) come from _fixed_cells; zeros, NaNs, infinities and other
-    magnitudes from one `%` call."""
+    magnitudes from one `%` call.
+
+    The sort of np.unique with its inverse stays because every alternative
+    measured slower on the nine shipped configs' (final, max) keys: 5.6 ms
+    against 7.6 ms for the hash-based np.unique(sorted=False) without the
+    inverse, 16.5 ms for np.unique plus searchsorted, and 26.7 ms for
+    _fixed_cells on every value with no dedup (16.9 ms for this function)."""
     keys = np.ascontiguousarray(values, np.float64).view(np.int64)
     distinct, index = np.unique(keys, return_inverse=True)
     doubles = distinct.view(np.float64)

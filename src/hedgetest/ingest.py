@@ -6,13 +6,23 @@ the standard normal CDF (pricing.normal_cdf).  A gene that is standard
 normal under the null comes out Uniform(0, 1) with mean 1/2, which is what
 the bounded-outcome betting process expects.  Two tumor samples per gene are held out to pick a
 betting fraction and never appear in the test sequence.
+
+The file is read one block of ROW_BLOCK gene rows at a time, and each block
+is transformed on its own: every per-gene statistic is a row reduction and
+every other step is elementwise, so a block's rows come out with the same
+bits as in a whole-matrix pass.  read_screening writes each block's test
+columns and fractions straight into the output, so it holds the test
+sequences plus one block, never the file's text or a full raw or uniform
+matrix.  load_expression_matrix, transform_to_uniform and prepare_screening
+run the same block reader, per-block transform and split one stage at a
+time.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +31,10 @@ from .pricing import normal_cdf
 
 #: Candidate betting fractions for the per-gene plug-in.
 LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
+
+#: Gene rows per block of the reader and the transform: bounds what a call
+#: holds beside its output.
+ROW_BLOCK = 512
 
 
 class ZeroVarianceError(ValueError):
@@ -51,14 +65,10 @@ class ExpressionMatrix:
             raise ValueError("one id per gene row required")
         if len(self.groups) != n:
             raise ValueError("one group label per sample column required")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("expression matrix contains missing or non-finite values")
+        _check_finite(self.values)
         if len(set(self.groups)) != 2:
             raise ValueError(
                 f"sample labels must partition into two groups, got {sorted(set(self.groups))}")
-
-    def column_mask(self, label: str) -> np.ndarray:
-        return np.array([g == label for g in self.groups])
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,11 @@ class UniformMatrix:
     values: np.ndarray
     groups: tuple[str, ...]
     skipped_gene_ids: tuple[str, ...]
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("expression matrix contains missing or non-finite values")
 
 
 def _split_id(line: str, delimiter: str) -> tuple[str, str]:
@@ -94,40 +109,150 @@ def _parses_to(text: str, delimiter: str, width: int) -> bool:
         return False
 
 
-def load_expression_matrix(path, normal_label: str = "normal",
-                           tumor_label: str = "tumor") -> ExpressionMatrix:
-    """Read a delimited text matrix: header of group labels, one gene per row.
+def _read_header(fh, normal_label: str, tumor_label: str) -> tuple[str, tuple[str, ...]]:
+    """(delimiter, group labels) from the first line of fh.  The delimiter is
+    sniffed from it (comma or tab); the labels must be the two groups."""
+    first = fh.readline()
+    delimiter = "\t" if first.count("\t") >= first.count(",") else ","
+    header = next(csv.reader([first], delimiter=delimiter))
+    groups = tuple(h.strip() for h in header[1:])
+    labels = set(groups)
+    if labels != {normal_label, tumor_label}:
+        raise ValueError(
+            f"expected groups {{{normal_label!r}, {tumor_label!r}}}, found {sorted(labels)}")
+    return delimiter, groups
 
-    The first column holds gene ids; the delimiter is sniffed from the
-    header (comma or tab).  Blank lines are skipped; the values are parsed
-    by numpy in one call.  A ragged or non-numeric row is a ValueError that
-    names its file line, counting the header and blank lines.
-    """
-    with open(path) as fh:              # universal newlines: CRLF reads as LF
-        first = fh.readline()
-        delimiter = "\t" if first.count("\t") >= first.count(",") else ","
-        header = next(csv.reader([first], delimiter=delimiter))
-        groups = tuple(h.strip() for h in header[1:])
-        rows = [(lineno, *_split_id(line, delimiter))
-                for lineno, line in enumerate(fh, 2) if line != "\n"]
+
+def _row_bound(path) -> int:
+    """At least the number of gene rows of path: its line breaks, a CRLF
+    counted once (twice where two chunks split it)."""
+    breaks = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 18), b""):
+            text = np.frombuffer(chunk, np.uint8)
+            lf = text == ord("\n")
+            breaks += np.count_nonzero(lf)
+            if b"\r" in chunk:              # a lone CR ends a line too
+                cr = text == ord("\r")
+                breaks += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+    return breaks
+
+
+def _parse_block(rows, path, delimiter: str, width: int):
+    """(gene ids, values) of one block of (file line, gene id, value fields)
+    rows, the values parsed by numpy in one call; None for no rows.  A
+    ragged or non-numeric row is a ValueError that names its file line, and
+    a non-finite value is a ValueError too."""
     if not rows:
-        raise ValueError(f"no gene rows in {path}")
+        return None
     linenos, gene_ids, fields = zip(*rows)
     try:
         values = _parse_values(fields, delimiter)
+        if values.shape[1] != width - 1:
+            raise ValueError("ragged rows")
     except ValueError:
-        width = len(header)
         bad = next((lineno for lineno, text in zip(linenos, fields)
                     if not _parses_to(text, delimiter, width - 1)), None)
         if bad is None:
             raise
         raise ValueError(f"{path} line {bad}: expected {width} fields, a gene id "
                          f"and {width - 1} numeric values") from None
-    labels = set(groups)
-    if labels != {normal_label, tumor_label}:
-        raise ValueError(
-            f"expected groups {{{normal_label!r}, {tumor_label!r}}}, found {sorted(labels)}")
-    return ExpressionMatrix(gene_ids, values, groups)
+    _check_finite(values)
+    return gene_ids, values
+
+
+def _row_blocks(fh, path, delimiter: str, width: int):
+    """Yield (gene ids, values) for each block of up to ROW_BLOCK gene rows
+    of fh past its header.  Blank lines are skipped but counted in the line
+    numbers; a file with no gene rows is a ValueError.  A block's text is
+    dropped once it is parsed, before the block is yielded."""
+    rows = ((lineno, *_split_id(line, delimiter))   # universal newlines: CRLF reads as LF
+            for lineno, line in enumerate(fh, 2) if line != "\n")
+    block = _parse_block(list(islice(rows, ROW_BLOCK)), path, delimiter, width)
+    if block is None:
+        raise ValueError(f"no gene rows in {path}")
+    while block is not None:
+        yield block
+        block = _parse_block(list(islice(rows, ROW_BLOCK)), path, delimiter, width)
+
+
+def _normal_columns(groups: Sequence[str], normal_label: str) -> np.ndarray:
+    """Mask of the normal columns; fewer than two give no variance."""
+    normal = np.array([g == normal_label for g in groups])
+    if normal.sum() < 2:
+        raise ZeroVarianceError(f"need at least 2 columns labeled {normal_label!r} "
+                                f"for a normal-group variance, got {normal.sum()}")
+    return normal
+
+
+def _test_columns(groups: Sequence[str], tumor_label: str,
+                  n_held_out: int) -> tuple[tuple[int, ...], list[int]]:
+    """(held-out columns, test columns): the first n_held_out tumor columns in
+    file order, and every other column in its order."""
+    tumor_cols = [i for i, g in enumerate(groups) if g == tumor_label]
+    if len(tumor_cols) < n_held_out:
+        raise HeldOutError(
+            f"need at least {n_held_out} tumor samples, found {len(tumor_cols)}")
+    held = tuple(tumor_cols[:n_held_out])
+    return held, [i for i in range(len(groups)) if i not in held]
+
+
+def _uniform_rows(block: np.ndarray, normal: np.ndarray,
+                  log_transform: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(the kept rows of a block mapped to [0, 1], the keep mask); block is
+    left as it is.
+
+    A gene whose normal values are all equal, or whose normal-group sd is 0,
+    is not kept: a row mean can round off a constant group's value and
+    leave an sd of ~1e-15 that would otherwise be kept.  The kept rows are
+    standardized in the array the log (or the skip) made, or in one new
+    array, and pricing.normal_cdf maps it in place.
+    """
+    values = block
+    if log_transform:
+        if np.any(values <= 0.0):
+            raise ValueError("log transform requires strictly positive expression values")
+        values = np.log(values)
+    normal_values = values[:, normal]
+    mu = normal_values.mean(axis=1)
+    sd = normal_values.std(axis=1, ddof=1)
+    keep = (normal_values.max(axis=1) > normal_values.min(axis=1)) & (sd > 0.0)
+    del normal_values
+    if not keep.all():
+        values, mu, sd = values[keep], mu[keep], sd[keep]
+    uniform = np.empty(values.shape) if values is block else values
+    np.subtract(values, mu[:, None], out=uniform)
+    uniform /= sd[:, None]
+    normal_cdf(uniform, out=uniform)
+    return uniform, keep
+
+
+def _split_rows(uniform: np.ndarray, held: tuple[int, ...], test_cols: list[int],
+                grid: Sequence[float], sequences: np.ndarray, lambdas: np.ndarray) -> None:
+    """Write a block's test columns into sequences and its held-out pair's
+    fractions into lambdas."""
+    lambdas[:] = estimate_lambdas(uniform[:, list(held)], grid)
+    sequences[:] = uniform[:, test_cols]
+
+
+def load_expression_matrix(path, normal_label: str = "normal",
+                           tumor_label: str = "tumor") -> ExpressionMatrix:
+    """Read a delimited text matrix: header of group labels, one gene per row.
+
+    The first column holds gene ids; the delimiter is sniffed from the
+    header (comma or tab), and the labels must be the two groups.  Blank
+    lines are skipped; each block of rows is parsed by numpy in one call.
+    A ragged or non-numeric row is a ValueError that names its file line,
+    counting the header and blank lines.
+    """
+    with open(path) as fh:
+        delimiter, groups = _read_header(fh, normal_label, tumor_label)
+        values = np.empty((_row_bound(path), len(groups)))
+        gene_ids = []
+        for ids, block in _row_blocks(fh, path, delimiter, len(groups) + 1):
+            values[len(gene_ids):len(gene_ids) + len(ids)] = block
+            gene_ids += ids
+    return ExpressionMatrix(tuple(gene_ids), values[:len(gene_ids)], groups)
 
 
 def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "normal",
@@ -135,39 +260,27 @@ def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "norma
     """Map each gene's samples to [0, 1] via normal-group standardization and Phi.
 
     Genes whose normal values are all equal, or whose normal-group sd is 0,
-    are flagged and skipped: a row mean can round off a constant group's
-    value and leave an sd of ~1e-15 that would otherwise be kept.  Fewer
-    than two normal columns give no variance and are refused.  Pass
-    log_transform=False for data already on a log scale.  The kept rows
-    are standardized in the array the log (or the skip) made, or in one new
-    array, and pricing.normal_cdf maps it in place, block by block.
+    are flagged and skipped.  Fewer than two normal columns give no
+    variance and are refused.  Pass log_transform=False for data already on
+    a log scale.  The rows are transformed a block at a time into one new
+    array; matrix.values is left as it is.
     """
+    normal = _normal_columns(matrix.groups, normal_label)
     values = matrix.values
-    if log_transform:
-        if np.any(values <= 0.0):
-            raise ValueError("log transform requires strictly positive expression values")
-        values = np.log(values)
-    normal = matrix.column_mask(normal_label)
-    if normal.sum() < 2:
-        raise ZeroVarianceError(f"need at least 2 columns labeled {normal_label!r} "
-                                f"for a normal-group variance, got {normal.sum()}")
-    normal_values = values[:, normal]
-    mu = normal_values.mean(axis=1)
-    sd = normal_values.std(axis=1, ddof=1)
-    keep = (normal_values.max(axis=1) > normal_values.min(axis=1)) & (sd > 0.0)
-    del normal_values
-    if not keep.any():
+    uniform = np.empty(values.shape)
+    keep = np.empty(len(values), dtype=bool)
+    kept = 0
+    for start in range(0, len(values), ROW_BLOCK):
+        rows, keep[start:start + ROW_BLOCK] = _uniform_rows(
+            values[start:start + ROW_BLOCK], normal, log_transform)
+        uniform[kept:kept + len(rows)] = rows
+        kept += len(rows)
+    if not kept:
         raise ZeroVarianceError("every gene has zero variance in the normal group")
-    skipped = tuple(compress(matrix.gene_ids, (~keep).tolist()))
-    if skipped:
-        values, mu, sd = values[keep], mu[keep], sd[keep]
-    # standardized in place, unless values is still the caller's matrix
-    uniform = np.empty(values.shape) if values is matrix.values else values
-    np.subtract(values, mu[:, None], out=uniform)
-    uniform /= sd[:, None]
-    normal_cdf(uniform, out=uniform)
-    return UniformMatrix(tuple(compress(matrix.gene_ids, keep.tolist())), uniform,
-                         matrix.groups, skipped)
+    keep = keep.tolist()
+    return UniformMatrix(tuple(compress(matrix.gene_ids, keep)), uniform[:kept],
+                         matrix.groups,
+                         tuple(compress(matrix.gene_ids, [not k for k in keep])))
 
 
 def estimate_lambdas(held_out, grid: Sequence[float] = LAMBDA_GRID) -> np.ndarray:
@@ -195,6 +308,7 @@ class ScreeningInput:
     sequences: np.ndarray            # shape (genes, test samples)
     lambdas: np.ndarray              # shape (genes,)
     held_out_columns: tuple[int, ...]
+    skipped_gene_ids: tuple[str, ...] = ()
 
 
 def prepare_screening(uniform: UniformMatrix, *, tumor_label: str = "tumor",
@@ -206,12 +320,48 @@ def prepare_screening(uniform: UniformMatrix, *, tumor_label: str = "tumor",
     fraction plug-in and discarded from the test sequences; the remaining
     columns keep their original order.
     """
-    tumor_cols = [i for i, g in enumerate(uniform.groups) if g == tumor_label]
-    if len(tumor_cols) < n_held_out:
-        raise HeldOutError(
-            f"need at least {n_held_out} tumor samples, found {len(tumor_cols)}")
-    held = tuple(tumor_cols[:n_held_out])
-    test_cols = [i for i in range(uniform.values.shape[1]) if i not in held]
-    lambdas = estimate_lambdas(uniform.values[:, list(held)], grid)
-    return ScreeningInput(uniform.gene_ids, uniform.values[:, test_cols],
-                          lambdas, held)
+    held, test_cols = _test_columns(uniform.groups, tumor_label, n_held_out)
+    m = len(uniform.values)
+    sequences, lambdas = np.empty((m, len(test_cols)), order="F"), np.empty(m)
+    for start in range(0, m, ROW_BLOCK):
+        stop = start + ROW_BLOCK
+        _split_rows(uniform.values[start:stop], held, test_cols, grid,
+                    sequences[start:stop], lambdas[start:stop])
+    return ScreeningInput(uniform.gene_ids, sequences, lambdas, held,
+                          uniform.skipped_gene_ids)
+
+
+def read_screening(path, *, normal_label: str = "normal", tumor_label: str = "tumor",
+                   log_transform: bool = True, n_held_out: int = 2,
+                   grid: Sequence[float] = LAMBDA_GRID) -> ScreeningInput:
+    """prepare_screening(transform_to_uniform(load_expression_matrix(path)))
+    in one pass over the file, a block of ROW_BLOCK gene rows at a time.
+
+    The header is checked first: the group labels, at least two normal
+    columns (ZeroVarianceError) and n_held_out tumor columns
+    (HeldOutError), then that the file has a gene row.  Each block is
+    parsed, checked, transformed and split into the test sequences, one
+    array allocated before the first block for every row the file may hold
+    (the file is read once more to count its lines).  A gene skipped for
+    no normal variance is listed in skipped_gene_ids, and with none left
+    the ZeroVarianceError comes after the last block.
+    """
+    with open(path) as fh:
+        delimiter, groups = _read_header(fh, normal_label, tumor_label)
+        normal = _normal_columns(groups, normal_label)
+        held, test_cols = _test_columns(groups, tumor_label, n_held_out)
+        bound = _row_bound(path)
+        sequences, lambdas = np.empty((bound, len(test_cols)), order="F"), np.empty(bound)
+        gene_ids, skipped = [], []
+        for ids, values in _row_blocks(fh, path, delimiter, len(groups) + 1):
+            uniform, keep = _uniform_rows(values, normal, log_transform)
+            rows = slice(len(gene_ids), len(gene_ids) + len(uniform))
+            _split_rows(uniform, held, test_cols, grid, sequences[rows], lambdas[rows])
+            keep = keep.tolist()
+            gene_ids += compress(ids, keep)
+            skipped += compress(ids, [not k for k in keep])
+    if not gene_ids:
+        raise ZeroVarianceError("every gene has zero variance in the normal group")
+    m = len(gene_ids)
+    return ScreeningInput(tuple(gene_ids), sequences[:m], lambdas[:m], held,
+                          tuple(skipped))

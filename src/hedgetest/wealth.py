@@ -9,10 +9,11 @@ Under the null the process is a nonnegative martingale, so observing
 K_t >= 1/alpha at any time is a level-alpha rejection (Ville's inequality).
 
 evolve is the one engine: it steps m such processes side by side under a
-vectorized strategy lam(wealth, t), and the two-sided hedged_cs is built on
-it.  A single path is a batch of one.  Under a constant fraction the final
-wealth needs no steps: terminal_wealth is the product over time of the
-same bet factors evolve multiplies by, with the same bits as its last step.
+vectorized strategy lam(wealth, t), and the two-sided hedged_cs is one
+evolve over the (2, m) batch of its two legs.  A single path is a batch of
+one.  Under a constant fraction the final wealth needs no steps:
+terminal_wealth is the product over time of the same bet factors evolve
+multiplies by, with the same bits as its last step.
 ville_crossing is the one decision rule: it follows a batch of wealth
 paths step by step and records where each first reaches 1/alpha.
 
@@ -174,19 +175,22 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
            start=1.0, t0: int = 0) -> Iterator[tuple[np.ndarray, object]]:
     """Run m wealth processes side by side; yields (K_t, lam_t) for each step.
 
-    outcomes has shape (m, T): row i is path i.  The strategy is called as
-    strategy(K, t) with the wealths K (shape (m,)) after t outcomes, t
-    counted from t0, and returns the fraction bet on the next outcome, one
-    for all rows or one per row, so it can never peek ahead.  Every step
-    checks the fractions against hyp.lambda_bounds() and multiplies the
-    batch by its bet factors; a wealth that overflowed to inf and meets a
-    factor of 0 is ruined (inf * 0 = NaN is 0).  A ruined row (wealth
-    exactly 0) bets 0 and stays at 0; once every row is ruined the strategy
-    is no longer consulted.  Only the current wealths are kept.
+    outcomes has shape (m, T): row i is path i.  start is one wealth, one
+    per path, or an array with leading batch axes, shape (..., m) or
+    (..., 1): every batch runs the m paths on the same outcomes.  The
+    strategy is called as strategy(K, t) with the wealths K (shape (m,), or
+    the batch's shape) after t outcomes, t counted from t0, and returns the
+    fraction bet on the next outcome, one for all rows or one per row, so
+    it can never peek ahead.  Every step checks the fractions against
+    hyp.lambda_bounds() and multiplies the batch by its bet factors; a
+    wealth that overflowed to inf and meets a factor of 0 is ruined (inf *
+    0 = NaN is 0).  A ruined row (wealth exactly 0) bets 0 and stays at 0;
+    once every row is ruined the strategy is no longer consulted.  Only the
+    current wealths are kept.
     """
     ys = _paths(outcomes, hyp)
     bounds = hyp.lambda_bounds()
-    k = np.full(ys.shape[0], start, dtype=float)
+    k = np.full(np.broadcast_shapes(np.shape(start), ys.shape[:1]), start, dtype=float)
     if not np.all(k >= 0.0):                 # below 0, or NaN
         raise ValueError(f"wealth must be nonnegative, got {k.min()}")
     for t, y in enumerate(ys.T):
@@ -197,7 +201,8 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
         else:
             lam = 0.0
         _check_bet(lam, bounds)
-        k = k * _bet_factor(lam, y, hyp.null_mean)
+        # the outcomes broadcast to the batch, so the factors fill one buffer
+        k = k * _bet_factor(lam, np.broadcast_to(y, k.shape), hyp.null_mean)
         if np.isnan(k.min(initial=0.0)):     # 0 unless inf met a factor of 0
             k[np.isnan(k)] = 0.0
         yield k, lam
@@ -228,14 +233,15 @@ def hedged_cs(outcomes, lam,
 
     Half of the unit wealth bets +lam on y - null_mean and half bets -lam
     (Waudby-Smith & Ramdas, JRSS-B 2024); yields K_t = K+_t + K-_t for
-    t = 1..T, each leg an evolve started at 1/2.  lam is one fraction for
-    all rows or one per row; hyp defaults to bounded outcomes with mean 1/2.
+    t = 1..T.  The two legs are one evolve over a (2, m) batch started at
+    1/2, so each step reads the outcomes and checks the fractions once.
+    lam is one fraction for all rows or one per row; hyp defaults to
+    bounded outcomes with mean 1/2.
     """
-    against = -lam
-    up = evolve(lambda k, t: lam, outcomes, hyp, start=0.5)
-    down = evolve(lambda k, t: against, outcomes, hyp, start=0.5)
-    for (k_up, _), (k_down, _) in zip(up, down):
-        yield k_up + k_down
+    lam = np.asarray(lam, dtype=float)
+    fractions = np.stack([lam, -lam]).reshape(2, -1)      # (2, 1) or (2, m)
+    for k, _ in evolve(lambda k, t: fractions, outcomes, hyp, start=np.full((2, 1), 0.5)):
+        yield k[0] + k[1]
 
 
 def ville_crossing(w0, steps: Iterable[np.ndarray], alpha: float):

@@ -12,9 +12,11 @@ put-floor strikes interval by interval in plain Python after a stable
 sort, binomial weights in exact integers instead of decimal bounds, a portfolio's worst case by walking every path instead of the
 backward min-sweep, the chance that a constant-fraction bet ever rejects
 by an exact recursion over (t, up-count) instead of simulated episodes,
-and the CSVs are written with one f-string per row,
+the CSVs are written with one f-string per row,
 gene ids quoted by the csv module, instead of as one byte table with one
-format per distinct value.  path_values
+format per distinct value, and a raw matrix is read by csv with one float()
+per value and transformed in one whole-matrix pass instead of block by
+block.  path_values
 and crossing_times are no oracles: they are the batch engine's wealth rows
 and the batch rule's crossing times, shared by the test files.
 """
@@ -30,7 +32,8 @@ from math import comb
 import numpy as np
 
 from hedgetest.harness import config_dict
-from hedgetest.pricing import LatticeModel, lattice_price
+from hedgetest.ingest import estimate_lambdas
+from hedgetest.pricing import LatticeModel, lattice_price, normal_cdf
 from hedgetest.wealth import evolve, ville_crossing
 
 
@@ -325,3 +328,39 @@ def sequences_csv_rows_by_row(gene_ids, lambdas, sequences):
                    + ",".join(f"{y:.17g}" for y in row) + "\n"
                    for gid, lam, row in zip(gene_ids, lambdas.tolist(),
                                             sequences.tolist()))
+
+
+def csv_float_reference(path):
+    """The loader as a csv.reader loop with one float() per value: the
+    (ids, values, groups) the numpy parse must reproduce bit for bit."""
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        delimiter = "\t" if first.count("\t") >= first.count(",") else ","
+        fh.seek(0)
+        reader = csv.reader(fh, delimiter=delimiter)
+        groups = tuple(h.strip() for h in next(reader)[1:])
+        ids, rows = [], []
+        for row in reader:
+            if row:
+                ids.append(row[0].strip())
+                rows.append([float(v) for v in row[1:]])
+    return tuple(ids), np.asarray(rows, dtype=float), groups
+
+
+def screening_input_by_whole_matrix(path, log_transform=True):
+    """(gene ids, fractions, test sequences, skipped ids) of a raw matrix
+    file as one whole-matrix pass: every value read by csv_float_reference,
+    then the log, the normal-group mean and sd, the skip, the
+    standardization and the normal CDF each over the full matrix at once.
+    The first two tumor columns are held out."""
+    ids, values, groups = csv_float_reference(path)
+    groups = np.array(groups)
+    v = np.log(values) if log_transform else values
+    normal_values = v[:, groups == "normal"]
+    mu, sd = normal_values.mean(axis=1), normal_values.std(axis=1, ddof=1)
+    keep = (normal_values.max(axis=1) > normal_values.min(axis=1)) & (sd > 0.0)
+    uniform = normal_cdf((v[keep] - mu[keep, None]) / sd[keep, None])
+    held = np.flatnonzero(groups == "tumor")[:2]
+    test = [c for c in range(len(groups)) if c not in held]
+    return (tuple(itertools.compress(ids, keep)), estimate_lambdas(uniform[:, held]),
+            uniform[:, test], tuple(itertools.compress(ids, ~keep)))

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -639,6 +640,23 @@ class TestScreen:
         _, *rows = read_csv_rows(tmp_path / "screen.csv")
         ids = [row[0] for row in rows]
         assert len(ids) == 6031 and "g00003" not in ids and "g00007" not in ids
+
+
+    def test_a_matrix_screen_holds_its_sequences_and_one_block(self, tmp_path,
+                                                               constant_normal_matrix):
+        # the file is read a block of rows at a time into the test sequences
+        # (6031 x 100 doubles): a whole raw, log or uniform matrix beside them
+        # would take the traced peak past twice their size
+        argv = ["screen", "--matrix", str(constant_normal_matrix), "--hedge",
+                "--out", str(tmp_path / "screen")]
+        assert main(argv) == 0          # imports and caches before tracing
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 6031 * 100 * 8
 
 
 class TestIngest:

@@ -7,30 +7,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hedgetest.ingest import (LAMBDA_GRID, ExpressionMatrix, HeldOutError,
+from hedgetest import cli
+from hedgetest.ingest import (LAMBDA_GRID, ROW_BLOCK, ExpressionMatrix, HeldOutError,
                               UniformMatrix, ZeroVarianceError, estimate_lambdas,
                               load_expression_matrix, prepare_screening,
-                              transform_to_uniform)
+                              read_screening, transform_to_uniform)
 from hedgetest.rng import stream
 
-from oracles import plug_in_lambda
-
-
-def csv_float_reference(path):
-    """The loader as a csv.reader loop with one float() per value: the
-    (ids, values, groups) the numpy parse must reproduce bit for bit."""
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        delimiter = "\t" if first.count("\t") >= first.count(",") else ","
-        fh.seek(0)
-        reader = csv.reader(fh, delimiter=delimiter)
-        groups = tuple(h.strip() for h in next(reader)[1:])
-        ids, rows = [], []
-        for row in reader:
-            if row:
-                ids.append(row[0].strip())
-                rows.append([float(v) for v in row[1:]])
-    return tuple(ids), np.asarray(rows, dtype=float), groups
+from oracles import (csv_float_reference, plug_in_lambda,
+                     screening_input_by_whole_matrix, sequences_csv_rows_by_row)
 
 
 def small_matrix(values, groups=("normal", "normal", "normal", "tumor", "tumor", "tumor")):
@@ -278,3 +263,121 @@ class TestPrepareScreening:
         uniform = self._uniform(n_tumor=1)
         with pytest.raises(HeldOutError, match="need at least 2 tumor samples, found 1"):
             prepare_screening(uniform)
+
+
+def write_block_matrix(path, genes, delimiter=",", newline="\n", blanks=(),
+                       flat=(), quoted=(), seed=330):
+    """A raw matrix of `genes` rows, 6 normal then 6 tumor columns: genes in
+    `flat` have one value in every normal column, ids in `quoted` hold the
+    delimiter inside quotes, and a blank line follows each gene in `blanks`."""
+    values = np.exp(stream(seed).normal(5.0, 0.7, (genes, 12)))
+    values[list(flat), :6] = 3.0
+    lines = [delimiter.join(["gene"] + ["normal"] * 6 + ["tumor"] * 6)]
+    for g, row in enumerate(values):
+        gene = f'"id{delimiter}{g}"' if g in quoted else f"g{g}"
+        lines.append(delimiter.join([gene] + [f"{v:.6g}" for v in row]))
+        if g in blanks:
+            lines.append("")
+    path.write_bytes(newline.join(lines + [""]).encode())
+
+
+class TestStreamedReader:
+    """read_screening, and the CLI that runs it, against one whole-matrix pass."""
+
+    @pytest.mark.parametrize("genes", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                       3 * ROW_BLOCK + 7])
+    @pytest.mark.parametrize("delimiter,newline", [(",", "\n"), ("\t", "\r\n")])
+    def test_blocks_are_the_whole_matrix_bit_for_bit(self, tmp_path, capsys, genes,
+                                                     delimiter, newline):
+        # skipped genes on both sides of each block edge, blank lines, and
+        # quoted ids holding the delimiter
+        edges = [e for b in range(1, 4) for e in (b * ROW_BLOCK - 1, b * ROW_BLOCK)]
+        flat = [0, genes - 1] + [e for e in edges if e < genes]
+        path = tmp_path / "matrix.txt"
+        write_block_matrix(path, genes, delimiter, newline, blanks=range(0, genes, 97),
+                           flat=flat, quoted=range(3, genes, 101))
+        ids, lambdas, sequences, skipped = screening_input_by_whole_matrix(path)
+        assert len(skipped) == len(set(flat))
+        streamed = read_screening(path)
+        assert (streamed.gene_ids, streamed.skipped_gene_ids) == (ids, skipped)
+        assert streamed.held_out_columns == (6, 7)
+        assert streamed.lambdas.tobytes() == lambdas.tobytes()
+        assert streamed.sequences.tobytes() == sequences.tobytes()
+        staged = prepare_screening(transform_to_uniform(load_expression_matrix(path)))
+        assert staged.gene_ids == ids and staged.skipped_gene_ids == skipped
+        assert staged.lambdas.tobytes() == lambdas.tobytes()
+        assert staged.sequences.tobytes() == sequences.tobytes()
+        assert cli.main(["ingest", "--input", str(path),
+                         "--output", str(tmp_path / "out.csv")]) == 0
+        text = (tmp_path / "out.csv").read_text()
+        assert text.endswith(sequences_csv_rows_by_row(ids, lambdas, sequences))
+
+    def test_lone_cr_breaks_and_no_final_break(self, tmp_path):
+        # the rows are counted before the first block to size the output:
+        # a lone CR ends a line, and the last line needs no break of its own
+        path = tmp_path / "matrix.csv"
+        write_block_matrix(path, 2 * ROW_BLOCK + 1, newline="\r")
+        path.write_bytes(path.read_bytes().rstrip(b"\r"))
+        ids, lambdas, sequences, _ = screening_input_by_whole_matrix(path)
+        streamed = read_screening(path)
+        assert streamed.gene_ids == ids and len(ids) == 2 * ROW_BLOCK + 1
+        assert streamed.sequences.tobytes() == sequences.tobytes()
+        assert streamed.lambdas.tobytes() == lambdas.tobytes()
+
+    def test_a_bad_row_in_the_last_block_names_its_file_line(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        write_block_matrix(path, 2 * ROW_BLOCK + 5, blanks=(0, 700))
+        lines = path.read_text().split("\n")
+        lines[2 * ROW_BLOCK + 3] += ",7.5"     # file line 2B + 4: gene 2B + 1
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=rf"line {2 * ROW_BLOCK + 4}: expected 13 "):
+            read_screening(path)
+        with pytest.raises(ValueError, match=rf"line {2 * ROW_BLOCK + 4}: expected 13 "):
+            load_expression_matrix(path)
+
+    def test_a_block_of_one_wrong_width_names_its_first_line(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("gene,normal,normal,tumor,tumor\n\ng0,1,2,3\ng1,4,5,6\n")
+        with pytest.raises(ValueError, match="line 3: expected 5 fields"):
+            read_screening(path)
+
+    def test_non_finite_and_non_positive_values_raise(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        write_block_matrix(path, ROW_BLOCK + 3)
+        text = path.read_text().rstrip("\n").rpartition(",")[0]   # the last value cut
+        path.write_text(text + ",nan\n")
+        with pytest.raises(ValueError, match="missing or non-finite"):
+            read_screening(path)
+        path.write_text(text + ",-1.0\n")
+        with pytest.raises(ValueError, match="strictly positive"):
+            read_screening(path)
+        assert read_screening(path, log_transform=False).sequences.shape == (ROW_BLOCK + 3, 10)
+
+    def test_constant_genes_in_every_block_have_zero_variance(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        genes = 2 * ROW_BLOCK + 9
+        write_block_matrix(path, genes, blanks=(ROW_BLOCK,), flat=range(genes))
+        with pytest.raises(ZeroVarianceError, match="every gene has zero variance"):
+            read_screening(path)
+        with pytest.raises(ZeroVarianceError, match="every gene has zero variance"):
+            transform_to_uniform(load_expression_matrix(path))
+
+    @pytest.mark.parametrize("header,error,message", [
+        ("gene,healthy,tumor", ValueError, "expected groups"),
+        ("gene,normal,tumor,tumor,tumor", ZeroVarianceError, "got 1"),
+        ("gene,normal,normal,tumor", HeldOutError, "found 1"),
+    ])
+    def test_the_header_is_checked_before_any_row(self, tmp_path, header, error, message):
+        # the rows are ragged and non-numeric, and the header fault comes first
+        path = tmp_path / "matrix.csv"
+        path.write_text(f"{header}\ng0,1,x\n")
+        with pytest.raises(error, match=message):
+            read_screening(path)
+
+    def test_no_gene_rows(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("gene,normal,normal,tumor,tumor\n\n\n")
+        with pytest.raises(ValueError, match="no gene rows"):
+            read_screening(path)
+        with pytest.raises(ValueError, match="no gene rows"):
+            load_expression_matrix(path)

@@ -1,6 +1,7 @@
 """Tests for the wealth-process core: updates, decision rule, invariants."""
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -279,6 +280,40 @@ class TestHedgedCS:
             pass
         se = finals.std(ddof=1) / np.sqrt(n)
         assert abs(finals.mean() - 1.0) <= 3 * se
+
+
+    @pytest.mark.parametrize("lam", [0.7, 2.0, "per row"])
+    def test_one_batch_is_the_sum_of_two_single_leg_evolves(self, lam):
+        # bit for bit, with the -lam leg of lam = 2 ruined at the first step of
+        # row 1, and the +lam leg of row 2 doubling past the float range to inf
+        # before a 0 ruins it (inf * 0 is 0)
+        ys = stream(23).random((6, 1100))
+        ys[1, 0] = 1.0
+        ys[2] = 1.0
+        ys[2, -1] = 0.0
+        if lam == "per row":
+            lam = np.array([0.3, 2.0, 2.0, 1.0, 0.1, 2.0])
+        hyp = HypothesisSpec.bounded()
+        up = evolve(lambda k, t: lam, ys, hyp, start=0.5)
+        down = evolve(lambda k, t: -lam, ys, hyp, start=0.5)
+        overflowed = False
+        with np.errstate(over="ignore", invalid="ignore"):     # inf, then inf * 0
+            for k, (k_up, _), (k_down, _) in zip_longest(hedged_cs(ys, lam), up, down):
+                assert k.tobytes() == (k_up + k_down).tobytes()
+                overflowed |= bool(np.isinf(k_up[2]))
+        assert overflowed == (np.broadcast_to(lam, 6)[2] == 2.0)
+        if overflowed:
+            assert k[2] == k_down[1] == 0.0
+
+    def test_a_batch_start_runs_every_batch_on_the_same_outcomes(self):
+        ys = stream(24).random((4, 30))
+        starts, fractions = np.array([[1.0], [0.25], [3.0]]), np.array([[0.5], [-1.0], [2.0]])
+        batch = [k for k, _ in evolve(lambda k, t: fractions, ys, HypothesisSpec.bounded(),
+                                      start=starts)]
+        for b in range(3):
+            one = [k for k, _ in evolve(lambda k, t: fractions[b, 0], ys,
+                                        HypothesisSpec.bounded(), start=starts[b, 0])]
+            assert np.array([k[b] for k in batch]).tobytes() == np.array(one).tobytes()
 
 
 class TestIncrements:

@@ -319,6 +319,20 @@ def test_writer_memory_is_the_text_twice_and_one_block():
     assert peak < 2 * len(text) + 200 * harness._ROW_BLOCK
 
 
+@pytest.mark.parametrize("ids", [
+    [], ["g0"], [f"g{i:05d}" for i in range(3000)], ["", "a b", "é", "日本", "x\x00y"],
+    ["g0", "ab,c"], ["g0", 'q"x'], ["g0", "a\rb"], ["g0", "a\nb"], ["a\r\nb"],
+    ["\n"], ["", "\n", ""], ["g0", 'é,"z"', "plain"]])
+def test_text_cells_equal_the_per_field_cells(ids):
+    # ids needing no quotes are encoded at once; any comma, quote, CR or LF
+    # sends the list through csv_field one id at a time
+    per_field = harness._cells(b"".join(harness.csv_field(f).encode() + harness._PAD
+                                        for f in ids))
+    cells = text_cells(ids)
+    assert cells.shape == per_field.shape and cells.tobytes() == per_field.tobytes()
+    assert text_cells(iter(ids)).tobytes() == per_field.tobytes()
+
+
 @st.composite
 def experiments(draw):
     horizon = draw(st.integers(1, 30))
