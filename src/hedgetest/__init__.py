@@ -9,8 +9,7 @@ measure and buy puts that eliminate the risk of statistical ruin.
 
 from .harness import (ExperimentConfig, HedgeSpec, RiskReport, TruthSpec,
                       load_config, run_experiment, run_screening, tail_metrics)
-from .ingest import (ExpressionMatrix, estimate_lambdas, load_expression_matrix,
-                     prepare_screening, transform_to_uniform)
+from .ingest import ScreeningInput, estimate_lambdas, read_screening
 from .portfolio import (Portfolio, TradeLimits, buy_contract, issue_contract,
                         move_to_risky, step, trade_limits)
 from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,

@@ -73,6 +73,14 @@ def _parse_contract(text: str) -> Contract:
         raise ConfigError(str(exc)) from exc
 
 
+def _refuse_overwrite(source: str, *outputs: str) -> None:
+    """Refuse an output that is the input file (by any path), before the
+    input is read: writing it would destroy the matrix it came from."""
+    for out in outputs:
+        if Path(out).exists() and Path(out).samefile(source):
+            raise ConfigError(f"output {out} is the input file {source}")
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -236,6 +244,8 @@ def _cmd_screen(args) -> int:
     if args.expiry is not None and not args.hedge:
         raise ConfigError("--expiry is the hedge's expiry; it needs --hedge")
     check_seed(args.seed)
+    if args.matrix is not None and args.out is not None:
+        _refuse_overwrite(args.matrix, args.out + ".csv", args.out + ".json")
     gene_ids, sequences, lambdas = _screen_input(args)
     hedge = HedgeSpec(expiry=args.expiry or 0) if args.hedge else None
     result = run_screening(sequences, lambdas, alpha=args.alpha,
@@ -256,6 +266,7 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    _refuse_overwrite(args.input, args.output)
     prepared = ingest.read_screening(args.input, normal_label=args.normal_label,
                                      tumor_label=args.tumor_label,
                                      log_transform=not args.no_log)

@@ -1,21 +1,20 @@
 """Expression-matrix ingestion for sequential gene screening.
 
-Pipeline: natural log (optional for data already on log scale), per-gene
-standardization against the normal-group mean and standard deviation, then
-the standard normal CDF (pricing.normal_cdf).  A gene that is standard
-normal under the null comes out Uniform(0, 1) with mean 1/2, which is what
-the bounded-outcome betting process expects.  Two tumor samples per gene are held out to pick a
-betting fraction and never appear in the test sequence.
+read_screening reads a delimited text matrix (a header of group labels, one
+gene per row) and maps it to per-gene test sequences.  Pipeline: natural
+log (optional for data already on log scale), per-gene standardization
+against the normal-group mean and standard deviation, then the standard
+normal CDF (pricing.normal_cdf).  A gene that is standard normal under the
+null comes out Uniform(0, 1) with mean 1/2, which is what the
+bounded-outcome betting process expects.  Two tumor samples per gene are
+held out to pick a betting fraction and never appear in the test sequence.
 
 The file is read one block of ROW_BLOCK gene rows at a time, and each block
 is transformed on its own: every per-gene statistic is a row reduction and
 every other step is elementwise, so a block's rows come out with the same
-bits as in a whole-matrix pass.  read_screening writes each block's test
-columns and fractions straight into the output, so it holds the test
-sequences plus one block, never the file's text or a full raw or uniform
-matrix.  load_expression_matrix, transform_to_uniform and prepare_screening
-run the same block reader, per-block transform and split one stage at a
-time.
+bits as in a whole-matrix pass.  Each block's test columns and fractions
+are written straight into the output, so a read holds the test sequences
+plus one block, never the file's text or a full raw or uniform matrix.
 """
 
 from __future__ import annotations
@@ -46,46 +45,6 @@ class HeldOutError(ValueError):
     """Fewer tumor columns than the fraction plug-in holds out."""
 
 
-@dataclass(frozen=True)
-class ExpressionMatrix:
-    """Genes by samples, with each column labeled by its group.
-
-    values is held as a C-contiguous float64 array, copied only when it is
-    not one already.
-    """
-
-    gene_ids: tuple[str, ...]
-    values: np.ndarray               # shape (genes, samples)
-    groups: tuple[str, ...]          # per-column label
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=float))
-        m, n = self.values.shape
-        if len(self.gene_ids) != m:
-            raise ValueError("one id per gene row required")
-        if len(self.groups) != n:
-            raise ValueError("one group label per sample column required")
-        _check_finite(self.values)
-        if len(set(self.groups)) != 2:
-            raise ValueError(
-                f"sample labels must partition into two groups, got {sorted(set(self.groups))}")
-
-
-@dataclass(frozen=True)
-class UniformMatrix:
-    """Transformed matrix with per-gene sequences in [0, 1]."""
-
-    gene_ids: tuple[str, ...]
-    values: np.ndarray
-    groups: tuple[str, ...]
-    skipped_gene_ids: tuple[str, ...]
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError("expression matrix contains missing or non-finite values")
-
-
 def _split_id(line: str, delimiter: str) -> tuple[str, str]:
     """(gene id, the value fields) of one data line; a quoted id is read as
     csv reads it, so it may hold the delimiter."""
@@ -111,7 +70,10 @@ def _parses_to(text: str, delimiter: str, width: int) -> bool:
 
 def _read_header(fh, normal_label: str, tumor_label: str) -> tuple[str, tuple[str, ...]]:
     """(delimiter, group labels) from the first line of fh.  The delimiter is
-    sniffed from it (comma or tab); the labels must be the two groups."""
+    sniffed from it (comma or tab); the labels must be the two groups, and
+    the two must differ."""
+    if normal_label == tumor_label:
+        raise ValueError(f"the normal and tumor labels must differ, both are {normal_label!r}")
     first = fh.readline()
     delimiter = "\t" if first.count("\t") >= first.count(",") else ","
     header = next(csv.reader([first], delimiter=delimiter))
@@ -157,7 +119,8 @@ def _parse_block(rows, path, delimiter: str, width: int):
             raise
         raise ValueError(f"{path} line {bad}: expected {width} fields, a gene id "
                          f"and {width - 1} numeric values") from None
-    _check_finite(values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("expression matrix contains missing or non-finite values")
     return gene_ids, values
 
 
@@ -235,54 +198,6 @@ def _split_rows(uniform: np.ndarray, held: tuple[int, ...], test_cols: list[int]
     sequences[:] = uniform[:, test_cols]
 
 
-def load_expression_matrix(path, normal_label: str = "normal",
-                           tumor_label: str = "tumor") -> ExpressionMatrix:
-    """Read a delimited text matrix: header of group labels, one gene per row.
-
-    The first column holds gene ids; the delimiter is sniffed from the
-    header (comma or tab), and the labels must be the two groups.  Blank
-    lines are skipped; each block of rows is parsed by numpy in one call.
-    A ragged or non-numeric row is a ValueError that names its file line,
-    counting the header and blank lines.
-    """
-    with open(path) as fh:
-        delimiter, groups = _read_header(fh, normal_label, tumor_label)
-        values = np.empty((_row_bound(path), len(groups)))
-        gene_ids = []
-        for ids, block in _row_blocks(fh, path, delimiter, len(groups) + 1):
-            values[len(gene_ids):len(gene_ids) + len(ids)] = block
-            gene_ids += ids
-    return ExpressionMatrix(tuple(gene_ids), values[:len(gene_ids)], groups)
-
-
-def transform_to_uniform(matrix: ExpressionMatrix, *, normal_label: str = "normal",
-                         log_transform: bool = True) -> UniformMatrix:
-    """Map each gene's samples to [0, 1] via normal-group standardization and Phi.
-
-    Genes whose normal values are all equal, or whose normal-group sd is 0,
-    are flagged and skipped.  Fewer than two normal columns give no
-    variance and are refused.  Pass log_transform=False for data already on
-    a log scale.  The rows are transformed a block at a time into one new
-    array; matrix.values is left as it is.
-    """
-    normal = _normal_columns(matrix.groups, normal_label)
-    values = matrix.values
-    uniform = np.empty(values.shape)
-    keep = np.empty(len(values), dtype=bool)
-    kept = 0
-    for start in range(0, len(values), ROW_BLOCK):
-        rows, keep[start:start + ROW_BLOCK] = _uniform_rows(
-            values[start:start + ROW_BLOCK], normal, log_transform)
-        uniform[kept:kept + len(rows)] = rows
-        kept += len(rows)
-    if not kept:
-        raise ZeroVarianceError("every gene has zero variance in the normal group")
-    keep = keep.tolist()
-    return UniformMatrix(tuple(compress(matrix.gene_ids, keep)), uniform[:kept],
-                         matrix.groups,
-                         tuple(compress(matrix.gene_ids, [not k for k in keep])))
-
-
 def estimate_lambdas(held_out, grid: Sequence[float] = LAMBDA_GRID) -> np.ndarray:
     """Betting fraction of each gene from its two held-out transformed tumor samples.
 
@@ -311,31 +226,19 @@ class ScreeningInput:
     skipped_gene_ids: tuple[str, ...] = ()
 
 
-def prepare_screening(uniform: UniformMatrix, *, tumor_label: str = "tumor",
-                      n_held_out: int = 2,
-                      grid: Sequence[float] = LAMBDA_GRID) -> ScreeningInput:
-    """Split off the held-out tumor columns and fix each gene's fraction.
-
-    The first n_held_out tumor columns (in file order) are used for the
-    fraction plug-in and discarded from the test sequences; the remaining
-    columns keep their original order.
-    """
-    held, test_cols = _test_columns(uniform.groups, tumor_label, n_held_out)
-    m = len(uniform.values)
-    sequences, lambdas = np.empty((m, len(test_cols)), order="F"), np.empty(m)
-    for start in range(0, m, ROW_BLOCK):
-        stop = start + ROW_BLOCK
-        _split_rows(uniform.values[start:stop], held, test_cols, grid,
-                    sequences[start:stop], lambdas[start:stop])
-    return ScreeningInput(uniform.gene_ids, sequences, lambdas, held,
-                          uniform.skipped_gene_ids)
-
-
 def read_screening(path, *, normal_label: str = "normal", tumor_label: str = "tumor",
                    log_transform: bool = True, n_held_out: int = 2,
                    grid: Sequence[float] = LAMBDA_GRID) -> ScreeningInput:
-    """prepare_screening(transform_to_uniform(load_expression_matrix(path)))
-    in one pass over the file, a block of ROW_BLOCK gene rows at a time.
+    """The test sequences and fractions of the matrix file at path, in one
+    pass over it, a block of ROW_BLOCK gene rows at a time.
+
+    The first column holds gene ids; the delimiter is sniffed from the
+    header (comma or tab).  Blank lines are skipped, and a ragged or
+    non-numeric row is a ValueError that names its file line, counting the
+    header and blank lines.  Pass log_transform=False for data already on a
+    log scale.  The first n_held_out tumor columns (in file order) pick
+    each gene's fraction and are left out of its test sequence; the other
+    columns keep their order.
 
     The header is checked first: the group labels, at least two normal
     columns (ZeroVarianceError) and n_held_out tumor columns

@@ -175,11 +175,8 @@ DATASET = os.environ.get("HEDGETEST_EXPRESSION_MATRIX", "")
                     reason="real expression matrix not supplied "
                            "(set HEDGETEST_EXPRESSION_MATRIX)")
 def test_c8_screening_real_data():
-    from hedgetest.ingest import (load_expression_matrix, prepare_screening,
-                                  transform_to_uniform)
-    matrix = load_expression_matrix(DATASET)
-    uniform = transform_to_uniform(matrix, log_transform=False)
-    prepared = prepare_screening(uniform)
+    from hedgetest.ingest import read_screening
+    prepared = read_screening(DATASET, log_transform=False)
     result = run_screening(prepared.sequences, prepared.lambdas,
                            alpha=0.05, ruin_level=0.5)
     ok = abs(result.proportion_rejected - 0.34) <= 0.03

@@ -751,6 +751,27 @@ class TestIngest:
 
 
 @pytest.mark.parametrize("argv", [
+    ("screen", "--matrix", "m.csv", "--out", "m"),
+    ("screen", "--matrix", "m.csv", "--hedge", "--out", "sub/../m"),
+    ("ingest", "--input", "m.csv", "--output", "m.csv"),
+    ("ingest", "--input", "m.csv", "--output", "link.csv"),
+])
+def test_an_output_that_is_the_input_is_refused_before_the_read(tmp_path, monkeypatch,
+                                                                 capsys, argv):
+    # the same file by name, through a dotted path and through a symlink
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    write_odd_id_matrix(tmp_path / "m.csv", ",")
+    (tmp_path / "link.csv").symlink_to(tmp_path / "m.csv")
+    before = (tmp_path / "m.csv").read_bytes()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "is the input file m.csv" in err
+    assert (tmp_path / "m.csv").read_bytes() == before
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("hedge-solve", "--floor", "0.25", "--horizon", "0"),
     ("price", "--model", "u=1.5,d=0.5", "--contract", "put,S=0.25,tau=3",
      "--method", "mc", "--n", "1"),

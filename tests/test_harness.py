@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, strategies as st
 
 from hedgetest import harness, pricing
 from hedgetest.harness import (ConfigError, ExperimentConfig, HedgeSpec,
@@ -19,7 +20,7 @@ from hedgetest.harness import (ConfigError, ExperimentConfig, HedgeSpec,
                                tail_metrics, to_json, two_point_terminals)
 from hedgetest.ingest import LAMBDA_GRID
 from hedgetest.portfolio import Portfolio, buy_contract, move_to_risky, step
-from hedgetest.pricing import Contract, LatticeModel, mc_price
+from hedgetest.pricing import Contract, LatticeModel, StrikeSolveError, mc_price
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, hedged_cs, ville_crossing
@@ -604,22 +605,46 @@ class TestHedgeIsAPortfolio:
     # wealth process and spent on as many puts, the cash C**2 left idle.
     # table2_option10 is left out: its put expires before the horizon, and
     # then the harness reinvests the payoff while the portfolio holds it
-    @pytest.mark.parametrize("name", ["table1_option", "table2_option20"])
-    def test_harness_wealth_is_the_portfolio_less_its_idle_cash(self, name):
-        cfg = load_config(CONFIGS / f"{name}.cfg")
-        plan = _hedge_plan(cfg)
+    @staticmethod
+    def check(cfg, plan, replications):
+        """Each step's harness wealth plus C**2 is the portfolio walk's total
+        on the same outcome rows, to 1e-12 relative."""
         stake = 1.0 - plan.premium
         model = LatticeModel.for_bernoulli_bet(cfg.strategy.constant_lambda(cfg.hypothesis),
                                                cfg.hypothesis.null_param)
         held = move_to_risky(Portfolio.initial(model.up_factor, model.down_factor), stake)
         held = buy_contract(held, Contract.put(plan.strike, plan.expiry), stake)
         assert held.risk_free == pytest.approx(plan.premium ** 2, rel=1e-12)
-        y = harness._chunk_outcomes(cfg, 0, 200)
+        y = harness._chunk_outcomes(cfg, 0, replications)
         walks = [held] * len(y)
         for t, w in enumerate(_episode_wealth(cfg, y, plan)):
             walks = [step(walk, outcome) for walk, outcome in zip(walks, y[:, t])]
             totals = np.array([walk.total_value for walk in walks])
             assert totals == pytest.approx(w + held.risk_free, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["table1_option", "table2_option20"])
+    def test_harness_wealth_is_the_portfolio_less_its_idle_cash(self, name):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        self.check(cfg, _hedge_plan(cfg), 200)
+
+    @given(null_p=st.floats(0.05, 0.95), share=st.floats(0.01, 0.99),
+           truth=st.floats(0.0, 1.0), horizon=st.integers(2, 30),
+           floor=st.floats(0.01, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_any_put_hedge_to_the_horizon_is_the_portfolio_less_its_idle_cash(
+            self, null_p, share, truth, horizon, floor, seed):
+        # lam = share / null_p gives d = 1 - share in (0, 1) and u above 1.
+        # A floor up to 1/4 always has a strike: C(S) <= S, so the worst
+        # case (1 - C(S))*S is at least 1/4 at S = 1/2.  A higher floor may
+        # have none, and that draw is rejected
+        cfg = config(hypothesis=HypothesisSpec.bernoulli(null_p), truth=TruthSpec(truth),
+                     strategy=StrategySpec(StrategyKind.FIXED_LAMBDA, share / null_p),
+                     horizon=horizon, replications=20, ruin_level=floor, seed=seed,
+                     hedge=HedgeSpec())
+        try:
+            plan = _hedge_plan(cfg)
+        except StrikeSolveError:
+            reject()
+        self.check(cfg, plan, 20)
 
 
 class TestStreamKeys:

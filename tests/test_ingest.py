@@ -1,58 +1,51 @@
-"""Tests for expression-matrix loading, the uniform transform and the
-fraction plug-in."""
-
-import csv
+"""Tests for the expression-matrix reader: parsing, the uniform transform,
+the held-out split and the fraction plug-in, each against a whole-matrix
+reference."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from hedgetest import cli
-from hedgetest.ingest import (LAMBDA_GRID, ROW_BLOCK, ExpressionMatrix, HeldOutError,
-                              UniformMatrix, ZeroVarianceError, estimate_lambdas,
-                              load_expression_matrix, prepare_screening,
-                              read_screening, transform_to_uniform)
+from hedgetest.ingest import (LAMBDA_GRID, ROW_BLOCK, HeldOutError, ZeroVarianceError,
+                              estimate_lambdas, read_screening)
 from hedgetest.rng import stream
 
-from oracles import (csv_float_reference, plug_in_lambda,
-                     screening_input_by_whole_matrix, sequences_csv_rows_by_row)
+from oracles import (plug_in_lambda, screening_input_by_whole_matrix,
+                     sequences_csv_rows_by_row)
 
 
-def small_matrix(values, groups=("normal", "normal", "normal", "tumor", "tumor", "tumor")):
-    ids = tuple(f"g{i}" for i in range(len(values)))
-    return ExpressionMatrix(ids, np.asarray(values, dtype=float), tuple(groups))
+def write_matrix(path, values, groups):
+    """values as a comma-separated matrix file, genes g0, g1, ... under a
+    header of group labels; repr writes each double so that it reads back
+    as the same double."""
+    lines = [",".join(["gene", *groups])]
+    lines += [",".join([f"g{i}", *map(repr, row)])
+              for i, row in enumerate(np.asarray(values, dtype=float).tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
-class TestExpressionMatrix:
-    def test_rejects_non_finite_values(self):
-        with pytest.raises(ValueError):
-            small_matrix([[1.0, 2.0, np.nan, 1.0, 2.0, 3.0]])
-
-    def test_requires_two_groups(self):
-        with pytest.raises(ValueError):
-            small_matrix([[1.0] * 6], groups=("normal",) * 6)
-
-    def test_shape_consistency(self):
-        with pytest.raises(ValueError):
-            ExpressionMatrix(("g0", "g1"), np.ones((1, 6)), ("normal",) * 3 + ("tumor",) * 3)
+SIX = ("normal",) * 3 + ("tumor",) * 3
 
 
-class TestLoader:
+class TestReader:
     def test_round_trip_csv(self, tmp_path):
         path = tmp_path / "expr.csv"
-        path.write_text("gene,normal,normal,tumor,tumor\n"
-                        "g0,1.0,2.0,3.0,4.0\n"
-                        "g1,0.5,0.25,0.75,1.5\n")
-        matrix = load_expression_matrix(path)
-        assert matrix.gene_ids == ("g0", "g1")
-        assert matrix.values.shape == (2, 4)
-        assert matrix.groups == ("normal", "normal", "tumor", "tumor")
+        path.write_text("gene,normal,normal,tumor,tumor,tumor\n"
+                        "g0,1.0,2.0,3.0,4.0,5.0\n"
+                        "g1,0.5,0.25,0.75,1.5,2.0\n")
+        prepared = read_screening(path)
+        assert prepared.gene_ids == ("g0", "g1")
+        assert prepared.held_out_columns == (2, 3)
+        assert prepared.sequences.shape == (2, 3)
 
     def test_tab_delimited(self, tmp_path):
-        path = tmp_path / "expr.tsv"
-        path.write_text("gene\tnormal\ttumor\ng0\t1.0\t2.0\n")
-        matrix = load_expression_matrix(path)
-        assert matrix.values[0, 1] == 2.0
+        comma = tmp_path / "expr.csv"
+        comma.write_text("gene,normal,normal,tumor,tumor,tumor\ng0,1.0,2.0,3.0,4.0,5.0\n")
+        tab = tmp_path / "expr.tsv"
+        tab.write_text(comma.read_text().replace(",", "\t"))
+        assert read_screening(tab).sequences.tobytes() == read_screening(comma).sequences.tobytes()
 
     @pytest.mark.parametrize("delimiter,newline,blank", [
         (",", "\n", False), ("\t", "\n", False), (",", "\n", True),
@@ -70,117 +63,102 @@ class TestLoader:
                 lines.append("")
         path = tmp_path / "expr.txt"
         path.write_bytes(newline.join(lines + [""]).encode())
-        ids, expected, groups = csv_float_reference(path)
-        matrix = load_expression_matrix(path)
-        assert matrix.gene_ids == ids and matrix.groups == groups
-        assert matrix.values.shape == expected.shape == (40, 12)
-        assert matrix.values.tobytes() == expected.tobytes()
-
-    def test_unknown_labels_rejected(self, tmp_path):
-        path = tmp_path / "expr.csv"
-        path.write_text("gene,healthy,sick\ng0,1.0,2.0\n")
-        with pytest.raises(ValueError):
-            load_expression_matrix(path)
+        ids, lambdas, sequences, skipped = screening_input_by_whole_matrix(path)
+        prepared = read_screening(path)
+        assert prepared.gene_ids == ids and prepared.skipped_gene_ids == skipped == ()
+        assert prepared.sequences.shape == sequences.shape == (40, 10)
+        assert prepared.sequences.tobytes() == sequences.tobytes()
+        assert prepared.lambdas.tobytes() == lambdas.tobytes()
 
 
 class TestTransform:
-    def test_value_at_normal_mean_maps_to_half(self):
-        # already standard-normal scale data: 0 maps to Phi(0) = 0.5
-        rng = stream(301)
-        ref = rng.standard_normal(5000)
-        matrix = ExpressionMatrix(("g0",), np.append(ref, ref.mean())[None, :],
-                                  ("normal",) * 5000 + ("tumor",))
-        out = transform_to_uniform(matrix, log_transform=False).values[0]
+    def test_value_at_normal_mean_maps_to_half(self, tmp_path):
+        # already standard-normal scale data: 0 maps to Phi(0) = 0.5; the two
+        # held-out tumor columns come before the tested one
+        ref = stream(301).standard_normal(5000)
+        path = write_matrix(tmp_path / "m.csv", [np.append(ref, [0.0, 0.0, ref.mean()])],
+                            ("normal",) * 5000 + ("tumor",) * 3)
+        out = read_screening(path, log_transform=False).sequences[0]
         assert out[-1] == pytest.approx(0.5, abs=1e-12)
 
-    def test_standard_normal_gene_is_uniform(self):
+    def test_standard_normal_gene_is_uniform(self, tmp_path):
         # KS test against Uniform(0,1) at the 1% level, n = 1e4 draws
-        rng = stream(302)
         n = 10_000
-        values = rng.standard_normal((1, n))
-        matrix = ExpressionMatrix(("g0",), values, ("normal",) * (n - 2) + ("tumor",) * 2)
-        uniform = transform_to_uniform(matrix, log_transform=False)
-        assert stats.kstest(uniform.values[0], "uniform").pvalue >= 0.01
+        path = write_matrix(tmp_path / "m.csv", stream(302).standard_normal((1, n)),
+                            ("normal",) * (n - 2) + ("tumor",) * 2)
+        prepared = read_screening(path, log_transform=False)
+        assert stats.kstest(prepared.sequences[0], "uniform").pvalue >= 0.01
 
-    def test_constant_gene_flagged_and_skipped(self):
-        matrix = small_matrix([[1.0] * 6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
-        uniform = transform_to_uniform(matrix, log_transform=False)
-        assert uniform.skipped_gene_ids == ("g0",)
-        assert uniform.gene_ids == ("g1",)
+    def test_constant_gene_flagged_and_skipped(self, tmp_path):
+        path = write_matrix(tmp_path / "m.csv", [[1.0] * 6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
+                            SIX)
+        prepared = read_screening(path, log_transform=False)
+        assert prepared.skipped_gene_ids == ("g0",)
+        assert prepared.gene_ids == ("g1",)
 
-    def test_constant_gene_alone_errors(self):
-        constant_normals = ExpressionMatrix(("g0",), np.array([[3.0, 3.0, 3.0, 1.0, 2.0]]),
-                                            ("normal",) * 3 + ("tumor",) * 2)
+    @pytest.mark.parametrize("values,groups", [
+        ([[3.0, 3.0, 3.0, 1.0, 2.0]], ("normal",) * 3 + ("tumor",) * 2),
+        ([[2.0] * 6], SIX)])
+    def test_constant_gene_alone_errors(self, tmp_path, values, groups):
+        path = write_matrix(tmp_path / "m.csv", values, groups)
         with pytest.raises(ZeroVarianceError):
-            transform_to_uniform(constant_normals, log_transform=False)
-        with pytest.raises(ZeroVarianceError):
-            transform_to_uniform(small_matrix([[2.0] * 6]), log_transform=False)
+            read_screening(path, log_transform=False)
 
-    def test_monotone_per_gene(self):
-        rng = stream(303)
-        values = rng.standard_normal((1, 50))
-        matrix = ExpressionMatrix(("g0",), values, ("normal",) * 48 + ("tumor",) * 2)
-        uniform = transform_to_uniform(matrix, log_transform=False)
-        order_in = np.argsort(values[0])
-        order_out = np.argsort(uniform.values[0])
-        assert np.array_equal(order_in, order_out)
+    def test_monotone_per_gene(self, tmp_path):
+        values = stream(303).standard_normal((1, 50))
+        path = write_matrix(tmp_path / "m.csv", values, ("normal",) * 48 + ("tumor",) * 2)
+        out = read_screening(path, log_transform=False).sequences[0]
+        assert np.array_equal(np.argsort(values[0, :48]), np.argsort(out))
 
-    def test_log_requires_positive_values(self):
-        matrix = small_matrix([[1.0, 2.0, -3.0, 4.0, 5.0, 6.0]])
-        with pytest.raises(ValueError):
-            transform_to_uniform(matrix, log_transform=True)
-
-    def test_log_then_standardize_pipeline(self):
+    def test_log_then_standardize_pipeline(self, tmp_path):
         # log-normal raw data comes out uniform after the full pipeline
-        rng = stream(304)
         n = 4000
-        raw = np.exp(rng.standard_normal((1, n)))
-        matrix = ExpressionMatrix(("g0",), raw, ("normal",) * (n - 2) + ("tumor",) * 2)
-        uniform = transform_to_uniform(matrix, log_transform=True)
-        assert stats.kstest(uniform.values[0], "uniform").pvalue >= 0.01
+        raw = np.exp(stream(304).standard_normal((1, n)))
+        path = write_matrix(tmp_path / "m.csv", raw, ("normal",) * (n - 2) + ("tumor",) * 2)
+        prepared = read_screening(path, log_transform=True)
+        assert stats.kstest(prepared.sequences[0], "uniform").pvalue >= 0.01
 
-    def test_output_bounded(self):
-        rng = stream(305)
-        values = rng.standard_normal((5, 40))
-        matrix = ExpressionMatrix(tuple(f"g{i}" for i in range(5)), values,
-                                  ("normal",) * 30 + ("tumor",) * 10)
-        uniform = transform_to_uniform(matrix, log_transform=False)
-        assert np.all((uniform.values >= 0.0) & (uniform.values <= 1.0))
+    def test_output_bounded(self, tmp_path):
+        path = write_matrix(tmp_path / "m.csv", stream(305).standard_normal((5, 40)),
+                            ("normal",) * 30 + ("tumor",) * 10)
+        out = read_screening(path, log_transform=False).sequences
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
-
-    def test_ndtr_matches_the_stats_normal_cdf(self):
+    def test_ndtr_matches_the_stats_normal_cdf(self, tmp_path):
         # the loader-sized matrix: ndtr is bit for bit the normal CDF it replaced
         from scipy.special import ndtr
         z = stream(307).standard_normal((6033, 102))
         assert ndtr(z).tobytes() == stats.norm.cdf(z).tobytes()
-        matrix = ExpressionMatrix(tuple(f"g{i}" for i in range(6033)), z,
-                                  ("normal",) * 50 + ("tumor",) * 52)
+        path = write_matrix(tmp_path / "m.csv", z, ("normal",) * 50 + ("tumor",) * 52)
         normal = z[:, np.arange(102) < 50]
         standard = (z - normal.mean(axis=1)[:, None]) / normal.std(axis=1, ddof=1)[:, None]
-        uniform = transform_to_uniform(matrix, log_transform=False)
-        assert uniform.values.tobytes() == stats.norm.cdf(standard).tobytes()
+        test_cols = [c for c in range(102) if c not in (50, 51)]
+        prepared = read_screening(path, log_transform=False)
+        assert prepared.sequences.tobytes() == stats.norm.cdf(standard)[:, test_cols].tobytes()
 
     @pytest.mark.parametrize("log_transform", [True, False])
     @pytest.mark.parametrize("flat_gene", [None, 3])
-    def test_transform_is_the_expression_bit_for_bit(self, log_transform, flat_gene):
-        # ndtr((v[keep] - mu) / sd) as one expression; matrix.values untouched
+    def test_transform_is_the_expression_bit_for_bit(self, tmp_path, log_transform,
+                                                     flat_gene):
+        # ndtr((v[keep] - mu) / sd) as one expression; with the groups
+        # interleaved, the first two tumor columns (1 and 3) pick the
+        # fraction and every other column is tested in file order
         from scipy.special import ndtr
         values = np.exp(stream(308).standard_normal((8, 24)))
         groups = ("normal", "tumor") * 12
         normal = np.array(groups) == "normal"
         if flat_gene is not None:
             values[flat_gene, normal] = 1.0       # zero variance, also on log scale
-        matrix = ExpressionMatrix(tuple(f"g{i}" for i in range(8)), values, groups)
-        before = values.copy()
-        uniform = transform_to_uniform(matrix, log_transform=log_transform)
-        v = np.log(before) if log_transform else before
+        path = write_matrix(tmp_path / "m.csv", values, groups)
+        prepared = read_screening(path, log_transform=log_transform)
+        v = np.log(values) if log_transform else values
         mu, sd = v[:, normal].mean(axis=1), v[:, normal].std(axis=1, ddof=1)
         keep = sd > 0.0
         assert keep.sum() == 8 - (flat_gene is not None)
         expected = ndtr((v[keep] - mu[keep, None]) / sd[keep, None])
-        assert uniform.values.tobytes() == expected.tobytes()
-        assert matrix.values.tobytes() == before.tobytes()
-        assert not np.shares_memory(uniform.values, matrix.values)
+        assert prepared.held_out_columns == (1, 3)
+        assert prepared.sequences.tobytes() == expected[:, [0, 2, *range(4, 24)]].tobytes()
+        assert prepared.lambdas.tobytes() == estimate_lambdas(expected[:, [1, 3]]).tobytes()
 
 
 class TestEstimateLambda:
@@ -231,40 +209,6 @@ class TestEstimateLambda:
             estimate_lambdas(np.full(4, 0.5))
 
 
-class TestPrepareScreening:
-    def _uniform(self, n_genes=4, n_normal=5, n_tumor=5, seed=321):
-        rng = stream(seed)
-        values = rng.random((n_genes, n_normal + n_tumor))
-        groups = ("normal",) * n_normal + ("tumor",) * n_tumor
-        ids = tuple(f"g{i}" for i in range(n_genes))
-        return UniformMatrix(ids, values, groups, ())
-
-    def test_holds_out_first_two_tumor_columns(self):
-        uniform = self._uniform()
-        prepared = prepare_screening(uniform)
-        assert prepared.held_out_columns == (5, 6)
-        assert prepared.sequences.shape == (4, 8)
-
-    def test_held_out_never_in_test_sequence(self):
-        uniform = self._uniform()
-        prepared = prepare_screening(uniform)
-        for g in range(4):
-            held = uniform.values[g, list(prepared.held_out_columns)]
-            seq = prepared.sequences[g]
-            # structural check: the sequence is the matrix minus those columns
-            kept = [c for c in range(uniform.values.shape[1])
-                    if c not in prepared.held_out_columns]
-            assert np.array_equal(seq, uniform.values[g, kept])
-            for v in held:
-                # and the plug-in used exactly the held-out pair
-                assert prepared.lambdas[g] == estimate_lambdas([held])[0]
-
-    def test_needs_two_tumor_samples(self):
-        uniform = self._uniform(n_tumor=1)
-        with pytest.raises(HeldOutError, match="need at least 2 tumor samples, found 1"):
-            prepare_screening(uniform)
-
-
 def write_block_matrix(path, genes, delimiter=",", newline="\n", blanks=(),
                        flat=(), quoted=(), seed=330):
     """A raw matrix of `genes` rows, 6 normal then 6 tumor columns: genes in
@@ -303,10 +247,6 @@ class TestStreamedReader:
         assert streamed.held_out_columns == (6, 7)
         assert streamed.lambdas.tobytes() == lambdas.tobytes()
         assert streamed.sequences.tobytes() == sequences.tobytes()
-        staged = prepare_screening(transform_to_uniform(load_expression_matrix(path)))
-        assert staged.gene_ids == ids and staged.skipped_gene_ids == skipped
-        assert staged.lambdas.tobytes() == lambdas.tobytes()
-        assert staged.sequences.tobytes() == sequences.tobytes()
         assert cli.main(["ingest", "--input", str(path),
                          "--output", str(tmp_path / "out.csv")]) == 0
         text = (tmp_path / "out.csv").read_text()
@@ -332,8 +272,6 @@ class TestStreamedReader:
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match=rf"line {2 * ROW_BLOCK + 4}: expected 13 "):
             read_screening(path)
-        with pytest.raises(ValueError, match=rf"line {2 * ROW_BLOCK + 4}: expected 13 "):
-            load_expression_matrix(path)
 
     def test_a_block_of_one_wrong_width_names_its_first_line(self, tmp_path):
         path = tmp_path / "matrix.csv"
@@ -359,25 +297,25 @@ class TestStreamedReader:
         write_block_matrix(path, genes, blanks=(ROW_BLOCK,), flat=range(genes))
         with pytest.raises(ZeroVarianceError, match="every gene has zero variance"):
             read_screening(path)
-        with pytest.raises(ZeroVarianceError, match="every gene has zero variance"):
-            transform_to_uniform(load_expression_matrix(path))
 
-    @pytest.mark.parametrize("header,error,message", [
-        ("gene,healthy,tumor", ValueError, "expected groups"),
-        ("gene,normal,tumor,tumor,tumor", ZeroVarianceError, "got 1"),
-        ("gene,normal,normal,tumor", HeldOutError, "found 1"),
+    @pytest.mark.parametrize("header,labels,error,message", [
+        ("gene,healthy,tumor", {}, ValueError, "expected groups"),
+        ("gene,normal,normal,normal", {}, ValueError, "expected groups"),
+        ("gene,normal,tumor,tumor,tumor", {}, ZeroVarianceError, "got 1"),
+        ("gene,normal,normal,tumor", {}, HeldOutError, "found 1"),
+        ("gene" + ",x" * 8, {"normal_label": "x", "tumor_label": "x"}, ValueError,
+         "labels must differ, both are 'x'"),
     ])
-    def test_the_header_is_checked_before_any_row(self, tmp_path, header, error, message):
+    def test_the_header_is_checked_before_any_row(self, tmp_path, header, labels, error,
+                                                  message):
         # the rows are ragged and non-numeric, and the header fault comes first
         path = tmp_path / "matrix.csv"
         path.write_text(f"{header}\ng0,1,x\n")
         with pytest.raises(error, match=message):
-            read_screening(path)
+            read_screening(path, **labels)
 
     def test_no_gene_rows(self, tmp_path):
         path = tmp_path / "matrix.csv"
         path.write_text("gene,normal,normal,tumor,tumor\n\n\n")
         with pytest.raises(ValueError, match="no gene rows"):
             read_screening(path)
-        with pytest.raises(ValueError, match="no gene rows"):
-            load_expression_matrix(path)

@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import hedgetest.cli as cli
-from hedgetest import harness, ingest
+from hedgetest import harness
 from hedgetest.harness import (ExperimentConfig, HedgeSpec, ScreeningResult,
                                TruthSpec, csv_rows, float_cells, load_config,
                                result_csv, result_json, run_experiment,
@@ -49,7 +49,7 @@ from hedgetest.strategies import StrategyKind, StrategySpec
 from hedgetest.wealth import HypothesisSpec
 
 from oracles import (result_csv_by_row, screening_csv_by_row,
-                     sequences_csv_rows_by_row)
+                     screening_input_by_whole_matrix, sequences_csv_rows_by_row)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -288,13 +288,10 @@ def test_ingest_rows_equal_the_row_reference(tmp_path, capsys):
     write_expression_matrix(tmp_path / "matrix.csv")
     assert cli.main(["ingest", "--input", str(tmp_path / "matrix.csv"),
                      "--output", str(tmp_path / "out.csv")]) == 0
-    uniform = ingest.transform_to_uniform(
-        ingest.load_expression_matrix(tmp_path / "matrix.csv"), normal_label="normal")
-    prepared = ingest.prepare_screening(uniform, tumor_label="tumor")
+    ids, lambdas, sequences, _ = screening_input_by_whole_matrix(tmp_path / "matrix.csv")
     text = (tmp_path / "out.csv").read_text()
-    assert text.endswith("\n" + sequences_csv_rows_by_row(
-        prepared.gene_ids, prepared.lambdas, prepared.sequences))
-    assert text.count("\n") == 4 + len(prepared.gene_ids)
+    assert text.endswith("\n" + sequences_csv_rows_by_row(ids, lambdas, sequences))
+    assert text.count("\n") == 4 + len(ids)
 
 
 @pytest.mark.parametrize("block", [15, 4096])
