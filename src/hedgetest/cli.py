@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, ingest.ZeroVarianceError, ingest.HeldOutError) as exc:
+    except (ConfigError, OSError, ingest.GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StrikeSolveError, InadmissibleBetError, OutcomeError, ValueError,

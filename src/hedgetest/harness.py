@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import LAMBDA_GRID, estimate_lambdas
+from .ingest import N_HELD_OUT, estimate_lambdas
 from .pricing import (Contract, LatticeModel, binomial_weights, full_budget_strike,
                       lattice_node_values, solve_hedge_strike)
 from .rng import DEFAULT_SEED, MAX_SEED, stream
@@ -403,8 +403,6 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     lambdas = np.asarray(lambdas, dtype=float)
     if sequences.ndim != 2 or sequences.shape[0] != lambdas.shape[0]:
         raise ValueError("need one fraction per gene row")
-    if np.any((sequences < 0.0) | (sequences > 1.0)):
-        raise ValueError("screening sequences must lie in [0, 1]")
     if np.any((lambdas < 0.0) | (lambdas > 2.0)):
         raise ValueError("screening fractions must lie in [0, 2]")
     m, horizon = sequences.shape
@@ -465,19 +463,19 @@ def synthetic_uniform_matrix(n_genes: int, n_samples: int, seed: int,
 
 def synthetic_screening_input(n_genes: int, n_samples: int, seed: int,
                               shifted_fraction: float = 0.0,
-                              shifted_mean: float = 0.5,
-                              grid=LAMBDA_GRID):
+                              shifted_mean: float = 0.5):
     """Matrix plus the held-out split and plug-in fractions, ready to screen.
 
-    The first two columns stand in for the held-out tumor samples, so at
-    least one test sample needs n_samples >= 3.
+    The first N_HELD_OUT columns stand in for the held-out tumor samples,
+    so at least one test sample needs n_samples > N_HELD_OUT.
     """
-    if n_samples < 3:
-        raise ConfigError(f"need at least 3 samples (2 held out), got {n_samples}")
+    if n_samples <= N_HELD_OUT:
+        raise ConfigError(f"need at least {N_HELD_OUT + 1} samples ({N_HELD_OUT} held out), "
+                          f"got {n_samples}")
     x, mask = synthetic_uniform_matrix(n_genes, n_samples, seed,
                                        shifted_fraction, shifted_mean)
-    lambdas = estimate_lambdas(x[:, :2], grid)
-    return x[:, 2:], lambdas, mask
+    lambdas = estimate_lambdas(x[:, :N_HELD_OUT])
+    return x[:, N_HELD_OUT:], lambdas, mask
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ log (optional for data already on log scale), per-gene standardization
 against the normal-group mean and standard deviation, then the standard
 normal CDF (pricing.normal_cdf).  A gene that is standard normal under the
 null comes out Uniform(0, 1) with mean 1/2, which is what the
-bounded-outcome betting process expects.  Two tumor samples per gene are
-held out to pick a betting fraction and never appear in the test sequence.
+bounded-outcome betting process expects.  N_HELD_OUT tumor samples per
+gene pick its betting fraction and never appear in its test sequence.
 
 The file is read one block of ROW_BLOCK gene rows at a time, and each block
 is transformed on its own: every per-gene statistic is a row reduction and
@@ -31,17 +31,26 @@ from .pricing import normal_cdf
 #: Candidate betting fractions for the per-gene plug-in.
 LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
 
+#: Samples per gene held out to pick its fraction: the first tumor columns
+#: of a matrix file, the first columns of a synthetic matrix.
+N_HELD_OUT = 2
+
 #: Gene rows per block of the reader and the transform: bounds what a call
 #: holds beside its output.
 ROW_BLOCK = 512
 
 
-class ZeroVarianceError(ValueError):
+class GroupError(ValueError):
+    """The matrix's sample groups cannot be screened: a configuration fault
+    of the header's labels or group sizes, not of the data rows."""
+
+
+class ZeroVarianceError(GroupError):
     """No gene can be standardized: fewer than two normal columns, or no
     variation in the normal group."""
 
 
-class HeldOutError(ValueError):
+class HeldOutError(GroupError):
     """Fewer tumor columns than the fraction plug-in holds out."""
 
 
@@ -73,14 +82,14 @@ def _read_header(fh, normal_label: str, tumor_label: str) -> tuple[str, tuple[st
     sniffed from it (comma or tab); the labels must be the two groups, and
     the two must differ."""
     if normal_label == tumor_label:
-        raise ValueError(f"the normal and tumor labels must differ, both are {normal_label!r}")
+        raise GroupError(f"the normal and tumor labels must differ, both are {normal_label!r}")
     first = fh.readline()
     delimiter = "\t" if first.count("\t") >= first.count(",") else ","
     header = next(csv.reader([first], delimiter=delimiter))
     groups = tuple(h.strip() for h in header[1:])
     labels = set(groups)
     if labels != {normal_label, tumor_label}:
-        raise ValueError(
+        raise GroupError(
             f"expected groups {{{normal_label!r}, {tumor_label!r}}}, found {sorted(labels)}")
     return delimiter, groups
 
@@ -148,15 +157,15 @@ def _normal_columns(groups: Sequence[str], normal_label: str) -> np.ndarray:
     return normal
 
 
-def _test_columns(groups: Sequence[str], tumor_label: str,
-                  n_held_out: int) -> tuple[tuple[int, ...], list[int]]:
-    """(held-out columns, test columns): the first n_held_out tumor columns in
+def _test_columns(groups: Sequence[str],
+                  tumor_label: str) -> tuple[tuple[int, ...], list[int]]:
+    """(held-out columns, test columns): the first N_HELD_OUT tumor columns in
     file order, and every other column in its order."""
     tumor_cols = [i for i, g in enumerate(groups) if g == tumor_label]
-    if len(tumor_cols) < n_held_out:
+    if len(tumor_cols) < N_HELD_OUT:
         raise HeldOutError(
-            f"need at least {n_held_out} tumor samples, found {len(tumor_cols)}")
-    held = tuple(tumor_cols[:n_held_out])
+            f"need at least {N_HELD_OUT} tumor samples, found {len(tumor_cols)}")
+    held = tuple(tumor_cols[:N_HELD_OUT])
     return held, [i for i in range(len(groups)) if i not in held]
 
 
@@ -190,27 +199,19 @@ def _uniform_rows(block: np.ndarray, normal: np.ndarray,
     return uniform, keep
 
 
-def _split_rows(uniform: np.ndarray, held: tuple[int, ...], test_cols: list[int],
-                grid: Sequence[float], sequences: np.ndarray, lambdas: np.ndarray) -> None:
-    """Write a block's test columns into sequences and its held-out pair's
-    fractions into lambdas."""
-    lambdas[:] = estimate_lambdas(uniform[:, list(held)], grid)
-    sequences[:] = uniform[:, test_cols]
+def estimate_lambdas(held_out) -> np.ndarray:
+    """Betting fraction of each gene from its held-out transformed tumor samples.
 
-
-def estimate_lambdas(held_out, grid: Sequence[float] = LAMBDA_GRID) -> np.ndarray:
-    """Betting fraction of each gene from its two held-out transformed tumor samples.
-
-    held_out has shape (m, 2).  Plug-in 4 * |mean(pair) - 1/2| snapped to
-    the nearest grid point (the first one on a tie): deterministic and
-    monotone in the evidence of deviation from the null mean; a dead-center
-    pair maps to the smallest candidate fraction.
+    held_out has shape (m, N_HELD_OUT).  Plug-in 4 * |mean(pair) - 1/2|
+    snapped to the nearest LAMBDA_GRID point (the first one on a tie):
+    deterministic and monotone in the evidence of deviation from the null
+    mean; a dead-center pair maps to the smallest candidate fraction.
     """
     pairs = np.asarray(held_out, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"exactly two held-out values per gene required, "
+    if pairs.ndim != 2 or pairs.shape[1] != N_HELD_OUT:
+        raise ValueError(f"exactly {N_HELD_OUT} held-out values per gene required, "
                          f"got shape {pairs.shape}")
-    grid_arr = np.asarray(grid, dtype=float)
+    grid_arr = np.asarray(LAMBDA_GRID, dtype=float)
     raw = 2.0 * np.abs(pairs.mean(axis=1) - 0.5) * 2.0
     return grid_arr[np.argmin(np.abs(grid_arr[None, :] - raw[:, None]), axis=1)]
 
@@ -227,8 +228,7 @@ class ScreeningInput:
 
 
 def read_screening(path, *, normal_label: str = "normal", tumor_label: str = "tumor",
-                   log_transform: bool = True, n_held_out: int = 2,
-                   grid: Sequence[float] = LAMBDA_GRID) -> ScreeningInput:
+                   log_transform: bool = True) -> ScreeningInput:
     """The test sequences and fractions of the matrix file at path, in one
     pass over it, a block of ROW_BLOCK gene rows at a time.
 
@@ -236,30 +236,32 @@ def read_screening(path, *, normal_label: str = "normal", tumor_label: str = "tu
     header (comma or tab).  Blank lines are skipped, and a ragged or
     non-numeric row is a ValueError that names its file line, counting the
     header and blank lines.  Pass log_transform=False for data already on a
-    log scale.  The first n_held_out tumor columns (in file order) pick
-    each gene's fraction and are left out of its test sequence; the other
-    columns keep their order.
+    log scale.  The first N_HELD_OUT tumor columns (in file order) pick
+    each gene's fraction (estimate_lambdas) and are left out of its test
+    sequence; the other columns keep their order.
 
-    The header is checked first: the group labels, at least two normal
-    columns (ZeroVarianceError) and n_held_out tumor columns
-    (HeldOutError), then that the file has a gene row.  Each block is
-    parsed, checked, transformed and split into the test sequences, one
-    array allocated before the first block for every row the file may hold
-    (the file is read once more to count its lines).  A gene skipped for
-    no normal variance is listed in skipped_gene_ids, and with none left
-    the ZeroVarianceError comes after the last block.
+    The header is checked first, each fault a GroupError: the two group
+    labels, which must differ, at least two normal columns
+    (ZeroVarianceError) and N_HELD_OUT tumor columns (HeldOutError); then
+    that the file has a gene row.  Each block is parsed, checked,
+    transformed and split into the test sequences, one array allocated
+    before the first block for every row the file may hold (the file is
+    read once more to count its lines).  A gene skipped for no normal
+    variance is listed in skipped_gene_ids, and with none left the
+    ZeroVarianceError comes after the last block.
     """
     with open(path) as fh:
         delimiter, groups = _read_header(fh, normal_label, tumor_label)
         normal = _normal_columns(groups, normal_label)
-        held, test_cols = _test_columns(groups, tumor_label, n_held_out)
+        held, test_cols = _test_columns(groups, tumor_label)
         bound = _row_bound(path)
         sequences, lambdas = np.empty((bound, len(test_cols)), order="F"), np.empty(bound)
         gene_ids, skipped = [], []
         for ids, values in _row_blocks(fh, path, delimiter, len(groups) + 1):
             uniform, keep = _uniform_rows(values, normal, log_transform)
             rows = slice(len(gene_ids), len(gene_ids) + len(uniform))
-            _split_rows(uniform, held, test_cols, grid, sequences[rows], lambdas[rows])
+            lambdas[rows] = estimate_lambdas(uniform[:, list(held)])
+            sequences[rows] = uniform[:, test_cols]
             keep = keep.tolist()
             gene_ids += compress(ids, keep)
             skipped += compress(ids, [not k for k in keep])

@@ -10,12 +10,14 @@ by elapsed time and up-moves since the trade, and an expired one reads the
 payoff frozen when the portfolio stepped past its expiry.  So a step costs
 the same however many contracts are held: it moves the risky leg and the
 underlying, and touches the records only when it leaves an expiry time,
-settling each contract once.  Trades are value-neutral exchanges
-constrained so that total value can never go negative: loans and shorts
-respect the one-period bounds, and derivative trades, and any cash-and-shares
-move while contracts are live, are vetted by an exact worst-case sweep over
-lattice paths to expiry.  The total value is itself a test wealth process,
-so the usual anytime-valid decision rule applies to it unchanged.
+settling each contract once.  Trades are value-neutral exchanges under one
+rule: no trade, a cash-and-shares move or a contract bought or written, may
+leave a lattice path to the last live expiry (the next step when nothing is
+live) on which the total value, settled payoffs counted as cash, goes
+negative, as an exact worst-case sweep finds.  trade_limits is the rule in
+closed form while nothing is live, Lemma 1's bounds.  The total value is
+itself a test wealth process, so the usual anytime-valid decision rule
+applies to it unchanged.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from .pricing import Contract, LatticeModel, lattice_node_values
 _PRICE_TOL = 1e-9
 
 
-class TradeLimitError(ValueError):
-    """A loan or short request beyond the one-period nonnegativity bound."""
-
-
 class BankruptcyRiskError(ValueError):
-    """A derivative trade with a strictly negative worst-case outcome."""
+    """A trade with a strictly negative worst-case outcome."""
 
 
 class MispricedTradeError(ValueError):
@@ -117,41 +115,32 @@ class Portfolio(NamedTuple):
 
 
 def trade_limits(portfolio: Portfolio) -> TradeLimits:
-    """One-period loan and short bounds keeping the cash and shares nonnegative.
+    """Lemma 1's loan and short bounds, move_to_risky's rule in closed form
+    while no contract is live.
 
-    A transfer of a into the risky leg survives a down-move iff
-    a <= (K_free + d*K_risky) / (1 - d); a short of b survives an up-move iff
-    b <= (K_free + u*K_risky) / (u - 1).  The factors come from the
-    portfolio's lattice, so 0 < d < 1 < u holds and neither bound divides
-    by zero.  The bounds cover cash and shares only: move_to_risky vets a
-    portfolio holding live contracts with the exact worst-case sweep as well.
+    With cash c, settled payoffs included, a transfer of a into the risky
+    leg survives a down-move iff a <= (c + d*K_risky) / (1 - d); a short of
+    b survives an up-move iff b <= (c + u*K_risky) / (u - 1); 0 < d < 1 < u
+    holds on the portfolio's lattice.  Live contracts are left out (a held
+    put allows more, a written call less): the sweep decides.
     """
     u, d = portfolio.lattice.up_factor, portfolio.lattice.down_factor
-    free, risky = portfolio.risk_free, portfolio.risky_value
-    return TradeLimits(max_loan=(free + d * risky) / (1.0 - d),
-                       max_short=(free + u * risky) / (u - 1.0))
+    cash, risky = portfolio.risk_free + _settled_value(portfolio), portfolio.risky_value
+    return TradeLimits(max_loan=(cash + d * risky) / (1.0 - d),
+                       max_short=(cash + u * risky) / (u - 1.0))
 
 
 def move_to_risky(portfolio: Portfolio, amount: float) -> Portfolio:
     """Exchange `amount` of cash for risky shares (negative sells / shorts).
 
-    Bounded above by the loan limit and below by the negated short limit;
-    with live contracts held, also rejected if a lattice path to the last
-    expiry could bankrupt the portfolio.
+    Rejected if a lattice path to the last live expiry, or the next step
+    when nothing is live, could take the total value below 0.
     """
     if not math.isfinite(amount):
         raise ValueError(f"transfer amount must be finite, got {amount}")
-    limits = trade_limits(portfolio)
-    if amount > limits.max_loan + _PRICE_TOL:
-        raise TradeLimitError(
-            f"transfer {amount} exceeds the loan limit {limits.max_loan}")
-    if -amount > limits.max_short + _PRICE_TOL:
-        raise TradeLimitError(
-            f"short {-amount} exceeds the short limit {limits.max_short}")
     moved = portfolio._replace(risk_free=portfolio.risk_free - amount,
                                risky_value=portfolio.risky_value + amount)
-    if any(pos.contract.expiry > portfolio.time for pos in portfolio.positions):
-        _vet(moved)
+    _vet(moved)
     return moved
 
 
@@ -162,21 +151,27 @@ def _vet(portfolio: Portfolio) -> None:
             f"trade admits a negative worst-case value {worst}")
 
 
+def _settled_value(portfolio: Portfolio) -> float:
+    """Value of the positions at or past their expiry: payoffs, fixed now."""
+    return sum(p.quantity * mark
+               for p, mark in zip(portfolio.positions, portfolio.marks, strict=True)
+               if p.contract.expiry <= portfolio.time)
+
+
 def _worst_case_terminal(portfolio: Portfolio) -> float:
-    """Exact minimum total value over all lattice paths to the last expiry.
+    """Exact minimum total value over all lattice paths to the last expiry,
+    or over the next step when no contract is live.
 
     Payoffs realize at each contract's expiry node and accumulate along the
     path; the recursion min over children makes the sweep exact in O(h^2)
     even though it covers all 2^h paths.
     """
     live = [p for p in portfolio.positions if p.contract.expiry > portfolio.time]
-    frozen = sum(p.quantity * mark
-                 for p, mark in zip(portfolio.positions, portfolio.marks, strict=True)
-                 if p.contract.expiry <= portfolio.time)
+    cash = portfolio.risk_free + _settled_value(portfolio)
     lattice = portfolio.lattice
     if not live:
         factor = lattice.down_factor if portfolio.risky_value >= 0.0 else lattice.up_factor
-        return portfolio.risk_free + frozen + portfolio.risky_value * factor
+        return cash + portfolio.risky_value * factor
     h = max(p.contract.expiry - portfolio.time for p in live)
     by_level: dict[int, list[DerivativePosition]] = {}
     for p in live:
@@ -193,7 +188,7 @@ def _worst_case_terminal(portfolio: Portfolio) -> float:
     for s in range(h - 1, -1, -1):
         x = lattice.terminal_values(s, portfolio.underlying)
         g = np.minimum(g[:-1], g[1:]) + level_payoff(s, x)
-    return portfolio.risk_free + frozen + float(g[0])
+    return cash + float(g[0])
 
 
 def _node_table(portfolio: Portfolio, contract: Contract) -> tuple:

@@ -59,16 +59,18 @@ def dynamic_lambda(current_wealth, t: int, horizon: int, floor: float,
     Solves floor = K_t * (1 + lam*(-null_mean))**(horizon - t) for the worst
     step, outcome 0 against the null mean (null_p for Bernoulli outcomes),
     clamped to the admissible range [0, 1/null_mean].  At the floor itself
-    only the zero bet preserves the guarantee.  Array-aware: an array of
+    only the zero bet preserves the guarantee, and a ruined wealth of 0
+    bets 0 (floor/0 is inf, clamped to 0).  Array-aware: an array of
     wealths gives an array of fractions, a scalar a float.
     """
     k = np.asarray(current_wealth, dtype=float)
-    if np.min(k) <= 0.0:
-        raise ValueError(f"wealth must be positive, got {np.min(k)}")
+    if not np.all(k >= 0.0):                 # below 0, or NaN
+        raise ValueError(f"wealth must be nonnegative, got {np.min(k)}")
     if t >= horizon:
         raise ValueError(f"step {t} must precede the horizon {horizon}")
-    lam = np.clip((1.0 - (floor / k) ** (1.0 / (horizon - t))) / null_mean,
-                  0.0, 1.0 / null_mean)
+    with np.errstate(divide="ignore"):
+        lam = np.clip((1.0 - (floor / k) ** (1.0 / (horizon - t))) / null_mean,
+                      0.0, 1.0 / null_mean)
     return lam if k.ndim else float(lam)
 
 

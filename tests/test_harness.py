@@ -23,7 +23,7 @@ from hedgetest.portfolio import Portfolio, buy_contract, move_to_risky, step
 from hedgetest.pricing import Contract, LatticeModel, StrikeSolveError, mc_price
 from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import HypothesisSpec, hedged_cs, ville_crossing
+from hedgetest.wealth import HypothesisSpec, OutcomeError, hedged_cs, ville_crossing
 
 from oracles import (exact_rejection, first_crossing_by_hand, hedged_cs_by_hand,
                      wealth_by_hand)
@@ -375,6 +375,15 @@ class TestScreening:
             run_screening(np.full((3, 10), 1.5), np.full(3, 0.5))
         with pytest.raises(ValueError):
             run_screening(stream(407).random((3, 10)), np.full(4, 0.5))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("hedge", [None, HedgeSpec()])
+    def test_outcomes_off_the_unit_interval_rejected(self, bad, hedge):
+        # the wealth engine's bounded-family check, NaN included
+        sequences = stream(407).random((3, 10))
+        sequences[1, 4] = bad
+        with pytest.raises(OutcomeError, match=r"lie in \[0, 1\]"):
+            run_screening(sequences, np.full(3, 0.5), hedge=hedge)
 
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=1.5), dict(alpha=0.0), dict(alpha=-0.1),

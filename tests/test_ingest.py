@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from hedgetest import cli
-from hedgetest.ingest import (LAMBDA_GRID, ROW_BLOCK, HeldOutError, ZeroVarianceError,
-                              estimate_lambdas, read_screening)
+from hedgetest.ingest import (LAMBDA_GRID, ROW_BLOCK, GroupError, HeldOutError,
+                              ZeroVarianceError, estimate_lambdas, read_screening)
 from hedgetest.rng import stream
 
 from oracles import (plug_in_lambda, screening_input_by_whole_matrix,
@@ -299,20 +299,31 @@ class TestStreamedReader:
             read_screening(path)
 
     @pytest.mark.parametrize("header,labels,error,message", [
-        ("gene,healthy,tumor", {}, ValueError, "expected groups"),
-        ("gene,normal,normal,normal", {}, ValueError, "expected groups"),
+        ("gene,healthy,tumor", {}, GroupError, "expected groups"),
+        ("gene,normal,normal,normal", {}, GroupError, "expected groups"),
+        ("gene,normal,normal,tumor,tumor", {"normal_label": "healthy"}, GroupError,
+         "expected groups"),
+        ("gene,normal,normal,tumor,tumor", {"tumor_label": "cancer"}, GroupError,
+         "expected groups"),
         ("gene,normal,tumor,tumor,tumor", {}, ZeroVarianceError, "got 1"),
         ("gene,normal,normal,tumor", {}, HeldOutError, "found 1"),
-        ("gene" + ",x" * 8, {"normal_label": "x", "tumor_label": "x"}, ValueError,
+        ("gene" + ",x" * 8, {"normal_label": "x", "tumor_label": "x"}, GroupError,
          "labels must differ, both are 'x'"),
     ])
-    def test_the_header_is_checked_before_any_row(self, tmp_path, header, labels, error,
-                                                  message):
-        # the rows are ragged and non-numeric, and the header fault comes first
+    def test_the_header_is_checked_before_any_row(self, tmp_path, capsys, header, labels,
+                                                  error, message):
+        # the rows are ragged and non-numeric, and the header fault comes first;
+        # through the CLI every header fault is a configuration error, exit 2
         path = tmp_path / "matrix.csv"
         path.write_text(f"{header}\ng0,1,x\n")
         with pytest.raises(error, match=message):
             read_screening(path, **labels)
+        options = [f"--{key.replace('_', '-')}={value}" for key, value in labels.items()]
+        for argv in (["screen", "--matrix", str(path)],
+                     ["ingest", "--input", str(path), "--output", str(tmp_path / "o.csv")]):
+            assert cli.main(argv + options) == cli.EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_no_gene_rows(self, tmp_path):
         path = tmp_path / "matrix.csv"

@@ -8,7 +8,7 @@ import pytest
 
 from hedgetest import portfolio, pricing
 from hedgetest.portfolio import (BankruptcyRiskError, MispricedTradeError,
-                                 Portfolio, TradeLimitError, buy_contract,
+                                 Portfolio, TradeLimits, buy_contract,
                                  issue_contract, move_to_risky, step,
                                  trade_limits)
 from hedgetest.pricing import Contract, ContractKind, LatticeModel, lattice_price
@@ -51,11 +51,11 @@ class TestTradeLimits:
         assert abs(worst.total_value) <= 1e-12
 
     def test_loan_beyond_limit_rejected(self):
-        with pytest.raises(TradeLimitError):
+        with pytest.raises(BankruptcyRiskError):
             move_to_risky(all_cash(), 2.0 + 1e-6)
 
     def test_short_beyond_limit_rejected(self):
-        with pytest.raises(TradeLimitError):
+        with pytest.raises(BankruptcyRiskError):
             move_to_risky(all_cash(), -(2.0 + 1e-6))
 
     @pytest.mark.parametrize("u, d", [(1.0, 0.5), (1.5, -0.2), (0.8, 0.5)])
@@ -78,6 +78,41 @@ class TestTradeLimits:
         with pytest.raises(BankruptcyRiskError):
             move_to_risky(p, amount)
         assert move_to_risky(p, amount / 2).total_value == pytest.approx(1.0)
+
+
+def settled_covered_call():
+    """0.5 calls (S = 1, tau = 1) written against 0.5 shares, expired in the
+    money and stepped once more: cash 0.625, shares worth 1.125 and the
+    written calls' settled payoff of -0.25."""
+    p = issue_contract(move_to_risky(all_cash(), 0.5), Contract.call(1.0, 1), quantity=0.5)
+    return step(step(p, 1.0), 1.0)
+
+
+class TestOneSolvencyRule:
+    def test_settled_payoffs_count_as_cash(self):
+        p = settled_covered_call()
+        assert (p.risk_free, p.risky_value, p.settled, p.due) == (0.625, 1.125, (0.5,), None)
+        assert trade_limits(p) == TradeLimits(max_loan=1.875, max_short=4.125)
+        # the loan bound of the cash and shares alone: a down-move ends at -0.25
+        with pytest.raises(BankruptcyRiskError):
+            move_to_risky(p, 2.375)
+
+    @pytest.mark.parametrize("bound, worst", [(1.875, 0.0), (-4.125, 1.0)])
+    def test_a_move_at_either_bound_ends_at_zero_on_its_worst_step(self, bound, worst):
+        p = settled_covered_call()
+        assert abs(step(move_to_risky(p, bound), worst).total_value) <= 1e-12
+        with pytest.raises(BankruptcyRiskError):
+            move_to_risky(p, bound * (1.0 + 1e-6))
+
+    def test_a_held_put_secures_a_loan_beyond_the_cash_bound(self):
+        # a put (S = 1, tau = 1) bought for 0.25 pays 0.5 on the down-move
+        p = buy_contract(all_cash(), Contract.put(1.0, 1), quantity=1.0)
+        assert p.risk_free == 0.75 and trade_limits(p).max_loan == 1.5
+        levered = move_to_risky(p, 2.5)
+        assert abs(step(levered, 0.0).total_value) <= 1e-12
+        assert step(levered, 1.0).total_value == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(BankruptcyRiskError):
+            move_to_risky(p, 2.5 + 1e-6)
 
 
 class TestNonFiniteInputs:

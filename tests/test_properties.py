@@ -24,8 +24,10 @@ there; a portfolio's lookup marks along a random path agree with a fresh
 lattice priced at every step, and a step's marks, total and settled
 payoffs are the bits of the oracle that re-marks every position in a loop.  The worst-case sweep
 that vets trades is the minimum over every enumerated path of a stepped,
-part-expired portfolio.  A config written out from its resolved view and
-read back resolves to the same view.
+part-expired portfolio, and no walk of the trades it admits (moves within
+trade_limits, calls and puts bought or written at their lattice value)
+takes the total value below 0, before or after an expiry.  A config
+written out from its resolved view and read back resolves to the same view.
 """
 
 import math
@@ -42,7 +44,8 @@ from hedgetest.harness import (ExperimentConfig, TruthSpec, _chunk_outcomes,
                                parse_config_text, two_point_terminals)
 from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
                                  Portfolio, _node_table, _worst_case_terminal,
-                                 buy_contract, issue_contract, move_to_risky, step)
+                                 buy_contract, issue_contract, move_to_risky, step,
+                                 trade_limits)
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                binomial_weights, full_budget_strike,
                                lattice_node_values, lattice_price,
@@ -614,6 +617,52 @@ def test_worst_case_sweep_is_the_minimum_over_every_path(p):
         abs(pos.quantity) * (pos.contract.strike + p.underlying * u ** h)
         for pos in p.positions)
     assert abs(_worst_case_terminal(p) - worst_case_by_paths(p)) <= 1e-12 * scale
+
+
+@st.composite
+def solvency_walks(draw):
+    """A lattice, then at each node of a 0/1 path: maybe a call or put
+    bought or written, and a cash-and-shares move drawn within trade_limits
+    as a fraction of the way from the short bound to the loan bound.  Every
+    contract expires at least one step before the path ends."""
+    u, d = draw(st.floats(1.01, 3.0)), draw(st.floats(0.05, 0.99))
+    path = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=12))
+    nodes = []
+    for t in range(len(path)):
+        trade = None
+        if t < len(path) - 1 and draw(st.booleans()):
+            make = draw(st.sampled_from([Contract.put, Contract.call]))
+            trade = (make(draw(st.floats(0.0, 3.0)), draw(st.integers(t + 1, len(path) - 1))),
+                     draw(st.sampled_from([buy_contract, issue_contract])),
+                     draw(st.floats(0.05, 2.0)))
+        nodes.append((trade, draw(st.floats(0.0, 1.0))))
+    return u, d, nodes, path
+
+
+@given(solvency_walks())
+def test_no_admitted_trade_takes_the_total_value_below_zero(case):
+    # an at-bound move's worst step lands on 0 only to within a few ulps of
+    # its legs, so values are checked to 1e-12 of the largest legs held yet
+    u, d, nodes, path = case
+    p = Portfolio.initial(u, d)
+    gross = 1.0
+    for (trade, share), y in zip(nodes, path):
+        if trade is not None:
+            contract, side, quantity = trade
+            try:
+                p = side(p, contract, quantity)
+            except BankruptcyRiskError:
+                pass
+        limits = trade_limits(p)
+        try:
+            p = move_to_risky(p, -limits.max_short + share * (limits.max_loan + limits.max_short))
+        except BankruptcyRiskError:     # a live contract, or rounding at the bound
+            pass
+        gross = max(gross, abs(p.risk_free) + abs(p.risky_value))
+        assert p.total_value >= -1e-12 * gross
+        p = step(p, y)
+        assert p.total_value >= -1e-12 * gross
+    assert p.due is None
 
 
 def render_config(resolved: dict) -> str:

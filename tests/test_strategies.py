@@ -91,8 +91,9 @@ class TestDynamicLambda:
         assert k == pytest.approx(0.25, abs=1e-6)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            dynamic_lambda(0.0, 0, 20, 0.25, 0.5)
+        for wealth in (-1e-300, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                dynamic_lambda(wealth, 0, 20, 0.25, 0.5)
         with pytest.raises(ValueError):
             dynamic_lambda(1.0, 20, 20, 0.25, 0.5)
 
@@ -104,10 +105,25 @@ class TestDynamicLambda:
             assert lam == pytest.approx(dynamic_lambda(float(k), 5, 20, 0.25, 0.5),
                                         rel=1e-15)
 
-    def test_ruined_wealth_in_an_array_is_an_error(self):
-        # an explicit guard instead of a divide-by-zero warning
-        with pytest.raises(ValueError, match="positive"):
-            dynamic_lambda(np.array([1.0, 0.0]), 0, 20, 0.25, 0.5)
+    def test_ruined_wealth_bets_zero(self):
+        # no divide-by-zero warning, and a negative or NaN wealth beside it
+        # is still an error
+        assert dynamic_lambda(0.0, 0, 20, 0.25, 0.5) == 0.0
+        lams = dynamic_lambda(np.array([1.0, 0.0]), 0, 20, 0.25, 0.5)
+        assert lams.tolist() == [dynamic_lambda(1.0, 0, 20, 0.25, 0.5), 0.0]
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                dynamic_lambda(np.array([1.0, 0.0, bad]), 0, 20, 0.25, 0.5)
+
+    def test_a_ruined_row_stays_at_zero_beside_a_live_one(self):
+        strategy = build_strategy(DYNAMIC, BERNOULLI, 3)
+        ys = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        both = list(evolve(strategy, ys, BERNOULLI, start=[0.0, 1.0]))
+        alone = list(evolve(strategy, ys[1:], BERNOULLI))
+        assert len(both) == len(alone) == 3
+        for (k, lam), (k_alone, lam_alone) in zip(both, alone):
+            assert (k[0], lam[0]) == (0.0, 0.0)
+            assert k[1].hex() == k_alone[0].hex() and lam[1].hex() == lam_alone[0].hex()
 
 
 class TestFloorGuarantee:
