@@ -235,14 +235,23 @@ class HedgePlan:
 
 
 def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
+    """The put hedge of a constant-fraction config, priced on its lattice.
+
+    A solved strike, the lower root of (1 - C(S))*S = floor (it engages more
+    wealth in the bet), steps up an ulp at a time until (1 - C)*S >= floor,
+    C the root of the marks: paid as stake*max(K, S), no path ends below.
+    """
     lam = config.strategy.constant_lambda(config.hypothesis)
     expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
     model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param)
     strike = config.hedge.strike
-    if strike is None:
-        roots = solve_hedge_strike(model, floor, expiry)
-        strike = roots[0]    # lower strike engages more wealth in the bet
+    solved = strike is None
+    if solved:
+        strike = solve_hedge_strike(model, floor, expiry)[0]
     marks = lattice_node_values(model, Contract.put(strike, expiry))
+    while solved and (1.0 - marks[0][0]) * strike < floor:
+        strike = math.nextafter(strike, math.inf)
+        marks = lattice_node_values(model, Contract.put(strike, expiry))
     premium = float(marks[0][0])
     if premium >= 1.0:       # never for a solved strike: (1 - C)*S = floor > 0
         raise ConfigError(f"hedge strike {strike!r} costs {premium!r}; an explicit "
@@ -271,14 +280,16 @@ def _episode_wealth(config: ExperimentConfig, y: np.ndarray, plan: HedgePlan | N
         for k, _ in evolve(strategy, y, hyp):
             yield k
         return
-    # up to expiry the stake rides the unit process plus the put marked at its node
+    # before expiry the stake rides the unit process plus the put marked at its
+    # node; at expiry the put pays on the path's own wealth: stake*max(K_t, S)
     stake = 1.0 - plan.premium
     ups = np.zeros(y.shape[0], dtype=np.int64)
     for t, (k_hat, _) in enumerate(evolve(strategy, y[:, :plan.expiry], hyp), 1):
         ups += y[:, t - 1].astype(np.int64)
-        w = stake * (k_hat + plan.marks[t][ups])
+        w = (stake * (k_hat + plan.marks[t][ups]) if t < plan.expiry
+             else stake * np.maximum(k_hat, plan.strike))
         yield w
-    # payoff realized at expiry; the proceeds ride the strategy afterwards
+    # the proceeds ride the strategy afterwards
     for w, _ in evolve(strategy, y[:, plan.expiry:], hyp, start=w, t0=plan.expiry):
         yield w
 

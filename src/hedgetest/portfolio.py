@@ -5,19 +5,22 @@ European contracts marked at their risk-neutral lattice value.  Each held
 contract is a trade record, built once when it is traded and shared by every
 later portfolio: the contract, the quantity and the node table
 backward-induced at the trade.  The portfolio, an immutable named tuple,
-marks its records on read: a live contract's mark is looked up in its table
-by elapsed time and up-moves since the trade, and an expired one reads the
-payoff frozen when the portfolio stepped past its expiry.  So a step costs
-the same however many contracts are held: it moves the risky leg and the
-underlying, and touches the records only when it leaves an expiry time,
-settling each contract once.  Trades are value-neutral exchanges under one
-rule: no trade, a cash-and-shares move or a contract bought or written, may
-leave a lattice path to the last live expiry (the next step when nothing is
-live) on which the total value, settled payoffs counted as cash, goes
-negative, as an exact worst-case sweep finds.  trade_limits is the rule in
-closed form while nothing is live, Lemma 1's bounds.  The total value is
-itself a test wealth process, so the usual anytime-valid decision rule
-applies to it unchanged.
+marks its records on read, looking each mark up in its table by elapsed
+time and up-moves since the trade.  So a step costs the same however many
+contracts are held: it moves the risky leg and the underlying, and touches
+the records only when it reaches an expiry, where it pays each contract due
+then into cash at its payoff node and drops it, so a book holds only live
+contracts.  Trades are value-neutral exchanges under one rule: no trade, a
+cash-and-shares move or a contract bought or written, may leave a lattice
+path to the last expiry (the next step when no contract is held) on which
+the total value goes negative, as an exact worst-case sweep finds, to within
+1e-12 of the cash and share legs, so the rounding of a move at the bound
+passes at any size.  trade_limits is the rule in closed form while no
+contract is held, Lemma 1's bounds.  Lemma 1 rebalances every period, so a
+step from a book holding no contract is refused by the same rule when the
+step could take the total value below 0: a levered or short book cannot
+ride two steps untraded.  The total value is itself a test wealth process,
+so the usual anytime-valid decision rule applies to it unchanged.
 """
 
 from __future__ import annotations
@@ -30,12 +33,15 @@ import numpy as np
 
 from .pricing import Contract, LatticeModel, lattice_node_values
 
-# Tolerance for enforcing risk-neutral trade prices and value neutrality.
+# Tolerance for enforcing risk-neutral trade prices.
 _PRICE_TOL = 1e-9
+# Worst-case shortfall forgiven per unit of the cash and share legs (rounding).
+_SOLVENCY_TOL = 1e-12
 
 
 class BankruptcyRiskError(ValueError):
-    """A trade with a strictly negative worst-case outcome."""
+    """A trade, or a step of a book holding no contract, with a strictly
+    negative worst-case outcome."""
 
 
 class MispricedTradeError(ValueError):
@@ -48,8 +54,8 @@ class DerivativePosition:
 
     nodes[s][j] is the per-contract value s steps after the trade and j
     up-moves since it; the last level is the payoff.  The record never
-    changes: the portfolio reads its mark from `nodes` while it is live and
-    keeps its payoff in `settled` once it has expired.
+    changes: the portfolio reads its mark from `nodes` while it holds it,
+    and the payoff once, on the step that reaches the expiry.
     """
 
     contract: Contract     # expiry is absolute time on the experiment clock
@@ -74,11 +80,9 @@ class Portfolio(NamedTuple):
     """Holdings (cash, risky shares, contracts) at one node of their lattice.
 
     The portfolio carries the lattice it lives on, so its factors were
-    checked once, when that LatticeModel was built.  settled[i] is the
-    payoff of positions[i] frozen when the portfolio stepped past its
-    expiry, None until then; due is the earliest expiry not yet settled,
-    None when nothing is left to settle.  A position without a settled
-    entry is an error, never a value of 0.
+    checked once, when that LatticeModel was built.  Every position is
+    live: due is the earliest expiry among them, None when none is held,
+    and the step that reaches it pays each contract due then into cash.
     """
 
     risk_free: float
@@ -88,7 +92,6 @@ class Portfolio(NamedTuple):
     underlying: float = 1.0    # unit wealth-process level, used for marking
     time: int = 0
     ups: int = 0               # up-moves stepped through so far
-    settled: tuple[float | None, ...] = ()
     due: int | None = None
 
     @classmethod
@@ -98,16 +101,13 @@ class Portfolio(NamedTuple):
 
     @property
     def marks(self) -> tuple[float, ...]:
-        """Per-contract risk-neutral value of each position at this node: its
-        node-table entry until it settles, its frozen payoff after."""
+        """Per-contract risk-neutral value of each position at this node."""
         t, ups = self.time, self.ups
-        return tuple([pos.value_at(t, ups) if payoff is None else payoff
-                      for pos, payoff in zip(self.positions, self.settled, strict=True)])
+        return tuple([pos.value_at(t, ups) for pos in self.positions])
 
     @property
     def derivative_value(self) -> float:
-        return sum(pos.quantity * mark
-                   for pos, mark in zip(self.positions, self.marks, strict=True))
+        return sum(pos.quantity * mark for pos, mark in zip(self.positions, self.marks))
 
     @property
     def total_value(self) -> float:
@@ -116,16 +116,16 @@ class Portfolio(NamedTuple):
 
 def trade_limits(portfolio: Portfolio) -> TradeLimits:
     """Lemma 1's loan and short bounds, move_to_risky's rule in closed form
-    while no contract is live.
+    while no contract is held.
 
-    With cash c, settled payoffs included, a transfer of a into the risky
-    leg survives a down-move iff a <= (c + d*K_risky) / (1 - d); a short of
-    b survives an up-move iff b <= (c + u*K_risky) / (u - 1); 0 < d < 1 < u
-    holds on the portfolio's lattice.  Live contracts are left out (a held
-    put allows more, a written call less): the sweep decides.
+    With cash c, a transfer of a into the risky leg survives a down-move iff
+    a <= (c + d*K_risky) / (1 - d); a short of b survives an up-move iff
+    b <= (c + u*K_risky) / (u - 1); 0 < d < 1 < u holds on the portfolio's
+    lattice.  Held contracts are left out (a held put allows more, a written
+    call less): the sweep decides.
     """
     u, d = portfolio.lattice.up_factor, portfolio.lattice.down_factor
-    cash, risky = portfolio.risk_free + _settled_value(portfolio), portfolio.risky_value
+    cash, risky = portfolio.risk_free, portfolio.risky_value
     return TradeLimits(max_loan=(cash + d * risky) / (1.0 - d),
                        max_short=(cash + u * risky) / (u - 1.0))
 
@@ -133,8 +133,8 @@ def trade_limits(portfolio: Portfolio) -> TradeLimits:
 def move_to_risky(portfolio: Portfolio, amount: float) -> Portfolio:
     """Exchange `amount` of cash for risky shares (negative sells / shorts).
 
-    Rejected if a lattice path to the last live expiry, or the next step
-    when nothing is live, could take the total value below 0.
+    Rejected if a lattice path to the last expiry, or the next step when
+    no contract is held, could take the total value below 0.
     """
     if not math.isfinite(amount):
         raise ValueError(f"transfer amount must be finite, got {amount}")
@@ -146,35 +146,27 @@ def move_to_risky(portfolio: Portfolio, amount: float) -> Portfolio:
 
 def _vet(portfolio: Portfolio) -> None:
     worst = _worst_case_terminal(portfolio)
-    if worst < -_PRICE_TOL:
+    legs = abs(portfolio.risk_free) + abs(portfolio.risky_value)
+    if worst < -_SOLVENCY_TOL * max(1.0, legs):
         raise BankruptcyRiskError(
-            f"trade admits a negative worst-case value {worst}")
-
-
-def _settled_value(portfolio: Portfolio) -> float:
-    """Value of the positions at or past their expiry: payoffs, fixed now."""
-    return sum(p.quantity * mark
-               for p, mark in zip(portfolio.positions, portfolio.marks, strict=True)
-               if p.contract.expiry <= portfolio.time)
+            f"a lattice path ends at a negative worst-case value {worst}")
 
 
 def _worst_case_terminal(portfolio: Portfolio) -> float:
     """Exact minimum total value over all lattice paths to the last expiry,
-    or over the next step when no contract is live.
+    or over the next step when no contract is held.
 
     Payoffs realize at each contract's expiry node and accumulate along the
     path; the recursion min over children makes the sweep exact in O(h^2)
     even though it covers all 2^h paths.
     """
-    live = [p for p in portfolio.positions if p.contract.expiry > portfolio.time]
-    cash = portfolio.risk_free + _settled_value(portfolio)
-    lattice = portfolio.lattice
-    if not live:
+    positions, cash, lattice = portfolio.positions, portfolio.risk_free, portfolio.lattice
+    if not positions:
         factor = lattice.down_factor if portfolio.risky_value >= 0.0 else lattice.up_factor
         return cash + portfolio.risky_value * factor
-    h = max(p.contract.expiry - portfolio.time for p in live)
+    h = max(p.contract.expiry for p in positions) - portfolio.time
     by_level: dict[int, list[DerivativePosition]] = {}
-    for p in live:
+    for p in positions:
         by_level.setdefault(p.contract.expiry - portfolio.time, []).append(p)
 
     def level_payoff(s: int, x: np.ndarray) -> np.ndarray:
@@ -224,7 +216,6 @@ def _traded(portfolio: Portfolio, contract: Contract, quantity: float,
     candidate = portfolio._replace(
         risk_free=portfolio.risk_free - quantity * price,
         positions=portfolio.positions + (position,),
-        settled=portfolio.settled + (None,),
         due=contract.expiry if due is None else min(due, contract.expiry))
     _vet(candidate)
     return candidate
@@ -255,34 +246,30 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     """Advance one period on outcome 1 (up) or 0 (down).
 
     The risky leg and the underlying move by the same factor; cash is
-    unchanged (r = 0).  No contract is re-marked, since marks are read from
-    the node tables on demand, so a step costs the same however many
-    positions are held.  Only the step that leaves an expiry time reads the
-    payoff of each contract expiring then, once, and freezes it in
-    `settled`; no step prices anything.  The position records are shared,
-    not copied.
+    unchanged (r = 0) but for settlement.  No contract is re-marked, since
+    marks are read from the node tables on demand, so a step costs the same
+    however many positions are held.  Only the step that reaches an expiry
+    reads the payoff node of each contract expiring then, once, adds
+    quantity times it to the cash, after the cash, in position order, and
+    drops the contract; no step prices anything.  The position records are
+    shared, not copied.  A step from a book holding no contract raises
+    BankruptcyRiskError when the step could take the total value below 0,
+    by the rule every trade is vetted by: such a book must rebalance first.
     """
-    free, risky, positions, lattice, underlying, t, ups, settled, due = portfolio
-    if len(settled) != len(positions):
-        raise ValueError(f"{len(positions)} positions but {len(settled)} settled entries")
+    free, risky, positions, lattice, underlying, t, ups, due = portfolio
     if outcome == 1.0:
-        factor, moved = lattice.up_factor, ups + 1
+        factor, ups = lattice.up_factor, ups + 1
     elif outcome == 0.0:
-        factor, moved = lattice.down_factor, ups
+        factor = lattice.down_factor
     else:
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
+    if not positions:
+        _vet(portfolio)
+    t += 1
     if t == due:
-        settled, due = _settle(positions, settled, t, ups)
+        free = sum([pos.quantity * pos.value_at(t, ups)
+                    for pos in positions if pos.contract.expiry == t], free)
+        positions = tuple([pos for pos in positions if pos.contract.expiry != t])
+        due = min((pos.contract.expiry for pos in positions), default=None)
     return _new(Portfolio, (free, risky * factor, positions, lattice, underlying * factor,
-                            t + 1, moved, settled, due))
-
-
-def _settle(positions: tuple, settled: tuple, t: int, ups: int) -> tuple:
-    """(settled, due) after leaving time t at `ups` up-moves: each position
-    expiring at t frozen at its payoff node, and the earliest expiry left."""
-    settled = tuple([pos.value_at(t, ups) if payoff is None and pos.contract.expiry == t
-                     else payoff
-                     for pos, payoff in zip(positions, settled)])
-    due = min((pos.contract.expiry for pos, payoff in zip(positions, settled)
-               if payoff is None), default=None)
-    return settled, due
+                            t, ups, due))

@@ -185,29 +185,32 @@ def fresh_mark(u, d, contract, underlying, t):
 def step_by_remark(portfolio, outcome):
     """One lattice step that rebuilds the marks one position at a time.
 
-    Each live position's mark is looked up afresh in its node table and an
-    expired one keeps its previous mark, in a plain loop; a position the
-    step leaves expired is settled at that mark.  The new portfolio is
-    built by keyword, with the earliest unsettled expiry as its due.
-    Returns the new portfolio, its marks and its total value, summed as
-    cash + shares + each quantity * mark in position order.
+    Each position's mark is looked up afresh in its node table, in a plain
+    loop; a position whose expiry the step reaches is paid into the cash at
+    that mark and dropped, the payments summed after the cash in position
+    order.  The new portfolio is built by keyword, with the earliest expiry
+    left as its due.  Returns the new portfolio, the marks of the positions
+    it keeps and its total value, summed as cash + shares + each quantity *
+    mark in position order.
     """
     if outcome not in (0.0, 1.0):
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
     up = int(outcome == 1.0)
     factor = portfolio.lattice.up_factor if up else portfolio.lattice.down_factor
     t, ups = portfolio.time + 1, portfolio.ups + up
-    marks, settled = [], []
-    for pos, mark in zip(portfolio.positions, portfolio.marks):
-        if pos.contract.expiry >= t:
-            mark = pos.nodes[t - pos.opened][ups - pos.opened_ups]
-        marks.append(mark)
-        settled.append(mark if pos.contract.expiry < t else None)
-    due = min([pos.contract.expiry for pos, payoff in zip(portfolio.positions, settled)
-               if payoff is None], default=None)
-    moved = portfolio._replace(risky_value=portfolio.risky_value * factor,
-                               underlying=portfolio.underlying * factor,
-                               time=t, ups=ups, settled=tuple(settled), due=due)
+    kept, marks, payments = [], [], []
+    for pos in portfolio.positions:
+        mark = pos.nodes[t - pos.opened][ups - pos.opened_ups]
+        if pos.contract.expiry == t:
+            payments.append(pos.quantity * mark)
+        else:
+            kept.append(pos)
+            marks.append(mark)
+    moved = portfolio._replace(risk_free=sum(payments, portfolio.risk_free),
+                               risky_value=portfolio.risky_value * factor,
+                               positions=tuple(kept),
+                               underlying=portfolio.underlying * factor, time=t, ups=ups,
+                               due=min([pos.contract.expiry for pos in kept], default=None))
     total = moved.risk_free + moved.risky_value + sum(
         pos.quantity * mark for pos, mark in zip(moved.positions, marks))
     return moved, marks, total
@@ -257,28 +260,24 @@ def enumerate_paths_min(u, d, tau, payoff, spot=1.0):
 
 
 def worst_case_by_paths(portfolio):
-    """Minimum total value over all 2**h up/down paths to the last live expiry.
+    """Minimum total value over all 2**h up/down paths to the last expiry.
 
-    Each path is walked in plain Python: cash, plus the frozen marks of the
-    expired positions, plus the risky leg at the path's end, plus each live
-    contract's payoff at the underlying on its own expiry.  With no live
-    contract h is one step.
+    Each path is walked in plain Python: cash, plus each contract's payoff
+    at the underlying on its own expiry, paid into the cash as the path
+    reaches it, plus the risky leg at the path's end.  With no contract h
+    is one step.
     """
     u, d = portfolio.lattice.up_factor, portfolio.lattice.down_factor
     t = portfolio.time
-    live = [(pos.contract, pos.quantity) for pos in portfolio.positions
-            if pos.contract.expiry > t]
-    frozen = sum(pos.quantity * mark
-                 for pos, mark in zip(portfolio.positions, portfolio.marks)
-                 if pos.contract.expiry <= t)
-    h = max([contract.expiry - t for contract, _ in live], default=1)
+    held = [(pos.contract, pos.quantity) for pos in portfolio.positions]
+    h = max([contract.expiry - t for contract, _ in held], default=1)
     worst = math.inf
     for path in itertools.product((u, d), repeat=h):
-        total, k = portfolio.risk_free + frozen, 1.0
+        total, k = portfolio.risk_free, 1.0
         for s, factor in enumerate(path, 1):
             k *= factor
             total += sum(quantity * contract.payoff(portfolio.underlying * k)
-                         for contract, quantity in live if contract.expiry - t == s)
+                         for contract, quantity in held if contract.expiry - t == s)
         worst = min(worst, total + portfolio.risky_value * k)
     return worst
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -428,9 +429,15 @@ class TestSimulate:
             outputs.append((tmp_path / f"{name}.json").read_bytes())
         assert outputs[0] == outputs[1]
         plan = json.loads(outputs[0])["hedge_plan"]
-        strike = solve_hedge_strike(LatticeModel(1.5, 0.5), 0.25, 20)[0]
-        premium = lattice_price(LatticeModel(1.5, 0.5), Contract.put(strike, 20)).value
-        assert plan == {"strike": strike, "premium": premium, "expiry": 20}
+
+        def put(strike):
+            return lattice_price(LatticeModel(1.5, 0.5), Contract.put(strike, 20)).value
+
+        # the root holds the floor only to an ulp; the strike one ulp up holds it
+        root = solve_hedge_strike(LatticeModel(1.5, 0.5), 0.25, 20)[0]
+        strike = math.nextafter(root, math.inf)
+        assert (1.0 - put(root)) * root < 0.25 <= (1.0 - put(strike)) * strike
+        assert plan == {"strike": strike, "premium": put(strike), "expiry": 20}
         assert "hedge_plan" not in json.loads(outputs[0])["config"]
 
     def test_unhedged_json_has_null_hedge_plan(self, tmp_path, capsys):

@@ -200,12 +200,31 @@ class TestRunExperiment:
         assert len({result_json(r) for r in outputs}) == 1
 
     def test_hedged_worst_case_is_the_floor(self):
-        # the strike solve is exact, so the landing is exact up to rounding
+        # the strike solve is exact, so the landing is exact up to rounding,
+        # and never below the floor
         cfg = config(truth=TruthSpec(0.0),   # every outcome a loss
                      replications=5, hedge=HedgeSpec(expiry=20))
         result = run_experiment(cfg)
         assert np.all(np.abs(result.final_wealth - 0.25) <= 1e-12)
-        assert result.final_wealth.min() >= 0.25 - 1e-12
+        assert result.final_wealth.min() >= 0.25
+
+    @given(null_p=st.floats(0.05, 0.95), share=st.floats(0.01, 0.99),
+           horizon=st.integers(2, 14), floor=st.floats(0.01, 0.6))
+    def test_every_path_of_a_put_hedge_to_the_horizon_ends_on_or_above_the_floor(
+            self, null_p, share, horizon, floor):
+        # every one of the 2**horizon outcome rows, compared with no tolerance;
+        # lam = share / null_p gives 0 < d < 1 < u, and a floor with no
+        # strike is rejected
+        cfg = config(hypothesis=HypothesisSpec.bernoulli(null_p),
+                     strategy=StrategySpec(StrategyKind.FIXED_LAMBDA, share / null_p),
+                     horizon=horizon, ruin_level=floor, hedge=HedgeSpec())
+        try:
+            plan = _hedge_plan(cfg)
+        except StrikeSolveError:
+            reject()
+        rows = ((np.arange(2 ** horizon)[:, None] >> np.arange(horizon)) & 1).astype(float)
+        *_, final = _episode_wealth(cfg, rows, plan)
+        assert final.min() >= floor
 
     def test_hedged_start_wealth_is_one_minus_premium_squared(self):
         # all 2^10 paths of a hedged lambda = 0.5 bet under the null: holding
@@ -601,6 +620,7 @@ class TestExactPower:
         assert null_sum / rows == pytest.approx(start, rel=0.0, abs=1e-12)
         if floored == "exactly":
             assert lowest == pytest.approx(cfg.ruin_level, rel=0.0, abs=1e-12)
+            assert lowest >= cfg.ruin_level
         elif floored == "from below":
             assert lowest >= cfg.ruin_level - 1e-12
         for other, p, pinned in zip(cfgs, power, exact.values()):

@@ -82,8 +82,8 @@ class TestTradeLimits:
 
 def settled_covered_call():
     """0.5 calls (S = 1, tau = 1) written against 0.5 shares, expired in the
-    money and stepped once more: cash 0.625, shares worth 1.125 and the
-    written calls' settled payoff of -0.25."""
+    money and stepped once more: the written calls' payoff of -0.25 paid
+    out of the cash of 0.625, and shares worth 1.125."""
     p = issue_contract(move_to_risky(all_cash(), 0.5), Contract.call(1.0, 1), quantity=0.5)
     return step(step(p, 1.0), 1.0)
 
@@ -91,7 +91,7 @@ def settled_covered_call():
 class TestOneSolvencyRule:
     def test_settled_payoffs_count_as_cash(self):
         p = settled_covered_call()
-        assert (p.risk_free, p.risky_value, p.settled, p.due) == (0.625, 1.125, (0.5,), None)
+        assert (p.risk_free, p.risky_value, p.positions, p.due) == (0.375, 1.125, (), None)
         assert trade_limits(p) == TradeLimits(max_loan=1.875, max_short=4.125)
         # the loan bound of the cash and shares alone: a down-move ends at -0.25
         with pytest.raises(BankruptcyRiskError):
@@ -103,6 +103,36 @@ class TestOneSolvencyRule:
         assert abs(step(move_to_risky(p, bound), worst).total_value) <= 1e-12
         with pytest.raises(BankruptcyRiskError):
             move_to_risky(p, bound * (1.0 + 1e-6))
+
+    def test_a_move_at_either_bound_is_allowed_on_a_book_of_any_size(self):
+        # shorts at the bound, each followed by a move 0.22 of the way up and
+        # a down-step, grow the legs past 1e29; a tolerance of 1e-9 in
+        # absolute terms refused the eighth short (-4.9e27), whose worst
+        # case of -1.1e12 is a few ulps of its legs
+        p = Portfolio.initial(1.01171875, 0.09375)
+        for _ in range(8):
+            for share in (0.0, 0.22):
+                limits = trade_limits(p)
+                span = limits.max_loan + limits.max_short
+                p = step(move_to_risky(p, -limits.max_short + share * span), 0.0)
+        assert p.risk_free > 1e29
+        limits = trade_limits(p)
+        for bound in (limits.max_loan, -limits.max_short):
+            move_to_risky(p, bound)
+            with pytest.raises(BankruptcyRiskError):
+                move_to_risky(p, bound * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize("amount, worst", [(-2.0, 1.0), (2.0, 0.0)])
+    def test_a_levered_book_rebalances_before_its_next_step(self, amount, worst):
+        # a short (a loan) at the bound ends its worst step at 0; a second
+        # such step, untraded, would end at -1.5 (-0.5)
+        p = step(move_to_risky(all_cash(), amount), worst)
+        assert p.total_value == 0.0
+        for y in (0.0, 1.0):
+            with pytest.raises(BankruptcyRiskError):
+                step(p, y)
+        flat = move_to_risky(p, -p.risky_value)
+        assert step(step(flat, worst), worst).total_value == 0.0
 
     def test_a_held_put_secures_a_loan_beyond_the_cash_bound(self):
         # a put (S = 1, tau = 1) bought for 0.25 pays 0.5 on the down-move
@@ -180,24 +210,18 @@ class TestStep:
         assert p.risk_free == 0.0
         assert p.underlying == pytest.approx(1.5)
 
-    def test_put_marks_payoff_at_expiry(self):
+    def test_put_pays_its_payoff_into_cash_at_expiry(self):
         # ride three losses with a protective put at S = 1/4
         contract = Contract.put(0.25, 3)
         p = buy_contract(all_risky(), contract, quantity=1.0)
+        premium = -p.risk_free
         for _ in range(3):
             p = step(p, 0.0)
         assert p.underlying == pytest.approx(0.125)
-        assert p.marks[0] == pytest.approx(0.125)
+        assert (p.positions, p.due) == ((), None)
+        assert p.risk_free + premium == pytest.approx(0.125)
         # risky 1/8 plus put payoff 1/8: wealth 1/4 instead of 1/8
-        assert p.risky_value + p.positions[0].quantity * p.marks[0] == pytest.approx(0.25)
-
-    def test_expired_mark_stays_frozen(self):
-        contract = Contract.put(0.25, 2)
-        p = buy_contract(all_risky(), contract, quantity=1.0)
-        p = step(step(p, 0.0), 0.0)
-        frozen = p.marks[0]
-        p = step(p, 1.0)
-        assert p.marks[0] == frozen
+        assert p.risky_value + p.risk_free + premium == pytest.approx(0.25)
 
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ValueError):
@@ -216,28 +240,6 @@ class TestStep:
         assert "lattice" in Portfolio._fields
         assert not {"up_factor", "down_factor"} & set(Portfolio._fields)
         assert step(all_risky(), 1.0).lattice == LatticeModel(U, D)
-
-    def test_position_without_a_mark_rejected(self):
-        held = buy_contract(all_risky(), Contract.put(0.25, 3), quantity=1.0)
-        unmarked = Portfolio(held.risk_free, held.risky_value, held.positions,
-                             held.lattice)
-        with pytest.raises(ValueError):
-            unmarked.total_value
-        with pytest.raises(ValueError):
-            unmarked.marks
-        with pytest.raises(ValueError):
-            step(unmarked, 1.0)
-
-    @pytest.mark.parametrize("extra", [(None,), (0.5,)])
-    def test_settled_entries_not_lining_up_with_positions_rejected(self, extra):
-        held = buy_contract(all_risky(), Contract.put(0.25, 3), quantity=1.0)
-        misaligned = held._replace(settled=held.settled + extra)
-        with pytest.raises(ValueError):
-            misaligned.marks
-        with pytest.raises(ValueError):
-            misaligned.total_value
-        with pytest.raises(ValueError):
-            step(misaligned, 1.0)
 
     def test_clock_stays_python_int_on_numpy_outcomes(self):
         p = step(step(all_risky(), np.float64(1.0)), np.float64(0.0))
@@ -262,7 +264,7 @@ class TestStep:
             if t == 100:
                 p = buy_contract(p, Contract.call(2.0, 300), quantity=0.1)
             p = step(p, y)
-        assert p.time == 500 and len(p.positions) == 2
+        assert p.time == 500 and p.positions == ()
         assert len(calls) == 2
 
     def test_rounding_below_zero_marks_zero(self):
@@ -330,8 +332,10 @@ def walked(p, path):
         expected, marks, total = step_by_remark(states[-1], y)
         states.append(step(states[-1], y))
         assert states[-1].total_value.hex() == total.hex()
+        assert states[-1].risk_free.hex() == expected.risk_free.hex()
         assert [m.hex() for m in states[-1].marks] == [m.hex() for m in marks]
-        assert (states[-1].settled, states[-1].due) == (expected.settled, expected.due)
+        assert list(map(id, states[-1].positions)) == list(map(id, expected.positions))
+        assert states[-1].due == expected.due
     return states
 
 
@@ -348,43 +352,49 @@ class TestSettlement:
         for y in (0.0, 1.0, 0.0, 1.0, 0.0, 1.0):     # time 1 to 7
             p = step(p, y)
             reads.append([nodes.reads for nodes in tables])
-        # the step leaving time 3 settles both expiries 3, the one leaving 5 the call
-        assert reads == [[0, 0, 0], [0, 0, 0], [1, 0, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]]
-        assert p.due is None and None not in p.settled
+        # the step reaching time 3 settles both expiries 3, the one reaching 5 the call
+        assert reads == [[0, 0, 0], [1, 0, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1]]
+        assert (p.positions, p.due) == ((), None)
 
     def test_positions_with_different_expiries_settle_in_turn(self):
         p = buy_contract(all_risky(), Contract.put(1.0, 2), quantity=1.0)
         p = buy_contract(p, Contract.call(1.0, 4), quantity=0.2)
+        put, call = p.positions
         states = walked(p, [0.0, 1.0, 1.0, 1.0, 0.0])
-        assert [s.due for s in states] == [2, 2, 2, 4, 4, None]
-        assert [s.settled for s in states[:3]] == [(None, None)] * 3
-        put_payoff, call_payoff = states[2].marks[0], states[4].marks[1]
+        assert [s.due for s in states] == [2, 2, 4, 4, None, None]
+        assert [s.positions for s in states] == [(put, call)] * 2 + [(call,)] * 2 + [()] * 2
+        put_payoff, call_payoff = put.value_at(2, states[2].ups), call.value_at(4, states[4].ups)
         assert put_payoff == 0.25 and call_payoff == pytest.approx(0.6875)
-        assert states[3].settled == (put_payoff, None)
-        assert states[5].settled == (put_payoff, call_payoff)
-        assert states[5].marks == (put_payoff, call_payoff)
+        assert states[2].risk_free == states[1].risk_free + put_payoff
+        assert states[4].risk_free == states[3].risk_free + 0.2 * call_payoff
+        cash = [s.risk_free for s in states]
+        assert cash[:2] == [p.risk_free] * 2 and cash[2:4] == [cash[2]] * 2 and cash[5] == cash[4]
 
     def test_trade_at_an_expiry_time_before_stepping(self):
         p = buy_contract(all_risky(), Contract.put(0.5, 2), quantity=1.0)
-        p = step(step(p, 0.0), 0.0)
-        assert (p.time, p.due) == (2, 2)
+        before = step(p, 0.0)
+        p = step(before, 0.0)
+        assert (p.time, p.due, p.positions) == (2, None, ())
+        assert p.risk_free == before.risk_free + 0.25
         p = buy_contract(p, Contract.put(0.25, 4), quantity=0.5)
-        assert p.due == 2 and p.settled == (None, None)
+        assert p.due == 4 and len(p.positions) == 1
         states = walked(p, [1.0, 0.0, 0.0])
-        assert [s.due for s in states] == [2, 4, 4, None]
-        assert states[1].settled == (p.marks[0], None) and p.marks[0] == 0.25
-        assert states[3].settled == (0.25, states[2].marks[1])
+        assert [s.due for s in states] == [4, 4, None, None]
+        assert [len(s.positions) for s in states] == [1, 1, 0, 0]
+        assert states[2].risk_free == states[1].risk_free + 0.5 * 0.0625
 
     def test_trade_after_a_settlement(self):
         p = buy_contract(all_risky(), Contract.put(0.75, 1), quantity=1.0)
+        premium = -p.risk_free
         p = step(step(p, 0.0), 1.0)
-        assert (p.settled, p.due) == ((0.25,), None)
+        assert (p.risk_free, p.positions, p.due) == (0.25 - premium, (), None)
         p = buy_contract(p, Contract.call(0.5, 4), quantity=0.25)
-        assert (p.settled, p.due) == ((0.25, None), 4)
+        assert (len(p.positions), p.due) == (1, 4)
         states = walked(p, [1.0, 1.0, 0.0])
-        assert [s.due for s in states] == [4, 4, 4, None]
-        assert states[2].settled == (0.25, None)
-        assert states[3].settled == (0.25, states[2].marks[1])
+        assert [s.due for s in states] == [4, 4, None, None]
+        assert [len(s.positions) for s in states] == [1, 1, 0, 0]
+        call = p.positions[0]
+        assert states[2].risk_free == states[1].risk_free + 0.25 * call.value_at(4, states[2].ups)
 
 
 class TestLemmaOneFuzz:

@@ -61,12 +61,12 @@ CSV_SHA256 = {
     "table1_conservative": "9c4b96ea72284d8a82b0b80e660d6d8f50814edc9d8cb0225e86eae5ac9c389e",
     "table1_dynamic": "d442d6d07e15880e2f204d3d1e00b5a4042a724af9ad1f264d699104e6d71b86",
     "table1_kelly": "fd6e794dd30e5632fa48e8bd932d3d5867451efb44ebf5ae80120376369b4157",
-    "table1_option": "86a43c499b7219f3defc7dfc5cf519b0335d19c1c1a9a28220f8c2805b358638",
+    "table1_option": "02e4adc2cbfd5409d4fd399bb9f0f7ff42d49fa67247b11a2f3eb5891a6ef80a",
     "table2_conservative": "8a13fb353581f8782021524b420f345c1767b98915e6a4fcbaf513566b094249",
     "table2_dynamic": "2b2bd8841c2a225289f2cb97ee554ea31bb4b28df88eee517d7a79aeba4f5846",
     "table2_kelly": "75857367080256c5dd7b7c3ff8c1e593776f54c1729d69397f6b3025983accab",
     "table2_option10": "1746f325b54abd4d30f06deb6bd6165b142de4408ba277e46242366066db3038",
-    "table2_option20": "2e5144d9ea33dc399c2065e0765eddd55234818603b53bf25fbbe83ce7fb2574",
+    "table2_option20": "ee65f255295c1a3881ec44743c42d8c1a16b33ff76ebd4201355a2d43d036ba8",
 }
 
 
