@@ -26,9 +26,9 @@ from .harness import (ConfigError, HedgeSpec, check_seed, csv_field, csv_rows,
                       run_screening, screening_csv, synthetic_screening_input,
                       text_cells, to_json)
 from .pricing import (Contract, ContractKind, LatticeModel, PriceEstimate,
-                      PricingMethod, StrikeSolveError, black_scholes_call,
-                      black_scholes_put, lattice_price, mc_price,
-                      solve_hedge_strike)
+                      PricingMethod, StrikeSolveError, binomial_weights,
+                      black_scholes_call, black_scholes_put, floor_put, lattice_price,
+                      mc_price, put_floor_strikes)
 from .rng import DEFAULT_SEED
 from .wealth import (HypothesisSpec, InadmissibleBetError, OutcomeError,
                      terminal_wealth)
@@ -180,9 +180,15 @@ def _cmd_hedge_solve(args) -> int:
     for name, factor in (("u", args.u), ("d", args.d)):
         if not math.isfinite(factor):
             raise ConfigError(f"--{name} value {factor!r} is not finite")
-    roots = solve_hedge_strike(LatticeModel(args.u, args.d), args.floor, args.horizon)
+    model = LatticeModel(args.u, args.d)
+    values = model.terminal_values(args.horizon)    # an overflow fails before the weights
+    weights = binomial_weights(args.horizon, model.risk_neutral_prob)
+    # the strike a hedged run buys, stepped up from the lower root to hold the floor
+    strike, premium, stake = floor_put(values, weights, args.floor, "paper")
     _write(args.out, to_json({"floor": args.floor, "horizon": args.horizon,
-                              "roots": roots}) + "\n")
+                              "roots": put_floor_strikes(values, weights, args.floor),
+                              "strike": strike, "premium": premium,
+                              "stake": stake}) + "\n")
     return EXIT_OK
 
 

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import N_HELD_OUT, estimate_lambdas
-from .pricing import (Contract, LatticeModel, binomial_weights, full_budget_strike,
-                      lattice_node_values, solve_hedge_strike)
+from .pricing import (Contract, LatticeModel, binomial_weights, floor_put,
+                      lattice_node_values)
 from .rng import DEFAULT_SEED, MAX_SEED, stream
 from .strategies import StrategyKind, StrategySpec, build_strategy
 from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
@@ -226,10 +226,11 @@ def _summarize(ruin_level, final, maxw, crossing) -> RiskReport:
 
 @dataclass(frozen=True)
 class HedgePlan:
-    """Solved hedge for one experiment: strike, premium and node marks."""
+    """Solved hedge for one experiment: strike, premium, stake and node marks."""
 
     strike: float
     premium: float
+    stake: float          # units of the process, and of puts, the unit buys
     expiry: int
     marks: tuple          # marks[t][j]: put value after t steps and j up-moves
 
@@ -237,9 +238,11 @@ class HedgePlan:
 def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
     """The put hedge of a constant-fraction config, priced on its lattice.
 
-    A solved strike, the lower root of (1 - C(S))*S = floor (it engages more
-    wealth in the bet), steps up an ulp at a time until (1 - C)*S >= floor,
-    C the root of the marks: paid as stake*max(K, S), no path ends below.
+    A solved strike is floor_put's "paper" strike on the lattice measure
+    `expiry` steps out (terminal values under binomial_weights), with its
+    premium C and stake 1 - C: paid as stake*max(K, S), no path ends below
+    the floor.  An explicit strike is priced by the root of its marks.
+    Either way the marks are backward-induced once.
     """
     lam = config.strategy.constant_lambda(config.hypothesis)
     expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
@@ -247,16 +250,17 @@ def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
     strike = config.hedge.strike
     solved = strike is None
     if solved:
-        strike = solve_hedge_strike(model, floor, expiry)[0]
+        strike, premium, stake = floor_put(
+            model.terminal_values(expiry),
+            binomial_weights(expiry, model.risk_neutral_prob), floor, "paper")
     marks = lattice_node_values(model, Contract.put(strike, expiry))
-    while solved and (1.0 - marks[0][0]) * strike < floor:
-        strike = math.nextafter(strike, math.inf)
-        marks = lattice_node_values(model, Contract.put(strike, expiry))
-    premium = float(marks[0][0])
-    if premium >= 1.0:       # never for a solved strike: (1 - C)*S = floor > 0
-        raise ConfigError(f"hedge strike {strike!r} costs {premium!r}; an explicit "
-                          f"strike must cost less than 1, the unit wealth")
-    return HedgePlan(strike, premium, expiry, tuple(marks))
+    if not solved:
+        premium = float(marks[0][0])
+        stake = 1.0 - premium
+        if premium >= 1.0:   # never for a solved strike: (1 - C)*S >= floor > 0
+            raise ConfigError(f"hedge strike {strike!r} costs {premium!r}; an explicit "
+                              f"strike must cost less than 1, the unit wealth")
+    return HedgePlan(strike, premium, stake, expiry, tuple(marks))
 
 
 def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
@@ -282,7 +286,7 @@ def _episode_wealth(config: ExperimentConfig, y: np.ndarray, plan: HedgePlan | N
         return
     # before expiry the stake rides the unit process plus the put marked at its
     # node; at expiry the put pays on the path's own wealth: stake*max(K_t, S)
-    stake = 1.0 - plan.premium
+    stake = plan.stake
     ups = np.zeros(y.shape[0], dtype=np.int64)
     for t, (k_hat, _) in enumerate(evolve(strategy, y[:, :plan.expiry], hyp), 1):
         ups += y[:, t - 1].astype(np.int64)
@@ -298,7 +302,7 @@ def _run_chunk(config: ExperimentConfig, start: int, stop: int,
                plan: HedgePlan | None):
     """Evolve episodes [start, stop); returns (final, max, crossing) arrays."""
     y = _chunk_outcomes(config, start, stop)
-    w0 = 1.0 if plan is None else (1.0 - plan.premium) * (1.0 + plan.marks[0][0])
+    w0 = 1.0 if plan is None else plan.stake * (1.0 + plan.marks[0][0])
     return ville_crossing(np.full(y.shape[0], w0), _episode_wealth(config, y, plan),
                           config.alpha)
 
@@ -366,31 +370,15 @@ def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int) -> dict:
     induction (an average of convex functions stays convex) the put is
     dearest when every outcome is Bernoulli(1/2), where K_tau depends only
     on the up-count (two_point_terminals) under binomial_weights(tau, 1/2),
-    computed once for all fractions.  The strike solves S/(1 + C) = floor
-    (full_budget_strike), and the stake is 1/(1 + C): the unit buys stake
-    units of the process and stake puts.  The root is at most
-    floor/(1 - floor), so the atoms are held at that bound.
-
-    Rounding can leave the exercised cash stake*strike a few ulps under the
-    floor; the strike then takes Newton steps up on stake*strike, whose
-    slope is stake*(1 - floor*W), W the mass below the strike, until the
-    rounded cash holds the floor.
+    computed once for all fractions.  Each row is floor_put's "full"
+    budget on that measure: the unit buys stake = 1/(1 + C) units of the
+    process and stake puts.  The root is at most floor/(1 - floor), so the
+    atoms are held at that bound.
     """
     weights = binomial_weights(tau, 0.5)
-    table = {}
-    for lam in sorted(set(lambdas.tolist())):
-        atoms = two_point_terminals(lam, tau, floor / (1.0 - floor))
-        strike = full_budget_strike(atoms, weights, floor)
-        while True:
-            premium = float(weights @ np.maximum(strike - atoms, 0.0))
-            stake = 1.0 / (1.0 + premium)
-            short = floor - stake * strike
-            if short <= 0.0:
-                break
-            slope = stake * (1.0 - floor * float(weights[atoms < strike].sum()))
-            strike = max(math.nextafter(strike, math.inf), strike + short / slope)
-        table[lam] = (strike, premium, stake)
-    return table
+    cap = floor / (1.0 - floor)
+    return {lam: floor_put(two_point_terminals(lam, tau, cap), weights, floor, "full")
+            for lam in sorted(set(lambdas.tolist()))}
 
 
 def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,

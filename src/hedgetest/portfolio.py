@@ -255,6 +255,8 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     shared, not copied.  A step from a book holding no contract raises
     BankruptcyRiskError when the step could take the total value below 0,
     by the rule every trade is vetted by: such a book must rebalance first.
+    A book holding contracts with due None (built by hand, not by a trade)
+    would never settle them, so its step is a ValueError.
     """
     free, risky, positions, lattice, underlying, t, ups, due = portfolio
     if outcome == 1.0:
@@ -265,6 +267,8 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
         raise ValueError(f"lattice outcome must be 0 or 1, got {outcome}")
     if not positions:
         _vet(portfolio)
+    elif due is None:
+        raise ValueError("a book holding contracts needs its earliest expiry in due")
     t += 1
     if t == due:
         free = sum([pos.quantity * pos.value_at(t, ups)

@@ -434,6 +434,49 @@ def full_budget_strike(atoms, weights, floor: float) -> float:
     return float(floor * (1.0 - moment[k]) / (1.0 - floor * mass[k]))
 
 
+def floor_put(atoms, weights, floor: float, budget: str) -> tuple[float, float, float]:
+    """(strike, premium, stake) of the put that floors wealth at `floor`.
+
+    The premium is C = weights @ max(S - atoms, 0), and the unit buys stake
+    units of the process and stake puts, so the worst case is stake*S.
+    Budget "paper" has stake 1 - C and the lower root of (1 - C(S))*S =
+    floor (put_floor_strikes; it engages more wealth in the bet), a
+    StrikeSolveError when there is none.  Budget "full" spends the whole
+    unit, stake 1/(1 + C), at the one root of S/(1 + C(S)) = floor
+    (full_budget_strike).
+
+    Rounding can leave stake*S a few ulps under the floor; the strike then
+    takes Newton steps up on stake*S, each at least one ulp, until the
+    rounded product holds the floor.  With W the mass below S the slope is
+    stake - S*W ("paper") or stake*(1 - stake*S*W) ("full"); where it is not
+    positive the step is one ulp.  A paper strike that would pass the upper
+    root is a StrikeSolveError: no double between the roots holds the floor.
+    """
+    if budget == "paper":
+        roots = put_floor_strikes(atoms, weights, floor)
+        if not roots:
+            raise StrikeSolveError(f"no strike reaches floor {floor}")
+        strike = roots[0]
+    elif budget == "full":
+        strike = full_budget_strike(atoms, weights, floor)
+    else:
+        raise ValueError(f"budget must be 'paper' or 'full', got {budget!r}")
+    atoms, weights = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+    while True:
+        premium = float(weights @ np.maximum(strike - atoms, 0.0))
+        stake = 1.0 - premium if budget == "paper" else 1.0 / (1.0 + premium)
+        short = floor - stake * strike
+        if short <= 0.0:
+            return strike, premium, stake
+        below = strike * float(weights[atoms < strike].sum())
+        slope = stake - below if budget == "paper" else stake * (1.0 - stake * below)
+        step = math.nextafter(strike, math.inf)
+        strike = max(step, strike + short / slope) if slope > 0.0 else step
+        if budget == "paper" and strike > roots[-1]:
+            raise StrikeSolveError(f"no floating-point strike up to the upper root "
+                                   f"{roots[-1]!r} holds floor {floor}")
+
+
 def binomial_weights(n: int, q: float) -> np.ndarray:
     """C(n, k) * q**k * (1 - q)**(n - k) for k = 0..n, each correctly rounded.
 

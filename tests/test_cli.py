@@ -17,7 +17,8 @@ import pytest
 from hedgetest import cli
 from hedgetest.cli import build_parser, main
 from hedgetest.harness import load_config, result_csv, result_json, run_experiment
-from hedgetest.pricing import Contract, LatticeModel, lattice_price, solve_hedge_strike
+from hedgetest.pricing import (Contract, LatticeModel, binomial_weights, floor_put,
+                               lattice_price, solve_hedge_strike)
 from hedgetest.rng import stream
 
 ROOT = Path(__file__).parent.parent
@@ -259,15 +260,43 @@ class TestHedgeSolve:
         code, out, _ = run_cli(capsys, "hedge-solve", "--floor", "0.25",
                                "--horizon", "20")
         assert code == 0
-        roots = json.loads(out)["roots"]
+        solved = json.loads(out)
+        roots = solved["roots"]
         assert roots[0] == pytest.approx(0.30866, abs=1e-4)
         assert roots[1] == pytest.approx(0.97285, abs=1e-4)
+        # the lower root misses the floor by an ulp; the strike bought is one ulp up
+        assert solved["strike"] == 0.3086551568179889 == math.nextafter(roots[0], 1.0)
 
     def test_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, "hedge-solve", "--floor", "0.25",
                             "--horizon", "20")
-        library = solve_hedge_strike(LatticeModel(1.5, 0.5), 0.25, 20)
-        assert json.loads(out)["roots"] == library
+        model = LatticeModel(1.5, 0.5)
+        strike, premium, stake = floor_put(model.terminal_values(20),
+                                           binomial_weights(20, 0.5), 0.25, "paper")
+        solved = json.loads(out)
+        assert solved["roots"] == solve_hedge_strike(model, 0.25, 20)
+        assert (solved["strike"], solved["premium"], solved["stake"]) == (strike, premium,
+                                                                          stake)
+
+    @pytest.mark.parametrize("name", ["table1_option", "table2_option10",
+                                      "table2_option20"])
+    def test_strike_is_the_one_a_hedged_run_buys(self, tmp_path, capsys, name):
+        config = load_config(CONFIGS / f"{name}.cfg")
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        path = tmp_path / "small.cfg"
+        path.write_text(text.replace("replications = 10000", "replications = 20"))
+        command = "shift" if config.truth.change_at is not None else "simulate"
+        _, out, _ = run_cli(capsys, command, "--config", str(path), "--workers", "1")
+        plan = json.loads(out)["hedge_plan"]
+        expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
+        lam = config.strategy.constant_lambda(config.hypothesis)
+        model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param)
+        code, out, _ = run_cli(capsys, "hedge-solve", "--floor", repr(floor),
+                               "--horizon", str(expiry), "--u", repr(model.up_factor),
+                               "--d", repr(model.down_factor))
+        solved = json.loads(out)
+        assert code == 0 and plan["expiry"] == expiry
+        assert (solved["strike"], solved["premium"]) == (plan["strike"], plan["premium"])
 
     def test_unattainable_floor_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "hedge-solve", "--floor", "0.999",
@@ -429,15 +458,14 @@ class TestSimulate:
             outputs.append((tmp_path / f"{name}.json").read_bytes())
         assert outputs[0] == outputs[1]
         plan = json.loads(outputs[0])["hedge_plan"]
-
-        def put(strike):
-            return lattice_price(LatticeModel(1.5, 0.5), Contract.put(strike, 20)).value
-
-        # the root holds the floor only to an ulp; the strike one ulp up holds it
-        root = solve_hedge_strike(LatticeModel(1.5, 0.5), 0.25, 20)[0]
-        strike = math.nextafter(root, math.inf)
-        assert (1.0 - put(root)) * root < 0.25 <= (1.0 - put(strike)) * strike
-        assert plan == {"strike": strike, "premium": put(strike), "expiry": 20}
+        model = LatticeModel(1.5, 0.5)
+        values, weights = model.terminal_values(20), binomial_weights(20, 0.5)
+        strike, premium, stake = floor_put(values, weights, 0.25, "paper")
+        assert plan == {"strike": strike, "premium": premium, "expiry": 20}
+        # the raw root holds the floor only to an ulp; the strike bought holds it
+        root = solve_hedge_strike(model, 0.25, 20)[0]
+        missed = float(weights @ np.maximum(root - values, 0.0))
+        assert (1.0 - missed) * root < 0.25 <= stake * strike
         assert "hedge_plan" not in json.loads(outputs[0])["config"]
 
     def test_unhedged_json_has_null_hedge_plan(self, tmp_path, capsys):

@@ -259,6 +259,19 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.final_wealth.min() >= 0.25 - 1e-3
 
+    def test_a_solved_plan_backward_induces_its_marks_once(self, monkeypatch):
+        # table1_option's root misses the floor by an ulp, so its strike steps up
+        built = []
+
+        def counted(model, contract, spot=1.0):
+            built.append(contract.strike)
+            return pricing.lattice_node_values(model, contract, spot)
+
+        monkeypatch.setattr(harness, "lattice_node_values", counted)
+        plan = _hedge_plan(load_config(CONFIGS / "table1_option.cfg"))
+        assert built == [plan.strike]
+        assert plan.stake == 1.0 - plan.premium
+
     def test_conservative_floor_never_violated(self):
         from hedgetest.strategies import conservative_lambda
         lam = conservative_lambda(0.25, 20, -0.5)

@@ -396,6 +396,15 @@ class TestSettlement:
         call = p.positions[0]
         assert states[2].risk_free == states[1].risk_free + 0.25 * call.value_at(4, states[2].ups)
 
+    def test_a_book_built_without_its_due_expiry_is_refused_on_its_first_step(self):
+        # with due None the put would never settle, and marking it past its
+        # expiry would read outside its node table
+        p = buy_contract(all_risky(), Contract.put(0.8, 2), quantity=1.0)
+        hand_built = Portfolio(p.risk_free, p.risky_value, p.positions, p.lattice)
+        assert hand_built.due is None
+        with pytest.raises(ValueError, match="earliest expiry in due"):
+            step(hand_built, 0.0)
+
 
 class TestLemmaOneFuzz:
     def test_random_admissible_trades_never_go_negative(self):

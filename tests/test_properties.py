@@ -13,9 +13,12 @@ the simulated outcome table is the same bits as the slice of the whole, and
 as the float cast of its uniforms' comparison with each step's truth
 parameter, and so is a stream jumped ahead by k draws.  The full-budget
 strike, S/(1 + C(S)) = floor, is the one root a bisection finds, and the
-residual has no other sign change; no law of mean 1/2 on a few points of
-[0, 1] prices the screen's put above the two-point law.  The wealth engine run on a batch
-is, row for row, the same bits as each row run alone and the step-by-step
+residual has no other sign change; floor_put's strike, under either
+budget on random binomial measures, holds the floor in floating point and
+is the least that does to within rounding of stake*S, with the premium and
+stake of its rule; no law of mean 1/2 on a few points of [0, 1] prices the
+screen's put above the two-point law.  The wealth engine run on a batch is,
+row for row, the same bits as each row run alone and the step-by-step
 recurrence of the oracle; under a constant fraction, terminal_wealth is the
 bits of evolve's last step; and the batch Ville rule finds each row's first
 crossing of 1/alpha where a plain loop over the row does.  Lattice marks are
@@ -49,7 +52,7 @@ from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
                                  buy_contract, issue_contract, move_to_risky, step,
                                  trade_limits)
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
-                               binomial_weights, full_budget_strike,
+                               binomial_weights, floor_put, full_budget_strike,
                                lattice_node_values, lattice_price,
                                put_floor_strikes, solve_hedge_strike)
 from hedgetest.rng import stream
@@ -259,6 +262,59 @@ def test_full_budget_root_is_the_bisection_and_the_only_root(case):
     gap = 1e-9 * (1.0 + root)
     assert np.all(values[grid < root - gap] < 0.0)
     assert np.all(values[grid > root + gap] > 0.0)
+
+
+@st.composite
+def binomial_measures(draw):
+    """A lattice's binomial measure 1 to 40 steps out, from its null q and
+    either its down factor or a betting fraction, and a floor."""
+    q = draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        d = draw(st.floats(0.05, 0.95))
+        model = LatticeModel(d + (1.0 - d) / q, d)
+    else:
+        model = LatticeModel.for_bernoulli_bet(draw(st.floats(0.05, min(2.0, 0.95 / q))), q)
+    horizon = draw(st.integers(1, 40))
+    return (model.terminal_values(horizon),
+            binomial_weights(horizon, model.risk_neutral_prob), draw(st.floats(0.01, 0.99)))
+
+
+KELLY_20 = (LatticeModel(1.5, 0.5).terminal_values(20), binomial_weights(20, 0.5))
+
+
+@given(binomial_measures(), st.sampled_from(["paper", "full"]))
+@example((*KELLY_20, 0.25), "paper")
+@example((*KELLY_20, 0.3494854227), "paper")           # the close pair of roots
+@example((*KELLY_20, 0.3494854227), "full")
+def test_floor_put_is_the_least_strike_holding_the_floor(case, budget):
+    atoms, weights, floor = case
+
+    def rule(strike):
+        premium = float(weights @ np.maximum(strike - atoms, 0.0))
+        return premium, (1.0 - premium if budget == "paper" else 1.0 / (1.0 + premium))
+
+    if budget == "paper":
+        roots = put_floor_strikes(atoms, weights, floor)
+        if not roots:
+            with pytest.raises(StrikeSolveError):
+                floor_put(atoms, weights, floor, budget)
+            return
+        root = roots[0]
+    else:
+        root = full_budget_strike(atoms, weights, floor)
+    strike, premium, stake = floor_put(atoms, weights, floor, budget)
+    assert (premium, stake) == rule(strike)
+    assert stake * strike >= floor
+    assert root <= strike
+    if budget == "paper":
+        assert strike <= roots[-1]
+    # a Newton step lands within rounding of the least strike holding the floor:
+    # one ulp lower, stake*S is under the floor or above it by rounding alone.
+    # Where d(stake*S)/dS is small the closed-form root is itself many ulps
+    # off, so the bound is on stake*S, not on the ulps above the root.
+    if strike > root:
+        lower = math.nextafter(strike, 0.0)
+        assert rule(lower)[1] * lower < floor + 4.0 * math.ulp(floor)
 
 
 @st.composite
