@@ -14,8 +14,7 @@ from .portfolio import (Portfolio, TradeLimits, buy_contract, issue_contract,
                         move_to_risky, step, trade_limits)
 from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
                       black_scholes_put, lattice_price, mc_price,
-                      put_floor_strikes, risk_neutral_up_prob,
-                      solve_hedge_strike)
+                      put_floor_strikes, risk_neutral_up_prob)
 from .strategies import (StrategyKind, StrategySpec, build_strategy,
                          conservative_lambda, dynamic_lambda, kelly_lambda)
 from .wealth import (Family, HypothesisSpec, evolve, hedged_cs, terminal_wealth,

@@ -6,10 +6,11 @@ from the configured truth, applying the betting strategy (plus an optional
 put hedge bought at its risk-neutral price at t = 0), and the anytime-valid
 decision rule, wealth.ville_crossing.  Every episode steps through the one
 wealth engine, wealth.evolve.  Replication i always draws row i of one
-outcome table, the stream (seed, 3) jumped ahead by i * horizon draws, so
-results are byte-identical however the replications are split into chunks.
-A chunk of n replications over T steps holds its outcomes in one float64
-buffer of 8·n·T bytes: the uniforms, overwritten by their 0/1 outcomes.
+outcome table, rng.bernoulli over the stream (seed, 3) jumped ahead by
+i * row_words(ps) outputs, so results are byte-identical however the
+replications are split into chunks.  A row whose step probabilities are
+all multiples of 2**-k, k <= 8, takes ceil(k·T/64) outputs (one for the
+shipped configs); any other takes T.
 
 Simulated experiments use Bernoulli outcomes (the truth may shift its
 parameter at a change point); screening episodes run the two-sided hedged
@@ -33,7 +34,7 @@ import numpy as np
 from .ingest import N_HELD_OUT, estimate_lambdas
 from .pricing import (Contract, LatticeModel, binomial_weights, floor_put,
                       lattice_node_values)
-from .rng import DEFAULT_SEED, MAX_SEED, stream
+from .rng import DEFAULT_SEED, MAX_SEED, bernoulli, row_words, stream
 from .strategies import StrategyKind, StrategySpec, build_strategy
 from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
 
@@ -264,13 +265,13 @@ def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
 
 
 def _chunk_outcomes(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    """Bernoulli outcomes 0.0/1.0 of replications [start, stop): one float64
-    buffer of 8 * (stop - start) * horizon bytes, the uniforms overwritten
-    in place by their comparison with each step's truth parameter."""
+    """Bernoulli outcomes 0.0/1.0 of replications [start, stop), a
+    (stop - start, horizon) float64 table: rows start..stop - 1 of
+    rng.bernoulli over the stream (seed, 3), each step at its truth
+    parameter, so row i is drawn the same in any chunk."""
     ps = config.truth.step_probabilities(config.horizon)
-    draws = stream(config.seed, _OUTCOME_TAG, skip=start * config.horizon).random(
-        (stop - start, config.horizon))
-    return np.less(draws, ps[None, :], out=draws)
+    rng = stream(config.seed, _OUTCOME_TAG, skip=start * row_words(ps))
+    return bernoulli(rng, ps, stop - start)
 
 
 def _episode_wealth(config: ExperimentConfig, y: np.ndarray, plan: HedgePlan | None):

@@ -71,6 +71,8 @@ def _parse_values(fields, delimiter: str) -> np.ndarray:
 
 def _parses_to(text: str, delimiter: str, width: int) -> bool:
     """Whether one line's value fields are `width` numbers."""
+    if not text.strip():        # numpy would warn of a line with no data
+        return False
     try:
         return _parse_values([text], delimiter).size == width
     except ValueError:
@@ -112,14 +114,16 @@ def _row_bound(path) -> int:
 def _parse_block(rows, path, delimiter: str, width: int):
     """(gene ids, values) of one block of (file line, gene id, value fields)
     rows, the values parsed by numpy in one call; None for no rows.  A
-    ragged or non-numeric row is a ValueError that names its file line, and
-    a non-finite value is a ValueError too."""
+    ragged, empty or non-numeric row is a ValueError that names its file
+    line, and a non-finite value is a ValueError too."""
     if not rows:
         return None
     linenos, gene_ids, fields = zip(*rows)
     try:
         values = _parse_values(fields, delimiter)
-        if values.shape[1] != width - 1:
+        # numpy skips a row with no value text, which would pair every later
+        # gene id with the row after its own
+        if values.shape != (len(fields), width - 1):
             raise ValueError("ragged rows")
     except ValueError:
         bad = next((lineno for lineno, text in zip(linenos, fields)

@@ -508,20 +508,3 @@ def binomial_weights(n: int, q: float) -> np.ndarray:
         if weights[k] != upper[k]:
             weights[k] = math.comb(n, k) * a ** k * b ** (n - k) / den ** n
     return np.array(weights)
-
-
-def solve_hedge_strike(model: LatticeModel, floor: float, horizon: int,
-                       spot: float = 1.0) -> list[float]:
-    """put_floor_strikes over the lattice's binomial measure `horizon` steps out.
-
-    C(S) is the price of the horizon-expiry put at strike S: buying the put
-    for C and keeping the rest invested leaves exactly (1 - C(S))*S in the
-    worst case, so a root makes that worst case equal the desired floor.
-    """
-    values = model.terminal_values(horizon, spot)    # an overflow fails before the weights
-    weights = binomial_weights(horizon, model.risk_neutral_prob)
-    roots = put_floor_strikes(values, weights, floor)
-    if not roots:
-        raise StrikeSolveError(
-            f"no strike reaches floor {floor} at horizon {horizon}")
-    return roots

@@ -1,4 +1,4 @@
-"""Deterministic random-stream derivation.
+"""Deterministic random-stream derivation and the one Bernoulli sampler.
 
 One primitive, ``stream(seed, *tags, skip=0)``: a sequential PCG64
 generator keyed by a seed and small nonnegative integer tags naming one
@@ -6,9 +6,18 @@ purpose (a synthetic matrix, a screening price sample, a Monte Carlo run,
 the table of simulated outcomes).  ``skip=k`` jumps it ahead by k 64-bit
 outputs in O(log k) steps (O'Neill, "PCG", 2014), one per float64 of
 ``Generator.random``, so ``stream(..., skip=k).random(m)`` equals
-``stream(...).random(k + m)[k:]``.  Row i of a (n, w) table drawn from one
-stream is therefore ``stream(..., skip=i * w).random(w)``: any range of rows
-can be drawn alone and is the same bits as that slice of the whole table.
+``stream(...).random(k + m)[k:]``.
+
+``bernoulli(rng, ps, rows)`` draws a (rows, T) table of 0/1 outcomes, step
+t Bernoulli(ps[t]).  Where every p is a/2**k with k <= MAX_BITS, an outcome
+is read from k fair bits (Knuth & Yao, 1976): a row takes
+ceil(k*T / 64) whole outputs and step t is 1 exactly when bits
+[k*t, k*t + k) of the row, least significant first, read as an integer
+below p*2**k.  Any other table keeps one ``Generator.random`` output a
+step.  Either way every row consumes ``row_words(ps)`` outputs, so row i
+of a table is ``bernoulli(stream(..., skip=i * row_words(ps)), ps, 1)``:
+any range of rows can be drawn alone and is the same bits as that slice of
+the whole table.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import numpy as np
 DEFAULT_SEED = 271828
 # Largest seed that keys a stream of its own: one 32-bit word (see stream).
 MAX_SEED = 2**32 - 1
+#: Most fair bits one Bernoulli outcome is read from (see bernoulli).
+MAX_BITS = 8
 
 
 def stream(seed: int, *tags: int, skip: int = 0) -> np.random.Generator:
@@ -42,3 +53,54 @@ def stream(seed: int, *tags: int, skip: int = 0) -> np.random.Generator:
     if skip:
         rng.bit_generator.advance(skip)
     return rng
+
+
+def _dyadic_bits(ps: np.ndarray) -> int | None:
+    """Least k <= MAX_BITS with every p * 2**k an integer, or None."""
+    for k in range(MAX_BITS + 1):
+        scaled = ps * (1 << k)      # exact: a power-of-two scale of a double
+        if np.array_equal(scaled, np.trunc(scaled)):
+            return k
+    return None
+
+
+def row_words(ps) -> int:
+    """64-bit outputs bernoulli consumes for one row of step probabilities ps."""
+    ps = np.asarray(ps, dtype=float)
+    k = _dyadic_bits(ps)
+    return ps.size if k is None else -(-k * ps.size // 64)
+
+
+def bernoulli(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
+    """A (rows, T) float64 table of 0.0/1.0 outcomes, step t Bernoulli(ps[t]),
+    each p in [0, 1].
+
+    Each row takes ``row_words(ps)`` consecutive outputs of rng.  With k the
+    least integer for which every p * 2**k is an integer, k <= MAX_BITS, a
+    row's outputs are read as one little-endian string of bits and step t
+    is 1 exactly when its k bits [k*t, k*t + k), least significant first,
+    form an integer below p * 2**k.  Otherwise step t is 1 exactly when a
+    ``random`` output is below p, as a table of ``rng.random((rows, T))``.
+    """
+    ps = np.asarray(ps, dtype=float)
+    steps = ps.size
+    k = _dyadic_bits(ps)
+    if k is None:
+        draws = rng.random((rows, steps))
+        return np.less(draws, ps, out=draws)
+    out = np.empty((rows, steps))
+    if k == 0:                      # every p is 0 or 1: nothing is drawn
+        out[:] = ps
+        return out
+    # integers over the full 64-bit range returns the raw outputs, as
+    # bit_generator.random_raw does, and leaves the same state
+    words = rng.integers(0, 2**64, (rows, -(-k * steps // 64)), dtype=np.uint64)
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=k * steps, bitorder="little")
+    if k > 1:
+        fields = bits.reshape(rows, steps, k)
+        bits = fields[..., 0].copy()
+        for i in range(1, k):
+            bits |= fields[..., i] << i
+    # integer thresholds, at most 2**MAX_BITS: a float one costs twice the compare
+    return np.less(bits, (ps * (1 << k)).astype(np.uint16), out=out)

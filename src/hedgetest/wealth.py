@@ -31,6 +31,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .rng import bernoulli
+
 #: Null mean of exp(Z) for Z ~ N(0, 1).
 LOG_NORMAL_NULL_MEAN = math.exp(0.5)
 
@@ -128,10 +130,19 @@ class HypothesisSpec:
 
     def null_sampler(self) -> Callable[[np.random.Generator, int | tuple[int, ...]],
                                        np.ndarray]:
-        """Sampler drawing outcomes from the null measure; size may be a shape."""
+        """Sampler drawing outcomes from the null measure; size may be a shape.
+
+        A Bernoulli array of shape (..., T) is rng.bernoulli's table of its
+        rows over T steps at the null p, an int size n one row of n steps.
+        """
         if self.family is Family.BERNOULLI:
             p = self.null_param
-            return lambda rng, size: (rng.random(size) < p).astype(float)
+
+            def sample(rng, size):
+                shape = (size,) if np.ndim(size) == 0 else tuple(size)
+                rows = math.prod(shape[:-1])
+                return bernoulli(rng, np.full(shape[-1], p), rows).reshape(shape)
+            return sample
         if self.family is Family.BOUNDED_MEAN:
             # Uniform(0,1) is the canonical mean-1/2 bounded null.
             if self.null_mean != 0.5:

@@ -12,6 +12,8 @@ put-floor strikes interval by interval in plain Python after a stable
 sort, binomial weights in exact integers instead of decimal bounds, a portfolio's worst case by walking every path instead of the
 backward min-sweep, the chance that a constant-fraction bet ever rejects
 by an exact recursion over (t, up-count) instead of simulated episodes,
+a Bernoulli outcome table by reading each row's raw 64-bit outputs as one
+Python integer instead of unpacking bits in numpy,
 the CSVs are written with one f-string per row,
 gene ids quoted by the csv module, instead of as one byte table with one
 format per distinct value, and a raw matrix is read by csv with one float()
@@ -133,6 +135,30 @@ def exact_rejection(lam, null_p, alpha, horizon, p, p_post=None, change_at=None)
                 crossed += alive[j]
                 alive[j] = Fraction(0)
     return float(crossed)
+
+
+def bernoulli_by_words(rng, ps, rows):
+    """rng.bernoulli's (rows, T) outcome table, one row and one step at a time.
+
+    k is the largest base-2 exponent among the denominators of the exact
+    fractions of the ps.  Up to 8, a row's ceil(k*T/64) raw outputs are one
+    integer, output w at bit 64*w, and step t is 1 when bits k*t..k*t + k - 1
+    of it, as an integer, fall below p_t * 2**k; above 8, step t is 1 when
+    one random() falls below p_t.
+    """
+    fractions = [Fraction(p) for p in ps]
+    k = max((f.denominator.bit_length() - 1 for f in fractions), default=0)
+    table = []
+    for _ in range(rows):
+        if k > 8:
+            table.append([1.0 if rng.random() < p else 0.0 for p in ps])
+            continue
+        bits = 0
+        for w, word in enumerate(rng.bit_generator.random_raw(-(-k * len(ps) // 64))):
+            bits |= int(word) << (64 * w)
+        table.append([1.0 if (bits >> (k * t)) % 2**k < f * 2**k else 0.0
+                      for t, f in enumerate(fractions)])
+    return np.array(table, dtype=float).reshape(rows, len(ps))
 
 
 def path_values(strategy, outcomes, hyp):

@@ -19,8 +19,8 @@ from hedgetest.harness import (HedgeSpec, load_config, result_csv, result_json,
                                synthetic_screening_input)
 from hedgetest.portfolio import (Portfolio, buy_contract, move_to_risky, step,
                                  trade_limits)
-from hedgetest.pricing import (Contract, LatticeModel, lattice_price, mc_price,
-                               risk_neutral_up_prob, solve_hedge_strike)
+from hedgetest.pricing import (Contract, LatticeModel, binomial_weights, lattice_price,
+                               mc_price, put_floor_strikes, risk_neutral_up_prob)
 from hedgetest.rng import stream
 from hedgetest.strategies import conservative_lambda, dynamic_lambda
 from hedgetest.wealth import HypothesisSpec
@@ -89,7 +89,8 @@ def test_c4_lambda_goldens():
 def test_c5_hedge_strikes():
     model = LatticeModel(1.5, 0.5)
     start = time.perf_counter()
-    roots = solve_hedge_strike(model, 0.25, 20)
+    roots = put_floor_strikes(model.terminal_values(20),
+                              binomial_weights(20, model.risk_neutral_prob), 0.25)
     elapsed = time.perf_counter() - start
     ok = (len(roots) == 2
           and abs(roots[0] - 0.30866) <= 1e-4

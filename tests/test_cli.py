@@ -18,7 +18,7 @@ from hedgetest import cli
 from hedgetest.cli import build_parser, main
 from hedgetest.harness import load_config, result_csv, result_json, run_experiment
 from hedgetest.pricing import (Contract, LatticeModel, binomial_weights, floor_put,
-                               lattice_price, solve_hedge_strike)
+                               lattice_price, put_floor_strikes)
 from hedgetest.rng import stream
 
 ROOT = Path(__file__).parent.parent
@@ -274,7 +274,8 @@ class TestHedgeSolve:
         strike, premium, stake = floor_put(model.terminal_values(20),
                                            binomial_weights(20, 0.5), 0.25, "paper")
         solved = json.loads(out)
-        assert solved["roots"] == solve_hedge_strike(model, 0.25, 20)
+        assert solved["roots"] == put_floor_strikes(model.terminal_values(20),
+                                                    binomial_weights(20, 0.5), 0.25)
         assert (solved["strike"], solved["premium"], solved["stake"]) == (strike, premium,
                                                                           stake)
 
@@ -463,7 +464,7 @@ class TestSimulate:
         strike, premium, stake = floor_put(values, weights, 0.25, "paper")
         assert plan == {"strike": strike, "premium": premium, "expiry": 20}
         # the raw root holds the floor only to an ulp; the strike bought holds it
-        root = solve_hedge_strike(model, 0.25, 20)[0]
+        root = put_floor_strikes(values, weights, 0.25)[0]
         missed = float(weights @ np.maximum(root - values, 0.0))
         assert (1.0 - missed) * root < 0.25 <= stake * strike
         assert "hedge_plan" not in json.loads(outputs[0])["config"]
@@ -773,9 +774,11 @@ class TestIngest:
                              "--output", "/tmp/out.csv")
         assert code == 2
 
-    @pytest.mark.parametrize("row", ["g1,1,2,3,4,5", "g1,1,2", "g1,1,2,abc,4", "g1,1,2,3,"])
+    @pytest.mark.parametrize("row", ["g1,1,2,3,4,5", "g1,1,2", "g1,1,2,abc,4", "g1,1,2,3,",
+                                     "g1", "g1,", "   "])
     def test_ragged_or_non_numeric_row_is_solver_error(self, tmp_path, capsys, row):
-        # the bad row is file line 4: the header and the blank line count
+        # the bad row is file line 4: the header and the blank line count.
+        # A row with no values at all must not shift g2's values onto g1
         src = tmp_path / "matrix.csv"
         src.write_text(f"gene,normal,normal,tumor,tumor\ng0,1,2,3,4\n\n{row}\ng2,1,2,3,4\n")
         code, _, err = run_cli(capsys, "ingest", "--input", str(src),

@@ -21,7 +21,7 @@ from hedgetest.harness import (ConfigError, ExperimentConfig, HedgeSpec,
 from hedgetest.ingest import LAMBDA_GRID
 from hedgetest.portfolio import Portfolio, buy_contract, move_to_risky, step
 from hedgetest.pricing import Contract, LatticeModel, StrikeSolveError, mc_price
-from hedgetest.rng import stream
+from hedgetest.rng import bernoulli, row_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, OutcomeError, hedged_cs, ville_crossing
 
@@ -162,9 +162,9 @@ class TestRunExperiment:
         cfg = config(replications=50)
         result = run_experiment(cfg)
         strategy = build_strategy(KELLY, HYP, 20)
+        ps = cfg.truth.step_probabilities(cfg.horizon)
         for i in range(50):
-            draws = stream(cfg.seed, 3, skip=i * cfg.horizon).random(cfg.horizon)
-            ys = (draws < 0.75).astype(float)
+            ys = bernoulli(stream(cfg.seed, 3, skip=i * row_words(ps)), ps, 1)[0]
             values = wealth_by_hand(strategy, ys, HYP.null_mean)
             crossing = first_crossing_by_hand(values, cfg.alpha)
             assert result.final_wealth[i] == pytest.approx(values[-1], rel=1e-12)
@@ -247,9 +247,10 @@ class TestRunExperiment:
         cfg = config(replications=200, hedge=HedgeSpec(expiry=20))
         plan = _hedge_plan(cfg)
         stake = 1.0 - plan.premium
+        ps = cfg.truth.step_probabilities(20)
         for i in range(0, 200, 17):
-            draws = stream(cfg.seed, 3, skip=i * 20).random(20)
-            k_hat = np.prod(1.0 + ((draws < 0.75).astype(float) - 0.5))
+            ys = bernoulli(stream(cfg.seed, 3, skip=i * row_words(ps)), ps, 1)[0]
+            k_hat = np.prod(1.0 + (ys - 0.5))
             expected = stake * max(k_hat, plan.strike)
             assert result_final(cfg, i) == pytest.approx(expected, rel=1e-12)
 
@@ -292,9 +293,9 @@ class TestRunExperiment:
         cfg = config(strategy=spec, replications=25)
         result = run_experiment(cfg)
         strategy = build_strategy(spec, HYP, 20)
+        ps = cfg.truth.step_probabilities(20)
         for i in range(25):
-            draws = stream(cfg.seed, 3, skip=i * 20).random(20)
-            ys = (draws < 0.75).astype(float)
+            ys = bernoulli(stream(cfg.seed, 3, skip=i * row_words(ps)), ps, 1)[0]
             final = wealth_by_hand(strategy, ys, HYP.null_mean)[-1]
             assert result.final_wealth[i] == pytest.approx(final, rel=1e-10)
 

@@ -7,14 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hedgetest import pricing
+from hedgetest import cli, pricing
 from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                PriceEstimate, PricingMethod, StrikeSolveError,
                                binomial_weights, black_scholes_call,
                                black_scholes_put, full_budget_strike,
                                lattice_node_values, lattice_price, mc_price,
-                               normal_cdf, put_floor_strikes,
-                               risk_neutral_up_prob, solve_hedge_strike)
+                               floor_put, normal_cdf, put_floor_strikes,
+                               risk_neutral_up_prob)
 from hedgetest.rng import stream
 from hedgetest.wealth import HypothesisSpec, terminal_wealth
 
@@ -355,31 +355,37 @@ class TestBlackScholes:
         assert abs(bs - est.value) / est.value <= 0.05
 
 
+def lattice_floor_roots(model, floor, horizon):
+    """put_floor_strikes over the lattice's risk-neutral measure `horizon` steps out."""
+    return put_floor_strikes(model.terminal_values(horizon),
+                             binomial_weights(horizon, model.risk_neutral_prob), floor)
+
+
 class TestSolveHedgeStrike:
     def test_known_roots(self):
         model = LatticeModel(1.5, 0.5)
-        roots = solve_hedge_strike(model, 0.25, 20)
+        roots = lattice_floor_roots(model, 0.25, 20)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.30866, abs=1e-4)
         assert roots[1] == pytest.approx(0.97285, abs=1e-4)
 
     def test_plug_back_residual(self):
         model = LatticeModel(1.5, 0.5)
-        for root in solve_hedge_strike(model, 0.25, 20):
+        for root in lattice_floor_roots(model, 0.25, 20):
             premium = lattice_price(model, Contract.put(root, 20)).value
             assert abs(0.25 - (1 - premium) * root) <= 1e-12
 
     def test_close_pair_inside_one_grid_cell(self):
         # both roots fall within 7e-5 of each other; a grid scan misses them
         model = LatticeModel.for_bernoulli_bet(1.0, 0.5)
-        roots = solve_hedge_strike(model, 0.3494854227, 20)
+        roots = lattice_floor_roots(model, 0.3494854227, 20)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.634349, abs=1e-6)
         assert roots[1] == pytest.approx(0.634417, abs=1e-6)
 
     def test_small_floor_gives_small_root(self):
         model = LatticeModel(1.5, 0.5)
-        smallest = {floor: solve_hedge_strike(model, floor, 20)[0]
+        smallest = {floor: lattice_floor_roots(model, floor, 20)[0]
                     for floor in (0.1, 0.01, 0.001)}
         assert smallest[0.01] < smallest[0.1]
         assert smallest[0.001] < smallest[0.01]
@@ -387,27 +393,30 @@ class TestSolveHedgeStrike:
 
     def test_unattainable_floor_raises(self):
         model = LatticeModel(1.5, 0.5)
+        assert lattice_floor_roots(model, 0.9999, 20) == []
         with pytest.raises(StrikeSolveError):
-            solve_hedge_strike(model, 0.9999, 20)
+            floor_put(model.terminal_values(20), binomial_weights(20, 0.5), 0.9999, "paper")
 
     def test_runtime_under_budget(self):
         model = LatticeModel(1.5, 0.5)
         start = time.perf_counter()
-        solve_hedge_strike(model, 0.25, 20)
+        lattice_floor_roots(model, 0.25, 20)
         assert time.perf_counter() - start < 5.0
 
     def test_deep_lattice_roots_without_a_warning(self):
         # the first atoms weigh ~1e-300, so q / (2 * mass) overflows to inf there
         model = LatticeModel.for_bernoulli_bet(0.1, 0.5)
-        roots = solve_hedge_strike(model, 0.25, 10_000)
+        roots = lattice_floor_roots(model, 0.25, 10_000)
         assert roots and all(0.0 < root < math.inf for root in roots)
 
-    def test_overflowing_lattice_fails_before_the_weights(self, monkeypatch):
+    def test_overflowing_lattice_fails_before_the_weights(self, monkeypatch, capsys):
+        # hedge-solve reads the terminal values before the 10,000-step measure
         def weights(n, q):
             raise AssertionError("weights computed for a lattice that overflows")
-        monkeypatch.setattr(pricing, "binomial_weights", weights)
-        with pytest.raises(ValueError, match="overflow"):
-            solve_hedge_strike(LatticeModel(1e10, 0.5), 0.25, 10_000)
+        monkeypatch.setattr(cli, "binomial_weights", weights)
+        assert cli.main(["hedge-solve", "--u", "1e10", "--d", "0.5",
+                         "--horizon", "10000", "--floor", "0.25"]) == 3
+        assert "overflow" in capsys.readouterr().err
 
 
 def exact_weights(n, q):

@@ -10,10 +10,10 @@ without ties, or with every weight equal, they are the bits of the
 stable-sort oracle, and the lattice's binomial weights are its exact
 weights, each rounded once.  Any chunk of
 the simulated outcome table is the same bits as the slice of the whole, and
-as the float cast of its uniforms' comparison with each step's truth
-parameter, and so is a stream jumped ahead by k draws.  The full-budget
-strike, S/(1 + C(S)) = floor, is the one root a bisection finds, and the
-residual has no other sign change; floor_put's strike, under either
+as the oracle's reading of the stream jumped ahead by the rows before it,
+and a stream jumped ahead by k draws is the slice of the whole stream.  The
+full-budget strike, S/(1 + C(S)) = floor, is the one root a bisection
+finds, and the residual has no other sign change; floor_put's strike, under either
 budget on random binomial measures, holds the floor in floating point and
 is the least that does to within rounding of stake*S, with the premium and
 stake of its rule; no law of mean 1/2 on a few points of [0, 1] prices the
@@ -54,14 +54,14 @@ from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                binomial_weights, floor_put, full_budget_strike,
                                lattice_node_values, lattice_price,
-                               put_floor_strikes, solve_hedge_strike)
-from hedgetest.rng import stream
+                               put_floor_strikes)
+from hedgetest.rng import row_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (HypothesisSpec, evolve, hedged_cs, terminal_wealth,
                               ville_crossing)
 
-from oracles import (binomial_weight_price, binomial_weights_by_integers,
-                     enumerate_paths_min, first_crossing_by_hand,
+from oracles import (bernoulli_by_words, binomial_weight_price,
+                     binomial_weights_by_integers, enumerate_paths_min, first_crossing_by_hand,
                      floor_strikes_by_interval, fresh_mark, step_by_remark,
                      wealth_by_hand, worst_case_by_paths)
 
@@ -87,10 +87,8 @@ def measures(draw):
 
 
 def lattice_roots(model, floor, horizon):
-    try:
-        return solve_hedge_strike(model, floor, horizon)
-    except StrikeSolveError:
-        return []
+    return put_floor_strikes(model.terminal_values(horizon),
+                             binomial_weights(horizon, model.risk_neutral_prob), floor)
 
 
 def lattice_put(model, horizon, strike):
@@ -386,10 +384,12 @@ def outcome_chunks(draw):
 
 
 @given(outcome_chunks())
-def test_outcomes_are_the_float_comparison_of_the_uniforms(case):
+def test_outcomes_are_the_oracle_reading_of_the_stream(case):
+    # rows a..b - 1 of the (seed, 3) table, read from the stream jumped
+    # ahead by a rows of row_words outputs each
     cfg, a, b = case
-    draws = stream(cfg.seed, 3, skip=a * cfg.horizon).random((b - a, cfg.horizon))
-    expected = (draws < cfg.truth.step_probabilities(cfg.horizon)).astype(float)
+    ps = cfg.truth.step_probabilities(cfg.horizon)
+    expected = bernoulli_by_words(stream(cfg.seed, 3, skip=a * row_words(ps)), ps, b - a)
     outcomes = _chunk_outcomes(cfg, a, b)
     assert outcomes.dtype == np.float64 and outcomes.shape == expected.shape
     assert outcomes.tobytes() == expected.tobytes()

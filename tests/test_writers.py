@@ -55,18 +55,19 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 
 # sha256 of `simulate`/`shift --config configs/<name>.cfg --workers 1 --out x`
 # -> x.csv, at the config's own seed and replications.  The outcome rows are
-# the PCG64 stream (seed, 3) of rng.stream, row i jumped ahead by i * horizon
-# draws, so any change to that stream or its tag moves all nine digests.
+# rng.bernoulli's table over the PCG64 stream (seed, 3) of rng.stream, one
+# output a row at the shipped p of 1/2 and 3/4, so any change to that stream,
+# its tag or the bit layout moves all nine digests.
 CSV_SHA256 = {
-    "table1_conservative": "9c4b96ea72284d8a82b0b80e660d6d8f50814edc9d8cb0225e86eae5ac9c389e",
-    "table1_dynamic": "d442d6d07e15880e2f204d3d1e00b5a4042a724af9ad1f264d699104e6d71b86",
-    "table1_kelly": "fd6e794dd30e5632fa48e8bd932d3d5867451efb44ebf5ae80120376369b4157",
-    "table1_option": "02e4adc2cbfd5409d4fd399bb9f0f7ff42d49fa67247b11a2f3eb5891a6ef80a",
-    "table2_conservative": "8a13fb353581f8782021524b420f345c1767b98915e6a4fcbaf513566b094249",
-    "table2_dynamic": "2b2bd8841c2a225289f2cb97ee554ea31bb4b28df88eee517d7a79aeba4f5846",
-    "table2_kelly": "75857367080256c5dd7b7c3ff8c1e593776f54c1729d69397f6b3025983accab",
-    "table2_option10": "1746f325b54abd4d30f06deb6bd6165b142de4408ba277e46242366066db3038",
-    "table2_option20": "ee65f255295c1a3881ec44743c42d8c1a16b33ff76ebd4201355a2d43d036ba8",
+    "table1_conservative": "e8163529ad5a48046e2e7d7c86f8ce82f83b9a153dd50430ee4cd5aeeadf0ecc",
+    "table1_dynamic": "1d7d6cd1081c57ea1b32fe4070014d8895b8a13ac49a27276332b783f751482b",
+    "table1_kelly": "829feb3553788a97f1b04236a4682b045d82a92778ef1ef1d1261aafbaf4777e",
+    "table1_option": "f88bc0f5f6332b0210d6008a87a749ea36e202725e7ca65252d959ea888b4cf0",
+    "table2_conservative": "c2e9b4c53e8c6d00b3f3927fdeed54cd7b2f0b46d603e797aa2ad6734180b4ae",
+    "table2_dynamic": "d544cfe873660ade8e713acb2b0c62adf42a282ebbafe12850a6049f4b5ab5e8",
+    "table2_kelly": "bfb4a0796f72ccde6e7960b083092ad6d860baf119173bba86e9a5438c0032ba",
+    "table2_option10": "f43e64cd8b04d0c4c2237b9388f3c8b7f25a696ced2c41defee65f0cc5494d25",
+    "table2_option20": "66383824f7356e4c7ffd2b636fde04ba189978706ae7eb8b7aa86521135f7ead",
 }
 
 
@@ -91,7 +92,7 @@ def test_shipped_csv_digest_is_pinned(name, tmp_path, capsys):
 
 # sha256 of `price --contract put,S=0.25,tau=20 --method mc <argv> --out x` -> x
 MC_PRICE_SHA256 = {
-    ("--bet", "1"): "be19441cd3a556cded8be6ac79104e2568c71c91dd554dd0024553cbf135c3c4",
+    ("--bet", "1"): "83adb426d33eb28e57c4a1538954c4e841761411413e10577fe0149aa4d4bb8c",
     ("--family", "bounded", "--bet", "1.7"):
         "05064b1778d77f4a2109cde67983d7ca973c3295ab7316dc38fdaba27d4eff9e",
     ("--family", "log_normal", "--bet", "0.6065306597126334"):
