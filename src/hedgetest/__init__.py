@@ -15,8 +15,8 @@ from .portfolio import (Portfolio, TradeLimits, buy_contract, issue_contract,
 from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
                       black_scholes_put, lattice_price, mc_price,
                       put_floor_strikes, risk_neutral_up_prob)
-from .strategies import (StrategyKind, StrategySpec, build_strategy,
-                         conservative_lambda, dynamic_lambda, kelly_lambda)
+from .strategies import (StrategyKind, StrategySpec, build_strategy, dynamic_lambda,
+                         kelly_lambda)
 from .wealth import (Family, HypothesisSpec, evolve, hedged_cs, terminal_wealth,
                      ville_crossing)
 

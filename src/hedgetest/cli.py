@@ -30,8 +30,7 @@ from .pricing import (Contract, ContractKind, LatticeModel, PriceEstimate,
                       black_scholes_call, black_scholes_put, floor_put, lattice_price,
                       mc_price, put_floor_strikes)
 from .rng import DEFAULT_SEED
-from .wealth import (HypothesisSpec, InadmissibleBetError, OutcomeError,
-                     terminal_wealth)
+from .wealth import HypothesisSpec, InadmissibleBetError, OutcomeError, null_paths
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,13 +147,15 @@ def _cmd_price(args) -> int:
             raise ConfigError(f"mc pricing needs --n of at least 2, got {args.n}")
         check_seed(args.seed)
 
-        def process(ys):
+        sample, final_wealth = null_paths(args.bet, hyp, contract.expiry)
+
+        def process(paths):
             # a wealth past the float range is inf: a put's payoff on it is 0,
             # and mc_price rejects the infinite price of a call
             with np.errstate(over="ignore"):
-                return args.spot * terminal_wealth(args.bet, ys, hyp)
+                return args.spot * final_wealth(paths)
 
-        est = mc_price(hyp.null_sampler(), process, contract, args.n, args.seed)
+        est = mc_price(sample, process, contract, args.n, args.seed)
     else:
         if args.sigma is None or args.time is None:
             raise ConfigError("black-scholes pricing needs --sigma and --time")

@@ -120,9 +120,11 @@ def _parse_block(rows, path, delimiter: str, width: int):
         return None
     linenos, gene_ids, fields = zip(*rows)
     try:
-        values = _parse_values(fields, delimiter)
         # numpy skips a row with no value text, which would pair every later
-        # gene id with the row after its own
+        # gene id with the row after its own, and warns of a block of them
+        if "" in fields or any(map(str.isspace, fields)):
+            raise ValueError("a row with no values")
+        values = _parse_values(fields, delimiter)
         if values.shape != (len(fields), width - 1):
             raise ValueError("ragged rows")
     except ValueError:

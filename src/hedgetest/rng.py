@@ -18,6 +18,12 @@ step.  Either way every row consumes ``row_words(ps)`` outputs, so row i
 of a table is ``bernoulli(stream(..., skip=i * row_words(ps)), ps, 1)``:
 any range of rows can be drawn alone and is the same bits as that slice of
 the whole table.
+
+``bernoulli_words(rng, ps, rows)`` is the packed form of a table whose
+every p is 0, 1/2 or 1 (k <= 1): a (rows, ceil(T/64)) uint64 array with
+outcome t at bit t % 64 of word t // 64.  It reads the same outputs as
+``bernoulli`` and its bits are ``bernoulli``'s table, which is their
+``np.unpackbits``: one code reads fair bits.
 """
 
 from __future__ import annotations
@@ -71,6 +77,35 @@ def row_words(ps) -> int:
     return ps.size if k is None else -(-k * ps.size // 64)
 
 
+def bernoulli_words(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
+    """bernoulli's table for ps all in {0, 1/2, 1}, packed: a (rows,
+    ceil(T/64)) uint64 array, outcome t at bit t % 64 of word t // 64.
+
+    A row takes the ``row_words(ps)`` outputs bernoulli reads, none when
+    every p is 0 or 1.  A step at p = 1/2 is 1 exactly when its fair bit is
+    0 (its 1-bit integer is below 1), a step at p = 1 is always 1 and one at
+    p = 0 always 0, so the words are (~raw & half) | one for the masks of
+    the p = 1/2 and p = 1 steps.  Any other p is a ValueError.
+    """
+    ps = np.asarray(ps, dtype=float)
+    words = -(-ps.size // 64)
+    flags = np.zeros((2, 64 * words), dtype=bool)
+    np.equal(ps, 0.5, out=flags[0, :ps.size])
+    np.equal(ps, 1.0, out=flags[1, :ps.size])
+    if np.count_nonzero(flags) + np.count_nonzero(ps == 0.0) != ps.size:
+        raise ValueError("bernoulli_words needs every p to be 0, 1/2 or 1")
+    half, one = np.packbits(flags, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    if not half.any():              # every p is 0 or 1: nothing is drawn
+        return np.tile(one, (rows, 1))
+    # integers over the full 64-bit range returns the raw outputs, as
+    # bit_generator.random_raw does, and leaves the same state
+    raw = rng.integers(0, 2**64, (rows, words), dtype=np.uint64)
+    np.invert(raw, out=raw)
+    raw &= half
+    raw |= one
+    return raw
+
+
 def bernoulli(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
     """A (rows, T) float64 table of 0.0/1.0 outcomes, step t Bernoulli(ps[t]),
     each p in [0, 1].
@@ -79,8 +114,9 @@ def bernoulli(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
     least integer for which every p * 2**k is an integer, k <= MAX_BITS, a
     row's outputs are read as one little-endian string of bits and step t
     is 1 exactly when its k bits [k*t, k*t + k), least significant first,
-    form an integer below p * 2**k.  Otherwise step t is 1 exactly when a
-    ``random`` output is below p, as a table of ``rng.random((rows, T))``.
+    form an integer below p * 2**k; for k <= 1 the table is the unpacked
+    ``bernoulli_words``.  Otherwise step t is 1 exactly when a ``random``
+    output is below p, as a table of ``rng.random((rows, T))``.
     """
     ps = np.asarray(ps, dtype=float)
     steps = ps.size
@@ -88,19 +124,16 @@ def bernoulli(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
     if k is None:
         draws = rng.random((rows, steps))
         return np.less(draws, ps, out=draws)
-    out = np.empty((rows, steps))
-    if k == 0:                      # every p is 0 or 1: nothing is drawn
-        out[:] = ps
-        return out
-    # integers over the full 64-bit range returns the raw outputs, as
-    # bit_generator.random_raw does, and leaves the same state
+    if k <= 1:
+        words = bernoulli_words(rng, ps, rows)
+        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                             count=steps, bitorder="little").astype(float)
     words = rng.integers(0, 2**64, (rows, -(-k * steps // 64)), dtype=np.uint64)
     bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
                          count=k * steps, bitorder="little")
-    if k > 1:
-        fields = bits.reshape(rows, steps, k)
-        bits = fields[..., 0].copy()
-        for i in range(1, k):
-            bits |= fields[..., i] << i
+    fields = bits.reshape(rows, steps, k)
+    bits = fields[..., 0].copy()
+    for i in range(1, k):
+        bits |= fields[..., i] << i
     # integer thresholds, at most 2**MAX_BITS: a float one costs twice the compare
-    return np.less(bits, (ps * (1 << k)).astype(np.uint16), out=out)
+    return np.less(bits, (ps * (1 << k)).astype(np.uint16), out=np.empty((rows, steps)))

@@ -37,21 +37,6 @@ def kelly_lambda(p0: float, p1: float) -> float:
     return (p1 - p0) / (p0 * (1.0 - p0))
 
 
-def conservative_lambda(floor: float, horizon: int, worst_step: float) -> float:
-    """Fixed fraction whose all-losses path ends exactly at the floor.
-
-    Solves (1 + lam*worst_step)**horizon = floor, where worst_step is the
-    most adverse centered outcome (-0.5 for Bernoulli and bounded families).
-    """
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor {floor} must be in (0, 1)")
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if worst_step >= 0.0:
-        raise ValueError(f"worst step must be negative, got {worst_step}")
-    return (floor ** (1.0 / horizon) - 1.0) / worst_step
-
-
 def dynamic_lambda(current_wealth, t: int, horizon: int, floor: float,
                    null_mean: float):
     """Fraction that would land the worst-case continuation exactly on the floor.

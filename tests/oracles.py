@@ -20,7 +20,9 @@ format per distinct value, and a raw matrix is read by csv with one float()
 per value and transformed in one whole-matrix pass instead of block by
 block.  path_values
 and crossing_times are no oracles: they are the batch engine's wealth rows
-and the batch rule's crossing times, shared by the test files.
+and the batch rule's crossing times, shared by the test files, and
+conservative_lambda is the closed form the conservative configs' fixed
+fraction 0.13393401692638518 was solved from.
 """
 
 import csv
@@ -85,6 +87,21 @@ def wealth_by_hand(lambdas, outcomes, null_mean):
         lam = lambdas(np.array(values[-1:]), t) if callable(lambdas) else lambdas[t]
         values.append(values[-1] * (1.0 + float(np.ravel(lam)[0]) * (y - null_mean)))
     return values
+
+
+def conservative_lambda(floor: float, horizon: int, worst_step: float) -> float:
+    """Fixed fraction whose all-losses path ends exactly at the floor.
+
+    Solves (1 + lam*worst_step)**horizon = floor, where worst_step is the
+    most adverse centered outcome (-0.5 for Bernoulli and bounded families).
+    """
+    if not 0.0 < floor < 1.0:
+        raise ValueError(f"floor {floor} must be in (0, 1)")
+    if horizon < 1:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if worst_step >= 0.0:
+        raise ValueError(f"worst step must be negative, got {worst_step}")
+    return (floor ** (1.0 / horizon) - 1.0) / worst_step
 
 
 def hedged_cs_by_hand(ys, lam):

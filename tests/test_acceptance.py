@@ -22,10 +22,10 @@ from hedgetest.portfolio import (Portfolio, buy_contract, move_to_risky, step,
 from hedgetest.pricing import (Contract, LatticeModel, binomial_weights, lattice_price,
                                mc_price, put_floor_strikes, risk_neutral_up_prob)
 from hedgetest.rng import stream
-from hedgetest.strategies import conservative_lambda, dynamic_lambda
+from hedgetest.strategies import dynamic_lambda
 from hedgetest.wealth import HypothesisSpec
 
-from oracles import enumerate_paths_price
+from oracles import conservative_lambda, enumerate_paths_price
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 SEED = 271828

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,19 @@ class TestPrice:
         assert code == 0
         mc = json.loads(out)
         _, out, _ = run_cli(capsys, *argv)
+        assert abs(mc["value"] - json.loads(out)["value"]) <= 4 * mc["std_error"]
+
+    @pytest.mark.parametrize("null_p,model", [("0.5", "u=1.5,d=0.5"),
+                                              ("0.25", "u=1.75,d=0.75")])
+    def test_mc_put_past_one_word_matches_the_lattice(self, capsys, null_p, model):
+        # p = 1/2 prices from packed outcome words and the prefix table,
+        # p = 1/4 from the float outcome table: 70 steps cross a 64-bit word
+        argv = ("price", "--model", model, "--contract", "put,S=0.3,tau=70")
+        code, out, _ = run_cli(capsys, *argv, "--method", "mc", "--null-p", null_p)
+        assert code == 0
+        mc = json.loads(out)
+        _, out, _ = run_cli(capsys, *argv)
+        assert mc["std_error"] > 0
         assert abs(mc["value"] - json.loads(out)["value"]) <= 4 * mc["std_error"]
 
     def test_mc_price_honours_spot(self, capsys):
@@ -786,6 +800,19 @@ class TestIngest:
         assert code == 3
         assert "error" in err
         assert "line 4: expected 5 fields" in err and "usecols" not in err
+
+    @pytest.mark.parametrize("row", ["g2", "g2,", "   "])
+    def test_a_block_of_only_empty_rows_is_refused_without_a_warning(self, tmp_path,
+                                                                     capsys, row):
+        # numpy warns of text with no data: the reader must not hand it any
+        src = tmp_path / "matrix.csv"
+        src.write_text(f"gene,normal,normal,tumor,tumor\n{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "ingest", "--input", str(src),
+                                   "--output", str(tmp_path / "out.csv"))
+        assert code == 3
+        assert "line 2: expected 5 fields" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,8 +25,8 @@ from hedgetest.rng import bernoulli, row_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec, OutcomeError, hedged_cs, ville_crossing
 
-from oracles import (exact_rejection, first_crossing_by_hand, hedged_cs_by_hand,
-                     wealth_by_hand)
+from oracles import (conservative_lambda, exact_rejection, first_crossing_by_hand,
+                     hedged_cs_by_hand, wealth_by_hand)
 
 HYP = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = StrategySpec(StrategyKind.KELLY)
@@ -274,7 +274,6 @@ class TestRunExperiment:
         assert plan.stake == 1.0 - plan.premium
 
     def test_conservative_floor_never_violated(self):
-        from hedgetest.strategies import conservative_lambda
         lam = conservative_lambda(0.25, 20, -0.5)
         cfg = config(strategy=StrategySpec(StrategyKind.FIXED_LAMBDA, lam=lam),
                      truth=TruthSpec(0.5), replications=4000)

@@ -7,10 +7,10 @@ import pytest
 
 from hedgetest.rng import stream
 from hedgetest.strategies import (StrategyKind, StrategySpec, build_strategy,
-                                  conservative_lambda, dynamic_lambda, kelly_lambda)
+                                  dynamic_lambda, kelly_lambda)
 from hedgetest.wealth import HypothesisSpec, evolve
 
-from oracles import wealth_by_hand
+from oracles import conservative_lambda, wealth_by_hand
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
 DYNAMIC = StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=0.25)

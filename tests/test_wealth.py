@@ -5,10 +5,12 @@ from itertools import zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import hedgetest
 from hedgetest import wealth
-from hedgetest.rng import stream
+from hedgetest.pricing import Contract, mc_price
+from hedgetest.rng import bernoulli, bernoulli_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (Family, HypothesisSpec, InadmissibleBetError,
                               OutcomeError, evolve, hedged_cs, terminal_wealth)
@@ -204,6 +206,90 @@ class TestTerminalWealth:
             path_values(lambda k, t: 3.0, [[1, 1]], BERNOULLI)
         with pytest.raises(InadmissibleBetError):
             terminal_wealth(3.0, np.array([[1.0, 1.0]]), BERNOULLI)
+
+
+@st.composite
+def word_cases(draw):
+    """A table of p in {0, 1/2, 1} over 1-140 steps, 0-40 rows, a seed, a
+    Bernoulli null and a fraction anywhere in its bounds, endpoints (a
+    factor of 0) included."""
+    ps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=140))
+    null_p = draw(st.one_of(st.sampled_from([0.5, 0.25, 1e-3]), st.floats(1e-4, 1 - 1e-4)))
+    hyp = HypothesisSpec.bernoulli(null_p)
+    lo, hi = hyp.lambda_bounds()
+    lam = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+    return ps, draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)), hyp, lam
+
+
+class TestTerminalWealthOfWords:
+    @given(word_cases())
+    # 110 certain ups overflow at up = 1000, then a fair 0 is a factor of 0
+    @example(([1.0] * 110 + [0.5] * 2, 40, 5, HypothesisSpec.bernoulli(1e-3), 1e3))
+    @example(([0.5] * 16, 7, 6, HypothesisSpec.bernoulli(0.5), -2.0))
+    @example(([0.5] * 64 + [1.0, 0.0], 9, 7, HypothesisSpec.bernoulli(0.5), 2.0))
+    def test_is_terminal_wealth_of_the_unpacked_table(self, case):
+        ps, rows, seed, hyp, lam = case
+        packed_rng, table_rng = stream(seed, 3), stream(seed, 3)
+        words = bernoulli_words(packed_rng, ps, rows)
+        table = bernoulli(table_rng, ps, rows)
+        assert words.dtype == np.uint64 and words.shape == (rows, -(-len(ps) // 64))
+        unpacked = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                                 count=len(ps), bitorder="little")
+        assert table.tobytes() == unpacked.astype(float).tobytes()
+        assert packed_rng.bit_generator.state == table_rng.bit_generator.state
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = terminal_wealth(lam, table, hyp)
+            got = wealth.terminal_wealth_of_words(lam, words, len(ps), hyp)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_the_overflow_example_reaches_inf_and_zero(self):
+        hyp = HypothesisSpec.bernoulli(1e-3)
+        ps = [1.0] * 110 + [0.5] * 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals = wealth.terminal_wealth_of_words(
+                1e3, bernoulli_words(stream(5, 3), ps, 40), len(ps), hyp)
+        assert math.inf in finals and 0.0 in finals
+
+    def test_no_steps_is_wealth_one(self):
+        words = bernoulli_words(stream(1), [], 3)
+        assert words.shape == (3, 0)
+        assert wealth.terminal_wealth_of_words(2.0, words, 0, BERNOULLI).tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("ps", [[0.25], [0.5, 0.75], [math.nan]])
+    def test_words_need_every_p_in_zero_half_one(self, ps):
+        with pytest.raises(ValueError, match="0, 1/2 or 1"):
+            bernoulli_words(stream(1), ps, 2)
+
+    def test_inadmissible_bet_is_refused(self):
+        with pytest.raises(InadmissibleBetError):
+            wealth.terminal_wealth_of_words(2.5, np.zeros((1, 1), np.uint64), 3, BERNOULLI)
+
+
+class TestNullPaths:
+    @pytest.mark.parametrize("hyp,lam,tau", [
+        (HypothesisSpec.bernoulli(0.5), 1.0, 20),
+        (HypothesisSpec.bernoulli(0.5), -2.0, 3),
+        (HypothesisSpec.bernoulli(0.5), 2.0, 70),
+        (HypothesisSpec.bernoulli(0.25), 1.0, 20),
+        (HypothesisSpec.bounded(), 1.5, 20),
+        (HypothesisSpec.log_normal(), 0.5, 20),
+    ])
+    def test_prices_as_the_reference_path(self, hyp, lam, tau):
+        contract = Contract.put(0.3, tau)
+        got = mc_price(*wealth.null_paths(lam, hyp, tau), contract, 5000, seed=31)
+        expected = mc_price(hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp),
+                            contract, 5000, seed=31)
+        assert (got.value, got.std_error) == (expected.value, expected.std_error)
+
+    def test_only_the_fair_coin_takes_packed_words(self):
+        for null_p, dtype in ((0.5, np.uint64), (0.25, np.float64)):
+            sample, _ = wealth.null_paths(1.0, HypothesisSpec.bernoulli(null_p), 70)
+            assert sample(stream(1), (4, 70)).dtype == dtype
+
+    def test_word_sampler_refuses_another_horizon(self):
+        sample, _ = wealth.null_paths(1.0, BERNOULLI, 20)
+        with pytest.raises(ValueError, match="20 steps"):
+            sample(stream(1), (4, 21))
 
 
 class TestEvolve:

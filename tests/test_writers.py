@@ -331,14 +331,18 @@ def test_text_cells_equal_the_per_field_cells(ids):
     assert text_cells(iter(ids)).tobytes() == per_field.tobytes()
 
 
+# dyadic truths take the sampler's k-bit draws, any other float one uniform a step
+truth_ps = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 5 / 8, 1 / 256]),
+                     st.floats(0.0, 1.0))
+
+
 @st.composite
 def experiments(draw):
     horizon = draw(st.integers(1, 30))
     hyp = HypothesisSpec.bernoulli(0.5, draw(st.floats(0.55, 0.95)))
-    truth = TruthSpec(draw(st.floats(0.0, 1.0)))
+    truth = TruthSpec(draw(truth_ps))
     if draw(st.booleans()):
-        truth = TruthSpec(truth.p, draw(st.floats(0.0, 1.0)),
-                          draw(st.integers(0, horizon)))
+        truth = TruthSpec(truth.p, draw(truth_ps), draw(st.integers(0, horizon)))
     kind = draw(st.sampled_from(["fixed", "kelly", "dynamic", "hedged"]))
     hedge = None
     if kind == "dynamic":
