@@ -217,15 +217,8 @@ def mc_price(null_sampler: Callable[[np.random.Generator, tuple[int, int]], np.n
     null_sampler : callable(rng, shape) -> outcomes
         Draws a block of shape (m, tau) paths from the null (risk-neutral)
         measure: an outcome table, or any form of it the process reads.
-        wealth.null_paths hands the fair-coin null's paths over as
-        rng.bernoulli_words' packed bits, outcome t at bit t % 64 of word
-        t // 64, from the same stream outputs as the (m, tau) table.
     process : callable(outcomes) -> terminal[m]
-        Evolves each path of a block to its wealth at the contract expiry.
-        wealth.null_paths' process at the fair coin looks the first
-        min(tau, 16) steps up in a table of every prefix's product and
-        multiplies the rest one step at a time, the products
-        terminal_wealth forms in its order, so the price has its bits.
+        Maps each path of a block to its wealth at the contract expiry.
     n : int
         Number of replications, at least 2.
     seed : int

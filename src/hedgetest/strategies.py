@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wealth import HypothesisSpec, Strategy
+from .wealth import HypothesisSpec, Strategy, _bet_factor
 
 
 class StrategyKind(enum.Enum):
@@ -45,17 +45,45 @@ def dynamic_lambda(current_wealth, t: int, horizon: int, floor: float,
     step, outcome 0 against the null mean (null_p for Bernoulli outcomes),
     clamped to the admissible range [0, 1/null_mean].  At the floor itself
     only the zero bet preserves the guarantee, and a ruined wealth of 0
-    bets 0 (floor/0 is inf, clamped to 0).  Array-aware: an array of
-    wealths gives an array of fractions, a scalar a float.
+    bets 0 (floor/0 is inf, clamped to 0).  Rounding can leave the worst
+    step K_t * (1 - lam*null_mean) a few ulps under the floor, and a wealth
+    under the floor bets 0 from then on.  So while that product, wealth's
+    bet factor rounded as evolve rounds it, is below the floor (or NaN, an
+    inf wealth times a factor of 0), a positive fraction takes a Newton
+    step toward 0 on it, at least one ulp and at most to 0, up to 8 times.
+    Array-aware: an array of wealths gives an array of fractions, a scalar
+    a float.
     """
     k = np.asarray(current_wealth, dtype=float)
     if not np.all(k >= 0.0):                 # below 0, or NaN
         raise ValueError(f"wealth must be nonnegative, got {np.min(k)}")
     if t >= horizon:
         raise ValueError(f"step {t} must precede the horizon {horizon}")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lam = np.clip((1.0 - (floor / k) ** (1.0 / (horizon - t))) / null_mean,
                       0.0, 1.0 / null_mean)
+        # Before the last step the worst step can round under the floor
+        # only from a wealth within rounding of the floor, from one so far
+        # above it that f = (floor/K)**(1/(horizon - t)) is lost against 1,
+        # or under a null mean so small that the fraction overflows.
+        # Between them f >= sqrt(floor/K) beats floor/K by more than both
+        # 2**-49 and 2**-33 * f, while the rounded factor is off by under
+        # 2**-48 * f + 2**-50, so the check is left out there.
+        if (t == horizon - 1 or null_mean < 2.0**-1020
+                or k.min(initial=np.inf) < floor * (1.0 + 2.0**-30)
+                or k.max(initial=0.0) > floor * 2.0**96):
+            lam, wealth = lam.reshape(-1), k.reshape(-1)
+            worst = wealth * _bet_factor(lam, np.zeros(lam.size), null_mean)
+            short = np.flatnonzero(~(worst >= floor) & (lam > 0.0))
+            for _ in range(8):
+                if not short.size:
+                    break
+                ks, ls = wealth[short], lam[short]
+                newton = ls - (floor - worst[short]) / (ks * null_mean)
+                lam[short] = ls = np.fmax(np.fmin(np.nextafter(ls, 0.0), newton), 0.0)
+                worst[short] = ks * _bet_factor(ls, np.zeros(ls.size), null_mean)
+                short = short[~(worst[short] >= floor) & (ls > 0.0)]
+            lam = lam.reshape(k.shape)
     return lam if k.ndim else float(lam)
 
 

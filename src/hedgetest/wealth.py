@@ -13,13 +13,12 @@ vectorized strategy lam(wealth, t), and the two-sided hedged_cs is one
 evolve over the (2, m) batch of its two legs.  A single path is a batch of
 one.  Under a constant fraction the final wealth needs no steps:
 terminal_wealth is the product over time of the same bet factors evolve
-multiplies by, with the same bits as its last step.
-terminal_wealth_of_words is the same product read from rng.bernoulli_words'
-packed 0/1 outcomes (outcome t at bit t % 64 of word t // 64): a table of
-the products over every prefix of the first 16 steps, built one step at a
-time in terminal_wealth's order, then the remaining steps one by one, so
-its bits are terminal_wealth's.  null_paths hands mc_price the (sampler,
-process) pair of a constant bet, the packed route at the fair-coin null.
+multiplies by, with the same bits as its last step.  On coin flips that
+wealth depends only on a path's number of ups j: it is the binomial
+lattice's terminal node up**j * down**(T - j) (Cox, Ross & Rubinstein,
+1979).  null_paths hands mc_price the (sampler, process) pair of a
+constant bet; at the fair-coin null a path is its packed outcome bits and
+its wealth the node of its bit count.
 ville_crossing is the one decision rule: it follows a batch of wealth
 paths step by step and records where each first reaches 1/alpha.
 
@@ -45,10 +44,6 @@ LOG_NORMAL_NULL_MEAN = math.exp(0.5)
 #: A betting strategy: lam(wealth, t) maps the wealths K_t of m paths after
 #: t outcomes to the fraction bet on outcome t + 1 (one, or one per path).
 Strategy = Callable[[np.ndarray, int], "float | np.ndarray"]
-
-#: Steps of the prefix table terminal_wealth_of_words looks K_d up in:
-#: 2**16 float64, 512 KiB.
-PREFIX_STEPS = 16
 
 
 class InadmissibleBetError(ValueError):
@@ -248,72 +243,36 @@ def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
     return final
 
 
-def _wealth_of_words(lam: float, steps: int, hyp: HypothesisSpec
-                     ) -> Callable[[np.ndarray], np.ndarray]:
-    """terminal_wealth_of_words(lam, ., steps, hyp) with its prefix table
-    built once, for many blocks of rows."""
-    _check_bet(lam, hyp.lambda_bounds())
-    factors = _bet_factor(lam, np.array([0.0, 1.0]), hyp.null_mean)
-    down, up = factors
-    depth = min(steps, PREFIX_STEPS)
-    table = np.empty(1 << depth)
-    table[0] = 1.0
-    for j in range(depth):          # table[:2n] = concat(table[:n] * down, table[:n] * up)
-        n = 1 << j
-        np.multiply(table[:n], up, out=table[n:2 * n])
-        table[:n] *= down
-
-    def final(words):
-        # signed words: take reads int64 (intp) indices without a cast
-        bits = words.view(np.int64)
-        bit = bits[:, 0] & (table.size - 1) if depth else np.zeros(len(bits), np.int64)
-        k = table.take(bit)
-        step_factors = np.empty(len(k))
-        for t in range(depth, steps):
-            np.right_shift(bits[:, t // 64], t % 64, out=bit)
-            bit &= 1
-            k *= factors.take(bit, out=step_factors)
-        k[np.isnan(k)] = 0.0
-        return k
-    return final
-
-
-def terminal_wealth_of_words(lam: float, words, steps: int,
-                             hyp: HypothesisSpec) -> np.ndarray:
-    """terminal_wealth of the 0/1 outcomes packed in words, bit for bit.
-
-    words is rng.bernoulli_words' (m, ceil(steps/64)) uint64 array, outcome
-    t of a row at bit t % 64 of word t // 64.  The bet factors are
-    terminal_wealth's, down and up for y = 0 and 1.  A table of every K_d
-    over the first d = min(steps, PREFIX_STEPS) outcomes is built by d
-    doublings table = concat(table * down, table * up), so entry i is
-    ((f(y_0) * f(y_1)) * ...) * f(y_{d-1}) for the outcomes y_t = bit t of
-    i: the products terminal_wealth forms, in its order.  Each row looks its
-    low d bits up and multiplies the remaining steps one at a time, and NaN
-    (an inf wealth meeting a factor of 0) is 0 at the end, so K_T has
-    terminal_wealth's bits, overflow to inf included.
-    """
-    return _wealth_of_words(lam, steps, hyp)(np.asarray(words, dtype=np.uint64))
-
-
 def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
     """mc_price's (sampler, process) pair for the constant fraction lam.
 
     The sampler draws blocks of null paths of `steps` outcomes and the
     process maps a block to each path's K_T.  At the fair-coin null, p =
-    1/2, a path is its rng.bernoulli_words and K_T is
-    terminal_wealth_of_words, its prefix table built once for all blocks;
-    every other null draws hyp.null_sampler() outcomes for terminal_wealth.
-    Both read the same outputs of the stream and give the same bits.
+    1/2, a path is its rng.bernoulli_words and K_T the terminal node
+    up**j * down**(steps - j) of its j ups, the table of nodes built once
+    for all blocks (an inf wealth times a factor of 0 is 0); every other
+    null draws hyp.null_sampler() outcomes for terminal_wealth.  At spot 1
+    the nodes are LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values
+    wherever that lattice exists; a node and terminal_wealth's left-to-right
+    product of the same path are a few ulps apart at most.
     """
     if hyp.family is Family.BERNOULLI and hyp.null_param == 0.5:
+        _check_bet(lam, hyp.lambda_bounds())
+        down, up = _bet_factor(lam, [0.0, 1.0], hyp.null_mean)
+        j = np.arange(steps + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = up ** j * down ** (steps - j)
+        nodes[np.isnan(nodes)] = 0.0
         ps = np.full(steps, 0.5)
 
         def sample(rng, shape):
             if tuple(shape[1:]) != (steps,):
                 raise ValueError(f"paths of {steps} steps, asked for shape {shape}")
             return bernoulli_words(rng, ps, shape[0])
-        return sample, _wealth_of_words(lam, steps, hyp)
+
+        def final(words):
+            return nodes.take(np.bitwise_count(words).sum(axis=1, dtype=np.intp))
+        return sample, final
     return hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp)
 
 

@@ -217,8 +217,9 @@ class TestPrice:
     @pytest.mark.parametrize("null_p,model", [("0.5", "u=1.5,d=0.5"),
                                               ("0.25", "u=1.75,d=0.75")])
     def test_mc_put_past_one_word_matches_the_lattice(self, capsys, null_p, model):
-        # p = 1/2 prices from packed outcome words and the prefix table,
-        # p = 1/4 from the float outcome table: 70 steps cross a 64-bit word
+        # p = 1/2 prices each path's packed outcome words as the lattice
+        # node of its up count, p = 1/4 from the float outcome table: 70
+        # steps cross a 64-bit word
         argv = ("price", "--model", model, "--contract", "put,S=0.3,tau=70")
         code, out, _ = run_cli(capsys, *argv, "--method", "mc", "--null-p", null_p)
         assert code == 0

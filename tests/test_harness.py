@@ -590,13 +590,14 @@ class TestExactPower:
     # the null.  Configs that differ only in their truth share one
     # enumeration: (exact truth power of each, W_0, null crossings out of
     # 2**20, and whether the final wealth is floored at the ruin level
-    # exactly (the put expires at the horizon) or only from below)
+    # exactly: the put expires at the horizon, or the dynamic fraction
+    # lands the worst path on the floor, never under it)
     ENUMERATED = [
         ({"table1_option": 0.5059434, "table2_option20": 0.090465449},
          0.9638868538145963, 17_956, "exactly"),
         ({"table2_option10": 0.093912624}, 0.9912113788221997, 19_876, None),
         ({"table1_dynamic": 0.21531616, "table2_dynamic": 0.068324539},
-         1.0, 2_717, "from below"),
+         1.0, 2_717, "exactly"),
     ]
 
     @staticmethod
@@ -634,8 +635,6 @@ class TestExactPower:
         if floored == "exactly":
             assert lowest == pytest.approx(cfg.ruin_level, rel=0.0, abs=1e-12)
             assert lowest >= cfg.ruin_level
-        elif floored == "from below":
-            assert lowest >= cfg.ruin_level - 1e-12
         for other, p, pinned in zip(cfgs, power, exact.values()):
             assert p == pytest.approx(pinned, rel=0.0, abs=1e-8)
             se = math.sqrt(p * (1.0 - p) / other.replications)

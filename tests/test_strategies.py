@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hedgetest.rng import stream
 from hedgetest.strategies import (StrategyKind, StrategySpec, build_strategy,
@@ -141,14 +142,35 @@ class TestFloorGuarantee:
         hyp = HypothesisSpec.bernoulli(null_p, 0.9)
         (final, _), = list(evolve(build_strategy(DYNAMIC, hyp, 20),
                                   np.zeros((1, 20)), hyp))[-1:]
-        assert final[0] == pytest.approx(0.25, abs=1e-12)
+        assert 0.25 <= final[0] <= 0.25 + 1e-12
 
     def test_dynamic_floor_holds_on_random_paths(self):
         strategy = build_strategy(DYNAMIC, BERNOULLI, 20)
         for i in range(500):
             ys = (stream(71, i).random(20) < 0.5).astype(float)
             final = wealth_by_hand(strategy, ys, BERNOULLI.null_mean)[-1]
-            assert final >= 0.25 - 1e-9
+            assert final >= 0.25
+
+    @given(floor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           horizon=st.integers(1, 12),
+           null_p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # a one-ulp step on the fraction moves the worst factor by a fraction
+    # of its ulp here, so a single ulp is too small a step
+    @example(floor=0.953125, horizon=11, null_p=0.28125)
+    # before the last step the wealth is so far above the floor that the
+    # fraction rounds to the whole stake, its worst factor 0 ...
+    @example(floor=1e-6, horizon=7, null_p=1e-6)
+    # ... or it has overflowed to inf, and inf times that 0 is NaN
+    @example(floor=0.5, horizon=3, null_p=1.690162913619919e-247)
+    def test_every_row_of_a_dynamic_episode_ends_on_or_above_the_floor(
+            self, floor, horizon, null_p):
+        hyp = HypothesisSpec.bernoulli(null_p)
+        rows = ((np.arange(2 ** horizon)[:, None] >> np.arange(horizon)) & 1).astype(float)
+        strategy = build_strategy(StrategySpec(StrategyKind.DYNAMIC_FLOOR, floor=floor),
+                                  hyp, horizon)
+        with np.errstate(over="ignore"):
+            *_, (final, _) = evolve(strategy, rows, hyp)
+        assert final.min() >= floor
 
 
 class TestKellyDominance:

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import hedgetest
 from hedgetest import wealth
-from hedgetest.pricing import Contract, mc_price
+from hedgetest.pricing import Contract, LatticeModel, mc_price
 from hedgetest.rng import bernoulli, bernoulli_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (Family, HypothesisSpec, InadmissibleBetError,
@@ -208,52 +208,75 @@ class TestTerminalWealth:
             terminal_wealth(3.0, np.array([[1.0, 1.0]]), BERNOULLI)
 
 
+FAIR = HypothesisSpec.bernoulli(0.5)
+
+
 @st.composite
 def word_cases(draw):
-    """A table of p in {0, 1/2, 1} over 1-140 steps, 0-40 rows, a seed, a
-    Bernoulli null and a fraction anywhere in its bounds, endpoints (a
-    factor of 0) included."""
+    """A table of p in {0, 1/2, 1} over 1-140 steps, 0-40 rows, a seed and a
+    fraction anywhere in the fair coin's bounds, endpoints (a factor of 0)
+    included."""
     ps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=140))
-    null_p = draw(st.one_of(st.sampled_from([0.5, 0.25, 1e-3]), st.floats(1e-4, 1 - 1e-4)))
-    hyp = HypothesisSpec.bernoulli(null_p)
-    lo, hi = hyp.lambda_bounds()
+    lo, hi = FAIR.lambda_bounds()
     lam = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
-    return ps, draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)), hyp, lam
+    return ps, draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)), lam
 
 
-class TestTerminalWealthOfWords:
+class TestFairCoinNodes:
+    # at the fair-coin null, null_paths' process maps each path's packed
+    # outcome words to the lattice node of its number of ups
     @given(word_cases())
-    # 110 certain ups overflow at up = 1000, then a fair 0 is a factor of 0
-    @example(([1.0] * 110 + [0.5] * 2, 40, 5, HypothesisSpec.bernoulli(1e-3), 1e3))
-    @example(([0.5] * 16, 7, 6, HypothesisSpec.bernoulli(0.5), -2.0))
-    @example(([0.5] * 64 + [1.0, 0.0], 9, 7, HypothesisSpec.bernoulli(0.5), 2.0))
-    def test_is_terminal_wealth_of_the_unpacked_table(self, case):
-        ps, rows, seed, hyp, lam = case
+    @example(([0.5] * 16, 7, 6, -2.0))
+    @example(([0.5] * 64 + [1.0, 0.0], 9, 7, 2.0))
+    @example(([0.5] * 50, 40, 8, 1.3))
+    def test_each_path_is_the_node_of_its_up_count(self, case):
+        ps, rows, seed, lam = case
+        steps = len(ps)
         packed_rng, table_rng = stream(seed, 3), stream(seed, 3)
         words = bernoulli_words(packed_rng, ps, rows)
         table = bernoulli(table_rng, ps, rows)
-        assert words.dtype == np.uint64 and words.shape == (rows, -(-len(ps) // 64))
+        assert words.dtype == np.uint64 and words.shape == (rows, -(-steps // 64))
         unpacked = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
-                                 count=len(ps), bitorder="little")
+                                 count=steps, bitorder="little")
         assert table.tobytes() == unpacked.astype(float).tobytes()
         assert packed_rng.bit_generator.state == table_rng.bit_generator.state
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = terminal_wealth(lam, table, hyp)
-            got = wealth.terminal_wealth_of_words(lam, words, len(ps), hyp)
-        assert got.tobytes() == expected.tobytes()
+            got = wealth.null_paths(lam, FAIR, steps)[1](words)
+            product = terminal_wealth(lam, table, FAIR)
+        # the powers are numpy's, as the lattice's are: its SIMD pow may
+        # differ from Python's ** in the last bit
+        ups = table.sum(axis=1).astype(np.intp)
+        down, up = 1.0 - lam / 2, 1.0 + lam / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            up_power, down_power = up ** ups, down ** (steps - ups)
+            nodes = up_power * down_power
+        nodes[np.isnan(nodes)] = 0.0
+        assert got.tobytes() == nodes.tobytes()
+        if 0.0 < down < 1.0 < up:           # where the lattice exists
+            lattice = LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values(steps)
+            assert got.tobytes() == lattice[ups].tobytes()
+        # where no power leaves the normal range, neither does any partial
+        # product, and both roundings stay within a few ulps
+        tiny = np.finfo(float).tiny
+        normal = ((up_power >= tiny) & (up_power < math.inf)
+                  & (down_power >= tiny) & (down_power < math.inf))
+        gap = np.abs(got - product)[normal]
+        assert np.all(gap <= (steps + 2) * 2.0 ** -52 * product[normal])
 
     def test_the_overflow_example_reaches_inf_and_zero(self):
-        hyp = HypothesisSpec.bernoulli(1e-3)
-        ps = [1.0] * 110 + [0.5] * 2
+        # 2**1032 is past the double range, and inf times a factor 0**1 is 0
+        ps = [1.0] * 1030 + [0.5] * 2
+        _, final = wealth.null_paths(2.0, FAIR, len(ps))
+        words = bernoulli_words(stream(5, 3), ps, 40)
         with np.errstate(over="ignore", invalid="ignore"):
-            finals = wealth.terminal_wealth_of_words(
-                1e3, bernoulli_words(stream(5, 3), ps, 40), len(ps), hyp)
+            finals = final(words)
         assert math.inf in finals and 0.0 in finals
 
     def test_no_steps_is_wealth_one(self):
-        words = bernoulli_words(stream(1), [], 3)
+        sample, final = wealth.null_paths(2.0, FAIR, 0)
+        words = sample(stream(1), (3, 0))
         assert words.shape == (3, 0)
-        assert wealth.terminal_wealth_of_words(2.0, words, 0, BERNOULLI).tolist() == [1.0] * 3
+        assert final(words).tolist() == [1.0] * 3
 
     @pytest.mark.parametrize("ps", [[0.25], [0.5, 0.75], [math.nan]])
     def test_words_need_every_p_in_zero_half_one(self, ps):
@@ -262,7 +285,7 @@ class TestTerminalWealthOfWords:
 
     def test_inadmissible_bet_is_refused(self):
         with pytest.raises(InadmissibleBetError):
-            wealth.terminal_wealth_of_words(2.5, np.zeros((1, 1), np.uint64), 3, BERNOULLI)
+            wealth.null_paths(2.5, FAIR, 3)
 
 
 class TestNullPaths:
@@ -528,6 +551,7 @@ def test_per_path_api_stays_deleted():
     # one decision rule (ville_crossing) and one path representation (a batch)
     # and one wealth step, evolve's
     deleted = ("WealthPath", "CashFlow", "TestDecision", "run_process", "run_hedged_cs",
-               "cash_flow", "ville_decide", "decide_from_values", "update_wealth")
+               "cash_flow", "ville_decide", "decide_from_values", "update_wealth",
+               "terminal_wealth_of_words", "PREFIX_STEPS")
     for module in (hedgetest, wealth):
         assert [name for name in deleted if hasattr(module, name)] == []

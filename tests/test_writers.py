@@ -60,11 +60,11 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 # its tag or the bit layout moves all nine digests.
 CSV_SHA256 = {
     "table1_conservative": "e8163529ad5a48046e2e7d7c86f8ce82f83b9a153dd50430ee4cd5aeeadf0ecc",
-    "table1_dynamic": "1d7d6cd1081c57ea1b32fe4070014d8895b8a13ac49a27276332b783f751482b",
+    "table1_dynamic": "4f0bd2dc83a89f33b109bf05a549a464e225704e8bc9567adca5f3695574faaf",
     "table1_kelly": "829feb3553788a97f1b04236a4682b045d82a92778ef1ef1d1261aafbaf4777e",
     "table1_option": "f88bc0f5f6332b0210d6008a87a749ea36e202725e7ca65252d959ea888b4cf0",
     "table2_conservative": "c2e9b4c53e8c6d00b3f3927fdeed54cd7b2f0b46d603e797aa2ad6734180b4ae",
-    "table2_dynamic": "d544cfe873660ade8e713acb2b0c62adf42a282ebbafe12850a6049f4b5ab5e8",
+    "table2_dynamic": "c1257c77c3ffab8050346ea89b13cd87845e110aebf1fa95432d2cf9fc35a200",
     "table2_kelly": "bfb4a0796f72ccde6e7960b083092ad6d860baf119173bba86e9a5438c0032ba",
     "table2_option10": "f43e64cd8b04d0c4c2237b9388f3c8b7f25a696ced2c41defee65f0cc5494d25",
     "table2_option20": "66383824f7356e4c7ffd2b636fde04ba189978706ae7eb8b7aa86521135f7ead",
@@ -90,9 +90,12 @@ def test_shipped_csv_digest_is_pinned(name, tmp_path, capsys):
     assert digest == CSV_SHA256[name]
 
 
-# sha256 of `price --contract put,S=0.25,tau=20 --method mc <argv> --out x` -> x
+# sha256 of `price --contract put,S=0.25,tau=20 --method mc <argv> --out x` -> x.
+# The factors of a bet of 1 multiply exactly; those of 0.3 round, so only its
+# digest moves with the arithmetic of the fair coin's lattice nodes.
 MC_PRICE_SHA256 = {
     ("--bet", "1"): "83adb426d33eb28e57c4a1538954c4e841761411413e10577fe0149aa4d4bb8c",
+    ("--bet", "0.3"): "7bc686559c972e38e1db820cdd4c13ff888a733293ccf5a52d7f0676742ca3fe",
     ("--family", "bounded", "--bet", "1.7"):
         "05064b1778d77f4a2109cde67983d7ca973c3295ab7316dc38fdaba27d4eff9e",
     ("--family", "log_normal", "--bet", "0.6065306597126334"):
