@@ -107,7 +107,13 @@ class Portfolio(NamedTuple):
 
     @property
     def derivative_value(self) -> float:
-        return sum(pos.quantity * mark for pos, mark in zip(self.positions, self.marks))
+        """Sum of quantity * mark over the positions in order, from int 0 as
+        sum() starts, so an empty book's value is 0."""
+        t, ups = self.time, self.ups
+        value = 0
+        for pos in self.positions:
+            value += pos.quantity * pos.value_at(t, ups)
+        return value
 
     @property
     def total_value(self) -> float:
@@ -256,7 +262,8 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
     BankruptcyRiskError when the step could take the total value below 0,
     by the rule every trade is vetted by: such a book must rebalance first.
     A book holding contracts with due None (built by hand, not by a trade)
-    would never settle them, so its step is a ValueError.
+    would never settle them, so its step is a ValueError; so is the step
+    reaching a due that a held contract's expiry already passed.
     """
     free, risky, positions, lattice, underlying, t, ups, due = portfolio
     if outcome == 1.0:
@@ -271,9 +278,17 @@ def step(portfolio: Portfolio, outcome: float) -> Portfolio:
         raise ValueError("a book holding contracts needs its earliest expiry in due")
     t += 1
     if t == due:
-        free = sum([pos.quantity * pos.value_at(t, ups)
-                    for pos in positions if pos.contract.expiry == t], free)
-        positions = tuple([pos for pos in positions if pos.contract.expiry != t])
-        due = min((pos.contract.expiry for pos in positions), default=None)
+        kept, due = [], None
+        for pos in positions:
+            expiry = pos.contract.expiry
+            if expiry == t:
+                free += pos.quantity * pos.value_at(t, ups)
+            elif expiry < t:
+                raise ValueError(f"due {t} is past the expiry {expiry} of a held contract")
+            else:
+                kept.append(pos)
+                if due is None or expiry < due:
+                    due = expiry
+        positions = tuple(kept)
     return _new(Portfolio, (free, risky * factor, positions, lattice, underlying * factor,
                             t, ups, due))

@@ -4,7 +4,7 @@ Because the risk-neutral measure coincides with the null measure for these
 processes (and the risk-free rate is 0 throughout), prices are plain null
 expectations of payoffs.  Three routes are provided: exact backward
 induction on a recombining binomial lattice, Monte Carlo over one seeded
-stream drawn in fixed-size blocks, and the zero-rate Black-Scholes closed
+stream drawn in blocks, and the zero-rate Black-Scholes closed
 form for log-normal wealth.
 
 The closed form and the expression-matrix transform (ingest) share one
@@ -23,9 +23,13 @@ import numpy as np
 
 from .rng import stream
 
-#: Rows per Monte Carlo block: large enough to amortize the per-block numpy
-#: calls, small enough that a block of outcomes stays a few hundred KB.
+#: Rows of the first Monte Carlo block and the fewest of any later one:
+#: enough to amortize the per-block numpy calls on a table of floats.
 MC_BLOCK = 2048
+#: Bytes of sampled outcomes a later block grows to when a row is small (a
+#: packed fair-coin path is one 8-byte word): 16,384 such rows a block.  A
+#: block of outcomes and the arrays made from it stay in L2.
+MC_BLOCK_BYTES = 128 * 1024
 #: Values per normal_cdf block: a block's scratch arrays (under 1 MB) stay in L2.
 CDF_BLOCK = 32768
 
@@ -223,17 +227,22 @@ def mc_price(null_sampler: Callable[[np.random.Generator, tuple[int, int]], np.n
         Number of replications, at least 2.
     seed : int
         Stream seed.  The replications are drawn from the one stream
-        (seed) in consecutive blocks of MC_BLOCK rows, so the estimate
-        depends on the seed alone.
+        (seed) in consecutive blocks: MC_BLOCK rows first, then as many as
+        fit the previous block's outcome bytes per row into MC_BLOCK_BYTES,
+        never fewer than MC_BLOCK.  A sampler draws its rows in stream
+        order, so the estimate depends on the seed alone, not on the blocks.
     """
     if n < 2:
         raise ValueError(f"need at least 2 replications, got {n}")
     rng = stream(seed)
     payoffs = np.empty(n)
-    for start in range(0, n, MC_BLOCK):
-        stop = min(start + MC_BLOCK, n)
+    start, rows = 0, MC_BLOCK
+    while start < n:
+        stop = min(start + rows, n)
         outcomes = null_sampler(rng, (stop - start, contract.expiry))
         payoffs[start:stop] = contract.payoff(process(outcomes))
+        rows = max(MC_BLOCK, MC_BLOCK_BYTES * (stop - start) // outcomes.nbytes)
+        start = stop
     # payoffs past the float range average to inf or NaN, which
     # PriceEstimate rejects with one error; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):

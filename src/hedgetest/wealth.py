@@ -217,8 +217,11 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
         else:
             lam = 0.0
         _check_bet(lam, bounds)
-        # the outcomes broadcast to the batch, so the factors fill one buffer
-        k = k * _bet_factor(lam, np.broadcast_to(y, k.shape), hyp.null_mean)
+        # the outcomes broadcast to the batch, so the factors fill one buffer;
+        # a wealth past the float range is inf and inf * 0 is mapped below,
+        # so numpy need not warn of either
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = k * _bet_factor(lam, np.broadcast_to(y, k.shape), hyp.null_mean)
         if np.isnan(k.min(initial=0.0)):     # 0 unless inf met a factor of 0
             k[np.isnan(k)] = 0.0
         yield k, lam

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they validate: prices come from
 exhaustive path enumeration or direct binomial expectations instead of
 backward induction, portfolio marks from a fresh lattice at each node
 instead of the node table kept since the trade, or rebuilt one position at
-a time in a loop at every step instead of read on demand, wealth
+a time in a loop at every step instead of read on demand, a step settled by
+the comprehensions and sums step used before its one loop, wealth
 recurrences (one-sided and the two-sided hedged process) are evaluated
 step by step in plain Python, the first crossing of
 1/alpha is found by a plain loop over one path instead of the batch rule,
@@ -257,6 +258,34 @@ def step_by_remark(portfolio, outcome):
     total = moved.risk_free + moved.risky_value + sum(
         pos.quantity * mark for pos, mark in zip(moved.positions, marks))
     return moved, marks, total
+
+
+def step_by_comprehensions(portfolio, outcome):
+    """One lattice step by the expressions step and total_value were, before
+    settlement became one loop over the positions.
+
+    The payments of the contracts the step reaches the expiry of are summed
+    onto the cash by sum([...], cash), the positions kept by tuple([...]),
+    the next due by min(..., default=None), and the total value is cash +
+    shares + sum(quantity * mark for each position and its mark) over a
+    tuple of the marks.  Returns the new portfolio and its total value.
+    """
+    up = outcome == 1.0
+    factor = portfolio.lattice.up_factor if up else portfolio.lattice.down_factor
+    t, ups = portfolio.time + 1, portfolio.ups + int(up)
+    free, positions, due = portfolio.risk_free, portfolio.positions, portfolio.due
+    if t == due:
+        free = sum([pos.quantity * pos.value_at(t, ups)
+                    for pos in positions if pos.contract.expiry == t], free)
+        positions = tuple([pos for pos in positions if pos.contract.expiry != t])
+        due = min((pos.contract.expiry for pos in positions), default=None)
+    moved = portfolio._replace(risk_free=free, risky_value=portfolio.risky_value * factor,
+                               positions=positions, underlying=portfolio.underlying * factor,
+                               time=t, ups=ups, due=due)
+    marks = tuple([pos.value_at(t, ups) for pos in positions])
+    total = moved.risk_free + moved.risky_value + sum(
+        pos.quantity * mark for pos, mark in zip(positions, marks))
+    return moved, total
 
 
 def floor_strikes_by_interval(atoms, weights, floor):

@@ -464,6 +464,20 @@ class TestSimulate:
         assert len(finals) == 10000
         assert min(finals) >= 0.25 - 1e-12
 
+    def test_a_dynamic_wealth_past_the_float_range_is_no_warning(self, tmp_path, capsys):
+        # at null_p = 1e-20 an up-move multiplies the wealth by up to ~1e20,
+        # so some finals overflow to inf: a valid wealth, not a RuntimeWarning
+        text = (CONFIGS / "table1_dynamic.cfg").read_text()
+        assert "null_p = 0.5\n" in text
+        path = tmp_path / "dynamic.cfg"
+        path.write_text(text.replace("null_p = 0.5\n", "null_p = 1e-20\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 0
+        rows = (tmp_path / "run.csv").read_text().splitlines()
+        assert "inf" in [r.split(",")[1] for r in rows if r[0].isdigit()]
+
     def test_json_records_solved_hedge_plan(self, tmp_path, capsys):
         cfg = self._hedged_config(tmp_path)
         outputs = []

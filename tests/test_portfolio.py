@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, strategies as st
 
 from hedgetest import portfolio, pricing
 from hedgetest.portfolio import (BankruptcyRiskError, MispricedTradeError,
@@ -16,7 +17,7 @@ from hedgetest.rng import stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import HypothesisSpec
 
-from oracles import crossing_times, path_values, step_by_remark
+from oracles import crossing_times, path_values, step_by_comprehensions, step_by_remark
 
 U, D = 1.5, 0.5
 
@@ -404,6 +405,55 @@ class TestSettlement:
         assert hand_built.due is None
         with pytest.raises(ValueError, match="earliest expiry in due"):
             step(hand_built, 0.0)
+
+    def test_a_book_whose_due_is_past_a_held_expiry_is_refused_when_it_reaches_due(self):
+        # due 4 skips the put's expiry 2, so the step reaching 2 settles
+        # nothing; marking the put at 3 would read outside its node table
+        p = buy_contract(all_risky(), Contract.put(0.8, 2), quantity=1.0)
+        late = step(step(step(p._replace(due=4), 0.0), 1.0), 0.0)
+        assert (late.time, late.positions, late.risk_free) == (3, p.positions, p.risk_free)
+        with pytest.raises(ValueError, match="due 4 is past the expiry 2 of a held contract"):
+            step(late, 1.0)
+
+    @given(share=st.floats(0.0, 1.0),
+           trades=st.lists(st.tuples(st.sampled_from([Contract.put, Contract.call]),
+                                     st.floats(0.1, 2.0), st.integers(1, 4),
+                                     st.sampled_from([buy_contract, issue_contract]),
+                                     st.floats(0.01, 1.0), st.booleans()),
+                           min_size=1, max_size=4),
+           path=st.lists(st.sampled_from([0.0, 1.0]), min_size=7, max_size=7))
+    def test_every_step_settles_as_the_comprehensions_did(self, share, trades, path):
+        # contracts bought and written, at time 0 or after the first step,
+        # with shared and distinct expiries; every step until the book is
+        # empty and one past it, compared bit for bit with the oracle
+        p = move_to_risky(all_cash(), share)
+        for late in (False, True):
+            if late:
+                p = self._checked_step(p, path[0])
+            for kind, strike, expiry, trade, quantity, at_one in trades:
+                if at_one == late:
+                    try:
+                        p = trade(p, kind(strike, expiry + late), quantity)
+                    except BankruptcyRiskError:
+                        pass
+        if not p.positions:
+            reject()
+        for y in path[1:]:
+            try:
+                p = self._checked_step(p, y)
+            except BankruptcyRiskError:     # an empty book that must rebalance
+                assert not p.positions
+                break
+
+    @staticmethod
+    def _checked_step(p, y):
+        expected, total = step_by_comprehensions(p, y)
+        moved = step(p, y)
+        assert moved.risk_free.hex() == expected.risk_free.hex()
+        assert moved.due == expected.due
+        assert list(map(id, moved.positions)) == list(map(id, expected.positions))
+        assert moved.total_value.hex() == total.hex()
+        return moved
 
 
 class TestLemmaOneFuzz:

@@ -16,11 +16,27 @@ from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                floor_put, normal_cdf, put_floor_strikes,
                                risk_neutral_up_prob)
 from hedgetest.rng import stream
-from hedgetest.wealth import HypothesisSpec, terminal_wealth
+from hedgetest.wealth import HypothesisSpec, null_paths, terminal_wealth
 
 from oracles import binomial_weight_price, enumerate_paths_price
 
 KELLY_LATTICE = LatticeModel(1.5, 0.5)
+
+
+def float_table(lam, hyp, tau):
+    """null_paths' (sampler, process) pair for a null it packs no bits of:
+    the family's table of float outcomes and terminal_wealth."""
+    return hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp)
+
+
+def recorded(sample):
+    """sample, and the list it appends the rows of each block it draws to."""
+    blocks = []
+
+    def counted(rng, shape):
+        blocks.append(shape[0])
+        return sample(rng, shape)
+    return counted, blocks
 
 
 class TestRiskNeutralUpProb:
@@ -167,18 +183,44 @@ class TestMcPrice:
         with pytest.raises(OutcomeError):
             mc_price(lognormal_sampler, process, Contract.put(0.25, 3), 10, seed=104)
 
-    @pytest.mark.parametrize("hyp,lam", [(HypothesisSpec.bernoulli(0.5), 2.0),
-                                         (HypothesisSpec.bounded(), -1.7),
-                                         (HypothesisSpec.log_normal(), math.exp(-0.5))])
-    def test_same_bits_for_any_block_size(self, monkeypatch, hyp, lam):
+    @pytest.mark.parametrize("paths,hyp,lam,tau", [
+        (float_table, HypothesisSpec.bernoulli(0.5), 2.0, 6),
+        (float_table, HypothesisSpec.bounded(), -1.7, 6),
+        (float_table, HypothesisSpec.log_normal(), math.exp(-0.5), 6),
+        (null_paths, HypothesisSpec.bernoulli(0.5), 0.3, 20),     # one word a path
+        (null_paths, HypothesisSpec.bernoulli(0.5), 0.3, 70),     # two words a path
+        (null_paths, HypothesisSpec.bernoulli(0.25), 1.0, 20)])   # 2 bits an outcome
+    def test_same_bits_for_any_block_size(self, monkeypatch, paths, hyp, lam, tau):
         # the blocks only split the one stream: each row keeps its draws
-        process = lambda ys: terminal_wealth(lam, ys, hyp)
-        prices = set()
-        for block in (1, 7, 2048):
-            monkeypatch.setattr(pricing, "MC_BLOCK", block)
-            est = mc_price(hyp.null_sampler(), process, Contract.put(0.5, 6), 50, seed=110)
+        sample, process = paths(lam, hyp, tau)
+        prices, splits = set(), []
+        # fixed blocks of 1 and 7 rows, blocks growing from 1 row to 1000
+        # bytes of outcomes, and the shipped sizes
+        for rows, budget in ((1, 0), (7, 0), (1, 1000), (2048, 128 * 1024)):
+            monkeypatch.setattr(pricing, "MC_BLOCK", rows)
+            monkeypatch.setattr(pricing, "MC_BLOCK_BYTES", budget)
+            counted, blocks = recorded(sample)
+            est = mc_price(counted, process, Contract.put(0.5, tau), 300, seed=110)
             prices.add((est.value.hex(), est.std_error.hex()))
+            splits.append(blocks)
         assert len(prices) == 1
+        fixed_one, fixed_seven, grown, shipped = splits
+        assert fixed_one == [1] * 300 and fixed_seven == [7] * 42 + [6]
+        assert grown[0] == 1 and grown[1] > 1 and len(grown) > 2 and sum(grown) == 300
+        assert shipped == [300]
+
+    @pytest.mark.parametrize("paths,hyp,tau,rows", [
+        # a packed fair-coin path is one word up to 64 steps, two past it
+        (null_paths, HypothesisSpec.bernoulli(0.5), 20, [2048] + [16384] * 5 + [16035]),
+        (null_paths, HypothesisSpec.bernoulli(0.5), 70, [2048] + [8192] * 11 + [7843]),
+        # a float table of 8 steps or more fills the budget at 2048 rows
+        (float_table, HypothesisSpec.bernoulli(0.25), 8, [2048] * 48 + [1699]),
+        (float_table, HypothesisSpec.bounded(), 3, [2048] + [5461] * 17 + [5118])])
+    def test_blocks_grow_to_the_outcome_byte_budget(self, paths, hyp, tau, rows):
+        sample, process = paths(1.0, hyp, tau)
+        counted, blocks = recorded(sample)
+        mc_price(counted, process, Contract.put(0.5, tau), 100_003, seed=111)
+        assert blocks == rows
 
     @pytest.mark.parametrize("wealth", [1e308, math.inf])
     def test_overflowing_mean_payoff_is_one_error_without_warnings(self, wealth):

@@ -196,6 +196,12 @@ class TestTerminalWealth:
             assert terminal_wealth(lam, ys, hyp).tolist() == [0.0]
             assert path_values(lambda k, t: lam, ys, hyp)[0, 2:].tolist() == [math.inf, 0.0]
 
+    def test_evolve_reaches_inf_then_ruin_without_a_warning(self):
+        # 1e308 doubles past the float range, then a factor 0 ruins it; the
+        # suite turns a numpy RuntimeWarning into an error
+        steps = evolve(lambda k, t: 2.0, [[1.0, 0.0, 1.0]], BERNOULLI, start=1e308)
+        assert [k.tolist() for k, _ in steps] == [[math.inf], [0.0], [0.0]]
+
     def test_same_errors_as_a_batch_of_one(self):
         outside = np.exp(stream(62).standard_normal((3, 4)))
         with pytest.raises(OutcomeError):

@@ -96,6 +96,9 @@ def test_shipped_csv_digest_is_pinned(name, tmp_path, capsys):
 MC_PRICE_SHA256 = {
     ("--bet", "1"): "83adb426d33eb28e57c4a1538954c4e841761411413e10577fe0149aa4d4bb8c",
     ("--bet", "0.3"): "7bc686559c972e38e1db820cdd4c13ff888a733293ccf5a52d7f0676742ca3fe",
+    # a float table of outcomes, each read from 2 fair bits
+    ("--null-p", "0.25", "--bet", "1"):
+        "546a794e2e717294ed233a6d1457707007c4d1c21bda018046511a43942b56f1",
     ("--family", "bounded", "--bet", "1.7"):
         "05064b1778d77f4a2109cde67983d7ca973c3295ab7316dc38fdaba27d4eff9e",
     ("--family", "log_normal", "--bet", "0.6065306597126334"):
