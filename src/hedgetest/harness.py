@@ -33,7 +33,7 @@ import numpy as np
 
 from .ingest import N_HELD_OUT, estimate_lambdas
 from .pricing import (Contract, LatticeModel, binomial_weights, floor_put,
-                      lattice_node_values)
+                      lattice_node_values, up_count_nodes)
 from .rng import DEFAULT_SEED, MAX_SEED, bernoulli, row_words, stream
 from .strategies import StrategyKind, StrategySpec, build_strategy
 from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
@@ -344,19 +344,12 @@ class ScreeningResult:
 
 def two_point_terminals(lam: float, tau: int, cap: float) -> np.ndarray:
     """K_tau of the two-sided process at fraction lam on outcomes in {0, 1},
-    by up-count j = 0..tau: 0.5*(u**j * v**(tau-j) + u**(tau-j) * v**j), with
-    u = 1 + lam/2 and v = 1 - lam/2.
-
-    Each leg is the exp of its log, held at 2*cap, so no power overflows at
-    any tau; a value whose leg was held is still at least cap.
+    by up-count j = 0..tau: 0.5*(N[j] + N[tau - j]) with N the
+    up_count_nodes(u, v, tau) of the factors u = 1 + lam/2 and v = 1 - lam/2
+    that hedged_cs multiplies by.  Each leg is held at 2*cap, so no atom is
+    inf at any tau; a value whose leg was held is still at least cap.
     """
-    j = np.arange(tau + 1)
-    log_leg = j * math.log1p(lam / 2.0)
-    if lam < 2.0:
-        log_leg += (tau - j) * math.log1p(-lam / 2.0)
-    else:                               # v = 0: only the all-up leg is not 0
-        log_leg[:-1] = -np.inf
-    legs = np.exp(np.minimum(log_leg, math.log(2.0 * cap)))
+    legs = np.minimum(up_count_nodes(1.0 + lam / 2.0, 1.0 - lam / 2.0, tau), 2.0 * cap)
     return 0.5 * (legs + legs[::-1])
 
 
@@ -370,11 +363,11 @@ def _screening_hedges(lambdas: np.ndarray, floor: float, tau: int) -> dict:
     1/2 prices the put at most as Bernoulli(1/2) does.  By backward
     induction (an average of convex functions stays convex) the put is
     dearest when every outcome is Bernoulli(1/2), where K_tau depends only
-    on the up-count (two_point_terminals) under binomial_weights(tau, 1/2),
-    computed once for all fractions.  Each row is floor_put's "full"
-    budget on that measure: the unit buys stake = 1/(1 + C) units of the
-    process and stake puts.  The root is at most floor/(1 - floor), so the
-    atoms are held at that bound.
+    on the up-count (two_point_terminals, correctly rounded legs) under
+    binomial_weights(tau, 1/2), computed once for all fractions.  Each row
+    is floor_put's "full" budget on that measure: the unit buys stake =
+    1/(1 + C) units of the process and stake puts.  The root is at most
+    floor/(1 - floor), so the atoms are held at that bound.
     """
     weights = binomial_weights(tau, 0.5)
     cap = floor / (1.0 - floor)

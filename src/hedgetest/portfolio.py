@@ -175,17 +175,15 @@ def _worst_case_terminal(portfolio: Portfolio) -> float:
     for p in positions:
         by_level.setdefault(p.contract.expiry - portfolio.time, []).append(p)
 
-    def level_payoff(s: int, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for p in by_level.get(s, ()):
-            out += p.quantity * p.contract.payoff(x)
-        return out
-
-    g = (lattice.terminal_values(h, portfolio.risky_value)
-         + level_payoff(h, lattice.terminal_values(h, portfolio.underlying)))
-    for s in range(h - 1, -1, -1):
+    def level_payoff(s: int) -> np.ndarray:
         x = lattice.terminal_values(s, portfolio.underlying)
-        g = np.minimum(g[:-1], g[1:]) + level_payoff(s, x)
+        return sum(p.quantity * p.contract.payoff(x) for p in by_level[s])
+
+    g = lattice.terminal_values(h, portfolio.risky_value) + level_payoff(h)
+    for s in range(h - 1, -1, -1):
+        g = np.minimum(g[:-1], g[1:])
+        if s in by_level:               # the underlying's nodes only where a payoff is due
+            g += level_payoff(s)
     return cash + float(g[0])
 
 

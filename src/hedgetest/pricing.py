@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -103,13 +105,11 @@ class LatticeModel:
         return risk_neutral_up_prob(self.up_factor, self.down_factor)
 
     def terminal_values(self, expiry: int, spot: float = 1.0) -> np.ndarray:
-        """Underlying values at the expiry level, indexed by up-move count.
-
-        A value beyond the double range is a ValueError, not inf.
-        """
-        j = np.arange(expiry + 1)
+        """spot * up_count_nodes(u, d, expiry): the underlying's values at the
+        expiry level by up-move count.  One beyond the double range is a
+        ValueError, not inf."""
         with np.errstate(over="ignore", invalid="ignore"):
-            values = spot * self.up_factor ** j * self.down_factor ** (expiry - j)
+            values = spot * up_count_nodes(self.up_factor, self.down_factor, expiry)
         if not np.isfinite(values).all():
             raise ValueError(
                 f"lattice values overflow: u={self.up_factor!r}, d={self.down_factor!r} "
@@ -487,34 +487,55 @@ def floor_put(atoms, weights, floor: float, budget: str) -> tuple[float, float, 
                                    f"{roots[-1]!r} holds floor {floor}")
 
 
-def binomial_weights(n: int, q: float) -> np.ndarray:
-    """C(n, k) * q**k * (1 - q)**(n - k) for k = 0..n, each correctly rounded.
+def _rounded_column(terms, exact) -> np.ndarray:
+    """The doubles nearest x_0..x_n, x_0 = base**n and x_k = x_(k-1) * r_k.
 
-    q in (0, 1) is read as the exact rational a/den of its double, so 1 - q
-    is b/den exactly.  Two decimal recurrences, one rounding every step
-    down and one up, enclose each weight; where both bounds round to the
-    same double, so does the weight between them, and anywhere else that
-    one weight is computed exactly in integers.
+    terms() gives base, n and r_1..r_n as nonnegative Decimals, once with
+    every operation rounded down and once up: where the two bounds round to
+    one double so does x_k, and elsewhere x_k is exact(k), in integers.
     """
-    from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal,
-                         localcontext)
-    a, den = q.as_integer_ratio()
-    b = den - a
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, localcontext
     bounds = []
     for rounding in (ROUND_FLOOR, ROUND_CEILING):
         with localcontext(Context(prec=40, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)):
-            w, base, e = Decimal(1), Decimal(b) / den, n    # w = (b/den)**n by squaring
+            base, e, ratios = terms()
+            x = 1                               # x = base**n by squaring
             while e:
                 if e & 1:
-                    w *= base
+                    x = base * x
                 base, e = base * base, e >> 1
-            column = [w]
-            for k in range(n):
-                w = w * ((n - k) * a) / ((k + 1) * b)
-                column.append(w)
-        bounds.append(list(map(float, column)))
-    weights, upper = bounds
-    for k in range(n + 1):
-        if weights[k] != upper[k]:
-            weights[k] = math.comb(n, k) * a ** k * b ** (n - k) / den ** n
-    return np.array(weights)
+            bounds.append(list(map(float, accumulate(ratios, mul, initial=x))))
+    return np.array([lo if lo == hi else exact(k) for k, (lo, hi) in enumerate(zip(*bounds))])
+
+
+def binomial_weights(n: int, q: float) -> np.ndarray:
+    """C(n, k) * q**k * (1 - q)**(n - k) for k = 0..n, each correctly rounded:
+    q in (0, 1) is the exact rational a/den of its double and 1 - q = b/den,
+    so _rounded_column of (b/den)**n and the ratios (n - k)*a / ((k + 1)*b)."""
+    from decimal import Decimal
+    a, den = q.as_integer_ratio()
+    b = den - a
+    return _rounded_column(
+        lambda: (Decimal(b) / den, n, (Decimal((n - k) * a) / ((k + 1) * b) for k in range(n))),
+        lambda k: math.comb(n, k) * a ** k * b ** (n - k) / den ** n)
+
+
+def up_count_nodes(up: float, down: float, n: int) -> np.ndarray:
+    """up**j * down**(n - j) for j = 0..n, a lattice's terminal nodes by
+    up-count (Cox, Ross & Rubinstein, 1979), each the exact product of the
+    nonnegative doubles up and down correctly rounded (0**0 is 1): inf past
+    the double range, 0 or a subnormal below it.  _rounded_column of down**n
+    and the ratio up/down, read from the all-up end when down alone is 0."""
+    from decimal import Decimal
+    if down == 0.0 < up:
+        return up_count_nodes(down, up, n)[::-1]
+    (a, b), (c, d) = up.as_integer_ratio(), down.as_integer_ratio()
+
+    def exact(j):
+        try:
+            return a ** j * c ** (n - j) / (b ** j * d ** (n - j))
+        except OverflowError:                   # past the double range
+            return math.inf
+    return _rounded_column(
+        lambda: (Decimal(down), n, repeat(Decimal(up) / Decimal(down) if up else Decimal(0), n)),
+        exact)

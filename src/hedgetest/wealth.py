@@ -18,7 +18,7 @@ wealth depends only on a path's number of ups j: it is the binomial
 lattice's terminal node up**j * down**(T - j) (Cox, Ross & Rubinstein,
 1979).  null_paths hands mc_price the (sampler, process) pair of a
 constant bet; at the fair-coin null a path is its packed outcome bits and
-its wealth the node of its bit count.
+its wealth the correctly rounded node (up_count_nodes) of its bit count.
 ville_crossing is the one decision rule: it follows a batch of wealth
 paths step by step and records where each first reaches 1/alpha.
 
@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .pricing import up_count_nodes
 from .rng import bernoulli, bernoulli_words
 
 #: Null mean of exp(Z) for Z ~ N(0, 1).
@@ -252,20 +253,17 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
     The sampler draws blocks of null paths of `steps` outcomes and the
     process maps a block to each path's K_T.  At the fair-coin null, p =
     1/2, a path is its rng.bernoulli_words and K_T the terminal node
-    up**j * down**(steps - j) of its j ups, the table of nodes built once
-    for all blocks (an inf wealth times a factor of 0 is 0); every other
-    null draws hyp.null_sampler() outcomes for terminal_wealth.  At spot 1
-    the nodes are LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values
+    up**j * down**(steps - j) of its j ups, one up_count_nodes table of the
+    bet factors built for all blocks (a node with a factor of 0 is 0); every
+    other null draws hyp.null_sampler() outcomes for terminal_wealth.  At
+    spot 1 the nodes are LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values
     wherever that lattice exists; a node and terminal_wealth's left-to-right
     product of the same path are a few ulps apart at most.
     """
     if hyp.family is Family.BERNOULLI and hyp.null_param == 0.5:
         _check_bet(lam, hyp.lambda_bounds())
-        down, up = _bet_factor(lam, [0.0, 1.0], hyp.null_mean)
-        j = np.arange(steps + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes = up ** j * down ** (steps - j)
-        nodes[np.isnan(nodes)] = 0.0
+        down, up = _bet_factor(lam, [0.0, 1.0], hyp.null_mean).tolist()
+        nodes = up_count_nodes(up, down, steps)
         ps = np.full(steps, 0.5)
 
         def sample(rng, shape):

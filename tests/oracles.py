@@ -5,12 +5,14 @@ exhaustive path enumeration or direct binomial expectations instead of
 backward induction, portfolio marks from a fresh lattice at each node
 instead of the node table kept since the trade, or rebuilt one position at
 a time in a loop at every step instead of read on demand, a step settled by
-the comprehensions and sums step used before its one loop, wealth
+the comprehensions step used before its one loop, wealth
 recurrences (one-sided and the two-sided hedged process) are evaluated
 step by step in plain Python, the first crossing of
 1/alpha is found by a plain loop over one path instead of the batch rule,
 put-floor strikes interval by interval in plain Python after a stable
-sort, binomial weights in exact integers instead of decimal bounds, a portfolio's worst case by walking every path instead of the
+sort, binomial weights in exact integers and lattice nodes as products of
+Fractions instead of decimal bounds, a portfolio's worst case by walking
+every path instead of the
 backward min-sweep, the chance that a constant-fraction bet ever rejects
 by an exact recursion over (t, up-count) instead of simulated episodes,
 a Bernoulli outcome table by reading each row's raw 64-bit outputs as one
@@ -75,6 +77,18 @@ def binomial_weights_by_integers(n, q):
         weights.append(numerator / scale)
         numerator = numerator * ((n - k) * a) // ((k + 1) * b)
     return weights
+
+
+def nodes_by_fractions(up, down, n):
+    """up**j * down**(n - j) for j = 0..n: each node the exact product of
+    Fractions, rounded once by float(), and inf where that overflows."""
+    nodes = []
+    for j in range(n + 1):
+        try:
+            nodes.append(float(Fraction(up) ** j * Fraction(down) ** (n - j)))
+        except OverflowError:
+            nodes.append(math.inf)
+    return nodes
 
 
 def wealth_by_hand(lambdas, outcomes, null_mean):
@@ -242,50 +256,57 @@ def step_by_remark(portfolio, outcome):
     up = int(outcome == 1.0)
     factor = portfolio.lattice.up_factor if up else portfolio.lattice.down_factor
     t, ups = portfolio.time + 1, portfolio.ups + up
-    kept, marks, payments = [], [], []
+    free, kept, marks = portfolio.risk_free, [], []
     for pos in portfolio.positions:
         mark = pos.nodes[t - pos.opened][ups - pos.opened_ups]
         if pos.contract.expiry == t:
-            payments.append(pos.quantity * mark)
+            free += pos.quantity * mark
         else:
             kept.append(pos)
             marks.append(mark)
-    moved = portfolio._replace(risk_free=sum(payments, portfolio.risk_free),
+    moved = portfolio._replace(risk_free=free,
                                risky_value=portfolio.risky_value * factor,
                                positions=tuple(kept),
                                underlying=portfolio.underlying * factor, time=t, ups=ups,
                                due=min([pos.contract.expiry for pos in kept], default=None))
-    total = moved.risk_free + moved.risky_value + sum(
-        pos.quantity * mark for pos, mark in zip(moved.positions, marks))
-    return moved, marks, total
+    return moved, marks, total_by_loop(moved, marks)
 
 
 def step_by_comprehensions(portfolio, outcome):
     """One lattice step by the expressions step and total_value were, before
     settlement became one loop over the positions.
 
-    The payments of the contracts the step reaches the expiry of are summed
-    onto the cash by sum([...], cash), the positions kept by tuple([...]),
-    the next due by min(..., default=None), and the total value is cash +
-    shares + sum(quantity * mark for each position and its mark) over a
-    tuple of the marks.  Returns the new portfolio and its total value.
+    The payments of the contracts the step reaches the expiry of are added
+    onto the cash left to right, the positions kept by tuple([...]), the
+    next due by min(..., default=None), and the total value is
+    total_by_loop over a tuple of the marks.  Returns the new portfolio and
+    its total value.
     """
     up = outcome == 1.0
     factor = portfolio.lattice.up_factor if up else portfolio.lattice.down_factor
     t, ups = portfolio.time + 1, portfolio.ups + int(up)
     free, positions, due = portfolio.risk_free, portfolio.positions, portfolio.due
     if t == due:
-        free = sum([pos.quantity * pos.value_at(t, ups)
-                    for pos in positions if pos.contract.expiry == t], free)
+        for pos in positions:
+            if pos.contract.expiry == t:
+                free += pos.quantity * pos.value_at(t, ups)
         positions = tuple([pos for pos in positions if pos.contract.expiry != t])
         due = min((pos.contract.expiry for pos in positions), default=None)
     moved = portfolio._replace(risk_free=free, risky_value=portfolio.risky_value * factor,
                                positions=positions, underlying=portfolio.underlying * factor,
                                time=t, ups=ups, due=due)
     marks = tuple([pos.value_at(t, ups) for pos in positions])
-    total = moved.risk_free + moved.risky_value + sum(
-        pos.quantity * mark for pos, mark in zip(positions, marks))
-    return moved, total
+    return moved, total_by_loop(moved, marks)
+
+
+def total_by_loop(portfolio, marks):
+    """cash + shares + the sum of each quantity * mark, that sum added left
+    to right from 0.0 in a plain loop: what the builtin sum did up to Python
+    3.11 (from 3.12 it compensates float sums, and portfolio.step does not)."""
+    held = 0.0
+    for pos, mark in zip(portfolio.positions, marks):
+        held += pos.quantity * mark
+    return portfolio.risk_free + portfolio.risky_value + held
 
 
 def floor_strikes_by_interval(atoms, weights, floor):
@@ -348,8 +369,11 @@ def worst_case_by_paths(portfolio):
         total, k = portfolio.risk_free, 1.0
         for s, factor in enumerate(path, 1):
             k *= factor
-            total += sum(quantity * contract.payoff(portfolio.underlying * k)
-                         for contract, quantity in held if contract.expiry - t == s)
+            paid = 0.0
+            for contract, quantity in held:
+                if contract.expiry - t == s:
+                    paid += quantity * contract.payoff(portfolio.underlying * k)
+            total += paid
         worst = min(worst, total + portfolio.risky_value * k)
     return worst
 

@@ -54,7 +54,7 @@ from hedgetest.portfolio import (BankruptcyRiskError, DerivativePosition,
 from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                binomial_weights, floor_put, full_budget_strike,
                                lattice_node_values, lattice_price,
-                               put_floor_strikes)
+                               put_floor_strikes, up_count_nodes)
 from hedgetest.rng import row_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (HypothesisSpec, evolve, hedged_cs, terminal_wealth,
@@ -62,8 +62,8 @@ from hedgetest.wealth import (HypothesisSpec, evolve, hedged_cs, terminal_wealth
 
 from oracles import (bernoulli_by_words, binomial_weight_price,
                      binomial_weights_by_integers, enumerate_paths_min, first_crossing_by_hand,
-                     floor_strikes_by_interval, fresh_mark, step_by_remark,
-                     wealth_by_hand, worst_case_by_paths)
+                     floor_strikes_by_interval, fresh_mark, nodes_by_fractions,
+                     step_by_remark, wealth_by_hand, worst_case_by_paths)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -208,6 +208,26 @@ def test_tie_free_floor_strikes_are_the_stable_sort_reference(case):
 @example(60, 0.5)
 def test_binomial_weights_are_the_exact_weights_rounded_once(n, q):
     assert binomial_weights(n, q).tolist() == binomial_weights_by_integers(n, q)
+
+
+@given(st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e10), st.sampled_from([0.0, 1.0])),
+       st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e-10), st.sampled_from([0.0, 1.0])),
+       st.integers(0, 200))
+@example(1e10, 1.0, 40)             # 1e400: past the double range, inf
+@example(1e-10, 1.0, 40)            # 1e-400: under the least subnormal, 0
+@example(1e-5, 1e-5, 62)            # 1e-310: a subnormal
+@example(2.0, 0.0, 70)              # a bet of 2 at p = 1/2: every node but all-ups is 0
+@example(0.0, 2.0, 70)              # a bet of -2: every node but all-downs is 0
+@example(2.0, 0.0, 1032)            # the all-up node overflows, its neighbour is 0
+@example(1.5, 0.5, 100)             # 3**34/2**100 is a midpoint: the bounds round apart
+# (2**54 - 1)*2**970, the midpoint of the largest double and 2**1024: the bounds
+# round apart, and the exact node is inf
+@example(134217727 * 2.0 ** 485, 134217729 * 2.0 ** 485, 2)
+@example(1.0, 1.0, 50)
+@example(1.7, 0.3, 0)
+def test_up_count_nodes_are_the_exact_nodes_rounded_once(up, down, n):
+    assert [x.hex() for x in up_count_nodes(up, down, n).tolist()] \
+        == [x.hex() for x in nodes_by_fractions(up, down, n)]
 
 
 def full_budget_residual(atoms, weights, floor, s):

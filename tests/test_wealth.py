@@ -15,7 +15,7 @@ from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (Family, HypothesisSpec, InadmissibleBetError,
                               OutcomeError, evolve, hedged_cs, terminal_wealth)
 
-from oracles import crossing_times, path_values, wealth_by_hand
+from oracles import crossing_times, nodes_by_fractions, path_values, wealth_by_hand
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = build_strategy(StrategySpec(StrategyKind.KELLY), BERNOULLI, 20)
@@ -249,21 +249,18 @@ class TestFairCoinNodes:
         with np.errstate(over="ignore", invalid="ignore"):
             got = wealth.null_paths(lam, FAIR, steps)[1](words)
             product = terminal_wealth(lam, table, FAIR)
-        # the powers are numpy's, as the lattice's are: its SIMD pow may
-        # differ from Python's ** in the last bit
+        # each path is the correctly rounded node of its number of ups
         ups = table.sum(axis=1).astype(np.intp)
         down, up = 1.0 - lam / 2, 1.0 + lam / 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            up_power, down_power = up ** ups, down ** (steps - ups)
-            nodes = up_power * down_power
-        nodes[np.isnan(nodes)] = 0.0
-        assert got.tobytes() == nodes.tobytes()
+        assert got.tobytes() == np.array(nodes_by_fractions(up, down, steps))[ups].tobytes()
         if 0.0 < down < 1.0 < up:           # where the lattice exists
             lattice = LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values(steps)
             assert got.tobytes() == lattice[ups].tobytes()
         # where no power leaves the normal range, neither does any partial
         # product, and both roundings stay within a few ulps
         tiny = np.finfo(float).tiny
+        up_power = np.array(nodes_by_fractions(up, 1.0, steps))[ups]
+        down_power = np.array(nodes_by_fractions(1.0, down, steps))[ups]
         normal = ((up_power >= tiny) & (up_power < math.inf)
                   & (down_power >= tiny) & (down_power < math.inf))
         gap = np.abs(got - product)[normal]

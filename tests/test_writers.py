@@ -131,11 +131,11 @@ def write_expression_matrix(path):
 # sha256 of (x.csv, x.json) from `screen <argv> --hedge --out x`
 SCREEN_SHA256 = {
     ("--synthetic", "shifted", "--genes", "400", "--samples", "40"): (
-        "c6403ac60c9815eb756447723b8f02a1a27320baf6ee3ca34927010851d46e6e",
-        "5ba9b1ead67b77ce177023f91bbca3686282340b7f161b1fb718e3bc07613cc2"),
+        "44245c2dbb9884ea94e47d3d7cdc9a3c31229e3e71fd739ca44d1562a1b04ed7",
+        "5763f34dcc1e5fe8c193d75221293445cf3e06d4404f7fec65733eb302a1e099"),
     ("--matrix",): (
-        "182f67c88956c488ede5506b31e9b41ef6d4874e77d5250ad43146efac5e5ca6",
-        "1211aa7099476042eb173afdd442f203ea448205ad7dad9ef3ce7eeab2f991dc"),
+        "f748499e1654f0f1fe8d75c3e69b94a02ce3a1f2346be982e67b9970dfede960",
+        "93d69c761fad8c5eb97d6751c00c9990790dcd06a29ca5875458fed7e5974e43"),
 }
 
 
