@@ -55,7 +55,8 @@ class DerivativePosition:
     nodes[s][j] is the per-contract value s steps after the trade and j
     up-moves since it; the last level is the payoff.  The record never
     changes: the portfolio reads its mark from `nodes` while it holds it,
-    and the payoff once, on the step that reaches the expiry.
+    and the payoff once, on the step that reaches the expiry; the solvency
+    sweep reads its payoffs from the same last level.
     """
 
     contract: Contract     # expiry is absolute time on the experiment clock
@@ -164,26 +165,26 @@ def _worst_case_terminal(portfolio: Portfolio) -> float:
 
     Payoffs realize at each contract's expiry node and accumulate along the
     path; the recursion min over children makes the sweep exact in O(h^2)
-    even though it covers all 2^h paths.
+    even though it covers all 2^h paths.  A contract's payoffs are the
+    payoff row of its own node table, the nodes step pays it at.
     """
     positions, cash, lattice = portfolio.positions, portfolio.risk_free, portfolio.lattice
     if not positions:
         factor = lattice.down_factor if portfolio.risky_value >= 0.0 else lattice.up_factor
         return cash + portfolio.risky_value * factor
-    h = max(p.contract.expiry for p in positions) - portfolio.time
-    by_level: dict[int, list[DerivativePosition]] = {}
-    for p in positions:
-        by_level.setdefault(p.contract.expiry - portfolio.time, []).append(p)
+    t, ups = portfolio.time, portfolio.ups
+    h = max(p.contract.expiry for p in positions) - t
 
-    def level_payoff(s: int) -> np.ndarray:
-        x = lattice.terminal_values(s, portfolio.underlying)
-        return sum(p.quantity * p.contract.payoff(x) for p in by_level[s])
+    def level_payoff(s: int):
+        """Quantity times payoff of the contracts expiring s steps on, at the
+        s + 1 nodes reachable by then; 0 when none expires."""
+        return sum(p.quantity * np.array(p.nodes[-1][ups - p.opened_ups:][:s + 1])
+                   for p in positions if p.contract.expiry - t == s)
 
     g = lattice.terminal_values(h, portfolio.risky_value) + level_payoff(h)
     for s in range(h - 1, -1, -1):
         g = np.minimum(g[:-1], g[1:])
-        if s in by_level:               # the underlying's nodes only where a payoff is due
-            g += level_payoff(s)
+        g += level_payoff(s)
     return cash + float(g[0])
 
 

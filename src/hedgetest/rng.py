@@ -13,17 +13,17 @@ t Bernoulli(ps[t]).  Where every p is a/2**k with k <= MAX_BITS, an outcome
 is read from k fair bits (Knuth & Yao, 1976): a row takes
 ceil(k*T / 64) whole outputs and step t is 1 exactly when bits
 [k*t, k*t + k) of the row, least significant first, read as an integer
-below p*2**k.  Any other table keeps one ``Generator.random`` output a
-step.  Either way every row consumes ``row_words(ps)`` outputs, so row i
-of a table is ``bernoulli(stream(..., skip=i * row_words(ps)), ps, 1)``:
-any range of rows can be drawn alone and is the same bits as that slice of
-the whole table.
+below p*2**k; at k = 0, every p 0 or 1, nothing is drawn.  Any other
+table keeps one ``Generator.random`` output a step.  Either way every row
+consumes ``row_words(ps)`` outputs, so row i of a table is
+``bernoulli(stream(..., skip=i * row_words(ps)), ps, 1)``: any range of
+rows can be drawn alone and is the same bits as that slice of the whole
+table.
 
-``bernoulli_words(rng, ps, rows)`` is the packed form of a table whose
-every p is 0, 1/2 or 1 (k <= 1): a (rows, ceil(T/64)) uint64 array with
-outcome t at bit t % 64 of word t // 64.  It reads the same outputs as
-``bernoulli`` and its bits are ``bernoulli``'s table, which is their
-``np.unpackbits``: one code reads fair bits.
+``bernoulli_words(rng, steps, rows)`` is the fair coin's table, every p
+1/2, packed: a (rows, ceil(steps/64)) uint64 array with outcome t at bit
+t % 64 of word t // 64.  It reads the same outputs as ``bernoulli`` and
+its ``np.unpackbits`` is ``bernoulli``'s table of ``steps`` halves.
 """
 
 from __future__ import annotations
@@ -77,32 +77,21 @@ def row_words(ps) -> int:
     return ps.size if k is None else -(-k * ps.size // 64)
 
 
-def bernoulli_words(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
-    """bernoulli's table for ps all in {0, 1/2, 1}, packed: a (rows,
-    ceil(T/64)) uint64 array, outcome t at bit t % 64 of word t // 64.
+def bernoulli_words(rng: np.random.Generator, steps: int, rows: int) -> np.ndarray:
+    """bernoulli's table of `steps` fair coins, packed: a (rows,
+    ceil(steps/64)) uint64 array, outcome t at bit t % 64 of word t // 64.
 
-    A row takes the ``row_words(ps)`` outputs bernoulli reads, none when
-    every p is 0 or 1.  A step at p = 1/2 is 1 exactly when its fair bit is
-    0 (its 1-bit integer is below 1), a step at p = 1 is always 1 and one at
-    p = 0 always 0, so the words are (~raw & half) | one for the masks of
-    the p = 1/2 and p = 1 steps.  Any other p is a ValueError.
+    A row takes the ``row_words`` outputs bernoulli reads at p = 1/2, one
+    bit a step, and a step is 1 exactly when its fair bit is 0 (its 1-bit
+    integer is below 1): the words are the raw outputs inverted, the bits
+    past the last step cleared.
     """
-    ps = np.asarray(ps, dtype=float)
-    words = -(-ps.size // 64)
-    flags = np.zeros((2, 64 * words), dtype=bool)
-    np.equal(ps, 0.5, out=flags[0, :ps.size])
-    np.equal(ps, 1.0, out=flags[1, :ps.size])
-    if np.count_nonzero(flags) + np.count_nonzero(ps == 0.0) != ps.size:
-        raise ValueError("bernoulli_words needs every p to be 0, 1/2 or 1")
-    half, one = np.packbits(flags, axis=1, bitorder="little").view("<u8").astype(np.uint64)
-    if not half.any():              # every p is 0 or 1: nothing is drawn
-        return np.tile(one, (rows, 1))
     # integers over the full 64-bit range returns the raw outputs, as
     # bit_generator.random_raw does, and leaves the same state
-    raw = rng.integers(0, 2**64, (rows, words), dtype=np.uint64)
+    raw = rng.integers(0, 2**64, (rows, -(-steps // 64)), dtype=np.uint64)
     np.invert(raw, out=raw)
-    raw &= half
-    raw |= one
+    if steps % 64:
+        raw[:, -1] &= np.uint64((1 << steps % 64) - 1)
     return raw
 
 
@@ -114,9 +103,9 @@ def bernoulli(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
     least integer for which every p * 2**k is an integer, k <= MAX_BITS, a
     row's outputs are read as one little-endian string of bits and step t
     is 1 exactly when its k bits [k*t, k*t + k), least significant first,
-    form an integer below p * 2**k; for k <= 1 the table is the unpacked
-    ``bernoulli_words``.  Otherwise step t is 1 exactly when a ``random``
-    output is below p, as a table of ``rng.random((rows, T))``.
+    form an integer below p * 2**k; at k = 0 every p is 0 or 1 and nothing
+    is drawn.  Otherwise step t is 1 exactly when a ``random`` output is
+    below p, as a table of ``rng.random((rows, T))``.
     """
     ps = np.asarray(ps, dtype=float)
     steps = ps.size
@@ -124,10 +113,8 @@ def bernoulli(rng: np.random.Generator, ps, rows: int) -> np.ndarray:
     if k is None:
         draws = rng.random((rows, steps))
         return np.less(draws, ps, out=draws)
-    if k <= 1:
-        words = bernoulli_words(rng, ps, rows)
-        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
-                             count=steps, bitorder="little").astype(float)
+    if k == 0:
+        return np.tile(ps > 0.0, (rows, 1)).astype(float)
     words = rng.integers(0, 2**64, (rows, -(-k * steps // 64)), dtype=np.uint64)
     bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
                          count=k * steps, bitorder="little")

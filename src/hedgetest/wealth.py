@@ -17,8 +17,9 @@ multiplies by, with the same bits as its last step.  On coin flips that
 wealth depends only on a path's number of ups j: it is the binomial
 lattice's terminal node up**j * down**(T - j) (Cox, Ross & Rubinstein,
 1979).  null_paths hands mc_price the (sampler, process) pair of a
-constant bet; at the fair-coin null a path is its packed outcome bits and
-its wealth the correctly rounded node (up_count_nodes) of its bit count.
+constant bet; at the fair-coin null a path is its packed fair-coin bits
+(rng.bernoulli_words) and its wealth the correctly rounded node
+(up_count_nodes) of its bit count.
 ville_crossing is the one decision rule: it follows a batch of wealth
 paths step by step and records where each first reaches 1/alpha.
 
@@ -252,7 +253,8 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
 
     The sampler draws blocks of null paths of `steps` outcomes and the
     process maps a block to each path's K_T.  At the fair-coin null, p =
-    1/2, a path is its rng.bernoulli_words and K_T the terminal node
+    1/2, a path is its row of rng.bernoulli_words(rng, steps, rows), the
+    fair coin packed 64 steps a word, and K_T the terminal node
     up**j * down**(steps - j) of its j ups, one up_count_nodes table of the
     bet factors built for all blocks (a node with a factor of 0 is 0); every
     other null draws hyp.null_sampler() outcomes for terminal_wealth.  At
@@ -264,12 +266,11 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
         _check_bet(lam, hyp.lambda_bounds())
         down, up = _bet_factor(lam, [0.0, 1.0], hyp.null_mean).tolist()
         nodes = up_count_nodes(up, down, steps)
-        ps = np.full(steps, 0.5)
 
         def sample(rng, shape):
             if tuple(shape[1:]) != (steps,):
                 raise ValueError(f"paths of {steps} steps, asked for shape {shape}")
-            return bernoulli_words(rng, ps, shape[0])
+            return bernoulli_words(rng, steps, shape[0])
 
         def final(words):
             return nodes.take(np.bitwise_count(words).sum(axis=1, dtype=np.intp))

@@ -280,6 +280,14 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.final_wealth.min() >= 0.25 - 1e-6
 
+    @pytest.mark.parametrize("name", ["table1_conservative", "table2_conservative"])
+    def test_conservative_config_fraction_is_the_closed_form(self, name):
+        # the configs carry the fraction as a literal: it must be the one
+        # whose all-losses path ends exactly at the ruin level
+        raw = parse_config_text((CONFIGS / f"{name}.cfg").read_text())
+        assert raw["lambda"] == conservative_lambda(raw["ruin_level"], raw["horizon"],
+                                                    -raw["null_p"])
+
     def test_conservative_tail_matches_table(self):
         from pathlib import Path
         cfg = load_config(Path(__file__).parent.parent / "configs"

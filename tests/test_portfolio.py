@@ -268,6 +268,20 @@ class TestStep:
         assert p.time == 500 and p.positions == ()
         assert len(calls) == 2
 
+    def test_one_node_table_per_trade(self, monkeypatch):
+        # the trade's backward induction builds one, and the vet's sweep one
+        # for the risky leg: it reads the put's payoffs from the trade's table
+        built = []
+        nodes = pricing.up_count_nodes
+
+        def counted(up, down, n):
+            built.append(n)
+            return nodes(up, down, n)
+
+        monkeypatch.setattr(pricing, "up_count_nodes", counted)
+        buy_contract(all_cash(), Contract.put(0.3, 20), quantity=1.0)
+        assert built == [20, 20]
+
     def test_rounding_below_zero_marks_zero(self):
         dust = Contract(ContractKind.CUSTOM_EUROPEAN, 0.0, 3,
                         payoff_fn=lambda k: np.full_like(k, -1e-16))

@@ -39,6 +39,9 @@ def tables(draw):
 @example(([1 / 256, 0.5, 1.0], 3, 0, 3, 9))
 @example(([0.6] * 20, 5, 2, 5, 10))                      # more than 8 binary digits
 @example(([0.0, 1.0, 1.0, 0.0], 6, 2, 6, 11))
+@example(([0.5] * 64, 5, 1, 3, 12))                      # 1-bit steps fill one word
+@example(([0.5] * 65, 5, 2, 5, 13))                      # and spill into a second
+@example(([0.5] * 63 + [1.0, 0.0, 0.5], 4, 1, 4, 14))    # certain steps across words
 def test_table_is_the_oracle_and_any_row_range_its_slice(case):
     ps, rows, start, stop, seed = case
     whole = bernoulli(stream(seed, 3), ps, rows)
