@@ -222,7 +222,7 @@ def _screen_settings(args, hedge: HedgeSpec | None, n_genes, horizon) -> dict:
            "genes": n_genes, "horizon": horizon, "alpha": args.alpha,
            "ruin_level": args.ruin, "hedge": "put" if hedge else "none"}
     if hedge is not None:
-        out["hedge_expiry"] = hedge.resolve(horizon, args.ruin)[0]
+        out["hedge_expiry"] = hedge.resolve(horizon, args.ruin).expiry
     out["seed"] = args.seed
     return out
 

@@ -96,16 +96,17 @@ class HedgeSpec:
         if self.expiry < 0:
             raise ConfigError(f"hedge expiry must be nonnegative, got {self.expiry}")
 
-    def resolve(self, horizon: int, ruin_level: float) -> tuple[int, float]:
-        """(expiry, floor) over `horizon` steps: expiry 0 means the horizon and
-        an unset floor is the ruin level."""
+    def resolve(self, horizon: int, ruin_level: float) -> HedgeSpec:
+        """This hedge over `horizon` steps with its expiry and floor set:
+        expiry 0 means the horizon and an unset floor is the ruin level.  A
+        resolved spec resolves to itself."""
         expiry = self.expiry or horizon
         floor = ruin_level if self.floor is None else self.floor
         if not 0.0 < floor < 1.0:
             raise ConfigError(f"hedge floor {floor} not in (0, 1)")
         if expiry > horizon:
             raise ConfigError(f"hedge expiry {expiry} beyond horizon {horizon}")
-        return expiry, floor
+        return replace(self, expiry=expiry, floor=floor)
 
 
 def check_seed(seed: int) -> None:
@@ -119,6 +120,9 @@ def check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One simulated experiment.  Its hedge is kept resolved (HedgeSpec.resolve):
+    the expiry and floor the run buys and config_dict writes."""
+
     hypothesis: HypothesisSpec
     truth: TruthSpec
     strategy: StrategySpec
@@ -154,7 +158,7 @@ class ExperimentConfig:
                 raise ConfigError(f"betting fraction {lam} outside the admissible "
                                   f"range [{lo}, {hi}]")
         if self.hedge is not None:
-            self.hedge.resolve(self.horizon, self.ruin_level)
+            object.__setattr__(self, "hedge", self.hedge.resolve(self.horizon, self.ruin_level))
             if lam is None:
                 raise ConfigError("hedged episodes need a constant-fraction strategy")
             if self.strategy.kind is StrategyKind.HEDGED_CS:
@@ -246,7 +250,7 @@ def _hedge_plan(config: ExperimentConfig) -> HedgePlan:
     Either way the marks are backward-induced once.
     """
     lam = config.strategy.constant_lambda(config.hypothesis)
-    expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
+    expiry, floor = config.hedge.expiry, config.hedge.floor
     model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param)
     strike = config.hedge.strike
     solved = strike is None
@@ -408,13 +412,14 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
         if hedge.strike is not None:
             raise ConfigError("screening solves one strike per gene; "
                               "an explicit hedge strike is not supported")
-        tau, floor = hedge.resolve(horizon, ruin_level)
+        hedge = hedge.resolve(horizon, ruin_level)
     if not ruin_level < 1.0 < 1.0 / alpha:
         raise ConfigError("need ruin_level < 1 < 1/alpha")
     if hedge is None:
         table, stake, tau = {}, 1.0, horizon + 1   # never exercised
     else:
-        table = _screening_hedges(lambdas, floor, tau)
+        tau = hedge.expiry
+        table = _screening_hedges(lambdas, hedge.floor, tau)
         rows = np.array([table[lam] for lam in lambdas.tolist()])
         strike, stake = rows[:, 0], rows[:, 2]
 
@@ -547,17 +552,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if mode == "solve" and strike is not None:
             raise ConfigError("a hedge strike needs strike mode explicit")
         hedge = HedgeSpec(raw.get("hedge_expiry", 0), strike, raw.get("hedge_floor"))
-    config = ExperimentConfig(
+    return ExperimentConfig(
         hypothesis=hyp, truth=truth, strategy=strategy,
         horizon=raw["horizon"], replications=raw["replications"],
         alpha=raw.get("alpha", 0.05), ruin_level=ruin,
         seed=raw.get("seed", DEFAULT_SEED), hedge=hedge)
-    if hedge is None:
-        return config
-    # store the resolved hedge, so the config equals the one its own
-    # config_dict describes
-    expiry, floor = hedge.resolve(config.horizon, ruin)
-    return replace(config, hedge=replace(hedge, expiry=expiry, floor=floor))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -583,12 +582,11 @@ def config_dict(config: ExperimentConfig) -> dict:
         out["floor"] = config.strategy.floor
     out["hedge"] = "put" if config.hedge else "none"
     if config.hedge is not None:
-        expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
-        out["hedge_expiry"] = expiry
+        out["hedge_expiry"] = config.hedge.expiry
         out["hedge_strike_mode"] = "solve" if config.hedge.strike is None else "explicit"
         if config.hedge.strike is not None:
             out["hedge_strike"] = config.hedge.strike
-        out["hedge_floor"] = floor
+        out["hedge_floor"] = config.hedge.floor
     out.update(horizon=config.horizon, replications=config.replications,
                alpha=config.alpha, ruin_level=config.ruin_level, seed=config.seed)
     return out

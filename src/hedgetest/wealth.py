@@ -256,8 +256,11 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
     1/2, a path is its row of rng.bernoulli_words(rng, steps, rows), the
     fair coin packed 64 steps a word, and K_T the terminal node
     up**j * down**(steps - j) of its j ups, one up_count_nodes table of the
-    bet factors built for all blocks (a node with a factor of 0 is 0); every
-    other null draws hyp.null_sampler() outcomes for terminal_wealth.  At
+    bet factors built for all blocks (a node with a factor of 0 is 0).  j is
+    counted one word column at a time: the first column's bit counts, then
+    each later column's added in place, since numpy's sum over the 2-3
+    words of a row costs more than the counts.  Every other null draws
+    hyp.null_sampler() outcomes for terminal_wealth.  At
     spot 1 the nodes are LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values
     wherever that lattice exists; a node and terminal_wealth's left-to-right
     product of the same path are a few ulps apart at most.
@@ -273,7 +276,12 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
             return bernoulli_words(rng, steps, shape[0])
 
         def final(words):
-            return nodes.take(np.bitwise_count(words).sum(axis=1, dtype=np.intp))
+            if not steps:
+                return np.ones(len(words))
+            ups = np.bitwise_count(words[:, 0]).astype(np.intp)
+            for column in words.T[1:]:
+                ups += np.bitwise_count(column)
+            return nodes.take(ups)
         return sample, final
     return hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp)
 
@@ -301,7 +309,9 @@ def ville_crossing(w0, steps: Iterable[np.ndarray], alpha: float):
     steps yields the wealths W_1..W_T, one array per step.  Returns the
     final W_T, the running max from W_0 and the first t >= 1 with
     W_t >= 1/alpha, -1 where the path never gets there: reaching 1/alpha
-    exactly rejects.
+    exactly rejects.  w0 is one start per path or one for all, a scalar
+    broadcast against the steps; with no steps the start is returned
+    unchanged.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -310,5 +320,7 @@ def ville_crossing(w0, steps: Iterable[np.ndarray], alpha: float):
     crossing = np.full(np.shape(w0), -1, dtype=np.int64)
     for t, w in enumerate(steps, 1):
         maxw = np.maximum(maxw, w)
+        if crossing.shape != maxw.shape:     # a scalar start, broadcast to the steps
+            crossing = np.broadcast_to(crossing, maxw.shape).copy()
         crossing[(w >= threshold) & (crossing < 0)] = t
     return w, maxw, crossing

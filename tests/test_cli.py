@@ -304,7 +304,7 @@ class TestHedgeSolve:
         command = "shift" if config.truth.change_at is not None else "simulate"
         _, out, _ = run_cli(capsys, command, "--config", str(path), "--workers", "1")
         plan = json.loads(out)["hedge_plan"]
-        expiry, floor = config.hedge.resolve(config.horizon, config.ruin_level)
+        expiry, floor = config.hedge.expiry, config.hedge.floor
         lam = config.strategy.constant_lambda(config.hypothesis)
         model = LatticeModel.for_bernoulli_bet(lam, config.hypothesis.null_param)
         code, out, _ = run_cli(capsys, "hedge-solve", "--floor", repr(floor),

@@ -147,8 +147,16 @@ class TestConfigValidation:
                 config(hedge=hedge, ruin_level=ruin)
             with pytest.raises(ConfigError, match=match):
                 run_screening(sequences, np.full(3, 0.5), ruin_level=ruin, hedge=hedge)
-        assert HedgeSpec().resolve(20, 0.25) == (20, 0.25)
-        assert HedgeSpec(expiry=5, floor=0.4).resolve(20, 0.25) == (5, 0.4)
+        resolved = HedgeSpec().resolve(20, 0.25)
+        assert (resolved.expiry, resolved.floor) == (20, 0.25)
+        resolved = HedgeSpec(expiry=5, floor=0.4).resolve(20, 0.25)
+        assert (resolved.expiry, resolved.floor) == (5, 0.4)
+
+    def test_resolve_returns_the_resolved_spec(self):
+        resolved = HedgeSpec().resolve(20, 0.25)
+        assert resolved == HedgeSpec(20, None, 0.25)
+        assert resolved.resolve(20, 0.5) == resolved      # a resolved spec keeps its own
+        assert config(hedge=HedgeSpec()).hedge == resolved
 
     def test_hedge_floor_defaults_to_a_valid_ruin_level(self):
         with pytest.raises(ConfigError):
@@ -746,6 +754,13 @@ class TestConfigFiles:
                          if v is not None)
         again = config_from_dict(parse_config_text(text))
         assert config_dict(again) == config_dict(cfg)
+
+    @pytest.mark.parametrize("hedge", [HedgeSpec(expiry=10), HedgeSpec()])
+    def test_a_config_equals_the_one_parsed_from_its_dump(self, hedge):
+        # the config keeps its hedge resolved, as the dump writes it
+        cfg = config(hedge=hedge)
+        text = "".join(f"{k} = {v}\n" for k, v in config_dict(cfg).items())
+        assert config_from_dict(parse_config_text(text)) == cfg
 
     def test_comments_and_blanks_ignored(self):
         raw = parse_config_text("# comment\n\nhorizon = 20  # trailing\n")

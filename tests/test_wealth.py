@@ -234,6 +234,10 @@ class TestFairCoinNodes:
     @example((16, 7, 6, -2.0))
     @example((66, 9, 7, 2.0))
     @example((50, 40, 8, 1.3))
+    @example((64, 9, 9, 2.0))       # one full word
+    @example((65, 9, 10, -2.0))     # one bit into the second word
+    @example((128, 9, 11, 1.0))     # two full words
+    @example((129, 9, 12, 0.7))     # one bit into the third word
     def test_each_path_is_the_node_of_its_up_count(self, case):
         steps, rows, seed, lam = case
         packed_rng, table_rng = stream(seed, 3), stream(seed, 3)
@@ -469,6 +473,16 @@ class TestVilleCrossing:
         final, running_max, crossing = wealth.ville_crossing(w0, [], 0.05)
         assert final.tolist() == running_max.tolist() == [1.0, 25.0]
         assert crossing.tolist() == [-1, -1]   # W_0 alone never rejects
+
+    def test_a_scalar_start_is_one_start_per_path(self):
+        steps = [np.array([1.0, 30.0, 0.2]), np.array([25.0, 0.5, 20.0])]
+        got = wealth.ville_crossing(1.0, iter(steps), 0.05)
+        want = wealth.ville_crossing(np.full(3, 1.0), iter(steps), 0.05)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got[2].tolist() == [2, 1, 2]
+        final, running_max, crossing = wealth.ville_crossing(1.0, iter([]), 0.05)
+        assert final == running_max == 1.0 and crossing.tolist() == -1
 
     def test_null_false_rejection_bounded(self):
         # Kelly under the true null: rejection frequency <= alpha + 3 SEs

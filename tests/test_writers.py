@@ -103,6 +103,10 @@ MC_PRICE_SHA256 = {
         "05064b1778d77f4a2109cde67983d7ca973c3295ab7316dc38fdaba27d4eff9e",
     ("--family", "log_normal", "--bet", "0.6065306597126334"):
         "782a669ef55ad027dca39527459eff037447cc907ac77719395d0c9697f0a747",
+    # paths of two packed words, each up-count summed over the word columns;
+    # the later --contract replaces the tau = 20 one
+    ("--contract", "put,S=0.3,tau=70", "--bet", "1"):
+        "ccabd9ef6cdbab116ffd4f941dd1e6ce2b67e9c7afe68c8f3ed65c6137215942",
 }
 
 
