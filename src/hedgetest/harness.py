@@ -120,8 +120,9 @@ def check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulated experiment.  Its hedge is kept resolved (HedgeSpec.resolve):
-    the expiry and floor the run buys and config_dict writes."""
+    """One simulated experiment.  Its hedge is kept resolved (HedgeSpec.resolve),
+    so replace(cfg, horizon=h) or replace(cfg, ruin_level=r) keeps its expiry
+    and floor, even ones left to default to the horizon and the ruin level."""
 
     hypothesis: HypothesisSpec
     truth: TruthSpec
@@ -308,8 +309,7 @@ def _run_chunk(config: ExperimentConfig, start: int, stop: int,
     """Evolve episodes [start, stop); returns (final, max, crossing) arrays."""
     y = _chunk_outcomes(config, start, stop)
     w0 = 1.0 if plan is None else plan.stake * (1.0 + plan.marks[0][0])
-    return ville_crossing(np.full(y.shape[0], w0), _episode_wealth(config, y, plan),
-                          config.alpha)
+    return ville_crossing(w0, _episode_wealth(config, y, plan), config.alpha)
 
 
 def run_experiment(config: ExperimentConfig, chunks: int = 1) -> ExperimentResult:
@@ -429,7 +429,7 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
                 exercised, cash = k_hat < strike, stake * strike
             yield stake * k_hat if t < tau else np.where(exercised, cash, stake * k_hat)
 
-    final, maxw, crossing = ville_crossing(np.full(m, stake), wealth(), alpha)
+    final, maxw, crossing = ville_crossing(stake, wealth(), alpha)
     report = _summarize(ruin_level, final, maxw, crossing)
     return ScreeningResult(final, maxw, crossing >= 0, crossing, report, lambdas, table)
 

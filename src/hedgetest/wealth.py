@@ -256,11 +256,8 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
     1/2, a path is its row of rng.bernoulli_words(rng, steps, rows), the
     fair coin packed 64 steps a word, and K_T the terminal node
     up**j * down**(steps - j) of its j ups, one up_count_nodes table of the
-    bet factors built for all blocks (a node with a factor of 0 is 0).  j is
-    counted one word column at a time: the first column's bit counts, then
-    each later column's added in place, since numpy's sum over the 2-3
-    words of a row costs more than the counts.  Every other null draws
-    hyp.null_sampler() outcomes for terminal_wealth.  At
+    bet factors built for all blocks (a node with a factor of 0 is 0); every
+    other null draws hyp.null_sampler() outcomes for terminal_wealth.  At
     spot 1 the nodes are LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values
     wherever that lattice exists; a node and terminal_wealth's left-to-right
     product of the same path are a few ulps apart at most.
@@ -276,12 +273,7 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
             return bernoulli_words(rng, steps, shape[0])
 
         def final(words):
-            if not steps:
-                return np.ones(len(words))
-            ups = np.bitwise_count(words[:, 0]).astype(np.intp)
-            for column in words.T[1:]:
-                ups += np.bitwise_count(column)
-            return nodes.take(ups)
+            return nodes.take(np.bitwise_count(words).sum(axis=1, dtype=np.intp))
         return sample, final
     return hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp)
 

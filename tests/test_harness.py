@@ -158,6 +158,15 @@ class TestConfigValidation:
         assert resolved.resolve(20, 0.5) == resolved      # a resolved spec keeps its own
         assert config(hedge=HedgeSpec()).hedge == resolved
 
+    def test_replace_keeps_the_stored_expiry_and_floor(self):
+        # the defaults were resolved when the config was built, not on replace
+        cfg = config(hedge=HedgeSpec())
+        stored = HedgeSpec(20, None, 0.25)
+        assert replace(cfg, horizon=30).hedge == stored
+        assert replace(cfg, ruin_level=0.1).hedge == stored
+        with pytest.raises(ConfigError, match="expiry 20 beyond horizon 10"):
+            replace(cfg, horizon=10)
+
     def test_hedge_floor_defaults_to_a_valid_ruin_level(self):
         with pytest.raises(ConfigError):
             config(ruin_level=-0.5, hedge=HedgeSpec(expiry=20))
