@@ -17,7 +17,6 @@ from .pricing import (Contract, LatticeModel, PriceEstimate, black_scholes_call,
                       put_floor_strikes, risk_neutral_up_prob)
 from .strategies import (StrategyKind, StrategySpec, build_strategy, dynamic_lambda,
                          kelly_lambda)
-from .wealth import (Family, HypothesisSpec, evolve, hedged_cs, terminal_wealth,
-                     ville_crossing)
+from .wealth import Family, HypothesisSpec, evolve, hedged_cs, ville_crossing
 
 __version__ = "0.1.0"

@@ -638,17 +638,22 @@ def _cells(blob: bytes) -> np.ndarray:
 
 def csv_field(text: str) -> str:
     """`text` as csv.writer's QUOTE_MINIMAL writes a field: in quotes, each inner
-    quote doubled, if it holds a comma, a quote, CR or LF; as it is otherwise."""
-    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.intersection(text) else text
+    quote doubled, if it holds a comma, a quote, CR or LF; as it is otherwise.
+    A field that starts with `#` is quoted too: the row it leads would read
+    as one of the file's `#` comment lines."""
+    if _NEEDS_QUOTES.intersection(text) or text.startswith("#"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def text_cells(fields) -> np.ndarray:
     """Cells of strings in UTF-8, each quoted by csv_field.  When none needs
     quotes they are encoded at once: an LF ends each, and is then the one
-    LF, comma, quote or CR of the text."""
+    LF, comma, quote or CR of the text, and no string starts with `#`."""
     fields = list(fields)
     text = "\n".join(fields + [""])
-    if text.count("\n") == len(fields) and not any(c in text for c in ',"\r'):
+    if (text.count("\n") == len(fields) and not any(c in text for c in ',"\r')
+            and "\n#" not in "\n" + text):
         return _cells(text.encode().replace(b"\n", _PAD))
     return _cells(b"".join(csv_field(f).encode() + _PAD for f in fields))
 

@@ -384,10 +384,7 @@ def _interval_sums(atoms, weights):
     if x.shape != w.shape or not np.all((x >= 0.0) & (x < np.inf)
                                         & (w >= 0.0) & (w < np.inf)):
         raise ValueError("need one finite nonnegative weight per finite nonnegative atom")
-    order = np.argsort(x)
-    ascending = x[order]
-    if np.any(ascending[1:] == ascending[:-1]):
-        order = np.lexsort((w, x))
+    order = np.lexsort((w, x))
     x, w = x[order], w[order]
     return (x, np.concatenate(([0.0], np.cumsum(w))),
             np.concatenate(([0.0], np.cumsum(w * x))))

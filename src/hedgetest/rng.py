@@ -2,8 +2,8 @@
 
 One primitive, ``stream(seed, *tags, skip=0)``: a sequential PCG64
 generator keyed by a seed and small nonnegative integer tags naming one
-purpose (a synthetic matrix, a screening price sample, a Monte Carlo run,
-the table of simulated outcomes).  ``skip=k`` jumps it ahead by k 64-bit
+purpose (a synthetic matrix, a Monte Carlo run, the table of simulated
+outcomes).  ``skip=k`` jumps it ahead by k 64-bit
 outputs in O(log k) steps (O'Neill, "PCG", 2014), one per float64 of
 ``Generator.random``, so ``stream(..., skip=k).random(m)`` equals
 ``stream(...).random(k + m)[k:]``.

@@ -11,13 +11,11 @@ K_t >= 1/alpha at any time is a level-alpha rejection (Ville's inequality).
 evolve is the one engine: it steps m such processes side by side under a
 vectorized strategy lam(wealth, t), and the two-sided hedged_cs is one
 evolve over the (2, m) batch of its two legs.  A single path is a batch of
-one.  Under a constant fraction the final wealth needs no steps:
-terminal_wealth is the product over time of the same bet factors evolve
-multiplies by, with the same bits as its last step.  On coin flips that
-wealth depends only on a path's number of ups j: it is the binomial
-lattice's terminal node up**j * down**(T - j) (Cox, Ross & Rubinstein,
-1979).  null_paths hands mc_price the (sampler, process) pair of a
-constant bet; at the fair-coin null a path is its packed fair-coin bits
+one.  null_paths hands mc_price the (sampler, process) pair of a constant
+bet, the process evolve's last step.  On coin flips that final wealth
+depends only on a path's number of ups j: it is the binomial lattice's
+terminal node up**j * down**(T - j) (Cox, Ross & Rubinstein, 1979), so at
+the fair-coin null a path is its packed fair-coin bits
 (rng.bernoulli_words) and its wealth the correctly rounded node
 (up_count_nodes) of its bit count.
 ville_crossing is the one decision rule: it follows a batch of wealth
@@ -160,10 +158,10 @@ class HypothesisSpec:
 
 def _bet_factor(lam, y, null_mean: float):
     """max(1 + lam*(y - null_mean), 0), what a bet of lam on outcome y
-    multiplies wealth by, in one new C-contiguous buffer (y is left as it
-    is).  An admissible bet on a supported outcome falls below 0 only by
-    rounding, and then it ruins the path at exactly 0."""
-    factor = np.subtract(y, null_mean, order="C")
+    multiplies wealth by, in one new buffer (y is left as it is).  An
+    admissible bet on a supported outcome falls below 0 only by rounding,
+    and then it ruins the path at exactly 0."""
+    factor = np.subtract(y, null_mean)
     factor *= lam
     factor += 1.0
     np.maximum(factor, 0.0, out=factor)
@@ -179,14 +177,6 @@ def _check_bet(lam, lambda_bounds: tuple[float, float]) -> None:
         raise InadmissibleBetError(
             f"betting fraction {lam_lo if lam_lo < lo else lam_hi} "
             f"outside admissible range [{lo}, {hi}]")
-
-
-def _paths(outcomes, hyp: HypothesisSpec) -> np.ndarray:
-    """outcomes checked against hyp's support and the shape (paths, steps)."""
-    ys = hyp.validate_outcomes(outcomes)
-    if ys.ndim != 2:
-        raise ValueError(f"outcomes must have shape (paths, steps), got {ys.shape}")
-    return ys
 
 
 def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
@@ -206,7 +196,9 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
     once every row is ruined the strategy is no longer consulted.  Only the
     current wealths are kept.
     """
-    ys = _paths(outcomes, hyp)
+    ys = hyp.validate_outcomes(outcomes)
+    if ys.ndim != 2:
+        raise ValueError(f"outcomes must have shape (paths, steps), got {ys.shape}")
     bounds = hyp.lambda_bounds()
     k = np.full(np.broadcast_shapes(np.shape(start), ys.shape[:1]), start, dtype=float)
     if not np.all(k >= 0.0):                 # below 0, or NaN
@@ -229,41 +221,25 @@ def evolve(strategy: Strategy, outcomes, hyp: HypothesisSpec,
         yield k, lam
 
 
-def terminal_wealth(lam: float, outcomes, hyp: HypothesisSpec) -> np.ndarray:
-    """Final wealth K_T of each row of outcomes[m, T] under the constant fraction lam.
-
-    The product over time of the bet factors evolve multiplies by.  They
-    are built time-major, one contiguous (T, m) table, and reduced over
-    axis 0: numpy multiplies the rows of the table into K one step at a
-    time, each path left to right, so K_T has the same bits as the last
-    step of evolve(lambda k, t: lam, ...), a path that overflowed to inf
-    and meets a factor of 0 included (inf * 0 = NaN is 0).  lam is checked
-    against hyp.lambda_bounds() even when T = 0, where every K_T is 1.
-    """
-    ys = _paths(outcomes, hyp)
-    _check_bet(lam, hyp.lambda_bounds())
-    factors = _bet_factor(lam, ys.T, hyp.null_mean)
-    final = np.prod(factors, axis=0)
-    final[np.isnan(final)] = 0.0
-    return final
-
-
 def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
     """mc_price's (sampler, process) pair for the constant fraction lam.
 
     The sampler draws blocks of null paths of `steps` outcomes and the
-    process maps a block to each path's K_T.  At the fair-coin null, p =
-    1/2, a path is its row of rng.bernoulli_words(rng, steps, rows), the
-    fair coin packed 64 steps a word, and K_T the terminal node
-    up**j * down**(steps - j) of its j ups, one up_count_nodes table of the
-    bet factors built for all blocks (a node with a factor of 0 is 0); every
-    other null draws hyp.null_sampler() outcomes for terminal_wealth.  At
-    spot 1 the nodes are LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values
-    wherever that lattice exists; a node and terminal_wealth's left-to-right
-    product of the same path are a few ulps apart at most.
+    process maps a block to each path's K_T; lam is checked against
+    hyp.lambda_bounds() here, once, even when there are no steps.  At the
+    fair-coin null, p = 1/2, a path is its row of
+    rng.bernoulli_words(rng, steps, rows), the fair coin packed 64 steps a
+    word, and K_T the terminal node up**j * down**(steps - j) of its j ups,
+    one up_count_nodes table of the bet factors built for all blocks (a
+    node with a factor of 0 is 0).  At spot 1 the nodes are
+    LatticeModel.for_bernoulli_bet(lam, 0.5).terminal_values wherever that
+    lattice exists; evolve's left-to-right product of the same path is a
+    few ulps from the node at most.  Every other null draws
+    hyp.null_sampler() outcomes, and K_T is the last step of evolve under
+    the constant lam (1 when there are no steps).
     """
+    _check_bet(lam, hyp.lambda_bounds())
     if hyp.family is Family.BERNOULLI and hyp.null_param == 0.5:
-        _check_bet(lam, hyp.lambda_bounds())
         down, up = _bet_factor(lam, [0.0, 1.0], hyp.null_mean).tolist()
         nodes = up_count_nodes(up, down, steps)
 
@@ -275,7 +251,13 @@ def null_paths(lam: float, hyp: HypothesisSpec, steps: int):
         def final(words):
             return nodes.take(np.bitwise_count(words).sum(axis=1, dtype=np.intp))
         return sample, final
-    return hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp)
+
+    def final(ys):
+        k = np.ones(len(ys))
+        for k, _ in evolve(lambda k, t: lam, ys, hyp):
+            pass
+        return k
+    return hyp.null_sampler(), final
 
 
 def hedged_cs(outcomes, lam,

@@ -21,9 +21,10 @@ the CSVs are written with one f-string per row,
 gene ids quoted by the csv module, instead of as one byte table with one
 format per distinct value, and a raw matrix is read by csv with one float()
 per value and transformed in one whole-matrix pass instead of block by
-block.  path_values
-and crossing_times are no oracles: they are the batch engine's wealth rows
-and the batch rule's crossing times, shared by the test files, and
+block.  path_values,
+constant_bet_finals and crossing_times are no oracles: they are the batch
+engine's wealth rows and final wealths and the batch rule's crossing
+times, shared by the test files, and
 conservative_lambda is the closed form the conservative configs' fixed
 fraction 0.13393401692638518 was solved from.
 """
@@ -197,6 +198,12 @@ def path_values(strategy, outcomes, hyp):
     """Rows of K_0..K_T for a batch, stepped through evolve."""
     steps = [k for k, _ in evolve(strategy, outcomes, hyp)]
     return np.column_stack([np.ones(len(outcomes))] + steps)
+
+
+def constant_bet_finals(lam, outcomes, hyp):
+    """K_T of each row under the constant fraction lam: evolve's last step,
+    1 with no steps."""
+    return path_values(lambda k, t: lam, outcomes, hyp)[:, -1]
 
 
 def crossing_times(values, alpha):
@@ -398,8 +405,13 @@ def result_csv_by_row(result):
 
 
 def csv_field(text):
-    """`text` as csv.writer writes a field of a row (QUOTE_MINIMAL)."""
+    """`text` as csv.writer writes a field of a row (QUOTE_MINIMAL), but
+    quoted when it starts with `#`, so no reader takes its row for one of
+    the file's comment lines."""
     out = io.StringIO()
+    if text.startswith("#"):
+        csv.writer(out, quoting=csv.QUOTE_ALL).writerow([text])
+        return out.getvalue().removesuffix("\r\n")
     csv.writer(out).writerow([text, ""])
     return out.getvalue().removesuffix(",\r\n")
 

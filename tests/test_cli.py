@@ -525,13 +525,14 @@ class TestSimulate:
 
 
 # Gene ids that a CSV field must quote (a comma, a quote), next to plain ones.
-ODD_IDS = ["g0", "ab,c", 'q"x', "plain", 'é,"z"']
+ODD_IDS = ["g0", "ab,c", 'q"x', "plain", 'é,"z"', "#g1"]
 
 
 def write_odd_id_matrix(path, delimiter):
-    """Five genes named ODD_IDS, 6 normal then 6 tumor columns, written by
+    """Six genes named ODD_IDS, 6 normal then 6 tumor columns, written by
     csv.writer: the comma-delimited file quotes the ids with a comma or a
-    quote, the tab-delimited one holds "ab,c" bare."""
+    quote, the tab-delimited one holds "ab,c" bare, and both hold "#g1"
+    bare, a gene and no comment line of the input."""
     rng = np.random.default_rng(5)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")

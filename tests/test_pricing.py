@@ -16,17 +16,17 @@ from hedgetest.pricing import (Contract, ContractKind, LatticeModel,
                                floor_put, normal_cdf, put_floor_strikes,
                                risk_neutral_up_prob)
 from hedgetest.rng import stream
-from hedgetest.wealth import HypothesisSpec, null_paths, terminal_wealth
+from hedgetest.wealth import HypothesisSpec, null_paths
 
-from oracles import binomial_weight_price, enumerate_paths_price
+from oracles import binomial_weight_price, constant_bet_finals, enumerate_paths_price
 
 KELLY_LATTICE = LatticeModel(1.5, 0.5)
 
 
 def float_table(lam, hyp, tau):
     """null_paths' (sampler, process) pair for a null it packs no bits of:
-    the family's table of float outcomes and terminal_wealth."""
-    return hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp)
+    the family's table of float outcomes and evolve's last step."""
+    return hyp.null_sampler(), lambda ys: constant_bet_finals(lam, ys, hyp)
 
 
 def recorded(sample):
@@ -178,7 +178,7 @@ class TestMcPrice:
     def test_family_mismatch_detected(self):
         from hedgetest.wealth import OutcomeError
         hyp = HypothesisSpec.bernoulli(0.5)
-        process = lambda ys: terminal_wealth(1.0, ys, hyp)
+        process = lambda ys: constant_bet_finals(1.0, ys, hyp)
         lognormal_sampler = HypothesisSpec.log_normal().null_sampler()
         with pytest.raises(OutcomeError):
             mc_price(lognormal_sampler, process, Contract.put(0.25, 3), 10, seed=104)

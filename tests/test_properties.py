@@ -19,8 +19,9 @@ is the least that does to within rounding of stake*S, with the premium and
 stake of its rule; no law of mean 1/2 on a few points of [0, 1] prices the
 screen's put above the two-point law.  The wealth engine run on a batch is,
 row for row, the same bits as each row run alone and the step-by-step
-recurrence of the oracle; under a constant fraction, terminal_wealth is the
-bits of evolve's last step; and the batch Ville rule finds each row's first
+recurrence of the oracle; off the fair coin, null_paths' process under a
+constant fraction is the bits of evolve's last step and the recurrence of
+the oracle; and the batch Ville rule finds each row's first
 crossing of 1/alpha where a plain loop over the row does.  Lattice marks are
 null martingales, and each node is the price of a fresh lattice started
 there; a portfolio's lookup marks along a random path agree with a fresh
@@ -57,13 +58,13 @@ from hedgetest.pricing import (Contract, LatticeModel, StrikeSolveError,
                                put_floor_strikes, up_count_nodes)
 from hedgetest.rng import row_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
-from hedgetest.wealth import (HypothesisSpec, evolve, hedged_cs, terminal_wealth,
+from hedgetest.wealth import (Family, HypothesisSpec, evolve, hedged_cs, null_paths,
                               ville_crossing)
 
 from oracles import (bernoulli_by_words, binomial_weight_price,
-                     binomial_weights_by_integers, enumerate_paths_min, first_crossing_by_hand,
-                     floor_strikes_by_interval, fresh_mark, nodes_by_fractions,
-                     step_by_remark, wealth_by_hand, worst_case_by_paths)
+                     binomial_weights_by_integers, constant_bet_finals, enumerate_paths_min,
+                     first_crossing_by_hand, floor_strikes_by_interval, fresh_mark,
+                     nodes_by_fractions, step_by_remark, wealth_by_hand, worst_case_by_paths)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -500,15 +501,23 @@ def constant_bets(draw):
 @example((HypothesisSpec.bernoulli(0.3), np.array([[0.0, 1.0], [1.0, 1.0]]), 1 / 0.3))
 @example((HypothesisSpec.log_normal(),
           np.array([[1e300, 1e300, 1e-300], [1e300, 1e300, 1.0]]), np.exp(-0.5)))
-def test_terminal_wealth_is_the_last_step_of_evolve(case):
-    # the row product of the clamped factors, bit for bit, ruined rows,
-    # T = 0 (every row 1) and wide log-normal draws that overflow included
+def test_null_paths_process_is_the_clamped_recurrence(case):
+    # evolve's last step under a constant fraction is the recurrence of the
+    # oracle, each factor clamped at 0: ruined rows, T = 0 (every row 1) and
+    # wide log-normal draws that overflow (inf * 0 is 0, not NaN) included.
+    # null_paths' process is those bits wherever the null has a sampler and
+    # packs no words (every null but the fair coin and bounded means off 1/2)
     hyp, ys, lam = case
-    last = np.ones(len(ys))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for last, _ in evolve(lambda k, t: lam, ys, hyp):
-            pass
-        assert terminal_wealth(lam, ys, hyp).tobytes() == last.tobytes()
+    finals = constant_bet_finals(lam, ys, hyp)
+    fair = hyp.family is Family.BERNOULLI and hyp.null_param == 0.5
+    unsampled = hyp.family is Family.BOUNDED_MEAN and hyp.null_param != 0.5
+    if not (fair or unsampled):
+        assert null_paths(lam, hyp, ys.shape[1])[1](ys).tobytes() == finals.tobytes()
+    for row, final in zip(ys, finals):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = wealth_by_hand([lam] * len(row), row, hyp.null_mean)[-1]
+        expected = 0.0 if math.isnan(expected) else max(expected, 0.0)
+        assert final == expected or abs(final - expected) <= 1e-12 * max(1.0, expected)
 
 
 @st.composite

@@ -13,9 +13,10 @@ from hedgetest.pricing import Contract, LatticeModel, mc_price
 from hedgetest.rng import bernoulli, bernoulli_words, stream
 from hedgetest.strategies import StrategyKind, StrategySpec, build_strategy
 from hedgetest.wealth import (Family, HypothesisSpec, InadmissibleBetError,
-                              OutcomeError, evolve, hedged_cs, terminal_wealth)
+                              OutcomeError, evolve, hedged_cs)
 
-from oracles import crossing_times, nodes_by_fractions, path_values, wealth_by_hand
+from oracles import (constant_bet_finals, crossing_times, nodes_by_fractions, path_values,
+                     wealth_by_hand)
 
 BERNOULLI = HypothesisSpec.bernoulli(0.5, 0.75)
 KELLY = build_strategy(StrategySpec(StrategyKind.KELLY), BERNOULLI, 20)
@@ -80,7 +81,7 @@ class TestHypothesisSpec:
         with pytest.raises(OutcomeError):
             hyp.validate_outcomes([math.inf, 1.0])
         with pytest.raises(OutcomeError):
-            terminal_wealth(0.0, [[math.inf, 1.0]], hyp)
+            wealth.null_paths(0.0, hyp, 2)[1]([[math.inf, 1.0]])
 
     def test_log_normal_null_mean_is_exp_half(self):
         assert HypothesisSpec.log_normal().null_mean == math.exp(0.5)
@@ -164,7 +165,10 @@ class TestOnePath:
         assert final == pytest.approx(expected, rel=1e-12)
 
 
-class TestTerminalWealth:
+class TestConstantBet:
+    """Final wealth under a constant fraction: evolve's last step, and
+    null_paths' process off the fair coin."""
+
     @pytest.mark.parametrize("hyp,draw,lams", [
         (BERNOULLI, lambda rng, shape: (rng.random(shape) < 0.5).astype(float),
          (-2.0, -0.7, 0.0, 1.0, 2.0)),
@@ -176,25 +180,25 @@ class TestTerminalWealth:
     def test_matches_the_oracle_row_by_row(self, hyp, draw, lams):
         ys = draw(stream(61), (200, 15))
         for lam in lams:
-            finals = terminal_wealth(lam, ys, hyp)
+            finals = constant_bet_finals(lam, ys, hyp)
             assert finals.shape == (200,)
             for row, final in zip(ys, finals):
                 expected = wealth_by_hand([lam] * 15, row, hyp.null_mean)[-1]
                 assert final == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_ruined_row_stays_at_zero(self):
-        finals = terminal_wealth(2.0, np.array([[0, 1, 1], [1, 1, 1]]), BERNOULLI)
-        assert finals.tolist() == [0.0, 8.0]
-        assert path_values(lambda k, t: 2.0, [[0, 1, 1]], BERNOULLI)[0, -1] == 0.0
+        ys = np.array([[0, 1, 1], [1, 1, 1]])
+        assert constant_bet_finals(2.0, ys, BERNOULLI).tolist() == [0.0, 8.0]
+        # the bounded null of mean 1/2 has the fair coin's factors
+        assert wealth.null_paths(2.0, HypothesisSpec.bounded(), 3)[1](ys).tolist() == [0.0, 8.0]
 
     def test_overflowed_row_meeting_a_zero_factor_is_ruined(self):
         # the product overflows to inf, then the factor 1 - e^{-1/2} e^{1/2}
-        # is 0: inf * 0 is NaN in floating point, a ruined row in both engines
+        # is 0: inf * 0 is NaN in floating point, a ruined row, with no warning
         hyp, ys, lam = HypothesisSpec.log_normal(), np.array([[1e300, 1e300, 1e-300]]), \
             math.exp(-0.5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert terminal_wealth(lam, ys, hyp).tolist() == [0.0]
-            assert path_values(lambda k, t: lam, ys, hyp)[0, 2:].tolist() == [math.inf, 0.0]
+        assert wealth.null_paths(lam, hyp, 3)[1](ys).tolist() == [0.0]
+        assert path_values(lambda k, t: lam, ys, hyp)[0, 2:].tolist() == [math.inf, 0.0]
 
     def test_evolve_reaches_inf_then_ruin_without_a_warning(self):
         # 1e308 doubles past the float range, then a factor 0 ruins it; the
@@ -207,11 +211,15 @@ class TestTerminalWealth:
         with pytest.raises(OutcomeError):
             path_values(lambda k, t: 1.0, outside[:1], BERNOULLI)
         with pytest.raises(OutcomeError):
-            terminal_wealth(1.0, outside, BERNOULLI)
+            wealth.null_paths(1.0, HypothesisSpec.bernoulli(0.25), 4)[1](outside)
         with pytest.raises(InadmissibleBetError):
             path_values(lambda k, t: 3.0, [[1, 1]], BERNOULLI)
+
+    @pytest.mark.parametrize("hyp", [BERNOULLI, HypothesisSpec.bernoulli(0.25),
+                                     HypothesisSpec.bounded(), HypothesisSpec.log_normal()])
+    def test_inadmissible_bet_with_no_steps_is_refused(self, hyp):
         with pytest.raises(InadmissibleBetError):
-            terminal_wealth(3.0, np.array([[1.0, 1.0]]), BERNOULLI)
+            wealth.null_paths(hyp.lambda_bounds()[1] * 1.01, hyp, 0)
 
 
 FAIR = HypothesisSpec.bernoulli(0.5)
@@ -250,7 +258,7 @@ class TestFairCoinNodes:
         assert packed_rng.bit_generator.state == table_rng.bit_generator.state
         with np.errstate(over="ignore", invalid="ignore"):
             got = wealth.null_paths(lam, FAIR, steps)[1](words)
-            product = terminal_wealth(lam, table, FAIR)
+            product = constant_bet_finals(lam, table, FAIR)
         # each path is the correctly rounded node of its number of ups
         ups = table.sum(axis=1).astype(np.intp)
         down, up = 1.0 - lam / 2, 1.0 + lam / 2
@@ -302,7 +310,7 @@ class TestNullPaths:
     def test_prices_as_the_reference_path(self, hyp, lam, tau):
         contract = Contract.put(0.3, tau)
         got = mc_price(*wealth.null_paths(lam, hyp, tau), contract, 5000, seed=31)
-        expected = mc_price(hyp.null_sampler(), lambda ys: terminal_wealth(lam, ys, hyp),
+        expected = mc_price(hyp.null_sampler(), lambda ys: constant_bet_finals(lam, ys, hyp),
                             contract, 5000, seed=31)
         assert (got.value, got.std_error) == (expected.value, expected.std_error)
 
@@ -501,7 +509,7 @@ class TestMartingaleConservation:
     def _finals(self, hyp, lam, n, horizon, seed):
         sampler = hyp.null_sampler()
         ys = np.array([sampler(stream(seed, i), horizon) for i in range(n)])
-        return terminal_wealth(lam, ys, hyp)
+        return constant_bet_finals(lam, ys, hyp)
 
     @pytest.mark.parametrize("hyp,lam,seed", [
         (HypothesisSpec.bernoulli(0.5, 0.75), 1.0, 41),
@@ -564,6 +572,6 @@ def test_per_path_api_stays_deleted():
     # and one wealth step, evolve's
     deleted = ("WealthPath", "CashFlow", "TestDecision", "run_process", "run_hedged_cs",
                "cash_flow", "ville_decide", "decide_from_values", "update_wealth",
-               "terminal_wealth_of_words", "PREFIX_STEPS")
+               "terminal_wealth_of_words", "PREFIX_STEPS", "terminal_wealth")
     for module in (hedgetest, wealth):
         assert [name for name in deleted if hasattr(module, name)] == []

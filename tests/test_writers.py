@@ -252,7 +252,7 @@ def test_int_cells_are_the_decimal_text_of_each_integer():
 
 #: the rows where the index gains a digit, and the shipped replication count
 ROW_COUNTS = [1, 9, 10, 11, 99, 100, 101, 10_001]
-GENE_ID = st.text(st.one_of(st.sampled_from(',"\r\n\t\x00 é漢\U0001f600'),
+GENE_ID = st.text(st.one_of(st.sampled_from(',"#\r\n\t\x00 é漢\U0001f600'),
                             st.characters()), max_size=6)
 
 
@@ -330,10 +330,12 @@ def test_writer_memory_is_the_text_twice_and_one_block():
 @pytest.mark.parametrize("ids", [
     [], ["g0"], [f"g{i:05d}" for i in range(3000)], ["", "a b", "é", "日本", "x\x00y"],
     ["g0", "ab,c"], ["g0", 'q"x'], ["g0", "a\rb"], ["g0", "a\nb"], ["a\r\nb"],
-    ["\n"], ["", "\n", ""], ["g0", 'é,"z"', "plain"]])
+    ["\n"], ["", "\n", ""], ["g0", 'é,"z"', "plain"], ["#g1", "g0"], ["g0", "#"],
+    ["g0", "a#b"]])
 def test_text_cells_equal_the_per_field_cells(ids):
-    # ids needing no quotes are encoded at once; any comma, quote, CR or LF
-    # sends the list through csv_field one id at a time
+    # ids needing no quotes are encoded at once; any comma, quote, CR or LF,
+    # or an id that starts with `#`, sends the list through csv_field one id
+    # at a time
     per_field = harness._cells(b"".join(harness.csv_field(f).encode() + harness._PAD
                                         for f in ids))
     cells = text_cells(ids)
