@@ -400,7 +400,7 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     lambdas = np.asarray(lambdas, dtype=float)
     if sequences.ndim != 2 or sequences.shape[0] != lambdas.shape[0]:
         raise ValueError("need one fraction per gene row")
-    if np.any((lambdas < 0.0) | (lambdas > 2.0)):
+    if not np.all((lambdas >= 0.0) & (lambdas <= 2.0)):    # NaN too
         raise ValueError("screening fractions must lie in [0, 2]")
     m, horizon = sequences.shape
     if m == 0 or horizon == 0:
@@ -420,7 +420,8 @@ def run_screening(sequences: np.ndarray, lambdas: np.ndarray, *,
     else:
         tau = hedge.expiry
         table = _screening_hedges(lambdas, hedge.floor, tau)
-        rows = np.array([table[lam] for lam in lambdas.tolist()])
+        keys, index = np.unique(lambdas, return_inverse=True)
+        rows = np.array([table[lam] for lam in keys.tolist()])[index]
         strike, stake = rows[:, 0], rows[:, 2]
 
     def wealth():

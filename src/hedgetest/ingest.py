@@ -9,7 +9,8 @@ null comes out Uniform(0, 1) with mean 1/2, which is what the
 bounded-outcome betting process expects.  N_HELD_OUT tumor samples per
 gene pick its betting fraction and never appear in its test sequence.
 
-The file is read one block of ROW_BLOCK gene rows at a time, and each block
+One tokenizer, np.loadtxt, splits every line: the header, and each block
+of ROW_BLOCK gene rows, its gene ids and values in one call.  Each block
 is transformed on its own: every per-gene statistic is a row reduction and
 every other step is elementwise, so a block's rows come out with the same
 bits as in a whole-matrix pass.  Each block's test columns and fractions
@@ -19,7 +20,6 @@ plus one block, never the file's text or a full raw or uniform matrix.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import compress, islice
 from typing import Sequence
@@ -54,29 +54,11 @@ class HeldOutError(GroupError):
     """Fewer tumor columns than the fraction plug-in holds out."""
 
 
-def _split_id(line: str, delimiter: str) -> tuple[str, str]:
-    """(gene id, the value fields) of one data line; a quoted id is read as
-    csv reads it, so it may hold the delimiter."""
-    if line.startswith('"'):
-        fields = next(csv.reader([line], delimiter=delimiter))
-        return fields[0].strip(), delimiter.join(fields[1:])
-    gene_id, _, values = line.partition(delimiter)
-    return gene_id.strip(), values
-
-
-def _parse_values(fields, delimiter: str) -> np.ndarray:
-    return np.loadtxt(fields, delimiter=delimiter, quotechar='"', comments=None,
-                      ndmin=2)
-
-
-def _parses_to(text: str, delimiter: str, width: int) -> bool:
-    """Whether one line's value fields are `width` numbers."""
-    if not text.strip():        # numpy would warn of a line with no data
-        return False
-    try:
-        return _parse_values([text], delimiter).size == width
-    except ValueError:
-        return False
+def _split(lines, delimiter: str, **options) -> np.ndarray:
+    """np.loadtxt over lines: the matrix format's one tokenizer, for the
+    header and the data rows alike.  A field in double quotes may hold the
+    delimiter and reads a doubled quote as one; "#" starts no comment."""
+    return np.loadtxt(lines, delimiter=delimiter, quotechar='"', comments=None, **options)
 
 
 def _read_header(fh, normal_label: str, tumor_label: str) -> tuple[str, tuple[str, ...]]:
@@ -87,7 +69,9 @@ def _read_header(fh, normal_label: str, tumor_label: str) -> tuple[str, tuple[st
         raise GroupError(f"the normal and tumor labels must differ, both are {normal_label!r}")
     first = fh.readline()
     delimiter = "\t" if first.count("\t") >= first.count(",") else ","
-    header = next(csv.reader([first], delimiter=delimiter))
+    # numpy warns of a line with no data; dtype=str would size the fields'
+    # strings in a buffer of 50,000 rows, 41 MB for a 103-field header
+    header = _split([first], delimiter, dtype=object, ndmin=1) if first.strip("\n") else ()
     groups = tuple(h.strip() for h in header[1:])
     labels = set(groups)
     if labels != {normal_label, tumor_label}:
@@ -111,47 +95,42 @@ def _row_bound(path) -> int:
     return breaks
 
 
-def _parse_block(rows, path, delimiter: str, width: int):
-    """(gene ids, values) of one block of (file line, gene id, value fields)
-    rows, the values parsed by numpy in one call; None for no rows.  A
-    ragged, empty or non-numeric row is a ValueError that names its file
-    line, and a non-finite value is a ValueError too."""
-    if not rows:
-        return None
-    linenos, gene_ids, fields = zip(*rows)
-    try:
-        # numpy skips a row with no value text, which would pair every later
-        # gene id with the row after its own, and warns of a block of them
-        if "" in fields or any(map(str.isspace, fields)):
-            raise ValueError("a row with no values")
-        values = _parse_values(fields, delimiter)
-        if values.shape != (len(fields), width - 1):
-            raise ValueError("ragged rows")
-    except ValueError:
-        bad = next((lineno for lineno, text in zip(linenos, fields)
-                    if not _parses_to(text, delimiter, width - 1)), None)
-        if bad is None:
-            raise
-        raise ValueError(f"{path} line {bad}: expected {width} fields, a gene id "
-                         f"and {width - 1} numeric values") from None
-    if not np.all(np.isfinite(values)):
-        raise ValueError("expression matrix contains missing or non-finite values")
-    return gene_ids, values
+def _data_rows(lines, delimiter: str, width: int):
+    """(gene ids, values) of data lines split by one _split call, the
+    converter of column 0 collecting the gene ids.  A line that is not a
+    gene id and width - 1 numbers is a ValueError."""
+    ids = []
+    table = _split(lines, delimiter, ndmin=2,
+                   converters={0: lambda field: ids.append(field.strip()) or 0.0})
+    if table.shape != (len(lines), width):
+        raise ValueError("ragged rows")
+    return ids, table[:, 1:]
 
 
 def _row_blocks(fh, path, delimiter: str, width: int):
     """Yield (gene ids, values) for each block of up to ROW_BLOCK gene rows
     of fh past its header.  Blank lines are skipped but counted in the line
-    numbers; a file with no gene rows is a ValueError.  A block's text is
-    dropped once it is parsed, before the block is yielded."""
-    rows = ((lineno, *_split_id(line, delimiter))   # universal newlines: CRLF reads as LF
-            for lineno, line in enumerate(fh, 2) if line != "\n")
-    block = _parse_block(list(islice(rows, ROW_BLOCK)), path, delimiter, width)
-    if block is None:
-        raise ValueError(f"no gene rows in {path}")
-    while block is not None:
-        yield block
-        block = _parse_block(list(islice(rows, ROW_BLOCK)), path, delimiter, width)
+    numbers.  A ragged, empty or non-numeric row is a ValueError that names
+    its file line, the first of its block that _data_rows refuses alone; a
+    non-finite value is a ValueError too.  A block's text is dropped before
+    the block is yielded."""
+    numbered = ((lineno, line)      # universal newlines: CRLF reads as LF
+                for lineno, line in enumerate(fh, 2) if line != "\n")
+    for block in iter(lambda: list(islice(numbered, ROW_BLOCK)), []):
+        try:
+            ids, values = _data_rows([line for _, line in block], delimiter, width)
+        except ValueError:
+            for lineno, line in block:
+                try:
+                    _data_rows([line], delimiter, width)
+                except ValueError:
+                    raise ValueError(f"{path} line {lineno}: expected {width} fields, a gene "
+                                     f"id and {width - 1} numeric values") from None
+            raise
+        if not np.all(np.isfinite(values)):
+            raise ValueError("expression matrix contains missing or non-finite values")
+        del block
+        yield ids, values
 
 
 def _normal_columns(groups: Sequence[str], normal_label: str) -> np.ndarray:
@@ -248,13 +227,13 @@ def read_screening(path, *, normal_label: str = "normal", tumor_label: str = "tu
 
     The header is checked first, each fault a GroupError: the two group
     labels, which must differ, at least two normal columns
-    (ZeroVarianceError) and N_HELD_OUT tumor columns (HeldOutError); then
-    that the file has a gene row.  Each block is parsed, checked,
-    transformed and split into the test sequences, one array allocated
-    before the first block for every row the file may hold (the file is
-    read once more to count its lines).  A gene skipped for no normal
-    variance is listed in skipped_gene_ids, and with none left the
-    ZeroVarianceError comes after the last block.
+    (ZeroVarianceError) and N_HELD_OUT tumor columns (HeldOutError).  Each
+    block is tokenized, checked, transformed and split into the test
+    sequences, one array allocated before the first block for every row
+    the file may hold (the file is read once more to count its lines).  A
+    gene skipped for no normal variance is listed in skipped_gene_ids.
+    After the last block, a file with no gene rows is a ValueError, and
+    one with no gene left a ZeroVarianceError.
     """
     with open(path) as fh:
         delimiter, groups = _read_header(fh, normal_label, tumor_label)
@@ -272,6 +251,8 @@ def read_screening(path, *, normal_label: str = "normal", tumor_label: str = "tu
             gene_ids += compress(ids, keep)
             skipped += compress(ids, [not k for k in keep])
     if not gene_ids:
+        if not skipped:
+            raise ValueError(f"no gene rows in {path}")
         raise ZeroVarianceError("every gene has zero variance in the normal group")
     m = len(gene_ids)
     return ScreeningInput(tuple(gene_ids), sequences[:m], lambdas[:m], held,

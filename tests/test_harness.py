@@ -433,6 +433,15 @@ class TestScreening:
         with pytest.raises(ValueError):
             run_screening(stream(407).random((3, 10)), np.full(4, 0.5))
 
+    @pytest.mark.parametrize("bad", [2.5, -0.1, math.nan])
+    @pytest.mark.parametrize("hedge", [None, HedgeSpec()])
+    def test_fractions_off_0_2_rejected(self, bad, hedge):
+        # NaN too: it used to reach the strike solve ("cannot convert NaN
+        # to integer ratio") or, unhedged, the engine's admissibility check
+        lambdas = np.array([0.5, bad, 0.5])
+        with pytest.raises(ValueError, match=r"screening fractions must lie in \[0, 2\]"):
+            run_screening(stream(407).random((3, 10)), lambdas, hedge=hedge)
+
     @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
     @pytest.mark.parametrize("hedge", [None, HedgeSpec()])
     def test_outcomes_off_the_unit_interval_rejected(self, bad, hedge):

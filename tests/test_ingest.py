@@ -2,8 +2,12 @@
 the held-out split and the fraction plug-in, each against a whole-matrix
 reference."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from hedgetest import cli
@@ -27,6 +31,11 @@ def write_matrix(path, values, groups):
 
 
 SIX = ("normal",) * 3 + ("tumor",) * 3
+
+#: Gene ids that hold either delimiter, quotes, spaces, "#" and non-ASCII
+#: text; no line break, which would split a csv.writer row across lines.
+GENE_ID = st.text(st.one_of(st.sampled_from(',\t" #aé漢\U0001f600'),
+                            st.characters(min_codepoint=0x80)), max_size=6)
 
 
 class TestReader:
@@ -69,6 +78,37 @@ class TestReader:
         assert prepared.sequences.shape == sequences.shape == (40, 10)
         assert prepared.sequences.tobytes() == sequences.tobytes()
         assert prepared.lambdas.tobytes() == lambdas.tobytes()
+
+    @given(ids=st.lists(GENE_ID, min_size=1, max_size=6), delimiter=st.sampled_from(",\t"))
+    def test_ids_read_as_csv_reader_reads_them(self, tmp_path_factory, ids, delimiter):
+        path = tmp_path_factory.mktemp("ids") / "matrix.txt"
+        values = np.exp(stream(309).standard_normal((len(ids), 6)))
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+            writer.writerow(["gene", *SIX])
+            writer.writerows([gene_id, *map(repr, row)]
+                             for gene_id, row in zip(ids, values.tolist()))
+        with open(path, newline="") as fh:
+            _, *rows = csv.reader(fh, delimiter=delimiter)
+        assert read_screening(path).gene_ids == tuple(row[0].strip() for row in rows)
+
+    @pytest.mark.parametrize("field,gene_id", [
+        ('ab"c', 'ab"c'), ('"ab" x', "ab x"), (' "ab"', '"ab"'), ('"ab"x', "abx"),
+        ('"a""b"', 'a"b')])
+    def test_quotes_inside_ids_read_as_pinned(self, tmp_path, field, gene_id):
+        # a quote opens a quoted field only as the field's first character
+        path = tmp_path / "expr.csv"
+        path.write_text(f"gene,{','.join(SIX)}\n{field},1,2,3,4,5,6\n")
+        assert read_screening(path).gene_ids == (gene_id,)
+
+    @pytest.mark.parametrize("header", ["", "\n", "   \n", "\t\n"])
+    def test_an_empty_header_is_a_group_error_without_a_warning(self, tmp_path, header):
+        path = tmp_path / "expr.csv"
+        path.write_text(header + "g0,1,2,3,4,5,6\n" * bool(header))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GroupError, match="expected groups"):
+                read_screening(path)
 
 
 class TestTransform:
